@@ -15,3 +15,7 @@ class SchedulingError(ReproError):
 
 class ConfigurationError(ReproError):
     """An experiment or component was configured with invalid parameters."""
+
+
+class StoreUnavailable(ReproError):
+    """A SQLite store could not commit within its retry budget."""

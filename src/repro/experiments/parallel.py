@@ -21,7 +21,10 @@ Two cache tiers sit in front of execution:
   :mod:`repro.experiments.result_index`) indexes the blobs — size, LRU
   recency, provenance — so lookup bookkeeping, the size cap and LRU
   eviction run off one query instead of a directory walk; it rebuilds
-  itself from the blobs whenever it disagrees with the filesystem.
+  itself from the blobs whenever it disagrees with the filesystem.  The
+  index keeps one WAL-mode connection per process for the life of the
+  cache, so a hit costs one small commit rather than a fresh connection;
+  a ``fork``-ed child opens its own.
 
 The cache key is a content hash of the spec (every compared field,
 including ``estimate_tag``) and the *full* trace — job ids, submit times

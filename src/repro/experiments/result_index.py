@@ -28,16 +28,26 @@ SQLite is unavailable (the caller falls back to directory scans), and
 :meth:`reconcile` rebuilds the index from the blobs on disk — the
 migration path for caches that predate the index, and the self-healing
 path when another process (or a test) touches blobs behind our back.
-Connections are opened per operation: the index is low-traffic (one
-write per simulation executed), and a stateless handle cannot leak
-across ``fork`` into pool workers.
+
+Each instance keeps one WAL-mode connection per process
+(:mod:`repro.core.sqlite`, shared with the service event store), opened
+by the first operation that needs it and held until :meth:`close`: a
+connection per operation made the index the largest cost of a sweep's
+parent process.  The connection is tagged with the process id that
+opened it, so a ``fork``-ed child opens its own instead of reusing the
+parent's handle.  WAL's ``index.db-wal``/``index.db-shm`` sidecars are
+never blobs: scans match ``*.pkl`` only.
 """
 
 from __future__ import annotations
 
+import os
 import sqlite3
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+from repro.core.errors import StoreUnavailable
+from repro.core.sqlite import commit, connect_wal
 
 #: Name of the database file inside the cache root.
 INDEX_FILENAME = "index.db"
@@ -73,45 +83,60 @@ class ResultIndex:
         self.root = Path(root)
         self.db_path = self.root / INDEX_FILENAME
         self._disabled = False
+        self._conn: sqlite3.Connection | None = None
+        self._pid = 0  # process that opened ``_conn``
 
     @property
     def available(self) -> bool:
         """False once a SQLite failure has disabled this instance."""
         return not self._disabled
 
+    def close(self) -> None:
+        """Close this process's connection; the next operation reopens it."""
+        conn, self._conn = self._conn, None
+        if conn is not None and self._pid == os.getpid():
+            conn.close()
+
     # -- connection plumbing -------------------------------------------
-    def _connect(self, create: bool) -> sqlite3.Connection | None:
-        """One short-lived connection, or ``None`` when unavailable.
+    def _connection(self, create: bool) -> sqlite3.Connection | None:
+        """This process's connection, or ``None`` when unavailable.
 
         ``create=False`` read paths never materialize the database: a
         cache that is only ever read from stays a plain directory.
         """
         if self._disabled:
             return None
+        if self._conn is not None:
+            if self._pid == os.getpid():
+                return self._conn
+            # Inherited across fork: drop the parent's handle before
+            # opening ours, never use it.
+            self._conn = None
         if not create and not self.db_path.is_file():
             return None
         try:
             if create:
                 self.root.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self.db_path, timeout=5.0)
-            conn.executescript(_SCHEMA)
-            return conn
+            self._conn = connect_wal(self.db_path, _SCHEMA, timeout=5.0)
         except (sqlite3.Error, OSError):
             self._disabled = True
             return None
+        self._pid = os.getpid()
+        return self._conn
 
     def _run(self, create: bool, fn):
-        conn = self._connect(create)
+        """``fn(conn)`` as one committed transaction, or ``None``."""
+        conn = self._connection(create)
         if conn is None:
             return None
         try:
-            with conn:  # one transaction per operation
-                return fn(conn)
-        except sqlite3.Error:
+            result = fn(conn)
+            commit(conn, self.db_path)
+            return result
+        except (sqlite3.Error, StoreUnavailable):
             self._disabled = True
+            self.close()  # discards the failed transaction
             return None
-        finally:
-            conn.close()
 
     # -- writes ---------------------------------------------------------
     def record(

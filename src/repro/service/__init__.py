@@ -26,8 +26,9 @@ Entry points
   event-store write throughput).
 """
 
+from repro.core.errors import StoreUnavailable
 from repro.service.api import DrainTimeout, ServiceState
-from repro.service.event_store import EventStore, StoreUnavailable
+from repro.service.event_store import EventStore
 from repro.service.models import (
     LifecycleEvent,
     RunConfig,

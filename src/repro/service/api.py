@@ -16,7 +16,7 @@ All methods raise :class:`~repro.core.errors.ConfigurationError` for
 client mistakes (unknown policy, bad params, unknown run); transports
 map that to a 400-class response.  :class:`DrainTimeout` — a run whose
 in-flight jobs outlasted the caller's drain budget — maps to 504, and
-:class:`~repro.service.event_store.StoreUnavailable` to 503.
+:class:`~repro.core.errors.StoreUnavailable` to 503.
 
 Crash recovery
 --------------

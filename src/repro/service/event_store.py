@@ -8,12 +8,13 @@ monotonic ``seq`` (an ``INTEGER PRIMARY KEY AUTOINCREMENT``), and replay
 
 Durability model
 ----------------
-The connection runs ``journal_mode=WAL`` with ``synchronous=NORMAL``:
-appends go to the write-ahead log and survive process crashes up to the
-last committed transaction.  Appends are buffered — the store commits
-every ``flush_every`` rows and on every explicit :meth:`flush` — so a
-hard crash loses at most one uncommitted tail, never a committed prefix,
-and never tears an individual event.  ``seq`` gaps cannot appear in what
+The connection (:func:`repro.core.sqlite.connect_wal`) runs
+``journal_mode=WAL`` with ``synchronous=NORMAL``: appends go to the
+write-ahead log and survive process crashes up to the last committed
+transaction.  Appends are buffered — the store commits every
+``flush_every`` rows and on every explicit :meth:`flush` — so a hard
+crash loses at most one uncommitted tail, never a committed prefix, and
+never tears an individual event.  ``seq`` gaps cannot appear in what
 a reader observes: readers see exactly the committed prefix, in order.
 
 Snapshots
@@ -29,30 +30,23 @@ executor threads).
 
 Commit retry
 ------------
-A concurrent reader holding the database (another process tailing the
-log, a stuck backup) can surface as ``sqlite3.OperationalError:
-database is locked`` even under WAL.  Every commit therefore runs
-through :meth:`EventStore._commit`, which retries with exponential
-backoff inside a bounded budget and raises the typed
-:class:`StoreUnavailable` once the budget is exhausted — callers (the
-HTTP edge maps it to 503) get a clean error instead of a raw sqlite
-exception mid-append.
+Every commit runs through :func:`repro.core.sqlite.commit`, the bounded
+busy-retry shared with the run-cache index: a database held locked past
+its budget raises the typed :class:`~repro.core.errors.StoreUnavailable`
+(the HTTP edge maps it to 503) instead of a raw sqlite exception
+mid-append.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 import time
 from typing import Any, Iterator, Mapping
 
-from repro.core.errors import ConfigurationError, ReproError
+from repro.core.errors import ConfigurationError, StoreUnavailable
+from repro.core.sqlite import commit, connect_wal
 from repro.service.models import LifecycleEvent, RunConfig, canonical_json
-
-
-class StoreUnavailable(ReproError):
-    """The event store could not commit within its retry budget."""
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS events (
@@ -95,13 +89,9 @@ class EventStore:
         self.path = path
         self.flush_every = flush_every
         self._lock = threading.RLock()
-        self._conn = sqlite3.connect(
-            path, check_same_thread=False, timeout=30.0
+        self._conn = connect_wal(
+            path, _SCHEMA, timeout=30.0, check_same_thread=False
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
         self._pending = 0
         self._appended = 0
         self._commits = 0
@@ -110,30 +100,15 @@ class EventStore:
         self._closed = False
 
     def _commit(self) -> None:
-        """Commit with bounded retry; raises :class:`StoreUnavailable`.
-
-        Only ``database is locked`` / ``database is busy`` errors are
-        retried — anything else (corruption, disk full) re-raises
-        immediately.  Callers hold ``self._lock``.
-        """
-        delay = self.commit_backoff
-        for attempt in range(self.commit_retries):
-            try:
-                self._conn.commit()
-                self._commits += 1
-                return
-            except sqlite3.OperationalError as exc:
-                message = str(exc).lower()
-                if "locked" not in message and "busy" not in message:
-                    raise
-                self._commit_retries_used += 1
-                if attempt == self.commit_retries - 1:
-                    raise StoreUnavailable(
-                        f"event store {self.path!r} still locked after "
-                        f"{self.commit_retries} commit attempts: {exc}"
-                    ) from exc
-                time.sleep(delay)
-                delay *= 2
+        """Commit with the shared bounded retry; callers hold the lock."""
+        try:
+            self._commit_retries_used += commit(
+                self._conn, self.path, self.commit_retries, self.commit_backoff
+            )
+        except StoreUnavailable:
+            self._commit_retries_used += self.commit_retries
+            raise
+        self._commits += 1
 
     # -- write path ------------------------------------------------------
     def append(self, event: LifecycleEvent) -> int:

@@ -436,6 +436,14 @@ class SchedulerBridge:
     def _wall(self) -> float:
         return time.monotonic() - self._t0
 
+    def _done(self) -> bool:
+        """Every submitted job injected and completed."""
+        with self._mutex:
+            return (
+                self._injected == self._submitted
+                and self._fold.jobs_completed == self._submitted
+            )
+
     def _run(self) -> None:
         engine = self.engine
         sim = engine.sim
@@ -444,15 +452,15 @@ class SchedulerBridge:
             now_v = self._wall() * self.time_scale
             if now_v > sim.now:
                 sim.run(until=now_v)
-            with self._mutex:
-                done = (
-                    self._injected == self._submitted
-                    and self._fold.jobs_completed == self._submitted
-                )
-            if done:
+            if self._done():
                 self.store.flush()
-                self._all_done.set()
-                if stopping:
+                # A submit() during the flush clears the event under the
+                # mutex; re-check under it so the set cannot undo that.
+                with self._mutex:
+                    done = self._done()
+                    if done:
+                        self._all_done.set()
+                if done and stopping:
                     return
             timeout = self.idle_poll
             next_v = sim.next_event_time

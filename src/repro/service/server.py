@@ -38,9 +38,8 @@ import threading
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, StoreUnavailable
 from repro.service.api import DrainTimeout, ServiceState
-from repro.service.event_store import StoreUnavailable
 from repro.service.models import ServiceConfig
 
 _REASONS = {

@@ -1,8 +1,11 @@
 """Tests for the streaming executor core, fold, crash recovery and index."""
 
+import multiprocessing
 import os
 import pickle
 import signal
+import sqlite3
+import sys
 import time
 
 import pytest
@@ -460,7 +463,10 @@ def test_rebuild_from_blobs_migrates_preindex_cache(tmp_path):
     executor = SweepExecutor(max_workers=1, disk_cache=cache)
     trace = small_trace("migrate")
     executor.run_one(SPEC, trace)
-    (tmp_path / "index.db").unlink()  # simulate a pre-index cache
+    # Simulate a pre-index cache: no database, and no WAL sidecars.
+    cache.index.close()
+    for name in ("index.db", "index.db-wal", "index.db-shm"):
+        (tmp_path / name).unlink(missing_ok=True)
 
     adopted = DiskCache(tmp_path)
     assert adopted.rebuild_index() == 1
@@ -470,6 +476,61 @@ def test_rebuild_from_blobs_migrates_preindex_cache(tmp_path):
     # Provenance is unrecoverable from a blob (the key is a one-way hash).
     assert adopted.index.provenance(rel) == (None, None, None, None)
     assert adopted.total_bytes() == size
+
+
+def test_warm_pass_opens_one_index_connection(tmp_path, monkeypatch):
+    """The index keeps its connection: 30 disk hits, one ``connect``."""
+    pairs = [
+        (SPEC, Trace([short_job(i, 0.0)], name=f"warm-{i}")) for i in range(30)
+    ]
+    SweepExecutor(max_workers=1, disk_cache=DiskCache(tmp_path)).run_many(pairs)
+    connects = []
+    real_connect = sqlite3.connect
+
+    def counting_connect(*args, **kwargs):
+        connects.append(args)
+        return real_connect(*args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    warm = SweepExecutor(max_workers=1, disk_cache=DiskCache(tmp_path))
+    warm.run_many(pairs)
+    assert warm.disk_hits == 30
+    assert len(connects) == 1
+
+
+def _store_from_fork_child(cache, key, result):
+    """Fork child: store through the cache object inherited from the parent."""
+    cache.store(key, result)
+    index = cache.index
+    own = index._pid == os.getpid()  # opened its own connection
+    sys.exit(0 if own and index.available and index.count() == 2 else 3)
+
+
+def test_fork_child_and_parent_write_one_index(tmp_path):
+    """A forked child must not reuse the parent's open index connection."""
+    cache = DiskCache(tmp_path)
+    executor = SweepExecutor(max_workers=1, disk_cache=cache)
+    trace = small_trace("fork-parent")
+    result = executor.run_one(SPEC, trace)
+    assert cache.index._conn is not None  # the parent holds it open
+    child_key = "0" * 40
+    child = multiprocessing.get_context("fork").Process(
+        target=_store_from_fork_child, args=(cache, child_key, result)
+    )
+    child.start()
+    child.join(60)
+    assert child.exitcode == 0  # own connection, available, both rows
+    assert cache.index.available
+    rels = {f"v3/{cache_key(SPEC, trace)}.pkl", f"v3/{child_key}.pkl"}
+    assert {rel for _, rel, _ in cache.index.lru_entries()} == rels
+    # WAL sidecars sit beside the database but are never blobs.
+    assert (tmp_path / "index.db-wal").exists()
+    scanned = {cache._rel(path) for _, path, _ in cache._scan()}
+    assert scanned == rels
+    assert cache.rebuild_index() == len(scanned)
+    assert {rel for _, rel, _ in cache.index.lru_entries()} == scanned
+    assert cache.total_bytes() == sum(size for _, _, size in cache._scan())
+    assert cache.index.available
 
 
 def test_reconcile_drops_rows_for_deleted_blobs(tmp_path):

@@ -94,6 +94,45 @@ def test_checkpoint_and_compaction_preserve_replay(store):
     assert replay(store, config.run_id).result(config) == live
 
 
+class SubmitDuringFlushStore(EventStore):
+    """Submits one job from inside the bridge's first flush, then records
+    whether ``drain(timeout=0)`` reports done at every event of that job.
+    """
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.bridge = None
+        self.extra_job = None
+        self.drained_while_in_flight = []
+
+    def flush(self):
+        super().flush()
+        if self.bridge is not None and self.extra_job is None:
+            self.extra_job = self.bridge.submit(Submission(tasks=(0.05,)))
+
+    def append(self, event):
+        if event.job_id == self.extra_job:
+            self.drained_while_in_flight.append(self.bridge.drain(timeout=0))
+        return super().append(event)
+
+
+def test_submit_during_the_all_done_flush_keeps_drain_waiting(tmp_path):
+    """The bridge finds every job done and flushes; a submission landing
+    inside that flush must keep ``drain`` waiting until the job completes.
+    """
+    with SubmitDuringFlushStore(str(tmp_path / "events.db")) as store:
+        config = RunConfig(policy="sparrow", n_workers=4, cutoff=0.1)
+        bridge = SchedulerBridge(config, store, time_scale=SCALE)
+        store.bridge = bridge
+        bridge.start()
+        assert bridge.stop(timeout=30.0)  # graceful: waits for the job
+        assert store.extra_job == 0
+        assert store.drained_while_in_flight  # every event of the job...
+        assert not any(store.drained_while_in_flight)  # ...saw it undrained
+        assert bridge.drain(timeout=0)
+        assert bridge.stats()["completed"] == 1
+
+
 def test_stop_without_start_is_a_noop(store):
     bridge = SchedulerBridge(RunConfig(policy="sparrow"), store)
     assert bridge.stop() is True

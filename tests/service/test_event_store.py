@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.errors import ConfigurationError, ReproError
-from repro.service.event_store import EventStore, StoreUnavailable
+from repro.core.errors import ConfigurationError, ReproError, StoreUnavailable
+from repro.service.event_store import EventStore
 from repro.service.models import (
     KIND_COMPLETED,
     KIND_SUBMITTED,
