@@ -141,3 +141,49 @@ def test_scale_tier_structure_and_speedups():
     # pre-fast-path one (measured 1.8x / 4.0x back-to-back)
     assert speedup["steal_round_vs_pre_pr"] >= 1.5
     assert speedup["steal_round_vs_pre_fast_path"] >= 3.0
+
+
+def test_cache_read_tier_structure_and_speedup():
+    """The committed cached-result read record stays internally consistent.
+
+    ``bench_cache_read`` times ``DiskCache.load`` plus the fig05_scale
+    fold of a synthetic 3,000-job result.  The scale tier keeps it next
+    to the same harness measured on the same machine at the parent of
+    the named-tuple records (``pre_tuple_records``); the committed
+    speedup must equal the ratio of the two and clear 2x.  CI's
+    ``--scale --quick --check`` times it live.
+    """
+    scale = json.loads(BASELINE.read_text())["scale"]
+    record = scale["cache_read"]
+    ref = scale["pre_tuple_records"]
+    assert ref["commit"]
+    for field in ("jobs", "reads"):
+        assert ref["cache_read"][field] == record[field], field
+    speedup = scale["speedup"]["cache_read_vs_pre_tuple_records"]
+    assert speedup == round(
+        ref["cache_read"]["ms_per_read"] / record["ms_per_read"], 2
+    )
+    assert speedup >= 2.0
+
+
+def test_scale_check_gates_cache_read():
+    """``check_scale_regression`` passes the committed microbench numbers
+    and flags a cached read slower than committed x REGRESSION_FACTOR."""
+    from repro.bench import REGRESSION_FACTOR, check_scale_regression
+
+    scale = json.loads(BASELINE.read_text())["scale"]
+    fresh = {key: dict(scale[key]) for key in ("steal_round", "cache_read")}
+    assert check_scale_regression(BASELINE, fresh) == []
+    fresh["cache_read"]["ms_per_read"] = (
+        scale["cache_read"]["ms_per_read"] * REGRESSION_FACTOR * 1.01
+    )
+    failures = check_scale_regression(BASELINE, fresh)
+    assert len(failures) == 1 and "cache read regression" in failures[0]
+
+
+def test_cache_read_bench_runs():
+    from repro.bench import bench_cache_read
+
+    fresh = bench_cache_read(reads=2, repeats=1)
+    assert fresh["jobs"] == 3_000 and fresh["reads"] == 2
+    assert fresh["blob_bytes"] > 0 and fresh["ms_per_read"] > 0

@@ -31,9 +31,11 @@ so every PR leaves a tracked trajectory instead of anecdotes:
 
 A fourth, mode-independent measurement lives in the ``scale`` section
 (``--scale``): the 10k-worker Figure 5 point (Hawk + Sparrow on the
-densified Google trace) plus a steal-round microbench isolating the
-victim-selection loop at cluster scale.  ``--scale --quick`` runs only
-the microbench, cheap enough for CI smoke.
+densified Google trace) plus two microbenches: a steal round isolating
+the victim-selection loop at cluster scale, and a cached-result read
+(``DiskCache.load`` plus the fig05_scale fold of a 3,000-job result).
+``--scale --quick`` runs only the microbenches, cheap enough for CI
+smoke.
 
 The JSON file keeps one section per mode (``quick``/``full``) and merges
 on write, so a quick CI run never clobbers the committed full-scale
@@ -47,17 +49,21 @@ import argparse
 import json
 import os
 import platform
+import random
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from repro.cluster.job import JobClass
+from repro.cluster.records import JobRecord, RunResult, UtilizationSample
 from repro.experiments.config import RunSpec, build_engine, high_load_size
 from repro.experiments.traces import (
     google_cutoff,
     google_short_fraction,
     google_trace,
 )
+from repro.metrics import compare_runs
 from repro.workloads.motivation import MotivationConfig
 from repro.workloads.registry import WorkloadSpec
 from repro.workloads.spec import Trace
@@ -209,6 +215,86 @@ def bench_steal_rounds(n_workers: int = 10_000, rounds: int = 200_000) -> dict:
     }
 
 
+def _synthetic_run(n_jobs: int, n_workers: int, seed: int = 0) -> RunResult:
+    """A RunResult shaped like the 10k-worker scale point, without a run.
+
+    ``n_jobs`` records, one in ten long (the Google trace's mix), and
+    one utilization sample per ten jobs (the scale point has 287 for its
+    3,000), all drawn from a seeded stream so every call builds the same
+    result.
+    """
+    rng = random.Random(seed)
+    jobs = []
+    for job_id in range(n_jobs):
+        job_class = JobClass.LONG if job_id % 10 == 0 else JobClass.SHORT
+        submit = job_id * 3.2
+        runtime = rng.uniform(50.0, 5_000.0)
+        tasks = rng.randint(1, 200)
+        jobs.append(
+            JobRecord(
+                job_id=job_id,
+                submit_time=submit,
+                completion_time=submit + runtime,
+                num_tasks=tasks,
+                true_mean_task_duration=runtime / 2,
+                estimated_task_duration=runtime / 2,
+                task_seconds=tasks * runtime / 2,
+                scheduled_class=job_class,
+                true_class=job_class,
+                stolen_tasks=rng.randint(0, 3),
+            )
+        )
+    samples = tuple(
+        UtilizationSample(100.0 * i, rng.randint(0, n_workers), n_workers)
+        for i in range(n_jobs // 10)
+    )
+    return RunResult(
+        scheduler_name="hawk",
+        n_workers=n_workers,
+        jobs=tuple(jobs),
+        utilization=samples,
+    )
+
+
+def bench_cache_read(n_jobs: int = 3_000, reads: int = 50, repeats: int = 3) -> dict:
+    """Warm-cache read path: one cached run loaded and folded, per read.
+
+    Stores a synthetic ``n_jobs``-record result (:func:`_synthetic_run`)
+    in a fresh :class:`~repro.experiments.parallel.DiskCache`, then
+    times ``reads`` reads, each a ``DiskCache.load`` plus the fig05_scale
+    row's fold (``compare_runs`` for SHORT and LONG against the stored
+    result, and ``median_utilization``).  Every figure re-render from a
+    warm cache is this loop.  Best-of-``repeats``; cheap enough for CI
+    quick mode (no trace is simulated).
+    """
+    from repro.experiments.parallel import DiskCache
+
+    result = _synthetic_run(n_jobs, n_workers=10_000)
+    key = "0" * 40
+    best = float("inf")
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = DiskCache(Path(tmp))
+        try:
+            cache.store(key, result)
+            for _ in range(repeats):
+                start = time.perf_counter()
+                for _ in range(reads):
+                    loaded = cache.load(key)
+                    compare_runs(loaded, result, JobClass.SHORT)
+                    compare_runs(loaded, result, JobClass.LONG)
+                    loaded.median_utilization()
+                best = min(best, time.perf_counter() - start)
+            blob_bytes = cache.path(key).stat().st_size
+        finally:
+            cache.index.close()
+    return {
+        "jobs": n_jobs,
+        "reads": reads,
+        "blob_bytes": blob_bytes,
+        "ms_per_read": round(best / reads * 1e3, 3),
+    }
+
+
 def bench_scale(repeats: int = 3) -> dict:
     """The 10k-worker Figure 5 scale point, best-of-``repeats``.
 
@@ -216,9 +302,9 @@ def bench_scale(repeats: int = 3) -> dict:
     ``benchmarks/results/fig05_scale10k.txt`` (Hawk and Sparrow on the
     densified Google trace at 10,000 workers) and records wall time,
     logical events, and the deterministic stealing counters, plus the
-    :func:`bench_steal_rounds` microbench.  The section's ``pre_pr``
-    subkey preserves the same harness's numbers measured at the
-    pre-flat-array core for the speedup trajectory.
+    :func:`bench_steal_rounds` and :func:`bench_cache_read` microbenches.
+    The section's ``pre_pr`` subkey preserves the same harness's numbers
+    measured at the pre-flat-array core for the speedup trajectory.
     """
     workload = WorkloadSpec("google-scale10k")
     trace = workload.trace(0)
@@ -261,6 +347,7 @@ def bench_scale(repeats: int = 3) -> dict:
         total_best += best
     out["total_wall_s"] = round(total_best, 4)
     out["steal_round"] = bench_steal_rounds()
+    out["cache_read"] = bench_cache_read()
     return out
 
 
@@ -478,9 +565,9 @@ def check_regression(baseline_path: Path, section: str, fresh: dict) -> list[str
 def check_scale_regression(baseline_path: Path, fresh: dict) -> list[str]:
     """Gate a fresh scale-tier run against the committed ``scale`` section.
 
-    Always gates the steal-round microbench; gates the 10k-point
-    events/sec too when the fresh payload includes the engine runs
-    (``--scale`` without ``--quick``).
+    Always gates the steal-round and cache-read microbenches; gates the
+    10k-point events/sec too when the fresh payload includes the engine
+    runs (``--scale`` without ``--quick``).
     """
     if not baseline_path.is_file():
         return [f"no baseline file at {baseline_path}"]
@@ -495,6 +582,14 @@ def check_scale_regression(baseline_path: Path, fresh: dict) -> list[str]:
         failures.append(
             f"steal rounds/sec regression: measured {measured} < floor "
             f"{floor:.0f} (committed {committed} / {REGRESSION_FACTOR})"
+        )
+    committed = baseline["cache_read"]["ms_per_read"]
+    measured = fresh["cache_read"]["ms_per_read"]
+    ceiling = committed * REGRESSION_FACTOR
+    if measured > ceiling:
+        failures.append(
+            f"cache read regression: measured {measured} ms/read > ceiling "
+            f"{ceiling:.3f} (committed {committed} * {REGRESSION_FACTOR})"
         )
     if "policies" in fresh:
         for name, numbers in baseline.get("policies", {}).items():
@@ -526,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "measure the 10k-worker fig05 scale tier instead of the "
             "quick/full workloads; with --quick, only the steal-round "
-            "microbench runs (CI smoke)"
+            "and cache-read microbenches run (CI smoke)"
         ),
     )
     parser.add_argument(
@@ -560,7 +655,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.scale:
         section = "scale"
         if args.quick:
-            payload = {"steal_round": bench_steal_rounds()}
+            payload = {
+                "steal_round": bench_steal_rounds(),
+                "cache_read": bench_cache_read(),
+            }
         else:
             payload = bench_scale(repeats=args.repeats or 3)
         print(json.dumps({section: payload}, indent=2, sort_keys=True))
@@ -573,7 +671,8 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             print(
                 f"perf check ok: {payload['steal_round']['rounds_per_sec']} "
-                f"steal rounds/sec (baseline {baseline})"
+                f"steal rounds/sec, {payload['cache_read']['ms_per_read']} "
+                f"ms per cached read (baseline {baseline})"
             )
         if not args.no_write:
             # Partial scale runs (--quick) and fresh full runs both keep

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.cluster.job import JobClass
 
 
-@dataclass(frozen=True, slots=True)
-class JobRecord:
-    """Everything the metrics layer needs to know about one finished job."""
+class JobRecord(NamedTuple):
+    """Everything the metrics layer needs to know about one finished job.
+
+    A named tuple: its repr is the text every ``RunResult`` digest is
+    taken over, and unpickling a cached run builds each record in one
+    ``__new__`` call.
+    """
 
     job_id: int
     submit_time: float
@@ -22,28 +27,15 @@ class JobRecord:
     true_class: JobClass
     stolen_tasks: int
     #: Task re-executions forced by injected worker crashes (0 without
-    #: fault injection; appended after PR 8, hence the default and the
-    #: pickle shim below).
+    #: fault injection).
     retried_tasks: int = 0
-
-    def __setstate__(self, state: list[object]) -> None:
-        # Frozen-slots dataclasses pickle their state as the field-value
-        # list.  Run-cache pickles written before ``retried_tasks`` existed
-        # are one value short; missing trailing fields take their defaults
-        # so cached results stay loadable and equality-comparable.
-        names = self.__slots__
-        for name, value in zip(names, state):
-            object.__setattr__(self, name, value)
-        for name in names[len(state):]:
-            object.__setattr__(self, name, 0)
 
     @property
     def runtime(self) -> float:
         return self.completion_time - self.submit_time
 
 
-@dataclass(frozen=True, slots=True)
-class UtilizationSample:
+class UtilizationSample(NamedTuple):
     """One utilization snapshot (taken every 100 s, Section 2.3)."""
 
     time: float
@@ -85,16 +77,12 @@ class RunResult:
 
     def runtimes(self, job_class: JobClass | None = None) -> list[float]:
         """Job runtimes, optionally filtered by *true* class."""
-        return [
-            j.runtime
-            for j in self.jobs
-            if job_class is None or j.true_class is job_class
-        ]
+        return [j.runtime for j in self.records(job_class)]
 
     def records(self, job_class: JobClass | None = None) -> list[JobRecord]:
-        return [
-            j for j in self.jobs if job_class is None or j.true_class is job_class
-        ]
+        if job_class is None:
+            return list(self.jobs)
+        return [j for j in self.jobs if j.true_class is job_class]
 
     def median_utilization(self) -> float:
         if not self.utilization:

@@ -106,7 +106,10 @@ from repro.workloads.spec import Trace
 #: gained the seed-derived noise hook.
 #: v3: work-stealing backoff resets on park, changing retry timing (and
 #: so RNG consumption order) in every stealing run.
-CACHE_VERSION = 3
+#: v4: ``JobRecord`` and ``UtilizationSample`` became named tuples; v3
+#: pickles carry the old dataclass state, which the tuples cannot load.
+#: Every result, and its repr digest, is unchanged.
+CACHE_VERSION = 4
 
 WORKERS_ENV = "REPRO_EXECUTOR_WORKERS"
 INFLIGHT_ENV = "REPRO_EXECUTOR_INFLIGHT"

@@ -41,7 +41,7 @@ from repro.experiments.parallel import SweepExecutor, get_executor
 from repro.metrics.comparison import (
     average_runtime_ratio,
     fraction_improved,
-    normalized_percentile,
+    percentile_ratios,
 )
 from repro.metrics.stats import SummaryStats, mean, summarize
 from repro.workloads.registry import WorkloadSpec
@@ -176,17 +176,18 @@ class ReplicatedPoint:
 def _build_point(
     n_workers: int, candidate: RunResult, baseline: RunResult
 ) -> SweepPoint:
+    baseline_median_utilization = baseline.median_utilization()
+    short_p50, short_p90 = percentile_ratios(
+        candidate, baseline, JobClass.SHORT, (50, 90)
+    )
+    long_p50, long_p90 = percentile_ratios(candidate, baseline, JobClass.LONG, (50, 90))
     return SweepPoint(
         n_workers=n_workers,
-        baseline_median_utilization=baseline.median_utilization(),
-        short_p50_ratio=normalized_percentile(
-            candidate, baseline, JobClass.SHORT, 50
-        ),
-        short_p90_ratio=normalized_percentile(
-            candidate, baseline, JobClass.SHORT, 90
-        ),
-        long_p50_ratio=normalized_percentile(candidate, baseline, JobClass.LONG, 50),
-        long_p90_ratio=normalized_percentile(candidate, baseline, JobClass.LONG, 90),
+        baseline_median_utilization=baseline_median_utilization,
+        short_p50_ratio=short_p50,
+        short_p90_ratio=short_p90,
+        long_p50_ratio=long_p50,
+        long_p90_ratio=long_p90,
         candidate=candidate,
         baseline=baseline,
     )

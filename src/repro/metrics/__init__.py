@@ -6,6 +6,7 @@ from repro.metrics.comparison import (
     compare_runs,
     fraction_improved,
     normalized_percentile,
+    percentile_ratios,
 )
 from repro.metrics.percentiles import percentile
 from repro.metrics.stats import (
@@ -35,6 +36,7 @@ __all__ = [
     "paired_values",
     "percentile",
     "percentile_of_replicas",
+    "percentile_ratios",
     "stdev",
     "summarize",
     "t_confidence_interval",

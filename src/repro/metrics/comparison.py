@@ -5,16 +5,85 @@ between the 50th (or 90th) percentile job runtime for Hawk and the 50th
 (or 90th) percentile job runtime for X" (Section 4.1).  Figure 5c adds the
 fraction of jobs Hawk improves (or matches) and the average job-runtime
 ratio.  Lower values favor the numerator system.
+
+Each public metric extracts a run's per-class job ids and runtimes once
+and sorts the runtimes at most once; :func:`compare_runs` shares that
+extraction across all four metrics.  Every formula lives in one private
+helper, so the bundled and the single-metric results are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.cluster.job import JobClass
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
-from repro.metrics.percentiles import percentile
+from repro.metrics.percentiles import percentile_of_sorted
+
+#: :func:`fraction_improved`'s default slack: a candidate job counts as
+#: improved when its runtime is at most the baseline's times ``1 + this``.
+_TOLERANCE = 1e-9
+
+_ClassJobs = tuple[list[int], list[float]]
+
+
+def _class_jobs(run: RunResult, job_class: JobClass | None) -> _ClassJobs:
+    """Job ids and runtimes of one class (by *true* class), in record order."""
+    records = run.records(job_class)
+    return [r.job_id for r in records], [r.runtime for r in records]
+
+
+def _both(
+    numerator: RunResult, denominator: RunResult, job_class: JobClass | None
+) -> tuple[_ClassJobs, _ClassJobs]:
+    num = _class_jobs(numerator, job_class)
+    den = _class_jobs(denominator, job_class)
+    if not num[1] or not den[1]:
+        raise ConfigurationError(f"no jobs of class {job_class} in one of the runs")
+    return num, den
+
+
+def _percentile_ratio(
+    num_sorted: list[float], den_sorted: list[float], p: float
+) -> float:
+    return percentile_of_sorted(num_sorted, p) / percentile_of_sorted(den_sorted, p)
+
+
+def _mean_ratio(num: list[float], den: list[float]) -> float:
+    # Sums run in record order: the sorted copies would round differently.
+    return (sum(num) / len(num)) / (sum(den) / len(den))
+
+
+def _fraction_improved(cand: _ClassJobs, base: _ClassJobs, tolerance: float) -> float:
+    base_by_id = dict(zip(*base))
+    slack = 1.0 + tolerance
+    improved = 0
+    matched = 0
+    for job_id, runtime in zip(*cand):
+        base_runtime = base_by_id.get(job_id)
+        if base_runtime is None:
+            continue
+        matched += 1
+        if runtime <= base_runtime * slack:
+            improved += 1
+    if matched == 0:
+        raise ConfigurationError("runs share no job ids; cannot pair jobs")
+    return improved / matched
+
+
+def percentile_ratios(
+    numerator: RunResult,
+    denominator: RunResult,
+    job_class: JobClass | None,
+    ps: Sequence[float],
+) -> tuple[float, ...]:
+    """:func:`normalized_percentile` at each of ``ps``, sorting each run once."""
+    (_, num), (_, den) = _both(numerator, denominator, job_class)
+    num.sort()
+    den.sort()
+    return tuple(_percentile_ratio(num, den, p) for p in ps)
 
 
 def normalized_percentile(
@@ -24,50 +93,27 @@ def normalized_percentile(
     p: float,
 ) -> float:
     """p-th percentile runtime of ``numerator`` over that of ``denominator``."""
-    num = numerator.runtimes(job_class)
-    den = denominator.runtimes(job_class)
-    if not num or not den:
-        raise ConfigurationError(f"no jobs of class {job_class} in one of the runs")
-    return percentile(num, p) / percentile(den, p)
+    return percentile_ratios(numerator, denominator, job_class, (p,))[0]
 
 
 def average_runtime_ratio(
     numerator: RunResult, denominator: RunResult, job_class: JobClass | None
 ) -> float:
     """Ratio of mean job runtimes (Figure 5c's second metric)."""
-    num = numerator.runtimes(job_class)
-    den = denominator.runtimes(job_class)
-    if not num or not den:
-        raise ConfigurationError(f"no jobs of class {job_class} in one of the runs")
-    return (sum(num) / len(num)) / (sum(den) / len(den))
+    (_, num), (_, den) = _both(numerator, denominator, job_class)
+    return _mean_ratio(num, den)
 
 
 def fraction_improved(
     candidate: RunResult,
     baseline: RunResult,
     job_class: JobClass | None,
-    tolerance: float = 1e-9,
+    tolerance: float = _TOLERANCE,
 ) -> float:
     """Fraction of jobs for which the candidate is better than or equal to
     the baseline (Figure 5c's first metric).  Jobs are matched by id."""
-    base_by_id = {
-        r.job_id: r.runtime for r in baseline.records(job_class)
-    }
-    cand = candidate.records(job_class)
-    if not cand or not base_by_id:
-        raise ConfigurationError(f"no jobs of class {job_class} in one of the runs")
-    improved = 0
-    matched = 0
-    for record in cand:
-        base = base_by_id.get(record.job_id)
-        if base is None:
-            continue
-        matched += 1
-        if record.runtime <= base * (1.0 + tolerance):
-            improved += 1
-    if matched == 0:
-        raise ConfigurationError("runs share no job ids; cannot pair jobs")
-    return improved / matched
+    cand, base = _both(candidate, baseline, job_class)
+    return _fraction_improved(cand, base, tolerance)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,10 +130,13 @@ class Comparison:
 def compare_runs(
     candidate: RunResult, baseline: RunResult, job_class: JobClass | None
 ) -> Comparison:
+    cand, base = _both(candidate, baseline, job_class)
+    cand_sorted = sorted(cand[1])
+    base_sorted = sorted(base[1])
     return Comparison(
         job_class=job_class,
-        p50_ratio=normalized_percentile(candidate, baseline, job_class, 50.0),
-        p90_ratio=normalized_percentile(candidate, baseline, job_class, 90.0),
-        avg_ratio=average_runtime_ratio(candidate, baseline, job_class),
-        fraction_improved=fraction_improved(candidate, baseline, job_class),
+        p50_ratio=_percentile_ratio(cand_sorted, base_sorted, 50.0),
+        p90_ratio=_percentile_ratio(cand_sorted, base_sorted, 90.0),
+        avg_ratio=_mean_ratio(cand[1], base[1]),
+        fraction_improved=_fraction_improved(cand, base, _TOLERANCE),
     )

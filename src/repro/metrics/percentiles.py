@@ -9,11 +9,18 @@ from repro.core.errors import ConfigurationError
 
 def percentile(values: Sequence[float], p: float) -> float:
     """The ``p``-th percentile (0-100) with linear interpolation."""
-    if not values:
+    return percentile_of_sorted(sorted(values), p)
+
+
+def percentile_of_sorted(xs: Sequence[float], p: float) -> float:
+    """:func:`percentile` of ``xs``, which must already be sorted ascending.
+
+    Lets a caller sort once and take several percentiles of the same list.
+    """
+    if not xs:
         raise ConfigurationError("cannot take a percentile of no values")
     if not 0.0 <= p <= 100.0:
         raise ConfigurationError(f"percentile must be in [0, 100], got {p}")
-    xs = sorted(values)
     if len(xs) == 1:
         return xs[0]
     rank = (p / 100.0) * (len(xs) - 1)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.config import RunSpec
 from repro.experiments.parallel import (
+    CACHE_VERSION,
     DiskCache,
     SweepExecutor,
     cache_key,
@@ -440,7 +441,7 @@ def test_index_provenance_recorded_at_store_time(tmp_path):
     executor = SweepExecutor(max_workers=1, disk_cache=cache)
     trace = small_trace("prov")
     executor.run_one(SPEC, trace)
-    rel = f"v3/{cache_key(SPEC, trace)}.pkl"
+    rel = f"v{CACHE_VERSION}/{cache_key(SPEC, trace)}.pkl"
     policy, seed, spec_dig, trace_dig = cache.index.provenance(rel)
     assert policy == "sparrow"
     assert seed == SPEC.seed
@@ -470,7 +471,7 @@ def test_rebuild_from_blobs_migrates_preindex_cache(tmp_path):
 
     adopted = DiskCache(tmp_path)
     assert adopted.rebuild_index() == 1
-    rel = f"v3/{cache_key(SPEC, trace)}.pkl"
+    rel = f"v{CACHE_VERSION}/{cache_key(SPEC, trace)}.pkl"
     size, _ = adopted.index.lookup(rel)
     assert size == cache.path(cache_key(SPEC, trace)).stat().st_size
     # Provenance is unrecoverable from a blob (the key is a one-way hash).
@@ -521,7 +522,10 @@ def test_fork_child_and_parent_write_one_index(tmp_path):
     child.join(60)
     assert child.exitcode == 0  # own connection, available, both rows
     assert cache.index.available
-    rels = {f"v3/{cache_key(SPEC, trace)}.pkl", f"v3/{child_key}.pkl"}
+    rels = {
+        f"v{CACHE_VERSION}/{cache_key(SPEC, trace)}.pkl",
+        f"v{CACHE_VERSION}/{child_key}.pkl",
+    }
     assert {rel for _, rel, _ in cache.index.lru_entries()} == rels
     # WAL sidecars sit beside the database but are never blobs.
     assert (tmp_path / "index.db-wal").exists()
@@ -580,5 +584,5 @@ def test_eviction_removes_index_rows(tmp_path):
     assert removed == 2
     assert capped.index.count() == 1
     assert [rel for _, rel, _ in capped.index.lru_entries()] == [
-        f"v3/{keys[2]}.pkl"
+        f"v{CACHE_VERSION}/{keys[2]}.pkl"
     ]
