@@ -15,8 +15,8 @@ from pathlib import Path
 from repro.experiments.traces import (
     ALL_WORKLOAD_SPECS,
     google_cutoff,
-    google_trace,
-    kmeans_workload_trace,
+    google_workload,
+    kmeans_workload,
 )
 from repro.metrics import percentile
 from repro.workloads import read_trace, workload_summary, write_trace
@@ -49,9 +49,9 @@ def main() -> None:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("traces-out")
     out_dir.mkdir(exist_ok=True)
 
-    workloads = [(google_trace("quick"), google_cutoff())]
+    workloads = [(google_workload("quick").trace(0), google_cutoff())]
     workloads += [
-        (kmeans_workload_trace(spec, "quick"), spec.cutoff)
+        (kmeans_workload(spec, "quick").trace(0), spec.cutoff)
         for spec in ALL_WORKLOAD_SPECS
     ]
     for trace, cutoff in workloads:

@@ -61,7 +61,7 @@ from repro.experiments.config import RunSpec, build_engine, high_load_size
 from repro.experiments.traces import (
     google_cutoff,
     google_short_fraction,
-    google_trace,
+    google_workload,
 )
 from repro.metrics import compare_runs
 from repro.workloads.motivation import MotivationConfig
@@ -100,7 +100,7 @@ def _specs(trace: Trace) -> dict[str, RunSpec]:
 
 def bench_events(scale: str, repeats: int = 3) -> dict:
     """Events/sec of the canonical mixed workload, best-of-``repeats``."""
-    trace = google_trace(scale, seed=0)
+    trace = google_workload(scale).trace(0)
     out: dict = {
         "trace": {
             "scale": scale,
@@ -358,7 +358,7 @@ def bench_sweep(scale: str) -> dict:
     from repro.experiments.parallel import DiskCache, SweepExecutor, set_executor
 
     targets = (1.0, 0.5)
-    google_trace(scale, 0)  # exclude trace generation from both timings
+    google_workload(scale).trace(0)  # exclude trace generation from both timings
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         timings = {}
         for label in ("cold", "warm"):

@@ -25,12 +25,25 @@ shifts by the same constant.  Setting :attr:`ClusterEngine.transport_batching`
 to ``False`` (or using a jittered network model) restores per-message
 events — runs must be bit-identical either way, and the test suite holds
 the engine to that.
+
+Lifecycle events
+----------------
+An engine built with a ``sink`` narrates its transitions to it, one call
+``sink(kind, vtime, job_id, task_index, worker_id, payload)`` each:
+``probed``/``queued`` once per placement group (at the plural entry
+points, so batched and per-message transport emit the same stream),
+``started`` after a task takes a slot, ``task-completed`` as a task
+finishes, ``completed`` when a job's last task has finished (after the
+finishing worker has picked up its next entry), and ``stolen`` after a
+steal transfer (after the thief has started its first entry).  The
+scheduler service persists this stream as its event log; batch runs pass
+no sink and skip every emission.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.faults import FaultInjector, FaultPlan
@@ -57,6 +70,31 @@ _IDLE = WorkerState.IDLE
 _BUSY = WorkerState.BUSY
 _WAITING = WorkerState.WAITING
 _DEAD = WorkerState.DEAD
+
+# -- lifecycle event kinds (see "Lifecycle events" above) ----------------
+KIND_SUBMITTED = "submitted"
+KIND_PROBED = "probed"
+KIND_QUEUED = "queued"
+KIND_STARTED = "started"
+KIND_STOLEN = "stolen"
+KIND_TASK_COMPLETED = "task-completed"
+KIND_COMPLETED = "completed"
+
+EVENT_KINDS: tuple[str, ...] = (
+    KIND_SUBMITTED,
+    KIND_PROBED,
+    KIND_QUEUED,
+    KIND_STARTED,
+    KIND_STOLEN,
+    KIND_TASK_COMPLETED,
+    KIND_COMPLETED,
+)
+
+#: ``sink(kind, vtime, job_id, task_index, worker_id, payload)``; fields a
+#: kind does not carry are ``None``.
+LifecycleSink = Callable[
+    [str, float, int | None, int | None, int | None, dict[str, Any] | None], None
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +134,7 @@ class ClusterEngine:
         config: EngineConfig,
         stealing: "WorkStealing | None" = None,
         estimate: Callable[["JobSpec"], float] | None = None,
+        sink: LifecycleSink | None = None,
     ) -> None:
         self.cluster = cluster
         self.scheduler = scheduler
@@ -119,6 +158,8 @@ class ClusterEngine:
         #: path on the historical no-fault code, byte-identical to before
         #: faults existed (asserted by tests/cluster/test_faults.py).
         self._faults: FaultInjector | None = None
+        #: Lifecycle observer; ``None`` (batch runs) skips every emission.
+        self._sink = sink
         #: True while an injected centralized-scheduler outage is active;
         #: policies with a centralized component consult this on submit.
         self.centralized_down = False
@@ -173,10 +214,16 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     # Placement API (called by scheduler policies).
     # ------------------------------------------------------------------
+    def _send(self, worker_id: int, entry: QueueEntry) -> None:
+        """One message to ``worker_id`` (one possibly perturbed delay)."""
+        self.sim.schedule(self._msg_delay(), self._deliver_entry, worker_id, entry)
+
     def place_probe(self, worker_id: int, job: Job, frontend: "ProbeFrontend") -> None:
         """Send a late-binding probe to ``worker_id`` (one network delay)."""
-        entry = ProbeEntry(job, frontend)
-        self.sim.schedule(self._msg_delay(), self._deliver_entry, worker_id, entry)
+        sink = self._sink
+        if sink is not None:
+            sink(KIND_PROBED, self.sim.now, job.job_id, None, worker_id, {"workers": 1})
+        self._send(worker_id, ProbeEntry(job, frontend))
 
     def place_probes(
         self, worker_ids: Sequence[int], job: Job, frontend: "ProbeFrontend"
@@ -186,6 +233,12 @@ class ClusterEngine:
         With a constant delay all probes arrive at the same timestamp in
         list order, so the group rides a single heap event.
         """
+        sink = self._sink
+        if sink is not None:
+            sink(
+                KIND_PROBED, self.sim.now, job.job_id, None, None,
+                {"workers": len(worker_ids)},
+            )
         if len(worker_ids) > 1 and self._batch:
             entries = [ProbeEntry(job, frontend) for _ in worker_ids]
             self.sim.schedule(
@@ -193,12 +246,17 @@ class ClusterEngine:
             )
         else:
             for worker_id in worker_ids:
-                self.place_probe(worker_id, job, frontend)
+                self._send(worker_id, ProbeEntry(job, frontend))
 
     def place_task(self, worker_id: int, task: Task) -> None:
         """Send a concrete task to ``worker_id`` (one network delay)."""
-        entry = TaskEntry(task)
-        self.sim.schedule(self._msg_delay(), self._deliver_entry, worker_id, entry)
+        sink = self._sink
+        if sink is not None:
+            sink(
+                KIND_QUEUED, self.sim.now, task.job.job_id, task.index,
+                worker_id, {"tasks": 1},
+            )
+        self._send(worker_id, TaskEntry(task))
 
     def place_tasks(self, assignments: Sequence[tuple[int, Task]]) -> None:
         """Send ``(worker_id, task)`` pairs, one network delay each.
@@ -206,6 +264,12 @@ class ClusterEngine:
         The batched counterpart of :meth:`place_task` for same-timestamp
         placement groups (e.g. one centralized job assignment).
         """
+        sink = self._sink
+        if sink is not None and assignments:
+            sink(
+                KIND_QUEUED, self.sim.now, assignments[0][1].job.job_id, None,
+                None, {"tasks": len(assignments)},
+            )
         if len(assignments) > 1 and self._batch:
             worker_ids = [worker_id for worker_id, _ in assignments]
             entries = [TaskEntry(task) for _, task in assignments]
@@ -214,7 +278,7 @@ class ClusterEngine:
             )
         else:
             for worker_id, task in assignments:
-                self.place_task(worker_id, task)
+                self._send(worker_id, TaskEntry(task))
 
     # ------------------------------------------------------------------
     # Worker state machine.
@@ -463,9 +527,23 @@ class ClusterEngine:
                 task,
                 task.attempt,
             )
+        sink = self._sink
+        if sink is not None:
+            sink(
+                KIND_STARTED, self.sim.now, task.job.job_id, task.index,
+                worker.worker_id, {"stolen": task.was_stolen},
+            )
 
     def _task_finished(self, worker: Worker, task: Task) -> None:
-        task.finish(self.sim.now)
+        now = self.sim.now
+        job = task.job
+        sink = self._sink
+        if sink is not None:
+            sink(
+                KIND_TASK_COMPLETED, now, job.job_id, task.index,
+                worker.worker_id, None,
+            )
+        task.finish(now)
         worker.state = _IDLE
         worker.current_entry = None
         worker.current_task = None
@@ -473,11 +551,20 @@ class ClusterEngine:
         worker.tasks_executed += 1
         self._busy -= 1
         self.scheduler.on_task_finish(task)
-        if task.job.record_task_finish(self.sim.now):
+        completed = job.record_task_finish(now)
+        if completed:
             self._jobs_done += 1
             if self._jobs_done == self._jobs_total:
                 self._done = True
         self._worker_try_start(worker)
+        if completed and sink is not None:
+            sink(
+                KIND_COMPLETED, now, job.job_id, None, None,
+                {
+                    "stolen_tasks": job.stolen_tasks,
+                    "retried_tasks": job.retried_tasks,
+                },
+            )
 
     def _task_finished_checked(self, worker: Worker, task: Task, attempt: int) -> None:
         """Fault-mode completion: drop events from a pre-crash execution.
@@ -578,6 +665,15 @@ class ClusterEngine:
         thief.enqueue_front(stolen)
         self._sync_steal_hint(thief)
         self._worker_try_start(thief)
+        sink = self._sink
+        if sink is not None:
+            jobs = sorted(
+                {(e.task.job if e.is_task else e.job).job_id for e in stolen}
+            )
+            sink(
+                KIND_STOLEN, self.sim.now, None, None, thief.worker_id,
+                {"victim": victim.worker_id, "entries": len(stolen), "jobs": jobs},
+            )
         return len(stolen)
 
     # ------------------------------------------------------------------

@@ -7,11 +7,9 @@ module is nothing but registry lookups: each helper returns the
 ``WorkloadSpec`` naming a registered workload at the canonical full or
 quick scale, and trace materialization (with its per-process cache) is
 ``spec.trace(seed)`` — the module-level trace cache that used to live
-here is gone.
-
-Compatibility accessors (``google_trace(scale, seed)`` and friends)
-remain for callers that want the materialized trace directly; they are
-one-line spec lookups.
+here is gone.  A spec is also a ``seed -> Trace`` factory (``spec(seed)``
+is ``spec.trace(seed)``), so it serves directly as a sweep's
+``trace_factory``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from repro.workloads import CLOUDERA_C, FACEBOOK_2010, GOOGLE_CUTOFF_S, YAHOO_20
 from repro.workloads.google import GOOGLE_SHORT_PARTITION_FRACTION
 from repro.workloads.kmeans import KMeansWorkloadSpec
 from repro.workloads.registry import WorkloadSpec
-from repro.workloads.spec import Trace
 
 #: Jobs per generated trace at the two scales.  "full" is the default used
 #: by the benchmark harness; "quick" keeps unit/integration tests fast.
@@ -48,40 +45,6 @@ def google_scale_workload() -> WorkloadSpec:
 def google_scale100k_workload() -> WorkloadSpec:
     """The densified Google workload for the 100k-worker scale point."""
     return WorkloadSpec("google-scale100k")
-
-
-def google_trace(scale: str = "full", seed: int = 0) -> Trace:
-    """The materialized Google-like trace (shared per-process cache)."""
-    return google_workload(scale).trace(seed)
-
-
-def kmeans_workload_trace(
-    spec: KMeansWorkloadSpec, scale: str = "full", seed: int = 0
-) -> Trace:
-    """A materialized Cloudera/Facebook/Yahoo trace at the requested scale."""
-    return kmeans_workload(spec, scale).trace(seed)
-
-
-def google_scale_trace(seed: int = 0) -> Trace:
-    """The materialized densified trace for the 10k-worker scale point."""
-    return google_scale_workload().trace(seed)
-
-
-def google_trace_factory(scale: str = "full") -> WorkloadSpec:
-    """``seed -> Trace`` factory for the Google workload (= its spec)."""
-    return google_workload(scale)
-
-
-def kmeans_trace_factory(
-    spec: KMeansWorkloadSpec, scale: str = "full"
-) -> WorkloadSpec:
-    """``seed -> Trace`` factory for a k-means workload (= its spec)."""
-    return kmeans_workload(spec, scale)
-
-
-def google_scale_trace_factory() -> WorkloadSpec:
-    """``seed -> Trace`` factory for the 10k-worker scale point."""
-    return google_scale_workload()
 
 
 def google_cutoff() -> float:

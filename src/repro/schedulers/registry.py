@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.cluster import Cluster, ClusterEngine, EngineConfig
+from repro.cluster.engine import LifecycleSink
 from repro.core.errors import ConfigurationError
 from repro.core.params import (  # noqa: F401  (re-exported: the public API)
     PARAM_TYPES,
@@ -213,14 +214,16 @@ def build_policy(name: str, params: Mapping | None = None) -> "SchedulerPolicy":
     return entry.builder(validate_params(name, params))
 
 
-def build_engine(spec) -> ClusterEngine:
-    """Registry-driven engine construction for one ``RunSpec``.
+def build_engine(spec, sink: LifecycleSink | None = None) -> ClusterEngine:
+    """Registry-driven engine construction for one run.
 
-    Everything the engine needs is read off the spec and the policy's
-    registry entry: the partition fraction applies only when the policy
-    declares ``uses_partition``, and the work-stealing mechanism is
-    attached (configured from the ``steal_cap`` param) only when it
-    declares ``uses_stealing``.
+    ``spec`` is a ``RunSpec`` or the service's ``RunConfig``.  Everything
+    the engine needs is read off it and the policy's registry entry: the
+    partition fraction applies only when the policy declares
+    ``uses_partition``, and the work-stealing mechanism is attached
+    (configured from the ``steal_cap`` param) only when it declares
+    ``uses_stealing``.  ``sink`` receives the engine's lifecycle events
+    (the scheduler service's event log); sweeps pass none.
     """
     entry = policy_entry(spec.scheduler)
     # RunSpec validated and canonicalized params at construction; specs
@@ -236,7 +239,12 @@ def build_engine(spec) -> ClusterEngine:
     )
     config = EngineConfig(cutoff=spec.cutoff, seed=spec.seed)
     engine = ClusterEngine(
-        cluster, scheduler, config, stealing=stealing, estimate=spec.estimate
+        cluster,
+        scheduler,
+        config,
+        stealing=stealing,
+        estimate=getattr(spec, "estimate", None),
+        sink=sink,
     )
     faults = getattr(spec, "faults", None)
     if faults is not None:

@@ -10,10 +10,11 @@ root next to ``BENCH_core.json``:
   when the previous acknowledgment arrives), alternating between two
   registry policies, until ``jobs`` jobs are accepted and drained.
 * **scheduling latency p50/p99** — an open-loop paced phase: jobs
-  submitted at a fixed gap, latencies computed *from the event log*
-  (first ``started`` wall time minus the submission's receipt wall time
-  recorded in the ``submitted`` payload) — the same numbers a cold
-  reader of the store would derive, not a privileged in-process view.
+  submitted at a fixed gap, latencies folded *from the event log* by a
+  cold :func:`~repro.service.replay.replay` (first ``started`` wall time
+  minus the submission's receipt wall time recorded in the
+  ``submitted`` payload) — the same numbers a cold reader of the store
+  would derive, not a privileged in-process view.
 * **event-store write throughput** — events appended per second of
   cumulative write-path time, from the store's own counters.
 
@@ -42,12 +43,8 @@ from typing import Any
 
 from repro.service.api import ServiceState
 from repro.service.event_store import EventStore
-from repro.service.models import (
-    KIND_STARTED,
-    KIND_SUBMITTED,
-    ServiceConfig,
-    canonical_json,
-)
+from repro.service.models import ServiceConfig, canonical_json
+from repro.service.replay import replay
 from repro.service.server import ServiceThread
 
 #: Fail ``--check`` when a fresh rate drops below committed/this.  Looser
@@ -122,18 +119,6 @@ def _request(host: str, port: int, payload: dict[str, Any]) -> dict[str, Any]:
     if not response.get("ok"):
         raise RuntimeError(f"request failed: {response}")
     return response
-
-
-def _latencies_from_log(store: EventStore, run_id: str) -> list[float]:
-    """Scheduling latencies derived purely from the persisted events."""
-    recv: dict[int, float] = {}
-    latencies: list[float] = []
-    for event in store.events(run_id):
-        if event.kind == KIND_SUBMITTED and event.job_id is not None:
-            recv[event.job_id] = float(event.payload["recv"])
-        elif event.kind == KIND_STARTED and event.job_id in recv:
-            latencies.append(event.wtime - recv.pop(event.job_id))
-    return latencies
 
 
 def run_bench(quick: bool = False) -> dict[str, Any]:
@@ -214,7 +199,7 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
                 host, port,
                 {"op": "drain", "run_id": paced_run_id, "timeout": 120},
             )
-            latencies = _latencies_from_log(store, paced_run_id)
+            latencies = replay(store, paced_run_id).latencies
             store_stats = store.stats()
             total_events = store.event_count()
         store.close()

@@ -19,9 +19,10 @@ replay fold agree on one schema:
   the store-assigned monotonic sequence number that totally orders the
   log.
 
-Event kinds (the ``KIND_*`` constants) name every lifecycle transition a
-job goes through: submitted → probed → queued → started (per task,
-possibly after being stolen) → task-completed → completed.
+Event kinds (the ``KIND_*`` constants of :mod:`repro.cluster.engine`,
+which emits all of them but ``submitted``) name every lifecycle
+transition a job goes through: submitted → probed → queued → started
+(per task, possibly after being stolen) → task-completed → completed.
 """
 
 from __future__ import annotations
@@ -32,28 +33,10 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any, Mapping
 
+from repro.cluster.engine import EVENT_KINDS
 from repro.core.errors import ConfigurationError
 from repro.schedulers import registry
 from repro.schedulers.registry import FrozenParams
-
-# -- event kinds ---------------------------------------------------------
-KIND_SUBMITTED = "submitted"
-KIND_PROBED = "probed"
-KIND_QUEUED = "queued"
-KIND_STARTED = "started"
-KIND_STOLEN = "stolen"
-KIND_TASK_COMPLETED = "task-completed"
-KIND_COMPLETED = "completed"
-
-EVENT_KINDS: tuple[str, ...] = (
-    KIND_SUBMITTED,
-    KIND_PROBED,
-    KIND_QUEUED,
-    KIND_STARTED,
-    KIND_STOLEN,
-    KIND_TASK_COMPLETED,
-    KIND_COMPLETED,
-)
 
 #: Per-job task-count ceiling; protects the single scheduling thread from
 #: one pathological submission.
@@ -169,6 +152,11 @@ class RunConfig:
             canonical_json(self.to_json()).encode(), digest_size=4
         ).hexdigest()
         return f"{self.policy}-{digest}"
+
+    @property
+    def scheduler(self) -> str:
+        """The policy, under the name :func:`registry.build_engine` reads."""
+        return self.policy
 
     @property
     def scheduler_name(self) -> str:

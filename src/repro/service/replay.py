@@ -25,18 +25,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
+from repro.cluster.engine import (
+    KIND_COMPLETED,
+    KIND_STARTED,
+    KIND_STOLEN,
+    KIND_SUBMITTED,
+)
 from repro.cluster.job import JobClass
 from repro.cluster.records import JobRecord, RunResult, StealingStats
 from repro.core.errors import ConfigurationError
 from repro.service.event_store import EventStore
-from repro.service.models import (
-    KIND_COMPLETED,
-    KIND_STOLEN,
-    KIND_SUBMITTED,
-    LifecycleEvent,
-    RunConfig,
-    canonical_json,
-)
+from repro.service.models import LifecycleEvent, RunConfig, canonical_json
 
 
 def record_to_json(record: JobRecord) -> dict[str, Any]:
@@ -81,6 +80,12 @@ class RunFold:
     any time (``result``).  The fold only keeps per-job state for jobs
     still in flight, so memory is bounded by concurrency, not log
     length.
+
+    ``latencies`` collects each job's scheduling latency: the wall time
+    of its first ``started`` event minus the receipt wall time its
+    ``submitted`` payload carries (``recv``, consumed from the pending
+    payload on first start).  It is in-memory only, not part of
+    :meth:`to_state`.
     """
 
     pending: dict[int, tuple[float, dict[str, Any]]] = field(
@@ -92,6 +97,7 @@ class RunFold:
     last_seq: int = 0
     steal_transfers: int = 0
     entries_stolen: int = 0
+    latencies: list[float] = field(default_factory=list)
 
     def apply(self, event: LifecycleEvent) -> None:
         """Fold one event (events must arrive in ascending seq order)."""
@@ -107,6 +113,12 @@ class RunFold:
         if event.kind == KIND_SUBMITTED:
             assert event.job_id is not None
             self.pending[event.job_id] = (event.vtime, dict(event.payload))
+        elif event.kind == KIND_STARTED:
+            assert event.job_id is not None
+            submitted = self.pending.get(event.job_id)
+            if submitted is not None and "recv" in submitted[1]:
+                recv = float(submitted[1].pop("recv"))
+                self.latencies.append(event.wtime - recv)
         elif event.kind == KIND_STOLEN:
             self.steal_transfers += 1
             self.entries_stolen += int(event.payload.get("entries", 0))

@@ -17,242 +17,38 @@ thread per run that owns the engine outright:
   at virtual time ``max(wall_elapsed, sim.now)`` via
   :meth:`ClusterEngine.submit_job`, so every policy the registry can
   build — hawk, sparrow, split, plugins — serves unmodified.
-* **Every transition is observed.**  :class:`ObservedEngine` hooks the
-  engine's placement and worker state machine and emits one
-  :class:`~repro.service.models.LifecycleEvent` per transition into the
-  event store; the live result is *defined* as the same
+* **Every transition is observed.**  The bridge builds its engine with
+  :func:`repro.schedulers.registry.build_engine`, passing
+  :meth:`SchedulerBridge._emit` as the engine's lifecycle sink: the
+  engine reports each placement, task start, task completion, job
+  completion and steal transfer itself (see :mod:`repro.cluster.engine`),
+  and the bridge adds only ``submitted``.  Each becomes one
+  :class:`~repro.service.models.LifecycleEvent` in the event store; the
+  live result is *defined* as the same
   :class:`~repro.service.replay.RunFold` a cold replay performs, so the
   two cannot disagree.
 """
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Protocol, Sequence
+from typing import Any
 
-from repro.cluster import Cluster, ClusterEngine, EngineConfig
-from repro.cluster.job import Job, classify
+from repro.cluster.engine import KIND_SUBMITTED
+from repro.cluster.job import classify
 from repro.cluster.records import RunResult
-from repro.cluster.task import Task
-from repro.cluster.worker import ProbeEntry, QueueEntry, TaskEntry, Worker
 from repro.core.errors import ConfigurationError
 from repro.schedulers import registry
-from repro.schedulers.stealing import WorkStealing
 from repro.service.event_store import EventStore
-from repro.service.models import (
-    KIND_COMPLETED,
-    KIND_PROBED,
-    KIND_QUEUED,
-    KIND_STARTED,
-    KIND_STOLEN,
-    KIND_SUBMITTED,
-    KIND_TASK_COMPLETED,
-    LifecycleEvent,
-    RunConfig,
-    Submission,
-)
+from repro.service.models import LifecycleEvent, RunConfig, Submission
 from repro.service.replay import RunFold
 from repro.workloads.spec import JobSpec
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.schedulers.base import SchedulerPolicy
-    from repro.schedulers.frontend import ProbeFrontend
-
-
-class EmitFn(Protocol):
-    """Callback receiving one lifecycle transition from the engine."""
-
-    def __call__(
-        self,
-        kind: str,
-        vtime: float,
-        *,
-        job_id: int | None = None,
-        task_index: int | None = None,
-        worker_id: int | None = None,
-        payload: dict[str, Any] | None = None,
-    ) -> None: ...
-
-
-def _entry_job_id(entry: QueueEntry) -> int:
-    if isinstance(entry, TaskEntry):
-        return entry.task.job.job_id
-    assert isinstance(entry, ProbeEntry)
-    return entry.job.job_id
-
-
-class ObservedEngine(ClusterEngine):
-    """A :class:`ClusterEngine` that narrates its state transitions.
-
-    Every override delegates the actual transition to the base class and
-    only *observes* — the schedule produced is bit-identical to an
-    unobserved engine's (the tests hold it to that by comparing against
-    a plain batch run).
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        scheduler: "SchedulerPolicy",
-        config: EngineConfig,
-        stealing: "WorkStealing | None" = None,
-        *,
-        emit: EmitFn,
-    ) -> None:
-        super().__init__(cluster, scheduler, config, stealing=stealing)
-        self._emit = emit
-        self._completed_jobs: set[int] = set()
-        # place_probes/place_tasks may fan out through their singular
-        # counterparts; the depth guard keeps one group to one event.
-        self._group_depth = 0
-
-    # -- placement -------------------------------------------------------
-    def place_probe(
-        self, worker_id: int, job: Job, frontend: "ProbeFrontend"
-    ) -> None:
-        if self._group_depth == 0:
-            self._emit(
-                KIND_PROBED,
-                self.sim.now,
-                job_id=job.job_id,
-                worker_id=worker_id,
-                payload={"workers": 1},
-            )
-        super().place_probe(worker_id, job, frontend)
-
-    def place_probes(
-        self, worker_ids: Sequence[int], job: Job, frontend: "ProbeFrontend"
-    ) -> None:
-        self._emit(
-            KIND_PROBED,
-            self.sim.now,
-            job_id=job.job_id,
-            payload={"workers": len(worker_ids)},
-        )
-        self._group_depth += 1
-        try:
-            super().place_probes(worker_ids, job, frontend)
-        finally:
-            self._group_depth -= 1
-
-    def place_task(self, worker_id: int, task: Task) -> None:
-        if self._group_depth == 0:
-            self._emit(
-                KIND_QUEUED,
-                self.sim.now,
-                job_id=task.job.job_id,
-                task_index=task.index,
-                worker_id=worker_id,
-                payload={"tasks": 1},
-            )
-        super().place_task(worker_id, task)
-
-    def place_tasks(self, assignments: Sequence[tuple[int, Task]]) -> None:
-        if assignments:
-            self._emit(
-                KIND_QUEUED,
-                self.sim.now,
-                job_id=assignments[0][1].job.job_id,
-                payload={"tasks": len(assignments)},
-            )
-        self._group_depth += 1
-        try:
-            super().place_tasks(assignments)
-        finally:
-            self._group_depth -= 1
-
-    # -- worker state machine --------------------------------------------
-    def _start_task(self, worker: Worker, task: Task, entry: QueueEntry) -> None:
-        super()._start_task(worker, task, entry)
-        self._emit(
-            KIND_STARTED,
-            self.sim.now,
-            job_id=task.job.job_id,
-            task_index=task.index,
-            worker_id=worker.worker_id,
-            payload={"stolen": task.was_stolen},
-        )
-
-    def _task_finished(self, worker: Worker, task: Task) -> None:
-        job = task.job
-        self._emit(
-            KIND_TASK_COMPLETED,
-            self.sim.now,
-            job_id=job.job_id,
-            task_index=task.index,
-            worker_id=worker.worker_id,
-        )
-        super()._task_finished(worker, task)
-        if (
-            job.completion_time is not None
-            and job.job_id not in self._completed_jobs
-        ):
-            self._completed_jobs.add(job.job_id)
-            self._emit(
-                KIND_COMPLETED,
-                job.completion_time,
-                job_id=job.job_id,
-                payload={
-                    "stolen_tasks": job.stolen_tasks,
-                    "retried_tasks": job.retried_tasks,
-                },
-            )
-
-    # -- stealing --------------------------------------------------------
-    def transfer_stolen_entries(
-        self, victim: Worker, thief: Worker, start: int, stop: int
-    ) -> int:
-        jobs = sorted(
-            {
-                _entry_job_id(entry)
-                for entry in itertools.islice(victim.queue, start, stop)
-            }
-        )
-        count = super().transfer_stolen_entries(victim, thief, start, stop)
-        self._emit(
-            KIND_STOLEN,
-            self.sim.now,
-            worker_id=thief.worker_id,
-            payload={
-                "victim": victim.worker_id,
-                "entries": count,
-                "jobs": jobs,
-            },
-        )
-        return count
-
-
-def build_observed_engine(config: RunConfig, emit: EmitFn) -> ObservedEngine:
-    """Registry-driven engine construction for one service run.
-
-    Mirrors :func:`repro.schedulers.registry.build_engine` (partition
-    only when the policy declares it, stealing configured from the
-    ``steal_cap`` param) but instantiates the observed subclass.
-    """
-    entry = registry.policy_entry(config.policy)
-    partition_fraction = (
-        config.short_partition_fraction if entry.uses_partition else 0.0
-    )
-    cluster = Cluster(
-        config.n_workers, short_partition_fraction=partition_fraction
-    )
-    scheduler = entry.builder(config.params)
-    stealing = (
-        WorkStealing(cap=config.params["steal_cap"])
-        if entry.uses_stealing
-        else None
-    )
-    engine_config = EngineConfig(cutoff=config.cutoff, seed=config.seed)
-    return ObservedEngine(
-        cluster, scheduler, engine_config, stealing=stealing, emit=emit
-    )
-
 
 class SchedulerBridge:
-    """One live run: a background thread owning an observed engine."""
+    """One live run: a background thread owning a narrating engine."""
 
     #: Longest the bridge thread blocks waiting for submissions when the
     #: simulation has nothing imminent (seconds).
@@ -278,14 +74,12 @@ class SchedulerBridge:
         self.store = store
         self.time_scale = time_scale
         self.idle_poll = idle_poll
-        self.engine = build_observed_engine(config, self._emit)
+        self.engine = registry.build_engine(config, sink=self._emit)
         self._queue: queue.SimpleQueue[
             tuple[int, Submission, float] | None
         ] = queue.SimpleQueue()
         self._mutex = threading.RLock()
         self._fold = RunFold()
-        self._latencies: list[float] = []
-        self._recv_w: dict[int, float] = {}
         self._next_job_id = 0
         self._submitted = 0
         self._injected = 0
@@ -416,7 +210,7 @@ class SchedulerBridge:
         """Per-job scheduling latencies (submit receipt → first task start,
         wall seconds), in completion-of-start order."""
         with self._mutex:
-            return tuple(self._latencies)
+            return tuple(self._fold.latencies)
 
     def checkpoint(self, compact: bool = False) -> int:
         """Snapshot the fold into the store; optionally drop covered events.
@@ -509,7 +303,7 @@ class SchedulerBridge:
             ).value,
             "recv": recv_w,
         }
-        self._emit(KIND_SUBMITTED, vtime, job_id=job_id, payload=payload)
+        self._emit(KIND_SUBMITTED, vtime, job_id, payload=payload)
         engine.submit_job(spec, estimated_task_duration=estimate)
         with self._mutex:
             self._injected += 1
@@ -518,12 +312,12 @@ class SchedulerBridge:
         self,
         kind: str,
         vtime: float,
-        *,
         job_id: int | None = None,
         task_index: int | None = None,
         worker_id: int | None = None,
         payload: dict[str, Any] | None = None,
     ) -> None:
+        """The engine's lifecycle sink: persist one event and fold it."""
         event = LifecycleEvent(
             run_id=self.run_id,
             kind=kind,
@@ -537,7 +331,3 @@ class SchedulerBridge:
         with self._mutex:
             self.store.append(event)
             self._fold.apply(event)
-            if kind == KIND_SUBMITTED and job_id is not None:
-                self._recv_w[job_id] = float(event.payload["recv"])
-            elif kind == KIND_STARTED and job_id in self._recv_w:
-                self._latencies.append(event.wtime - self._recv_w.pop(job_id))

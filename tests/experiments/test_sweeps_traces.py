@@ -15,10 +15,8 @@ from repro.experiments.traces import (
     ALL_WORKLOAD_SPECS,
     google_cutoff,
     google_short_fraction,
-    google_trace,
-    google_trace_factory,
-    kmeans_trace_factory,
-    kmeans_workload_trace,
+    google_workload,
+    kmeans_workload,
 )
 from repro.metrics.stats import SummaryStats
 from repro.workloads.replication import (
@@ -139,11 +137,12 @@ def test_aggregate_applies_metric_per_matched_replica(small_trace):
 
 
 def test_trace_factories_draw_independent_traces():
-    factory = google_trace_factory("quick")
+    factory = google_workload("quick")
     draws = replicate_trace(factory, 0, 3)
     assert_independent(draws)
-    assert draws[0] is google_trace("quick", 0)  # shared per-process cache
-    kfactory = kmeans_trace_factory(ALL_WORKLOAD_SPECS[0], "quick")
+    # shared per-process cache
+    assert draws[0] is google_workload("quick").trace(0)
+    kfactory = kmeans_workload(ALL_WORKLOAD_SPECS[0], "quick")
     assert_independent(replicate_trace(kfactory, 0, 2))
 
 
@@ -153,17 +152,17 @@ def test_assert_independent_rejects_seed_blind_factory(small_trace):
 
 
 def test_google_trace_cached_per_scale_and_seed():
-    a = google_trace("quick", seed=0)
-    b = google_trace("quick", seed=0)
+    a = google_workload("quick").trace(0)
+    b = google_workload("quick").trace(0)
     assert a is b
-    c = google_trace("quick", seed=1)
+    c = google_workload("quick").trace(1)
     assert c is not a
 
 
 def test_kmeans_trace_cached():
     spec = ALL_WORKLOAD_SPECS[0]
-    a = kmeans_workload_trace(spec, "quick")
-    assert kmeans_workload_trace(spec, "quick") is a
+    a = kmeans_workload(spec, "quick").trace(0)
+    assert kmeans_workload(spec, "quick").trace(0) is a
 
 
 def test_google_constants():
@@ -172,4 +171,6 @@ def test_google_constants():
 
 
 def test_full_scale_traces_are_bigger():
-    assert len(google_trace("full")) > len(google_trace("quick"))
+    assert len(google_workload("full").trace(0)) > len(
+        google_workload("quick").trace(0)
+    )

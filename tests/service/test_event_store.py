@@ -10,14 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.engine import KIND_COMPLETED, KIND_SUBMITTED
 from repro.core.errors import ConfigurationError, ReproError, StoreUnavailable
 from repro.service.event_store import EventStore
-from repro.service.models import (
-    KIND_COMPLETED,
-    KIND_SUBMITTED,
-    LifecycleEvent,
-    RunConfig,
-)
+from repro.service.models import LifecycleEvent, RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

@@ -21,14 +21,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cluster.engine import KIND_SUBMITTED
 from repro.service.api import ServiceState
 from repro.service.event_store import EventStore
-from repro.service.models import (
-    KIND_SUBMITTED,
-    LifecycleEvent,
-    RunConfig,
-    canonical_json,
-)
+from repro.service.models import LifecycleEvent, RunConfig, canonical_json
 from repro.service.replay import replay, replay_result
 
 TIME_SCALE = 200.0
@@ -232,6 +228,15 @@ def test_kill9_restart_resumes_and_replay_matches(tmp_path):
         for _ in range(3):
             status, _ = _http(port, "POST", "/jobs", slow)
             assert status == 202
+        # POST /jobs only enqueues to the bridge thread; wait until all
+        # four jobs are injected, i.e. their submitted events appended.
+        deadline = time.monotonic() + 30.0
+        while True:
+            _, detail = _http(port, "GET", f"/runs/{run_id}")
+            if detail["stats"]["injected"] == 4:
+                break
+            assert time.monotonic() < deadline, detail
+            time.sleep(0.02)
         # /healthz counts events, which flushes the store: the
         # submitted events are durably committed before the kill.
         _http(port, "GET", "/healthz")

@@ -6,17 +6,16 @@ import json
 
 import pytest
 
-from repro.cluster.job import JobClass
-from repro.core.errors import ConfigurationError
-from repro.service.event_store import EventStore
-from repro.service.models import (
+from repro.cluster.engine import (
     KIND_COMPLETED,
     KIND_STARTED,
     KIND_STOLEN,
     KIND_SUBMITTED,
-    LifecycleEvent,
-    RunConfig,
 )
+from repro.cluster.job import JobClass
+from repro.core.errors import ConfigurationError
+from repro.service.event_store import EventStore
+from repro.service.models import LifecycleEvent, RunConfig
 from repro.service.replay import (
     RunFold,
     export_ndjson,

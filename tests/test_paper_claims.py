@@ -19,8 +19,7 @@ from repro.experiments.runner import run_replicated
 from repro.experiments.traces import (
     google_cutoff,
     google_short_fraction,
-    google_trace,
-    google_trace_factory,
+    google_workload,
 )
 from repro.metrics.comparison import normalized_percentile
 from repro.metrics.stats import SummaryStats, paired_values, summarize
@@ -33,7 +32,7 @@ N_SEEDS = 3
 
 @pytest.fixture(scope="module")
 def trace():
-    return google_trace("quick", seed=0)
+    return google_workload("quick").trace(0)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +52,7 @@ def replicas(trace, scheduler, n, **kw):
         ),
         trace,
         N_SEEDS,
-        google_trace_factory("quick"),
+        google_workload("quick"),
     )
 
 

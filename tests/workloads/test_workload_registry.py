@@ -10,7 +10,7 @@ from repro.experiments.config import RunSpec
 from repro.experiments.parallel import cache_key
 from repro.experiments.runner import run_replicated
 from repro.experiments.sweeps import compare_at_size
-from repro.experiments.traces import google_trace, google_workload
+from repro.experiments.traces import google_workload
 from repro.workloads import registry
 from repro.workloads.registry import WorkloadSpec, quick_spec, register_workload
 from repro.workloads.spec import JobSpec, Trace
@@ -135,7 +135,7 @@ def test_canonical_vs_default_params_materialize_identical_bytes():
 
 
 def test_materialized_trace_shared_with_traces_module():
-    assert google_workload("quick").trace(3) is google_trace("quick", 3)
+    assert google_workload("quick").trace(3) is quick_spec("google").trace(3)
 
 
 def test_spec_is_a_trace_factory():
