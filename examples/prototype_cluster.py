@@ -3,17 +3,19 @@
 
 Mirrors the paper's Spark deployment (Section 3.8) in miniature: node
 monitors are OS threads executing sleep tasks, task requests and steal
-messages pay real latency, and the coordinator runs behind a mutex.  The
-same trace is also run through the discrete-event simulator so you can
-see how well the two agree — the Figures 16-17 experiment in example
+messages pay real latency, and the registry's scheduling policy runs
+behind a mutex.  The same spec — policy, cluster shape and carried job
+classification — also runs through the discrete-event simulator so you
+can see how well the two agree: the Figures 16-17 experiment in example
 form.
 
-Run:  python examples/prototype_cluster.py   (takes ~15 s of wall time)
+Run:  python examples/prototype_cluster.py   (takes a few seconds of wall time)
 """
 
-from repro import Cluster, ClusterEngine, EngineConfig, JobClass, percentile
+from repro import JobClass, percentile
+from repro.experiments.config import RunSpec, execute
 from repro.experiments.fig16_17_prototype import _scheduled_runtimes
-from repro.runtime import PrototypeCluster, PrototypeConfig
+from repro.runtime import PrototypeCluster
 from repro.workloads import GOOGLE_CUTOFF_S, google_like_trace
 from repro.workloads.google import GoogleTraceConfig
 from repro.workloads.scaling import scale_trace_for_prototype, with_interarrival
@@ -38,52 +40,26 @@ def main() -> None:
     )
 
     for scheduler in ("sparrow", "hawk"):
-        config = PrototypeConfig(
+        spec = RunSpec(
             scheduler=scheduler,
-            n_monitors=N_MONITORS,
-            n_frontends=5,
+            n_workers=N_MONITORS,
             cutoff=scaled.cutoff,
-            timeout=120.0,
+            seed=7,
+            estimate=scaled.carried_estimate,
+            estimate_tag="carried-classes",
         )
-        result = PrototypeCluster(config).run(
-            trace, long_job_ids=scaled.long_job_ids
-        )
-        shorts = _scheduled_runtimes(result, JobClass.SHORT)
-        longs = _scheduled_runtimes(result, JobClass.LONG)
-        print(
-            f"prototype {scheduler:8s}: short p50={percentile(shorts, 50):.3f}s "
-            f"p90={percentile(shorts, 90):.3f}s  long p50="
-            f"{percentile(longs, 50):.3f}s  stolen={result.stealing.entries_stolen}"
-        )
-
-    # The same trace through the simulator, for comparison.
-    for scheduler in ("sparrow", "hawk"):
-        from repro.schedulers import HawkScheduler, SparrowScheduler, WorkStealing
-
-        if scheduler == "hawk":
-            engine = ClusterEngine(
-                Cluster(N_MONITORS, short_partition_fraction=0.17),
-                HawkScheduler(),
-                EngineConfig(cutoff=scaled.cutoff, seed=7),
-                stealing=WorkStealing(),
-                estimate=lambda spec: (
-                    max(spec.mean_task_duration, scaled.cutoff)
-                    if spec.job_id in scaled.long_job_ids
-                    else min(spec.mean_task_duration, 0.99 * scaled.cutoff)
-                ),
+        for system, result in (
+            ("prototype", PrototypeCluster(spec, timeout=120.0).run(trace)),
+            ("simulator", execute(spec, trace)),
+        ):
+            shorts = _scheduled_runtimes(result, JobClass.SHORT)
+            longs = _scheduled_runtimes(result, JobClass.LONG)
+            print(
+                f"{system} {scheduler:8s}: short p50="
+                f"{percentile(shorts, 50):.3f}s p90={percentile(shorts, 90):.3f}s"
+                f"  long p50={percentile(longs, 50):.3f}s"
+                f"  stolen={result.stealing.entries_stolen}"
             )
-        else:
-            engine = ClusterEngine(
-                Cluster(N_MONITORS),
-                SparrowScheduler(),
-                EngineConfig(cutoff=scaled.cutoff, seed=7),
-            )
-        result = engine.run(trace)
-        shorts = _scheduled_runtimes(result, JobClass.SHORT)
-        print(
-            f"simulator {scheduler:8s}: short p50={percentile(shorts, 50):.3f}s "
-            f"p90={percentile(shorts, 90):.3f}s"
-        )
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ Lifecycle events
 ----------------
 An engine built with a ``sink`` narrates its transitions to it, one call
 ``sink(kind, vtime, job_id, task_index, worker_id, payload)`` each:
-``probed``/``queued`` once per placement group (at the plural entry
+``probed``/``queued`` once per placement group (at the placement entry
 points, so batched and per-message transport emit the same stream),
 ``started`` after a task takes a slot, ``task-completed`` as a task
 finishes, ``completed`` when a job's last task has finished (after the
@@ -49,10 +49,10 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.faults import FaultInjector, FaultPlan
 from repro.cluster.job import Job
 from repro.cluster.records import (
-    JobRecord,
     RunResult,
     StealingStats,
     UtilizationSample,
+    job_record,
 )
 from repro.cluster.task import Task
 from repro.cluster.worker import ProbeEntry, QueueEntry, TaskEntry, Worker, WorkerState
@@ -119,6 +119,20 @@ class EngineConfig:
             raise ConfigurationError("utilization_interval must be positive")
 
 
+def resolve_estimate(
+    estimate: Callable[["JobSpec"], float] | None, seed: int
+) -> Callable[["JobSpec"], float]:
+    """A run's job-runtime estimator (the true mean task duration by default).
+
+    Estimators exposing a ``seeded(run_seed)`` hook (e.g.
+    UniformMisestimation) are specialized to the run's seed so seed
+    replicas draw independent estimator noise.
+    """
+    estimate = estimate or (lambda spec: spec.mean_task_duration)
+    seeded = getattr(estimate, "seeded", None)
+    return seeded(seed) if callable(seeded) else estimate
+
+
 class ClusterEngine:
     """Couples a :class:`Simulation`, a :class:`Cluster` and a policy."""
 
@@ -140,12 +154,7 @@ class ClusterEngine:
         self.scheduler = scheduler
         self.config = config
         self.stealing = stealing
-        estimate = estimate or (lambda spec: spec.mean_task_duration)
-        # Estimators exposing a ``seeded(run_seed)`` hook (e.g.
-        # UniformMisestimation) are specialized to this run's seed so
-        # seed replicas draw independent estimator noise.
-        seeded = getattr(estimate, "seeded", None)
-        self.estimate = seeded(config.seed) if callable(seeded) else estimate
+        self.estimate = resolve_estimate(estimate, config.seed)
         self.sim = Simulation()
         self.network = NetworkModel(config.network_delay)
         self._batch = self.transport_batching and self.network.jitter == 0.0
@@ -218,13 +227,6 @@ class ClusterEngine:
         """One message to ``worker_id`` (one possibly perturbed delay)."""
         self.sim.schedule(self._msg_delay(), self._deliver_entry, worker_id, entry)
 
-    def place_probe(self, worker_id: int, job: Job, frontend: "ProbeFrontend") -> None:
-        """Send a late-binding probe to ``worker_id`` (one network delay)."""
-        sink = self._sink
-        if sink is not None:
-            sink(KIND_PROBED, self.sim.now, job.job_id, None, worker_id, {"workers": 1})
-        self._send(worker_id, ProbeEntry(job, frontend))
-
     def place_probes(
         self, worker_ids: Sequence[int], job: Job, frontend: "ProbeFrontend"
     ) -> None:
@@ -248,21 +250,12 @@ class ClusterEngine:
             for worker_id in worker_ids:
                 self._send(worker_id, ProbeEntry(job, frontend))
 
-    def place_task(self, worker_id: int, task: Task) -> None:
-        """Send a concrete task to ``worker_id`` (one network delay)."""
-        sink = self._sink
-        if sink is not None:
-            sink(
-                KIND_QUEUED, self.sim.now, task.job.job_id, task.index,
-                worker_id, {"tasks": 1},
-            )
-        self._send(worker_id, TaskEntry(task))
-
     def place_tasks(self, assignments: Sequence[tuple[int, Task]]) -> None:
         """Send ``(worker_id, task)`` pairs, one network delay each.
 
-        The batched counterpart of :meth:`place_task` for same-timestamp
-        placement groups (e.g. one centralized job assignment).
+        With a constant delay a group (e.g. one centralized job
+        assignment) arrives at one timestamp and rides a single heap
+        event.
         """
         sink = self._sink
         if sink is not None and assignments:
@@ -761,22 +754,7 @@ class ClusterEngine:
         return self._build_result(jobs)
 
     def _build_result(self, jobs: Iterable[Job]) -> RunResult:
-        records = tuple(
-            JobRecord(
-                job_id=j.job_id,
-                submit_time=j.submit_time,
-                completion_time=j.completion_time,  # type: ignore[arg-type]
-                num_tasks=j.num_tasks,
-                true_mean_task_duration=j.true_mean_task_duration,
-                estimated_task_duration=j.estimated_task_duration,
-                task_seconds=j.task_seconds,
-                scheduled_class=j.scheduled_class,
-                true_class=j.true_class,
-                stolen_tasks=j.stolen_tasks,
-                retried_tasks=j.retried_tasks,
-            )
-            for j in jobs
-        )
+        records = tuple(map(job_record, jobs))
         stealing = (
             self.stealing.stats() if self.stealing is not None else StealingStats()
         )

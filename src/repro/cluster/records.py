@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.cluster.job import JobClass
+from repro.cluster.job import Job, JobClass
 
 
 class JobRecord(NamedTuple):
@@ -33,6 +33,23 @@ class JobRecord(NamedTuple):
     @property
     def runtime(self) -> float:
         return self.completion_time - self.submit_time
+
+
+def job_record(job: Job) -> JobRecord:
+    """A finished job's record (the simulator's and the prototype's)."""
+    return JobRecord(
+        job.job_id,
+        job.submit_time,
+        job.completion_time,  # type: ignore[arg-type]
+        job.num_tasks,
+        job.true_mean_task_duration,
+        job.estimated_task_duration,
+        job.task_seconds,
+        job.scheduled_class,
+        job.true_class,
+        job.stolen_tasks,
+        job.retried_tasks,
+    )
 
 
 class UtilizationSample(NamedTuple):

@@ -12,7 +12,9 @@ scheduling/stealing overheads (Section 4.10).
 
 Here the "implementation" is the threaded prototype runtime
 (:mod:`repro.runtime`): real OS threads, real sleeps, real lock
-contention and real message latency.
+contention and real message latency.  Both systems run the same
+``RunSpec`` per (scheduler, load point), so they share the policy code
+and the carried job classification.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.experiments.parallel import get_executor
 from repro.experiments.report import FigureResult
 from repro.experiments.traces import google_short_fraction
 from repro.metrics.percentiles import percentile
-from repro.runtime import PrototypeCluster, PrototypeConfig
+from repro.runtime import PrototypeCluster
 from repro.workloads import GOOGLE_CUTOFF_S, WorkloadSpec
 from repro.workloads.scaling import scale_trace_for_prototype, with_interarrival
 
@@ -81,14 +83,6 @@ def run(
         len(scaled.trace) * n_monitors
     )
 
-    def classify_estimate(spec):
-        # Carry the original classification into the simulator: clamp
-        # scaled-short means below the scaled cutoff (compensation can
-        # inflate them past it) and leave everything else untouched.
-        if spec.job_id in scaled.long_job_ids:
-            return max(spec.mean_task_duration, scaled.cutoff)
-        return min(spec.mean_task_duration, 0.99 * scaled.cutoff)
-
     result = FigureResult(
         figure_id="Figures 16-17",
         title=(
@@ -107,35 +101,25 @@ def run(
         trace = with_interarrival(
             scaled.trace, multiple * base_interarrival, seed=seed
         )
-        runs: dict[str, RunResult] = {}
-        sim_batch = []
-        for scheduler in ("sparrow", "hawk"):
-            proto = PrototypeCluster(
-                PrototypeConfig(
-                    scheduler=scheduler,
-                    n_monitors=n_monitors,
-                    cutoff=scaled.cutoff,
-                    seed=seed,
-                )
-            )
-            runs[f"proto-{scheduler}"] = proto.run(
-                trace, long_job_ids=scaled.long_job_ids
-            )
-            spec = RunSpec(
+        # One spec per system pair: the prototype and the simulator run
+        # the same policy with the same carried classification.
+        specs = [
+            RunSpec(
                 scheduler=scheduler,
                 n_workers=n_monitors,
                 cutoff=scaled.cutoff,
                 short_partition_fraction=google_short_fraction(),
                 seed=seed,
-                estimate=classify_estimate,
+                estimate=scaled.carried_estimate,
                 estimate_tag="carried-classes",
             )
-            sim_batch.append((spec, trace))
-        # classify_estimate is a closure, so the executor runs these
-        # in-process; the batch still flows through the two-tier cache.
-        for (spec, _), res in zip(
-            sim_batch, get_executor().run_many(sim_batch)
-        ):
+            for scheduler in ("sparrow", "hawk")
+        ]
+        runs: dict[str, RunResult] = {}
+        for spec in specs:
+            runs[f"proto-{spec.scheduler}"] = PrototypeCluster(spec).run(trace)
+        sims = get_executor().run_many([(spec, trace) for spec in specs])
+        for spec, res in zip(specs, sims):
             runs[f"sim-{spec.scheduler}"] = res
         for system in ("implementation", "simulation"):
             prefix = "proto" if system == "implementation" else "sim"
@@ -216,11 +200,6 @@ def make_events_fixture(
         len(scaled.trace) * n_workers
     )
 
-    def carried_estimate(spec) -> float:
-        if spec.job_id in scaled.long_job_ids:
-            return max(spec.mean_task_duration, scaled.cutoff)
-        return min(spec.mean_task_duration, 0.99 * scaled.cutoff)
-
     labels: dict[str, dict[str, object]] = {}
     with tempfile.TemporaryDirectory(prefix="fig16-17-events-") as tmp:
         with EventStore(os.path.join(tmp, "fixture.db")) as store:
@@ -253,7 +232,7 @@ def make_events_fixture(
                             Submission(
                                 tasks=spec.task_durations,
                                 tenant="fig16-17",
-                                estimate=carried_estimate(spec),
+                                estimate=scaled.carried_estimate(spec),
                             )
                         )
                     if not bridge.drain(timeout=300.0):

@@ -1,10 +1,26 @@
-"""Prototype cluster assembly and trace execution.
+"""Prototype cluster: a registry policy driving real threads.
 
-Mirrors the paper's 100-node deployment: N node-monitor threads, K
-distributed scheduler frontends, one centralized coordinator, and a
-submission loop replaying a (time-scaled) trace in real time.  Results
-come back as the same :class:`repro.cluster.records.RunResult` the
-simulator produces, so every metric and comparison works unchanged.
+Mirrors the paper's 100-node deployment: one node-monitor thread per
+worker and a submission loop replaying a (time-scaled) trace in real
+time.  The scheduling policy is the registry's own, bound to this
+cluster instead of a :class:`~repro.cluster.engine.ClusterEngine`: a
+policy touches its host only through ``cluster.ids(partition)``,
+``config.seed``, ``centralized_down``, ``place_probes`` and
+``place_tasks``, and this class provides exactly those five.  Queues hold
+the engine's entries, jobs and tasks are the engine's state machines, and
+results come back as the same :class:`repro.cluster.records.RunResult`
+the simulator produces, so every metric and comparison works unchanged.
+
+One host lock serializes every policy call (``on_job_submit``,
+``on_task_finish`` and late binding through ``ProbeFrontend.next_task``)
+together with the job-wide accounting around them; see
+:mod:`repro.runtime.node_monitor` for the lock order.
+
+Work stealing is the one mechanism not shared with the simulator:
+:class:`~repro.schedulers.stealing.WorkStealing` is driven by heap timers
+(retry backoff, parking, wake-ups on the simulation clock), which have no
+counterpart on threads.  Each idle monitor instead runs its own steal
+round over the shared Figure 3 rule, capped by the spec's ``steal_cap``.
 """
 
 from __future__ import annotations
@@ -12,69 +28,57 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass
+from typing import Sequence
 
-from repro.cluster.job import JobClass
-from repro.cluster.records import JobRecord, RunResult, StealingStats
+from repro.cluster.engine import EngineConfig, resolve_estimate
+from repro.cluster.job import Job
+from repro.cluster.records import RunResult, StealingStats, job_record
+from repro.cluster.task import Task
+from repro.cluster.worker import ProbeEntry, QueueEntry, TaskEntry
 from repro.core.errors import ConfigurationError
-from repro.runtime.coordinator import Coordinator
-from repro.runtime.entries import ProtoJob, ProtoTask
-from repro.runtime.frontend import DistributedFrontend
 from repro.runtime.node_monitor import NodeMonitor
+from repro.schedulers.frontend import ProbeFrontend
+from repro.schedulers.registry import build_cluster, policy_entry
 from repro.workloads.spec import Trace
-
-#: Schedulers the prototype supports.
-PROTOTYPE_SCHEDULERS = ("hawk", "sparrow", "split")
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
-class PrototypeConfig:
-    """Deployment shape (defaults mirror the paper's prototype run)."""
-
-    scheduler: str = "hawk"
-    n_monitors: int = 100
-    n_frontends: int = 10
-    short_partition_fraction: float = 0.17
-    cutoff: float = 1.129  # seconds; the Google cutoff after /1000 scaling
-    probe_ratio: int = 2
-    latency: float = 0.0005
-    steal_cap: int = 10
-    steal_retry: float = 0.005
-    seed: int = 0
-    #: Hard wall-clock limit; a run exceeding it raises.
-    timeout: float = 300.0
-    #: Per-monitor join budget at shutdown; a monitor thread still alive
-    #: past it is reported as leaked instead of blocking forever.
-    join_timeout: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.scheduler not in PROTOTYPE_SCHEDULERS:
-            raise ConfigurationError(
-                f"prototype scheduler must be one of {PROTOTYPE_SCHEDULERS}"
-            )
-        if self.n_monitors < 2:
-            raise ConfigurationError("need at least 2 node monitors")
-        if self.n_frontends < 1:
-            raise ConfigurationError("need at least 1 frontend")
-        if self.join_timeout <= 0:
-            raise ConfigurationError("join_timeout must be positive")
-
-
 class PrototypeCluster:
-    """Build the threads, replay a trace, return a :class:`RunResult`."""
+    """Bind a spec's policy to monitor threads, replay a trace, return a
+    :class:`RunResult`.
 
-    def __init__(self, config: PrototypeConfig) -> None:
-        self.config = config
-        n_short = int(round(config.n_monitors * config.short_partition_fraction))
-        if config.scheduler == "sparrow":
-            n_short = 0
-        self.n_general = config.n_monitors - n_short
-        self._lock = threading.Lock()
-        self._remaining: dict[int, int] = {}
-        self._completion: dict[int, float] = {}
-        self._stolen: dict[int, int] = {}
+    ``spec`` is the duck-typed spec :func:`repro.schedulers.registry.build_engine`
+    takes (a ``RunSpec`` or the service's ``RunConfig``).  ``timeout`` is
+    the run's wall-clock budget; ``join_timeout`` bounds each monitor's
+    join at shutdown.
+    """
+
+    def __init__(
+        self, spec, timeout: float = 300.0, join_timeout: float = 5.0
+    ) -> None:
+        entry = policy_entry(spec.scheduler)
+        if not entry.serves_online:
+            raise ConfigurationError(
+                f"policy {spec.scheduler!r} cannot run online on the prototype"
+            )
+        if getattr(spec, "faults", None) is not None:
+            raise ConfigurationError("the prototype does not inject faults")
+        if join_timeout <= 0:
+            raise ConfigurationError("join_timeout must be positive")
+        self.spec = spec
+        self.timeout = timeout
+        self.join_timeout = join_timeout
+        self.cluster = build_cluster(spec, entry)
+        self.config = EngineConfig(cutoff=spec.cutoff, seed=spec.seed)
+        self.centralized_down = False
+        self.estimate = resolve_estimate(getattr(spec, "estimate", None), spec.seed)
+        #: Serializes every policy call and job-wide accounting.
+        self.lock = threading.Lock()
+        #: The run's jobs, in submission order.
+        self.jobs: list[Job] = []
+        self._jobs_total = 0
+        self._jobs_done = 0
         self._all_done = threading.Event()
         self._t0 = 0.0
         #: Monitor ids whose threads outlived the shutdown join budget in
@@ -85,81 +89,75 @@ class PrototypeCluster:
         #: for reuse of this cluster object.
         self.leaked_monitors: tuple[int, ...] = ()
 
+        steal_scope = self.cluster.n_general if entry.uses_stealing else 0
+        steal_cap = spec.params["steal_cap"] if entry.uses_stealing else 0
         self.monitors = [
-            NodeMonitor(
-                monitor_id=i,
-                in_short_partition=(i >= self.n_general),
-                latency=config.latency,
-                steal_cap=config.steal_cap,
-                steal_retry=config.steal_retry,
-                seed=config.seed,
-                on_task_done=self._on_task_done,
-            )
-            for i in range(config.n_monitors)
+            NodeMonitor(self, i, steal_scope, steal_cap, spec.seed)
+            for i in range(self.cluster.n_workers)
         ]
-        # Stealing only exists in Hawk (the paper's Sparrow and split
-        # baselines have no stealing): zero general count disables it.
-        steal_scope = self.n_general if config.scheduler == "hawk" else 0
-        for monitor in self.monitors:
-            monitor.attach_cluster(self.monitors, steal_scope)
-        self.frontends = [
-            DistributedFrontend(
-                frontend_id=i,
-                monitors=self.monitors,
-                probe_ratio=config.probe_ratio,
-                seed=config.seed,
-            )
-            for i in range(config.n_frontends)
-        ]
-        if config.scheduler == "sparrow":
-            self.coordinator = None
-        else:
-            self.coordinator = Coordinator(
-                self.monitors, scope=range(self.n_general)
-            )
-            for monitor in self.monitors:
-                monitor.coordinator = self.coordinator
+        self.scheduler = entry.builder(spec.params)
+        self.scheduler.bind(self)
 
-    # ------------------------------------------------------------------
-    def _on_task_done(self, monitor_id: int, task: ProtoTask) -> None:
-        job_id = task.job.job_id
-        now = time.monotonic() - self._t0
-        with self._lock:
-            if task.stolen:
-                self._stolen[job_id] = self._stolen.get(job_id, 0) + 1
-            self._remaining[job_id] -= 1
-            if self._remaining[job_id] == 0:
-                self._completion[job_id] = now
-                if all(r == 0 for r in self._remaining.values()):
+    # -- the policy's view of its host ---------------------------------
+    def place_probes(
+        self, worker_ids: Sequence[int], job: Job, frontend: ProbeFrontend
+    ) -> None:
+        for worker_id in worker_ids:
+            self.monitors[worker_id].deliver(ProbeEntry(job, frontend))
+
+    def place_tasks(self, assignments: Sequence[tuple[int, Task]]) -> None:
+        for worker_id, task in assignments:
+            self.monitors[worker_id].deliver(TaskEntry(task))
+
+    # -- called by node monitors (never under a monitor's lock) --------
+    def now(self) -> float:
+        return time.monotonic() - self._t0
+
+    def bind_probe(self, entry: ProbeEntry) -> Task | None:
+        """Late binding: the probe's next task, or ``None`` (cancel)."""
+        with self.lock:
+            task = entry.frontend.next_task()
+            if task is not None and entry.stolen:
+                task.was_stolen = True
+                task.job.stolen_tasks += 1
+        return task
+
+    def mark_stolen(self, entries: Sequence[QueueEntry]) -> None:
+        """Account a steal transfer the way the simulator does."""
+        with self.lock:
+            for entry in entries:
+                if isinstance(entry, ProbeEntry):
+                    entry.stolen = True
+                else:
+                    entry.task.was_stolen = True
+                    entry.task.job.stolen_tasks += 1
+
+    def task_finished(self, task: Task) -> None:
+        now = self.now()
+        with self.lock:
+            task.finish(now)
+            self.scheduler.on_task_finish(task)
+            if task.job.record_task_finish(now):
+                self._jobs_done += 1
+                if self._jobs_done == self._jobs_total:
                     self._all_done.set()
-
-    def _route(self, job: ProtoJob, frontend_index: int) -> None:
-        cfg = self.config
-        if cfg.scheduler == "sparrow" or not job.is_long:
-            scope = None
-            if cfg.scheduler == "split":
-                scope = range(self.n_general, cfg.n_monitors)
-            self.frontends[frontend_index % cfg.n_frontends].submit(job, scope)
-        else:
-            assert self.coordinator is not None
-            self.coordinator.submit(job)
 
     # ------------------------------------------------------------------
     def shutdown_and_join(self) -> tuple[int, ...]:
         """Stop every monitor and join their threads with a bounded wait.
 
         Returns the ids of monitors whose threads failed to exit within
-        ``config.join_timeout`` (also stored on :attr:`leaked_monitors`
-        and logged as a warning).  A stuck monitor — e.g. one blocked in
-        a cross-monitor steal against a wedged peer — therefore degrades
-        a run's teardown into a reported leak instead of hanging the
-        caller indefinitely.
+        ``join_timeout`` (also stored on :attr:`leaked_monitors` and
+        logged as a warning).  A stuck monitor — e.g. one blocked in a
+        cross-monitor steal against a wedged peer — therefore degrades a
+        run's teardown into a reported leak instead of hanging the caller
+        indefinitely.
         """
         for monitor in self.monitors:
             monitor.shutdown()
         leaked = []
         for monitor in self.monitors:
-            monitor.join(timeout=self.config.join_timeout)
+            monitor.join(timeout=self.join_timeout)
             if monitor.is_alive():
                 leaked.append(monitor.monitor_id)
         self.leaked_monitors = tuple(leaked)
@@ -168,90 +166,54 @@ class PrototypeCluster:
                 "%d node-monitor thread(s) did not exit within %.1fs of "
                 "shutdown (ids %s); their daemon threads were abandoned",
                 len(leaked),
-                self.config.join_timeout,
+                self.join_timeout,
                 leaked,
             )
         return self.leaked_monitors
 
-    def run(
-        self, trace: Trace, long_job_ids: frozenset[int] | None = None
-    ) -> RunResult:
-        """Replay the trace in real time; blocks until all jobs finish.
-
-        ``long_job_ids`` overrides cutoff-based classification (used with
-        :func:`repro.workloads.scale_trace_for_prototype`, whose task-count
-        compensation perturbs per-job means).
-        """
-        cfg = self.config
-        jobs = [
-            ProtoJob(
-                job_id=spec.job_id,
-                submit_time=spec.submit_time,
-                durations=spec.task_durations,
-                is_long=(
-                    spec.job_id in long_job_ids
-                    if long_job_ids is not None
-                    else spec.mean_task_duration >= cfg.cutoff
-                ),
-                mean_duration=spec.mean_task_duration,
-            )
-            for spec in trace
-        ]
-        with self._lock:
-            for job in jobs:
-                self._remaining[job.job_id] = len(job.durations)
-        submit_actual: dict[int, float] = {}
-
+    def run(self, trace: Trace) -> RunResult:
+        """Replay the trace in real time; blocks until all jobs finish."""
+        if not trace:
+            raise ConfigurationError("cannot run an empty trace")
+        specs = sorted(trace, key=lambda s: (s.submit_time, s.job_id))
+        self._jobs_total = len(specs)
         for monitor in self.monitors:
             monitor.start()
         self._t0 = time.monotonic()
-        short_counter = 0
-        for job in jobs:
-            delay = job.submit_time - (time.monotonic() - self._t0)
+        for spec in specs:
+            delay = spec.submit_time - self.now()
             if delay > 0:
                 time.sleep(delay)
-            submit_actual[job.job_id] = time.monotonic() - self._t0
-            self._route(job, short_counter)
-            if not job.is_long:
-                short_counter += 1
+            # Submission time is when the job actually reached the policy.
+            job = Job(
+                job_id=spec.job_id,
+                submit_time=self.now(),
+                task_durations=spec.task_durations,
+                estimated_task_duration=self.estimate(spec),
+                cutoff=self.config.cutoff,
+            )
+            self.jobs.append(job)
+            with self.lock:
+                self.scheduler.on_job_submit(job)
 
-        if not self._all_done.wait(timeout=cfg.timeout):
+        if not self._all_done.wait(timeout=self.timeout):
             self.shutdown_and_join()
             raise TimeoutError(
-                f"prototype run exceeded {cfg.timeout}s wall-clock budget"
+                f"prototype run exceeded {self.timeout}s wall-clock budget"
             )
         self.shutdown_and_join()
-
-        records = []
-        for job in jobs:
-            job_class = JobClass.LONG if job.is_long else JobClass.SHORT
-            records.append(
-                JobRecord(
-                    job_id=job.job_id,
-                    submit_time=submit_actual[job.job_id],
-                    completion_time=self._completion[job.job_id],
-                    num_tasks=len(job.durations),
-                    true_mean_task_duration=job.mean_duration,
-                    estimated_task_duration=job.mean_duration,
-                    task_seconds=sum(job.durations),
-                    scheduled_class=job_class,
-                    true_class=job_class,
-                    stolen_tasks=self._stolen.get(job.job_id, 0),
-                )
-            )
-        rounds = sum(m.steal_rounds for m in self.monitors)
-        stolen = sum(m.items_stolen for m in self.monitors)
+        stats = StealingStats(
+            rounds=sum(m.steal_rounds for m in self.monitors),
+            successful_rounds=sum(m.successful_rounds for m in self.monitors),
+            victims_probed=sum(m.victims_probed for m in self.monitors),
+            entries_stolen=sum(m.entries_stolen for m in self.monitors),
+        )
         return RunResult(
-            scheduler_name=f"prototype-{cfg.scheduler}",
-            n_workers=cfg.n_monitors,
-            jobs=tuple(records),
+            scheduler_name=f"prototype-{self.spec.scheduler}",
+            n_workers=self.cluster.n_workers,
+            jobs=tuple(map(job_record, self.jobs)),
             utilization=(),
-            stealing=StealingStats(
-                rounds=rounds,
-                successful_rounds=0,
-                victims_probed=0,
-                entries_stolen=stolen,
-            ),
+            stealing=stats,
             events_fired=0,
-            end_time=time.monotonic() - self._t0,
+            end_time=self.now(),
         )

@@ -1,10 +1,19 @@
 """Node monitors: worker threads executing sleep tasks.
 
-Each monitor owns a FIFO queue of probes and tasks (Section 3.1's
-single-slot server).  Probes trigger real request/response exchanges with
-their frontend; idle monitors steal from randomly chosen general-partition
-victims exactly as the simulator does (Figure 3 via the shared
-:func:`repro.cluster.worker.find_first_short_group`).
+Each monitor owns a FIFO queue of the engine's own
+:class:`~repro.cluster.worker.ProbeEntry`/:class:`~repro.cluster.worker.TaskEntry`
+(Section 3.1's single-slot server).  A probe at the head of the queue
+binds late through its policy's :class:`~repro.schedulers.frontend.ProbeFrontend`
+over a real (slept) request/response exchange; idle monitors steal from
+randomly chosen general-partition victims by the Figure 3 rule the
+simulator uses (the shared :func:`repro.cluster.worker.find_first_short_group`).
+
+Lock order: host -> monitor.  The host lock (held by
+:class:`~repro.runtime.engine.PrototypeCluster` around every policy call)
+may be held while a policy places entries into a monitor's queue, which
+takes that monitor's condition variable.  A monitor therefore never calls
+the host while holding its own condition variable, and never holds two
+monitors' condition variables at once.
 """
 
 from __future__ import annotations
@@ -13,13 +22,19 @@ import random
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING
 
-from repro.cluster.worker import find_first_short_group
-from repro.runtime.entries import ProtoProbe, ProtoTask, QueueItem
+from repro.cluster.worker import QueueEntry, TaskEntry, find_first_short_group
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.coordinator import Coordinator
+    from repro.runtime.engine import PrototypeCluster
+
+#: One-way RPC latency in seconds, slept by every task request, task
+#: response, completion report and steal request.
+LATENCY = 0.0005
+
+#: Seconds an idle monitor waits for work before its next steal round.
+STEAL_RETRY = 0.005
 
 
 class NodeMonitor(threading.Thread):
@@ -27,65 +42,53 @@ class NodeMonitor(threading.Thread):
 
     def __init__(
         self,
+        host: "PrototypeCluster",
         monitor_id: int,
-        in_short_partition: bool,
-        latency: float,
+        steal_scope: int,
         steal_cap: int,
-        steal_retry: float,
         seed: int,
-        on_task_done: Callable[[int, ProtoTask], None],
     ) -> None:
         super().__init__(name=f"node-monitor-{monitor_id}", daemon=True)
         self.monitor_id = monitor_id
-        self.in_short_partition = in_short_partition
-        self._latency = latency
+        self.in_short_partition = monitor_id >= host.cluster.n_general
+        self._host = host
+        #: Victims are monitors ``[0, steal_scope)``; 0 disables stealing.
+        self._steal_scope = steal_scope
         self._steal_cap = steal_cap
-        self._steal_retry = steal_retry
         self._rng = random.Random((seed << 16) ^ monitor_id)
-        self._on_task_done = on_task_done
-        self._queue: deque[QueueItem] = deque()
+        self._queue: deque[QueueEntry] = deque()
         self._cv = threading.Condition()
         self._current_is_long = False
         self._has_current = False
         self._stop_event = threading.Event()
-        self._peers: Sequence["NodeMonitor"] = ()
-        self._general_count = 0
-        self.coordinator: "Coordinator | None" = None
         # Statistics.
         self.tasks_executed = 0
-        self.items_stolen = 0
         self.steal_rounds = 0
+        self.successful_rounds = 0
+        self.victims_probed = 0
+        self.entries_stolen = 0
 
     # ------------------------------------------------------------------
-    def attach_cluster(
-        self, peers: Sequence["NodeMonitor"], general_count: int
-    ) -> None:
-        self._peers = peers
-        self._general_count = general_count
-
-    def deliver(self, item: QueueItem) -> None:
-        """RPC target: enqueue a probe or task (caller pays the latency)."""
+    def deliver(self, entry: QueueEntry) -> None:
+        """RPC target: enqueue a probe or task."""
         with self._cv:
-            self._queue.append(item)
+            self._queue.append(entry)
             self._cv.notify()
 
-    def release_stealable(self) -> list[QueueItem]:
+    def release_stealable(self) -> list[QueueEntry]:
         """RPC target: hand out the first short group behind a long entry."""
         with self._cv:
             if not self._queue:
                 return []
             span = find_first_short_group(
                 self._has_current and self._current_is_long,
-                (item.is_long for item in self._queue),
+                (entry.is_long for entry in self._queue),
             )
             if span is None:
                 return []
-            items = list(self._queue)
-            stolen = items[span[0] : span[1]]
-            self._queue = deque(items[: span[0]] + items[span[1] :])
-            for item in stolen:
-                item.stolen = True
-            return stolen
+            entries = list(self._queue)
+            self._queue = deque(entries[: span[0]] + entries[span[1] :])
+            return entries[span[0] : span[1]]
 
     def shutdown(self) -> None:
         self._stop_event.set()
@@ -95,54 +98,50 @@ class NodeMonitor(threading.Thread):
     # ------------------------------------------------------------------
     def run(self) -> None:  # pragma: no cover - exercised via engine tests
         while not self._stop_event.is_set():
-            item = self._pop_or_wait()
-            if item is None:
+            entry = self._pop_or_wait()
+            if entry is None:
                 if not self._stop_event.is_set():
                     self._attempt_steal()
                 continue
             try:
-                self._process(item)
+                self._process(entry)
             finally:
                 with self._cv:
                     self._has_current = False
 
-    def _pop_or_wait(self) -> QueueItem | None:
+    def _pop_or_wait(self) -> QueueEntry | None:
         with self._cv:
             if not self._queue:
-                self._cv.wait(timeout=self._steal_retry)
+                self._cv.wait(timeout=STEAL_RETRY)
             if not self._queue:
                 return None
-            item = self._queue.popleft()
+            entry = self._queue.popleft()
             self._has_current = True
-            self._current_is_long = item.is_long
-            return item
+            self._current_is_long = entry.is_long
+            return entry
 
-    def _process(self, item: QueueItem) -> None:
-        if isinstance(item, ProtoProbe):
-            self._net_delay()  # task request travels to the frontend
-            task = item.frontend.request_task(item.job)
-            self._net_delay()  # response (task or cancel) travels back
-            if task is None:
-                return
-            if item.stolen:
-                task.stolen = True
-            with self._cv:
-                self._current_is_long = task.is_long
-            self._execute(task)
+    def _process(self, entry: QueueEntry) -> None:
+        host = self._host
+        if isinstance(entry, TaskEntry):
+            task = entry.task
         else:
-            self._execute(item)
-
-    def _execute(self, task: ProtoTask) -> None:
+            time.sleep(LATENCY)  # task request travels to the scheduler
+            bound = host.bind_probe(entry)
+            time.sleep(LATENCY)  # response (task or cancel) travels back
+            if bound is None:
+                return
+            task = bound
+        # A task is handed to exactly one monitor, so its own state
+        # machine needs no lock; job-wide state changes under the host's.
+        task.start(self.monitor_id, host.now())
         time.sleep(task.duration)
         self.tasks_executed += 1
-        if task.is_long and self.coordinator is not None:
-            self._net_delay()  # status report to the coordinator
-            self.coordinator.report_finished(self.monitor_id, task.job)
-        self._on_task_done(self.monitor_id, task)
+        time.sleep(LATENCY)  # completion report travels to the scheduler
+        host.task_finished(task)
 
     def _attempt_steal(self) -> None:
         """One randomized stealing round (Section 3.6)."""
-        n = self._general_count
+        n = self._steal_scope
         if n == 0 or (n == 1 and not self.in_short_partition):
             return
         self.steal_rounds += 1
@@ -153,15 +152,14 @@ class NodeMonitor(threading.Thread):
             if victim_id == self.monitor_id or victim_id in seen:
                 continue
             seen.add(victim_id)
-            self._net_delay()  # steal request is a real message here
-            stolen = self._peers[victim_id].release_stealable()
+            self.victims_probed += 1
+            time.sleep(LATENCY)  # steal request is a real message here
+            stolen = self._host.monitors[victim_id].release_stealable()
             if stolen:
-                self.items_stolen += len(stolen)
+                self.successful_rounds += 1
+                self.entries_stolen += len(stolen)
+                self._host.mark_stolen(stolen)
                 with self._cv:
                     self._queue.extendleft(reversed(stolen))
                     self._cv.notify()
                 return
-
-    def _net_delay(self) -> None:
-        if self._latency > 0:
-            time.sleep(self._latency)

@@ -3,28 +3,47 @@
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.engine import ClusterEngine
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.engine import EngineConfig
     from repro.cluster.job import Job
     from repro.cluster.task import Task
+    from repro.schedulers.frontend import ProbeFrontend
+
+
+class PolicyHost(Protocol):
+    """What a policy touches on its host: the simulator's
+    :class:`~repro.cluster.engine.ClusterEngine` or the threaded
+    :class:`~repro.runtime.PrototypeCluster`."""
+
+    cluster: "Cluster"
+    config: "EngineConfig"
+    centralized_down: bool
+
+    def place_probes(
+        self, worker_ids: Sequence[int], job: "Job", frontend: "ProbeFrontend"
+    ) -> None: ...
+
+    def place_tasks(self, assignments: Sequence[tuple[int, "Task"]]) -> None: ...
 
 
 class SchedulerPolicy(abc.ABC):
     """Decides where probes and tasks are placed.
 
-    A policy is bound to exactly one engine for exactly one run; the engine
-    calls :meth:`on_job_submit` at each job's submission time.
+    A policy is bound to exactly one host (see :class:`PolicyHost`) for
+    exactly one run; the host calls :meth:`on_job_submit` at each job's
+    submission time.
     """
 
     #: Human-readable policy name, used in results and reports.
     name: str = "abstract"
 
     def __init__(self) -> None:
-        self.engine: "ClusterEngine | None" = None
+        self.engine: PolicyHost | None = None
 
-    def bind(self, engine: "ClusterEngine") -> None:
+    def bind(self, engine: PolicyHost) -> None:
         if self.engine is not None:
             raise RuntimeError(f"policy {self.name} bound twice")
         self.engine = engine

@@ -214,6 +214,13 @@ def build_policy(name: str, params: Mapping | None = None) -> "SchedulerPolicy":
     return entry.builder(validate_params(name, params))
 
 
+def build_cluster(spec, entry: PolicyEntry) -> Cluster:
+    """The spec's cluster, reserving the short partition only for
+    policies that declare ``uses_partition``."""
+    fraction = spec.short_partition_fraction if entry.uses_partition else 0.0
+    return Cluster(spec.n_workers, short_partition_fraction=fraction)
+
+
 def build_engine(spec, sink: LifecycleSink | None = None) -> ClusterEngine:
     """Registry-driven engine construction for one run.
 
@@ -229,10 +236,7 @@ def build_engine(spec, sink: LifecycleSink | None = None) -> ClusterEngine:
     # RunSpec validated and canonicalized params at construction; specs
     # arriving over a process boundary carry that same frozen mapping.
     params = spec.params
-    partition_fraction = (
-        spec.short_partition_fraction if entry.uses_partition else 0.0
-    )
-    cluster = Cluster(spec.n_workers, short_partition_fraction=partition_fraction)
+    cluster = build_cluster(spec, entry)
     scheduler = entry.builder(params)
     stealing = (
         WorkStealing(cap=params["steal_cap"]) if entry.uses_stealing else None

@@ -1,7 +1,8 @@
 """Long-running scheduler service with an event-sourced run store.
 
 The simulator (:mod:`repro.cluster`) replays a whole trace at once; the
-threaded prototype (:mod:`repro.runtime`) replays one in real time with
+threaded prototype (:mod:`repro.runtime`) binds the same registry
+policies to one OS thread per node and replays a trace in real time with
 real sleeps.  This package is the third leg the ROADMAP's north star
 asks for: a *server*.  It accepts streaming job submissions over HTTP
 and a newline-delimited-JSON socket, schedules them in real time against

@@ -40,6 +40,19 @@ class PrototypeScaledTrace:
     #: come from previous runs of the same jobs, i.e. pre-scaling data).
     long_job_ids: frozenset[int]
 
+    def carried_estimate(self, spec: JobSpec) -> float:
+        """Estimate that carries the original classification through scaling.
+
+        The job's scaled mean, raised to the scaled cutoff for jobs long
+        on the original trace and clamped below it for the rest
+        (compensation can inflate a short job's mean past it).  Usable
+        as a ``RunSpec.estimate`` (tag it ``"carried-classes"``) and as
+        a service client's per-job estimate.
+        """
+        if spec.job_id in self.long_job_ids:
+            return max(spec.mean_task_duration, self.cutoff)
+        return min(spec.mean_task_duration, 0.99 * self.cutoff)
+
 
 def scale_trace_for_prototype(
     trace: Trace,

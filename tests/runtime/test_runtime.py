@@ -1,97 +1,113 @@
-"""Tests for the threaded prototype runtime (small, fast clusters)."""
+"""Tests for the threaded prototype runtime (small, fast clusters).
+
+The policies themselves are the registry's and are unit-tested under
+``tests/schedulers/``; the host tests here check that the prototype
+wires them to its monitors the same way the simulator's engine does.
+"""
 
 import pytest
 
-from repro.cluster.job import JobClass
+from repro.cluster.faults import FaultPlan
+from repro.cluster.job import Job, JobClass
+from repro.cluster.task import TaskState
+from repro.cluster.worker import ProbeEntry, TaskEntry
 from repro.core.errors import ConfigurationError
-from repro.runtime import PrototypeCluster, PrototypeConfig
-from repro.runtime.coordinator import Coordinator
-from repro.runtime.entries import ProtoJob, ProtoProbe, ProtoTask
-from repro.runtime.frontend import DistributedFrontend
+from repro.experiments.config import RunSpec
+from repro.runtime import PrototypeCluster
+from repro.schedulers.registry import policy_entry, registered_names
+from repro.workloads.scaling import PrototypeScaledTrace
 from repro.workloads.spec import JobSpec, Trace
 
+ONLINE_POLICIES = [n for n in registered_names() if policy_entry(n).serves_online]
 
-def proto_job(job_id=0, durations=(0.01, 0.01), is_long=False):
-    return ProtoJob(
-        job_id=job_id,
-        submit_time=0.0,
-        durations=tuple(durations),
-        is_long=is_long,
-        mean_duration=sum(durations) / len(durations),
-    )
+CUTOFF = 0.05
 
 
-# -- frontend (no threads needed) -------------------------------------------
-class FakeMonitor:
-    def __init__(self):
-        self.delivered = []
+def spec(scheduler, n_workers=8, **changes):
+    return RunSpec(scheduler=scheduler, n_workers=n_workers, cutoff=CUTOFF, **changes)
 
-    def deliver(self, item):
-        self.delivered.append(item)
+
+# -- the policy's host (no threads started) ---------------------------------
+def host(scheduler, n_workers=8, **changes):
+    return PrototypeCluster(spec(scheduler, n_workers, **changes))
+
+
+def submit(cluster, job_id=0, durations=(0.01, 0.01)):
+    job = Job(job_id, 0.0, durations, sum(durations) / len(durations), CUTOFF)
+    with cluster.lock:
+        cluster.scheduler.on_job_submit(job)
+    return job
+
+
+def queued(cluster):
+    return [list(m._queue) for m in cluster.monitors]
 
 
 def test_frontend_sends_two_probes_per_task():
-    monitors = [FakeMonitor() for _ in range(10)]
-    frontend = DistributedFrontend(0, monitors, probe_ratio=2, seed=0)
-    frontend.submit(proto_job(durations=(0.01,) * 3))
-    total = sum(len(m.delivered) for m in monitors)
-    assert total == 6
+    cluster = host("sparrow", n_workers=10)
+    submit(cluster, durations=(0.01,) * 3)
+    entries = [e for q in queued(cluster) for e in q]
+    assert len(entries) == 6
+    assert all(isinstance(e, ProbeEntry) for e in entries)
 
 
 def test_frontend_scope_restricts_targets():
-    monitors = [FakeMonitor() for _ in range(10)]
-    frontend = DistributedFrontend(0, monitors, seed=0)
-    frontend.submit(proto_job(durations=(0.01,) * 2), scope=range(8, 10))
-    for i in range(8):
-        assert not monitors[i].delivered
-    assert sum(len(m.delivered) for m in monitors[8:]) == 4
+    cluster = host("split", n_workers=10, short_partition_fraction=0.2)
+    submit(cluster, durations=(0.01,) * 2)
+    counts = [len(q) for q in queued(cluster)]
+    assert counts[:8] == [0] * 8
+    assert sum(counts[8:]) == 4
 
 
 def test_frontend_late_binding_hands_each_task_once():
-    monitors = [FakeMonitor() for _ in range(4)]
-    frontend = DistributedFrontend(0, monitors, seed=0)
-    job = proto_job(durations=(0.01, 0.02))
-    frontend.submit(job)
-    tasks = [frontend.request_task(job) for _ in range(4)]
-    real = [t for t in tasks if t is not None]
-    assert len(real) == 2
-    assert {t.index for t in real} == {0, 1}
-    assert frontend.cancels_sent == 2
+    cluster = host("sparrow", n_workers=4)
+    job = submit(cluster, durations=(0.01, 0.02))
+    probes = [e for q in queued(cluster) for e in q]
+    bound = [cluster.bind_probe(p) for p in probes]
+    real = [t for t in bound if t is not None]
+    assert sorted(t.index for t in real) == [0, 1]
+    assert all(t.job is job for t in real)
+    assert probes[0].frontend.cancels_sent == 2
 
 
-# -- coordinator ---------------------------------------------------------------
 def test_coordinator_balances_tasks():
-    monitors = [FakeMonitor() for _ in range(3)]
-    coord = Coordinator(monitors, scope=range(3))
-    coord.submit(proto_job(durations=(0.05,) * 6, is_long=True))
-    counts = [len(m.delivered) for m in monitors]
-    assert counts == [2, 2, 2]
+    cluster = host("centralized", n_workers=3)
+    submit(cluster, durations=(0.08,) * 6)
+    assert [len(q) for q in queued(cluster)] == [2, 2, 2]
+    assert all(isinstance(e, TaskEntry) for q in queued(cluster) for e in q)
 
 
 def test_coordinator_scope_restriction():
-    monitors = [FakeMonitor() for _ in range(4)]
-    coord = Coordinator(monitors, scope=range(2))
-    coord.submit(proto_job(durations=(0.05,) * 4, is_long=True))
-    assert not monitors[2].delivered and not monitors[3].delivered
+    cluster = host("hawk", n_workers=4, short_partition_fraction=0.5)
+    submit(cluster, durations=(0.08,) * 4)
+    assert [len(q) for q in queued(cluster)] == [2, 2, 0, 0]
 
 
 def test_coordinator_completion_feedback_lowers_waiting():
-    monitors = [FakeMonitor() for _ in range(2)]
-    coord = Coordinator(monitors, scope=range(2))
-    job = proto_job(durations=(0.05, 0.05), is_long=True)
-    coord.submit(job)
-    before = coord.waiting_time(0)
-    coord.report_finished(0, job)
-    assert coord.waiting_time(0) < before
+    cluster = host("centralized", n_workers=2)
+    job = submit(cluster, durations=(0.08, 0.08))
+    policy = cluster.scheduler
+    before = policy.waiting_time(0)
+    task = cluster.monitors[0]._queue[0].task
+    task.start(0, 0.0)
+    cluster.task_finished(task)
+    assert policy.waiting_time(0) < before
+    assert job.finished_tasks == 1
 
 
 def test_coordinator_ignores_reports_outside_scope():
-    monitors = [FakeMonitor() for _ in range(3)]
-    coord = Coordinator(monitors, scope=range(2))
-    coord.report_finished(2, proto_job(is_long=True))  # must not raise
+    cluster = host("hawk", n_workers=4, short_partition_fraction=0.5)
+    submit(cluster, durations=(0.08,) * 2)
+    waiting = cluster.scheduler.long_component.snapshot()
+    short = submit(cluster, job_id=1, durations=(0.01,))
+    # a short task run on the short partition is reported and ignored
+    task = short.tasks[0]
+    task.start(3, 0.0)
+    cluster.task_finished(task)
+    assert cluster.scheduler.long_component.snapshot() == waiting
 
 
-# -- full prototype runs ----------------------------------------------------------
+# -- full prototype runs ----------------------------------------------------
 def small_trace():
     jobs = [
         JobSpec(0, 0.0, (0.08,) * 4),  # long-ish job
@@ -102,46 +118,49 @@ def small_trace():
     return Trace(jobs, name="proto-small")
 
 
-def run_proto(scheduler, **overrides):
-    config = PrototypeConfig(
-        scheduler=scheduler,
-        n_monitors=8,
-        n_frontends=2,
-        cutoff=0.05,
-        timeout=30.0,
-        **overrides,
-    )
-    cluster = PrototypeCluster(config)
-    return cluster.run(small_trace())
+def run_proto(scheduler, trace=None, **changes):
+    cluster = PrototypeCluster(spec(scheduler, **changes), timeout=30.0)
+    result = cluster.run(trace or small_trace())
+    return cluster, result
 
 
-@pytest.mark.parametrize("scheduler", ["sparrow", "hawk", "split"])
+@pytest.mark.parametrize("scheduler", ONLINE_POLICIES)
 def test_prototype_completes_all_jobs(scheduler):
-    res = run_proto(scheduler)
-    assert len(res.jobs) == 4
+    trace = small_trace()
+    cluster, res = run_proto(scheduler, trace)
+    assert len(res.jobs) == len(trace)
     assert all(r.completion_time > 0 for r in res.jobs)
+    assert sum(m.tasks_executed for m in cluster.monitors) == trace.total_tasks
+    if not policy_entry(scheduler).uses_stealing:
+        assert res.stealing.entries_stolen == 0
 
 
 def test_prototype_classifies_by_cutoff():
-    res = run_proto("hawk")
+    _, res = run_proto("hawk")
     by_id = {r.job_id: r for r in res.jobs}
+    assert by_id[0].scheduled_class is JobClass.LONG
     assert by_id[0].true_class is JobClass.LONG
-    assert by_id[1].true_class is JobClass.SHORT
+    assert by_id[1].scheduled_class is JobClass.SHORT
 
 
 def test_prototype_long_job_ids_override():
-    config = PrototypeConfig(
-        scheduler="hawk", n_monitors=8, n_frontends=2, cutoff=0.05, timeout=30.0
+    """A carried classification (the spec's estimate) beats the cutoff."""
+    trace = small_trace()
+    # trace, time scale, cutoff, long job ids
+    carried = PrototypeScaledTrace(trace, 1.0, CUTOFF, frozenset({1}))
+    _, res = run_proto(
+        "hawk",
+        trace,
+        estimate=carried.carried_estimate,
+        estimate_tag="carried-classes",
     )
-    cluster = PrototypeCluster(config)
-    res = cluster.run(small_trace(), long_job_ids=frozenset({1}))
     by_id = {r.job_id: r for r in res.jobs}
-    assert by_id[1].true_class is JobClass.LONG
-    assert by_id[0].true_class is JobClass.SHORT
+    assert by_id[1].scheduled_class is JobClass.LONG
+    assert by_id[0].scheduled_class is JobClass.SHORT
 
 
 def test_prototype_runtimes_positive_and_ordered():
-    res = run_proto("sparrow")
+    _, res = run_proto("sparrow")
     for r in res.jobs:
         assert r.runtime > 0
         assert r.completion_time >= r.submit_time
@@ -149,14 +168,43 @@ def test_prototype_runtimes_positive_and_ordered():
 
 def test_prototype_config_validation():
     with pytest.raises(ConfigurationError):
-        PrototypeConfig(scheduler="nope")
+        host("omniscient")  # an oracle has no online counterpart
     with pytest.raises(ConfigurationError):
-        PrototypeConfig(n_monitors=1)
+        host("hawk", faults=FaultPlan(params={"crash_fraction": 0.1}))
+    with pytest.raises(ConfigurationError):
+        host("nope")
 
 
 def test_prototype_sparrow_has_no_stealing():
-    res = run_proto("sparrow")
+    _, res = run_proto("sparrow")
+    assert res.stealing.rounds == 0
     assert res.stealing.entries_stolen == 0
+
+
+def test_prototype_steal_stats_are_consistent():
+    # Long tasks fill the three general monitors; the short job's probes
+    # queue behind them, and the idle short-partition monitor steals.
+    trace = Trace(
+        [JobSpec(0, 0.0, (0.2,) * 3), JobSpec(1, 0.01, (0.005,) * 6)],
+        name="proto-steal",
+    )
+    _, res = run_proto("hawk", trace, n_workers=4, short_partition_fraction=0.25)
+    stats = res.stealing
+    assert stats.entries_stolen > 0
+    assert 0 < stats.successful_rounds <= stats.rounds
+    assert stats.successful_rounds <= stats.victims_probed
+    assert sum(r.stolen_tasks for r in res.jobs) <= stats.entries_stolen
+
+
+def test_prototype_task_conservation():
+    trace = small_trace()
+    cluster, _ = run_proto("hawk", trace)
+    executed = sum(m.tasks_executed for m in cluster.monitors)
+    assert executed == trace.total_tasks
+    tasks = [t for job in cluster.jobs for t in job.tasks]
+    assert len(tasks) == trace.total_tasks
+    assert all(t.state is TaskState.FINISHED for t in tasks)
+    assert all(job.is_complete for job in cluster.jobs)
 
 
 # -- shutdown hardening -----------------------------------------------------
@@ -180,10 +228,7 @@ class StuckMonitor:
 
 
 def cluster_with_stubs(stuck_ids, n=4, join_timeout=0.01):
-    config = PrototypeConfig(
-        scheduler="sparrow", n_monitors=n, join_timeout=join_timeout
-    )
-    cluster = PrototypeCluster(config)
+    cluster = PrototypeCluster(spec("sparrow", n), join_timeout=join_timeout)
     cluster.monitors = [StuckMonitor(i, i in stuck_ids) for i in range(n)]
     return cluster
 
@@ -211,25 +256,10 @@ def test_shutdown_and_join_clean_exit_logs_nothing(caplog):
 
 def test_join_timeout_must_be_positive():
     with pytest.raises(ConfigurationError):
-        PrototypeConfig(join_timeout=0.0)
+        PrototypeCluster(spec("sparrow"), join_timeout=0.0)
 
 
 def test_run_leaves_no_leaked_monitors():
-    config = PrototypeConfig(
-        scheduler="hawk", n_monitors=8, n_frontends=2, cutoff=0.05, timeout=30.0
-    )
-    cluster = PrototypeCluster(config)
-    cluster.run(small_trace())
+    cluster, _ = run_proto("hawk")
     assert cluster.leaked_monitors == ()
     assert all(not m.is_alive() for m in cluster.monitors)
-
-
-def test_prototype_task_conservation():
-    config = PrototypeConfig(
-        scheduler="hawk", n_monitors=8, n_frontends=2, cutoff=0.05, timeout=30.0
-    )
-    cluster = PrototypeCluster(config)
-    trace = small_trace()
-    cluster.run(trace)
-    executed = sum(m.tasks_executed for m in cluster.monitors)
-    assert executed == trace.total_tasks

@@ -111,6 +111,33 @@ def test_on_task_finish_ignores_foreign_tasks():
     scheduler.on_task_finish(foreign.tasks[0])  # must not raise
 
 
+def test_completion_report_lowers_waiting_time():
+    engine, scheduler = build(n_workers=2)
+    from repro.cluster.job import Job
+
+    placed = []
+    engine.place_tasks = placed.extend
+    j = Job(0, 0.0, (50.0, 50.0), 50.0, cutoff=TEST_CUTOFF)
+    scheduler.on_job_submit(j)
+    worker_id, task = placed[0]
+    assert scheduler.waiting_time(worker_id) == pytest.approx(50.0)
+    task.worker_id = worker_id
+    scheduler.on_task_finish(task)
+    assert scheduler.waiting_time(worker_id) == pytest.approx(0.0)
+
+
+def test_on_task_finish_ignores_reports_outside_partition():
+    engine, scheduler = build(n_workers=4, partition=Partition.GENERAL)
+    from repro.cluster.job import Job
+
+    before = scheduler.snapshot()
+    short_id = engine.cluster.ids(Partition.SHORT_RESERVED)[0]
+    foreign = Job(99, 0.0, (10.0,), 10.0, cutoff=TEST_CUTOFF)
+    foreign.tasks[0].worker_id = short_id
+    scheduler.on_task_finish(foreign.tasks[0])  # must not raise
+    assert scheduler.snapshot() == before
+
+
 def test_many_tasks_balanced_modulo_one():
     engine, scheduler = build(n_workers=5)
     trace = Trace([job(0, 0.0, *([20.0] * 13))], name="t")

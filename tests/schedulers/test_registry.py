@@ -276,8 +276,8 @@ def test_custom_policy_registers_and_sweeps(tiny):
 
         def on_job_submit(self, job):
             for task in job.tasks:
-                self.engine.place_task(
-                    self._next % self.engine.cluster.n_workers, task
+                self.engine.place_tasks(
+                    [(self._next % self.engine.cluster.n_workers, task)]
                 )
                 self._next += self.fanout
 

@@ -55,6 +55,17 @@ def test_partition_scope_restricts_placement():
     assert all(engine.cluster.worker(w).tasks_executed == 0 for w in general)
 
 
+def test_partition_scope_restricts_probe_targets():
+    engine, scheduler = build(partition=Partition.SHORT_RESERVED)
+    from repro.cluster.job import Job
+
+    targets = []
+    engine.place_probes = lambda ids, job, frontend: targets.extend(ids)
+    scheduler.on_job_submit(Job(0, 0.0, (10.0, 10.0), 10.0, cutoff=TEST_CUTOFF))
+    assert len(targets) == 4
+    assert set(targets) <= set(engine.cluster.ids(Partition.SHORT_RESERVED))
+
+
 def test_empty_partition_rejected_at_bind():
     scheduler = SparrowScheduler(partition=Partition.SHORT_RESERVED)
     with pytest.raises(ConfigurationError):

@@ -104,7 +104,7 @@ def test_simulator_and_prototype_agree_on_direction():
     """The paper's Figure 16 claim in miniature: both the simulator and
     the threaded prototype should show Hawk at least matching Sparrow for
     short jobs under load."""
-    from repro.runtime import PrototypeCluster, PrototypeConfig
+    from repro.runtime import PrototypeCluster
     from repro.workloads.scaling import (
         scale_trace_for_prototype,
         with_interarrival,
@@ -122,24 +122,16 @@ def test_simulator_and_prototype_agree_on_direction():
     for system in ("sim", "proto"):
         runs = {}
         for scheduler in ("hawk", "sparrow"):
+            # one spec for both systems, carrying the original classes
+            spec = RunSpec(
+                scheduler=scheduler, n_workers=20, cutoff=scaled.cutoff,
+                estimate=scaled.carried_estimate,
+                estimate_tag="carried-classes",
+            )
             if system == "sim":
-                spec = RunSpec(
-                    scheduler=scheduler, n_workers=20, cutoff=scaled.cutoff
-                )
                 runs[scheduler] = execute(spec, trace)
             else:
-                cluster = PrototypeCluster(
-                    PrototypeConfig(
-                        scheduler=scheduler,
-                        n_monitors=20,
-                        n_frontends=2,
-                        cutoff=scaled.cutoff,
-                        timeout=60.0,
-                    )
-                )
-                runs[scheduler] = cluster.run(
-                    trace, long_job_ids=scaled.long_job_ids
-                )
+                runs[scheduler] = PrototypeCluster(spec, timeout=60.0).run(trace)
         short_hawk = [
             r.runtime for r in runs["hawk"].jobs
             if r.scheduled_class is JobClass.SHORT
