@@ -75,9 +75,5 @@ def run(
         "ratios < 1 favor Hawk; the paper reports up to 0.2/0.1 for short "
         "p50/p90 and 0.65/0.9 for long p50/p90, peaking at high load"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "ratio cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds)
     return result

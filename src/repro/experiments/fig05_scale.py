@@ -85,11 +85,7 @@ def _run_scale_point(
         f"dense Google-like trace ({len(trace)} jobs, "
         f"{trace.total_tasks} tasks); ratios < 1 favor Hawk"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "ratio cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds)
     return result
 
 

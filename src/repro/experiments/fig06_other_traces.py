@@ -66,9 +66,5 @@ def run(
         "the paper plots p90 only (its Figure 6); p50 columns correspond "
         "to its in-text remark that Hawk also improves the median"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "ratio cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds)
     return result

@@ -10,16 +10,11 @@ suffer, short jobs greatly.
 
 from __future__ import annotations
 
-from repro.cluster.job import JobClass
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
-from repro.experiments.parallel import get_executor
 from repro.experiments.report import FigureResult
+from repro.experiments.sweeps import SweepJob, multi_sweep
 from repro.experiments.traces import google_workload
-from repro.metrics.comparison import normalized_percentile
-from repro.metrics.stats import paired_cell
 from repro.schedulers import registry
-from repro.workloads.replication import replica_seeds
-
 
 
 def run(
@@ -33,61 +28,31 @@ def run(
     # including one registered outside this package — joins the figure.
     variants = registry.ablations_of("hawk")
     workload = google_workload(scale)
-    trace = workload.trace(seed)
-    n = high_load_size(trace, load_target)
-    base_spec = RunSpec(
+    n = high_load_size(workload.trace(seed), load_target)
+    hawk = RunSpec(
         scheduler="hawk",
         n_workers=n,
         cutoff=workload.cutoff,
         short_partition_fraction=workload.short_partition_fraction,
         seed=seed,
     )
-    # One batch: full Hawk plus every ablation variant, per replica seed.
-    # Each replica's variants normalize to the same replica's full Hawk
-    # (matched seeds and trace draw), so per-replica ratios pair up.
-    seeds = replica_seeds(seed, n_seeds)
-    batch = []
-    for r, s in enumerate(seeds):
-        replica_trace = workload.trace(s)
-        replica_base = base_spec.with_(seed=s)
-        batch.append((replica_base, replica_trace))
-        batch.extend(
-            (replica_base.with_(scheduler=v), replica_trace) for v in variants
-        )
-    results = get_executor().run_many(batch)
-    stride = 1 + len(variants)
-    bases = [results[r * stride] for r in range(n_seeds)]
-    per_variant = {
-        v: [results[r * stride + 1 + i] for r in range(n_seeds)]
-        for i, v in enumerate(variants)
-    }
+    # Each variant normalizes to full Hawk within every replica (matched
+    # seeds and trace draw); the shared full-Hawk runs execute once.
+    jobs = [SweepJob(workload, (n,), hawk.with_(scheduler=v), hawk) for v in variants]
 
     result = FigureResult(
         figure_id="Figure 7",
         title=f"Ablation normalized to full Hawk ({n} nodes)",
         headers=("variant", "short p50", "short p90", "long p50", "long p90"),
     )
-
-    def ratio_cell(variant_runs, job_class, p):
-        return paired_cell(
-            lambda v, b: normalized_percentile(v, b, job_class, p),
-            variant_runs,
-            bases,
-        )
-
-    for variant in variants:
-        runs = per_variant[variant]
+    for variant, (point,) in zip(variants, multi_sweep(jobs, n_seeds=n_seeds)):
         result.add_row(
             variant,
-            ratio_cell(runs, JobClass.SHORT, 50),
-            ratio_cell(runs, JobClass.SHORT, 90),
-            ratio_cell(runs, JobClass.LONG, 50),
-            ratio_cell(runs, JobClass.LONG, 90),
+            point.cell("short_p50_ratio"),
+            point.cell("short_p90_ratio"),
+            point.cell("long_p50_ratio"),
+            point.cell("long_p90_ratio"),
         )
     result.add_note("values > 1: removing the mechanism hurts that class")
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds, cells="cells")
     return result

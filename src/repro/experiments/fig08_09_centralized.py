@@ -64,9 +64,5 @@ def run(
         "Figure 8 = short columns (Hawk wins under heavy load), "
         "Figure 9 = long columns (centralized slightly better: whole cluster)"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "ratio cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds)
     return result

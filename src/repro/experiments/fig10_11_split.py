@@ -69,9 +69,5 @@ def run(
         "Figure 10 = short columns (Hawk far better in the mid-range), "
         "Figure 11 = long columns (split slightly better)"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "ratio cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds)
     return result

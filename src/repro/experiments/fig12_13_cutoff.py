@@ -8,14 +8,11 @@ cutoff — more jobs are short at higher cutoffs.
 
 from __future__ import annotations
 
-from repro.cluster.job import JobClass
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
-from repro.experiments.parallel import get_executor
 from repro.experiments.report import FigureResult
+from repro.experiments.sweeps import SweepJob, multi_sweep
 from repro.experiments.traces import google_workload
-from repro.metrics.comparison import normalized_percentile
-from repro.metrics.stats import mean, paired_cell
-from repro.workloads.replication import replica_seeds
+from repro.metrics.stats import mean
 
 #: The paper's x-axis (seconds); 1129 is Hawk's default Google cutoff.
 PAPER_CUTOFFS = (750.0, 1000.0, 1129.0, 1300.0, 1500.0, 2000.0)
@@ -30,8 +27,6 @@ def run(
 ) -> FigureResult:
     workload = google_workload(scale)
     n = high_load_size(workload.trace(seed), load_target)
-    seeds = replica_seeds(seed, n_seeds)
-    traces = [workload.trace(s) for s in seeds]
     result = FigureResult(
         figure_id="Figures 12-13",
         title=f"Cutoff sensitivity, Hawk normalized to Sparrow ({n} nodes)",
@@ -44,56 +39,37 @@ def run(
             "short p90",
         ),
     )
-    # One batch: the matched Hawk/Sparrow pair at every cutoff, per
-    # replica seed.
-    pairs = []
-    for cutoff in cutoffs:
-        for r, s in enumerate(seeds):
-            hawk = RunSpec(
+    jobs = [
+        SweepJob(
+            workload,
+            (n,),
+            RunSpec(
                 scheduler="hawk",
                 n_workers=n,
                 cutoff=cutoff,
                 short_partition_fraction=workload.short_partition_fraction,
-                seed=s,
-            )
-            sparrow = RunSpec(
-                scheduler="sparrow", n_workers=n, cutoff=cutoff, seed=s
-            )
-            pairs.extend([(hawk, traces[r]), (sparrow, traces[r])])
-    results = get_executor().run_many(pairs)
-    for i, cutoff in enumerate(cutoffs):
-        base = 2 * n_seeds * i
-        hawk_runs = [results[base + 2 * r] for r in range(n_seeds)]
-        sparrow_runs = [results[base + 2 * r + 1] for r in range(n_seeds)]
-        long_fraction = mean(
-            [
-                sum(1 for j in t if j.is_long(cutoff)) / len(t)
-                for t in traces
-            ]
+                seed=seed,
+            ),
+            RunSpec(scheduler="sparrow", n_workers=n, cutoff=cutoff, seed=seed),
         )
-
-        def ratio_cell(job_class, p):
-            return paired_cell(
-                lambda h, s: normalized_percentile(h, s, job_class, p),
-                hawk_runs,
-                sparrow_runs,
-            )
-
+        for cutoff in cutoffs
+    ]
+    for cutoff, (point,) in zip(cutoffs, multi_sweep(jobs, n_seeds=n_seeds)):
+        traces = [workload.trace(s) for s in point.seeds]
+        long_fraction = mean(
+            [sum(1 for j in t if j.is_long(cutoff)) / len(t) for t in traces]
+        )
         result.add_row(
             cutoff,
             100.0 * long_fraction,
-            ratio_cell(JobClass.LONG, 50),
-            ratio_cell(JobClass.LONG, 90),
-            ratio_cell(JobClass.SHORT, 50),
-            ratio_cell(JobClass.SHORT, 90),
+            point.cell("long_p50_ratio"),
+            point.cell("long_p90_ratio"),
+            point.cell("short_p50_ratio"),
+            point.cell("short_p90_ratio"),
         )
     result.add_note(
         "Figure 12 = long columns, Figure 13 = short columns; Hawk should "
         "keep its benefits across the whole cutoff range"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "ratio cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds)
     return result

@@ -8,24 +8,23 @@ Short jobs see only minute variations (their scheduling never uses
 estimates) — the short columns verify that.
 
 The repetition axis rides on the ordinary seed-replication machinery:
-one Hawk spec per range carries a :class:`UniformMisestimation`
-estimator, and ``run_replicated`` fans it out over matched seed replicas
-— the engine specializes the estimator to each replica's run seed (its
-``seeded`` hook), so every replica is an independent draw of both the
-scheduling randomness *and* the mis-estimation noise.  The Sparrow
-baseline replicates over the same seeds, and each range's ratios are
+one Hawk-vs-Sparrow :class:`~repro.experiments.sweeps.SweepJob` per
+range, whose Hawk spec carries a :class:`UniformMisestimation`
+estimator, and one :func:`~repro.experiments.sweeps.multi_sweep` stream
+fans every job out over matched seed replicas — the engine specializes
+the estimator to each replica's run seed (its ``seeded`` hook), so
+every replica is an independent draw of both the scheduling randomness
+*and* the mis-estimation noise.  The Sparrow baseline is shared by every
+range (it executes once per replica), and each range's ratios are
 paired within replicas before aggregation.
 """
 
 from __future__ import annotations
 
-from repro.cluster.job import JobClass
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
 from repro.experiments.report import FigureResult
-from repro.experiments.runner import run_replicated
+from repro.experiments.sweeps import SweepJob, multi_sweep
 from repro.experiments.traces import google_workload
-from repro.metrics.comparison import normalized_percentile
-from repro.metrics.stats import paired_cell
 from repro.schedulers.estimator import UniformMisestimation
 
 #: The paper's mis-estimation magnitude ranges.
@@ -54,10 +53,26 @@ def run(
     trace = workload.trace(seed)
     cutoff = workload.cutoff
     n = high_load_size(trace, load_target)
-    # The trace is held fixed across replicas on purpose: the axis under
-    # study is estimator noise, not workload noise.
+
+    def hawk(low: float, high: float) -> RunSpec:
+        return RunSpec(
+            scheduler="hawk",
+            n_workers=n,
+            cutoff=cutoff,
+            short_partition_fraction=workload.short_partition_fraction,
+            seed=seed,
+            estimate=UniformMisestimation(low, high, seed=seed),
+            # The estimator's base seed is part of its identity: replica
+            # families with different bases overlap in spec.seed, and the
+            # tag is what keeps their cache entries distinct.
+            estimate_tag=f"mis-{low:g}-{high:g}-s{seed}",
+        )
+
     sparrow = RunSpec(scheduler="sparrow", n_workers=n, cutoff=cutoff, seed=seed)
-    sparrow_runs = run_replicated(sparrow, trace, n_seeds)
+    # The trace is held fixed across replicas on purpose (a plain trace,
+    # no factory): the axis under study is estimator noise, not workload
+    # noise.
+    jobs = [SweepJob(trace, (n,), hawk(low, high), sparrow) for low, high in ranges]
 
     result = FigureResult(
         figure_id="Figure 14",
@@ -73,46 +88,27 @@ def run(
             "short p90",
         ),
     )
-    for low, high in ranges:
-        hawk = RunSpec(
-            scheduler="hawk",
-            n_workers=n,
-            cutoff=cutoff,
-            short_partition_fraction=workload.short_partition_fraction,
-            seed=seed,
-            estimate=UniformMisestimation(low, high, seed=seed),
-            # The estimator's base seed is part of its identity: replica
-            # families with different bases overlap in spec.seed, and the
-            # tag is what keeps their cache entries distinct.
-            estimate_tag=f"mis-{low:g}-{high:g}-s{seed}",
-        )
-        hawk_runs = run_replicated(hawk, trace, n_seeds)
-
-        def ratio_cell(job_class, p):
-            # true_class is based on the correct estimate, so these are
-            # the jobs "classified as long when no mis-estimations are
-            # present" — exactly the paper's reporting population.
-            return paired_cell(
-                lambda h, s: normalized_percentile(h, s, job_class, p),
-                hawk_runs,
-                sparrow_runs,
-            )
-
+    # true_class is based on the correct estimate, so the class cells
+    # cover the jobs "classified as long when no mis-estimations are
+    # present" — exactly the paper's reporting population.
+    for (low, high), (point,) in zip(ranges, multi_sweep(jobs, n_seeds=n_seeds)):
         result.add_row(
             f"{low:g}-{high:g}",
-            ratio_cell(JobClass.LONG, 50),
-            ratio_cell(JobClass.LONG, 90),
-            ratio_cell(JobClass.SHORT, 50),
-            ratio_cell(JobClass.SHORT, 90),
+            point.cell("long_p50_ratio"),
+            point.cell("long_p90_ratio"),
+            point.cell("short_p50_ratio"),
+            point.cell("short_p90_ratio"),
         )
     result.add_note(
         "Hawk should be robust: ratios stay close to the exact-estimation "
         "values across all magnitudes (paper Section 4.8)"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas with "
-            "independent mis-estimation draws; cells are mean±95% CI "
-            "half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(
+        n_seeds,
+        cells="cells",
+        sample=(
+            "aggregated over {} matched seed replicas with independent "
+            "mis-estimation draws"
+        ),
+    )
     return result

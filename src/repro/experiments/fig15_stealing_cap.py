@@ -8,14 +8,11 @@ Paper finding: performance increases with the cap, but even a low value
 
 from __future__ import annotations
 
-from repro.cluster.job import JobClass
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
-from repro.experiments.parallel import get_executor
 from repro.experiments.report import FigureResult
+from repro.experiments.sweeps import SweepJob, multi_sweep
 from repro.experiments.traces import google_workload
-from repro.metrics.comparison import normalized_percentile
-from repro.metrics.stats import mean, paired_cell
-from repro.workloads.replication import replica_seeds
+from repro.metrics.stats import mean
 
 #: The paper's x-axis.
 PAPER_CAPS = (1, 2, 3, 4, 5, 10, 15, 20, 25, 50, 75, 100, 250)
@@ -29,60 +26,36 @@ def run(
     n_seeds: int = 1,
 ) -> FigureResult:
     workload = google_workload(scale)
-    cutoff = workload.cutoff
     n = high_load_size(workload.trace(seed), load_target)
-    seeds = replica_seeds(seed, n_seeds)
-    traces = [workload.trace(s) for s in seeds]
 
-    def spec(cap: int, s: int) -> RunSpec:
+    def spec(cap: int) -> RunSpec:
         return RunSpec(
             scheduler="hawk",
             n_workers=n,
-            cutoff=cutoff,
+            cutoff=workload.cutoff,
             short_partition_fraction=workload.short_partition_fraction,
-            seed=s,
+            seed=seed,
             params={"steal_cap": cap},
         )
 
-    # One batch: cap=1 plus the whole sweep, per replica seed (the
-    # executor deduplicates the repeated cap=1 runs).  Each replica's
-    # caps normalize to the same replica's cap=1 run (matched seeds).
-    batch = [(spec(1, s), traces[r]) for r, s in enumerate(seeds)]
-    batch += [
-        (spec(cap, s), traces[r])
-        for cap in caps
-        for r, s in enumerate(seeds)
-    ]
-    results = get_executor().run_many(batch)
-    bases = results[:n_seeds]
+    # Each cap normalizes to the same replica's cap=1 run (matched
+    # seeds); the shared cap=1 runs execute once.
+    jobs = [SweepJob(workload, (n,), spec(cap), spec(1)) for cap in caps]
     result = FigureResult(
         figure_id="Figure 15",
         title=f"Steal-cap sensitivity normalized to cap=1 ({n} nodes)",
         headers=("cap", "short p50", "short p90", "steal success rate"),
     )
-    for i, cap in enumerate(caps):
-        runs = results[n_seeds * (i + 1) : n_seeds * (i + 2)]
-
-        def ratio_cell(p):
-            return paired_cell(
-                lambda c, b: normalized_percentile(c, b, JobClass.SHORT, p),
-                runs,
-                bases,
-            )
-
+    for cap, (point,) in zip(caps, multi_sweep(jobs, n_seeds=n_seeds)):
         result.add_row(
             cap,
-            ratio_cell(50),
-            ratio_cell(90),
-            mean([r.stealing.success_rate for r in runs]),
+            point.cell("short_p50_ratio"),
+            point.cell("short_p90_ratio"),
+            mean([r.candidate.stealing.success_rate for r in point.replicas]),
         )
     result.add_note(
         "ratios should fall with the cap and flatten by cap≈10 "
         "(paper Section 4.9)"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "ratio cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds)
     return result

@@ -19,14 +19,10 @@ wiring anywhere.
 
 from __future__ import annotations
 
-from repro.cluster.job import JobClass
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
-from repro.experiments.parallel import get_executor
 from repro.experiments.report import FigureResult
+from repro.experiments.sweeps import SweepJob, multi_sweep
 from repro.experiments.traces import google_workload
-from repro.metrics.comparison import normalized_percentile
-from repro.metrics.stats import paired_cell
-from repro.workloads.replication import replica_seeds
 
 #: The probe-budget axis: 1 task-probe floor up to effectively-Sparrow.
 DEFAULT_BATCH_SIZES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -42,54 +38,33 @@ def run(
     workload = google_workload(scale)
     cutoff = workload.cutoff
     n = high_load_size(workload.trace(seed), load_target)
-    seeds = replica_seeds(seed, n_seeds)
-    traces = [workload.trace(s) for s in seeds]
 
-    def spec(batch_size: int, s: int) -> RunSpec:
+    def spec(batch_size: int) -> RunSpec:
         return RunSpec(
             scheduler="sparrow-batch",
             n_workers=n,
             cutoff=cutoff,
-            seed=s,
+            seed=seed,
             params={"batch_size": batch_size},
         )
 
-    # One batch: the Sparrow baseline plus every budget, per replica
-    # seed.  Each replica's budgets normalize to the same replica's
-    # Sparrow run (matched seeds and trace draw).
-    batch = [
-        (RunSpec(scheduler="sparrow", n_workers=n, cutoff=cutoff, seed=s), traces[r])
-        for r, s in enumerate(seeds)
-    ]
-    batch += [
-        (spec(b, s), traces[r])
-        for b in batch_sizes
-        for r, s in enumerate(seeds)
-    ]
-    results = get_executor().run_many(batch)
-    bases = results[:n_seeds]
+    # Each budget normalizes to the same replica's Sparrow run (matched
+    # seeds and trace draw); the shared Sparrow runs execute once.
+    sparrow = RunSpec(scheduler="sparrow", n_workers=n, cutoff=cutoff, seed=seed)
+    jobs = [SweepJob(workload, (n,), spec(b), sparrow) for b in batch_sizes]
 
     result = FigureResult(
         figure_id="Figure B (batch size)",
         title=f"sparrow-batch normalized to Sparrow ({n} nodes)",
         headers=("batch size", "short p50", "short p90", "long p50", "long p90"),
     )
-    for i, batch_size in enumerate(batch_sizes):
-        runs = results[n_seeds * (i + 1) : n_seeds * (i + 2)]
-
-        def ratio_cell(job_class, p):
-            return paired_cell(
-                lambda c, b: normalized_percentile(c, b, job_class, p),
-                runs,
-                bases,
-            )
-
+    for batch_size, (point,) in zip(batch_sizes, multi_sweep(jobs, n_seeds=n_seeds)):
         result.add_row(
             batch_size,
-            ratio_cell(JobClass.SHORT, 50),
-            ratio_cell(JobClass.SHORT, 90),
-            ratio_cell(JobClass.LONG, 50),
-            ratio_cell(JobClass.LONG, 90),
+            point.cell("short_p50_ratio"),
+            point.cell("short_p90_ratio"),
+            point.cell("long_p50_ratio"),
+            point.cell("long_p90_ratio"),
         )
     result.add_note(
         "probe budget per job; the floor of one probe per task applies at "
@@ -100,9 +75,5 @@ def run(
         "to Sparrow); the knee shows the cheapest budget that keeps "
         "Sparrow-level latency"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "ratio cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds)
     return result

@@ -167,9 +167,5 @@ def run(
         "to it; hawk degrades long jobs to distributed probes during "
         "the outage, so its short-job path never touches the outage"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "cells are mean±95% CI half-width"
-        )
+    result.add_replica_note(n_seeds, cells="cells", test=None)
     return result

@@ -85,9 +85,5 @@ def run(
         "experiment layer names them)"
     )
     result.add_note("ratios < 1 favor Hawk, as in Figures 5-6")
-    if n_seeds > 1:
-        result.add_note(
-            f"aggregated over {n_seeds} matched seed replicas; "
-            "ratio cells are mean±95% CI half-width (p: paired t vs ratio 1)"
-        )
+    result.add_replica_note(n_seeds)
     return result

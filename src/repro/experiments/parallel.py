@@ -263,6 +263,12 @@ class DiskCache:
         except OSError:
             tmp.unlink(missing_ok=True)
             return
+        except BaseException:
+            # An unpicklable result or a Ctrl-C mid-dump must not orphan
+            # the temp file either: ``_scan`` sees only ``*.pkl``, so the
+            # size cap would never count or evict it.
+            tmp.unlink(missing_ok=True)
+            raise
         try:
             stat = final.stat()
         except OSError:

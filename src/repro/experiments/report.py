@@ -114,6 +114,25 @@ class FigureResult:
     def add_note(self, note: str) -> None:
         self.notes.append(note)
 
+    def add_replica_note(
+        self,
+        n_seeds: int,
+        cells: str = "ratio cells",
+        test: str | None = "paired t vs ratio 1",
+        sample: str = "aggregated over {} matched seed replicas",
+    ) -> None:
+        """Say how replicated cells were aggregated (no note for one seed).
+
+        ``cells`` names the cells that carry replica statistics, ``test``
+        the test behind their p-value (``None`` when they carry none) and
+        ``sample`` how the ``n_seeds`` replicas were drawn.
+        """
+        if n_seeds > 1:
+            note = f"{sample.format(n_seeds)}; {cells} are mean±95% CI half-width"
+            if test is not None:
+                note += f" (p: {test})"
+            self.add_note(note)
+
     def column(self, header: str) -> list:
         """Extract a column by header name (for tests and assertions)."""
         try:

@@ -1,10 +1,17 @@
-"""Shared machinery for cluster-size sweep comparisons.
+"""Matched-replica candidate-vs-baseline comparisons for every figure.
 
-Figures 5, 6, 8-9 and 10-11 all have the same skeleton: run a candidate
-scheduler and a baseline over a range of cluster sizes on one trace, and
-report candidate-normalized-to-baseline percentile runtimes per job class.
+Every comparison figure has the same skeleton: run a candidate scheduler
+and a baseline on one trace, and report candidate-normalized-to-baseline
+percentile runtimes per job class.  Figures 5, 6, 8-9 and 10-11 sweep
+the cluster size; Figures 7, 12-13, 14, 15, the batch-size and the
+scenario figures hold the high-load size and vary something else (the
+policy variant, cutoff, estimator, steal cap, probe budget or workload),
+one single-size :class:`SweepJob` per axis value.  All of them run
+through :func:`multi_sweep` and read their cells off
+:class:`ReplicatedPoint`, so the ratio, its replica statistics and its
+paired-t p-value are computed in one place.
 
-All runs of a sweep flow through the
+All runs flow through the
 :class:`~repro.experiments.parallel.SweepExecutor` streaming core
 (:meth:`~repro.experiments.parallel.SweepExecutor.run_stream`), which
 deduplicates them against the two-tier run cache and keeps pool workers
@@ -12,19 +19,19 @@ fed under a bounded in-flight window.  Results are folded into
 :class:`ReplicatedPoint` aggregates *incrementally* as completions land
 (:class:`_SweepFold`): a point is built the moment its last replica
 finishes, and the optional ``on_point`` hook observes it right then —
-no global join.  :func:`multi_sweep` chains several candidate-vs-baseline
-sweeps through one continuous stream, so a slow point in one workload's
-grid no longer stalls the next workload behind a batch barrier.
+no global join.  :func:`multi_sweep` chains several jobs through one
+continuous stream, so a slow point in one job no longer stalls the next
+behind a batch barrier; :func:`sweep` is the one-job case.
 
-Seed replication: with ``n_seeds > 1`` every sweep point fans out into
+Seed replication: with ``n_seeds > 1`` every point fans out into
 ``n_seeds`` matched replicas — replica ``r`` runs *both* schedulers with
 seed ``base + r`` on the same trace draw (an independent draw per
-replica when a ``trace_factory`` is given) — and the sweep returns
+replica when the job has a trace factory) — and the sweep returns
 :class:`ReplicatedPoint` aggregates.  Per-replica ratios are computed
 within the matched pair before aggregation, so trace-level noise common
 to candidate and baseline cancels.  ``n_seeds=1`` is the degenerate
-case: one replica, scalar accessors return its values bit-for-bit, and
-the executor batch is identical to the historical single-seed sweep.
+case: one replica, and scalar accessors and cells return its values
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -126,16 +133,6 @@ class ReplicatedPoint:
     def long_p90_ratio(self) -> float:
         return mean([r.long_p90_ratio for r in self.replicas])
 
-    @property
-    def candidate(self) -> RunResult:
-        """The base-seed replica's candidate run."""
-        return self.replicas[0].candidate
-
-    @property
-    def baseline(self) -> RunResult:
-        """The base-seed replica's baseline run."""
-        return self.replicas[0].baseline
-
     # -- replica statistics ---------------------------------------------
     def stat(self, metric: str, confidence: float = 0.95) -> SummaryStats:
         """Replica statistics of one named :data:`POINT_METRICS` entry.
@@ -161,17 +158,6 @@ class ReplicatedPoint:
             return getattr(self.replicas[0], metric)
         return self.stat(metric)
 
-    def aggregate(
-        self,
-        metric: Callable[[RunResult, RunResult], float],
-        confidence: float = 0.95,
-    ) -> SummaryStats:
-        """Matched-seed aggregate of ``metric(candidate, baseline)``."""
-        return summarize(
-            [metric(r.candidate, r.baseline) for r in self.replicas],
-            confidence,
-        )
-
 
 def _build_point(
     n_workers: int, candidate: RunResult, baseline: RunResult
@@ -191,15 +177,6 @@ def _build_point(
         candidate=candidate,
         baseline=baseline,
     )
-
-
-def _replica_traces(
-    trace: Trace, seeds: tuple[int, ...], trace_factory: TraceFactory | None
-) -> tuple[Trace, ...]:
-    """One trace per replica; replica 0 keeps the given trace verbatim."""
-    if trace_factory is None:
-        return (trace,) * len(seeds)
-    return (trace,) + tuple(trace_factory(seed) for seed in seeds[1:])
 
 
 class _SweepFold:
@@ -258,33 +235,20 @@ class _SweepFold:
                 self.on_point(point)
 
 
-def _sweep_pairs(
-    trace: Trace,
-    sizes: Sequence[int],
-    candidate_spec: RunSpec,
-    baseline_spec: RunSpec,
-    n_seeds: int,
-    trace_factory: TraceFactory | None,
-):
-    """Yield one sweep's (spec, trace) pairs in the :class:`_SweepFold` layout."""
-    seeds = replica_seeds(candidate_spec.seed, n_seeds)
-    traces = _replica_traces(trace, seeds, trace_factory)
-    candidates = candidate_spec.replicas(n_seeds)
-    baselines = baseline_spec.replicas(n_seeds)
-    for n in sizes:
-        for r in range(n_seeds):
-            yield candidates[r].with_(n_workers=n), traces[r]
-            yield baselines[r].with_(n_workers=n), traces[r]
-
-
 @dataclass(frozen=True, slots=True)
 class SweepJob:
-    """One candidate-vs-baseline sweep inside a :func:`multi_sweep` stream.
+    """One candidate-vs-baseline comparison inside a :func:`multi_sweep` stream.
+
+    ``sizes`` is the cluster-size axis.  A figure that holds the size
+    fixed and varies a spec field instead (cutoff, steal cap, estimator
+    ...) runs one single-size job per axis value.
 
     A :class:`~repro.workloads.registry.WorkloadSpec` in place of the
     trace materializes lazily — only when the stream actually reaches
     this job — at the candidate spec's seed, and serves as the
-    per-replica trace factory unless one is given.
+    per-replica trace factory unless one is given.  A plain
+    :class:`~repro.workloads.spec.Trace` without a factory stays fixed
+    across replicas.
     """
 
     trace: Trace | WorkloadSpec
@@ -292,6 +256,28 @@ class SweepJob:
     candidate_spec: RunSpec
     baseline_spec: RunSpec
     trace_factory: TraceFactory | None = None
+
+
+def _sweep_pairs(job: SweepJob, n_seeds: int):
+    """Yield one job's (spec, trace) pairs in the :class:`_SweepFold` layout.
+
+    Replica 0 runs on the job's trace verbatim; every later replica
+    draws its own trace from its seed when there is a factory.
+    """
+    trace, factory = job.trace, job.trace_factory
+    if isinstance(trace, WorkloadSpec):
+        factory = factory or trace
+        trace = trace.trace(job.candidate_spec.seed)
+    candidates = job.candidate_spec.replicas(n_seeds)
+    baselines = job.baseline_spec.replicas(n_seeds)
+    traces = [trace] + [
+        trace if factory is None else factory(spec.seed)
+        for spec in candidates[1:]
+    ]
+    for n in job.sizes:
+        for candidate, baseline, replica_trace in zip(candidates, baselines, traces):
+            yield candidate.with_(n_workers=n), replica_trace
+            yield baseline.with_(n_workers=n), replica_trace
 
 
 def multi_sweep(
@@ -307,9 +293,11 @@ def multi_sweep(
     chaining ``sweep`` calls joins on every grid before starting the
     next (each batch serializes behind its slowest run), whereas here
     the pairs of all jobs feed one stream, so workers move on to job
-    ``j+1``'s runs while job ``j``'s stragglers finish.  ``on_point``
-    (if given) observes ``(job_index, point)`` as each point completes,
-    which may interleave across jobs.
+    ``j+1``'s runs while job ``j``'s stragglers finish.  A run shared by
+    several jobs (the common baseline of a fixed-size figure) has one
+    cache key and executes once.  ``on_point`` (if given) observes
+    ``(job_index, point)`` as each point completes, which may interleave
+    across jobs.
     """
     executor = executor or get_executor()
     jobs = list(jobs)
@@ -325,24 +313,10 @@ def multi_sweep(
         )
         folds.append(_SweepFold(job.sizes, seeds, hook))
         offsets.append(offset)
-        offset += 2 * n_seeds * len(job.sizes)
+        offset += len(folds[-1])
 
-    def chained_pairs():
-        for job in jobs:
-            trace, factory = job.trace, job.trace_factory
-            if isinstance(trace, WorkloadSpec):
-                factory = factory or trace
-                trace = trace.trace(job.candidate_spec.seed)
-            yield from _sweep_pairs(
-                trace,
-                job.sizes,
-                job.candidate_spec,
-                job.baseline_spec,
-                n_seeds,
-                factory,
-            )
-
-    for index, _key, result in executor.run_stream(chained_pairs(), total=offset):
+    pairs = (pair for job in jobs for pair in _sweep_pairs(job, n_seeds))
+    for index, _key, result in executor.run_stream(pairs, total=offset):
         j = bisect_right(offsets, index) - 1
         folds[j].add(index - offsets[j], result)
     return [fold.points for fold in folds]
@@ -357,7 +331,7 @@ def compare_at_size(
     n_seeds: int = 1,
     trace_factory: TraceFactory | None = None,
 ) -> ReplicatedPoint:
-    points = sweep(
+    return sweep(
         trace,
         (n_workers,),
         candidate_spec,
@@ -365,8 +339,7 @@ def compare_at_size(
         executor=executor,
         n_seeds=n_seeds,
         trace_factory=trace_factory,
-    )
-    return points[0]
+    )[0]
 
 
 def sweep(
@@ -381,32 +354,18 @@ def sweep(
 ) -> list[ReplicatedPoint]:
     """Compare the two schedulers at every cluster size.
 
-    The whole sweep — candidate and baseline, every size, every replica
-    seed — is one executor stream, so independent runs execute
-    concurrently when the pool has more than one worker, and points fold
-    incrementally as their replicas complete (``on_point`` observes each
-    one right then; the returned list is unchanged).  Replica seeds
-    derive from the candidate spec's seed (drivers give candidate and
-    baseline the same base seed; each spec's own base is offset
-    per-replica, keeping the pairing matched either way).
-
-    A :class:`~repro.workloads.registry.WorkloadSpec` is accepted in
-    place of the trace: it materializes at the candidate spec's seed and
-    serves as the per-replica trace factory unless one is given.
+    :func:`multi_sweep` of one :class:`SweepJob`: candidate and
+    baseline, every size, every replica seed run as one executor stream,
+    and points fold incrementally as their replicas complete
+    (``on_point`` observes each one right then; the returned list is
+    unchanged).  Replica seeds derive from the candidate spec's seed
+    (drivers give candidate and baseline the same base seed; each
+    spec's own base is offset per-replica, keeping the pairing matched
+    either way).
     """
-    if isinstance(trace, WorkloadSpec):
-        trace_factory = trace_factory or trace
-        trace = trace.trace(candidate_spec.seed)
-    executor = executor or get_executor()
-    sizes = tuple(sizes)
-    seeds = replica_seeds(candidate_spec.seed, n_seeds)
-    fold = _SweepFold(sizes, seeds, on_point)
-    pairs = _sweep_pairs(
-        trace, sizes, candidate_spec, baseline_spec, n_seeds, trace_factory
-    )
-    for index, _key, result in executor.run_stream(pairs, total=len(fold)):
-        fold.add(index, result)
-    return fold.points
+    job = SweepJob(trace, tuple(sizes), candidate_spec, baseline_spec, trace_factory)
+    hook = None if on_point is None else (lambda _j, point: on_point(point))
+    return multi_sweep([job], executor, n_seeds, hook)[0]
 
 
 def extra_metrics(

@@ -87,11 +87,12 @@ def run_table1(scale: str = "full", seed: int = 0, n_seeds: int = 1) -> FigureRe
         "generated workloads are synthetic stand-ins calibrated to the "
         "paper's statistics (see DESIGN.md)"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"measured over {n_seeds} independent trace draws; "
-            "cells are mean±95% CI half-width (p: t-test vs paper value)"
-        )
+    result.add_replica_note(
+        n_seeds,
+        cells="cells",
+        test="t-test vs paper value",
+        sample="measured over {} independent trace draws",
+    )
     return result
 
 
@@ -121,9 +122,10 @@ def run_table2(scale: str = "full", seed: int = 0, n_seeds: int = 1) -> FigureRe
         "our traces are downscaled in job count; per-job statistics, not "
         "totals, drive the scheduling dynamics"
     )
-    if n_seeds > 1:
-        result.add_note(
-            f"measured over {n_seeds} independent trace draws; "
-            "% cells are mean±95% CI half-width (p: t-test vs paper value)"
-        )
+    result.add_replica_note(
+        n_seeds,
+        cells="% cells",
+        test="t-test vs paper value",
+        sample="measured over {} independent trace draws",
+    )
     return result

@@ -13,8 +13,6 @@ from repro.metrics.stats import (
     SummaryStats,
     mean,
     median_of_replicas,
-    paired_cell,
-    paired_summary,
     paired_values,
     percentile_of_replicas,
     stdev,
@@ -31,8 +29,6 @@ __all__ = [
     "mean",
     "median_of_replicas",
     "normalized_percentile",
-    "paired_cell",
-    "paired_summary",
     "paired_values",
     "percentile",
     "percentile_of_replicas",

@@ -12,12 +12,14 @@ and claim tests report:
   function, so no SciPy dependency);
 * :func:`summarize` — all of the above bundled into a
   :class:`SummaryStats`;
-* :func:`paired_values` / :func:`paired_summary` — matched-seed pairing:
-  a comparison metric (e.g. a normalized percentile) is evaluated
-  *within* each replica, where candidate and baseline share a seed and a
-  trace draw, and only then aggregated.  Pairing cancels the trace-level
-  noise common to both systems, which is what makes small replica counts
-  informative.
+* :func:`paired_values` — matched-seed pairing: a comparison metric
+  (e.g. a normalized percentile) is evaluated *within* each replica,
+  where candidate and baseline share a seed and a trace draw, and only
+  then aggregated.  Pairing cancels the trace-level noise common to both
+  systems, which is what makes small replica counts informative.  The
+  figures pair through
+  :class:`~repro.experiments.sweeps.ReplicatedPoint`, whose ratio cells
+  are :func:`summarize` over the per-replica ratios with a null of 1.0.
 
 Degenerate case: ``n = 1`` yields ``stdev = 0`` and a zero-width
 interval at the sample itself, and ``mean([x]) == x`` bit-for-bit —
@@ -278,46 +280,3 @@ def paired_values(
         raise ConfigurationError("matched pairing needs at least one replica")
     return [metric(c, b) for c, b in zip(candidates, baselines)]
 
-
-#: Null hypothesis for paired comparison *ratios*: parity.
-RATIO_NULL = 1.0
-
-
-def paired_summary(
-    metric: Callable[[T, T], float],
-    candidates: Sequence[T],
-    baselines: Sequence[T],
-    confidence: float = DEFAULT_CONFIDENCE,
-    null: float | None = RATIO_NULL,
-) -> SummaryStats:
-    """Matched-seed pairing followed by :func:`summarize`.
-
-    The default ``null`` of 1.0 fits the normalized-ratio metrics every
-    figure reports (candidate == baseline); pass ``null=None`` for
-    metrics without a parity hypothesis.
-    """
-    return summarize(
-        paired_values(metric, candidates, baselines), confidence, null=null
-    )
-
-
-def paired_cell(
-    metric: Callable[[T, T], float],
-    candidates: Sequence[T],
-    baselines: Sequence[T],
-    confidence: float = DEFAULT_CONFIDENCE,
-    null: float | None = RATIO_NULL,
-) -> float | SummaryStats:
-    """Matched-pair table cell: plain value or replica statistics.
-
-    A single matched pair yields the metric value itself (bit-identical
-    to the unreplicated path, and rendered as a plain number); several
-    pairs yield a :class:`SummaryStats` rendered as ``mean±ci (p=...)``
-    — the paired-t p-value against ``null`` (parity by default).  Shared
-    by the figure drivers that aggregate run lists directly rather than
-    through :class:`~repro.experiments.sweeps.ReplicatedPoint`.
-    """
-    values = paired_values(metric, candidates, baselines)
-    if len(values) == 1:
-        return values[0]
-    return summarize(values, confidence, null=null)

@@ -36,7 +36,8 @@ class UniformMisestimation:
     at engine construction it is specialized to the run seed, so seed
     *replicas* of one spec draw independent mis-estimations — which is
     what lets Figure 14 average over estimator noise through the
-    ordinary ``run_replicated`` machinery instead of a bespoke loop.
+    ordinary seed replicas of a ``multi_sweep`` stream instead of a
+    bespoke loop.
     """
 
     def __init__(

@@ -101,7 +101,6 @@ class WorkStealing:
         self._n_general = 0
         # Victim-draw buffer (see module docstring).  ``_buf`` holds the
         # in-range draws still to be served, ``_pos`` the next index.
-        self._buffered = False
         self._window = 0
         self._buf: list[int] = []
         self._pos = 0
@@ -130,17 +129,16 @@ class WorkStealing:
         # numpy's per-call scalar overhead dominates otherwise.  Victim
         # draws use the same rejection sampling as ``Random.randrange``
         # (see ``_randbelow_with_getrandbits``), consuming the Mersenne
-        # stream identically — prefetched in chunks when the draw width
-        # fits one 32-bit word (always, for any real cluster size).
+        # stream identically — prefetched in chunks, since the draw width
+        # of any cluster that can be built fits one 32-bit word.
         self._rng = random.Random(engine.config.seed ^ 0x5EA15EA1)
         self._getrandbits = self._rng.getrandbits
         n = engine.cluster.n_general
         self._n_general = n
         self._victim_bits = max(1, n).bit_length()
-        self._buffered = self._victim_bits <= 32
         # The proven-failure block requires every round to probe exactly
         # ``cap`` victims, which holds for both partitions when n > cap.
-        self._window = self.cap if (self._buffered and n > self.cap) else 0
+        self._window = self.cap if n > self.cap else 0
         self._sim = engine.sim
         self._cluster = engine.cluster
         self._flags = engine.cluster.steal_flags
@@ -221,9 +219,7 @@ class WorkStealing:
                 self._pos = end
                 self._victims_probed += w
                 return False
-        if self._buffered:
-            return self._slow_round(thief, n)
-        return self._slow_round_percall(thief, n)  # pragma: no cover - n >= 2**32
+        return self._slow_round(thief, n)
 
     def _slow_round(self, thief: Worker, n: int) -> bool:
         """The exact per-draw round, served from the prefetch buffer."""
@@ -267,38 +263,6 @@ class WorkStealing:
             self._entries_stolen += stolen
             return True
         self._pos = pos
-        self._victims_probed += probed
-        return False
-
-    def _slow_round_percall(
-        self, thief: Worker, n: int
-    ) -> bool:  # pragma: no cover - clusters past the 32-bit draw width
-        """Per-call fallback for draw widths beyond one Mersenne word."""
-        engine = self.engine
-        workers = engine.cluster.workers
-        thief_id = thief.worker_id
-        attempts = min(self.cap, n - (0 if thief.in_short_partition else 1))
-        probed = 0
-        seen: set[int] = set()
-        getrandbits = self._getrandbits
-        bits = self._victim_bits
-        while probed < attempts:
-            victim_id = getrandbits(bits)
-            if victim_id >= n or victim_id == thief_id or victim_id in seen:
-                continue
-            seen.add(victim_id)
-            probed += 1
-            victim = workers[victim_id]
-            if not victim._short_seqs:
-                continue
-            span = victim.eligible_steal_range()
-            if span is None:
-                continue
-            self._victims_probed += probed
-            stolen = engine.transfer_stolen_entries(victim, thief, span[0], span[1])
-            self._successes += 1
-            self._entries_stolen += stolen
-            return True
         self._victims_probed += probed
         return False
 

@@ -155,6 +155,32 @@ def test_corrupt_disk_entry_is_recomputed(tmp_path):
     assert recomputed == res
 
 
+@pytest.mark.parametrize(
+    "error", [pickle.PicklingError, RecursionError, KeyboardInterrupt, OSError]
+)
+def test_failed_store_leaves_no_temp_blob(tmp_path, monkeypatch, error):
+    cache = DiskCache(tmp_path, max_bytes=1 << 20)
+    result = SweepExecutor(max_workers=1, disk_cache=None).run_one(
+        SPEC, small_trace()
+    )
+
+    def failing_dump(obj, fh, protocol=None):
+        fh.write(b"partial")
+        raise error("injected")
+
+    monkeypatch.setattr(pickle, "dump", failing_dump)
+    key = cache_key(SPEC, small_trace())
+    if error is OSError:
+        cache.store(key, result)  # a filesystem error is a silent miss
+    else:
+        with pytest.raises(error):
+            cache.store(key, result)
+    monkeypatch.undo()
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert cache.load(key) is None
+    assert cache.total_bytes() == 0
+
+
 def test_disk_cache_clear(tmp_path):
     cache = DiskCache(tmp_path)
     executor = SweepExecutor(max_workers=1, disk_cache=cache)

@@ -18,7 +18,8 @@ from repro.experiments.traces import (
     google_workload,
     kmeans_workload,
 )
-from repro.metrics.stats import SummaryStats
+from repro.metrics.comparison import normalized_percentile
+from repro.metrics.stats import SummaryStats, summarize
 from repro.workloads.replication import (
     assert_independent,
     replica_seeds,
@@ -105,7 +106,6 @@ def test_single_seed_sweep_is_degenerate_replication(small_trace):
     assert point.baseline_median_utilization == replica.baseline_median_utilization
     assert point.cell("short_p50_ratio") == replica.short_p50_ratio
     assert isinstance(point.cell("short_p50_ratio"), float)
-    assert point.candidate is replica.candidate
     stats = point.stat("long_p90_ratio")
     assert stats.ci_lo == stats.ci_hi == replica.long_p90_ratio
 
@@ -125,15 +125,21 @@ def test_extra_metrics_aggregates_over_replicas(small_trace):
     assert 0.0 <= frac_n <= 1.0 and avg_n > 0
 
 
-def test_aggregate_applies_metric_per_matched_replica(small_trace):
+def test_replicated_cell_summarizes_matched_replica_ratios(small_trace):
     point = sweep(
         small_trace, (8,), HAWK, SPARROW, n_seeds=2, trace_factory=_fresh_trace
     )[0]
-    stats = point.aggregate(
-        lambda cand, base: len(cand.jobs) / len(base.jobs)
-    )
-    assert stats.n == 2
-    assert stats.mean == pytest.approx(1.0)  # same trace within a replica
+    cell = point.cell("short_p90_ratio")
+    ratios = [r.short_p90_ratio for r in point.replicas]
+    # each replica's ratio is its own matched candidate/baseline pair
+    assert ratios == [
+        normalized_percentile(r.candidate, r.baseline, JobClass.SHORT, 90)
+        for r in point.replicas
+    ]
+    assert cell == summarize(ratios, null=1.0)
+    assert cell.n == 2 and cell.p_value is not None
+    # utilization is a magnitude, not a ratio: no parity test applies
+    assert point.cell("baseline_median_utilization").p_value is None
 
 
 def test_trace_factories_draw_independent_traces():

@@ -7,8 +7,6 @@ from repro.metrics.stats import (
     SummaryStats,
     mean,
     median_of_replicas,
-    paired_cell,
-    paired_summary,
     paired_values,
     percentile_of_replicas,
     stdev,
@@ -92,24 +90,15 @@ def test_paired_values_rejects_mismatched_replicas():
         paired_values(lambda c, b: c / b, [], [])
 
 
-def test_paired_summary_aggregates_within_pairs():
+def test_paired_values_cancel_between_pair_variance():
     # Candidate is exactly 10% better in every matched pair even though
     # the raw values vary wildly between pairs: pairing must cancel the
     # between-pair variance completely.
     baselines = [10.0, 1000.0, 0.5]
     candidates = [9.0, 900.0, 0.45]
-    s = paired_summary(lambda c, b: c / b, candidates, baselines)
+    s = summarize(paired_values(lambda c, b: c / b, candidates, baselines))
     assert s.mean == pytest.approx(0.9)
     assert s.stdev == pytest.approx(0.0, abs=1e-12)
-
-
-def test_paired_cell_scalar_for_single_pair_stats_otherwise():
-    ratio = lambda c, b: c / b
-    single = paired_cell(ratio, [3.0], [4.0])
-    assert isinstance(single, float) and single == 0.75  # bit-identical
-    many = paired_cell(ratio, [1.0, 4.0], [2.0, 2.0])
-    assert isinstance(many, SummaryStats)
-    assert many.n == 2 and many.mean == pytest.approx(1.25)
 
 
 def test_validation_errors():
