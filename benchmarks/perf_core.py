@@ -167,17 +167,17 @@ def test_cache_read_tier_structure_and_speedup():
 
 
 def test_scale_check_gates_cache_read():
-    """``check_scale_regression`` passes the committed microbench numbers
-    and flags a cached read slower than committed x REGRESSION_FACTOR."""
-    from repro.bench import REGRESSION_FACTOR, check_scale_regression
+    """``check`` passes the committed scale microbench numbers and flags a
+    cached read slower than committed x REGRESSION_FACTOR."""
+    from repro.bench import CORE, REGRESSION_FACTOR, check
 
     scale = json.loads(BASELINE.read_text())["scale"]
     fresh = {key: dict(scale[key]) for key in ("steal_round", "cache_read")}
-    assert check_scale_regression(BASELINE, fresh) == []
+    assert check(CORE, BASELINE, "scale", fresh) == []
     fresh["cache_read"]["ms_per_read"] = (
         scale["cache_read"]["ms_per_read"] * REGRESSION_FACTOR * 1.01
     )
-    failures = check_scale_regression(BASELINE, fresh)
+    failures = check(CORE, BASELINE, "scale", fresh)
     assert len(failures) == 1 and "cache read regression" in failures[0]
 
 

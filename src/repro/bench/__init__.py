@@ -15,8 +15,7 @@ so every PR leaves a tracked trajectory instead of anecdotes:
   cluster while streams of short jobs land, so idle workers spend the
   run in work-stealing rounds.  Stealing is the remaining hot loop
   (ROADMAP); tracking it as its own bench point means a stealing-path
-  regression cannot hide inside the mixed-workload number, and
-  ``--check`` gates it like the canonical events/sec.
+  regression cannot hide inside the mixed-workload number.
 * **sweep wall-times** — a two-point Figure-5 sweep through a fresh
   :class:`~repro.experiments.parallel.SweepExecutor` with an isolated
   disk cache: cold (every run executed) and warm (every run served from
@@ -26,8 +25,7 @@ so every PR leaves a tracked trajectory instead of anecdotes:
   ahead of many fast ones, sleep-based so the comparison isolates
   orchestration, not simulation).  Joining every batch serializes the
   whole chain behind the slow point; the stream keeps the second worker
-  fed across batch boundaries.  ``--check`` fails when the measured
-  speedup drops below :data:`STREAM_SPEEDUP_FLOOR`.
+  fed across batch boundaries.
 
 A fourth, mode-independent measurement lives in the ``scale`` section
 (``--scale``): the 10k-worker Figure 5 point (Hawk + Sparrow on the
@@ -37,10 +35,12 @@ the victim-selection loop at cluster scale, and a cached-result read
 ``--scale --quick`` runs only the microbenches, cheap enough for CI
 smoke.
 
-The JSON file keeps one section per mode (``quick``/``full``) and merges
-on write, so a quick CI run never clobbers the committed full-scale
-numbers.  ``--check`` compares a fresh run against the committed section
-of the same mode and fails on a >1.5x events/sec regression.
+The JSON file keeps one section per mode (``quick``/``full``/``scale``)
+and merges on write, so a quick CI run never clobbers the committed
+full-scale numbers.  ``--check`` evaluates the section's rows of
+:data:`CORE`'s declarative gate table.  That harness half (:func:`best_of`,
+:class:`Gate`, :func:`check`, :func:`merge_into` and the CLI tail
+:func:`finish`) serves ``python -m repro.service.bench`` too.
 """
 
 from __future__ import annotations
@@ -53,54 +53,259 @@ import random
 import sys
 import tempfile
 import time
+from collections.abc import Callable, Mapping
+from functools import partial
 from pathlib import Path
+from typing import Any, Literal, NamedTuple, TypeVar
 
 from repro.cluster.job import JobClass
 from repro.cluster.records import JobRecord, RunResult, UtilizationSample
+from repro.core.errors import ReproError
 from repro.experiments.config import RunSpec, build_engine, high_load_size
-from repro.experiments.traces import (
-    google_cutoff,
-    google_short_fraction,
-    google_workload,
-)
+from repro.experiments.traces import google_workload
 from repro.metrics import compare_runs
 from repro.workloads.motivation import MotivationConfig
 from repro.workloads.registry import WorkloadSpec
 from repro.workloads.spec import Trace
 
-#: Fail ``--check`` when fresh events/sec drop below committed/this.
+T = TypeVar("T")
+
+#: ``--check`` fails when a gated rate drops below committed/this, or a
+#: gated cost rises above committed*this.
 REGRESSION_FACTOR = 1.5
 
-#: Fail ``--check`` when the streaming executor's measured advantage over
+#: ``--check`` fails when the streaming executor's measured advantage over
 #: chained batch barriers drops below this on the skewed grid.
 STREAM_SPEEDUP_FLOOR = 1.3
 
-#: Default output path: ``BENCH_core.json`` at the repo root (next to the
-#: ``benchmarks/`` directory) for a src/ checkout, cwd otherwise.
-def default_output() -> Path:
-    root = Path(__file__).resolve().parents[3]
-    if (root / "benchmarks").is_dir():
-        return root / "BENCH_core.json"
-    return Path.cwd() / "BENCH_core.json"
+
+# -- the harness shared by every BENCH file --------------------------------
+class BenchFileError(ReproError):
+    """A BENCH file exists but does not hold a JSON object."""
 
 
-def _specs(trace: Trace) -> dict[str, RunSpec]:
-    n = high_load_size(trace)
-    cutoff = google_cutoff()
+class Gate(NamedTuple):
+    """One ``--check`` row: a dotted key path into a section and its bound.
+
+    ``*`` in the path matches every key at that level of either side.
+    Kinds: ``floor`` (measured >= committed / factor), ``ceiling``
+    (measured <= committed * factor), ``absolute`` (measured >= ``bound``),
+    ``true`` and ``equal`` (measured == committed, for exact counts).
+    A row whose first key the fresh payload lacks is skipped: that mode
+    does not measure it (``--scale --quick`` runs no engine).
+    """
+
+    label: str
+    path: str
+    kind: Literal["floor", "ceiling", "absolute", "true", "equal"]
+    bound: float = 0.0
+
+
+class Harness(NamedTuple):
+    """One BENCH file: its name, header, regression factor and gate table."""
+
+    filename: str
+    workload: str
+    factor: float
+    gates: Mapping[str, tuple[Gate, ...]]
+
+
+def best_of(repeats: int, prepare: Callable[[], Callable[[], T]]) -> tuple[float, T]:
+    """Best wall time of ``repeats`` runs, and the last run's result.
+
+    Each run times the thunk an untimed ``prepare()`` returns, which
+    keeps engine construction out of the measurement.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        run = prepare()
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def read_bench(path: Path) -> dict[str, Any]:
+    """The BENCH file at ``path`` (``{}`` when absent).
+
+    A file that does not parse to a JSON object raises
+    :class:`BenchFileError`, so no check runs against it and no merge
+    rewrites it.
+    """
+    if not path.is_file():
+        return {}
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise BenchFileError(f"cannot read BENCH file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise BenchFileError(f"BENCH file {path} is not a JSON object")
+    return data
+
+
+def merge_into(
+    harness: Harness, path: Path, section: str, payload: dict[str, Any]
+) -> dict[str, Any]:
+    """Merge ``payload`` into one section of the file, keeping the rest.
+
+    Section keys the payload lacks survive: the committed references and,
+    under ``--scale --quick``, the 10k-point engine numbers.
+    """
+    data = read_bench(path)
+    data.setdefault("schema", 1)
+    data.setdefault("workload", harness.workload)
+    data[section] = {**data.get(section, {}), **payload}
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return data
+
+
+def _children(node: Any) -> dict[str, Any]:
+    return node if isinstance(node, dict) else {}
+
+
+def _matches(path: str, fresh: Any, committed: Any) -> list[tuple[str, Any, Any]]:
+    """``(concrete path, measured, committed)`` for every match of ``path``."""
+    found = [("", fresh, committed)]
+    for key in path.split("."):
+        found = [
+            (f"{at}.{k}" if at else k, _children(m).get(k), _children(c).get(k))
+            for at, m, c in found
+            for k in (sorted({*_children(m), *_children(c)}) if key == "*" else [key])
+        ]
+    return found
+
+
+def _verdict(gate: Gate, measured: Any, committed: Any, factor: float) -> str | None:
+    """Why ``measured`` fails ``gate``, or ``None`` when it passes."""
+    if measured is None:
+        return "not measured"
+    if gate.kind == "true":
+        ok, want = measured is True, "true"
+    elif gate.kind == "absolute":
+        ok, want = measured >= gate.bound, f">= {gate.bound}"
+    elif committed is None:
+        return "no committed value"
+    elif gate.kind == "equal":
+        ok, want = measured == committed, f"== committed {committed}"
+    elif gate.kind == "floor":
+        ok = measured >= committed / factor
+        want = f">= committed {committed} / {factor}"
+    else:
+        ok = measured <= committed * factor
+        want = f"<= committed {committed} * {factor}"
+    return None if ok else f"measured {measured}, want {want}"
+
+
+def check(
+    harness: Harness, baseline_path: Path, section: str, fresh: dict[str, Any]
+) -> list[str]:
+    """Evaluate ``section``'s gate rows on a fresh payload; return failures."""
+    if not baseline_path.is_file():
+        return [f"no baseline file at {baseline_path}"]
+    committed = read_bench(baseline_path).get(section)
+    if not committed:
+        return [f"baseline {baseline_path} has no '{section}' section"]
+    failures = []
+    for gate in harness.gates[section]:
+        if gate.path.split(".")[0] not in fresh:
+            continue
+        for at, measured, reference in _matches(gate.path, fresh, committed):
+            reason = _verdict(gate, measured, reference, harness.factor)
+            if reason is not None:
+                failures.append(f"{gate.label} regression at {at}: {reason}")
+    return failures
+
+
+def bench_parser(
+    harness: Harness, prog: str, description: str
+) -> argparse.ArgumentParser:
+    """A parser holding the flags every BENCH CLI shares."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    parser.add_argument("--quick", action="store_true", help="CI smoke size")
+    parser.add_argument(
+        "--output",
+        type=Path,
+        help=f"JSON file to merge results into (default: repo-root {harness.filename})",
+    )
+    parser.add_argument(
+        "--no-write", action="store_true", help="print results, write no file"
+    )
+    parser.add_argument(
+        "--check",
+        type=Path,
+        nargs="?",
+        default=False,
+        metavar="BASELINE",
+        help="exit 1 when a gate row fails (default baseline: the output file)",
+    )
+    return parser
+
+
+def finish(
+    harness: Harness, args: argparse.Namespace, section: str, payload: dict[str, Any]
+) -> int:
+    """The CLI tail: print, gate under ``--check``, merge unless ``--no-write``."""
+    # The default output sits at the repo root for a src/ checkout.
+    repo = Path(__file__).resolve().parents[3]
+    root = repo if (repo / "benchmarks").is_dir() else Path.cwd()
+    output = args.output or root / harness.filename
+    print(json.dumps({section: payload}, indent=2, sort_keys=True))
+    try:
+        if args.check is not False:
+            baseline = args.check or output
+            failures = check(harness, baseline, section, payload)
+            for failure in failures:
+                print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
+            if failures:
+                return 1
+            print(f"perf check ok: every '{section}' gate holds (baseline {baseline})")
+        if not args.no_write:
+            merge_into(harness, output, section, payload)
+            print(f"wrote {output}")
+    except BenchFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+# -- the core workload ----------------------------------------------------
+def _specs(workload: WorkloadSpec, n_workers: int) -> dict[str, RunSpec]:
+    """Hawk and Sparrow at ``n_workers`` with ``workload``'s cutoff and partition."""
     return {
-        "hawk": RunSpec(
-            scheduler="hawk",
-            n_workers=n,
-            cutoff=cutoff,
-            short_partition_fraction=google_short_fraction(),
-        ),
-        "sparrow": RunSpec(scheduler="sparrow", n_workers=n, cutoff=cutoff),
+        name: RunSpec(
+            scheduler=name,
+            n_workers=n_workers,
+            cutoff=workload.cutoff,
+            short_partition_fraction=(
+                workload.short_partition_fraction if name == "hawk" else 0.0
+            ),
+        )
+        for name in ("hawk", "sparrow")
     }
+
+
+def _engine_point(
+    spec: RunSpec, trace: Trace, repeats: int, counters: bool = False
+) -> tuple[float, dict]:
+    """Best wall and bench entry of ``spec`` on ``trace`` (+ steal counters)."""
+    best, result = best_of(repeats, lambda: partial(build_engine(spec).run, trace))
+    entry = {
+        "events": result.events_fired,
+        "wall_s": round(best, 4),
+        "events_per_sec": round(result.events_fired / best),
+    }
+    if counters:
+        stealing = result.stealing
+        entry["steal_rounds"] = stealing.rounds
+        entry["successful_rounds"] = stealing.successful_rounds
+        entry["entries_stolen"] = stealing.entries_stolen
+    return best, entry
 
 
 def bench_events(scale: str, repeats: int = 3) -> dict:
     """Events/sec of the canonical mixed workload, best-of-``repeats``."""
-    trace = google_workload(scale).trace(0)
+    workload = google_workload(scale)
+    trace = workload.trace(0)
     out: dict = {
         "trace": {
             "scale": scale,
@@ -111,23 +316,10 @@ def bench_events(scale: str, repeats: int = 3) -> dict:
     }
     total_events = 0
     total_best = 0.0
-    for name, spec in _specs(trace).items():
-        best = float("inf")
-        events = 0
-        for _ in range(repeats):
-            engine = build_engine(spec)
-            start = time.perf_counter()
-            result = engine.run(trace)
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-            events = result.events_fired
-        out["policies"][name] = {
-            "n_workers": spec.n_workers,
-            "events": events,
-            "wall_s": round(best, 4),
-            "events_per_sec": round(events / best),
-        }
-        total_events += events
+    for name, spec in _specs(workload, high_load_size(trace)).items():
+        best, entry = _engine_point(spec, trace, repeats)
+        out["policies"][name] = {"n_workers": spec.n_workers, **entry}
+        total_events += entry["events"]
         total_best += best
     out["events_per_sec"] = round(total_events / total_best)
     out["events"] = total_events
@@ -142,25 +334,15 @@ def bench_stealing(scale: str, repeats: int = 3) -> dict:
     long jobs occupy the general partition, so short-partition workers go
     idle and drive continuous stealing rounds.  Returns the stealing
     counters alongside the timing so the deterministic half (rounds,
-    entries stolen, logical events) can be pinned by tier-1.
+    entries stolen, logical events) can be pinned by tier-1 and gated
+    exactly by ``--check``.
     """
     motivation_scale = 0.1 if scale == "full" else 0.02
     workload = WorkloadSpec("motivation", {"scale": motivation_scale})
     trace = workload.trace(0)
     n_workers = MotivationConfig().scaled(motivation_scale).n_servers
-    spec = RunSpec(
-        scheduler="hawk",
-        n_workers=n_workers,
-        cutoff=workload.cutoff,
-        short_partition_fraction=workload.short_partition_fraction,
-    )
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        engine = build_engine(spec)
-        start = time.perf_counter()
-        result = engine.run(trace)
-        best = min(best, time.perf_counter() - start)
+    spec = _specs(workload, n_workers)["hawk"]
+    _, entry = _engine_point(spec, trace, repeats, counters=True)
     return {
         "workload": {
             "name": "motivation",
@@ -169,12 +351,7 @@ def bench_stealing(scale: str, repeats: int = 3) -> dict:
             "tasks": trace.total_tasks,
         },
         "n_workers": n_workers,
-        "events": result.events_fired,
-        "steal_rounds": result.stealing.rounds,
-        "successful_rounds": result.stealing.successful_rounds,
-        "entries_stolen": result.stealing.entries_stolen,
-        "wall_s": round(best, 4),
-        "events_per_sec": round(result.events_fired / best),
+        **entry,
     }
 
 
@@ -189,13 +366,7 @@ def bench_steal_rounds(n_workers: int = 10_000, rounds: int = 200_000) -> dict:
     that the mixed-workload numbers dilute with engine work.  Cheap
     enough for CI quick mode (no trace is simulated).
     """
-    spec = RunSpec(
-        scheduler="hawk",
-        n_workers=n_workers,
-        cutoff=google_cutoff(),
-        short_partition_fraction=google_short_fraction(),
-    )
-    engine = build_engine(spec)
+    engine = build_engine(_specs(google_workload(), n_workers)["hawk"])
     policy = engine.stealing
     cluster = engine.cluster
     # A nonzero tally is the round's entry condition; leaving every flag
@@ -271,19 +442,19 @@ def bench_cache_read(n_jobs: int = 3_000, reads: int = 50, repeats: int = 3) -> 
 
     result = _synthetic_run(n_jobs, n_workers=10_000)
     key = "0" * 40
-    best = float("inf")
     with tempfile.TemporaryDirectory() as tmp:
         cache = DiskCache(Path(tmp))
+
+        def read_all() -> None:
+            for _ in range(reads):
+                loaded = cache.load(key)
+                compare_runs(loaded, result, JobClass.SHORT)
+                compare_runs(loaded, result, JobClass.LONG)
+                loaded.median_utilization()
+
         try:
             cache.store(key, result)
-            for _ in range(repeats):
-                start = time.perf_counter()
-                for _ in range(reads):
-                    loaded = cache.load(key)
-                    compare_runs(loaded, result, JobClass.SHORT)
-                    compare_runs(loaded, result, JobClass.LONG)
-                    loaded.median_utilization()
-                best = min(best, time.perf_counter() - start)
+            best, _ = best_of(repeats, lambda: read_all)
             blob_bytes = cache.path(key).stat().st_size
         finally:
             cache.index.close()
@@ -318,32 +489,10 @@ def bench_scale(repeats: int = 3) -> dict:
         "policies": {},
     }
     total_best = 0.0
-    for name in ("hawk", "sparrow"):
-        spec = RunSpec(
-            scheduler=name,
-            n_workers=10_000,
-            cutoff=workload.cutoff,
-            short_partition_fraction=(
-                workload.short_partition_fraction if name == "hawk" else 0.0
-            ),
+    for name, spec in _specs(workload, 10_000).items():
+        best, out["policies"][name] = _engine_point(
+            spec, trace, repeats, counters=True
         )
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            engine = build_engine(spec)
-            start = time.perf_counter()
-            result = engine.run(trace)
-            best = min(best, time.perf_counter() - start)
-        entry = {
-            "events": result.events_fired,
-            "wall_s": round(best, 4),
-            "events_per_sec": round(result.events_fired / best),
-        }
-        if result.stealing is not None:
-            entry["steal_rounds"] = result.stealing.rounds
-            entry["successful_rounds"] = result.stealing.successful_rounds
-            entry["entries_stolen"] = result.stealing.entries_stolen
-        out["policies"][name] = entry
         total_best += best
     out["total_wall_s"] = round(total_best, 4)
     out["steal_round"] = bench_steal_rounds()
@@ -436,34 +585,25 @@ def bench_sweep_stream(scale: str) -> dict:
     batches = _skewed_grid(n_batches, batch_points, fast_s, slow_s)
     n_points = n_batches * batch_points
 
-    def fresh_executor() -> SweepExecutor:
-        return SweepExecutor(
+    def timed_arm(
+        drive: Callable[[SweepExecutor], object],
+    ) -> tuple[float, SweepExecutor]:
+        executor = SweepExecutor(
             max_workers=2,
             disk_cache=None,
             trace_shm=False,
             run_fn=_synthetic_sleep_run,
         )
+        try:
+            wall, _ = best_of(1, lambda: partial(drive, executor))
+        finally:
+            executor.close()
+        return wall, executor
 
-    barrier = fresh_executor()
-    try:
-        start = time.perf_counter()
-        for batch in batches:
-            barrier.run_many(batch)
-        barrier_s = time.perf_counter() - start
-    finally:
-        barrier.close()
-
-    stream = fresh_executor()
-    try:
-        start = time.perf_counter()
-        for _ in stream.run_stream(
-            pair for batch in batches for pair in batch
-        ):
-            pass
-        stream_s = time.perf_counter() - start
-    finally:
-        stream.close()
-
+    barrier_s, _ = timed_arm(lambda ex: [ex.run_many(batch) for batch in batches])
+    stream_s, stream = timed_arm(
+        lambda ex: list(ex.run_stream(pair for batch in batches for pair in batch))
+    )
     summary = stream.summary()
     # The executor's own accounting must agree with the grid: every point
     # executed exactly once, nothing served from a cache tier.
@@ -501,207 +641,64 @@ def run_bench(quick: bool = False, repeats: int | None = None) -> dict:
     }
 
 
-def merge_into(path: Path, section: str, payload: dict) -> dict:
-    """Update one mode section of the JSON file, preserving the rest."""
-    data: dict = {}
-    if path.is_file():
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            data = {}
-    data.setdefault("schema", 1)
-    data.setdefault(
-        "workload",
-        "google-like trace at the high-load cluster size; hawk + sparrow",
-    )
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return data
+_STEAL_COUNTS = ("steal_rounds", "successful_rounds", "entries_stolen")
+_RUN_GATES = (
+    Gate("events/sec", "events.events_per_sec", "floor"),
+    Gate("stealing events/sec", "stealing.events_per_sec", "floor"),
+    # Absolute, not a ratio of committed: the stream must beat chained
+    # barriers outright, so losing the overlap can never slip through.
+    Gate("stream speedup", "sweep_stream.speedup", "absolute", STREAM_SPEEDUP_FLOOR),
+    Gate("policy events", "events.policies.*.events", "equal"),
+    *(
+        Gate(f"stealing {key}", f"stealing.{key}", "equal")
+        for key in ("events", *_STEAL_COUNTS)
+    ),
+)
 
-
-def check_regression(baseline_path: Path, section: str, fresh: dict) -> list[str]:
-    """Compare a fresh run to the committed baseline; return failures."""
-    if not baseline_path.is_file():
-        return [f"no baseline file at {baseline_path}"]
-    baseline = json.loads(baseline_path.read_text()).get(section)
-    if not baseline:
-        return [f"baseline {baseline_path} has no '{section}' section"]
-    failures = []
-    committed = baseline["events"]["events_per_sec"]
-    measured = fresh["events"]["events_per_sec"]
-    floor = committed / REGRESSION_FACTOR
-    if measured < floor:
-        failures.append(
-            f"events/sec regression: measured {measured} < floor {floor:.0f} "
-            f"(committed {committed} / {REGRESSION_FACTOR})"
-        )
-    # The stealing-heavy point is gated the same way (baselines written
-    # before the point existed simply skip it).
-    if "stealing" in baseline and "stealing" in fresh:
-        committed = baseline["stealing"]["events_per_sec"]
-        measured = fresh["stealing"]["events_per_sec"]
-        floor = committed / REGRESSION_FACTOR
-        if measured < floor:
-            failures.append(
-                f"stealing events/sec regression: measured {measured} < "
-                f"floor {floor:.0f} (committed {committed} / "
-                f"{REGRESSION_FACTOR})"
-            )
-    # The streaming executor must beat chained barriers outright on the
-    # skewed grid — an absolute floor, not a baseline ratio, so losing
-    # the producer/consumer overlap can never slip through.
-    if "sweep_stream" in fresh:
-        speedup = fresh["sweep_stream"]["speedup"]
-        if speedup < STREAM_SPEEDUP_FLOOR:
-            failures.append(
-                f"sweep_stream speedup {speedup} < floor "
-                f"{STREAM_SPEEDUP_FLOOR} (barrier "
-                f"{fresh['sweep_stream']['barrier_s']}s vs stream "
-                f"{fresh['sweep_stream']['stream_s']}s)"
-            )
-    return failures
-
-
-def check_scale_regression(baseline_path: Path, fresh: dict) -> list[str]:
-    """Gate a fresh scale-tier run against the committed ``scale`` section.
-
-    Always gates the steal-round and cache-read microbenches; gates the
-    10k-point events/sec too when the fresh payload includes the engine
-    runs (``--scale`` without ``--quick``).
-    """
-    if not baseline_path.is_file():
-        return [f"no baseline file at {baseline_path}"]
-    baseline = json.loads(baseline_path.read_text()).get("scale")
-    if not baseline:
-        return [f"baseline {baseline_path} has no 'scale' section"]
-    failures = []
-    committed = baseline["steal_round"]["rounds_per_sec"]
-    measured = fresh["steal_round"]["rounds_per_sec"]
-    floor = committed / REGRESSION_FACTOR
-    if measured < floor:
-        failures.append(
-            f"steal rounds/sec regression: measured {measured} < floor "
-            f"{floor:.0f} (committed {committed} / {REGRESSION_FACTOR})"
-        )
-    committed = baseline["cache_read"]["ms_per_read"]
-    measured = fresh["cache_read"]["ms_per_read"]
-    ceiling = committed * REGRESSION_FACTOR
-    if measured > ceiling:
-        failures.append(
-            f"cache read regression: measured {measured} ms/read > ceiling "
-            f"{ceiling:.3f} (committed {committed} * {REGRESSION_FACTOR})"
-        )
-    if "policies" in fresh:
-        for name, numbers in baseline.get("policies", {}).items():
-            committed = numbers["events_per_sec"]
-            measured = fresh["policies"][name]["events_per_sec"]
-            floor = committed / REGRESSION_FACTOR
-            if measured < floor:
-                failures.append(
-                    f"scale point {name} events/sec regression: measured "
-                    f"{measured} < floor {floor:.0f} (committed {committed} "
-                    f"/ {REGRESSION_FACTOR})"
-                )
-    return failures
+#: ``BENCH_core.json`` and its ``--check`` gate table, one row set per section.
+CORE = Harness(
+    filename="BENCH_core.json",
+    workload="google-like trace at the high-load cluster size; hawk + sparrow",
+    factor=REGRESSION_FACTOR,
+    gates={
+        "quick": _RUN_GATES,
+        "full": _RUN_GATES,
+        "scale": (
+            Gate("steal rounds/sec", "steal_round.rounds_per_sec", "floor"),
+            Gate("cache read", "cache_read.ms_per_read", "ceiling"),
+            Gate("scale point events/sec", "policies.*.events_per_sec", "floor"),
+            *(
+                Gate(f"scale point {key}", f"policies.*.{key}", "equal")
+                for key in ("events", *_STEAL_COUNTS)
+            ),
+        ),
+    },
+)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Measure core simulator throughput and sweep wall-times.",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="quick-scale trace (CI smoke); default is the full benchmark scale",
+    parser = bench_parser(
+        CORE,
+        "python -m repro.bench",
+        "Measure core simulator throughput and sweep wall-times.",
     )
     parser.add_argument(
         "--scale",
         action="store_true",
-        help=(
-            "measure the 10k-worker fig05 scale tier instead of the "
-            "quick/full workloads; with --quick, only the steal-round "
-            "and cache-read microbenches run (CI smoke)"
-        ),
+        help="the 10k-worker tier; with --quick only its microbenches (CI smoke)",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=None, help="timing repeats (best-of)"
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="JSON file to merge results into (default: repo-root BENCH_core.json)",
-    )
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print results without touching the output file",
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        nargs="?",
-        const=None,
-        default=False,
-        metavar="BASELINE",
-        help=(
-            "fail (exit 1) on a >1.5x events/sec regression vs the committed "
-            "baseline JSON (default: the output file itself)"
-        ),
-    )
+    parser.add_argument("--repeats", type=int, help="timing repeats (best-of)")
     args = parser.parse_args(argv)
-    output = args.output or default_output()
-    if args.scale:
+    if not args.scale:
+        section = "quick" if args.quick else "full"
+        payload = run_bench(quick=args.quick, repeats=args.repeats)
+    elif args.quick:
         section = "scale"
-        if args.quick:
-            payload = {
-                "steal_round": bench_steal_rounds(),
-                "cache_read": bench_cache_read(),
-            }
-        else:
-            payload = bench_scale(repeats=args.repeats or 3)
-        print(json.dumps({section: payload}, indent=2, sort_keys=True))
-        if args.check is not False:
-            baseline = args.check or output
-            failures = check_scale_regression(baseline, payload)
-            if failures:
-                for failure in failures:
-                    print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
-                return 1
-            print(
-                f"perf check ok: {payload['steal_round']['rounds_per_sec']} "
-                f"steal rounds/sec, {payload['cache_read']['ms_per_read']} "
-                f"ms per cached read (baseline {baseline})"
-            )
-        if not args.no_write:
-            # Partial scale runs (--quick) and fresh full runs both keep
-            # whatever else the committed section carries (the pre_pr
-            # reference in particular).
-            existing: dict = {}
-            if output.is_file():
-                try:
-                    existing = json.loads(output.read_text()).get(section, {})
-                except (OSError, ValueError):
-                    existing = {}
-            merge_into(output, section, {**existing, **payload})
-            print(f"wrote {output}")
-        return 0
-    section = "quick" if args.quick else "full"
-    payload = run_bench(quick=args.quick, repeats=args.repeats)
-    print(json.dumps({section: payload}, indent=2, sort_keys=True))
-    if args.check is not False:
-        baseline = args.check or output
-        failures = check_regression(baseline, section, payload)
-        if failures:
-            for failure in failures:
-                print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"perf check ok: {payload['events']['events_per_sec']} events/sec "
-            f"(baseline {baseline})"
-        )
-    if not args.no_write:
-        merge_into(output, section, payload)
-        print(f"wrote {output}")
-    return 0
+        payload = {
+            "steal_round": bench_steal_rounds(),
+            "cache_read": bench_cache_read(),
+        }
+    else:
+        section = "scale"
+        payload = bench_scale(repeats=args.repeats or 3)
+    return finish(CORE, args, section, payload)

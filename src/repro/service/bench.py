@@ -19,16 +19,15 @@ root next to ``BENCH_core.json``:
   cumulative write-path time, from the store's own counters.
 
 The JSON keeps one section per mode (``quick``/``full``) and merges on
-write.  ``--check`` gates jobs/sec and store writes/sec against the
-committed section with a generous 3x factor: these are wall-clock
-numbers from a shared CI box, so the gate is a tripwire for collapses
-(an accidental fsync-per-event, a serialized bridge), not a perf
-tracker.
+write.  ``--check`` evaluates :data:`SERVICE`'s gate rows through the
+shared :mod:`repro.bench` harness, with a generous 3x factor: these are
+wall-clock numbers from a shared CI box, so the gate is a tripwire for
+collapses (an accidental fsync-per-event, a serialized bridge), not a
+perf tracker.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -36,11 +35,12 @@ import random
 import socket
 import sys
 import tempfile
-import threading
 import time
-from pathlib import Path
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Any
 
+from repro.bench import Gate, Harness, bench_parser, finish
 from repro.service.api import ServiceState
 from repro.service.event_store import EventStore
 from repro.service.models import ServiceConfig, canonical_json
@@ -57,13 +57,6 @@ REGRESSION_FACTOR = 3.0
 #: the benchmark measures the service machinery, not the simulated
 #: cluster's capacity.
 TIME_SCALE = 50.0
-
-
-def default_output() -> Path:
-    root = Path(__file__).resolve().parents[3]
-    if (root / "benchmarks").is_dir():
-        return root / "BENCH_service.json"
-    return Path.cwd() / "BENCH_service.json"
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -93,9 +86,11 @@ def _job_line(
     )
 
 
-def _stream_lines(host: str, port: int, lines: list[str]) -> list[str]:
-    """One closed-loop client: send a line, await the ack, repeat."""
-    run_ids: list[str] = []
+def _exchange(
+    host: str, port: int, lines: list[str], gap_s: float = 0.0
+) -> list[dict[str, Any]]:
+    """One client: send a line, await its ok response, sleep ``gap_s``, repeat."""
+    responses: list[dict[str, Any]] = []
     with socket.create_connection((host, port)) as sock:
         handle = sock.makefile("rw", encoding="utf-8", newline="\n")
         for line in lines:
@@ -103,22 +98,16 @@ def _stream_lines(host: str, port: int, lines: list[str]) -> list[str]:
             handle.flush()
             response = json.loads(handle.readline())
             if not response.get("ok"):
-                raise RuntimeError(f"submission rejected: {response}")
-            run_ids.append(response["run_id"])
+                raise RuntimeError(f"request failed: {response}")
+            responses.append(response)
+            if gap_s:
+                time.sleep(gap_s)
         handle.close()
-    return run_ids
+    return responses
 
 
 def _request(host: str, port: int, payload: dict[str, Any]) -> dict[str, Any]:
-    with socket.create_connection((host, port)) as sock:
-        handle = sock.makefile("rw", encoding="utf-8", newline="\n")
-        handle.write(canonical_json(payload) + "\n")
-        handle.flush()
-        response: dict[str, Any] = json.loads(handle.readline())
-        handle.close()
-    if not response.get("ok"):
-        raise RuntimeError(f"request failed: {response}")
-    return response
+    return _exchange(host, port, [canonical_json(payload) + "\n"])[0]
 
 
 def run_bench(quick: bool = False) -> dict[str, Any]:
@@ -142,29 +131,10 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
                 per_client[i % clients].append(
                     _job_line(rng, policies[i % len(policies)], n_workers)
                 )
-            results: list[list[str]] = [[] for _ in range(clients)]
-            errors: list[BaseException] = []
-
-            def client(index: int) -> None:
-                try:
-                    results[index] = _stream_lines(
-                        host, port, per_client[index]
-                    )
-                except BaseException as exc:  # surfaced after join
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(i,), daemon=True)
-                for i in range(clients)
-            ]
             start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise RuntimeError(f"flood client failed: {errors[0]}")
-            run_ids = sorted({rid for chunk in results for rid in chunk})
+            with ThreadPoolExecutor(clients) as pool:
+                chunks = pool.map(partial(_exchange, host, port), per_client)
+                run_ids = sorted({r["run_id"] for chunk in chunks for r in chunk})
             for run_id in run_ids:
                 _request(
                     host, port, {"op": "drain", "run_id": run_id, "timeout": 120}
@@ -178,23 +148,13 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
                 for rid in run_ids
             )
             # -- paced: open-loop latency measurement --
-            paced_policy = policies[0]
-            paced_run_id = ""
-            with socket.create_connection((host, port)) as sock:
-                handle = sock.makefile("rw", encoding="utf-8", newline="\n")
-                for _ in range(n_paced):
-                    # seed=1 gives the paced phase its own run id, so the
-                    # latency log is not diluted by flood submissions.
-                    handle.write(
-                        _job_line(rng, paced_policy, n_workers, seed=1)
-                    )
-                    handle.flush()
-                    response = json.loads(handle.readline())
-                    if not response.get("ok"):
-                        raise RuntimeError(f"paced reject: {response}")
-                    paced_run_id = response["run_id"]
-                    time.sleep(gap_s)
-                handle.close()
+            # seed=1 gives the paced phase its own run id, so the latency
+            # log is not diluted by flood submissions.
+            paced = [
+                _job_line(rng, policies[0], n_workers, seed=1)
+                for _ in range(n_paced)
+            ]
+            paced_run_id = _exchange(host, port, paced, gap_s)[-1]["run_id"]
             _request(
                 host, port,
                 {"op": "drain", "run_id": paced_run_id, "timeout": 120},
@@ -241,108 +201,32 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
     }
 
 
-def merge_into(path: Path, section: str, payload: dict[str, Any]) -> dict[str, Any]:
-    """Update one mode section of the JSON file, preserving the rest."""
-    data: dict[str, Any] = {}
-    if path.is_file():
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            data = {}
-    data.setdefault("schema", 1)
-    data.setdefault(
-        "workload",
+#: ``BENCH_service.json`` and its ``--check`` gate table.
+_GATES = (
+    Gate("jobs/sec", "flood.jobs_per_sec", "floor"),
+    Gate("store writes/sec", "event_store.writes_per_sec", "floor"),
+    Gate("replay match (live result == cold replay)", "replay_match", "true"),
+)
+SERVICE = Harness(
+    filename="BENCH_service.json",
+    workload=(
         "in-process service: NDJSON flood (hawk + sparrow) and a paced "
-        "latency phase",
-    )
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return data
-
-
-def check_regression(
-    baseline_path: Path, section: str, fresh: dict[str, Any]
-) -> list[str]:
-    """Compare a fresh run to the committed baseline; return failures."""
-    if not baseline_path.is_file():
-        return [f"no baseline file at {baseline_path}"]
-    baseline = json.loads(baseline_path.read_text()).get(section)
-    if not baseline:
-        return [f"baseline {baseline_path} has no '{section}' section"]
-    failures = []
-    for label, path in (
-        ("jobs/sec", ("flood", "jobs_per_sec")),
-        ("store writes/sec", ("event_store", "writes_per_sec")),
-    ):
-        committed = float(baseline[path[0]][path[1]])
-        measured = float(fresh[path[0]][path[1]])
-        floor = committed / REGRESSION_FACTOR
-        if measured < floor:
-            failures.append(
-                f"{label} regression: measured {measured} < floor "
-                f"{floor:.0f} (committed {committed} / {REGRESSION_FACTOR})"
-            )
-    if not fresh.get("replay_match", False):
-        failures.append("replay-check mismatch: live result != cold replay")
-    return failures
+        "latency phase"
+    ),
+    factor=REGRESSION_FACTOR,
+    gates={"quick": _GATES, "full": _GATES},
+)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.bench",
-        description="Measure scheduler-service throughput and latency.",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small job counts (CI smoke); default is the full load",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            "JSON file to merge results into "
-            "(default: repo-root BENCH_service.json)"
-        ),
-    )
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print results without touching the output file",
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        nargs="?",
-        const=None,
-        default=False,
-        metavar="BASELINE",
-        help=(
-            "fail (exit 1) on a >3x throughput regression vs the committed "
-            "baseline JSON (default: the output file itself)"
-        ),
+    parser = bench_parser(
+        SERVICE,
+        "python -m repro.service.bench",
+        "Measure scheduler-service throughput and latency.",
     )
     args = parser.parse_args(argv)
-    output = args.output or default_output()
     section = "quick" if args.quick else "full"
-    payload = run_bench(quick=args.quick)
-    print(json.dumps({section: payload}, indent=2, sort_keys=True))
-    if args.check is not False:
-        baseline = args.check or output
-        failures = check_regression(baseline, section, payload)
-        if failures:
-            for failure in failures:
-                print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"perf check ok: {payload['flood']['jobs_per_sec']} jobs/sec "
-            f"(baseline {baseline})"
-        )
-    if not args.no_write:
-        merge_into(output, section, payload)
-        print(f"wrote {output}")
-    return 0
+    return finish(SERVICE, args, section, run_bench(quick=args.quick))
 
 
 if __name__ == "__main__":

@@ -410,17 +410,6 @@ class ReproService:
             return {"ok": False, "error": f"bad request: {exc}"}
 
 
-async def serve(
-    service: ReproService, stop: "asyncio.Event | None" = None
-) -> None:
-    """Start the listeners and serve until ``stop`` is set."""
-    await service.start()
-    if stop is None:  # pragma: no cover - __main__ path installs one
-        stop = asyncio.Event()
-    await stop.wait()
-    await service.stop()
-
-
 class ServiceThread:
     """A whole service on a background event loop (tests, benchmarks).
 

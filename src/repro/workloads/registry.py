@@ -213,10 +213,6 @@ def clear_materialized() -> None:
     _MATERIALIZED.clear()
 
 
-def materialized_count() -> int:
-    return len(_MATERIALIZED)
-
-
 @dataclass(frozen=True, slots=True)
 class WorkloadSpec:
     """First-class trace identity: registered name + frozen params.
