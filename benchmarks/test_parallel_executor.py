@@ -20,7 +20,7 @@ import time
 
 from repro.experiments import fig05_google
 from repro.experiments.parallel import DiskCache, SweepExecutor, set_executor
-from repro.experiments.traces import google_workload
+from repro.workloads.registry import quick_spec
 
 TARGETS = (1.0, 0.5)
 
@@ -37,7 +37,7 @@ def _timed_run(executor):
 
 
 def test_warm_cache_beats_cold_serial(tmp_path):
-    google_workload("quick").trace(0)  # trace generation excluded from all timings
+    quick_spec("google").trace(0)  # trace generation excluded from all timings
     cache_dir = tmp_path / "runcache"
 
     cold_result, cold_s = _timed_run(

@@ -12,7 +12,7 @@ Run:  python examples/capacity_planning.py
 """
 
 from repro import JobClass, google_like_trace, percentile
-from repro.experiments import RunSpec, run_cached
+from repro.experiments import RunSpec, get_executor
 from repro.workloads import GOOGLE_CUTOFF_S
 from repro.workloads.google import GoogleTraceConfig
 
@@ -26,7 +26,7 @@ def p90_short(scheduler: str, n_workers: int, trace) -> float:
         n_workers=n_workers,
         cutoff=GOOGLE_CUTOFF_S,
     )
-    result = run_cached(spec, trace)
+    result = get_executor().run_one(spec, trace)
     return percentile(result.runtimes(JobClass.SHORT), 90)
 
 

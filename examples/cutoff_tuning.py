@@ -11,7 +11,7 @@ Run:  python examples/cutoff_tuning.py
 """
 
 from repro import JobClass, google_like_trace
-from repro.experiments import RunSpec, run_cached
+from repro.experiments import RunSpec, get_executor
 from repro.metrics.comparison import normalized_percentile
 from repro.workloads.google import (
     GOOGLE_SHORT_PARTITION_FRACTION,
@@ -30,8 +30,9 @@ def main() -> None:
         f"{'long p50':>9s} {'long p90':>9s}"
     )
     print(header)
+    run_one = get_executor().run_one
     for cutoff in CUTOFFS:
-        hawk = run_cached(
+        hawk = run_one(
             RunSpec(
                 scheduler="hawk",
                 n_workers=n_workers,
@@ -40,7 +41,7 @@ def main() -> None:
             ),
             trace,
         )
-        sparrow = run_cached(
+        sparrow = run_one(
             RunSpec(scheduler="sparrow", n_workers=n_workers, cutoff=cutoff),
             trace,
         )

@@ -12,14 +12,9 @@ Run:  python examples/workload_explorer.py [output_dir]
 import sys
 from pathlib import Path
 
-from repro.experiments.traces import (
-    ALL_WORKLOAD_SPECS,
-    google_cutoff,
-    google_workload,
-    kmeans_workload,
-)
+from repro.experiments.tables import PAPER_WORKLOADS
 from repro.metrics import percentile
-from repro.workloads import read_trace, workload_summary, write_trace
+from repro.workloads import at_scale, read_trace, workload_summary, write_trace
 
 
 def describe(trace, cutoff: float) -> None:
@@ -49,13 +44,9 @@ def main() -> None:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("traces-out")
     out_dir.mkdir(exist_ok=True)
 
-    workloads = [(google_workload("quick").trace(0), google_cutoff())]
-    workloads += [
-        (kmeans_workload(spec, "quick").trace(0), spec.cutoff)
-        for spec in ALL_WORKLOAD_SPECS
-    ]
-    for trace, cutoff in workloads:
-        describe(trace, cutoff)
+    for workload in (at_scale(name, "quick") for name in PAPER_WORKLOADS):
+        trace = workload.trace(0)
+        describe(trace, workload.cutoff)
         path = out_dir / f"{trace.name}.tsv.gz"
         write_trace(trace, path)
         reread = read_trace(path)

@@ -62,10 +62,9 @@ from repro.cluster.job import JobClass
 from repro.cluster.records import JobRecord, RunResult, UtilizationSample
 from repro.core.errors import ReproError
 from repro.experiments.config import RunSpec, build_engine, high_load_size
-from repro.experiments.traces import google_workload
 from repro.metrics import compare_runs
 from repro.workloads.motivation import MotivationConfig
-from repro.workloads.registry import WorkloadSpec
+from repro.workloads.registry import WorkloadSpec, at_scale
 from repro.workloads.spec import Trace
 
 T = TypeVar("T")
@@ -269,19 +268,8 @@ def finish(
 
 
 # -- the core workload ----------------------------------------------------
-def _specs(workload: WorkloadSpec, n_workers: int) -> dict[str, RunSpec]:
-    """Hawk and Sparrow at ``n_workers`` with ``workload``'s cutoff and partition."""
-    return {
-        name: RunSpec(
-            scheduler=name,
-            n_workers=n_workers,
-            cutoff=workload.cutoff,
-            short_partition_fraction=(
-                workload.short_partition_fraction if name == "hawk" else 0.0
-            ),
-        )
-        for name in ("hawk", "sparrow")
-    }
+#: The two policies the engine benches compare.
+POLICIES = ("hawk", "sparrow")
 
 
 def _engine_point(
@@ -304,7 +292,7 @@ def _engine_point(
 
 def bench_events(scale: str, repeats: int = 3) -> dict:
     """Events/sec of the canonical mixed workload, best-of-``repeats``."""
-    workload = google_workload(scale)
+    workload = at_scale("google", scale)
     trace = workload.trace(0)
     out: dict = {
         "trace": {
@@ -316,7 +304,8 @@ def bench_events(scale: str, repeats: int = 3) -> dict:
     }
     total_events = 0
     total_best = 0.0
-    for name, spec in _specs(workload, high_load_size(trace)).items():
+    for name in POLICIES:
+        spec = RunSpec.for_workload(workload, name, high_load_size(trace))
         best, entry = _engine_point(spec, trace, repeats)
         out["policies"][name] = {"n_workers": spec.n_workers, **entry}
         total_events += entry["events"]
@@ -341,7 +330,7 @@ def bench_stealing(scale: str, repeats: int = 3) -> dict:
     workload = WorkloadSpec("motivation", {"scale": motivation_scale})
     trace = workload.trace(0)
     n_workers = MotivationConfig().scaled(motivation_scale).n_servers
-    spec = _specs(workload, n_workers)["hawk"]
+    spec = RunSpec.for_workload(workload, "hawk", n_workers)
     _, entry = _engine_point(spec, trace, repeats, counters=True)
     return {
         "workload": {
@@ -366,7 +355,8 @@ def bench_steal_rounds(n_workers: int = 10_000, rounds: int = 200_000) -> dict:
     that the mixed-workload numbers dilute with engine work.  Cheap
     enough for CI quick mode (no trace is simulated).
     """
-    engine = build_engine(_specs(google_workload(), n_workers)["hawk"])
+    spec = RunSpec.for_workload(WorkloadSpec("google"), "hawk", n_workers)
+    engine = build_engine(spec)
     policy = engine.stealing
     cluster = engine.cluster
     # A nonzero tally is the round's entry condition; leaving every flag
@@ -489,7 +479,8 @@ def bench_scale(repeats: int = 3) -> dict:
         "policies": {},
     }
     total_best = 0.0
-    for name, spec in _specs(workload, 10_000).items():
+    for name in POLICIES:
+        spec = RunSpec.for_workload(workload, name, 10_000)
         best, out["policies"][name] = _engine_point(
             spec, trace, repeats, counters=True
         )
@@ -507,7 +498,7 @@ def bench_sweep(scale: str) -> dict:
     from repro.experiments.parallel import DiskCache, SweepExecutor, set_executor
 
     targets = (1.0, 0.5)
-    google_workload(scale).trace(0)  # exclude trace generation from both timings
+    at_scale("google", scale).trace(0)  # exclude trace generation from both timings
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         timings = {}
         for label in ("cold", "warm"):

@@ -22,9 +22,9 @@ per message.  The probe request/response round trip is likewise fused into
 a single event at ``now + 2 * delay`` on the constant-delay path; the
 frontend's task hand-out order is preserved because every request leg
 shifts by the same constant.  Setting :attr:`ClusterEngine.transport_batching`
-to ``False`` (or using a jittered network model) restores per-message
-events — runs must be bit-identical either way, and the test suite holds
-the engine to that.
+to ``False`` (or injecting message faults) restores per-message events —
+runs must be bit-identical either way, and the test suite holds the
+engine to that.
 
 Lifecycle events
 ----------------
@@ -137,8 +137,8 @@ class ClusterEngine:
     """Couples a :class:`Simulation`, a :class:`Cluster` and a policy."""
 
     #: Ship same-timestamp message groups as one heap event (see module
-    #: docstring).  Only effective with a zero-jitter network model; tests
-    #: flip it off to check batched and unbatched runs agree bit-for-bit.
+    #: docstring).  Tests flip it off to check batched and unbatched runs
+    #: agree bit-for-bit.
     transport_batching = True
 
     def __init__(
@@ -157,7 +157,7 @@ class ClusterEngine:
         self.estimate = resolve_estimate(estimate, config.seed)
         self.sim = Simulation()
         self.network = NetworkModel(config.network_delay)
-        self._batch = self.transport_batching and self.network.jitter == 0.0
+        self._batch = self.transport_batching
         self._busy = 0
         self._jobs_total = 0
         self._jobs_done = 0
@@ -188,10 +188,8 @@ class ClusterEngine:
         return self._done
 
     def _refresh_batching(self) -> None:
-        self._batch = (
-            self.transport_batching
-            and self.network.jitter == 0.0
-            and (self._faults is None or not self._faults.messages_active)
+        self._batch = self.transport_batching and (
+            self._faults is None or not self._faults.messages_active
         )
 
     # ------------------------------------------------------------------

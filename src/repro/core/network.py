@@ -2,13 +2,10 @@
 
 Section 4.1 of the paper: "Network delay is assumed to be 0.5ms.  The
 scheduling decisions and the task stealing do not incur additional costs."
-The model is therefore a constant one-way message latency, with an optional
-jitter knob used only by the prototype-fidelity experiments.
+The model is therefore a constant one-way message latency.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.errors import ConfigurationError
 
@@ -17,49 +14,16 @@ DEFAULT_NETWORK_DELAY_S = 0.0005
 
 
 class NetworkModel:
-    """Produces one-way message latencies.
+    """Produces one-way message latencies: a constant ``delay`` in seconds."""
 
-    Parameters
-    ----------
-    delay:
-        Mean one-way latency in seconds.
-    jitter:
-        Fractional uniform jitter; a value of 0.2 draws latencies uniformly
-        from ``[0.8 * delay, 1.2 * delay]``.  The paper's simulator uses no
-        jitter; the prototype-vs-simulation experiments enable it to model
-        real message-timing noise.
-    rng:
-        Generator used when ``jitter > 0``.
-    """
-
-    def __init__(
-        self,
-        delay: float = DEFAULT_NETWORK_DELAY_S,
-        jitter: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, delay: float = DEFAULT_NETWORK_DELAY_S) -> None:
         if delay < 0:
             raise ConfigurationError(f"network delay must be >= 0, got {delay}")
-        if not 0.0 <= jitter < 1.0:
-            raise ConfigurationError(f"jitter must be in [0, 1), got {jitter}")
-        if jitter > 0.0 and rng is None:
-            raise ConfigurationError("jitter requires an rng")
         self.delay = float(delay)
-        self.jitter = float(jitter)
-        self._rng = rng
 
     def sample(self) -> float:
         """One-way latency for a single message, in seconds."""
-        if self.jitter == 0.0:
-            return self.delay
-        assert self._rng is not None
-        lo = self.delay * (1.0 - self.jitter)
-        hi = self.delay * (1.0 + self.jitter)
-        return float(self._rng.uniform(lo, hi))
-
-    def round_trip(self) -> float:
-        """Latency of a request/response pair."""
-        return self.sample() + self.sample()
+        return self.delay
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NetworkModel(delay={self.delay}, jitter={self.jitter})"
+        return f"NetworkModel(delay={self.delay})"

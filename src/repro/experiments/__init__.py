@@ -26,12 +26,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.report import FigureResult, ascii_cdf, ascii_table
 from repro.experiments.result_index import ResultIndex
-from repro.experiments.runner import (
-    clear_cache,
-    run_cached,
-    run_replicated,
-    run_stream,
-)
 from repro.experiments.sweeps import (
     ReplicatedPoint,
     SweepJob,
@@ -56,14 +50,10 @@ __all__ = [
     "ascii_table",
     "build_engine",
     "cache_key",
-    "clear_cache",
     "execute",
     "get_executor",
     "multi_sweep",
     "replica_pairs",
-    "run_cached",
-    "run_replicated",
-    "run_stream",
     "set_executor",
     "sweep",
     "sweep_sizes",

@@ -5,7 +5,9 @@ Construction is registry-driven (:mod:`repro.schedulers.registry`):
 schema-validated ``params`` mapping; :func:`build_engine` is a pure
 registry lookup.  Adding a scheduler therefore never touches this
 module — register it and every sweep, figure driver and cache key
-accepts it.
+accepts it.  Drivers build their specs with :meth:`RunSpec.for_workload`,
+which reads the cutoff and partition sizing off the workload registry
+entry, so no driver restates them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
 from repro.schedulers import registry
 from repro.schedulers.registry import FrozenParams
+from repro.workloads.registry import WorkloadSpec
 from repro.workloads.replication import replica_seeds
 from repro.workloads.spec import Trace
 
@@ -86,6 +89,26 @@ class RunSpec:
                 "run-cache key, and leaving it at the default would let "
                 "different estimators silently share cached results"
             )
+
+    @classmethod
+    def for_workload(
+        cls,
+        workload: WorkloadSpec,
+        scheduler: str,
+        n_workers: int = 1,
+        seed: int = 0,
+        **changes,
+    ) -> "RunSpec":
+        """``scheduler`` on ``workload``: the workload's cutoff, and its
+        short-partition sizing for policies registered ``uses_partition``
+        (the others keep the field's default, which their engines ignore).
+        ``changes`` override any field, ``cutoff`` included.
+        """
+        fields = {"cutoff": workload.cutoff}
+        if registry.policy_entry(scheduler).uses_partition:
+            fields["short_partition_fraction"] = workload.short_partition_fraction
+        fields.update(changes)
+        return cls(scheduler, n_workers, seed=seed, **fields)
 
     def param(self, name: str):
         """One validated param value (defaults filled in)."""

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from repro.cluster.job import JobClass
 from repro.experiments.config import RunSpec
+from repro.experiments.parallel import get_executor
 from repro.experiments.report import FigureResult, ascii_cdf
-from repro.experiments.runner import run_cached
 from repro.metrics.percentiles import percentile
 from repro.workloads.motivation import MotivationConfig
 from repro.workloads.registry import WorkloadSpec
@@ -25,14 +25,9 @@ def run(scale: float = DEFAULT_SCALE, seed: int = 0) -> FigureResult:
     # The trace comes through the registry; the config is still needed
     # locally for the scenario's recommended server count.
     config = MotivationConfig().scaled(scale)
-    trace = WorkloadSpec("motivation", {"scale": scale}).trace(seed)
-    spec = RunSpec(
-        scheduler="sparrow",
-        n_workers=config.n_servers,
-        cutoff=config.cutoff,
-        seed=seed,
-    )
-    res = run_cached(spec, trace)
+    workload = WorkloadSpec("motivation", {"scale": scale})
+    spec = RunSpec.for_workload(workload, "sparrow", config.n_servers, seed)
+    res = get_executor().run_one(spec, workload.trace(seed))
     short_runtimes = res.runtimes(JobClass.SHORT)
 
     result = FigureResult(

@@ -9,20 +9,15 @@ per workload/class.
 from __future__ import annotations
 
 from repro.experiments.report import FigureResult
-from repro.experiments.traces import (
-    ALL_WORKLOAD_SPECS,
-    google_workload,
-    kmeans_workload,
-)
+from repro.experiments.tables import PAPER_WORKLOADS
 from repro.metrics.percentiles import percentile
+from repro.workloads.registry import at_scale
 
 _PERCENTILES = (10, 25, 50, 75, 90, 99)
 
 
 def _traces(scale: str, seed: int):
-    for workload in (google_workload(scale),) + tuple(
-        kmeans_workload(spec, scale) for spec in ALL_WORKLOAD_SPECS
-    ):
+    for workload in (at_scale(name, scale) for name in PAPER_WORKLOADS):
         yield workload.trace(seed), workload.cutoff
 
 

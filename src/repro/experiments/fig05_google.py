@@ -16,8 +16,8 @@ from repro.experiments.config import (
     sweep_sizes,
 )
 from repro.experiments.report import FigureResult
-from repro.experiments.sweeps import extra_metrics, sweep
-from repro.experiments.traces import google_workload
+from repro.experiments.sweeps import POINT_METRICS, extra_metrics, sweep
+from repro.workloads.registry import at_scale
 
 
 def run(
@@ -26,18 +26,10 @@ def run(
     utilization_targets=GOOGLE_UTILIZATION_TARGETS,
     n_seeds: int = 1,
 ) -> FigureResult:
-    workload = google_workload(scale)
-    trace = workload.trace(seed)
-    cutoff = workload.cutoff
-    sizes = sweep_sizes(trace, utilization_targets)
-    hawk = RunSpec(
-        scheduler="hawk",
-        n_workers=1,
-        cutoff=cutoff,
-        short_partition_fraction=workload.short_partition_fraction,
-        seed=seed,
-    )
-    sparrow = RunSpec(scheduler="sparrow", n_workers=1, cutoff=cutoff, seed=seed)
+    workload = at_scale("google", scale)
+    sizes = sweep_sizes(workload.trace(seed), utilization_targets)
+    hawk = RunSpec.for_workload(workload, "hawk", seed=seed)
+    sparrow = RunSpec.for_workload(workload, "sparrow", seed=seed)
     points = sweep(workload, sizes, hawk, sparrow, n_seeds=n_seeds)
 
     result = FigureResult(
@@ -61,11 +53,7 @@ def run(
         frac_l, avg_l = extra_metrics(point, JobClass.LONG)
         result.add_row(
             point.n_workers,
-            point.cell("baseline_median_utilization"),
-            point.cell("short_p50_ratio"),
-            point.cell("short_p90_ratio"),
-            point.cell("long_p50_ratio"),
-            point.cell("long_p90_ratio"),
+            *point.cells(*POINT_METRICS),
             frac_s,
             avg_s,
             frac_l,

@@ -20,8 +20,7 @@ from __future__ import annotations
 from repro.cluster.job import JobClass
 from repro.experiments.config import RunSpec
 from repro.experiments.report import FigureResult
-from repro.experiments.sweeps import extra_metrics, sweep
-from repro.experiments.traces import google_scale100k_workload, google_scale_workload
+from repro.experiments.sweeps import POINT_METRICS, extra_metrics, sweep
 from repro.workloads.registry import WorkloadSpec
 
 #: The headline cluster size (the paper's sweeps stop near 5k).
@@ -40,16 +39,8 @@ def _run_scale_point(
     n_seeds: int,
 ) -> FigureResult:
     trace = workload.trace(seed)
-    hawk = RunSpec(
-        scheduler="hawk",
-        n_workers=1,
-        cutoff=workload.cutoff,
-        short_partition_fraction=workload.short_partition_fraction,
-        seed=seed,
-    )
-    sparrow = RunSpec(
-        scheduler="sparrow", n_workers=1, cutoff=workload.cutoff, seed=seed
-    )
+    hawk = RunSpec.for_workload(workload, "hawk", seed=seed)
+    sparrow = RunSpec.for_workload(workload, "sparrow", seed=seed)
     points = sweep(workload, sizes, hawk, sparrow, n_seeds=n_seeds)
 
     result = FigureResult(
@@ -73,11 +64,7 @@ def _run_scale_point(
         result.add_row(
             point.n_workers,
             offered / point.n_workers,
-            point.cell("baseline_median_utilization"),
-            point.cell("short_p50_ratio"),
-            point.cell("short_p90_ratio"),
-            point.cell("long_p50_ratio"),
-            point.cell("long_p90_ratio"),
+            *point.cells(*POINT_METRICS),
             frac_s,
             avg_s,
         )
@@ -95,7 +82,7 @@ def run(
     n_seeds: int = 1,
 ) -> FigureResult:
     return _run_scale_point(
-        google_scale_workload(),
+        WorkloadSpec("google-scale10k"),
         "Figure 5 (scale)",
         "Hawk normalized to Sparrow at 10k workers (dense Google trace)",
         seed,
@@ -110,7 +97,7 @@ def run_100k(
     n_seeds: int = 1,
 ) -> FigureResult:
     return _run_scale_point(
-        google_scale100k_workload(),
+        WorkloadSpec("google-scale100k"),
         "Figure 5 (100k scale)",
         "Hawk normalized to Sparrow at 100k workers (dense Google trace)",
         seed,

@@ -11,7 +11,8 @@ from __future__ import annotations
 from repro.experiments.config import GOOGLE_UTILIZATION_TARGETS, RunSpec, sweep_sizes
 from repro.experiments.report import FigureResult
 from repro.experiments.sweeps import SweepJob, multi_sweep
-from repro.experiments.traces import ALL_WORKLOAD_SPECS, kmeans_workload
+from repro.workloads.kmeans import ALL_KMEANS_WORKLOADS
+from repro.workloads.registry import at_scale
 
 
 def run(
@@ -36,31 +37,28 @@ def run(
     # All three workloads chain into ONE executor stream: no per-workload
     # batch barrier, so Yahoo's runs start while Cloudera's slowest point
     # is still in flight.
-    workloads = [kmeans_workload(spec, scale) for spec in ALL_WORKLOAD_SPECS]
-    jobs = []
-    for workload in workloads:
-        sizes = sweep_sizes(workload.trace(seed), utilization_targets)
-        hawk = RunSpec(
-            scheduler="hawk",
-            n_workers=1,
-            cutoff=workload.cutoff,
-            short_partition_fraction=workload.short_partition_fraction,
-            seed=seed,
+    workloads = [at_scale(spec.name, scale) for spec in ALL_KMEANS_WORKLOADS]
+    jobs = [
+        SweepJob(
+            workload,
+            sweep_sizes(workload.trace(seed), utilization_targets),
+            RunSpec.for_workload(workload, "hawk", seed=seed),
+            RunSpec.for_workload(workload, "sparrow", seed=seed),
         )
-        sparrow = RunSpec(
-            scheduler="sparrow", n_workers=1, cutoff=workload.cutoff, seed=seed
-        )
-        jobs.append(SweepJob(workload, tuple(sizes), hawk, sparrow))
+        for workload in workloads
+    ]
     for workload, points in zip(workloads, multi_sweep(jobs, n_seeds=n_seeds)):
         for point in points:
             result.add_row(
                 workload.name,
                 point.n_workers,
-                point.cell("baseline_median_utilization"),
-                point.cell("short_p90_ratio"),
-                point.cell("long_p90_ratio"),
-                point.cell("short_p50_ratio"),
-                point.cell("long_p50_ratio"),
+                *point.cells(
+                    "baseline_median_utilization",
+                    "short_p90_ratio",
+                    "long_p90_ratio",
+                    "short_p50_ratio",
+                    "long_p50_ratio",
+                ),
             )
     result.add_note(
         "the paper plots p90 only (its Figure 6); p50 columns correspond "

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
 from repro.experiments.report import FigureResult
-from repro.experiments.sweeps import SweepJob, multi_sweep
-from repro.experiments.traces import google_workload
+from repro.experiments.sweeps import RATIO_METRICS, SweepJob, multi_sweep
 from repro.schedulers import registry
+from repro.workloads.registry import at_scale
 
 
 def run(
@@ -27,15 +27,9 @@ def run(
     # at run time: any policy registered with ``ablation_of="hawk"`` —
     # including one registered outside this package — joins the figure.
     variants = registry.ablations_of("hawk")
-    workload = google_workload(scale)
+    workload = at_scale("google", scale)
     n = high_load_size(workload.trace(seed), load_target)
-    hawk = RunSpec(
-        scheduler="hawk",
-        n_workers=n,
-        cutoff=workload.cutoff,
-        short_partition_fraction=workload.short_partition_fraction,
-        seed=seed,
-    )
+    hawk = RunSpec.for_workload(workload, "hawk", n, seed)
     # Each variant normalizes to full Hawk within every replica (matched
     # seeds and trace draw); the shared full-Hawk runs execute once.
     jobs = [SweepJob(workload, (n,), hawk.with_(scheduler=v), hawk) for v in variants]
@@ -46,13 +40,7 @@ def run(
         headers=("variant", "short p50", "short p90", "long p50", "long p90"),
     )
     for variant, (point,) in zip(variants, multi_sweep(jobs, n_seeds=n_seeds)):
-        result.add_row(
-            variant,
-            point.cell("short_p50_ratio"),
-            point.cell("short_p90_ratio"),
-            point.cell("long_p50_ratio"),
-            point.cell("long_p90_ratio"),
-        )
+        result.add_row(variant, *point.cells(*RATIO_METRICS))
     result.add_note("values > 1: removing the mechanism hurts that class")
     result.add_replica_note(n_seeds, cells="cells")
     return result

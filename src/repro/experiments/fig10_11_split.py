@@ -16,8 +16,8 @@ from repro.experiments.config import (
     sweep_sizes,
 )
 from repro.experiments.report import FigureResult
-from repro.experiments.sweeps import sweep
-from repro.experiments.traces import google_workload
+from repro.experiments.sweeps import POINT_METRICS, sweep
+from repro.workloads.registry import at_scale
 
 
 def run(
@@ -26,23 +26,10 @@ def run(
     utilization_targets=GOOGLE_UTILIZATION_TARGETS,
     n_seeds: int = 1,
 ) -> FigureResult:
-    workload = google_workload(scale)
-    cutoff = workload.cutoff
+    workload = at_scale("google", scale)
     sizes = sweep_sizes(workload.trace(seed), utilization_targets)
-    hawk = RunSpec(
-        scheduler="hawk",
-        n_workers=1,
-        cutoff=cutoff,
-        short_partition_fraction=workload.short_partition_fraction,
-        seed=seed,
-    )
-    split = RunSpec(
-        scheduler="split",
-        n_workers=1,
-        cutoff=cutoff,
-        short_partition_fraction=workload.short_partition_fraction,
-        seed=seed,
-    )
+    hawk = RunSpec.for_workload(workload, "hawk", seed=seed)
+    split = RunSpec.for_workload(workload, "split", seed=seed)
     result = FigureResult(
         figure_id="Figures 10-11",
         title="Hawk normalized to split cluster (Google trace)",
@@ -57,14 +44,7 @@ def run(
     )
     points = sweep(workload, sizes, hawk, split, n_seeds=n_seeds)
     for point in points:
-        result.add_row(
-            point.n_workers,
-            point.cell("baseline_median_utilization"),
-            point.cell("short_p50_ratio"),
-            point.cell("short_p90_ratio"),
-            point.cell("long_p50_ratio"),
-            point.cell("long_p90_ratio"),
-        )
+        result.add_row(point.n_workers, *point.cells(*POINT_METRICS))
     result.add_note(
         "Figure 10 = short columns (Hawk far better in the mid-range), "
         "Figure 11 = long columns (split slightly better)"

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
 from repro.experiments.report import FigureResult
-from repro.experiments.sweeps import SweepJob, multi_sweep
-from repro.experiments.traces import google_workload
+from repro.experiments.sweeps import LONG_FIRST, SweepJob, multi_sweep
 from repro.metrics.stats import mean
+from repro.workloads.registry import at_scale
 
 #: The paper's x-axis (seconds); 1129 is Hawk's default Google cutoff.
 PAPER_CUTOFFS = (750.0, 1000.0, 1129.0, 1300.0, 1500.0, 2000.0)
@@ -25,7 +25,7 @@ def run(
     load_target: float = HIGH_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
-    workload = google_workload(scale)
+    workload = at_scale("google", scale)
     n = high_load_size(workload.trace(seed), load_target)
     result = FigureResult(
         figure_id="Figures 12-13",
@@ -43,14 +43,8 @@ def run(
         SweepJob(
             workload,
             (n,),
-            RunSpec(
-                scheduler="hawk",
-                n_workers=n,
-                cutoff=cutoff,
-                short_partition_fraction=workload.short_partition_fraction,
-                seed=seed,
-            ),
-            RunSpec(scheduler="sparrow", n_workers=n, cutoff=cutoff, seed=seed),
+            RunSpec.for_workload(workload, "hawk", n, seed, cutoff=cutoff),
+            RunSpec.for_workload(workload, "sparrow", n, seed, cutoff=cutoff),
         )
         for cutoff in cutoffs
     ]
@@ -59,14 +53,7 @@ def run(
         long_fraction = mean(
             [sum(1 for j in t if j.is_long(cutoff)) / len(t) for t in traces]
         )
-        result.add_row(
-            cutoff,
-            100.0 * long_fraction,
-            point.cell("long_p50_ratio"),
-            point.cell("long_p90_ratio"),
-            point.cell("short_p50_ratio"),
-            point.cell("short_p90_ratio"),
-        )
+        result.add_row(cutoff, 100.0 * long_fraction, *point.cells(*LONG_FIRST))
     result.add_note(
         "Figure 12 = long columns, Figure 13 = short columns; Hawk should "
         "keep its benefits across the whole cutoff range"

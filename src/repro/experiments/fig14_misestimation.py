@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
 from repro.experiments.report import FigureResult
-from repro.experiments.sweeps import SweepJob, multi_sweep
-from repro.experiments.traces import google_workload
+from repro.experiments.sweeps import LONG_FIRST, SweepJob, multi_sweep
 from repro.schedulers.estimator import UniformMisestimation
+from repro.workloads.registry import at_scale
 
 #: The paper's mis-estimation magnitude ranges.
 PAPER_RANGES = (
@@ -49,18 +49,16 @@ def run(
     n_seeds: int = DEFAULT_N_SEEDS,
     load_target: float = HIGH_LOAD_TARGET,
 ) -> FigureResult:
-    workload = google_workload(scale)
+    workload = at_scale("google", scale)
     trace = workload.trace(seed)
-    cutoff = workload.cutoff
     n = high_load_size(trace, load_target)
 
     def hawk(low: float, high: float) -> RunSpec:
-        return RunSpec(
-            scheduler="hawk",
-            n_workers=n,
-            cutoff=cutoff,
-            short_partition_fraction=workload.short_partition_fraction,
-            seed=seed,
+        return RunSpec.for_workload(
+            workload,
+            "hawk",
+            n,
+            seed,
             estimate=UniformMisestimation(low, high, seed=seed),
             # The estimator's base seed is part of its identity: replica
             # families with different bases overlap in spec.seed, and the
@@ -68,7 +66,7 @@ def run(
             estimate_tag=f"mis-{low:g}-{high:g}-s{seed}",
         )
 
-    sparrow = RunSpec(scheduler="sparrow", n_workers=n, cutoff=cutoff, seed=seed)
+    sparrow = RunSpec.for_workload(workload, "sparrow", n, seed)
     # The trace is held fixed across replicas on purpose (a plain trace,
     # no factory): the axis under study is estimator noise, not workload
     # noise.
@@ -92,13 +90,7 @@ def run(
     # cover the jobs "classified as long when no mis-estimations are
     # present" — exactly the paper's reporting population.
     for (low, high), (point,) in zip(ranges, multi_sweep(jobs, n_seeds=n_seeds)):
-        result.add_row(
-            f"{low:g}-{high:g}",
-            point.cell("long_p50_ratio"),
-            point.cell("long_p90_ratio"),
-            point.cell("short_p50_ratio"),
-            point.cell("short_p90_ratio"),
-        )
+        result.add_row(f"{low:g}-{high:g}", *point.cells(*LONG_FIRST))
     result.add_note(
         "Hawk should be robust: ratios stay close to the exact-estimation "
         "values across all magnitudes (paper Section 4.8)"

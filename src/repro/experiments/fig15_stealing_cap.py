@@ -11,8 +11,8 @@ from __future__ import annotations
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
 from repro.experiments.report import FigureResult
 from repro.experiments.sweeps import SweepJob, multi_sweep
-from repro.experiments.traces import google_workload
 from repro.metrics.stats import mean
+from repro.workloads.registry import at_scale
 
 #: The paper's x-axis.
 PAPER_CAPS = (1, 2, 3, 4, 5, 10, 15, 20, 25, 50, 75, 100, 250)
@@ -25,17 +25,12 @@ def run(
     load_target: float = HIGH_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
-    workload = google_workload(scale)
+    workload = at_scale("google", scale)
     n = high_load_size(workload.trace(seed), load_target)
 
     def spec(cap: int) -> RunSpec:
-        return RunSpec(
-            scheduler="hawk",
-            n_workers=n,
-            cutoff=workload.cutoff,
-            short_partition_fraction=workload.short_partition_fraction,
-            seed=seed,
-            params={"steal_cap": cap},
+        return RunSpec.for_workload(
+            workload, "hawk", n, seed, params={"steal_cap": cap}
         )
 
     # Each cap normalizes to the same replica's cap=1 run (matched
@@ -49,8 +44,7 @@ def run(
     for cap, (point,) in zip(caps, multi_sweep(jobs, n_seeds=n_seeds)):
         result.add_row(
             cap,
-            point.cell("short_p50_ratio"),
-            point.cell("short_p90_ratio"),
+            *point.cells("short_p50_ratio", "short_p90_ratio"),
             mean([r.candidate.stealing.success_rate for r in point.replicas]),
         )
     result.add_note(

@@ -31,10 +31,10 @@ from repro.cluster.records import RunResult
 from repro.experiments.config import RunSpec
 from repro.experiments.parallel import get_executor
 from repro.experiments.report import FigureResult
-from repro.experiments.traces import google_short_fraction
 from repro.metrics.percentiles import percentile
 from repro.runtime import PrototypeCluster
 from repro.workloads import GOOGLE_CUTOFF_S, WorkloadSpec
+from repro.workloads.google import GOOGLE_SHORT_PARTITION_FRACTION
 from repro.workloads.scaling import scale_trace_for_prototype, with_interarrival
 
 #: The paper's load sweep (inter-arrival multiples).
@@ -108,7 +108,7 @@ def run(
                 scheduler=scheduler,
                 n_workers=n_monitors,
                 cutoff=scaled.cutoff,
-                short_partition_fraction=google_short_fraction(),
+                short_partition_fraction=GOOGLE_SHORT_PARTITION_FRACTION,
                 seed=seed,
                 estimate=scaled.carried_estimate,
                 estimate_tag="carried-classes",
@@ -213,7 +213,7 @@ def make_events_fixture(
                         policy=scheduler,
                         n_workers=n_workers,
                         cutoff=scaled.cutoff,
-                        short_partition_fraction=google_short_fraction(),
+                        short_partition_fraction=GOOGLE_SHORT_PARTITION_FRACTION,
                         # the seed doubles as the load-point index so each
                         # (scheduler, multiple) pair is its own run id
                         seed=index,

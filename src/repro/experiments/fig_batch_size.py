@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
 from repro.experiments.report import FigureResult
-from repro.experiments.sweeps import SweepJob, multi_sweep
-from repro.experiments.traces import google_workload
+from repro.experiments.sweeps import RATIO_METRICS, SweepJob, multi_sweep
+from repro.workloads.registry import at_scale
 
 #: The probe-budget axis: 1 task-probe floor up to effectively-Sparrow.
 DEFAULT_BATCH_SIZES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -35,23 +35,16 @@ def run(
     load_target: float = HIGH_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
-    workload = google_workload(scale)
-    cutoff = workload.cutoff
+    workload = at_scale("google", scale)
     n = high_load_size(workload.trace(seed), load_target)
-
-    def spec(batch_size: int) -> RunSpec:
-        return RunSpec(
-            scheduler="sparrow-batch",
-            n_workers=n,
-            cutoff=cutoff,
-            seed=seed,
-            params={"batch_size": batch_size},
-        )
-
     # Each budget normalizes to the same replica's Sparrow run (matched
     # seeds and trace draw); the shared Sparrow runs execute once.
-    sparrow = RunSpec(scheduler="sparrow", n_workers=n, cutoff=cutoff, seed=seed)
-    jobs = [SweepJob(workload, (n,), spec(b), sparrow) for b in batch_sizes]
+    sparrow = RunSpec.for_workload(workload, "sparrow", n, seed)
+    batch = RunSpec.for_workload(workload, "sparrow-batch", n, seed)
+    jobs = [
+        SweepJob(workload, (n,), batch.with_(params={"batch_size": b}), sparrow)
+        for b in batch_sizes
+    ]
 
     result = FigureResult(
         figure_id="Figure B (batch size)",
@@ -59,13 +52,7 @@ def run(
         headers=("batch size", "short p50", "short p90", "long p50", "long p90"),
     )
     for batch_size, (point,) in zip(batch_sizes, multi_sweep(jobs, n_seeds=n_seeds)):
-        result.add_row(
-            batch_size,
-            point.cell("short_p50_ratio"),
-            point.cell("short_p90_ratio"),
-            point.cell("long_p50_ratio"),
-            point.cell("long_p90_ratio"),
-        )
+        result.add_row(batch_size, *point.cells(*RATIO_METRICS))
     result.add_note(
         "probe budget per job; the floor of one probe per task applies at "
         "batch size 1, so small budgets remove Sparrow's sampling choice"

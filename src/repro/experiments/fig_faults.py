@@ -24,12 +24,11 @@ from __future__ import annotations
 from repro.cluster.faults import FaultPlan
 from repro.cluster.job import JobClass
 from repro.experiments.config import RunSpec, high_load_size
-from repro.experiments.parallel import get_executor
+from repro.experiments.parallel import get_executor, replica_pairs
 from repro.experiments.report import FigureResult
 from repro.metrics.percentiles import percentile
-from repro.metrics.stats import summarize
-from repro.workloads.registry import WorkloadSpec, quick_spec
-from repro.workloads.replication import replica_seeds
+from repro.metrics.stats import cell
+from repro.workloads.registry import at_scale
 
 #: Policies compared at every failure level.
 POLICIES = ("hawk", "sparrow", "centralized")
@@ -82,31 +81,22 @@ def run(
     load_target: float = FAULT_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
-    workload = (
-        quick_spec("google") if scale == "quick" else WorkloadSpec("google")
-    )
-    seeds = replica_seeds(seed, n_seeds)
-    traces = {s: workload.trace(s) for s in seeds}
-    first = traces[seeds[0]]
+    workload = at_scale("google", scale)
+    first = workload.trace(seed)
     n = high_load_size(first, load_target)
-    horizon = first.horizon
-
-    pairs = []
-    for fraction in crash_fractions:
-        plan = plan_for(fraction, horizon)
-        for policy in POLICIES:
-            for s in seeds:
-                spec = RunSpec(
-                    scheduler=policy,
-                    n_workers=n,
-                    cutoff=workload.cutoff,
-                    short_partition_fraction=(
-                        workload.short_partition_fraction
-                    ),
-                    seed=s,
-                    faults=plan,
-                )
-                pairs.append((spec, traces[s]))
+    pairs = [
+        pair
+        for fraction in crash_fractions
+        for policy in POLICIES
+        for pair in replica_pairs(
+            RunSpec.for_workload(
+                workload, policy, n, seed,
+                faults=plan_for(fraction, first.horizon),
+            ),
+            workload,
+            n_seeds,
+        )
+    ]
     results = iter(get_executor().run_many(pairs))
 
     result = FigureResult(
@@ -129,7 +119,7 @@ def run(
     short_p50: dict[tuple[str, float], float] = {}
     for fraction in crash_fractions:
         for policy in POLICIES:
-            replicas = [next(results) for _ in seeds]
+            replicas = [next(results) for _ in range(n_seeds)]
             s50 = [percentile(r.runtimes(JobClass.SHORT), 50.0) for r in replicas]
             s90 = [percentile(r.runtimes(JobClass.SHORT), 90.0) for r in replicas]
             l50 = [percentile(r.runtimes(JobClass.LONG), 50.0) for r in replicas]
@@ -138,11 +128,9 @@ def run(
                 for r in replicas
             ]
             short_p50[(policy, fraction)] = sum(s50) / len(s50)
-            if n_seeds == 1:
-                cells = (s50[0], s90[0], l50[0], retried[0])
-            else:
-                cells = tuple(summarize(v) for v in (s50, s90, l50, retried))
-            result.add_row(fraction, policy, *cells)
+            result.add_row(
+                fraction, policy, *(cell(v) for v in (s50, s90, l50, retried))
+            )
 
     worst = max(crash_fractions)
     if worst > 0.0:

@@ -17,8 +17,13 @@ from __future__ import annotations
 from repro.cluster.job import JobClass
 from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
 from repro.experiments.report import FigureResult
-from repro.experiments.sweeps import SweepJob, extra_metrics, multi_sweep
-from repro.workloads.registry import WorkloadSpec, quick_spec
+from repro.experiments.sweeps import (
+    POINT_METRICS,
+    SweepJob,
+    extra_metrics,
+    multi_sweep,
+)
+from repro.workloads.registry import at_scale
 
 #: The registry-only scenario workloads this figure ships with.
 DEFAULT_WORKLOADS = ("pareto-heavy", "bursty-diurnal")
@@ -47,24 +52,12 @@ def run(
     )
     # One executor stream across every scenario: a straggler in one
     # workload's point no longer gates the next workload's runs.
-    specs = []
+    specs = [at_scale(name, scale) for name in workloads]
     jobs = []
-    for name in workloads:
-        workload = (
-            quick_spec(name) if scale == "quick" else WorkloadSpec(name)
-        )
+    for workload in specs:
         n = high_load_size(workload.trace(seed), load_target)
-        hawk = RunSpec(
-            scheduler="hawk",
-            n_workers=n,
-            cutoff=workload.cutoff,
-            short_partition_fraction=workload.short_partition_fraction,
-            seed=seed,
-        )
-        sparrow = RunSpec(
-            scheduler="sparrow", n_workers=n, cutoff=workload.cutoff, seed=seed
-        )
-        specs.append(workload)
+        hawk = RunSpec.for_workload(workload, "hawk", n, seed)
+        sparrow = RunSpec.for_workload(workload, "sparrow", n, seed)
         jobs.append(SweepJob(workload, (n,), hawk, sparrow))
     for workload, points in zip(specs, multi_sweep(jobs, n_seeds=n_seeds)):
         for point in points:
@@ -72,11 +65,7 @@ def run(
             result.add_row(
                 workload.name,
                 point.n_workers,
-                point.cell("baseline_median_utilization"),
-                point.cell("short_p50_ratio"),
-                point.cell("short_p90_ratio"),
-                point.cell("long_p50_ratio"),
-                point.cell("long_p90_ratio"),
+                *point.cells(*POINT_METRICS),
                 frac_s,
             )
     result.add_note(

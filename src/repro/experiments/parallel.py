@@ -8,13 +8,16 @@ grids never materialize), drains completions out of order as they land,
 and retires each result into the cache immediately.  ``run_many`` /
 ``run_one`` / ``run_replicated`` are thin wrappers that collect the
 stream back into submission order, so batch callers see exactly the
-pre-streaming behaviour.
+pre-streaming behaviour.  :func:`replica_pairs` is the one seed-replica
+expansion: ``run_replicated`` and every sweep build their replicas with
+it.
 
 Two cache tiers sit in front of execution:
 
 * an in-process memo (``dict``) giving object identity within a session —
-  the contract ``run_cached(spec, t) is run_cached(spec, t)`` that the
-  figure drivers and tests rely on;
+  the contract ``get_executor().run_one(spec, t) is
+  get_executor().run_one(spec, t)`` that the figure drivers and tests
+  rely on;
 * an on-disk cache of pickled :class:`RunResult` values under
   ``benchmarks/.runcache/v<N>/<key>.pkl``, shared across processes and
   pytest sessions.  A SQLite sidecar (``index.db``, see
@@ -50,18 +53,12 @@ Knobs (also see ``src/repro/experiments/README.md``):
 
 * ``REPRO_EXECUTOR_WORKERS`` — worker-pool size; unset defaults to
   ``os.cpu_count()``; ``0``/``1`` force the deterministic serial path.
-* ``REPRO_EXECUTOR_INFLIGHT`` — in-flight window of the streaming core
-  (submitted-but-unfinished runs); unset defaults to 2× the pool size.
-  Smaller values bound memory on huge generators, larger ones smooth
-  over uneven run times.
 * ``REPRO_RUNCACHE`` — set to ``0`` to disable the on-disk tier.
 * ``REPRO_RUNCACHE_DIR`` — override the on-disk cache location.
 * ``REPRO_RUNCACHE_MAX_MB`` — cap the on-disk tier's total size;
   least-recently-used entries (by mtime, refreshed on every cache hit)
   are evicted after each store until the cache fits.  Unset means
   unbounded.
-* ``REPRO_TRACE_SHM`` — set to ``0`` to disable the shared-memory trace
-  transport (traces are then pickled into every pool submission).
 * ``REPRO_SWEEP_PROGRESS`` — set to ``1`` for per-completion progress
   lines on stderr (``point k/N done, in-flight j, memo/disk/exec``).
 
@@ -112,11 +109,9 @@ from repro.workloads.spec import Trace
 CACHE_VERSION = 4
 
 WORKERS_ENV = "REPRO_EXECUTOR_WORKERS"
-INFLIGHT_ENV = "REPRO_EXECUTOR_INFLIGHT"
 DISK_CACHE_ENV = "REPRO_RUNCACHE"
 DISK_CACHE_DIR_ENV = "REPRO_RUNCACHE_DIR"
 DISK_CACHE_MAX_MB_ENV = "REPRO_RUNCACHE_MAX_MB"
-TRACE_SHM_ENV = "REPRO_TRACE_SHM"
 PROGRESS_ENV = "REPRO_SWEEP_PROGRESS"
 
 def _default_cache_dir() -> Path:
@@ -406,20 +401,6 @@ def _pool_size_from_env() -> int:
     return max(1, value)
 
 
-def _inflight_from_env(max_workers: int) -> int:
-    """Streaming window: ``REPRO_EXECUTOR_INFLIGHT`` or 2× the pool."""
-    raw = os.environ.get(INFLIGHT_ENV)
-    if raw is None or raw.strip() == "":
-        return max(2, 2 * max_workers)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{INFLIGHT_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return max(1, value)
-
-
 def _max_bytes_from_env() -> int | None:
     raw = os.environ.get(DISK_CACHE_MAX_MB_ENV)
     if raw is None or raw.strip() == "":
@@ -575,10 +556,6 @@ def _execute_keyed_shm(
     return key, run_fn(spec, _trace_from_shm(digest, shm_name, length))
 
 
-def _trace_shm_enabled_from_env() -> bool:
-    return os.environ.get(TRACE_SHM_ENV, "1").strip() not in ("0", "off", "no")
-
-
 def _transportable(spec: RunSpec) -> bool:
     """Can this spec cross a process boundary?
 
@@ -612,13 +589,12 @@ class SweepExecutor:
     trace_shm:
         Ship traces to pool workers through the shared-memory transport
         (one segment per distinct trace) instead of pickling the trace
-        into every submission.  ``None`` (default) honors
-        ``REPRO_TRACE_SHM``.
+        into every submission.
     inflight:
         In-flight window of :meth:`run_stream` — the maximum number of
         cache misses submitted-but-unfinished at once.  ``None``
-        (default) honors ``REPRO_EXECUTOR_INFLIGHT``, falling back to 2×
-        the pool size.
+        (default) is 2× the pool size.  Smaller values bound memory on
+        huge generators, larger ones smooth over uneven run times.
     run_fn:
         The function executed per (spec, trace) pair; defaults to
         :func:`repro.experiments.config.execute`.  Must be a picklable
@@ -630,7 +606,7 @@ class SweepExecutor:
         self,
         max_workers: int | None = None,
         disk_cache: DiskCache | None | str = "env",
-        trace_shm: bool | None = None,
+        trace_shm: bool = True,
         inflight: int | None = None,
         run_fn: Callable[[RunSpec, Trace], RunResult] = execute,
     ) -> None:
@@ -640,13 +616,9 @@ class SweepExecutor:
         self.disk_cache = (
             _disk_cache_from_env() if disk_cache == "env" else disk_cache
         )
-        self.trace_shm = (
-            _trace_shm_enabled_from_env() if trace_shm is None else trace_shm
-        )
+        self.trace_shm = trace_shm
         self.inflight = (
-            _inflight_from_env(self.max_workers)
-            if inflight is None
-            else max(1, inflight)
+            max(2, 2 * self.max_workers) if inflight is None else max(1, inflight)
         )
         self.run_fn = run_fn
         self._memo: dict[str, RunResult] = {}
@@ -937,7 +909,7 @@ _default_executor: SweepExecutor | None = None
 
 
 def get_executor() -> SweepExecutor:
-    """The process-wide executor used by ``run_cached`` and ``sweep``."""
+    """The process-wide executor every figure driver and sweep runs on."""
     global _default_executor
     if _default_executor is None:
         _default_executor = SweepExecutor()

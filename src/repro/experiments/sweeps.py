@@ -30,8 +30,11 @@ replica when the job has a trace factory) — and the sweep returns
 :class:`ReplicatedPoint` aggregates.  Per-replica ratios are computed
 within the matched pair before aggregation, so trace-level noise common
 to candidate and baseline cancels.  ``n_seeds=1`` is the degenerate
-case: one replica, and scalar accessors and cells return its values
-bit-for-bit.
+case: one replica, whose cells are its values bit-for-bit.  Replica
+pairs come from :func:`~repro.experiments.parallel.replica_pairs`, the
+executor's one replica expansion, and cells from
+:func:`~repro.metrics.stats.cell`, the one "single replica → value,
+several → statistics" rule.
 """
 
 from __future__ import annotations
@@ -44,13 +47,13 @@ from repro.cluster.job import JobClass
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import RunSpec
-from repro.experiments.parallel import SweepExecutor, get_executor
+from repro.experiments.parallel import SweepExecutor, get_executor, replica_pairs
 from repro.metrics.comparison import (
     average_runtime_ratio,
     fraction_improved,
     percentile_ratios,
 )
-from repro.metrics.stats import SummaryStats, mean, summarize
+from repro.metrics.stats import SummaryStats, cell, mean, summarize
 from repro.workloads.registry import WorkloadSpec
 from repro.workloads.replication import TraceFactory, replica_seeds
 from repro.workloads.spec import Trace
@@ -79,10 +82,14 @@ POINT_METRICS = (
     "long_p90_ratio",
 )
 
-#: The subset of :data:`POINT_METRICS` that are candidate/baseline
-#: ratios — their replica statistics carry a paired-t p-value against
-#: parity (null = 1.0).  Utilization is a magnitude: no null applies.
-RATIO_METRICS = frozenset(m for m in POINT_METRICS if m.endswith("_ratio"))
+#: The :data:`POINT_METRICS` that are candidate/baseline ratios, in the
+#: comparison tables' column order.  Their replica statistics carry a
+#: paired-t p-value against parity (null = 1.0); utilization is a
+#: magnitude, so no null applies to it.
+RATIO_METRICS = POINT_METRICS[1:]
+
+#: The same ratios with the long class first, as Figures 12-14 print them.
+LONG_FIRST = RATIO_METRICS[2:] + RATIO_METRICS[:2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,9 +99,8 @@ class ReplicatedPoint:
     ``replicas[r]`` holds the :class:`SweepPoint` for replica seed
     ``seeds[r]``; candidate and baseline of a replica share that seed
     (and trace draw), so each replica's ratios are a matched-pair sample.
-    Scalar accessors (``short_p50_ratio`` …) return replica means, which
-    for a single replica are its values bit-for-bit; :meth:`stat` returns
-    the full replica statistics.
+    :meth:`stat` returns the replica statistics of one metric and
+    :meth:`cells` the table cells of several.
     """
 
     n_workers: int
@@ -112,27 +118,6 @@ class ReplicatedPoint:
     def n_seeds(self) -> int:
         return len(self.replicas)
 
-    # -- degenerate-safe scalar accessors (means over replicas) ---------
-    @property
-    def baseline_median_utilization(self) -> float:
-        return mean([r.baseline_median_utilization for r in self.replicas])
-
-    @property
-    def short_p50_ratio(self) -> float:
-        return mean([r.short_p50_ratio for r in self.replicas])
-
-    @property
-    def short_p90_ratio(self) -> float:
-        return mean([r.short_p90_ratio for r in self.replicas])
-
-    @property
-    def long_p50_ratio(self) -> float:
-        return mean([r.long_p50_ratio for r in self.replicas])
-
-    @property
-    def long_p90_ratio(self) -> float:
-        return mean([r.long_p90_ratio for r in self.replicas])
-
     # -- replica statistics ---------------------------------------------
     def stat(self, metric: str, confidence: float = 0.95) -> SummaryStats:
         """Replica statistics of one named :data:`POINT_METRICS` entry.
@@ -147,16 +132,13 @@ class ReplicatedPoint:
         )
 
     def cell(self, metric: str) -> float | SummaryStats:
-        """Render value for a table cell.
+        """One metric's table cell (see :func:`~repro.metrics.stats.cell`)."""
+        null = 1.0 if metric in RATIO_METRICS else None
+        return cell([getattr(r, metric) for r in self.replicas], null=null)
 
-        A single replica yields the plain float (keeping single-seed
-        figure output bit-identical); multiple replicas yield the full
-        :class:`~repro.metrics.stats.SummaryStats`, which the report
-        layer renders as ``mean±ci``.
-        """
-        if self.n_seeds == 1:
-            return getattr(self.replicas[0], metric)
-        return self.stat(metric)
+    def cells(self, *metrics: str) -> tuple[float | SummaryStats, ...]:
+        """The table cells of several metrics, in order."""
+        return tuple(self.cell(metric) for metric in metrics)
 
 
 def _build_point(
@@ -261,23 +243,17 @@ class SweepJob:
 def _sweep_pairs(job: SweepJob, n_seeds: int):
     """Yield one job's (spec, trace) pairs in the :class:`_SweepFold` layout.
 
-    Replica 0 runs on the job's trace verbatim; every later replica
-    draws its own trace from its seed when there is a factory.
+    The candidate's :func:`replica_pairs` fix each replica's trace
+    draw; the baseline replica runs on the same draw.
     """
-    trace, factory = job.trace, job.trace_factory
-    if isinstance(trace, WorkloadSpec):
-        factory = factory or trace
-        trace = trace.trace(job.candidate_spec.seed)
-    candidates = job.candidate_spec.replicas(n_seeds)
+    candidates = replica_pairs(
+        job.candidate_spec, job.trace, n_seeds, job.trace_factory
+    )
     baselines = job.baseline_spec.replicas(n_seeds)
-    traces = [trace] + [
-        trace if factory is None else factory(spec.seed)
-        for spec in candidates[1:]
-    ]
     for n in job.sizes:
-        for candidate, baseline, replica_trace in zip(candidates, baselines, traces):
-            yield candidate.with_(n_workers=n), replica_trace
-            yield baseline.with_(n_workers=n), replica_trace
+        for (candidate, trace), baseline in zip(candidates, baselines):
+            yield candidate.with_(n_workers=n), trace
+            yield baseline.with_(n_workers=n), trace
 
 
 def multi_sweep(
@@ -320,26 +296,6 @@ def multi_sweep(
         j = bisect_right(offsets, index) - 1
         folds[j].add(index - offsets[j], result)
     return [fold.points for fold in folds]
-
-
-def compare_at_size(
-    trace: Trace | WorkloadSpec,
-    n_workers: int,
-    candidate_spec: RunSpec,
-    baseline_spec: RunSpec,
-    executor: SweepExecutor | None = None,
-    n_seeds: int = 1,
-    trace_factory: TraceFactory | None = None,
-) -> ReplicatedPoint:
-    return sweep(
-        trace,
-        (n_workers,),
-        candidate_spec,
-        baseline_spec,
-        executor=executor,
-        n_seeds=n_seeds,
-        trace_factory=trace_factory,
-    )[0]
 
 
 def sweep(

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from repro.experiments.report import FigureResult
-from repro.experiments.traces import (
-    ALL_WORKLOAD_SPECS,
-    google_workload,
-    kmeans_workload,
-)
-from repro.metrics.stats import summarize
+from repro.metrics.stats import cell
 from repro.workloads.analysis import workload_summary
+from repro.workloads.kmeans import ALL_KMEANS_WORKLOADS
+from repro.workloads.registry import at_scale
 from repro.workloads.replication import replica_seeds
+
+#: The paper's four workloads (Tables 1-2, Figure 4), by registered name.
+PAPER_WORKLOADS = ("google",) + tuple(spec.name for spec in ALL_KMEANS_WORKLOADS)
 
 #: Paper values for (long-job fraction, task-seconds share) per workload.
 PAPER_TABLE1 = {
@@ -30,33 +30,19 @@ PAPER_TABLE2 = {
 
 
 def _summaries(scale: str, seed: int, n_seeds: int = 1):
-    """Per workload: one :func:`workload_summary` per replica seed."""
+    """Per workload: one :func:`workload_summary` per replica seed.
+
+    The "% ours" cells are :func:`~repro.metrics.stats.cell` values
+    whose null is the paper's number: with several trace draws the CI
+    band carries the one-sample t p-value against it, and a low p flags
+    a calibration drift of the generator, not noise.
+    """
     seeds = replica_seeds(seed, n_seeds)
-    workloads = (google_workload(scale),) + tuple(
-        kmeans_workload(spec, scale) for spec in ALL_WORKLOAD_SPECS
-    )
-    for workload in workloads:
+    for workload in (at_scale(name, scale) for name in PAPER_WORKLOADS):
         yield [
             workload_summary(workload.trace(s), workload.cutoff)
             for s in seeds
         ]
-
-
-def _percent_cell(values: list[float], paper: float | None = None):
-    """``100 * value``, or its replica statistics when replicated.
-
-    With several trace draws and a ``paper`` reference value (a
-    fraction), the cell's statistics carry the one-sample t p-value of
-    our draws against the paper's number — rendered next to the CI band
-    as ``mean±ci (p=...)``; a low p flags a calibration drift of the
-    generator, not noise.
-    """
-    scaled = [100.0 * v for v in values]
-    if len(scaled) == 1:
-        return scaled[0]
-    return summarize(
-        scaled, null=None if paper is None else 100.0 * paper
-    )
 
 
 def run_table1(scale: str = "full", seed: int = 0, n_seeds: int = 1) -> FigureResult:
@@ -77,11 +63,9 @@ def run_table1(scale: str = "full", seed: int = 0, n_seeds: int = 1) -> FigureRe
         result.add_row(
             summaries[0].name,
             100.0 * paper_long,
-            _percent_cell([s.long_fraction for s in summaries], paper_long),
+            cell([100.0 * s.long_fraction for s in summaries], 100.0 * paper_long),
             100.0 * paper_ts,
-            _percent_cell(
-                [s.task_seconds_share for s in summaries], paper_ts
-            ),
+            cell([100.0 * s.task_seconds_share for s in summaries], 100.0 * paper_ts),
         )
     result.add_note(
         "generated workloads are synthetic stand-ins calibrated to the "
@@ -114,7 +98,7 @@ def run_table2(scale: str = "full", seed: int = 0, n_seeds: int = 1) -> FigureRe
         result.add_row(
             summaries[0].name,
             100.0 * paper_long,
-            _percent_cell([s.long_fraction for s in summaries], paper_long),
+            cell([100.0 * s.long_fraction for s in summaries], 100.0 * paper_long),
             paper_jobs,
             summaries[0].total_jobs,  # fixed by the generator's job count
         )

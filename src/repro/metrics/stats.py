@@ -258,6 +258,13 @@ def summarize(
     )
 
 
+def cell(values: Sequence[float], null: float | None = None) -> float | SummaryStats:
+    """A table cell over replicas: one replica's plain value (keeping
+    single-seed output bit-identical), else :func:`summarize` of all of
+    them, which the report layer renders as ``mean±ci``."""
+    return values[0] if len(values) == 1 else summarize(values, null=null)
+
+
 # -- matched-seed pairing ----------------------------------------------
 def paired_values(
     metric: Callable[[T, T], float],

@@ -85,7 +85,7 @@ class SparrowScheduler(SchedulerPolicy):
         targets = spread_sample(self._rng, ids, n_probes)
         # One batched send: all probes of a job arrive at the same
         # timestamp in target order (the engine falls back to per-probe
-        # events under a jittered network model).
+        # events when message faults are injected).
         self.engine.place_probes(targets, job, frontend)
         self.jobs_scheduled += 1
         self.probes_sent += n_probes

@@ -72,6 +72,15 @@ def record_from_json(data: Mapping[str, Any]) -> JobRecord:
     )
 
 
+#: Event kinds the fold keys on their job.
+_JOB_KINDS = (KIND_SUBMITTED, KIND_STARTED, KIND_COMPLETED)
+
+
+def _no_job_id(event: LifecycleEvent) -> ConfigurationError:
+    """The error for a :data:`_JOB_KINDS` event that names no job."""
+    return ConfigurationError(f"{event.kind!r} event seq {event.seq} has no job_id")
+
+
 @dataclass(slots=True)
 class RunFold:
     """Folds one run's events into records — incrementally resumable.
@@ -110,30 +119,32 @@ class RunFold:
         self.last_seq = event.seq
         if event.vtime > self.last_vtime:
             self.last_vtime = event.vtime
-        if event.kind == KIND_SUBMITTED:
-            assert event.job_id is not None
-            self.pending[event.job_id] = (event.vtime, dict(event.payload))
-        elif event.kind == KIND_STARTED:
-            assert event.job_id is not None
-            submitted = self.pending.get(event.job_id)
+        kind, job_id = event.kind, event.job_id
+        if kind == KIND_STOLEN:
+            self.steal_transfers += 1
+            self.entries_stolen += int(event.payload.get("entries", 0))
+        elif kind not in _JOB_KINDS:
+            return
+        elif job_id is None:
+            raise _no_job_id(event)
+        elif kind == KIND_SUBMITTED:
+            self.pending[job_id] = (event.vtime, dict(event.payload))
+        elif kind == KIND_STARTED:
+            submitted = self.pending.get(job_id)
             if submitted is not None and "recv" in submitted[1]:
                 recv = float(submitted[1].pop("recv"))
                 self.latencies.append(event.wtime - recv)
-        elif event.kind == KIND_STOLEN:
-            self.steal_transfers += 1
-            self.entries_stolen += int(event.payload.get("entries", 0))
-        elif event.kind == KIND_COMPLETED:
-            assert event.job_id is not None
+        else:
             try:
-                submit_vtime, submitted = self.pending.pop(event.job_id)
+                submit_vtime, submitted = self.pending.pop(job_id)
             except KeyError:
                 raise ConfigurationError(
-                    f"job {event.job_id} completed without a submitted "
+                    f"job {job_id} completed without a submitted "
                     "event (log truncated before its submission?)"
                 ) from None
             self.records.append(
                 JobRecord(
-                    job_id=event.job_id,
+                    job_id=job_id,
                     submit_time=submit_vtime,
                     completion_time=event.vtime,
                     num_tasks=int(submitted["num_tasks"]),
@@ -328,7 +339,11 @@ def export_ndjson(
 
 
 def load_ndjson(path: Path) -> NdjsonLog:
-    """Parse an :func:`export_ndjson` file back into memory."""
+    """Parse an :func:`export_ndjson` file back into memory.
+
+    A malformed line raises :class:`ConfigurationError` naming
+    ``path:line``.
+    """
     meta: dict[str, Any] = {}
     configs: dict[str, RunConfig] = {}
     labels: dict[str, dict[str, Any]] = {}
@@ -338,20 +353,32 @@ def load_ndjson(path: Path) -> NdjsonLog:
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
-            kind = data.get("type")
-            if kind == "meta":
-                meta = {k: v for k, v in data.items() if k != "type"}
-            elif kind == "run":
-                run_id = data["run_id"]
-                configs[run_id] = RunConfig.from_json(data["config"])
-                labels[run_id] = dict(data.get("label") or {})
-            elif kind == "event":
-                events.append(LifecycleEvent.from_json(data))
-            else:
+            try:
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise ConfigurationError(
+                        f"expected a JSON object, got {type(data).__name__}"
+                    )
+                kind = data.get("type")
+                if kind == "meta":
+                    meta = {k: v for k, v in data.items() if k != "type"}
+                elif kind == "run":
+                    run_id = data["run_id"]
+                    configs[run_id] = RunConfig.from_json(data["config"])
+                    labels[run_id] = dict(data.get("label") or {})
+                elif kind == "event":
+                    event = LifecycleEvent.from_json(data)
+                    if event.job_id is None and event.kind in _JOB_KINDS:
+                        raise _no_job_id(event)
+                    events.append(event)
+                else:
+                    raise ConfigurationError(f"unknown line type {kind!r}")
+            except KeyError as exc:
                 raise ConfigurationError(
-                    f"{path}:{line_no}: unknown line type {kind!r}"
-                )
+                    f"{path}:{line_no}: missing field {exc}"
+                ) from None
+            except (ValueError, TypeError, ConfigurationError) as exc:
+                raise ConfigurationError(f"{path}:{line_no}: {exc}") from exc
     if not configs:
         raise ConfigurationError(f"{path} declares no runs")
     events.sort(key=lambda e: e.seq)

@@ -27,6 +27,7 @@ from repro.workloads.motivation import MotivationConfig, motivation_trace
 from repro.workloads.registry import (
     WorkloadEntry,
     WorkloadSpec,
+    at_scale,
     quick_spec,
     register_workload,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "WorkloadEntry",
     "WorkloadSpec",
     "YAHOO_2011",
+    "at_scale",
     "cdf_points",
     "google_like_trace",
     "kmeans_trace",

@@ -32,8 +32,8 @@ digest plus the seed: ``WorkloadSpec("google").trace(0)`` is the same
 :class:`~repro.workloads.spec.Trace` *object* everywhere in a session,
 so the run cache and the shared-memory trace transport (both keyed on
 ``Trace.content_digest()``) see one trace per distinct
-``(canonical params, seed)`` — this replaces the module-level ``_cache``
-that :mod:`repro.experiments.traces` used to keep.
+``(canonical params, seed)``.  :func:`at_scale` names a workload at a
+figure driver's ``"quick"`` or ``"full"`` scale.
 
 A ``WorkloadSpec`` is itself a ``seed -> Trace`` callable, i.e. a
 :data:`~repro.workloads.replication.TraceFactory`: pass it wherever
@@ -302,6 +302,17 @@ def quick_spec(name: str, params: Mapping | None = None) -> WorkloadSpec:
     if params:
         merged.update(params)
     return WorkloadSpec(name, merged)
+
+
+def at_scale(name: str, scale: str) -> WorkloadSpec:
+    """The workload at a driver scale: ``"quick"`` or ``"full"`` (defaults)."""
+    if scale == "quick":
+        return quick_spec(name)
+    if scale == "full":
+        return WorkloadSpec(name)
+    raise ConfigurationError(
+        f"unknown workload scale {scale!r}; expected 'quick' or 'full'"
+    )
 
 
 def describe() -> str:

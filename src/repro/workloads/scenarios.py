@@ -3,10 +3,10 @@
 Neither generator below is referenced anywhere in the experiment layer:
 they are constructed, validated, materialized and swept solely through
 their registry registrations — ``WorkloadSpec("pareto-heavy")`` works in
-every figure driver and sweep without touching
-:mod:`repro.experiments.traces`.  They exist to prove the trace zoo is
-open (the workload-axis mirror of ``schedulers/scenarios.py``) and to
-stress the schedulers outside the paper's four calibrated traces:
+every figure driver and sweep without touching the experiment layer.
+They exist to prove the trace zoo is open (the workload-axis mirror of
+``schedulers/scenarios.py``) and to stress the schedulers outside the
+paper's four calibrated traces:
 
 * ``pareto-heavy`` — job mean task durations drawn from a Pareto
   distribution: a genuinely heavy tail, unlike the log-normal Google

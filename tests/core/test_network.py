@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import ConfigurationError, NetworkModel
 from repro.core.network import DEFAULT_NETWORK_DELAY_S
-from repro.core.rng import make_rng
 
 
 def test_default_delay_is_half_millisecond():
@@ -17,36 +16,9 @@ def test_constant_delay_no_jitter():
     assert all(model.sample() == 0.002 for _ in range(5))
 
 
-def test_round_trip_is_two_samples():
-    assert NetworkModel(0.001).round_trip() == pytest.approx(0.002)
-
-
-def test_jitter_within_bounds():
-    model = NetworkModel(0.01, jitter=0.5, rng=make_rng(0, "net"))
-    for _ in range(200):
-        d = model.sample()
-        assert 0.005 <= d <= 0.015
-
-
-def test_jitter_actually_varies():
-    model = NetworkModel(0.01, jitter=0.5, rng=make_rng(0, "net"))
-    samples = {model.sample() for _ in range(10)}
-    assert len(samples) > 1
-
-
 def test_negative_delay_rejected():
     with pytest.raises(ConfigurationError):
         NetworkModel(-1.0)
-
-
-def test_jitter_out_of_range_rejected():
-    with pytest.raises(ConfigurationError):
-        NetworkModel(0.001, jitter=1.0, rng=make_rng(0, "net"))
-
-
-def test_jitter_requires_rng():
-    with pytest.raises(ConfigurationError):
-        NetworkModel(0.001, jitter=0.1)
 
 
 def test_zero_delay_allowed():

@@ -7,14 +7,14 @@ from repro.experiments import (
     RunSpec,
     ascii_table,
     build_engine,
-    clear_cache,
+    cache_key,
     execute,
-    run_cached,
+    get_executor,
     sweep_sizes,
 )
 from repro.experiments.config import high_load_size
 from repro.experiments.report import FigureResult, ascii_cdf
-from repro.experiments.runner import cache_size
+from repro.workloads.registry import WorkloadSpec
 from repro.workloads.spec import JobSpec, Trace
 from tests.conftest import TEST_CUTOFF, long_job, short_job
 
@@ -61,6 +61,22 @@ def test_execute_runs_to_completion(small_trace):
     assert len(res.jobs) == len(small_trace)
 
 
+@pytest.mark.parametrize("workload", ["google", "cloudera-c"])
+@pytest.mark.parametrize("scheduler", ["hawk", "sparrow", "split", "centralized"])
+def test_for_workload_matches_hand_built_spec(workload, scheduler):
+    """The cutoff always, the partition only for ``uses_partition``
+    policies: equal to the field-by-field spec, cache key included."""
+    spec = WorkloadSpec(workload)
+    fields = {"cutoff": spec.cutoff}
+    if scheduler in ("hawk", "split"):
+        fields["short_partition_fraction"] = spec.short_partition_fraction
+    hand_built = RunSpec(scheduler=scheduler, n_workers=40, seed=3, **fields)
+    built = RunSpec.for_workload(spec, scheduler, 40, 3)
+    assert built == hand_built
+    trace = Trace([short_job(0, 0.0)], name="key-probe")
+    assert cache_key(built, trace) == cache_key(hand_built, trace)
+
+
 def test_with_replaces_fields():
     spec = RunSpec(scheduler="hawk", n_workers=4, cutoff=TEST_CUTOFF)
     other = spec.with_(n_workers=8)
@@ -70,29 +86,30 @@ def test_with_replaces_fields():
 
 # -- run cache -----------------------------------------------------------------
 def test_run_cached_memoizes(small_trace):
-    clear_cache()
+    executor = get_executor()
+    executor.clear_memo()
     spec = RunSpec(scheduler="sparrow", n_workers=6, cutoff=TEST_CUTOFF)
-    a = run_cached(spec, small_trace)
-    before = cache_size()
-    b = run_cached(spec, small_trace)
+    a = executor.run_one(spec, small_trace)
+    before = executor.memo_size()
+    b = executor.run_one(spec, small_trace)
     assert a is b
-    assert cache_size() == before
+    assert executor.memo_size() == before
 
 
 def test_run_cache_distinguishes_specs(small_trace):
-    clear_cache()
-    a = run_cached(
+    run_one = get_executor().run_one
+    a = run_one(
         RunSpec(scheduler="sparrow", n_workers=6, cutoff=TEST_CUTOFF), small_trace
     )
-    b = run_cached(
+    b = run_one(
         RunSpec(scheduler="sparrow", n_workers=7, cutoff=TEST_CUTOFF), small_trace
     )
     assert a is not b
 
 
 def test_run_cache_distinguishes_estimate_tags(small_trace):
-    clear_cache()
-    a = run_cached(
+    run_one = get_executor().run_one
+    a = run_one(
         RunSpec(
             scheduler="sparrow",
             n_workers=6,
@@ -102,7 +119,7 @@ def test_run_cache_distinguishes_estimate_tags(small_trace):
         ),
         small_trace,
     )
-    b = run_cached(
+    b = run_one(
         RunSpec(
             scheduler="sparrow",
             n_workers=6,

@@ -15,10 +15,10 @@ from repro.experiments.parallel import (
     SweepExecutor,
     _max_bytes_from_env,
     cache_key,
+    get_executor,
     replica_pairs,
     set_executor,
 )
-from repro.experiments.runner import run_cached, run_replicated
 from repro.experiments.sweeps import sweep
 from repro.workloads.spec import JobSpec, Trace
 from tests.conftest import TEST_CUTOFF, long_job, short_job
@@ -254,10 +254,10 @@ def test_run_replicated_module_helper_uses_default_executor(tmp_path):
     previous = set_executor(injected)
     try:
         trace = small_trace()
-        results = run_replicated(SPEC, trace, 2)
+        results = get_executor().run_replicated(SPEC, trace, 2)
         assert len(results) == 2
         assert injected.executions == 2
-        assert run_cached(SPEC, trace) is results[0]
+        assert get_executor().run_one(SPEC, trace) is results[0]
     finally:
         set_executor(previous)
 
@@ -425,8 +425,8 @@ def test_run_cached_uses_default_executor(tmp_path):
     previous = set_executor(injected)
     try:
         trace = small_trace()
-        a = run_cached(SPEC, trace)
-        b = run_cached(SPEC, trace)
+        a = get_executor().run_one(SPEC, trace)
+        b = get_executor().run_one(SPEC, trace)
         assert a is b
         assert injected.executions == 1
     finally:
@@ -501,14 +501,6 @@ def test_trace_transport_round_trip_and_worker_cache():
         transport.close()
         _worker_trace_cache.clear()
     assert len(transport) == 0
-
-
-def test_trace_shm_env_knob(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_SHM", "0")
-    executor = SweepExecutor(max_workers=2, disk_cache=None)
-    assert executor.trace_shm is False
-    monkeypatch.delenv("REPRO_TRACE_SHM")
-    assert SweepExecutor(max_workers=1, disk_cache=None).trace_shm is True
 
 
 def test_content_digest_memoized_per_instance(monkeypatch):

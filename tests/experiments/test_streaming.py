@@ -8,8 +8,6 @@ import sqlite3
 import sys
 import time
 
-import pytest
-
 from repro.experiments.config import RunSpec
 from repro.experiments.parallel import (
     CACHE_VERSION,
@@ -186,18 +184,6 @@ def test_inflight_never_exceeds_window_on_lazy_generator():
     assert pulled == n and emitted == n
     assert executor.max_inflight <= window
     assert executor.summary()["executions"] == n
-
-
-def test_inflight_env_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR_INFLIGHT", "7")
-    assert SweepExecutor(max_workers=2, disk_cache=None).inflight == 7
-    monkeypatch.delenv("REPRO_EXECUTOR_INFLIGHT")
-    assert SweepExecutor(max_workers=3, disk_cache=None).inflight == 6
-    monkeypatch.setenv("REPRO_EXECUTOR_INFLIGHT", "nope")
-    from repro.core.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        SweepExecutor(max_workers=2, disk_cache=None)
 
 
 def test_duplicate_keys_in_stream_emit_every_index():

@@ -1,4 +1,4 @@
-"""Tests for the sweep helpers and the canonical experiment traces."""
+"""Tests for the sweep helpers and the workloads drivers name by scale."""
 
 import pytest
 
@@ -6,20 +6,15 @@ from repro.cluster.job import JobClass
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import RunSpec
 from repro.experiments.sweeps import (
+    POINT_METRICS,
     ReplicatedPoint,
-    compare_at_size,
     extra_metrics,
     sweep,
 )
-from repro.experiments.traces import (
-    ALL_WORKLOAD_SPECS,
-    google_cutoff,
-    google_short_fraction,
-    google_workload,
-    kmeans_workload,
-)
 from repro.metrics.comparison import normalized_percentile
 from repro.metrics.stats import SummaryStats, summarize
+from repro.workloads.kmeans import ALL_KMEANS_WORKLOADS
+from repro.workloads.registry import at_scale
 from repro.workloads.replication import (
     assert_independent,
     replica_seeds,
@@ -46,16 +41,11 @@ SPARROW = RunSpec(scheduler="sparrow", n_workers=1, cutoff=TEST_CUTOFF)
 
 
 def test_compare_at_size_populates_all_ratios(small_trace):
-    point = compare_at_size(small_trace, 8, HAWK, SPARROW)
+    (point,) = sweep(small_trace, (8,), HAWK, SPARROW)
     assert point.n_workers == 8
-    for ratio in (
-        point.short_p50_ratio,
-        point.short_p90_ratio,
-        point.long_p50_ratio,
-        point.long_p90_ratio,
-    ):
-        assert ratio > 0
-    assert 0.0 <= point.baseline_median_utilization <= 1.0
+    utilization, *ratios = point.cells(*POINT_METRICS)
+    assert all(ratio > 0 for ratio in ratios)
+    assert 0.0 <= utilization <= 1.0
 
 
 def test_sweep_returns_one_point_per_size(small_trace):
@@ -64,7 +54,7 @@ def test_sweep_returns_one_point_per_size(small_trace):
 
 
 def test_extra_metrics_bounded(small_trace):
-    point = compare_at_size(small_trace, 8, HAWK, SPARROW)
+    (point,) = sweep(small_trace, (8,), HAWK, SPARROW)
     frac, avg = extra_metrics(point, JobClass.SHORT)
     assert 0.0 <= frac <= 1.0
     assert avg > 0
@@ -102,9 +92,9 @@ def test_single_seed_sweep_is_degenerate_replication(small_trace):
     point = sweep(small_trace, (8,), HAWK, SPARROW)[0]
     assert point.n_seeds == 1
     replica = point.replicas[0]
-    assert point.short_p50_ratio == replica.short_p50_ratio
-    assert point.baseline_median_utilization == replica.baseline_median_utilization
-    assert point.cell("short_p50_ratio") == replica.short_p50_ratio
+    assert point.cells(*POINT_METRICS) == tuple(
+        getattr(replica, metric) for metric in POINT_METRICS
+    )
     assert isinstance(point.cell("short_p50_ratio"), float)
     stats = point.stat("long_p90_ratio")
     assert stats.ci_lo == stats.ci_hi == replica.long_p90_ratio
@@ -143,12 +133,12 @@ def test_replicated_cell_summarizes_matched_replica_ratios(small_trace):
 
 
 def test_trace_factories_draw_independent_traces():
-    factory = google_workload("quick")
+    factory = at_scale("google", "quick")
     draws = replicate_trace(factory, 0, 3)
     assert_independent(draws)
     # shared per-process cache
-    assert draws[0] is google_workload("quick").trace(0)
-    kfactory = kmeans_workload(ALL_WORKLOAD_SPECS[0], "quick")
+    assert draws[0] is at_scale("google", "quick").trace(0)
+    kfactory = at_scale(ALL_KMEANS_WORKLOADS[0].name, "quick")
     assert_independent(replicate_trace(kfactory, 0, 2))
 
 
@@ -158,25 +148,28 @@ def test_assert_independent_rejects_seed_blind_factory(small_trace):
 
 
 def test_google_trace_cached_per_scale_and_seed():
-    a = google_workload("quick").trace(0)
-    b = google_workload("quick").trace(0)
+    a = at_scale("google", "quick").trace(0)
+    b = at_scale("google", "quick").trace(0)
     assert a is b
-    c = google_workload("quick").trace(1)
+    c = at_scale("google", "quick").trace(1)
     assert c is not a
 
 
 def test_kmeans_trace_cached():
-    spec = ALL_WORKLOAD_SPECS[0]
-    a = kmeans_workload(spec, "quick").trace(0)
-    assert kmeans_workload(spec, "quick").trace(0) is a
+    name = ALL_KMEANS_WORKLOADS[0].name
+    a = at_scale(name, "quick").trace(0)
+    assert at_scale(name, "quick").trace(0) is a
 
 
 def test_google_constants():
-    assert google_cutoff() == 1129.0
-    assert google_short_fraction() == 0.17
+    google = at_scale("google", "full")
+    assert google.cutoff == 1129.0
+    assert google.short_partition_fraction == 0.17
+    assert google.param("n_jobs") == 1200
+    assert at_scale("google", "quick").param("n_jobs") == 260
 
 
 def test_full_scale_traces_are_bigger():
-    assert len(google_workload("full").trace(0)) > len(
-        google_workload("quick").trace(0)
+    assert len(at_scale("google", "full").trace(0)) > len(
+        at_scale("google", "quick").trace(0)
     )

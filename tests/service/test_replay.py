@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -227,4 +228,25 @@ def test_load_ndjson_rejects_unknown_line_type(tmp_path):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"type":"meta"}\n{"type":"mystery"}\n')
     with pytest.raises(ConfigurationError, match="unknown line type"):
+        load_ndjson(path)
+
+
+_EVENT = {"type": "event", "run_id": RUN, "kind": KIND_SUBMITTED, "vtime": 0.0}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "{not json",
+        "[1, 2]",
+        json.dumps({"type": "run", "config": {"policy": "hawk"}}),
+        json.dumps({**_EVENT, "job_id": 1, "vtime": "x"}),
+        json.dumps(_EVENT),
+    ],
+    ids=["not-json", "json-list", "run-without-id", "bad-vtime", "no-job-id"],
+)
+def test_load_ndjson_malformed_line_is_a_typed_error(tmp_path, line):
+    path = tmp_path / "bad.ndjson"
+    path.write_text('{"type":"meta"}\n' + line + "\n")
+    with pytest.raises(ConfigurationError, match=f"{re.escape(str(path))}:2: "):
         load_ndjson(path)

@@ -15,24 +15,23 @@ import pytest
 
 from repro.cluster.job import JobClass
 from repro.experiments.config import RunSpec, high_load_size
-from repro.experiments.runner import run_replicated
-from repro.experiments.traces import (
-    google_cutoff,
-    google_short_fraction,
-    google_workload,
-)
+from repro.experiments.parallel import get_executor
 from repro.metrics.comparison import normalized_percentile
 from repro.metrics.stats import SummaryStats, paired_values, summarize
+from repro.workloads.registry import quick_spec
 
 pytestmark = pytest.mark.replicated
 
 #: Matched replicas per system (small: quick scale keeps CI fast).
 N_SEEDS = 3
 
+#: The workload every claim runs on; it is also the replicas' trace factory.
+GOOGLE = quick_spec("google")
+
 
 @pytest.fixture(scope="module")
 def trace():
-    return google_workload("quick").trace(0)
+    return GOOGLE.trace(0)
 
 
 @pytest.fixture(scope="module")
@@ -42,18 +41,8 @@ def n_high(trace):
 
 def replicas(trace, scheduler, n, **kw):
     """N_SEEDS matched replicas of one scheduler configuration."""
-    return run_replicated(
-        RunSpec(
-            scheduler=scheduler,
-            n_workers=n,
-            cutoff=google_cutoff(),
-            short_partition_fraction=google_short_fraction(),
-            **kw,
-        ),
-        trace,
-        N_SEEDS,
-        google_workload("quick"),
-    )
+    spec = RunSpec.for_workload(GOOGLE, scheduler, n, **kw)
+    return get_executor().run_replicated(spec, trace, N_SEEDS, GOOGLE)
 
 
 def ratio_stats(candidates, baselines, job_class, p) -> SummaryStats:

@@ -7,12 +7,15 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.params import FrozenParams, Param
 from repro.experiments.config import RunSpec
-from repro.experiments.parallel import cache_key
-from repro.experiments.runner import run_replicated
-from repro.experiments.sweeps import compare_at_size
-from repro.experiments.traces import google_workload
+from repro.experiments.parallel import cache_key, get_executor
+from repro.experiments.sweeps import sweep
 from repro.workloads import registry
-from repro.workloads.registry import WorkloadSpec, quick_spec, register_workload
+from repro.workloads.registry import (
+    WorkloadSpec,
+    at_scale,
+    quick_spec,
+    register_workload,
+)
 from repro.workloads.spec import JobSpec, Trace
 from tests.conftest import TEST_CUTOFF
 
@@ -104,11 +107,11 @@ def test_with_params_overrides_one_knob():
     spec = WorkloadSpec("google").with_params(n_jobs=260)
     assert spec.param("n_jobs") == 260
     assert spec.param("mean_interarrival") == 20.0
-    assert spec == google_workload("quick")
+    assert spec == quick_spec("google")
 
 
 def test_quick_spec_applies_registered_overrides():
-    assert quick_spec("google") == google_workload("quick")
+    assert quick_spec("google") == WorkloadSpec("google", {"n_jobs": 260})
     assert quick_spec("google", {"n_jobs": 40}).param("n_jobs") == 40
 
 
@@ -135,11 +138,15 @@ def test_canonical_vs_default_params_materialize_identical_bytes():
 
 
 def test_materialized_trace_shared_with_traces_module():
-    assert google_workload("quick").trace(3) is quick_spec("google").trace(3)
+    """Driver-scale specs (``at_scale``) share the registry's traces."""
+    assert at_scale("google", "quick").trace(3) is quick_spec("google").trace(3)
+    assert at_scale("yahoo-2011", "full") == WorkloadSpec("yahoo-2011")
+    with pytest.raises(ConfigurationError, match="unknown workload scale"):
+        at_scale("google", "medium")
 
 
 def test_spec_is_a_trace_factory():
-    spec = google_workload("quick")
+    spec = quick_spec("google")
     assert spec(2) is spec.trace(2)
     draws = [spec(s) for s in (0, 1, 2)]
     digests = {t.content_digest() for t in draws}
@@ -183,14 +190,10 @@ def test_custom_workload_flows_through_a_figure_point():
 
     try:
         workload = WorkloadSpec("test-uniform", {"tasks": 2})
-        hawk = RunSpec(
-            scheduler="hawk",
-            n_workers=8,
-            cutoff=workload.cutoff,
-            short_partition_fraction=workload.short_partition_fraction,
-        )
-        sparrow = RunSpec(scheduler="sparrow", n_workers=8, cutoff=workload.cutoff)
-        point = compare_at_size(workload, 8, hawk, sparrow, n_seeds=2)
+        hawk = RunSpec.for_workload(workload, "hawk", 8)
+        assert hawk.short_partition_fraction == 0.25
+        sparrow = RunSpec.for_workload(workload, "sparrow", 8)
+        (point,) = sweep(workload, (8,), hawk, sparrow, n_seeds=2)
         assert point.n_seeds == 2
         assert all(r.candidate.n_workers == 8 for r in point.replicas)
         # replica 1 drew its own trace from the replica seed
@@ -198,7 +201,7 @@ def test_custom_workload_flows_through_a_figure_point():
             point.replicas[0].candidate.jobs != point.replicas[1].candidate.jobs
         )
         # run_replicated accepts the spec in place of (trace, factory) too
-        runs = run_replicated(sparrow, workload, 2)
+        runs = get_executor().run_replicated(sparrow, workload, 2)
         assert len(runs) == 2
         assert "test-uniform" in registry.registered_names()
     finally:
