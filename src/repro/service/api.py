@@ -96,24 +96,21 @@ class ServiceState:
                 continue
             if not fold.pending:
                 continue
-            with self._lock:
-                if self._closed or run_id in self._bridges:
-                    continue
-                if len(self._bridges) >= self.max_runs:
-                    logger.warning(
-                        "rehydrate: run limit reached (%d); %s stays cold",
-                        self.max_runs,
-                        run_id,
-                    )
-                    errors.append(run_id)
-                    continue
+            try:
+                with self._lock:
+                    if self._live_or_room(run_id) is not None:
+                        continue
                 bridge = SchedulerBridge(
                     config, self.store, time_scale=self.time_scale
                 )
                 jobs = bridge.resume_from(fold)
-                unrecoverable = fold.jobs_in_flight - jobs
-                bridge.start()
-                self._bridges[run_id] = bridge
+                if self._install(bridge) is not bridge:
+                    continue
+            except ConfigurationError as exc:
+                logger.warning("rehydrate: %s stays cold: %s", run_id, exc)
+                errors.append(run_id)
+                continue
+            unrecoverable = fold.jobs_in_flight - jobs
             self.rehydrated[run_id] = jobs
             resumed.append(
                 {
@@ -133,16 +130,27 @@ class ServiceState:
         return {"resumed": resumed, "failed": errors}
 
     # -- operations ------------------------------------------------------
-    def submit(self, payload: Mapping[str, Any]) -> dict[str, Any]:
+    def submit(
+        self, payload: Mapping[str, Any], *, create: bool = True
+    ) -> dict[str, Any] | None:
         """One job submission: validate, route to its run, enqueue.
 
         The payload carries both the run configuration (``policy``,
         ``params``, optional cluster shape) and the job itself
         (``tasks``, ``tenant``, optional ``estimate``).
+
+        Submitting to a live run never waits on SQLite, so the
+        transports call this on their event loop with ``create=False``:
+        a job whose run is not live yet then returns ``None``, and the
+        transport repeats the call on the executor, where starting the
+        run (engine construction and the ``register_run`` commit) may
+        block.
         """
         config = RunConfig.from_json(payload)
         submission = Submission.from_json(payload)
-        bridge = self._bridge_for(config)
+        bridge = self._bridge_for(config, create)
+        if bridge is None:
+            return None
         job_id = bridge.submit(submission)
         return {"run_id": bridge.run_id, "job_id": job_id}
 
@@ -287,23 +295,51 @@ class ServiceState:
         return not leaked
 
     # -- internals -------------------------------------------------------
-    def _bridge_for(self, config: RunConfig) -> SchedulerBridge:
-        run_id = config.run_id
+    def _bridge_for(
+        self, config: RunConfig, create: bool
+    ) -> SchedulerBridge | None:
+        """The run's live bridge; without one, start it if ``create``.
+
+        The new bridge is built without ``_lock`` held, so a live-run
+        lookup never waits on another run's engine construction or
+        ``register_run`` commit.
+        """
         with self._lock:
-            if self._closed:
-                raise ConfigurationError("service is shutting down")
-            bridge = self._bridges.get(run_id)
-            if bridge is None:
-                if len(self._bridges) >= self.max_runs:
-                    raise ConfigurationError(
-                        f"run limit reached ({self.max_runs} live runs); "
-                        "drain one before starting another configuration"
-                    )
-                bridge = SchedulerBridge(
-                    config, self.store, time_scale=self.time_scale
-                ).start()
-                self._bridges[run_id] = bridge
-            return bridge
+            bridge = self._live_or_room(config.run_id)
+        if bridge is None and create:
+            bridge = self._install(
+                SchedulerBridge(config, self.store, time_scale=self.time_scale)
+            )
+        return bridge
+
+    def _install(self, bridge: SchedulerBridge) -> SchedulerBridge:
+        """Start a built bridge as its run's live one and return it.
+
+        Re-checks under the lock: when a racing caller installed the
+        run's bridge first, that one is returned and ``bridge`` is
+        dropped unstarted, so every run has exactly one live bridge.
+        """
+        with self._lock:
+            live = self._live_or_room(bridge.run_id)
+            if live is None:
+                live = self._bridges[bridge.run_id] = bridge.start()
+            return live
+
+    def _live_or_room(self, run_id: str) -> SchedulerBridge | None:
+        """The run's live bridge, or ``None`` when one may be started.
+
+        Raises :class:`ConfigurationError` once :meth:`close` has begun
+        or when the run limit leaves no room.  Callers hold ``_lock``.
+        """
+        if self._closed:
+            raise ConfigurationError("service is shutting down")
+        bridge = self._bridges.get(run_id)
+        if bridge is None and len(self._bridges) >= self.max_runs:
+            raise ConfigurationError(
+                f"run limit reached ({self.max_runs} live runs); "
+                "drain one before starting another configuration"
+            )
+        return bridge
 
     def _live_bridge(self, run_id: str) -> SchedulerBridge | None:
         with self._lock:

@@ -317,7 +317,15 @@ class SchedulerBridge:
         worker_id: int | None = None,
         payload: dict[str, Any] | None = None,
     ) -> None:
-        """The engine's lifecycle sink: persist one event and fold it."""
+        """The engine's lifecycle sink: persist one event and fold it.
+
+        Only the bridge thread emits, so events reach the fold in the
+        order the store numbered them.  The append (an INSERT, and a
+        commit every ``flush_every`` rows) runs outside ``_mutex``, which
+        :meth:`submit` takes; :meth:`checkpoint` stays safe because its
+        snapshot covers ``fold.last_seq``, never an appended event the
+        fold has not applied yet.
+        """
         event = LifecycleEvent(
             run_id=self.run_id,
             kind=kind,
@@ -328,6 +336,6 @@ class SchedulerBridge:
             payload=payload or {},
             wtime=self._wall(),
         )
+        self.store.append(event)
         with self._mutex:
-            self.store.append(event)
             self._fold.apply(event)

@@ -8,9 +8,18 @@ faster path for load generation): one JSON object per line in, one
 ``{"ok": ...}`` object per line out, over a plain TCP connection.
 
 Both transports delegate every operation to
-:class:`~repro.service.api.ServiceState`; handlers run the blocking
-parts (SQLite reads, drains) in the default executor so the event loop
-keeps accepting connections while a drain waits.
+:class:`~repro.service.api.ServiceState`, under one threading rule:
+
+* a submission to a live run is handled on the event loop — it only
+  validates the payload and enqueues the job for the run's bridge
+  thread, so no job pays a hop through a pool thread;
+* everything that may wait or touch SQLite runs in the default
+  executor: the first submission of a run (engine construction and the
+  ``register_run`` commit), drain/result, replay-check, runs,
+  checkpoint and health — so the loop keeps accepting connections while
+  a drain waits;
+* no lock that a submission takes is ever held across SQLite or engine
+  construction, so the inline path cannot stall behind a commit.
 
 Routes
 ------
@@ -35,12 +44,14 @@ import asyncio
 import functools
 import json
 import threading
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import ConfigurationError, StoreUnavailable
 from repro.service.api import DrainTimeout, ServiceState
 from repro.service.models import ServiceConfig
+
+_T = TypeVar("_T")
 
 _REASONS = {
     200: "OK",
@@ -180,6 +191,8 @@ class ReproService:
                     headers[name.strip().lower()] = value.strip()
                 try:
                     length = int(headers.get("content-length", "0") or "0")
+                    if length < 0:
+                        raise ValueError(length)
                 except ValueError:
                     await self._respond(
                         writer, 400, {"error": "bad Content-Length"},
@@ -258,10 +271,8 @@ class ReproService:
             call = self._route(method, path, query, body)
             if call is None:
                 return 404, {"error": f"no route for {method} {url.path}"}
-            status, func = call
-            loop = asyncio.get_running_loop()
-            payload = await loop.run_in_executor(None, func)
-            return status, payload
+            status, reply = call
+            return status, await reply
         except ConfigurationError as exc:
             return 400, {"error": str(exc)}
         except DrainTimeout as exc:
@@ -279,18 +290,19 @@ class ReproService:
         path: list[str],
         query: dict[str, list[str]],
         body: bytes,
-    ) -> tuple[int, Callable[[], dict[str, Any]]] | None:
-        """Map one request to ``(status, thunk)``; ``None`` = 404."""
+    ) -> tuple[int, Awaitable[dict[str, Any]]] | None:
+        """Map one request to ``(status, reply)``; ``None`` = 404."""
         state = self.state
+        blocking = self._blocking
         if method == "GET":
             if path == ["healthz"]:
-                return 200, state.health
+                return 200, blocking(state.health)
             if path == ["runs"]:
-                return 200, state.runs
+                return 200, blocking(state.runs)
             if len(path) == 2 and path[0] == "runs":
-                return 200, functools.partial(state.run_detail, path[1])
+                return 200, blocking(state.run_detail, path[1])
             if len(path) == 3 and path[0] == "runs" and path[2] == "result":
-                return 200, functools.partial(
+                return 200, blocking(
                     state.run_result,
                     path[1],
                     drain=_flag(query, "drain", True),
@@ -302,26 +314,44 @@ class ReproService:
                 data = json.loads(body or b"{}")
                 if not isinstance(data, dict):
                     raise ConfigurationError("body must be a JSON object")
-                return 202, functools.partial(state.submit, data)
+                return 202, self._submit(data)
             if len(path) == 3 and path[0] == "runs":
                 run_id, action = path[1], path[2]
                 if action == "drain":
-                    return 200, functools.partial(
+                    return 200, blocking(
                         state.run_result,
                         run_id,
                         drain=True,
                         timeout=self.config.drain_timeout,
                     )
                 if action == "replay-check":
-                    return 200, functools.partial(state.replay_check, run_id)
+                    return 200, blocking(state.replay_check, run_id)
                 if action == "checkpoint":
-                    return 200, functools.partial(
+                    return 200, blocking(
                         state.checkpoint,
                         run_id,
                         compact=_flag(query, "compact", False),
                     )
             return None
-        return 405, lambda: {"error": f"method {method} not allowed"}
+        return 405, blocking(lambda: {"error": f"method {method} not allowed"})
+
+    # -- shared by both transports ----------------------------------------
+    async def _submit(self, data: dict[str, Any]) -> dict[str, Any]:
+        """Submit inline when the job's run is live, else on the executor."""
+        accepted = self.state.submit(data, create=False)
+        if accepted is None:
+            accepted = await self._blocking(self.state.submit, data)
+        assert accepted is not None  # create=True always returns a reply
+        return accepted
+
+    @staticmethod
+    def _blocking(
+        func: Callable[..., _T], *args: Any, **kwargs: Any
+    ) -> Awaitable[_T]:
+        """Run one operation that may wait or touch SQLite on the executor."""
+        return asyncio.get_running_loop().run_in_executor(
+            None, functools.partial(func, *args, **kwargs)
+        )
 
     # -- NDJSON socket ---------------------------------------------------
     async def _handle_ndjson(
@@ -358,22 +388,22 @@ class ReproService:
                 pass
 
     async def _ndjson_op(self, line: bytes) -> dict[str, Any]:
-        loop = asyncio.get_running_loop()
         try:
             data = json.loads(line)
             if not isinstance(data, dict):
                 return {"ok": False, "error": "each line must be an object"}
             op = data.pop("op", "submit")
             state = self.state
-            thunk: Callable[[], dict[str, Any]]
+            blocking = self._blocking
+            reply: Awaitable[dict[str, Any]]
             if op == "submit":
-                thunk = functools.partial(state.submit, data)
+                reply = self._submit(data)
             elif op == "health":
-                thunk = state.health
+                reply = blocking(state.health)
             elif op == "runs":
-                thunk = state.runs
+                reply = blocking(state.runs)
             elif op in ("result", "drain"):
-                thunk = functools.partial(
+                reply = blocking(
                     state.run_result,
                     str(data["run_id"]),
                     drain=bool(data.get("drain", True)),
@@ -382,19 +412,16 @@ class ReproService:
                     ),
                 )
             elif op == "replay-check":
-                thunk = functools.partial(
-                    state.replay_check, str(data["run_id"])
-                )
+                reply = blocking(state.replay_check, str(data["run_id"]))
             elif op == "checkpoint":
-                thunk = functools.partial(
+                reply = blocking(
                     state.checkpoint,
                     str(data["run_id"]),
                     compact=bool(data.get("compact", False)),
                 )
             else:
                 return {"ok": False, "error": f"unknown op {op!r}"}
-            payload = await loop.run_in_executor(None, thunk)
-            return {"ok": True, **payload}
+            return {"ok": True, **await reply}
         except ConfigurationError as exc:
             return {"ok": False, "error": str(exc)}
         except DrainTimeout as exc:

@@ -188,6 +188,17 @@ def test_http_bad_content_length_gets_400(tiny_service):
     assert b"Content-Length" in response
 
 
+def test_http_negative_content_length_gets_400(tiny_service):
+    # readexactly(-5) raises ValueError, which used to drop the
+    # connection without any response.
+    response = raw_http(
+        tiny_service,
+        b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    )
+    assert response.startswith(b"HTTP/1.1 400 ")
+    assert b"Content-Length" in response
+
+
 def test_ndjson_oversized_line_reports_before_closing(tiny_service):
     with socket.create_connection(
         ("127.0.0.1", tiny_service.socket_port), timeout=30
@@ -295,3 +306,74 @@ def test_same_config_lands_in_the_same_run_across_transports(service):
     run_id = via_http["run_id"]
     (drained,) = ndjson(service, {"op": "drain", "run_id": run_id})
     assert len(drained["result"]["jobs"]) == 2
+
+
+def submit_via(service, transport, payload):
+    """One job over ``transport``; returns the reply without the ok flag."""
+    if transport == "http":
+        status, reply = http(service, "POST", "/jobs", payload)
+        assert status == 202
+        return reply
+    (reply,) = ndjson(service, payload)
+    assert reply.pop("ok") is True, reply
+    return reply
+
+
+@pytest.mark.parametrize("transport", ["ndjson", "http"])
+def test_submit_creates_a_run_off_the_loop_then_submits_inline(
+    service, transport
+):
+    state = service.service.state
+    calls = []
+    submit = state.submit
+
+    def spy(payload, *, create=True):
+        reply = submit(payload, create=create)
+        calls.append((create, reply is not None))
+        return reply
+
+    state.submit = spy
+    first = submit_via(service, transport, job_payload("sparrow"))
+    assert first["job_id"] == 0
+    # The first job of a new run is retried with create=True ...
+    assert calls == [(False, False), (True, True)]
+    calls.clear()
+    second = submit_via(service, transport, job_payload("sparrow"))
+    assert second == {"run_id": first["run_id"], "job_id": 1}
+    # ... a job for a live run is accepted by the inline call alone.
+    assert calls == [(False, True)]
+    (drained,) = ndjson(service, {"op": "drain", "run_id": first["run_id"]})
+    assert len(drained["result"]["jobs"]) == 2
+
+
+def test_submit_after_close_began_gets_the_shutdown_error(service):
+    (live,) = ndjson(service, job_payload("sparrow"))
+    assert live["ok"]
+    assert service.service.state.close(timeout=30.0)
+    for payload in (job_payload("sparrow"), job_payload("hawk")):
+        (reply,) = ndjson(service, payload)
+        assert reply == {"ok": False, "error": "service is shutting down"}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            http(service, "POST", "/jobs", payload)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["error"] == "service is shutting down"
+
+
+def test_run_limit_answers_400(tmp_path):
+    store = EventStore(str(tmp_path / "events.db"))
+    state = ServiceState(store, max_runs=1, time_scale=SCALE)
+    config = ServiceConfig(db_path=store.path, http_port=0, socket_port=0)
+    with ServiceThread(state, config) as service:
+        (first,) = ndjson(service, job_payload("sparrow"))
+        assert first["ok"]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            http(service, "POST", "/jobs", job_payload("hawk"))
+        assert excinfo.value.code == 400
+        assert "run limit" in json.loads(excinfo.value.read())["error"]
+        (refused,) = ndjson(service, job_payload("hawk"))
+        assert refused["ok"] is False and "run limit" in refused["error"]
+        # The live run still takes jobs.
+        status, reply = http(service, "POST", "/jobs", job_payload("sparrow"))
+        assert status == 202 and reply["job_id"] == 1
+    store.close()
