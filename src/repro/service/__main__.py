@@ -86,15 +86,13 @@ def main(argv: list[str] | None = None) -> int:
     store: EventStore | None = None
     try:
         config = ServiceConfig(
-            db_path=args.db,
             host=args.host,
             http_port=args.http_port,
             socket_port=args.socket_port,
-            max_runs=args.max_runs,
         )
-        store = EventStore(config.db_path)
+        store = EventStore(args.db)
         state = ServiceState(
-            store, max_runs=config.max_runs, time_scale=args.time_scale
+            store, max_runs=args.max_runs, time_scale=args.time_scale
         )
         asyncio.run(_serve(ReproService(state, config)))
     except ConfigurationError as exc:

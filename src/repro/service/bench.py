@@ -120,7 +120,7 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
     with tempfile.TemporaryDirectory(prefix="repro-service-bench-") as tmp:
         store = EventStore(os.path.join(tmp, "bench_events.db"))
         state = ServiceState(store, time_scale=TIME_SCALE)
-        config = ServiceConfig(db_path=store.path)
+        config = ServiceConfig()
         rng = random.Random(0)
         with ServiceThread(state, config) as service:
             host = config.host

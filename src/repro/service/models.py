@@ -42,6 +42,10 @@ from repro.schedulers.registry import FrozenParams
 #: one pathological submission.
 MAX_TASKS_PER_JOB = 10_000
 
+#: Per-run worker ceiling, fig05_scale's largest cluster: the service
+#: builds every worker before it answers the run's first job.
+MAX_WORKERS = 100_000
+
 #: Longest single task a client may submit, in (virtual) seconds.
 MAX_TASK_DURATION = 1e6
 
@@ -131,9 +135,10 @@ class RunConfig:
         object.__setattr__(
             self, "params", registry.validate_params(self.policy, self.params)
         )
-        if self.n_workers < 1:
+        if not 1 <= self.n_workers <= MAX_WORKERS:
             raise ConfigurationError(
-                f"n_workers must be >= 1, got {self.n_workers}"
+                f"n_workers must be in [1, {MAX_WORKERS}], "
+                f"got {self.n_workers}"
             )
         if self.cutoff <= 0:
             raise ConfigurationError(
@@ -192,7 +197,7 @@ class RunConfig:
                 ),
                 seed=int(data.get("seed", 0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"bad run config: {exc}") from exc
 
 
@@ -260,19 +265,15 @@ class Submission:
 
 @dataclass(frozen=True, slots=True)
 class ServiceConfig:
-    """Process-level service settings (transport, store, limits)."""
+    """Process-level transport settings: addresses and request limits."""
 
-    db_path: str = "service_events.db"
     host: str = "127.0.0.1"
     http_port: int = 0
     socket_port: int = 0
-    max_runs: int = 32
     max_body_bytes: int = 4 * 1024 * 1024
     drain_timeout: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_runs < 1:
-            raise ConfigurationError("max_runs must be >= 1")
         if self.max_body_bytes < 1024:
             raise ConfigurationError("max_body_bytes must be >= 1024")
         if self.drain_timeout <= 0:

@@ -7,44 +7,62 @@ and out.  The newline-delimited-JSON socket is the fallback (and the
 faster path for load generation): one JSON object per line in, one
 ``{"ok": ...}`` object per line out, over a plain TCP connection.
 
-Both transports delegate every operation to
-:class:`~repro.service.api.ServiceState`, under one threading rule:
+Both transports keep their own framing and share everything after it:
+one op table (:meth:`ReproService._op`) over
+:class:`~repro.service.api.ServiceState`, one error map (:func:`_error`)
+and one connection teardown.
 
-* a submission to a live run is handled on the event loop — it only
-  validates the payload and enqueues the job for the run's bridge
-  thread, so no job pays a hop through a pool thread;
-* everything that may wait or touch SQLite runs in the default
-  executor: the first submission of a run (engine construction and the
-  ``register_run`` commit), drain/result, replay-check, runs,
-  checkpoint and health — so the loop keeps accepting connections while
-  a drain waits;
-* no lock that a submission takes is ever held across SQLite or engine
-  construction, so the inline path cannot stall behind a commit.
+Ops
+---
+An NDJSON line names its op in ``"op"`` (default ``submit``) beside its
+args.  Over HTTP the route names the op, and the JSON body, the query
+values and the ``{id}`` path segment (as ``run_id``) are its args.
 
-Routes
+============ ================================ ===========================
+op           HTTP route                       args
+============ ================================ ===========================
+submit       POST ``/jobs``                   run config and job
+health       GET ``/healthz``
+runs         GET ``/runs``
+run          GET ``/runs/{id}``               ``run_id``
+result       GET ``/runs/{id}/result``        ``run_id drain timeout``
+drain        POST ``/runs/{id}/drain``        ``run_id timeout``
+replay-check POST ``/runs/{id}/replay-check`` ``run_id``
+checkpoint   POST ``/runs/{id}/checkpoint``   ``run_id compact``
+============ ================================ ===========================
+
+``drain`` (default true) and ``compact`` (default false) read ``0``,
+``false`` and ``no`` as false, as JSON or as query strings.  ``timeout``
+is seconds in ``[0, threading.TIMEOUT_MAX]``, by default the config's
+``drain_timeout``.
+
+Errors
 ------
-====== ============================ ======================================
-GET    ``/healthz``                 liveness + store counters
-GET    ``/runs``                    all runs (live and historical)
-GET    ``/runs/{id}``               one run's config, stats, event count
-GET    ``/runs/{id}/result``        folded result (``?drain=0`` to skip)
-POST   ``/jobs``                    submit one job (202 + run/job ids)
-POST   ``/runs/{id}/drain``         block until in-flight jobs finish
-POST   ``/runs/{id}/replay-check``  cold replay vs live equality
-POST   ``/runs/{id}/checkpoint``    snapshot (``?compact=1`` to compact)
-====== ============================ ======================================
+An HTTP error is its status and an ``{"error": ...}`` body; the NDJSON
+reply is the same body with ``"ok": false``.
 
-NDJSON ops mirror the routes: ``submit`` (default), ``health``,
-``runs``, ``result``, ``drain``, ``replay-check``, ``checkpoint``.
+====== ========================================================
+status cause
+====== ========================================================
+400    ``ConfigurationError``, malformed input or args
+404    no HTTP route
+405    an HTTP method other than GET and POST
+413    a body over ``max_body_bytes``, a line over the stream limit
+500    any other exception, which is logged
+503    ``StoreUnavailable``; the body adds ``"unavailable": true``
+504    ``DrainTimeout``; the body adds ``"timeout": true``
+====== ========================================================
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import json
+import logging
 import threading
-from typing import Any, Awaitable, Callable, TypeVar
+from typing import Any, AsyncIterator, Awaitable, Callable, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import ConfigurationError, StoreUnavailable
@@ -52,6 +70,8 @@ from repro.service.api import DrainTimeout, ServiceState
 from repro.service.models import ServiceConfig
 
 _T = TypeVar("_T")
+
+logger = logging.getLogger(__name__)
 
 _REASONS = {
     200: "OK",
@@ -65,16 +85,45 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
+#: HTTP ``(method, *path)`` → op; ``{id}`` stands for the run id.
+_ROUTES = {
+    ("GET", "healthz"): "health",
+    ("GET", "runs"): "runs",
+    ("GET", "runs", "{id}"): "run",
+    ("GET", "runs", "{id}", "result"): "result",
+    ("POST", "jobs"): "submit",
+    ("POST", "runs", "{id}", "drain"): "drain",
+    ("POST", "runs", "{id}", "replay-check"): "replay-check",
+    ("POST", "runs", "{id}", "checkpoint"): "checkpoint",
+}
+_METHODS = {route[0] for route in _ROUTES}
 
-class _LineTooLong(Exception):
-    """A readline exceeded the stream buffer limit (mapped to 413)."""
+
+def _flag(args: dict[str, Any], name: str, default: bool) -> bool:
+    value = args.get(name, default)
+    if isinstance(value, str):
+        return value.lower() not in ("0", "false", "no")
+    return bool(value)
 
 
-def _flag(query: dict[str, list[str]], name: str, default: bool) -> bool:
-    values = query.get(name)
-    if not values:
-        return default
-    return values[-1] not in ("0", "false", "no")
+def _error(exc: Exception) -> tuple[int, dict[str, Any]]:
+    """The typed ``(status, body)`` reply to an op that raised ``exc``.
+
+    Call it from the ``except`` block: an exception it does not know is
+    logged with its traceback and answered 500.
+    """
+    if isinstance(exc, ConfigurationError):
+        return 400, {"error": str(exc)}
+    if isinstance(exc, DrainTimeout):
+        return 504, {"error": str(exc), "timeout": True}
+    if isinstance(exc, StoreUnavailable):
+        return 503, {"error": str(exc), "unavailable": True}
+    # Malformed input: JSON and UTF-8 decode errors are ValueErrors, and
+    # int()/float() of an infinite or huge number raise OverflowError.
+    if isinstance(exc, (KeyError, TypeError, ValueError, OverflowError)):
+        return 400, {"error": f"bad request: {exc}"}
+    logger.exception("internal error answering a request")
+    return 500, {"error": "internal error"}
 
 
 class ReproService:
@@ -150,192 +199,182 @@ class ReproService:
         )
         return clean
 
-    # -- HTTP ------------------------------------------------------------
-    @staticmethod
-    async def _readline(reader: asyncio.StreamReader) -> bytes:
-        """One line off the stream; over-limit lines raise typed.
+    @contextlib.asynccontextmanager
+    async def _connection(
+        self, writer: asyncio.StreamWriter
+    ) -> AsyncIterator[None]:
+        """Track one client connection and close it when its handler ends.
 
-        ``StreamReader.readline`` reports a line longer than the stream
-        buffer limit as a bare ``ValueError`` — left alone it would kill
-        the handler without a response.  Re-raising as
-        :class:`_LineTooLong` lets the request loop answer a clean 413.
+        A client that vanishes or cuts a body short just ends the
+        connection: there is nobody left to answer.
         """
-        try:
-            return await reader.readline()
-        except ValueError as exc:
-            raise _LineTooLong(str(exc)) from exc
-
-    async def _handle_http(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
         self._writers.add(writer)
         try:
-            while True:
-                request_line = await self._readline(reader)
-                if not request_line:
-                    break
-                parts = request_line.decode("latin-1").split()
-                if len(parts) != 3:
-                    await self._respond(
-                        writer, 400, {"error": "malformed request line"},
-                        keep=False,
-                    )
-                    break
-                method, target, version = parts
-                headers: dict[str, str] = {}
-                while True:
-                    line = await self._readline(reader)
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                    if length < 0:
-                        raise ValueError(length)
-                except ValueError:
-                    await self._respond(
-                        writer, 400, {"error": "bad Content-Length"},
-                        keep=False,
-                    )
-                    break
-                if length > self.config.max_body_bytes:
-                    await self._respond(
-                        writer, 413, {"error": "body too large"}, keep=False
-                    )
-                    break
-                body = await reader.readexactly(length) if length else b""
-                keep = (
-                    headers.get(
-                        "connection",
-                        "keep-alive" if version == "HTTP/1.1" else "close",
-                    ).lower()
-                    != "close"
-                )
-                status, payload = await self._dispatch(method, target, body)
-                await self._respond(writer, status, payload, keep=keep)
-                if not keep:
-                    break
-        except _LineTooLong:
-            # An oversized request/header line: the rest of the stream
-            # is unframed garbage, so answer once and drop the
-            # connection instead of dying without a response.
-            try:
-                await self._respond(
-                    writer,
-                    413,
-                    {"error": "request line exceeds the size limit"},
-                    keep=False,
-                )
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            ValueError,
-        ):
+            yield
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             self._writers.discard(writer)
             writer.close()
-            try:
+            with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict[str, Any],
-        keep: bool,
+    # -- HTTP ------------------------------------------------------------
+    async def _handle_http(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        body = json.dumps(payload).encode()
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep else 'close'}\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
-
-    async def _dispatch(
-        self, method: str, target: str, body: bytes
-    ) -> tuple[int, dict[str, Any]]:
-        url = urlsplit(target)
-        path = [p for p in url.path.split("/") if p]
-        query = parse_qs(url.query)
-        try:
-            call = self._route(method, path, query, body)
-            if call is None:
-                return 404, {"error": f"no route for {method} {url.path}"}
-            status, reply = call
-            return status, await reply
-        except ConfigurationError as exc:
-            return 400, {"error": str(exc)}
-        except DrainTimeout as exc:
-            return 504, {"error": str(exc), "timeout": True}
-        except StoreUnavailable as exc:
-            return 503, {"error": str(exc)}
-        except json.JSONDecodeError as exc:
-            return 400, {"error": f"bad JSON body: {exc}"}
-        except (KeyError, TypeError, ValueError) as exc:
-            return 400, {"error": f"bad request: {exc}"}
-
-    def _route(
-        self,
-        method: str,
-        path: list[str],
-        query: dict[str, list[str]],
-        body: bytes,
-    ) -> tuple[int, Awaitable[dict[str, Any]]] | None:
-        """Map one request to ``(status, reply)``; ``None`` = 404."""
-        state = self.state
-        blocking = self._blocking
-        if method == "GET":
-            if path == ["healthz"]:
-                return 200, blocking(state.health)
-            if path == ["runs"]:
-                return 200, blocking(state.runs)
-            if len(path) == 2 and path[0] == "runs":
-                return 200, blocking(state.run_detail, path[1])
-            if len(path) == 3 and path[0] == "runs" and path[2] == "result":
-                return 200, blocking(
-                    state.run_result,
-                    path[1],
-                    drain=_flag(query, "drain", True),
-                    timeout=self.config.drain_timeout,
+        async with self._connection(writer):
+            keep = True
+            while keep:
+                answer = await self._request(reader)
+                if answer is None:
+                    return
+                status, payload, keep = answer
+                body = json.dumps(payload).encode()
+                reply = (
+                    f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n"
+                    f"Connection: {'keep-alive' if keep else 'close'}\r\n"
+                    "\r\n"
                 )
-            return None
-        if method == "POST":
-            if path == ["jobs"]:
-                data = json.loads(body or b"{}")
-                if not isinstance(data, dict):
-                    raise ConfigurationError("body must be a JSON object")
-                return 202, self._submit(data)
-            if len(path) == 3 and path[0] == "runs":
-                run_id, action = path[1], path[2]
-                if action == "drain":
-                    return 200, blocking(
-                        state.run_result,
-                        run_id,
-                        drain=True,
-                        timeout=self.config.drain_timeout,
-                    )
-                if action == "replay-check":
-                    return 200, blocking(state.replay_check, run_id)
-                if action == "checkpoint":
-                    return 200, blocking(
-                        state.checkpoint,
-                        run_id,
-                        compact=_flag(query, "compact", False),
-                    )
-            return None
-        return 405, blocking(lambda: {"error": f"method {method} not allowed"})
+                writer.write(reply.encode("latin-1") + body)
+                await writer.drain()
 
-    # -- shared by both transports ----------------------------------------
+    async def _request(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[int, dict[str, Any], bool] | None:
+        """Read one request and answer ``(status, body, keep)``.
+
+        ``None`` means the client closed the connection between requests.
+        """
+        try:
+            head = [await reader.readline()]
+            while head[-1] not in (b"\r\n", b"\n", b""):
+                head.append(await reader.readline())
+        except ValueError:
+            # readline reports a line over the stream limit as a bare
+            # ValueError.  The rest of the stream is unframed garbage, so
+            # answer once and drop the connection.
+            return 413, {"error": "request line exceeds the size limit"}, False
+        if not head[0]:
+            return None
+        parts = head[0].decode("latin-1").split()
+        if len(parts) != 3:
+            return 400, {"error": "malformed request line"}, False
+        method, target, version = parts
+        headers: dict[str, str] = {}
+        for line in head[1:-1]:
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        try:
+            # int(), not str.isdigit(): "²".isdigit() is true.
+            length = int(headers.get("content-length") or "0")
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            return 400, {"error": "bad Content-Length"}, False
+        if length > self.config.max_body_bytes:
+            return 413, {"error": "body too large"}, False
+        body = await reader.readexactly(length)
+        default = "keep-alive" if version == "HTTP/1.1" else "close"
+        keep = headers.get("connection", default).lower() != "close"
+        try:
+            url = urlsplit(target)
+            path = [p for p in url.path.split("/") if p]
+            args: dict[str, Any] = {}
+            if len(path) > 1:  # every longer route has the run id second
+                args, path[1] = {"run_id": path[1]}, "{id}"
+            op = _ROUTES.get((method, *path))
+            if op is None:
+                status = 404 if method in _METHODS else 405
+                error = f"no route for {method} {url.path}"
+                return status, {"error": error}, keep
+            data = json.loads(body) if body else {}
+            if not isinstance(data, dict):
+                raise ConfigurationError("body must be a JSON object")
+            query = parse_qs(url.query)
+            args = {**data, **{k: v[-1] for k, v in query.items()}, **args}
+            reply = await self._op(op, args)
+            return (202 if op == "submit" else 200), reply, keep
+        except Exception as exc:
+            status, payload = _error(exc)
+            return status, payload, keep
+
+    # -- NDJSON socket ---------------------------------------------------
+    async def _handle_ndjson(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        async with self._connection(writer):
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:  # a line over the stream limit
+                    writer.write(b'{"ok": false, "error": "line too long"}\n')
+                    await writer.drain()
+                    return
+                if not line:
+                    return
+                if not line.strip():
+                    continue
+                try:
+                    data = json.loads(line)
+                    if not isinstance(data, dict):
+                        raise ConfigurationError("each line must be an object")
+                    op = data.pop("op", "submit")
+                    reply = {"ok": True, **await self._op(op, data)}
+                except Exception as exc:
+                    status, body = _error(exc)
+                    reply = {"ok": status < 400, **body}
+                writer.write((json.dumps(reply) + "\n").encode())
+                await writer.drain()
+
+    # -- the one op table ------------------------------------------------
+    def _op(self, op: Any, args: dict[str, Any]) -> Awaitable[dict[str, Any]]:
+        """Start one op for either transport; await the reply body.
+
+        The threading rule: a submission to a live run is validated and
+        enqueued on the event loop.  Everything that may wait or touch
+        SQLite runs on the executor, a new run's first job included, so
+        the loop keeps accepting connections while a drain waits.  No
+        lock a submission takes is held across SQLite or engine
+        construction, so the inline path cannot stall behind a commit.
+        ``_op`` is a plain function, not a coroutine, so a live-run
+        submission costs no coroutine beyond :meth:`_submit`.
+        """
+        state, blocking = self.state, self._blocking
+        if op == "submit":
+            return self._submit(args)
+        if op == "health":
+            return blocking(state.health)
+        if op == "runs":
+            return blocking(state.runs)
+        if op == "run":
+            return blocking(state.run_detail, str(args["run_id"]))
+        if op in ("result", "drain"):
+            # Event.wait raises OverflowError past threading.TIMEOUT_MAX.
+            timeout = float(args.get("timeout", self.config.drain_timeout))
+            if not 0.0 <= timeout <= threading.TIMEOUT_MAX:
+                raise ConfigurationError(
+                    f"timeout must be in [0, {threading.TIMEOUT_MAX:g}] "
+                    f"seconds, got {timeout!r}"
+                )
+            return blocking(
+                state.run_result,
+                str(args["run_id"]),
+                drain=op == "drain" or _flag(args, "drain", True),
+                timeout=timeout,
+            )
+        if op == "replay-check":
+            return blocking(state.replay_check, str(args["run_id"]))
+        if op == "checkpoint":
+            return blocking(
+                state.checkpoint,
+                str(args["run_id"]),
+                compact=_flag(args, "compact", False),
+            )
+        raise ConfigurationError(f"unknown op {op!r}")
+
     async def _submit(self, data: dict[str, Any]) -> dict[str, Any]:
         """Submit inline when the job's run is live, else on the executor."""
         accepted = self.state.submit(data, create=False)
@@ -352,89 +391,6 @@ class ReproService:
         return asyncio.get_running_loop().run_in_executor(
             None, functools.partial(func, *args, **kwargs)
         )
-
-    # -- NDJSON socket ---------------------------------------------------
-    async def _handle_ndjson(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    response: dict[str, Any] = {
-                        "ok": False,
-                        "error": "line too long",
-                    }
-                    writer.write((json.dumps(response) + "\n").encode())
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                response = await self._ndjson_op(line)
-                writer.write((json.dumps(response) + "\n").encode())
-                await writer.drain()
-        except ConnectionError:  # pragma: no cover - client vanished
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
-
-    async def _ndjson_op(self, line: bytes) -> dict[str, Any]:
-        try:
-            data = json.loads(line)
-            if not isinstance(data, dict):
-                return {"ok": False, "error": "each line must be an object"}
-            op = data.pop("op", "submit")
-            state = self.state
-            blocking = self._blocking
-            reply: Awaitable[dict[str, Any]]
-            if op == "submit":
-                reply = self._submit(data)
-            elif op == "health":
-                reply = blocking(state.health)
-            elif op == "runs":
-                reply = blocking(state.runs)
-            elif op in ("result", "drain"):
-                reply = blocking(
-                    state.run_result,
-                    str(data["run_id"]),
-                    drain=bool(data.get("drain", True)),
-                    timeout=float(
-                        data.get("timeout", self.config.drain_timeout)
-                    ),
-                )
-            elif op == "replay-check":
-                reply = blocking(state.replay_check, str(data["run_id"]))
-            elif op == "checkpoint":
-                reply = blocking(
-                    state.checkpoint,
-                    str(data["run_id"]),
-                    compact=bool(data.get("compact", False)),
-                )
-            else:
-                return {"ok": False, "error": f"unknown op {op!r}"}
-            return {"ok": True, **await reply}
-        except ConfigurationError as exc:
-            return {"ok": False, "error": str(exc)}
-        except DrainTimeout as exc:
-            return {"ok": False, "error": str(exc), "timeout": True}
-        except StoreUnavailable as exc:
-            return {"ok": False, "error": str(exc), "unavailable": True}
-        except (
-            json.JSONDecodeError,
-            KeyError,
-            TypeError,
-            ValueError,
-        ) as exc:
-            return {"ok": False, "error": f"bad request: {exc}"}
 
 
 class ServiceThread:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.service.event_store import EventStore
-from repro.service.models import RunConfig, Submission
+from repro.service.models import MAX_WORKERS, RunConfig, Submission
 from repro.service.replay import replay
 from repro.service.scheduler_bridge import SchedulerBridge
 
@@ -167,6 +167,15 @@ def test_two_configs_share_one_store_without_mixing(store):
 def test_non_serving_policy_is_rejected():
     with pytest.raises(ConfigurationError, match="serves_online=False"):
         RunConfig(policy="omniscient")
+
+
+def test_run_config_bounds_the_worker_count():
+    # Every worker is built before the run's first job is answered.
+    RunConfig(policy="sparrow", n_workers=MAX_WORKERS)
+    with pytest.raises(ConfigurationError, match="n_workers"):
+        RunConfig(policy="sparrow", n_workers=MAX_WORKERS + 1)
+    with pytest.raises(ConfigurationError, match="n_workers"):
+        RunConfig(policy="sparrow", n_workers=0)
 
 
 def test_run_config_digest_is_content_addressed():

@@ -12,13 +12,15 @@ import socket
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
+from urllib.parse import urlencode
 
 import pytest
 
 from repro.service.api import ServiceState
 from repro.service.event_store import EventStore
 from repro.service.models import ServiceConfig, canonical_json
-from repro.service.server import ServiceThread
+from repro.service.server import _ROUTES, ServiceThread
 
 SCALE = 200.0
 
@@ -27,9 +29,7 @@ SCALE = 200.0
 def service(tmp_path):
     store = EventStore(str(tmp_path / "events.db"))
     state = ServiceState(store, time_scale=SCALE)
-    config = ServiceConfig(
-        db_path=store.path, http_port=0, socket_port=0, drain_timeout=30.0
-    )
+    config = ServiceConfig(http_port=0, socket_port=0, drain_timeout=30.0)
     with ServiceThread(state, config) as thread:
         yield thread
     store.close()
@@ -132,7 +132,6 @@ def tiny_service(tmp_path):
     store = EventStore(str(tmp_path / "events.db"))
     state = ServiceState(store, time_scale=SCALE)
     config = ServiceConfig(
-        db_path=store.path,
         http_port=0,
         socket_port=0,
         max_body_bytes=1024,
@@ -363,7 +362,7 @@ def test_submit_after_close_began_gets_the_shutdown_error(service):
 def test_run_limit_answers_400(tmp_path):
     store = EventStore(str(tmp_path / "events.db"))
     state = ServiceState(store, max_runs=1, time_scale=SCALE)
-    config = ServiceConfig(db_path=store.path, http_port=0, socket_port=0)
+    config = ServiceConfig(http_port=0, socket_port=0)
     with ServiceThread(state, config) as service:
         (first,) = ndjson(service, job_payload("sparrow"))
         assert first["ok"]
@@ -377,3 +376,124 @@ def test_run_limit_answers_400(tmp_path):
         status, reply = http(service, "POST", "/jobs", job_payload("sparrow"))
         assert status == 202 and reply["job_id"] == 1
     store.close()
+
+
+class Wire:
+    """One keep-alive connection that sends ops over either transport.
+
+    ``send(op, args)`` answers ``(ok, status, body)``: over HTTP the
+    route comes from the server's route table, a submit's args are the
+    JSON body and every other op's args are query values; over NDJSON
+    the args go beside ``op`` on one line and ``status`` is ``None``.
+    ``args`` may be a dict or the JSON text of one.
+    """
+
+    ROUTE_OF = {op: route for route, op in _ROUTES.items()}
+
+    def __init__(self, service, transport):
+        self.transport = transport
+        if transport == "http":
+            self.conn = HTTPConnection(
+                "127.0.0.1", service.http_port, timeout=30
+            )
+        else:
+            self.sock = socket.create_connection(
+                ("127.0.0.1", service.socket_port), timeout=30
+            )
+            self.handle = self.sock.makefile("rw", encoding="utf-8")
+
+    def send(self, op, args):
+        text = args if isinstance(args, str) else json.dumps(args)
+        if self.transport == "ndjson":
+            fields = [f'"op": {json.dumps(op)}', text.strip()[1:-1].strip()]
+            self.handle.write("{" + ", ".join(filter(None, fields)) + "}\n")
+            self.handle.flush()
+            reply = json.loads(self.handle.readline())
+            return reply.pop("ok"), None, reply
+        method, *path = self.ROUTE_OF[op]
+        data = json.loads(text)
+        run_id = data.pop("run_id", None)
+        target = "/" + "/".join(run_id if p == "{id}" else p for p in path)
+        if op == "submit":
+            self.conn.request(method, target, body=text)
+        else:
+            query = urlencode({k: str(v) for k, v in data.items()})
+            self.conn.request(method, target + ("?" + query) * bool(query))
+        response = self.conn.getresponse()
+        body = json.loads(response.read())
+        return response.status < 400, response.status, body
+
+    def close(self):
+        if self.transport == "http":
+            self.conn.close()
+        else:
+            self.handle.close()
+            self.sock.close()
+
+
+@pytest.mark.parametrize("transport", ["ndjson", "http"])
+def test_infinite_numbers_get_a_typed_400_and_the_connection_lives(
+    service, transport
+):
+    # Infinity and 1e400 (json reads it as inf) used to raise
+    # OverflowError past every handler: no reply, connection dropped.
+    wire = Wire(service, transport)
+    slow = job_payload("sparrow", tasks=(40.0,))  # 0.2 s of wall time
+    ok, _, first = wire.send("submit", slow)
+    assert ok, first
+    for bad in (
+        '{"policy": "sparrow", "n_workers": Infinity, "tasks": [0.5]}',
+        '{"policy": "sparrow", "seed": Infinity, "tasks": [0.5]}',
+        '{"policy": "sparrow", "n_workers": 1e400, "tasks": [0.5]}',
+    ):
+        ok, status, reply = wire.send("submit", bad)
+        assert not ok and status in (None, 400)
+        assert "bad run config" in reply["error"]
+        ok, _, accepted = wire.send("submit", slow)
+        assert ok and accepted["run_id"] == first["run_id"], accepted
+    # Event.wait raises OverflowError on a timeout past TIMEOUT_MAX.
+    run_id = first["run_id"]
+    for timeout in ("1e300", "Infinity", "-1", "NaN"):
+        text = f'{{"run_id": "{run_id}", "timeout": {timeout}}}'
+        ok, status, reply = wire.send("drain", text)
+        assert not ok and status in (None, 400)
+        assert "timeout must be in" in reply["error"], reply
+    ok, _, drained = wire.send("drain", {"run_id": run_id})
+    assert ok and len(drained["result"]["jobs"]) == 4
+    wire.close()
+
+
+def test_every_op_answers_alike_over_both_transports(service):
+    by_http, by_ndjson = Wire(service, "http"), Wire(service, "ndjson")
+
+    def both(op, args):
+        ok, status, body = by_http.send(op, args)
+        ok2, _, body2 = by_ndjson.send(op, args)
+        assert ok == ok2 == (status < 400)
+        assert body == body2, (op, args)
+        return status, body
+
+    # 200 virtual seconds = 1 wall second at scale 200.
+    ok, _, first = by_http.send("submit", job_payload("sparrow", (200.0,)))
+    run_id = first["run_id"]
+    status, body = both("result", {"run_id": run_id, "drain": "false"})
+    assert status == 200 and body["result"]["jobs"] == []
+    status, body = both("drain", {"run_id": run_id, "timeout": 0.05})
+    assert status == 504 and body["timeout"] is True
+    status, body = both("drain", {"run_id": run_id, "timeout": 30})
+    assert status == 200 and len(body["result"]["jobs"]) == 1
+    for op in ("health", "runs"):
+        assert both(op, {})[0] == 200
+    for op in ("run", "result", "replay-check", "checkpoint"):
+        assert both(op, {"run_id": run_id})[0] == 200
+    assert both("checkpoint", {"run_id": run_id, "compact": "0"})[0] == 200
+    assert both("run", {"run_id": "nope"})[0] == 400
+    assert both("drain", {"run_id": run_id, "timeout": "soon"})[0] == 400
+    assert both("submit", job_payload(policy="no-such-policy"))[0] == 400
+
+    _, status, accepted = by_http.send("submit", job_payload("sparrow"))
+    _, _, also = by_ndjson.send("submit", job_payload("sparrow"))
+    assert status == 202
+    assert also == {**accepted, "job_id": accepted["job_id"] + 1}
+    by_http.close()
+    by_ndjson.close()
