@@ -8,7 +8,6 @@ partition*: long tasks are restricted to it, short tasks may run anywhere.
 from __future__ import annotations
 
 import enum
-from array import array
 
 from repro.cluster.worker import Worker
 from repro.core.errors import ConfigurationError
@@ -56,23 +55,13 @@ class Cluster:
         #: queues could hold stealable work — a cheap necessary condition
         #: used by the stealing policy to park idle workers.
         self.steal_hint_count = 0
-        # Struct-of-arrays columns, indexed by worker id.  Per-worker
-        # *queue contents* stay on the Worker (deques); the cluster owns
-        # the flat per-worker metadata so hot policies can scan or
-        # pre-filter thousands of workers without touching Worker
-        # objects.  ``backlog``/``long_count``/``slot_long`` are written
-        # by the workers themselves on every queue/slot mutation;
-        # ``steal_flags`` mirrors each general worker's steal hint
-        # (written by the engine's hint sync, read as the stealing
-        # policy's victim eligibility bitmap); ``parked`` is the
-        # stealing policy's park-state column.
-        self.backlog = array("l", [0]) * n_workers
-        self.long_count = array("l", [0]) * n_workers
-        self.slot_long = bytearray(n_workers)
+        # Struct-of-arrays columns, indexed by worker id, so the stealing
+        # policy can scan thousands of workers without touching Worker
+        # objects.  ``steal_flags`` mirrors each general worker's steal
+        # hint (written by the engine's hint sync, read as the victim
+        # eligibility bitmap); ``parked`` is the policy's park-state column.
         self.steal_flags = bytearray(n_workers)
         self.parked = bytearray(n_workers)
-        for worker in self.workers:
-            worker.attach_columns(self.backlog, self.long_count)
 
     @property
     def n_short(self) -> int:

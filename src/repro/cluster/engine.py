@@ -42,6 +42,7 @@ no sink and skip every emission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -57,7 +58,6 @@ from repro.cluster.records import (
 from repro.cluster.task import Task
 from repro.cluster.worker import ProbeEntry, QueueEntry, TaskEntry, Worker, WorkerState
 from repro.core.errors import ConfigurationError, SimulationError
-from repro.core.network import DEFAULT_NETWORK_DELAY_S, NetworkModel
 from repro.core.simulation import Simulation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -70,6 +70,13 @@ _IDLE = WorkerState.IDLE
 _BUSY = WorkerState.BUSY
 _WAITING = WorkerState.WAITING
 _DEAD = WorkerState.DEAD
+
+#: One-way delay of every message.  Section 4.1: "Network delay is assumed
+#: to be 0.5ms.  The scheduling decisions and the task stealing do not
+#: incur additional costs."
+NETWORK_DELAY_S = 0.0005
+#: Simulated seconds between utilization samples (Section 2.3).
+UTILIZATION_INTERVAL_S = 100.0
 
 # -- lifecycle event kinds (see "Lifecycle events" above) ----------------
 KIND_SUBMITTED = "submitted"
@@ -103,20 +110,21 @@ class EngineConfig:
 
     ``cutoff`` is the long/short threshold in seconds (Section 3.3); it is
     engine-level because entry classes (used by stealing eligibility and
-    reporting) depend on it even for baseline schedulers.
+    reporting) depend on it even for baseline schedulers.  ``max_events``
+    is a runaway guard.  The paper fixes the message delay and the
+    utilization sampling period, so those are the module constants
+    :data:`NETWORK_DELAY_S` and :data:`UTILIZATION_INTERVAL_S`.
     """
 
     cutoff: float
     seed: int = 0
-    network_delay: float = DEFAULT_NETWORK_DELAY_S
-    utilization_interval: float = 100.0
     max_events: int | None = None
 
     def __post_init__(self) -> None:
-        if self.cutoff <= 0:
-            raise ConfigurationError(f"cutoff must be positive, got {self.cutoff}")
-        if self.utilization_interval <= 0:
-            raise ConfigurationError("utilization_interval must be positive")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ConfigurationError(
+                f"cutoff must be positive and finite, got {self.cutoff}"
+            )
 
 
 def resolve_estimate(
@@ -156,7 +164,6 @@ class ClusterEngine:
         self.stealing = stealing
         self.estimate = resolve_estimate(estimate, config.seed)
         self.sim = Simulation()
-        self.network = NetworkModel(config.network_delay)
         self._batch = self.transport_batching
         self._busy = 0
         self._jobs_total = 0
@@ -212,11 +219,10 @@ class ClusterEngine:
 
     def _msg_delay(self) -> float:
         """One message's network delay, plus any injected perturbation."""
-        delay = self.network.sample()
         faults = self._faults
         if faults is not None:
-            delay = faults.perturb_delay(delay)
-        return delay
+            return faults.perturb_delay(NETWORK_DELAY_S)
+        return NETWORK_DELAY_S
 
     # ------------------------------------------------------------------
     # Placement API (called by scheduler policies).
@@ -241,9 +247,7 @@ class ClusterEngine:
             )
         if len(worker_ids) > 1 and self._batch:
             entries = [ProbeEntry(job, frontend) for _ in worker_ids]
-            self.sim.schedule(
-                self.network.delay, self._deliver_batch, worker_ids, entries
-            )
+            self.sim.schedule(NETWORK_DELAY_S, self._deliver_batch, worker_ids, entries)
         else:
             for worker_id in worker_ids:
                 self._send(worker_id, ProbeEntry(job, frontend))
@@ -264,9 +268,7 @@ class ClusterEngine:
         if len(assignments) > 1 and self._batch:
             worker_ids = [worker_id for worker_id, _ in assignments]
             entries = [TaskEntry(task) for _, task in assignments]
-            self.sim.schedule(
-                self.network.delay, self._deliver_batch, worker_ids, entries
-            )
+            self.sim.schedule(NETWORK_DELAY_S, self._deliver_batch, worker_ids, entries)
         else:
             for worker_id, task in assignments:
                 self._send(worker_id, TaskEntry(task))
@@ -330,7 +332,6 @@ class ClusterEngine:
         try_start = self._worker_try_start
         sync = self._sync_steal_hint
         start_task = self._start_task
-        slot_long = self.cluster.slot_long
         faults = self._faults
         dead = faults.dead if faults is not None else None
         pairs: list[tuple[Worker, ProbeEntry]] | None = None
@@ -345,7 +346,6 @@ class ClusterEngine:
                 else:
                     worker.state = _WAITING
                     worker.current_entry = entry
-                    slot_long[worker_id] = 1 if entry.is_long else 0
                     if pairs is None:
                         pairs = [(worker, entry)]  # type: ignore[list-item]
                     else:
@@ -357,19 +357,11 @@ class ClusterEngine:
             else:
                 sync(worker)
         if pairs is not None:
-            if self._batch:
-                delay = self.network.delay
-                self.sim.schedule_at(
-                    self.sim.now + delay + delay, self._round_trip_batch, pairs
-                )
-            else:  # pragma: no cover - batch delivery implies batching on
-                for worker, probe in pairs:
-                    self.sim.schedule(
-                        self._msg_delay(),
-                        self._probe_request_arrives,
-                        worker,
-                        probe,
-                    )
+            self.sim.schedule_at(
+                self.sim.now + NETWORK_DELAY_S + NETWORK_DELAY_S,
+                self._round_trip_batch,
+                pairs,
+            )
 
     def _round_trip_batch(self, pairs: "list[tuple[Worker, ProbeEntry]]") -> None:
         """Fused round trips for one delivery batch's idle-worker probes.
@@ -437,9 +429,7 @@ class ClusterEngine:
         """Late binding: park the probe in the slot, ask for a task."""
         worker.state = _WAITING
         worker.current_entry = entry
-        self.cluster.slot_long[worker.worker_id] = 1 if entry.is_long else 0
         self._sync_steal_hint(worker)
-        network = self.network
         if self._batch:
             # Fused round trip: request leg + response leg in one
             # event at (now + delay) + delay — the same two
@@ -448,9 +438,8 @@ class ClusterEngine:
             # next_task() calls is unchanged — each request leg
             # shifts by the same constant delay, and seqs are
             # allocated here either way.
-            delay = network.delay
             self.sim.schedule_at(
-                self.sim.now + delay + delay,
+                self.sim.now + NETWORK_DELAY_S + NETWORK_DELAY_S,
                 self._probe_round_trip,
                 worker,
                 entry,
@@ -488,7 +477,6 @@ class ClusterEngine:
             )
         worker.state = _IDLE
         worker.current_entry = None
-        self.cluster.slot_long[worker.worker_id] = 0
         if task is None:
             # Cancelled: all of the job's tasks were already handed out.
             self._worker_try_start(worker)
@@ -503,7 +491,6 @@ class ClusterEngine:
         worker.current_entry = entry
         worker.current_task = task
         worker.steal_backoff = 0.0
-        self.cluster.slot_long[worker.worker_id] = 1 if entry.is_long else 0
         task.start(worker.worker_id, self.sim.now)
         self._busy += 1
         self._sync_steal_hint(worker)
@@ -538,7 +525,6 @@ class ClusterEngine:
         worker.state = _IDLE
         worker.current_entry = None
         worker.current_task = None
-        self.cluster.slot_long[worker.worker_id] = 0
         worker.tasks_executed += 1
         self._busy -= 1
         self.scheduler.on_task_finish(task)
@@ -607,7 +593,6 @@ class ClusterEngine:
             )
         worker.current_entry = None
         worker.current_task = None
-        self.cluster.slot_long[worker_id] = 0
         if worker.queue:
             entries = worker.remove_range(0, len(worker.queue))
             faults.entries_redistributed += len(entries)
@@ -674,10 +659,11 @@ class ClusterEngine:
         self._utilization.append(
             UtilizationSample(self.sim.now, self._busy, self.cluster.n_workers)
         )
-        if not self._done:
-            self.sim.schedule(
-                self.config.utilization_interval, self._sample_utilization
-            )
+        # Re-arm only while something else can still happen: a stuck run
+        # must drain its heap so run() reports it instead of sampling an
+        # idle cluster forever.
+        if not self._done and self.sim.pending_events:
+            self.sim.schedule(UTILIZATION_INTERVAL_S, self._sample_utilization)
 
     # ------------------------------------------------------------------
     # Online submission (long-running service mode).
@@ -740,7 +726,7 @@ class ClusterEngine:
         for job in jobs:
             self.sim.schedule_at(job.submit_time, self.scheduler.on_job_submit, job)
         self.sim.schedule_at(
-            jobs[0].submit_time + self.config.utilization_interval,
+            jobs[0].submit_time + UTILIZATION_INTERVAL_S,
             self._sample_utilization,
         )
         self.sim.run(max_events=self.config.max_events)

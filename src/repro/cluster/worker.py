@@ -13,9 +13,8 @@ A queue holds two kinds of entries:
 from __future__ import annotations
 
 import enum
-from array import array
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, MutableSequence, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.cluster.job import JobClass
 from repro.core.errors import SimulationError
@@ -133,9 +132,6 @@ class Worker:
         "_long_seqs",
         "_head_seq",
         "_tail_seq",
-        "_col_backlog",
-        "_col_long",
-        "_index",
         "counted_steal_hint",
         "steal_backoff",
         "pending_steal_retry",
@@ -151,13 +147,6 @@ class Worker:
         self.queue: deque[QueueEntry] = deque()
         self.current_entry: QueueEntry | None = None
         self.current_task: "Task | None" = None
-        # Queue-metadata columns.  A cluster-attached worker writes the
-        # cluster's shared struct-of-arrays columns (``attach_columns``);
-        # a standalone worker (unit tests) gets private one-slot columns
-        # so the write path is branch-free either way.
-        self._col_backlog: MutableSequence[int] = array("l", [0])
-        self._col_long: MutableSequence[int] = array("l", [0])
-        self._index = 0
         # Per-class sequence numbers of queued entries, in queue order.
         # Tail enqueues count up from 0, head enqueues count down from -1,
         # so both deques stay sorted and ``_short_seqs[-1] > _long_seqs[0]``
@@ -177,16 +166,6 @@ class Worker:
         self.tasks_stolen_from = 0
         self.tasks_stolen_by = 0
 
-    def attach_columns(
-        self,
-        backlog: MutableSequence[int],
-        long_count: MutableSequence[int],
-    ) -> None:
-        """Adopt cluster-owned metadata columns (indexed by worker id)."""
-        self._col_backlog = backlog
-        self._col_long = long_count
-        self._index = self.worker_id
-
     @property
     def is_idle(self) -> bool:
         return self.state is WorkerState.IDLE
@@ -204,37 +183,28 @@ class Worker:
         entry.seq = self._tail_seq
         self._tail_seq += 1
         self.queue.append(entry)
-        self._col_backlog[self._index] += 1
         if entry.is_long:
             self._long_seqs.append(entry.seq)
-            self._col_long[self._index] += 1
         else:
             self._short_seqs.append(entry.seq)
 
     def enqueue_front(self, entries: Sequence[QueueEntry]) -> None:
         """Place stolen entries at the head (they were blocked elsewhere)."""
-        longs = 0
         for entry in reversed(entries):
             entry.seq = self._head_seq
             self._head_seq -= 1
             self.queue.appendleft(entry)
             if entry.is_long:
                 self._long_seqs.appendleft(entry.seq)
-                longs += 1
             else:
                 self._short_seqs.appendleft(entry.seq)
-        self._col_backlog[self._index] += len(entries)
-        if longs:
-            self._col_long[self._index] += longs
 
     def pop_next(self) -> QueueEntry:
         if not self.queue:
             raise SimulationError(f"worker {self.worker_id} popped an empty queue")
         entry = self.queue.popleft()
-        self._col_backlog[self._index] -= 1
         if entry.is_long:
             self._long_seqs.popleft()
-            self._col_long[self._index] -= 1
         else:
             self._short_seqs.popleft()
         return entry
@@ -299,11 +269,7 @@ class Worker:
         stolen = [queue.popleft() for _ in range(stop - start)]
         queue.rotate(start)
         self._drop_seqs(self._short_seqs, [e.seq for e in stolen if e.is_short])
-        long_seqs = [e.seq for e in stolen if e.is_long]
-        self._drop_seqs(self._long_seqs, long_seqs)
-        self._col_backlog[self._index] -= len(stolen)
-        if long_seqs:
-            self._col_long[self._index] -= len(long_seqs)
+        self._drop_seqs(self._long_seqs, [e.seq for e in stolen if e.is_long])
         return stolen
 
     @staticmethod

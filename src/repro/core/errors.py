@@ -9,10 +9,6 @@ class SimulationError(ReproError):
     """The discrete-event engine was driven into an invalid state."""
 
 
-class SchedulingError(ReproError):
-    """A scheduler policy violated one of its invariants."""
-
-
 class ConfigurationError(ReproError):
     """An experiment or component was configured with invalid parameters."""
 

@@ -15,6 +15,7 @@ add their entry types and lookup tables on top.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -65,6 +66,11 @@ class Param:
             raise ConfigurationError(
                 f"param {self.name!r} expects {self.type.__name__}, "
                 f"got {value!r} ({type(value).__name__})"
+            )
+        # NaN compares false against every bound, so it must be caught here.
+        if self.type is float and not math.isfinite(value):
+            raise ConfigurationError(
+                f"param {self.name!r} must be finite, got {value!r}"
             )
         if self.minimum is not None and value < self.minimum:
             raise ConfigurationError(

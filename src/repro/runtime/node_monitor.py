@@ -24,14 +24,15 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING
 
+from repro.cluster.engine import NETWORK_DELAY_S
 from repro.cluster.worker import QueueEntry, TaskEntry, find_first_short_group
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.engine import PrototypeCluster
 
 #: One-way RPC latency in seconds, slept by every task request, task
-#: response, completion report and steal request.
-LATENCY = 0.0005
+#: response, completion report and steal request: the simulator's delay.
+LATENCY = NETWORK_DELAY_S
 
 #: Seconds an idle monitor waits for work before its next steal round.
 STEAL_RETRY = 0.005

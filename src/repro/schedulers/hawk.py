@@ -126,10 +126,6 @@ class HawkScheduler(SchedulerPolicy):
     def long_component(self) -> SchedulerPolicy:
         return self._long
 
-    @property
-    def short_component(self) -> SparrowScheduler:
-        return self._short
-
 
 # -- Figure 7 ablation family ------------------------------------------------
 @register_policy(

@@ -208,12 +208,6 @@ def validate_params(name: str, params: Mapping | None = None) -> FrozenParams:
     return validate_against(f"policy {name!r}", entry.params, params)
 
 
-def build_policy(name: str, params: Mapping | None = None) -> "SchedulerPolicy":
-    """Construct a policy instance from its registered builder."""
-    entry = policy_entry(name)
-    return entry.builder(validate_params(name, params))
-
-
 def build_cluster(spec, entry: PolicyEntry) -> Cluster:
     """The spec's cluster, reserving the short partition only for
     policies that declare ``uses_partition``."""

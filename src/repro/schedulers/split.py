@@ -60,3 +60,6 @@ class SplitScheduler(SchedulerPolicy):
 
     def on_task_finish(self, task) -> None:
         self._long.on_task_finish(task)
+
+    def on_centralized_restored(self) -> None:
+        self._long.on_centralized_restored()

@@ -115,7 +115,6 @@ class WorkStealing:
         # are skipped on pop and squeezed out when they pile up.
         self._park_stack: list[Worker] = []
         self._parked_count = 0
-        self._batch_wakes = False
         self._rounds = 0
         self._successes = 0
         self._victims_probed = 0
@@ -144,11 +143,6 @@ class WorkStealing:
         self._flags = engine.cluster.steal_flags
         self._flags_get = self._flags.__getitem__
         self._workers = engine.cluster.workers
-        # Waking parked workers through one batched heap event is
-        # order-identical only when no message leg can complete in zero
-        # time (with a positive delay, a worker woken at t cannot bounce
-        # through WAITING back to IDLE — and cancel its wake — within t).
-        self._batch_wakes = engine.network.delay > 0.0
 
     # ------------------------------------------------------------------
     # Victim-draw buffer.
@@ -378,11 +372,10 @@ class WorkStealing:
 
         Wake up to :data:`WAKE_LIMIT` parked workers.  Wakes are scheduled
         (not run inline) so the engine finishes its current transition
-        before thieves inspect queues.  With a positive network delay the
-        whole group rides one heap event (see :meth:`_wake_fires`); the
-        zero-delay path keeps one cancellable event per worker, because
-        only there can a woken worker re-idle — and revoke its own wake —
-        before the wake fires.
+        before thieves inspect queues; the whole group rides one heap
+        event (see :meth:`_wake_fires`).  Every message leg pays the
+        positive network delay, so no woken worker can bounce back to
+        idle before the wake fires.
         """
         engine = self.engine
         assert engine is not None
@@ -398,13 +391,7 @@ class WorkStealing:
                 parked[worker.worker_id] = 0
                 woken.append(worker)
         self._parked_count -= len(woken)
-        if self._batch_wakes:
-            engine.sim.schedule_cancellable(0.0, self._wake_fires, woken)
-        else:
-            for worker in woken:
-                worker.pending_steal_retry = engine.sim.schedule_cancellable(
-                    0.0, self._retry_fires, worker
-                )
+        engine.sim.schedule(0.0, self._wake_fires, woken)
 
     def _wake_fires(self, woken: list[Worker]) -> None:
         """One batched wake: each entry is one logical wake event."""

@@ -12,14 +12,14 @@ from repro.workloads.spec import JobSpec
 def long_job_fraction(trace: Iterable[JobSpec], cutoff: float) -> float:
     """Fraction of jobs whose mean task duration is >= cutoff (Table 1)."""
     total = 0
-    long_count = 0
+    longs = 0
     for job in trace:
         total += 1
         if job.is_long(cutoff):
-            long_count += 1
+            longs += 1
     if total == 0:
         raise ConfigurationError("empty trace")
-    return long_count / total
+    return longs / total
 
 
 def task_seconds_share(trace: Iterable[JobSpec], cutoff: float) -> float:

@@ -208,11 +208,6 @@ def validate_params(name: str, params: Mapping | None = None) -> FrozenParams:
 _MATERIALIZED: dict[tuple[str, int], Trace] = {}
 
 
-def clear_materialized() -> None:
-    """Drop the per-process trace cache (test isolation helper)."""
-    _MATERIALIZED.clear()
-
-
 @dataclass(frozen=True, slots=True)
 class WorkloadSpec:
     """First-class trace identity: registered name + frozen params.

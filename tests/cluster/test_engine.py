@@ -4,7 +4,9 @@ accounting, utilization sampling and determinism."""
 import pytest
 
 from repro.cluster import Cluster, ClusterEngine, EngineConfig, JobClass
+from repro.cluster.engine import NETWORK_DELAY_S
 from repro.core.errors import ConfigurationError, SimulationError
+from repro.runtime.node_monitor import LATENCY
 from repro.schedulers import SparrowScheduler
 from repro.workloads.spec import JobSpec, Trace
 from tests.conftest import TEST_CUTOFF, job, make_engine, short_job
@@ -77,7 +79,7 @@ def test_record_task_seconds_matches_spec(tiny_trace):
 
 
 def test_utilization_samples_taken_every_interval(tiny_trace):
-    res = run_sparrow(tiny_trace, utilization_interval=100.0)
+    res = run_sparrow(tiny_trace)
     assert len(res.utilization) >= 2
     times = [s.time for s in res.utilization]
     gaps = [b - a for a, b in zip(times, times[1:])]
@@ -126,6 +128,25 @@ def test_max_events_guard_trips():
         run_sparrow(trace, max_events=5)
 
 
+class _DropsOneJob(SparrowScheduler):
+    """Sparrow that never places job 3: a run that can never finish."""
+
+    def on_job_submit(self, job):
+        if job.job_id != 3:
+            super().on_job_submit(job)
+
+
+def test_stuck_run_drains_and_reports_instead_of_sampling_forever():
+    trace = Trace([short_job(i, 50.0 * i) for i in range(6)], name="stuck")
+    engine = ClusterEngine(
+        Cluster(8),
+        _DropsOneJob(),
+        EngineConfig(cutoff=TEST_CUTOFF, max_events=100_000),
+    )
+    with pytest.raises(SimulationError, match=r"drained .* only 5/6 jobs"):
+        engine.run(trace)
+
+
 def test_all_schedulers_complete_all_jobs(tiny_trace):
     for name in ("sparrow", "hawk", "centralized", "split"):
         engine = make_engine(name)
@@ -172,9 +193,10 @@ def test_engine_cutoff_validation():
         EngineConfig(cutoff=0.0)
 
 
-def test_engine_interval_validation():
-    with pytest.raises(ConfigurationError):
-        EngineConfig(cutoff=10.0, utilization_interval=0.0)
+def test_message_delay_is_half_millisecond():
+    """Section 4.1's 0.5 ms, shared by the simulator and the prototype."""
+    assert NETWORK_DELAY_S == 0.0005
+    assert LATENCY is NETWORK_DELAY_S
 
 
 def test_estimate_callable_overrides_mean(tiny_trace):

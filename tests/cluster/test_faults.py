@@ -1,10 +1,14 @@
 """Deterministic fault injection: plans, chaos hooks, cache identity."""
 
+import dataclasses
+import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.faults import FaultPlan
+from repro.cluster.faults import FAULT_PARAMS, FaultPlan
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.experiments.config import RunSpec, build_engine, execute
 from repro.experiments.parallel import (
@@ -13,6 +17,7 @@ from repro.experiments.parallel import (
     cache_key,
     spec_digest,
 )
+from repro.schedulers.registry import registered_names
 from repro.workloads.spec import Trace
 from tests.conftest import TEST_CUTOFF, long_job, short_job
 
@@ -46,6 +51,14 @@ def spec_for(scheduler="hawk", faults=None, seed=0):
         seed=seed,
         faults=faults,
     )
+
+
+def budgeted_engine(spec, max_events=200_000):
+    """``build_engine(spec)`` with a runaway guard, so a run that cannot
+    finish fails fast instead of hanging the suite."""
+    engine = build_engine(spec)
+    engine.config = dataclasses.replace(engine.config, max_events=max_events)
+    return engine
 
 
 # -- plan construction and cache identity ------------------------------------
@@ -178,6 +191,15 @@ def test_hawk_degrades_long_jobs_to_probes_during_outage():
     assert len(result.jobs) == len(trace)
 
 
+@pytest.mark.parametrize("scheduler", registered_names())
+def test_every_policy_completes_jobs_submitted_during_an_outage(scheduler):
+    """Jobs deferred by a centralized outage are placed when it ends."""
+    trace = chaos_trace()
+    plan = FaultPlan.of(central_outage_start=0.0, central_outage_duration=50.0)
+    result = budgeted_engine(spec_for(scheduler, faults=plan)).run(trace)
+    assert len(result.jobs) == len(trace)
+
+
 def test_hawk_short_jobs_unaffected_by_centralized_outage():
     trace = chaos_trace()
     plan = FaultPlan.of(central_outage_start=5.0, central_outage_duration=40.0)
@@ -224,3 +246,30 @@ def test_attach_faults_after_run_starts_is_rejected():
     engine.run(chaos_trace())
     with pytest.raises(SimulationError):
         engine.attach_faults(FaultPlan.of(crash_fraction=0.1))
+
+
+# -- generated plans ----------------------------------------------------------
+#: Every fault knob within its declared bounds; unbounded ones capped at 200 s.
+fault_plans = st.fixed_dictionaries(
+    {
+        p.name: st.floats(
+            min_value=p.minimum,
+            max_value=200.0 if p.maximum is None else p.maximum,
+        )
+        for p in FAULT_PARAMS
+    }
+).map(lambda knobs: FaultPlan.of(**knobs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=fault_plans, scheduler=st.sampled_from(
+    ["hawk", "sparrow", "centralized", "split"]
+))
+def test_any_fault_plan_completes_every_job(plan, scheduler):
+    trace = chaos_trace()
+    engine = budgeted_engine(spec_for(scheduler, faults=plan))
+    result = engine.run(trace)
+    assert len(result.jobs) == len(trace)
+    assert math.isfinite(result.end_time)
+    requeued = engine._faults.tasks_requeued if engine._faults else 0
+    assert sum(j.retried_tasks for j in result.jobs) == requeued

@@ -295,7 +295,7 @@ def test_drop_seqs_middle_run():
 )
 def test_hint_matches_range_and_columns_under_random_ops(ops):
     """``steal_hint() is (eligible_steal_range() is not None)`` and the
-    struct-of-arrays columns mirror the queue through arbitrary mixes of
+    per-class seq columns mirror the queue through arbitrary mixes of
     tail enqueues, head (stolen-entry) enqueues, pops, eligible-range
     steals and slot changes."""
     w = Worker(0, False)
@@ -325,9 +325,7 @@ def test_hint_matches_range_and_columns_under_random_ops(ops):
                 w.state = WorkerState.BUSY
         # invariants after every step
         assert w.steal_hint() is (w.eligible_steal_range() is not None)
-        assert w._col_backlog[w._index] == len(w.queue)
-        longs = sum(1 for e in w.queue if e.is_long)
-        assert w._col_long[w._index] == longs == w.long_entries
+        assert w.long_entries == sum(1 for e in w.queue if e.is_long)
         seqs = [e.seq for e in w.queue]
         assert seqs == sorted(seqs)
         assert sorted(w._short_seqs) == [

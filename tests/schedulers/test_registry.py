@@ -1,9 +1,12 @@
 """Tests for the policy registry: schemas, flags, cache-key stability."""
 
+import math
 from pathlib import Path
 
 import pytest
 
+from repro.cluster.engine import EngineConfig
+from repro.cluster.faults import FaultPlan
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import RunSpec, build_engine, execute
 from repro.experiments.parallel import cache_key, spec_digest
@@ -11,6 +14,7 @@ from repro.schedulers import registry
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.registry import FrozenParams, Param, register_policy
 from repro.schedulers.scenarios import BatchSamplingScheduler
+from repro.workloads.registry import quick_spec
 from repro.workloads.spec import Trace
 from tests.conftest import TEST_CUTOFF, long_job, short_job
 
@@ -104,6 +108,25 @@ def test_defaults_filled_and_canonicalized():
     )
     # omitted-vs-explicit default: the same spec
     assert spec == explicit and hash(spec) == hash(explicit)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_rejected_everywhere(bad):
+    """NaN compares false against every bound, so each numeric gate must
+    reject it (and the infinities) explicitly."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        Param("knob", float, default=1.0).validate(bad)
+    with pytest.raises(ConfigurationError):
+        RunSpec(
+            scheduler="hawk", n_workers=4, cutoff=TEST_CUTOFF,
+            params={"probe_ratio": bad},
+        )
+    with pytest.raises(ConfigurationError, match="finite"):
+        quick_spec("pareto-heavy", {"mean_interarrival": bad})
+    with pytest.raises(ConfigurationError, match="finite"):
+        FaultPlan.of(crash_fraction=0.05, crash_window=bad)
+    with pytest.raises(ConfigurationError, match="finite"):
+        EngineConfig(cutoff=bad)
 
 
 def test_param_schema_rejects_bad_default():

@@ -476,6 +476,15 @@ def test_every_op_answers_alike_over_both_transports(service):
     # 200 virtual seconds = 1 wall second at scale 200.
     ok, _, first = by_http.send("submit", job_payload("sparrow", (200.0,)))
     run_id = first["run_id"]
+    # Wait until the run has folded its opening events (submitted, probed,
+    # started); it then sits still until the task finishes a wall second
+    # later, so both transports read the same live snapshot.
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        _, _, live = by_http.send("result", {"run_id": run_id, "drain": "false"})
+        if live["result"]["events_fired"] >= 3:
+            break
+        time.sleep(0.01)
     status, body = both("result", {"run_id": run_id, "drain": "false"})
     assert status == 200 and body["result"]["jobs"] == []
     status, body = both("drain", {"run_id": run_id, "timeout": 0.05})
