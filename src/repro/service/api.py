@@ -38,11 +38,16 @@ from typing import Any, Mapping
 
 from repro.core.errors import ConfigurationError, ReproError
 from repro.service.event_store import EventStore
-from repro.service.models import RunConfig, Submission
+from repro.service.models import RunConfig, Submission, config_key
 from repro.service.replay import replay, result_to_json
 from repro.service.scheduler_bridge import SchedulerBridge
 
 logger = logging.getLogger(__name__)
+
+
+#: Parsed run-config spellings kept per allowed live run (see
+#: :meth:`ServiceState._config`).
+CONFIGS_PER_RUN = 16
 
 
 class DrainTimeout(ReproError):
@@ -64,6 +69,7 @@ class ServiceState:
         self.max_runs = max_runs
         self.time_scale = time_scale
         self._bridges: dict[str, SchedulerBridge] = {}
+        self._configs: dict[tuple[str, ...], RunConfig] = {}
         self._lock = threading.Lock()
         self._closed = False
         #: Run ids whose bridge threads outlived the shutdown budget
@@ -146,7 +152,7 @@ class ServiceState:
         run (engine construction and the ``register_run`` commit) may
         block.
         """
-        config = RunConfig.from_json(payload)
+        config = self._config(payload)
         submission = Submission.from_json(payload)
         bridge = self._bridge_for(config, create)
         if bridge is None:
@@ -295,6 +301,25 @@ class ServiceState:
         return not leaked
 
     # -- internals -------------------------------------------------------
+    def _config(self, payload: Mapping[str, Any]) -> RunConfig:
+        """The payload's validated run config, parsed once per spelling.
+
+        Every job names its run's config, so a job for a live run costs
+        one dict lookup here instead of a parse and a run-id hash.  Only
+        parsed configs are kept, so an error is raised anew each time;
+        a payload :func:`config_key` cannot key is parsed every time.
+        At ``CONFIGS_PER_RUN * max_runs`` spellings the memo starts over.
+        """
+        key = config_key(payload)
+        config = self._configs.get(key) if key is not None else None
+        if config is None:
+            config = RunConfig.from_json(payload)
+            if key is not None:
+                if len(self._configs) >= CONFIGS_PER_RUN * self.max_runs:
+                    self._configs.clear()
+                self._configs[key] = config
+        return config
+
     def _bridge_for(
         self, config: RunConfig, create: bool
     ) -> SchedulerBridge | None:

@@ -31,7 +31,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Any, Mapping
+from itertools import chain
+from typing import Any, Callable, Mapping
 
 from repro.cluster.engine import EVENT_KINDS
 from repro.core.errors import ConfigurationError
@@ -121,6 +122,9 @@ class RunConfig:
     cutoff: float = 1.129
     short_partition_fraction: float = 0.17
     seed: int = 0
+    #: Stable content digest: same config ⇒ same run identity.  Hashed
+    #: once here; persisted logs are keyed by it.
+    run_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Schema-validate and canonicalize params against the registry so
@@ -140,23 +144,19 @@ class RunConfig:
                 f"n_workers must be in [1, {MAX_WORKERS}], "
                 f"got {self.n_workers}"
             )
-        if self.cutoff <= 0:
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
             raise ConfigurationError(
-                f"cutoff must be positive, got {self.cutoff}"
+                f"cutoff must be positive and finite, got {self.cutoff}"
             )
         if not 0.0 <= self.short_partition_fraction < 1.0:
             raise ConfigurationError(
                 "short_partition_fraction must be in [0, 1), got "
                 f"{self.short_partition_fraction}"
             )
-
-    @property
-    def run_id(self) -> str:
-        """Stable content digest: same config ⇒ same run identity."""
         digest = blake2b(
             canonical_json(self.to_json()).encode(), digest_size=4
         ).hexdigest()
-        return f"{self.policy}-{digest}"
+        object.__setattr__(self, "run_id", f"{self.policy}-{digest}")
 
     @property
     def scheduler(self) -> str:
@@ -190,15 +190,55 @@ class RunConfig:
             return cls(
                 policy=policy,
                 params=FrozenParams(params),
-                n_workers=int(data.get("n_workers", 100)),
-                cutoff=float(data.get("cutoff", 1.129)),
-                short_partition_fraction=float(
-                    data.get("short_partition_fraction", 0.17)
-                ),
-                seed=int(data.get("seed", 0)),
+                **{
+                    name: cast(data.get(name, default))
+                    for name, cast, default in _SHAPE
+                },
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"bad run config: {exc}") from exc
+
+
+#: The cluster-shape fields :meth:`RunConfig.from_json` reads, each with
+#: the cast it applies and the default it assumes when the field is absent.
+_SHAPE: tuple[tuple[str, Callable[[Any], Any], Any], ...] = (
+    ("n_workers", int, 100),
+    ("cutoff", float, 1.129),
+    ("short_partition_fraction", float, 0.17),
+    ("seed", int, 0),
+)
+
+#: JSON's scalar types, the only ones :func:`config_key` keys.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def config_key(data: Mapping[str, Any]) -> tuple[str, ...] | None:
+    """A hashable key for the run config that ``data`` spells, or ``None``.
+
+    The key holds every field :meth:`RunConfig.from_json` reads, under
+    the default it reads, and each ``params`` name and value.  ``None``
+    when one of them is not a JSON scalar (a list, a dict, a non-dict
+    ``params``): only the parser may judge those.  Equal keys mean the
+    parser sees the same values of the same types, so the config parsed
+    for one spelling is the config of every spelling with its key.
+    """
+    get = data.get
+    params = get("params") or {}
+    if type(params) is not dict:
+        return None
+    try:
+        fields = (
+            get("policy"),
+            *(get(name, default) for name, _, default in _SHAPE),
+            *chain.from_iterable(sorted(params.items())),
+        )
+        if not _SCALARS.issuperset(map(type, fields)):
+            return None
+        # The repr of a JSON scalar names its type, so 1, 1.0, true, "1"
+        # and null key apart; so do 0.0 and -0.0, which run ids tell apart.
+        return tuple(map(repr, fields))
+    except (TypeError, ValueError):  # unsortable names; a huge int's repr
+        return None
 
 
 @dataclass(frozen=True, slots=True)

@@ -299,12 +299,16 @@ def test_ndjson_error_responses_keep_the_connection_usable(service):
 
 
 def test_same_config_lands_in_the_same_run_across_transports(service):
-    (via_socket,) = ndjson(service, job_payload("hawk"))
-    _, via_http = http(service, "POST", "/jobs", job_payload("hawk"))
-    assert via_socket["run_id"] == via_http["run_id"]
-    run_id = via_http["run_id"]
+    # 16 and 16.0 workers spell one config, whichever spelling came first.
+    spelled = {**job_payload("hawk"), "n_workers": 16.0}
+    run_ids = set()
+    for payload in (job_payload("hawk"), spelled, job_payload("hawk")):
+        (via_socket,) = ndjson(service, payload)
+        _, via_http = http(service, "POST", "/jobs", payload)
+        run_ids |= {via_socket["run_id"], via_http["run_id"]}
+    (run_id,) = run_ids
     (drained,) = ndjson(service, {"op": "drain", "run_id": run_id})
-    assert len(drained["result"]["jobs"]) == 2
+    assert len(drained["result"]["jobs"]) == 6
 
 
 def submit_via(service, transport, payload):
@@ -441,14 +445,19 @@ def test_infinite_numbers_get_a_typed_400_and_the_connection_lives(
     slow = job_payload("sparrow", tasks=(40.0,))  # 0.2 s of wall time
     ok, _, first = wire.send("submit", slow)
     assert ok, first
-    for bad in (
-        '{"policy": "sparrow", "n_workers": Infinity, "tasks": [0.5]}',
-        '{"policy": "sparrow", "seed": Infinity, "tasks": [0.5]}',
-        '{"policy": "sparrow", "n_workers": 1e400, "tasks": [0.5]}',
+    # A non-finite cutoff used to pass validation and fail hashing the
+    # run id, as a "bad request" about JSON compliance.
+    for field, value, said in (
+        ("n_workers", "Infinity", "bad run config"),
+        ("seed", "Infinity", "bad run config"),
+        ("n_workers", "1e400", "bad run config"),
+        ("cutoff", "Infinity", "cutoff must be positive and finite"),
+        ("cutoff", "NaN", "cutoff must be positive and finite"),
     ):
+        bad = f'{{"policy": "sparrow", "{field}": {value}, "tasks": [0.5]}}'
         ok, status, reply = wire.send("submit", bad)
         assert not ok and status in (None, 400)
-        assert "bad run config" in reply["error"]
+        assert said in reply["error"]
         ok, _, accepted = wire.send("submit", slow)
         assert ok and accepted["run_id"] == first["run_id"], accepted
     # Event.wait raises OverflowError on a timeout past TIMEOUT_MAX.
@@ -459,7 +468,7 @@ def test_infinite_numbers_get_a_typed_400_and_the_connection_lives(
         assert not ok and status in (None, 400)
         assert "timeout must be in" in reply["error"], reply
     ok, _, drained = wire.send("drain", {"run_id": run_id})
-    assert ok and len(drained["result"]["jobs"]) == 4
+    assert ok and len(drained["result"]["jobs"]) == 6
     wire.close()
 
 
