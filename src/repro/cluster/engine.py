@@ -158,10 +158,20 @@ class ClusterEngine:
         estimate: Callable[["JobSpec"], float] | None = None,
         sink: LifecycleSink | None = None,
     ) -> None:
+        from repro.schedulers.base import SchedulerPolicy  # import cycle
+
         self.cluster = cluster
         self.scheduler = scheduler
         self.config = config
         self.stealing = stealing
+        #: The policy's ``on_task_finish``, or ``None`` when it keeps the
+        #: base-class no-op (Sparrow-style policies never hear about
+        #: finishes, so the completion path skips the call).
+        self._on_task_finish = (
+            scheduler.on_task_finish
+            if type(scheduler).on_task_finish is not SchedulerPolicy.on_task_finish
+            else None
+        )
         self.estimate = resolve_estimate(estimate, config.seed)
         self.sim = Simulation()
         self._batch = self.transport_batching
@@ -281,10 +291,10 @@ class ClusterEngine:
 
         Called after every queue or slot mutation.  A 0 -> 1 transition of
         the cluster tally wakes parked idle workers in the stealing policy.
-        The tally's only consumer is the stealing policy, so runs without
-        one skip the bookkeeping entirely.
+        The tally's only consumer is the stealing policy, so callers skip
+        the call entirely in runs without one.
         """
-        if self.stealing is None or worker.in_short_partition:
+        if worker.in_short_partition:
             return
         # Inline of Worker.steal_hint() — this runs on every queue/slot
         # mutation of every general worker, where the call overhead alone
@@ -308,7 +318,9 @@ class ClusterEngine:
             cluster.steal_flags[worker.worker_id] = 1
             cluster.steal_hint_count += 1
             if cluster.steal_hint_count == 1:
-                self.stealing.on_steal_work_appeared()
+                stealing = self.stealing
+                assert stealing is not None
+                stealing.on_steal_work_appeared()
         else:
             cluster.steal_flags[worker.worker_id] = 0
             cluster.steal_hint_count -= 1
@@ -330,7 +342,7 @@ class ClusterEngine:
         self.sim.add_logical_events(len(entries) - 1)
         workers = self.cluster.workers
         try_start = self._worker_try_start
-        sync = self._sync_steal_hint
+        sync = self._sync_steal_hint if self.stealing is not None else None
         start_task = self._start_task
         faults = self._faults
         dead = faults.dead if faults is not None else None
@@ -354,7 +366,7 @@ class ClusterEngine:
             worker.enqueue(entry)
             if worker.state is _IDLE:
                 try_start(worker)
-            else:
+            elif sync is not None:
                 sync(worker)
         if pairs is not None:
             self.sim.schedule_at(
@@ -406,7 +418,7 @@ class ClusterEngine:
         worker.enqueue(entry)
         if worker.state is _IDLE:
             self._worker_try_start(worker)
-        else:
+        elif self.stealing is not None:
             self._sync_steal_hint(worker)
 
     def _worker_try_start(self, worker: Worker) -> None:
@@ -415,8 +427,11 @@ class ClusterEngine:
         pop_next = worker.pop_next
         while worker.state is _IDLE:
             if not queue:
-                self._sync_steal_hint(worker)
-                self._worker_went_idle(worker)
+                stealing = self.stealing
+                if stealing is not None:
+                    self._sync_steal_hint(worker)
+                    if not self._done:
+                        stealing.on_worker_idle(worker)
                 return
             entry = pop_next()
             if entry.is_task:
@@ -429,7 +444,8 @@ class ClusterEngine:
         """Late binding: park the probe in the slot, ask for a task."""
         worker.state = _WAITING
         worker.current_entry = entry
-        self._sync_steal_hint(worker)
+        if self.stealing is not None:
+            self._sync_steal_hint(worker)
         if self._batch:
             # Fused round trip: request leg + response leg in one
             # event at (now + delay) + delay — the same two
@@ -493,7 +509,8 @@ class ClusterEngine:
         worker.steal_backoff = 0.0
         task.start(worker.worker_id, self.sim.now)
         self._busy += 1
-        self._sync_steal_hint(worker)
+        if self.stealing is not None:
+            self._sync_steal_hint(worker)
         faults = self._faults
         if faults is None:
             self.sim.schedule(task.duration, self._task_finished, worker, task)
@@ -527,7 +544,9 @@ class ClusterEngine:
         worker.current_task = None
         worker.tasks_executed += 1
         self._busy -= 1
-        self.scheduler.on_task_finish(task)
+        on_task_finish = self._on_task_finish
+        if on_task_finish is not None:
+            on_task_finish(task)
         completed = job.record_task_finish(now)
         if completed:
             self._jobs_done += 1
@@ -553,10 +572,6 @@ class ClusterEngine:
         if worker.current_task is not task or task.attempt != attempt:
             return
         self._task_finished(worker, task)
-
-    def _worker_went_idle(self, worker: Worker) -> None:
-        if self.stealing is not None and not self._done:
-            self.stealing.on_worker_idle(worker)
 
     # ------------------------------------------------------------------
     # Fault handlers (armed by FaultInjector.schedule()).
@@ -599,7 +614,8 @@ class ClusterEngine:
             for queued in entries:
                 self._redirect_entry(queued, extra_delay=faults.detect_delay)
         worker.state = _DEAD
-        self._sync_steal_hint(worker)
+        if self.stealing is not None:
+            self._sync_steal_hint(worker)
         if faults.restart_delay > 0.0:
             self.sim.schedule(faults.restart_delay, self._worker_restart, worker_id)
 

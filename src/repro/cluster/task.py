@@ -39,7 +39,7 @@ class Task:
     )
 
     def __init__(self, job: "Job", index: int, duration: float) -> None:
-        if duration <= 0:
+        if not duration > 0:  # also rejects NaN
             raise SimulationError(f"task duration must be positive, got {duration}")
         self.job = job
         self.index = index

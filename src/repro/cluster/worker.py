@@ -58,13 +58,21 @@ def find_first_short_group(
     return None
 
 
+_LONG = JobClass.LONG
+
+
 class QueueEntry:
     """Base class for queue entries.
 
     ``is_task`` and ``is_long`` are plain attributes rather than
     properties/isinstance checks: the engine reads them on every queue
     transition and stealing eligibility scan, where descriptor dispatch
-    is measurable.
+    is measurable.  For the same reason each concrete class sets every
+    slot in one ``__init__`` (one probe per message is created, so a
+    chained base constructor is a measurable share of the probe path).
+
+    ``seq`` is the queue-order sequence number, assigned by the owning
+    worker on enqueue; entries compare in queue order iff their seqs do.
     """
 
     __slots__ = ("job_class", "seq", "is_long")
@@ -72,12 +80,9 @@ class QueueEntry:
     #: Type flag: ``True`` for concrete tasks, ``False`` for probes.
     is_task = False
 
-    def __init__(self, job_class: JobClass) -> None:
-        self.job_class = job_class
-        self.is_long = job_class is JobClass.LONG
-        #: Queue-order sequence number, assigned by the owning worker on
-        #: enqueue; entries compare in queue order iff their seqs do.
-        self.seq = 0
+    job_class: JobClass
+    seq: int
+    is_long: bool
 
     @property
     def is_short(self) -> bool:
@@ -92,7 +97,10 @@ class TaskEntry(QueueEntry):
     is_task = True
 
     def __init__(self, task: "Task") -> None:
-        super().__init__(task.job.scheduled_class)
+        job_class = task.job.scheduled_class
+        self.job_class = job_class
+        self.is_long = job_class is _LONG
+        self.seq = 0
         self.task = task
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -105,7 +113,10 @@ class ProbeEntry(QueueEntry):
     __slots__ = ("job", "frontend", "stolen")
 
     def __init__(self, job: "Job", frontend: "ProbeFrontend") -> None:
-        super().__init__(job.scheduled_class)
+        job_class = job.scheduled_class
+        self.job_class = job_class
+        self.is_long = job_class is _LONG
+        self.seq = 0
         self.job = job
         self.frontend = frontend
         self.stolen = False

@@ -40,17 +40,21 @@ def sample_without_replacement(
     # One vectorized call replaces the per-step scalar draws.  For an
     # array of bounds, ``Generator.integers`` applies Lemire rejection
     # per element in bound order — bit-stream identical to the scalar
-    # ``integers(0, j + 1)`` loop it replaces (pinned by a test).
-    draws = rng.integers(0, np.arange(population - k + 1, population + 1))
-    selected: set[int] = set()
-    result: list[int] = []
-    j = population - k
-    for t in draws.tolist():
-        if t in selected:
-            t = j
-        selected.add(t)
-        result.append(t)
-        j += 1
+    # ``integers(0, j + 1)`` loop it replaces (pinned by
+    # tests/core/test_rng.py::test_sample_matches_scalar_floyd).
+    result: list[int] = rng.integers(
+        0, np.arange(population - k + 1, population + 1)
+    ).tolist()
+    # Floyd replaces a draw by ``j`` only when it repeats an earlier one,
+    # so pairwise-distinct draws already are the sample.
+    if len(set(result)) < k:
+        selected: set[int] = set()
+        j = population - k
+        for i, t in enumerate(result):
+            if t in selected:
+                t = result[i] = j
+            selected.add(t)
+            j += 1
     # Floyd's algorithm biases order; shuffle for a uniformly random order.
     rng.shuffle(result)  # type: ignore[arg-type]
     return result
@@ -72,6 +76,8 @@ def spread_sample(
         raise ValueError("cannot sample from an empty population")
     if k <= n:
         idx = sample_without_replacement(rng, n, k)
+        if isinstance(population, range) and population == range(n):
+            return idx  # ``range(0, n)``: every item is its own index
         return [population[i] for i in idx]
     result: list[int] = []
     full_rounds, remainder = divmod(k, n)

@@ -122,7 +122,8 @@ class Simulation:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        # Negated so that a NaN delay (every comparison false) is refused.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule event in the past: delay={delay}")
         heapq.heappush(self._heap, (self._now + delay, self._seq, callback, args))
         self._seq += 1
@@ -131,7 +132,7 @@ class Simulation:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Schedule ``callback(*args)`` to fire at absolute ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # NaN-safe, as in schedule()
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
@@ -142,7 +143,7 @@ class Simulation:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Like :meth:`schedule`, but returns a cancellation handle."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule event in the past: delay={delay}")
         time = self._now + delay
         handle = EventHandle(self, time, self._seq, callback, args)
@@ -160,7 +161,7 @@ class Simulation:
         popped because it *fired* — a cancelled handle still has a stale
         entry on the heap and must not be reused.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule event in the past: delay={delay}")
         time = self._now + delay
         seq = self._seq

@@ -17,24 +17,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ProbeFrontend:
-    """Per-job late-binding state: which tasks are still unassigned."""
+    """Per-job late-binding state: which tasks are still unassigned.
 
-    __slots__ = ("job", "_next", "cancels_sent")
+    The job's task list and its length are held here: :meth:`next_task`
+    runs once per probe that reaches a queue head.
+    """
+
+    __slots__ = ("job", "_tasks", "_num_tasks", "_next", "cancels_sent")
 
     def __init__(self, job: "Job") -> None:
         self.job = job
+        self._tasks = job.tasks
+        self._num_tasks = len(job.tasks)
         self._next = 0
         self.cancels_sent = 0
 
     @property
     def remaining(self) -> int:
-        return self.job.num_tasks - self._next
+        return self._num_tasks - self._next
 
     def next_task(self) -> "Task | None":
         """Hand out the next unassigned task, or None (cancel)."""
-        if self._next >= self.job.num_tasks:
+        index = self._next
+        if index >= self._num_tasks:
             self.cancels_sent += 1
             return None
-        task = self.job.tasks[self._next]
-        self._next += 1
-        return task
+        self._next = index + 1
+        return self._tasks[index]

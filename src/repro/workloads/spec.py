@@ -6,6 +6,7 @@ The simulator's input format follows Section 4.1: tuples of
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -23,15 +24,19 @@ class JobSpec:
     task_durations: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.task_durations:
+        durations = self.task_durations
+        if not durations:
             raise ConfigurationError(f"job {self.job_id} has no tasks")
-        if self.submit_time < 0:
+        if not (math.isfinite(self.submit_time) and self.submit_time >= 0):
             raise ConfigurationError(
-                f"job {self.job_id} has negative submit time {self.submit_time}"
+                f"job {self.job_id} has a negative or non-finite submit time "
+                f"{self.submit_time}"
             )
-        if any(d <= 0 for d in self.task_durations):
+        # C-level checks: trace set-up validates every task.  A NaN or an
+        # infinite duration makes the sum non-finite.
+        if not (math.isfinite(sum(durations)) and min(durations) > 0):
             raise ConfigurationError(
-                f"job {self.job_id} has a non-positive task duration"
+                f"job {self.job_id} has a non-positive or non-finite task duration"
             )
 
     @property

@@ -27,12 +27,19 @@ from repro.cluster.engine import (
     KIND_STOLEN,
 )
 from repro.experiments.config import RunSpec
-from repro.schedulers.registry import build_engine
+from repro.schedulers.registry import build_engine, registered_names
 from repro.workloads.spec import JobSpec, Trace
 
-#: (events, digest) per policy; identical with batching on and off.
+#: (events, digest) per registered policy; identical with batching on
+#: and off.  The Hawk ablations and ``omniscient`` pin the engine's
+#: listener checks: Hawk without stealing, and an ``on_task_finish``
+#: inherited from a parent class.
 PINNED = {
     "hawk": (699, "4f2e9d826cfc8a5c"),
+    "hawk-no-centralized": (722, "80a5ccb184d6595e"),
+    "hawk-no-partition": (642, "b1f3dcaa4408e749"),
+    "hawk-no-stealing": (624, "7639dd4a18251db4"),
+    "omniscient": (624, "9195f7b830fd1983"),
     "sparrow": (624, "3fa0eaa0b17dbdcf"),
     "sparrow-batch": (624, "d2cab0e72cb155fc"),
     "centralized": (624, "cc36454a4f6a06a9"),
@@ -88,6 +95,10 @@ def record_stream(policy: str, batched: bool):
 
 def digest(events) -> str:
     return hashlib.sha256("\n".join(map(repr, events)).encode()).hexdigest()[:16]
+
+
+def test_every_registered_policy_is_pinned():
+    assert set(PINNED) == set(registered_names())
 
 
 @pytest.mark.parametrize("batched", [True, False])

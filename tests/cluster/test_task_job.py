@@ -87,6 +87,11 @@ def test_task_nonpositive_duration_rejected():
         make_job(durations=(0.0,))
 
 
+def test_task_nan_duration_rejected():
+    with pytest.raises(SimulationError):
+        make_job(durations=(1.0, float("nan")), estimate=1.0)
+
+
 # -- job completion -----------------------------------------------------
 def test_job_completes_after_all_tasks():
     job = make_job(durations=(10.0, 20.0, 30.0))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.rng import make_rng, sample_without_replacement, spread_sample
 
@@ -95,3 +97,56 @@ def test_spread_sample_deterministic():
     a = spread_sample(make_rng(3, "t"), range(50), 20)
     b = spread_sample(make_rng(3, "t"), range(50), 20)
     assert a == b
+
+
+def scalar_floyd(rng, population, k):
+    """The reference: Floyd's loop with one scalar draw per step."""
+    selected: set[int] = set()
+    result = []
+    for j in range(population - k, population):
+        t = int(rng.integers(0, j + 1))
+        if t in selected:
+            t = j
+        selected.add(t)
+        result.append(t)
+    rng.shuffle(result)
+    return result
+
+
+#: ``(population, k)`` with k often close to the population, where draws
+#: repeat and Floyd substitutes.
+SIZES = st.integers(1, 2000).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.one_of(st.integers(0, n), st.integers(max(0, n - 8), n)),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=SIZES, seed=st.integers(0, 2**32 - 1))
+@example(sizes=(2000, 2000), seed=0)
+@example(sizes=(1, 1), seed=0)
+@example(sizes=(7, 0), seed=0)
+def test_sample_matches_scalar_floyd(sizes, seed):
+    population, k = sizes
+    rng, ref = make_rng(seed, "floyd"), make_rng(seed, "floyd")
+    assert sample_without_replacement(rng, population, k) == scalar_floyd(
+        ref, population, k
+    )
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=SIZES,
+    start=st.one_of(st.just(0), st.integers(1, 10_000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spread_sample_over_a_range_matches_scalar_floyd(sizes, start, seed):
+    n, k = sizes
+    population = range(start, start + n)
+    rng, ref = make_rng(seed, "spread"), make_rng(seed, "spread")
+    out = spread_sample(rng, population, k)
+    assert out == [population[i] for i in scalar_floyd(ref, n, k)]
+    assert rng.bit_generator.state == ref.bit_generator.state

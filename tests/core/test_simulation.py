@@ -72,6 +72,29 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(0.5, lambda: None)
 
 
+NAN = float("nan")
+
+
+def test_nan_times_are_rejected_by_every_schedule_path():
+    sim = Simulation()
+    fired = []
+    sim.schedule(0.5, fired.append, "a")
+    sim.schedule(1.0, fired.append, "b")
+    with pytest.raises(SimulationError):
+        sim.schedule(NAN, fired.append, "nan")
+    with pytest.raises(SimulationError):
+        sim.schedule_at(NAN, fired.append, "nan")
+    with pytest.raises(SimulationError):
+        sim.schedule_cancellable(NAN, fired.append, "nan")
+    handle = sim.schedule_cancellable(0.25, fired.append, "handle")
+    sim.run(until=0.25)
+    with pytest.raises(SimulationError):
+        sim.reschedule_fired(handle, NAN)
+    sim.run()
+    assert fired == ["handle", "a", "b"]
+    assert sim.now == 1.0
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulation()
     fired = []

@@ -34,6 +34,18 @@ def test_jobspec_nonpositive_duration_rejected():
         JobSpec(1, 0.0, (10.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_jobspec_nonfinite_duration_rejected(bad):
+    with pytest.raises(ConfigurationError, match="job 5 .*non-finite"):
+        JobSpec(5, 0.0, (1.0, bad, 2.0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_jobspec_bad_submit_time_rejected(bad):
+    with pytest.raises(ConfigurationError, match="job 5 .*submit time"):
+        JobSpec(5, bad, (1.0,))
+
+
 def test_jobspec_immutable():
     spec = JobSpec(1, 0.0, (10.0,))
     with pytest.raises(AttributeError):
