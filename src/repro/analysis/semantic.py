@@ -40,6 +40,11 @@ from repro.core.params import Param
 #: exclusion set drifts from this contract.
 RUNSPEC_DIGEST_EXEMPTIONS = {"estimate": "estimate_tag"}
 
+#: The digest itself: derived from the compared fields at construction
+#: (never an ``__init__`` argument), so it is what the perturbations
+#: below move, not an input that could alias.
+RUNSPEC_DIGEST_FIELD = "digest"
+
 
 def _location(obj: Any, root: Path, fallback: str) -> tuple[str, int]:
     """(repo-relative path, line) of a registered builder's definition."""
@@ -209,6 +214,8 @@ def check_cache_key_completeness(root: Path) -> list[Finding]:
     base_digest = spec_digest(base)
     variants = _runspec_field_variants()
     for field in fields(RunSpec):
+        if field.name == RUNSPEC_DIGEST_FIELD and not field.init:
+            continue
         if not field.compare:
             stand_in = RUNSPEC_DIGEST_EXEMPTIONS.get(field.name)
             if stand_in is None:
@@ -331,7 +338,9 @@ have.  The rule perturbs every compared RunSpec field, every declared
 param of every registered policy and workload, and requires each
 perturbation to change the digest; non-compared fields must appear in
 RUNSPEC_DIGEST_EXEMPTIONS with a compared stand-in (estimate ->
-estimate_tag), so a new uncompared field cannot slip in unnoticed.""",
+estimate_tag), so a new uncompared field cannot slip in unnoticed.  The
+one exception is RunSpec.digest, the digest string itself, which no
+caller can pass in: the spec derives it from the compared fields.""",
         check_cache_key_completeness,
     ),
 )

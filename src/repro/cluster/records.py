@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from repro.cluster.job import Job, JobClass
 
@@ -12,8 +13,9 @@ class JobRecord(NamedTuple):
     """Everything the metrics layer needs to know about one finished job.
 
     A named tuple: its repr is the text every ``RunResult`` digest is
-    taken over, and unpickling a cached run builds each record in one
-    ``__new__`` call.
+    taken over.  A pickled ``RunResult`` carries its records as plain
+    tuples, and unpickling rebuilds them with ``tuple.__new__`` in C,
+    never through this class's Python-level ``__new__``.
     """
 
     job_id: int
@@ -92,6 +94,24 @@ class RunResult:
     events_fired: int = 0
     end_time: float = 0.0
 
+    def __reduce__(self) -> tuple[Callable[..., RunResult], tuple]:
+        # Plain tuples pickle and unpickle in C; the record classes'
+        # own pickle form costs a Python frame per record.
+        return _rebuild_run, (
+            self.scheduler_name,
+            self.n_workers,
+            tuple(map(tuple, self.jobs)),
+            tuple(map(tuple, self.utilization)),
+            (
+                self.stealing.rounds,
+                self.stealing.successful_rounds,
+                self.stealing.victims_probed,
+                self.stealing.entries_stolen,
+            ),
+            self.events_fired,
+            self.end_time,
+        )
+
     def runtimes(self, job_class: JobClass | None = None) -> list[float]:
         """Job runtimes, optionally filtered by *true* class."""
         return [j.runtime for j in self.records(job_class)]
@@ -115,3 +135,33 @@ class RunResult:
         if not self.utilization:
             return 0.0
         return max(s.utilization for s in self.utilization)
+
+
+def _rows(
+    cls: type[JobRecord] | type[UtilizationSample], rows: tuple[tuple, ...]
+) -> tuple:
+    """``rows`` as ``cls`` named tuples, each row of ``cls``'s arity."""
+    if not set(map(len, rows)) <= {len(cls._fields)}:
+        raise ValueError(f"pickled {cls.__name__} row of the wrong arity")
+    return tuple(map(partial(tuple.__new__, cls), rows))
+
+
+def _rebuild_run(
+    scheduler_name: str,
+    n_workers: int,
+    jobs: tuple[tuple, ...],
+    utilization: tuple[tuple, ...],
+    stealing: tuple[int, int, int, int],
+    events_fired: int,
+    end_time: float,
+) -> RunResult:
+    """Unpickle the flat form :meth:`RunResult.__reduce__` writes."""
+    return RunResult(
+        scheduler_name,
+        n_workers,
+        _rows(JobRecord, jobs),
+        _rows(UtilizationSample, utilization),
+        StealingStats(*stealing),
+        events_fired,
+        end_time,
+    )

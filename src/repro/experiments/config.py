@@ -13,7 +13,7 @@ entry, so no driver restates them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from repro.cluster import ClusterEngine
@@ -67,6 +67,10 @@ class RunSpec:
     #: cache-key digest, so fault-free specs hash, compare and cache
     #: exactly as they did before faults existed.
     faults: FaultPlan | None = None
+    #: Canonical string of every compared field, derived once here and
+    #: read by the run-cache key (see
+    #: :func:`repro.experiments.parallel.spec_digest`).
+    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Raises ConfigurationError for unknown policies/params and
@@ -89,6 +93,15 @@ class RunSpec:
                 "run-cache key, and leaving it at the default would let "
                 "different estimators silently share cached results"
             )
+        object.__setattr__(
+            self,
+            "digest",
+            ";".join(
+                f"{f.name}={getattr(self, f.name)!r}"
+                for f in fields(self)
+                if f.compare and not (f.name == "faults" and self.faults is None)
+            ),
+        )
 
     @classmethod
     def for_workload(

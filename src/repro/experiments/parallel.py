@@ -83,7 +83,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import fields
 from hashlib import blake2b
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -143,21 +142,17 @@ def spec_digest(spec: RunSpec) -> str:
     omitted-vs-explicit defaults.  ``faults`` joins the digest only when
     a plan is present (RunSpec normalizes empty plans to ``None``), so
     every fault-free key is byte-identical to its pre-fault form — no
-    ``CACHE_VERSION`` bump, no invalidated entries.
+    ``CACHE_VERSION`` bump, no invalidated entries.  The spec derives
+    the string once, at construction (:attr:`RunSpec.digest`).
     """
-    parts = [
-        f"{f.name}={getattr(spec, f.name)!r}"
-        for f in fields(spec)
-        if f.compare and not (f.name == "faults" and spec.faults is None)
-    ]
-    return ";".join(parts)
+    return spec.digest
 
 
 def cache_key(spec: RunSpec, trace: Trace) -> str:
     """Content hash identifying one run for both cache tiers."""
     h = blake2b(digest_size=20)
     h.update(f"v{CACHE_VERSION}|".encode())
-    h.update(spec_digest(spec).encode())
+    h.update(spec.digest.encode())
     h.update(b"|")
     h.update(trace.content_digest().encode())
     return h.hexdigest()
@@ -168,7 +163,7 @@ def _provenance(spec: RunSpec, trace: Trace) -> dict:
     return {
         "policy": spec.scheduler,
         "seed": spec.seed,
-        "spec_digest": spec_digest(spec),
+        "spec_digest": spec.digest,
         "trace_digest": trace.content_digest(),
     }
 
@@ -204,6 +199,9 @@ class DiskCache:
             )
         self.base_root = Path(root)
         self.root = self.base_root / f"v{CACHE_VERSION}"
+        # String prefixes of a blob's file path and index rel-path.
+        self._dir = os.path.join(self.root, "")
+        self._rel_dir = f"v{CACHE_VERSION}{os.sep}"
         self.max_bytes = max_bytes
         self.index = ResultIndex(self.base_root)
         self._synced = False
@@ -221,16 +219,25 @@ class DiskCache:
     def path(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
 
+    def _blob(self, key: str) -> tuple[str, str]:
+        """(file path, index rel-path) of one key's blob.
+
+        Built by string concatenation: every hit and every store calls
+        this, and pathlib joins were a measurable share of a small hit.
+        """
+        name = f"{key}.pkl"
+        return self._dir + name, self._rel_dir + name
+
     def _rel(self, path: Path) -> str:
         return str(path.relative_to(self.base_root))
 
     def load(self, key: str) -> RunResult | None:
-        path = self.path(key)
+        path, rel = self._blob(key)
         try:
             with open(path, "rb") as fh:
                 result = pickle.load(fh)
         except FileNotFoundError:
-            self.index.remove([self._rel(path)])  # drop any stale row
+            self.index.remove([rel])  # drop any stale row
             return None
         except Exception:
             # Truncated or otherwise unreadable entries are plain
@@ -240,35 +247,35 @@ class DiskCache:
             return None
         try:
             os.utime(path)  # refresh LRU recency
-            self.index.touch(self._rel(path), path.stat().st_mtime)
+            self.index.touch(rel, os.stat(path).st_mtime)
         except OSError:
             pass
         return result
 
     def store(self, key: str, result: RunResult, meta: dict | None = None) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        final = self.path(key)
+        os.makedirs(self._dir, exist_ok=True)
+        final, rel = self._blob(key)
         # Write-then-rename keeps concurrent readers/writers safe: a
         # reader never observes a partially written pickle.
-        tmp = final.with_name(f"{final.name}.{os.getpid()}.tmp")
+        tmp = f"{final}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
                 pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, final)
         except OSError:
-            tmp.unlink(missing_ok=True)
+            Path(tmp).unlink(missing_ok=True)
             return
         except BaseException:
             # An unpicklable result or a Ctrl-C mid-dump must not orphan
             # the temp file either: ``_scan`` sees only ``*.pkl``, so the
             # size cap would never count or evict it.
-            tmp.unlink(missing_ok=True)
+            Path(tmp).unlink(missing_ok=True)
             raise
         try:
-            stat = final.stat()
+            stat = os.stat(final)
         except OSError:
             return
-        self.index.record(self._rel(final), stat.st_size, stat.st_mtime, meta)
+        self.index.record(rel, stat.st_size, stat.st_mtime, meta)
         if self.max_bytes is None:
             return
         if self._approx_total is None:
@@ -276,7 +283,7 @@ class DiskCache:
         else:
             self._approx_total += stat.st_size
         if self._approx_total > self.max_bytes:
-            self.enforce_cap(keep=final)
+            self.enforce_cap(keep=rel)
 
     def _scan(self) -> list[tuple[float, Path, int]]:
         """(mtime, path, size) of every blob; racing deletions skipped."""
@@ -291,6 +298,10 @@ class DiskCache:
             entries.append((stat.st_mtime, path, stat.st_size))
         return entries
 
+    def _scanned(self) -> list[tuple[float, str, int]]:
+        """(mtime, rel-path, size) of every blob on disk."""
+        return [(mtime, self._rel(path), size) for mtime, path, size in self._scan()]
+
     def _ensure_synced(self) -> None:
         """Reconcile the index with the filesystem, once per instance.
 
@@ -301,9 +312,7 @@ class DiskCache:
         if self._synced:
             return
         self._synced = True
-        self.index.reconcile(
-            [(mtime, self._rel(path), size) for mtime, path, size in self._scan()]
-        )
+        self.index.reconcile(self._scanned())
 
     def rebuild_index(self) -> int:
         """Force a rebuild of ``index.db`` from the blobs on disk.
@@ -312,24 +321,16 @@ class DiskCache:
         adopted rows stay ``NULL`` — a blob's key is a one-way hash, so
         only fresh stores know what produced them.
         """
-        blobs = [(mtime, self._rel(path), size) for mtime, path, size in self._scan()]
+        blobs = self._scanned()
         self.index.reconcile(blobs)
         self._synced = True
         return len(blobs)
 
-    def _indexed_entries(self) -> list[tuple[float, Path, str, int]]:
-        """(mtime, path, rel, size) of every entry, via index or scan."""
+    def _indexed_entries(self) -> list[tuple[float, str, int]]:
+        """(mtime, rel-path, size) of every entry, via index or scan."""
         self._ensure_synced()
         rows = self.index.lru_entries()
-        if rows is not None:
-            return [
-                (mtime, self.base_root / rel, rel, size)
-                for mtime, rel, size in rows
-            ]
-        return [
-            (mtime, path, self._rel(path), size)
-            for mtime, path, size in self._scan()
-        ]
+        return self._scanned() if rows is None else rows
 
     def total_bytes(self) -> int:
         """Current size of every entry under the cache root (all versions)."""
@@ -339,27 +340,27 @@ class DiskCache:
             return sum(size for _, _, size in self._scan())
         return total
 
-    def enforce_cap(self, keep: Path | None = None) -> int:
+    def enforce_cap(self, keep: str | None = None) -> int:
         """Evict LRU entries until the cache fits ``max_bytes``.
 
-        Returns the number of entries deleted.  ``keep`` (the entry just
-        written) is exempt.  Concurrent enforcement is safe: deleting an
-        already-deleted entry is a no-op, and over-deletion only costs a
-        future recompute, never correctness.
+        Returns the number of entries deleted.  ``keep`` (the rel-path
+        of the entry just written) is exempt.  Concurrent enforcement is
+        safe: deleting an already-deleted entry is a no-op, and
+        over-deletion only costs a future recompute, never correctness.
         """
         if self.max_bytes is None:
             return 0
         entries = self._indexed_entries()
-        total = sum(size for _, _, _, size in entries)
+        total = sum(size for _, _, size in entries)
         removed = 0
         dropped_rows: list[str] = []
-        for _, path, rel, size in sorted(entries, key=lambda e: (e[0], e[2])):
+        for _, rel, size in sorted(entries):
             if total <= self.max_bytes:
                 break
-            if keep is not None and path == keep:
+            if rel == keep:
                 continue
             try:
-                path.unlink()
+                (self.base_root / rel).unlink()
             except FileNotFoundError:
                 dropped_rows.append(rel)  # stale row: blob already gone
                 total -= size

@@ -276,5 +276,5 @@ class ResultIndex:
 
 def _key_and_version(rel_path: str) -> tuple[str, str]:
     """Split ``v3/<key>.pkl`` into its key and version-directory parts."""
-    path = Path(rel_path)
-    return path.stem, path.parent.name
+    directory, _, name = rel_path.rpartition(os.sep)
+    return name.removesuffix(".pkl"), directory.rpartition(os.sep)[2]

@@ -110,20 +110,22 @@ class ServiceState:
                     config, self.store, time_scale=self.time_scale
                 )
                 jobs = bridge.resume_from(fold)
+                # Read the fold before the bridge starts advancing it.
+                unrecoverable = fold.jobs_in_flight - jobs
+                done = fold.jobs_completed
                 if self._install(bridge) is not bridge:
                     continue
             except ConfigurationError as exc:
                 logger.warning("rehydrate: %s stays cold: %s", run_id, exc)
                 errors.append(run_id)
                 continue
-            unrecoverable = fold.jobs_in_flight - jobs
             self.rehydrated[run_id] = jobs
             resumed.append(
                 {
                     "run_id": run_id,
                     "jobs_resumed": jobs,
                     "jobs_unrecoverable": unrecoverable,
-                    "jobs_already_done": fold.jobs_completed,
+                    "jobs_already_done": done,
                 }
             )
             logger.info(
@@ -131,7 +133,7 @@ class ServiceState:
                 "(%d already complete in the log)",
                 run_id,
                 jobs,
-                fold.jobs_completed,
+                done,
             )
         return {"resumed": resumed, "failed": errors}
 

@@ -89,6 +89,29 @@ def test_rehydrate_resumes_interrupted_jobs(tmp_path):
     store.close()
 
 
+def test_rehydrate_counts_the_log_before_the_bridge_runs(tmp_path, monkeypatch):
+    """The summary counts the log as replayed, not a fold the resumed
+    bridge has already advanced: here every resumed job finishes before
+    ``_install`` returns, the worst case of that race."""
+    store, config = interrupted_store(tmp_path / "events.db")
+    state = ServiceState(store, time_scale=TIME_SCALE)
+    install = state._install
+
+    def install_and_drain(bridge):
+        live = install(bridge)
+        assert live.drain(timeout=30.0)
+        return live
+
+    monkeypatch.setattr(state, "_install", install_and_drain)
+    (resumed,) = state.rehydrate()["resumed"]
+    assert resumed["run_id"] == config.run_id
+    assert resumed["jobs_resumed"] == 3
+    assert resumed["jobs_unrecoverable"] == 0
+    assert resumed["jobs_already_done"] == 0
+    state.close(timeout=30.0)
+    store.close()
+
+
 def test_rehydrate_is_idempotent_and_continues_job_ids(tmp_path):
     store, config = interrupted_store(tmp_path / "events.db")
     state = ServiceState(store, time_scale=TIME_SCALE)
