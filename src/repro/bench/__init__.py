@@ -442,12 +442,9 @@ def bench_cache_read(n_jobs: int = 3_000, reads: int = 50, repeats: int = 3) -> 
                 compare_runs(loaded, result, JobClass.LONG)
                 loaded.median_utilization()
 
-        try:
-            cache.store(key, result)
-            best, _ = best_of(repeats, lambda: read_all)
-            blob_bytes = cache.path(key).stat().st_size
-        finally:
-            cache.index.close()
+        cache.store(key, result)
+        best, _ = best_of(repeats, lambda: read_all)
+        blob_bytes = cache.path(key).stat().st_size
     return {
         "jobs": n_jobs,
         "reads": reads,

@@ -20,14 +20,11 @@ Two cache tiers sit in front of execution:
   rely on;
 * an on-disk cache of pickled :class:`RunResult` values under
   ``benchmarks/.runcache/v<N>/<key>.pkl``, shared across processes and
-  pytest sessions.  A SQLite sidecar (``index.db``, see
-  :mod:`repro.experiments.result_index`) indexes the blobs — size, LRU
-  recency, provenance — so lookup bookkeeping, the size cap and LRU
-  eviction run off one query instead of a directory walk; it rebuilds
-  itself from the blobs whenever it disagrees with the filesystem.  The
-  index keeps one WAL-mode connection per process for the life of the
-  cache, so a hit costs one small commit rather than a fresh connection;
-  a ``fork``-ed child opens its own.
+  pytest sessions.  The files are the whole store: each store and hit
+  stamps its blob's mtime, and a size cap orders eviction by it.  The
+  cap's sizes and LRU order live in memory
+  (:class:`~repro.experiments.result_index.ResultIndex`), filled by one
+  walk of the cache directory the first time the cap needs them.
 
 The cache key is a content hash of the spec (every compared field,
 including ``estimate_tag``) and the *full* trace — job ids, submit times
@@ -53,7 +50,10 @@ Knobs (also see ``src/repro/experiments/README.md``):
 
 * ``REPRO_EXECUTOR_WORKERS`` — worker-pool size; unset defaults to
   ``os.cpu_count()``; ``0``/``1`` force the deterministic serial path.
-* ``REPRO_RUNCACHE`` — set to ``0`` to disable the on-disk tier.
+* ``REPRO_RUNCACHE`` — set to ``0`` to disable the on-disk tier.  This
+  and ``REPRO_SWEEP_PROGRESS`` are flags: ``1``/``0``, ``on``/``off``,
+  ``yes``/``no`` or ``true``/``false`` in any case; unset or empty
+  keeps the default, and anything else raises ``ConfigurationError``.
 * ``REPRO_RUNCACHE_DIR`` — override the on-disk cache location.
 * ``REPRO_RUNCACHE_MAX_MB`` — cap the on-disk tier's total size;
   least-recently-used entries (by mtime, refreshed on every cache hit)
@@ -76,6 +76,7 @@ import math
 import os
 import pickle
 import sys
+import time
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -158,34 +159,25 @@ def cache_key(spec: RunSpec, trace: Trace) -> str:
     return h.hexdigest()
 
 
-def _provenance(spec: RunSpec, trace: Trace) -> dict:
-    """Result-index metadata recorded alongside a stored blob."""
-    return {
-        "policy": spec.scheduler,
-        "seed": spec.seed,
-        "spec_digest": spec.digest,
-        "trace_digest": trace.content_digest(),
-    }
-
-
 class DiskCache:
     """Pickled RunResults under ``<root>/v<CACHE_VERSION>/<key>.pkl``.
 
     With ``max_bytes`` set, the cache is bounded: after every store, the
-    least-recently-used entries — oldest mtime first, across *all*
-    version directories under the root, so stale-version entries go
-    first — are deleted until the total size fits.  A hit refreshes the
-    entry's mtime, making the policy LRU rather than FIFO.  The entry
-    just written is never evicted, so a single result larger than the
-    cap still caches (the cap then holds only approximately).
+    least-recently-used entries, across *all* version directories under
+    the root so that stale-version entries go first, are deleted until
+    the total size fits.  Every store and every hit stamps the blob's
+    mtime with the current time, so recency survives on disk, making the
+    policy LRU rather than FIFO.  The entry just written is never
+    evicted, so a single result larger than the cap still caches (the
+    cap then holds only approximately).
 
-    Size accounting and eviction ordering come from the persistent
-    :class:`~repro.experiments.result_index.ResultIndex` sidecar
-    (``<root>/index.db``).  The first cap/size query of an instance
-    reconciles the index against the blobs actually on disk (adopting
-    pre-index caches and entries touched behind our back), after which
-    queries are index-only; if SQLite is unavailable the cache falls
-    back to the directory scan it used before the index existed.
+    Sizes and LRU order come from an in-memory
+    :class:`~repro.experiments.result_index.ResultIndex`, filled by one
+    walk of the root the first time the cap needs it; an uncapped cache
+    never walks.  The cap is exact for this instance.  Blobs another
+    process stores after the walk are counted when a cache is next
+    opened, not at this instance's next eviction pass: in this package
+    only the sweep parent stores, pool workers return their results.
     """
 
     def __init__(
@@ -200,21 +192,13 @@ class DiskCache:
         self.base_root = Path(root)
         self.root = self.base_root / f"v{CACHE_VERSION}"
         # String prefixes of a blob's file path and index rel-path.
+        self._base = os.path.join(self.base_root, "")
         self._dir = os.path.join(self.root, "")
         self._rel_dir = f"v{CACHE_VERSION}{os.sep}"
         self.max_bytes = max_bytes
         self.index = ResultIndex(self.base_root)
-        self._synced = False
         #: Entries deleted by cap enforcement (observability counter).
         self.evictions = 0
-        # Running size estimate so stores far below the cap skip the
-        # full reconciliation: seeded by one query on first need,
-        # advanced by this writer's stores, re-synced by every
-        # enforcement pass.  Other writers' concurrent stores are only
-        # picked up at the next pass, so the cap is exact per-writer and
-        # approximate across writers — over-use is bounded and corrected
-        # as soon as any writer crosses its own estimate.
-        self._approx_total: int | None = None
 
     def path(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
@@ -228,16 +212,13 @@ class DiskCache:
         name = f"{key}.pkl"
         return self._dir + name, self._rel_dir + name
 
-    def _rel(self, path: Path) -> str:
-        return str(path.relative_to(self.base_root))
-
     def load(self, key: str) -> RunResult | None:
         path, rel = self._blob(key)
         try:
             with open(path, "rb") as fh:
                 result = pickle.load(fh)
         except FileNotFoundError:
-            self.index.remove([rel])  # drop any stale row
+            self.index.remove([rel])  # deleted behind this instance
             return None
         except Exception:
             # Truncated or otherwise unreadable entries are plain
@@ -246,13 +227,13 @@ class DiskCache:
         if not isinstance(result, RunResult):
             return None
         try:
-            os.utime(path)  # refresh LRU recency
-            self.index.touch(rel, os.stat(path).st_mtime)
+            _stamp(path)  # refresh LRU recency
         except OSError:
             pass
+        self.index.touch(rel)
         return result
 
-    def store(self, key: str, result: RunResult, meta: dict | None = None) -> None:
+    def store(self, key: str, result: RunResult) -> None:
         os.makedirs(self._dir, exist_ok=True)
         final, rel = self._blob(key)
         # Write-then-rename keeps concurrent readers/writers safe: a
@@ -261,84 +242,25 @@ class DiskCache:
         try:
             with open(tmp, "wb") as fh:
                 pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                size = fh.tell()
+            _stamp(tmp)
             os.replace(tmp, final)
         except OSError:
             Path(tmp).unlink(missing_ok=True)
             return
         except BaseException:
             # An unpicklable result or a Ctrl-C mid-dump must not orphan
-            # the temp file either: ``_scan`` sees only ``*.pkl``, so the
+            # the temp file either: the index sees only ``*.pkl``, so the
             # size cap would never count or evict it.
             Path(tmp).unlink(missing_ok=True)
             raise
-        try:
-            stat = os.stat(final)
-        except OSError:
-            return
-        self.index.record(rel, stat.st_size, stat.st_mtime, meta)
-        if self.max_bytes is None:
-            return
-        if self._approx_total is None:
-            self._approx_total = self.total_bytes()  # includes this entry
-        else:
-            self._approx_total += stat.st_size
-        if self._approx_total > self.max_bytes:
+        self.index.record(rel, size)
+        if self.max_bytes is not None and self.index.total_bytes() > self.max_bytes:
             self.enforce_cap(keep=rel)
-
-    def _scan(self) -> list[tuple[float, Path, int]]:
-        """(mtime, path, size) of every blob; racing deletions skipped."""
-        entries = []
-        if not self.base_root.is_dir():
-            return entries
-        for path in self.base_root.glob("**/*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, path, stat.st_size))
-        return entries
-
-    def _scanned(self) -> list[tuple[float, str, int]]:
-        """(mtime, rel-path, size) of every blob on disk."""
-        return [(mtime, self._rel(path), size) for mtime, path, size in self._scan()]
-
-    def _ensure_synced(self) -> None:
-        """Reconcile the index with the filesystem, once per instance.
-
-        This is the rebuild-from-blobs migration (pre-index caches index
-        themselves on first use) and the self-healing path for blobs
-        created, deleted or ``utime``-d behind our back.
-        """
-        if self._synced:
-            return
-        self._synced = True
-        self.index.reconcile(self._scanned())
-
-    def rebuild_index(self) -> int:
-        """Force a rebuild of ``index.db`` from the blobs on disk.
-
-        Returns the number of blobs indexed.  Provenance columns of
-        adopted rows stay ``NULL`` — a blob's key is a one-way hash, so
-        only fresh stores know what produced them.
-        """
-        blobs = self._scanned()
-        self.index.reconcile(blobs)
-        self._synced = True
-        return len(blobs)
-
-    def _indexed_entries(self) -> list[tuple[float, str, int]]:
-        """(mtime, rel-path, size) of every entry, via index or scan."""
-        self._ensure_synced()
-        rows = self.index.lru_entries()
-        return self._scanned() if rows is None else rows
 
     def total_bytes(self) -> int:
         """Current size of every entry under the cache root (all versions)."""
-        self._ensure_synced()
-        total = self.index.total_bytes()
-        if total is None:
-            return sum(size for _, _, size in self._scan())
-        return total
+        return self.index.total_bytes()
 
     def enforce_cap(self, keep: str | None = None) -> int:
         """Evict LRU entries until the cache fits ``max_bytes``.
@@ -350,43 +272,48 @@ class DiskCache:
         """
         if self.max_bytes is None:
             return 0
-        entries = self._indexed_entries()
-        total = sum(size for _, _, size in entries)
+        total = self.index.total_bytes()
         removed = 0
-        dropped_rows: list[str] = []
-        for _, rel, size in sorted(entries):
+        dropped: list[str] = []
+        for rel, size in self.index.lru_entries():
             if total <= self.max_bytes:
                 break
             if rel == keep:
                 continue
             try:
-                (self.base_root / rel).unlink()
+                os.unlink(self._base + rel)
             except FileNotFoundError:
-                dropped_rows.append(rel)  # stale row: blob already gone
-                total -= size
-                continue
+                pass  # already gone: only the index still counted it
             except OSError:
                 continue
-            dropped_rows.append(rel)
+            else:
+                removed += 1
+            dropped.append(rel)
             total -= size
-            removed += 1
-        self.index.remove(dropped_rows)
-        self._approx_total = total
+        self.index.remove(dropped)
         self.evictions += removed
         return removed
 
     def clear(self) -> int:
         """Delete this version's entries; returns the number removed."""
-        removed = 0
-        dropped_rows: list[str] = []
+        removed: list[str] = []
         if self.root.is_dir():
             for entry in self.root.glob("*.pkl"):
                 entry.unlink(missing_ok=True)
-                dropped_rows.append(self._rel(entry))
-                removed += 1
-        self.index.remove(dropped_rows)
-        self._approx_total = None
-        return removed
+                removed.append(self._rel_dir + entry.name)
+        self.index.remove(removed)
+        return len(removed)
+
+
+def _stamp(path: str) -> None:
+    """Set a blob's mtime to now, at full clock resolution.
+
+    ``os.utime`` without times takes the kernel's coarse clock, so blobs
+    touched within one tick would tie and a later walk could not order
+    them as they were used.
+    """
+    now = time.time_ns()
+    os.utime(path, ns=(now, now))
 
 
 def _pool_size_from_env() -> int:
@@ -420,17 +347,32 @@ def _max_bytes_from_env() -> int | None:
     return int(megabytes * 1024 * 1024)
 
 
+_FLAG_VALUES = {
+    "1": True, "on": True, "yes": True, "true": True,
+    "0": False, "off": False, "no": False, "false": False,
+}
+
+
+def _env_flag(name: str, default: bool) -> bool:
+    """A boolean environment variable; unset or empty means ``default``."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return _FLAG_VALUES[raw.lower()]
+    except KeyError:
+        raise ConfigurationError(
+            f"{name} must be one of 1/0, on/off, yes/no, true/false, got {raw!r}"
+        ) from None
+
+
 def _disk_cache_from_env() -> DiskCache | None:
-    if os.environ.get(DISK_CACHE_ENV, "1").strip() in ("0", "off", "no"):
+    if not _env_flag(DISK_CACHE_ENV, True):
         return None
     return DiskCache(
         os.environ.get(DISK_CACHE_DIR_ENV, DEFAULT_CACHE_DIR),
         max_bytes=_max_bytes_from_env(),
     )
-
-
-def _progress_enabled() -> bool:
-    return os.environ.get(PROGRESS_ENV, "").strip() in ("1", "on", "yes")
 
 
 def replica_pairs(
@@ -664,12 +606,10 @@ class SweepExecutor:
             "max_inflight": self.max_inflight,
         }
 
-    def _record(
-        self, key: str, result: RunResult, persist: bool, meta: dict | None = None
-    ) -> None:
+    def _record(self, key: str, result: RunResult) -> None:
         self._memo[key] = result
-        if persist and self.disk_cache is not None:
-            self.disk_cache.store(key, result, meta)
+        if self.disk_cache is not None:
+            self.disk_cache.store(key, result)
 
     # -- execution ------------------------------------------------------
     def run_one(self, spec: RunSpec, trace: Trace) -> RunResult:
@@ -747,7 +687,7 @@ class SweepExecutor:
         if total is None and hasattr(pairs, "__len__"):
             total = len(pairs)  # type: ignore[arg-type]
         it = iter(pairs)
-        progress = _progress_enabled()
+        progress = _env_flag(PROGRESS_ENV, False)
         window = self.inflight
         # Streaming state: `waiters` maps every in-flight or deferred
         # key to the submission indices awaiting it; `pending` keeps the
@@ -787,7 +727,7 @@ class SweepExecutor:
             spec, trace = pending.pop(key)
             self.executions += 1
             result = self.run_fn(spec, trace)
-            self._record(key, result, persist=True, meta=_provenance(spec, trace))
+            self._record(key, result)
             return finish(key, result)
 
         while True:
@@ -847,11 +787,9 @@ class SweepExecutor:
                     except BrokenExecutor:
                         crashed.append(key)
                         continue
-                    spec, trace = pending.pop(key)
+                    del pending[key]
                     self.executions += 1
-                    self._record(
-                        key, result, persist=True, meta=_provenance(spec, trace)
-                    )
+                    self._record(key, result)
                     yield from finish(key, result)
                 if crashed:
                     # The pool is gone and took every queued future with

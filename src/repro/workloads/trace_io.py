@@ -48,10 +48,13 @@ def read_trace(path: str | Path, name: str | None = None) -> Trace:
                     f"{path}:{lineno}: expected 3 tab-separated fields, "
                     f"got {len(parts)}"
                 )
-            job_id = int(parts[0])
-            submit = float(parts[1])
-            durations = tuple(float(d) for d in parts[2].split(","))
-            jobs.append(JobSpec(job_id, submit, durations))
+            try:
+                job_id = int(parts[0])
+                submit = float(parts[1])
+                durations = tuple(float(d) for d in parts[2].split(","))
+                jobs.append(JobSpec(job_id, submit, durations))
+            except (ValueError, ConfigurationError) as err:
+                raise ConfigurationError(f"{path}:{lineno}: {err}") from err
     if not jobs:
         raise ConfigurationError(f"{path}: empty trace file")
     return Trace(jobs, name=name or path.stem)

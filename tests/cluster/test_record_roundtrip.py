@@ -62,11 +62,8 @@ def test_run_round_trips_through_disk_cache(tmp_path, faults):
     retried = sum(job.retried_tasks for job in result.jobs)
     assert (retried > 0) == (faults is not None)
     cache = DiskCache(tmp_path)
-    try:
-        cache.store("k" * 40, result)
-        loaded = cache.load("k" * 40)
-    finally:
-        cache.index.close()
+    cache.store("k" * 40, result)
+    loaded = cache.load("k" * 40)
     assert loaded is not result
     assert loaded == result
     assert repr(loaded) == repr(result)
@@ -165,9 +162,6 @@ def test_blob_pickled_in_the_old_form_still_loads_equal(tmp_path):
     # version did not.
     assert CACHE_VERSION == 4
     cache = DiskCache(tmp_path)
-    try:
-        cache.root.mkdir(parents=True)
-        shutil.copyfile(OLD_BLOB, cache.path("b" * 40))
-        assert cache.load("b" * 40) == fresh
-    finally:
-        cache.index.close()
+    cache.root.mkdir(parents=True)
+    shutil.copyfile(OLD_BLOB, cache.path("b" * 40))
+    assert cache.load("b" * 40) == fresh

@@ -62,12 +62,9 @@ def test_warm_stream_derives_each_spec_digest_once(tmp_path, monkeypatch):
         for spec in specs
     ]
     cache = DiskCache(tmp_path)
-    try:
-        SweepExecutor(max_workers=1, disk_cache=cache).run_many(grid)
-        reprs.clear()
-        warm = SweepExecutor(max_workers=1, disk_cache=cache)
-        assert len(list(warm.run_stream(grid))) == len(grid)
-    finally:
-        cache.index.close()
+    SweepExecutor(max_workers=1, disk_cache=cache).run_many(grid)
+    reprs.clear()
+    warm = SweepExecutor(max_workers=1, disk_cache=cache)
+    assert len(list(warm.run_stream(grid))) == len(grid)
     assert warm.disk_hits == len(grid) and warm.executions == 0
     assert reprs == []

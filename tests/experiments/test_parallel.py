@@ -10,9 +10,12 @@ from repro.core.errors import ConfigurationError
 from repro.experiments.config import RunSpec
 from repro.experiments.parallel import (
     CACHE_VERSION,
+    DISK_CACHE_ENV,
     DISK_CACHE_MAX_MB_ENV,
+    PROGRESS_ENV,
     DiskCache,
     SweepExecutor,
+    _env_flag,
     _max_bytes_from_env,
     cache_key,
     get_executor,
@@ -412,6 +415,38 @@ def test_max_bytes_env_parsing(monkeypatch):
     monkeypatch.setenv(DISK_CACHE_MAX_MB_ENV, "0")
     with pytest.raises(ConfigurationError):
         _max_bytes_from_env()
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ("1", True), ("on", True), ("yes", True), ("true", True),
+        ("TRUE", True), (" Yes ", True), ("On", True),
+        ("0", False), ("off", False), ("no", False), ("false", False),
+        ("False", False), ("OFF", False), ("No", False),
+        ("", None), ("  ", None), (None, None),
+    ],
+)
+def test_env_flag_spellings(monkeypatch, capsys, tmp_path, raw, expected):
+    for name in (DISK_CACHE_ENV, PROGRESS_ENV):
+        if raw is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, raw)
+    assert _env_flag(PROGRESS_ENV, False) is bool(expected)
+    assert _env_flag(DISK_CACHE_ENV, True) is (expected is not False)
+    monkeypatch.setenv("REPRO_RUNCACHE_DIR", str(tmp_path))
+    cache = SweepExecutor(max_workers=1).disk_cache
+    assert (cache is None) is (expected is False)
+    SweepExecutor(max_workers=1, disk_cache=None).run_one(SPEC, small_trace())
+    assert ("[sweep]" in capsys.readouterr().err) is bool(expected)
+
+
+@pytest.mark.parametrize("raw", ["2", "maybe", "enabled", "y", "-1"])
+def test_env_flag_rejects_other_values(monkeypatch, raw):
+    monkeypatch.setenv(DISK_CACHE_ENV, raw)
+    with pytest.raises(ConfigurationError, match=DISK_CACHE_ENV):
+        SweepExecutor(max_workers=1)
 
 
 def test_negative_max_bytes_rejected(tmp_path):

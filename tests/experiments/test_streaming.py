@@ -1,12 +1,15 @@
 """Tests for the streaming executor core, fold, crash recovery and index."""
 
-import multiprocessing
+import itertools
 import os
 import pickle
 import signal
-import sqlite3
+import subprocess
 import sys
 import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.config import RunSpec
 from repro.experiments.parallel import (
@@ -400,156 +403,150 @@ def test_summary_counters():
     assert summary["max_inflight"] == 0  # serial path never enters the pool
 
 
-# -- the persistent result index ---------------------------------------------
+# -- the in-memory result index ---------------------------------------------
+def _blob(root, rel, size, mtime):
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"x" * size)
+    os.utime(path, (mtime, mtime))
+
+
+def _on_disk(root):
+    """{rel-path: size} of every ``*.pkl`` blob under ``root``."""
+    return {
+        str(path.relative_to(root)): path.stat().st_size
+        for path in root.rglob("*.pkl")
+    }
+
+
 def test_index_records_and_orders_entries(tmp_path):
+    _blob(tmp_path, "v3/aaa.pkl", 100, 10.0)
+    _blob(tmp_path, "v3/bbb.pkl", 200, 5.0)
+    (tmp_path / "v3" / "ccc.pkl.123.tmp").write_bytes(b"x" * 7)  # not a blob
     index = ResultIndex(tmp_path)
-    index.record("v3/aaa.pkl", 100, 10.0, {"policy": "hawk", "seed": 3})
-    index.record("v3/bbb.pkl", 200, 5.0)
-    assert index.count() == 2
+    # Before the first size query the index has not walked the root, so
+    # writes are no-ops: the walk finds the blobs themselves.
+    index.record("v3/zzz.pkl", 999)
+    index.touch("v3/aaa.pkl")
+    index.remove(["v3/bbb.pkl"])
     assert index.total_bytes() == 300
-    assert index.lookup("v3/aaa.pkl") == (100, 10.0)
     # LRU order: oldest mtime first.
-    assert [rel for _, rel, _ in index.lru_entries()] == [
-        "v3/bbb.pkl",
-        "v3/aaa.pkl",
-    ]
-    index.touch("v3/bbb.pkl", 20.0)
-    assert [rel for _, rel, _ in index.lru_entries()] == [
-        "v3/aaa.pkl",
-        "v3/bbb.pkl",
-    ]
-    index.remove(["v3/aaa.pkl"])
-    assert index.count() == 1
+    assert index.lru_entries() == [("v3/bbb.pkl", 200), ("v3/aaa.pkl", 100)]
+    index.touch("v3/bbb.pkl")
+    assert index.lru_entries() == [("v3/aaa.pkl", 100), ("v3/bbb.pkl", 200)]
+    index.record("v3/aaa.pkl", 120)  # overwritten: new size, most recent
+    assert index.lru_entries() == [("v3/bbb.pkl", 200), ("v3/aaa.pkl", 120)]
+    assert index.total_bytes() == 320
+    index.remove(["v3/aaa.pkl", "v3/gone.pkl"])
+    assert index.lru_entries() == [("v3/bbb.pkl", 200)]
+    assert index.total_bytes() == 200
 
 
-def test_index_provenance_recorded_at_store_time(tmp_path):
+def test_store_and_hit_stamp_the_blob_at_full_resolution(tmp_path, monkeypatch):
+    """LRU recency lives in the blob's mtime, to the nanosecond.
+
+    The kernel's default ``utime`` clock is coarse, so two blobs used
+    within one tick would tie and a later walk could not order them.
+    """
+    result = SweepExecutor(max_workers=1, disk_cache=None).run_one(
+        SPEC, small_trace("stamp")
+    )
+    ticks = itertools.count(1_700_000_000_123_456_789)
+    monkeypatch.setattr(time, "time_ns", lambda: next(ticks))
     cache = DiskCache(tmp_path)
-    executor = SweepExecutor(max_workers=1, disk_cache=cache)
-    trace = small_trace("prov")
-    executor.run_one(SPEC, trace)
-    rel = f"v{CACHE_VERSION}/{cache_key(SPEC, trace)}.pkl"
-    policy, seed, spec_dig, trace_dig = cache.index.provenance(rel)
-    assert policy == "sparrow"
-    assert seed == SPEC.seed
-    assert "scheduler='sparrow'" in spec_dig
-    assert trace_dig == trace.content_digest()
+    cache.store("a" * 40, result)
+    cache.store("b" * 40, result)
+    assert cache.load("a" * 40) == result
+    assert cache.path("a" * 40).stat().st_mtime_ns == 1_700_000_000_123_456_791
+    assert cache.path("b" * 40).stat().st_mtime_ns == 1_700_000_000_123_456_790
+    assert [rel for rel, _ in DiskCache(tmp_path).index.lru_entries()] == [
+        f"v{CACHE_VERSION}/{'b' * 40}.pkl", f"v{CACHE_VERSION}/{'a' * 40}.pkl"
+    ]
 
 
-def test_index_reads_never_create_the_database(tmp_path):
-    index = ResultIndex(tmp_path)
-    assert index.lookup("v3/x.pkl") is None
-    assert index.total_bytes() is None
-    assert index.lru_entries() is None
-    assert index.count() == 0
-    assert not (tmp_path / "index.db").exists()
-
-
-def test_rebuild_from_blobs_migrates_preindex_cache(tmp_path):
-    """A cache written before the index existed indexes itself on demand."""
-    cache = DiskCache(tmp_path)
-    executor = SweepExecutor(max_workers=1, disk_cache=cache)
-    trace = small_trace("migrate")
-    executor.run_one(SPEC, trace)
-    # Simulate a pre-index cache: no database, and no WAL sidecars.
-    cache.index.close()
-    for name in ("index.db", "index.db-wal", "index.db-shm"):
-        (tmp_path / name).unlink(missing_ok=True)
-
-    adopted = DiskCache(tmp_path)
-    assert adopted.rebuild_index() == 1
-    rel = f"v{CACHE_VERSION}/{cache_key(SPEC, trace)}.pkl"
-    size, _ = adopted.index.lookup(rel)
-    assert size == cache.path(cache_key(SPEC, trace)).stat().st_size
-    # Provenance is unrecoverable from a blob (the key is a one-way hash).
-    assert adopted.index.provenance(rel) == (None, None, None, None)
-    assert adopted.total_bytes() == size
-
-
-def test_warm_pass_opens_one_index_connection(tmp_path, monkeypatch):
-    """The index keeps its connection: 30 disk hits, one ``connect``."""
+def test_index_walks_the_cache_only_when_capped(tmp_path, monkeypatch):
+    """No walk without a cap; one walk for a whole capped cold pass."""
     pairs = [
         (SPEC, Trace([short_job(i, 0.0)], name=f"warm-{i}")) for i in range(30)
     ]
-    SweepExecutor(max_workers=1, disk_cache=DiskCache(tmp_path)).run_many(pairs)
-    connects = []
-    real_connect = sqlite3.connect
+    walked = []
+    real_scandir = os.scandir
 
-    def counting_connect(*args, **kwargs):
-        connects.append(args)
-        return real_connect(*args, **kwargs)
+    def counting_scandir(path="."):
+        walked.append(os.fspath(path))
+        return real_scandir(path)
 
-    monkeypatch.setattr(sqlite3, "connect", counting_connect)
-    warm = SweepExecutor(max_workers=1, disk_cache=DiskCache(tmp_path))
+    monkeypatch.setattr(os, "scandir", counting_scandir)
+    plain = tmp_path / "plain"
+    SweepExecutor(max_workers=1, disk_cache=DiskCache(plain)).run_many(pairs)
+    warm = SweepExecutor(max_workers=1, disk_cache=DiskCache(plain))
     warm.run_many(pairs)
     assert warm.disk_hits == 30
-    assert len(connects) == 1
+    assert walked == []
+
+    entry_size = max(_on_disk(plain).values())
+    walked.clear()
+    capped = DiskCache(tmp_path / "capped", max_bytes=10 * entry_size)
+    SweepExecutor(max_workers=1, disk_cache=capped).run_many(pairs)
+    assert capped.evictions > 0
+    assert sorted(walked) == [str(capped.base_root), str(capped.root)]
+    assert capped.total_bytes() == sum(_on_disk(capped.base_root).values())
 
 
-def _store_from_fork_child(cache, key, result):
-    """Fork child: store through the cache object inherited from the parent."""
-    cache.store(key, result)
-    index = cache.index
-    own = index._pid == os.getpid()  # opened its own connection
-    sys.exit(0 if own and index.available and index.count() == 2 else 3)
-
-
-def test_fork_child_and_parent_write_one_index(tmp_path):
-    """A forked child must not reuse the parent's open index connection."""
-    cache = DiskCache(tmp_path)
-    executor = SweepExecutor(max_workers=1, disk_cache=cache)
-    trace = small_trace("fork-parent")
-    result = executor.run_one(SPEC, trace)
-    assert cache.index._conn is not None  # the parent holds it open
-    child_key = "0" * 40
-    child = multiprocessing.get_context("fork").Process(
-        target=_store_from_fork_child, args=(cache, child_key, result)
+def test_import_leaves_sqlite_unloaded():
+    code = "import sys, repro.experiments; print('sqlite3' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
     )
-    child.start()
-    child.join(60)
-    assert child.exitcode == 0  # own connection, available, both rows
-    assert cache.index.available
-    rels = {
-        f"v{CACHE_VERSION}/{cache_key(SPEC, trace)}.pkl",
-        f"v{CACHE_VERSION}/{child_key}.pkl",
-    }
-    assert {rel for _, rel, _ in cache.index.lru_entries()} == rels
-    # WAL sidecars sit beside the database but are never blobs.
-    assert (tmp_path / "index.db-wal").exists()
-    scanned = {cache._rel(path) for _, path, _ in cache._scan()}
-    assert scanned == rels
-    assert cache.rebuild_index() == len(scanned)
-    assert {rel for _, rel, _ in cache.index.lru_entries()} == scanned
-    assert cache.total_bytes() == sum(size for _, _, size in cache._scan())
-    assert cache.index.available
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_reconcile_drops_rows_for_deleted_blobs(tmp_path):
+    """Blobs deleted behind a cache are gone from its index."""
     cache = DiskCache(tmp_path)
     executor = SweepExecutor(max_workers=1, disk_cache=cache)
     trace = small_trace("dropped")
     executor.run_one(SPEC, trace)
-    cache.path(cache_key(SPEC, trace)).unlink()  # delete behind the index
+    key = cache_key(SPEC, trace)
+    assert cache.total_bytes() == cache.path(key).stat().st_size
+    cache.path(key).unlink()  # delete behind the index
 
-    fresh = DiskCache(tmp_path)
-    assert fresh.total_bytes() == 0  # reconciled: stale row dropped
-    assert fresh.index.count() == 0
+    assert DiskCache(tmp_path).total_bytes() == 0  # a fresh walk
+    assert cache.load(key) is None  # the miss drops the entry
+    assert cache.total_bytes() == 0
+    assert cache.index.lru_entries() == []
 
 
-def test_cache_degrades_gracefully_without_sqlite(tmp_path):
-    """A broken index must never break the cache — scans take over."""
-    (tmp_path / "index.db").mkdir()  # a directory: sqlite cannot open it
-    cache = DiskCache(tmp_path, max_bytes=10_000_000)
-    executor = SweepExecutor(max_workers=1, disk_cache=cache)
+def test_cache_degrades_gracefully_without_sqlite(tmp_path, monkeypatch):
+    """The cache never touches SQLite, and ignores an old ``index.db``.
+
+    Older checkouts kept a SQLite index beside the blobs; its database
+    file (or a directory of that name) and WAL sidecars are not blobs.
+    """
+    monkeypatch.setitem(sys.modules, "sqlite3", None)  # import would fail
     trace = small_trace("no-sqlite")
-    res = executor.run_one(SPEC, trace)
-    assert not cache.index.available
-    assert cache.total_bytes() > 0  # directory-scan fallback
-    assert cache.enforce_cap() == 0
-    reader = SweepExecutor(
-        max_workers=1, disk_cache=DiskCache(tmp_path)
-    )
-    assert reader.run_one(SPEC, trace) == res
-    assert reader.disk_hits == 1
+    for root, leftovers in (
+        (tmp_path / "file", ("index.db", "index.db-wal", "index.db-shm")),
+        (tmp_path / "dir", ()),
+    ):
+        root.mkdir()
+        for name in leftovers:
+            (root / name).write_bytes(b"SQLite format 3\0" + b"x" * 4096)
+        if not leftovers:
+            (root / "index.db").mkdir()
+        cache = DiskCache(root, max_bytes=10_000_000)
+        res = SweepExecutor(max_workers=1, disk_cache=cache).run_one(SPEC, trace)
+        blob = cache.path(cache_key(SPEC, trace)).stat().st_size
+        assert cache.total_bytes() == blob
+        assert cache.enforce_cap() == 0
+        reader = SweepExecutor(max_workers=1, disk_cache=DiskCache(root))
+        assert reader.run_one(SPEC, trace) == res
+        assert reader.disk_hits == 1
+        assert DiskCache(root, max_bytes=1).enforce_cap() == 1
+        assert _on_disk(root) == {}
 
 
 def test_eviction_removes_index_rows(tmp_path):
@@ -564,11 +561,88 @@ def test_eviction_removes_index_rows(tmp_path):
         keys.append(cache_key(SPEC, trace))
         os.utime(cache.path(keys[-1]), (2000.0 + i, 2000.0 + i))
     entry_size = cache.path(keys[0]).stat().st_size
+    kept_size = cache.path(keys[2]).stat().st_size
 
     capped = DiskCache(tmp_path, max_bytes=entry_size + entry_size // 2)
     removed = capped.enforce_cap()
     assert removed == 2
-    assert capped.index.count() == 1
-    assert [rel for _, rel, _ in capped.index.lru_entries()] == [
-        f"v{CACHE_VERSION}/{keys[2]}.pkl"
-    ]
+    kept = f"v{CACHE_VERSION}/{keys[2]}.pkl"
+    assert capped.index.lru_entries() == [(kept, kept_size)]
+    assert capped.total_bytes() == kept_size
+    assert _on_disk(tmp_path) == {kept: kept_size}
+
+
+_RESULTS: list = []
+
+
+def _results():
+    """Six stored-result candidates of different pickled sizes."""
+    if not _RESULTS:
+        for n in range(1, 7):
+            trace = Trace([short_job(i, float(i), 1 + n % 3) for i in range(n)])
+            _RESULTS.append(SweepExecutor(max_workers=1, disk_cache=None).run_one(
+                SPEC, trace
+            ))
+    return _RESULTS
+
+
+_OPS = st.tuples(
+    # Stores and hits weigh double: their order is what LRU tracks.
+    st.sampled_from(["store", "store", "load", "load", "miss", "cap", "clear"]),
+    st.integers(0, 2),  # which key
+    st.integers(0, 5),  # which result a store writes
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stale=st.lists(
+        st.tuples(st.integers(1, 4000), st.integers(0, 2)), max_size=4
+    ),
+    cap_share=st.floats(0.2, 4.0),
+    ops=st.lists(_OPS, min_size=1, max_size=20),
+)
+def test_index_agrees_with_disk_under_random_operations(
+    tmp_path_factory, stale, cap_share, ops
+):
+    """Stores, hits, misses, evictions and clears keep the index exact."""
+    root = tmp_path_factory.mktemp("prop")
+    for i, (size, age) in enumerate(stale):  # older checkouts' blobs
+        _blob(root, f"v{i % 2}/old{i}.pkl", size, 1000.0 + age)
+    results = _results()
+    sizes = [len(pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL)) for r in results]
+    cap = max(1, int(cap_share * max(sizes)))
+    cache = DiskCache(root, max_bytes=cap)
+    keys = [f"{k:040x}" for k in range(3)]
+    stored: dict[str, object] = {}
+    just_stored = None
+    enforced = False
+    for op, k, r in ops:
+        key = keys[k]
+        if op == "store":
+            cache.store(key, results[r])
+            stored[key] = results[r]
+            just_stored, enforced = f"v{CACHE_VERSION}/{key}.pkl", True
+        elif op == "load":
+            hit = cache.load(key)
+            if cache.path(key).exists():
+                assert hit == stored[key]
+            else:
+                assert hit is None
+        elif op == "miss":
+            assert cache.load("f" * 40) is None
+        elif op == "cap":
+            cache.enforce_cap()
+            just_stored, enforced = None, True
+        else:
+            cache.clear()
+            just_stored = None
+        disk = _on_disk(root)
+        total = cache.total_bytes()
+        assert total == sum(disk.values())
+        assert dict(cache.index.lru_entries()) == disk
+        if enforced:
+            assert total <= cap or list(disk) == [just_stored]
+        fresh = DiskCache(root, max_bytes=cap)
+        assert fresh.total_bytes() == total
+        assert fresh.index.lru_entries() == cache.index.lru_entries()

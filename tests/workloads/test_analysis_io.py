@@ -1,5 +1,7 @@
 """Tests for trace analysis, file I/O, arrivals and prototype scaling."""
 
+import re
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -113,6 +115,31 @@ def test_read_malformed_line_raises(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("0\t0.0\n")
     with pytest.raises(ConfigurationError, match="expected 3"):
+        read_trace(path)
+
+
+def _bad_line(tmp_path, line):
+    """A trace whose second line is ``line``; the error prefix it must get."""
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"0\t0.0\t1.0\n{line}\n")
+    return path, f"^{re.escape(str(path))}:2: "
+
+
+def test_read_non_integer_job_id_names_file_and_line(tmp_path):
+    path, where = _bad_line(tmp_path, "x\t0.0\t1.0")
+    with pytest.raises(ConfigurationError, match=where + ".*'x'"):
+        read_trace(path)
+
+
+def test_read_empty_duration_names_file_and_line(tmp_path):
+    path, where = _bad_line(tmp_path, "1\t0.0\t1.0,,2")
+    with pytest.raises(ConfigurationError, match=where):
+        read_trace(path)
+
+
+def test_read_nan_duration_names_file_and_line(tmp_path):
+    path, where = _bad_line(tmp_path, "1\t0.0\tnan")
+    with pytest.raises(ConfigurationError, match=where + "job 1 "):
         read_trace(path)
 
 
