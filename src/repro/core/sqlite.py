@@ -1,6 +1,6 @@
-"""SQLite plumbing shared by the service event store and the run-cache
-index: one WAL-mode connection per store, and one commit path with a
-bounded retry for lock contention.
+"""SQLite plumbing of the service event store (its only user): one
+WAL-mode connection per store, and one commit path with a bounded retry
+for lock contention.
 """
 
 from __future__ import annotations

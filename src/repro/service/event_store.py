@@ -22,7 +22,10 @@ Snapshots
 ``save_snapshot`` stores a folded-state checkpoint (JSON produced by
 :meth:`repro.service.replay.RunFold.to_state`) keyed by the seq it
 covers; :meth:`compact` then deletes the covered events.  Replay of a
-compacted run starts from the snapshot and folds only the tail.
+compacted run starts from the snapshot and folds only the tail:
+:meth:`replay_rows` reads both under one hold of the store lock, so a
+checkpoint that saves and compacts concurrently lands wholly before or
+wholly after the read, never between the snapshot and its tail.
 
 The store is thread-safe: one connection guarded by an ``RLock``
 (appends come from the scheduler-bridge thread, reads from asyncio
@@ -30,8 +33,8 @@ executor threads).
 
 Commit retry
 ------------
-Every commit runs through :func:`repro.core.sqlite.commit`, the bounded
-busy-retry shared with the run-cache index: a database held locked past
+Every commit runs through :func:`repro.core.sqlite.commit`, a bounded
+busy-retry (this store is its only user): a database held locked past
 its budget raises the typed :class:`~repro.core.errors.StoreUnavailable`
 (the HTTP edge maps it to 503) instead of a raw sqlite exception
 mid-append.
@@ -202,6 +205,23 @@ class EventStore:
                 worker_id=row[7],
                 payload=json.loads(row[8]),
             )
+
+    def replay_rows(
+        self, run_id: str
+    ) -> tuple[tuple[int, dict[str, Any]] | None, list[tuple[Any, ...]]]:
+        """The run's snapshot (as :meth:`latest_snapshot`) and the rows
+        after it, ``(seq, kind, vtime, wtime, job_id, payload)`` in seq
+        order with the payload as JSON text, read under one lock hold.
+        """
+        self.flush()
+        with self._lock:
+            snapshot = self.latest_snapshot(run_id)
+            rows = self._conn.execute(
+                "SELECT seq, kind, vtime, wtime, job_id, payload FROM events "
+                "WHERE run_id = ? AND seq > ? ORDER BY seq",
+                (run_id, 0 if snapshot is None else snapshot[0]),
+            ).fetchall()
+        return snapshot, rows
 
     def event_count(self, run_id: str | None = None) -> int:
         self.flush()

@@ -58,6 +58,16 @@ def canonical_json(value: Any) -> str:
     )
 
 
+def _optional_id(data: Mapping[str, Any], name: str) -> int | None:
+    """``data[name]`` as an id: an int (not a bool) or absent/null."""
+    value = data.get(name)
+    if value is not None and type(value) is not int:
+        raise ConfigurationError(
+            f"{name} must be an integer or null, got {value!r}"
+        )
+    return value
+
+
 @dataclass(slots=True)
 class LifecycleEvent:
     """One event-store row: a single lifecycle transition of one run.
@@ -98,9 +108,9 @@ class LifecycleEvent:
             run_id=data["run_id"],
             kind=kind,
             vtime=float(data["vtime"]),
-            job_id=data.get("job_id"),
-            task_index=data.get("task_index"),
-            worker_id=data.get("worker_id"),
+            job_id=_optional_id(data, "job_id"),
+            task_index=_optional_id(data, "task_index"),
+            worker_id=_optional_id(data, "worker_id"),
             payload=dict(data.get("payload") or {}),
             wtime=float(data.get("wtime", 0.0)),
             seq=int(data.get("seq", 0)),

@@ -6,9 +6,12 @@ its events: :class:`RunFold` consumes ``submitted``/``stolen``/
 ``completed`` transitions (the other kinds are audit detail) and
 :meth:`RunFold.result` materializes records byte-compatible with what
 :meth:`ClusterEngine.run` builds.  The live service uses the *same* fold
-on the events it emits, so live results and a cold :func:`replay` of the
-log agree by construction — the equality tests in ``tests/service``
-hold the two paths to that.
+step on the events it emits (:meth:`RunFold.apply`) that a cold
+:func:`replay` runs over stored rows — snapshot and tail read in one
+step, six columns (``seq, kind, vtime, wtime, job_id, payload``) per
+row, and only the payloads the fold reads decoded per row — so live
+results and a cold replay agree by construction; the equality tests in
+``tests/service`` hold the two paths to that.
 
 ``RunFold.to_state``/``from_state`` round-trip the fold through JSON for
 the store's snapshot/compaction path, and the NDJSON helpers
@@ -75,10 +78,13 @@ def record_from_json(data: Mapping[str, Any]) -> JobRecord:
 #: Event kinds the fold keys on their job.
 _JOB_KINDS = (KIND_SUBMITTED, KIND_STARTED, KIND_COMPLETED)
 
+#: Event kinds whose payload the fold reads.
+_PAYLOAD_KINDS = frozenset((KIND_SUBMITTED, KIND_STOLEN, KIND_COMPLETED))
 
-def _no_job_id(event: LifecycleEvent) -> ConfigurationError:
+
+def _no_job_id(kind: str, seq: int) -> ConfigurationError:
     """The error for a :data:`_JOB_KINDS` event that names no job."""
-    return ConfigurationError(f"{event.kind!r} event seq {event.seq} has no job_id")
+    return ConfigurationError(f"{kind!r} event seq {seq} has no job_id")
 
 
 @dataclass(slots=True)
@@ -110,30 +116,40 @@ class RunFold:
 
     def apply(self, event: LifecycleEvent) -> None:
         """Fold one event (events must arrive in ascending seq order)."""
-        if event.seq <= self.last_seq:
+        self._fold(
+            event.seq, event.kind, event.vtime, event.wtime, event.job_id,
+            event.payload,
+        )
+
+    def _fold(
+        self, seq: int, kind: str, vtime: float, wtime: float,
+        job_id: int | None, payload: Mapping[str, Any],
+    ) -> None:
+        """The one fold step, over an event's six fields (:meth:`apply`,
+        and :func:`replay` over stored rows)."""
+        if seq <= self.last_seq:
             raise ConfigurationError(
-                f"event seq {event.seq} out of order (last folded "
+                f"event seq {seq} out of order (last folded "
                 f"{self.last_seq})"
             )
         self.events_folded += 1
-        self.last_seq = event.seq
-        if event.vtime > self.last_vtime:
-            self.last_vtime = event.vtime
-        kind, job_id = event.kind, event.job_id
+        self.last_seq = seq
+        if vtime > self.last_vtime:
+            self.last_vtime = vtime
         if kind == KIND_STOLEN:
             self.steal_transfers += 1
-            self.entries_stolen += int(event.payload.get("entries", 0))
+            self.entries_stolen += int(payload.get("entries", 0))
         elif kind not in _JOB_KINDS:
             return
         elif job_id is None:
-            raise _no_job_id(event)
+            raise _no_job_id(kind, seq)
         elif kind == KIND_SUBMITTED:
-            self.pending[job_id] = (event.vtime, dict(event.payload))
+            self.pending[job_id] = (vtime, dict(payload))
         elif kind == KIND_STARTED:
             submitted = self.pending.get(job_id)
             if submitted is not None and "recv" in submitted[1]:
                 recv = float(submitted[1].pop("recv"))
-                self.latencies.append(event.wtime - recv)
+                self.latencies.append(wtime - recv)
         else:
             try:
                 submit_vtime, submitted = self.pending.pop(job_id)
@@ -146,15 +162,15 @@ class RunFold:
                 JobRecord(
                     job_id=job_id,
                     submit_time=submit_vtime,
-                    completion_time=event.vtime,
+                    completion_time=vtime,
                     num_tasks=int(submitted["num_tasks"]),
                     true_mean_task_duration=float(submitted["true_mean"]),
                     estimated_task_duration=float(submitted["estimate"]),
                     task_seconds=float(submitted["task_seconds"]),
                     scheduled_class=JobClass(submitted["scheduled_class"]),
                     true_class=JobClass(submitted["true_class"]),
-                    stolen_tasks=int(event.payload.get("stolen_tasks", 0)),
-                    retried_tasks=int(event.payload.get("retried_tasks", 0)),
+                    stolen_tasks=int(payload.get("stolen_tasks", 0)),
+                    retried_tasks=int(payload.get("retried_tasks", 0)),
                 )
             )
 
@@ -224,10 +240,17 @@ class RunFold:
 
 
 def replay(store: EventStore, run_id: str) -> RunFold:
-    """Cold replay: snapshot (if any) plus the committed event tail."""
-    snapshot = store.latest_snapshot(run_id)
+    """Cold replay: snapshot (if any) plus the committed event tail.
+
+    One :meth:`EventStore.replay_rows` read gives both, so a concurrent
+    checkpoint cannot compact events out from between them.  Each row is
+    folded from its six fields; only :data:`_PAYLOAD_KINDS` payloads are
+    decoded per row, any other is parsed once per distinct text (so a
+    corrupt row still raises its :class:`json.JSONDecodeError`).
+    """
+    snapshot, rows = store.replay_rows(run_id)
     if snapshot is None:
-        fold, after_seq = RunFold(), 0
+        fold = RunFold()
     else:
         after_seq, state = snapshot
         fold = RunFold.from_state(state)
@@ -236,8 +259,16 @@ def replay(store: EventStore, run_id: str) -> RunFold:
                 f"snapshot for {run_id} claims seq {after_seq} but its "
                 f"state folded up to {fold.last_seq}"
             )
-    for event in store.events(run_id, after_seq=after_seq):
-        fold.apply(event)
+    loads = json.loads
+    parsed: dict[str, Any] = {}
+    for seq, kind, vtime, wtime, job_id, text in rows:
+        if kind in _PAYLOAD_KINDS:
+            payload = loads(text)
+        elif text in parsed:
+            payload = parsed[text]
+        else:
+            payload = parsed[text] = loads(text)
+        fold._fold(seq, kind, vtime, wtime, job_id, payload)
     return fold
 
 
@@ -369,7 +400,7 @@ def load_ndjson(path: Path) -> NdjsonLog:
                 elif kind == "event":
                     event = LifecycleEvent.from_json(data)
                     if event.job_id is None and event.kind in _JOB_KINDS:
-                        raise _no_job_id(event)
+                        raise _no_job_id(event.kind, event.seq)
                     events.append(event)
                 else:
                     raise ConfigurationError(f"unknown line type {kind!r}")
