@@ -6,11 +6,11 @@ pulls pairs lazily from a generator, keeps a bounded in-flight window
 over a ``multiprocessing`` worker pool (backpressure — arbitrarily large
 grids never materialize), drains completions out of order as they land,
 and retires each result into the cache immediately.  ``run_many`` /
-``run_one`` / ``run_replicated`` are thin wrappers that collect the
-stream back into submission order, so batch callers see exactly the
-pre-streaming behaviour.  :func:`replica_pairs` is the one seed-replica
-expansion: ``run_replicated`` and every sweep build their replicas with
-it.
+``run_one`` collect the stream back into submission order, so batch
+callers see exactly the pre-streaming behaviour.
+:func:`replica_pairs` is the one seed-replica expansion: every sweep,
+and any caller of ``run_many(replica_pairs(...))``, builds its
+replicas with it.
 
 Two cache tiers sit in front of execution:
 
@@ -408,11 +408,6 @@ def replica_pairs(
     return pairs
 
 
-def _execute_keyed(run_fn, key: str, spec: RunSpec, trace: Trace):
-    """Pool-side worker: run one experiment, echoing its cache key."""
-    return key, run_fn(spec, trace)
-
-
 # -- shared-memory trace transport --------------------------------------
 class TraceTransport:
     """Publishes each distinct trace once for all pool submissions.
@@ -492,11 +487,11 @@ def _trace_from_shm(digest: str, shm_name: str, length: int) -> Trace:
     return trace
 
 
-def _execute_keyed_shm(
-    run_fn, key: str, spec: RunSpec, digest: str, shm_name: str, length: int
+def _execute_shm(
+    run_fn, spec: RunSpec, digest: str, shm_name: str, length: int
 ):
-    """Pool-side worker: like :func:`_execute_keyed`, trace via shm."""
-    return key, run_fn(spec, _trace_from_shm(digest, shm_name, length))
+    """Pool-side worker: run one experiment on a trace read from shm."""
+    return run_fn(spec, _trace_from_shm(digest, shm_name, length))
 
 
 def _transportable(spec: RunSpec) -> bool:
@@ -575,12 +570,6 @@ class SweepExecutor:
         self.max_inflight = 0
 
     # -- cache management ----------------------------------------------
-    def memo_size(self) -> int:
-        return len(self._memo)
-
-    def clear_memo(self) -> None:
-        self._memo.clear()
-
     def close(self) -> None:
         """Shut down the pool and release shm segments (caches stay intact).
 
@@ -615,27 +604,6 @@ class SweepExecutor:
     def run_one(self, spec: RunSpec, trace: Trace) -> RunResult:
         return self.run_many([(spec, trace)])[0]
 
-    def run_replicated(
-        self,
-        spec: RunSpec,
-        trace: Trace | WorkloadSpec,
-        n_seeds: int,
-        trace_factory: TraceFactory | None = None,
-    ) -> list[RunResult]:
-        """``n_seeds`` independent replicas of one (spec, trace) point.
-
-        Replica ``r`` uses seed ``spec.seed + r`` and, when a
-        ``trace_factory`` is given, an independent trace drawn from that
-        seed (see :func:`replica_pairs`; a ``WorkloadSpec`` in place of
-        the trace is its own factory).  Each replica has its own cache
-        key — the seed is a compared spec field and replica traces have
-        distinct content digests — so replicas hit the two-tier cache
-        independently and flow through the pool as one stream.
-        ``run_replicated(spec, trace, 1)`` is exactly
-        ``[run_one(spec, trace)]``.
-        """
-        return self.run_many(replica_pairs(spec, trace, n_seeds, trace_factory))
-
     def run_many(
         self, pairs: Sequence[tuple[RunSpec, Trace]]
     ) -> list[RunResult]:
@@ -657,7 +625,6 @@ class SweepExecutor:
     def run_stream(
         self,
         pairs: Iterable[tuple[RunSpec, Trace]],
-        on_result: Callable[[int, str, RunResult], None] | None = None,
         total: int | None = None,
     ) -> Iterator[tuple[int, str, RunResult]]:
         """Producer/consumer core: stream results as they complete.
@@ -667,9 +634,8 @@ class SweepExecutor:
         :attr:`inflight` cache misses submitted-but-unfinished — the
         backpressure that stops huge generators from materializing — and
         yields ``(submission_index, cache_key, result)`` in *completion*
-        order.  ``on_result`` (if given) is invoked with the same triple
-        just before each yield.  Every result is retired into the
-        two-tier cache before it is emitted.
+        order.  Every result is retired into the two-tier cache before
+        it is emitted.
 
         Cache semantics match the batch path exactly: duplicate keys
         execute once (later duplicates wait on the first occurrence and
@@ -709,8 +675,6 @@ class SweepExecutor:
             emissions = []
             for index in waiters.pop(key, []):
                 done_points += 1
-                if on_result is not None:
-                    on_result(index, key, result)
                 emissions.append((index, key, result))
             if progress:
                 live = len(running) + (1 if deferred is not None else 0)
@@ -771,8 +735,8 @@ class SweepExecutor:
                 if deferred is not None:
                     head, deferred = deferred, None
                     hspec, htrace = pending[head]
-                    running[self._submit(head, hspec, htrace)] = head
-                running[self._submit(key, spec, trace)] = key
+                    running[self._submit(hspec, htrace)] = head
+                running[self._submit(spec, trace)] = key
                 live = len(running)
                 self.max_inflight = max(self.max_inflight, live)
 
@@ -783,7 +747,7 @@ class SweepExecutor:
                 for future in done:
                     key = running.pop(future)
                     try:
-                        _, result = future.result()
+                        result = future.result()
                     except BrokenExecutor:
                         crashed.append(key)
                         continue
@@ -827,7 +791,7 @@ class SweepExecutor:
             file=sys.stderr,
         )
 
-    def _submit(self, key: str, spec: RunSpec, trace: Trace):
+    def _submit(self, spec: RunSpec, trace: Trace):
         """Submit one run, shipping the trace by reference when possible."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
@@ -838,9 +802,9 @@ class SweepExecutor:
             if published is not None:
                 digest, name, length = published
                 return self._pool.submit(
-                    _execute_keyed_shm, self.run_fn, key, spec, digest, name, length
+                    _execute_shm, self.run_fn, spec, digest, name, length
                 )
-        return self._pool.submit(_execute_keyed, self.run_fn, key, spec, trace)
+        return self._pool.submit(self.run_fn, spec, trace)
 
 
 # -- module-level default executor -------------------------------------

@@ -15,13 +15,12 @@ All runs flow through the
 :class:`~repro.experiments.parallel.SweepExecutor` streaming core
 (:meth:`~repro.experiments.parallel.SweepExecutor.run_stream`), which
 deduplicates them against the two-tier run cache and keeps pool workers
-fed under a bounded in-flight window.  Results are folded into
-:class:`ReplicatedPoint` aggregates *incrementally* as completions land
-(:class:`_SweepFold`): a point is built the moment its last replica
-finishes, and the optional ``on_point`` hook observes it right then —
-no global join.  :func:`multi_sweep` chains several jobs through one
-continuous stream, so a slow point in one job no longer stalls the next
-behind a batch barrier; :func:`sweep` is the one-job case.
+fed under a bounded in-flight window.  :func:`multi_sweep` chains
+several jobs through one continuous stream, so a slow point in one job
+does not stall the next behind a batch barrier; it slots completions
+back by submission index and, once the stream ends, folds each job's
+slice into :class:`ReplicatedPoint` values.  :func:`sweep` is the
+one-job case.
 
 Seed replication: with ``n_seeds > 1`` every point fans out into
 ``n_seeds`` matched replicas — replica ``r`` runs *both* schedulers with
@@ -39,9 +38,8 @@ several → statistics" rule.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.cluster.job import JobClass
 from repro.cluster.records import RunResult
@@ -53,7 +51,7 @@ from repro.metrics.comparison import (
     fraction_improved,
     percentile_ratios,
 )
-from repro.metrics.stats import SummaryStats, cell, mean, summarize
+from repro.metrics.stats import SummaryStats, cell, mean
 from repro.workloads.registry import WorkloadSpec
 from repro.workloads.replication import TraceFactory, replica_seeds
 from repro.workloads.spec import Trace
@@ -99,8 +97,8 @@ class ReplicatedPoint:
     ``replicas[r]`` holds the :class:`SweepPoint` for replica seed
     ``seeds[r]``; candidate and baseline of a replica share that seed
     (and trace draw), so each replica's ratios are a matched-pair sample.
-    :meth:`stat` returns the replica statistics of one metric and
-    :meth:`cells` the table cells of several.
+    :meth:`cell` returns one metric's table cell and :meth:`cells` those
+    of several.
     """
 
     n_workers: int
@@ -117,19 +115,6 @@ class ReplicatedPoint:
     @property
     def n_seeds(self) -> int:
         return len(self.replicas)
-
-    # -- replica statistics ---------------------------------------------
-    def stat(self, metric: str, confidence: float = 0.95) -> SummaryStats:
-        """Replica statistics of one named :data:`POINT_METRICS` entry.
-
-        Ratio metrics additionally carry the paired-t p-value against
-        parity (the per-replica ratios are matched-pair samples, so the
-        one-sample test on them *is* the paired test).
-        """
-        null = 1.0 if metric in RATIO_METRICS else None
-        return summarize(
-            [getattr(r, metric) for r in self.replicas], confidence, null=null
-        )
 
     def cell(self, metric: str) -> float | SummaryStats:
         """One metric's table cell (see :func:`~repro.metrics.stats.cell`)."""
@@ -161,62 +146,6 @@ def _build_point(
     )
 
 
-class _SweepFold:
-    """Incremental aggregation of a streamed sweep.
-
-    Consumes ``(local_index, RunResult)`` completions in *any* order and
-    folds them into :class:`ReplicatedPoint` values as soon as their
-    inputs are complete.  The pair layout mirrors the submission order of
-    :func:`_sweep_pairs`: size ``i`` replica ``r`` occupies indices
-    ``2*n_seeds*i + 2*r`` (candidate) and ``+1`` (baseline).  A replica's
-    :class:`SweepPoint` is built the moment its candidate/baseline pair
-    is matched, and a size's :class:`ReplicatedPoint` the moment its last
-    replica lands — at which point ``on_point`` (if given) fires.  Only
-    unmatched halves are held, so memory stays proportional to the
-    in-flight window, not the grid.
-    """
-
-    def __init__(
-        self,
-        sizes: Sequence[int],
-        seeds: tuple[int, ...],
-        on_point: Callable[[ReplicatedPoint], None] | None = None,
-    ) -> None:
-        self.sizes = tuple(sizes)
-        self.seeds = seeds
-        self.n_seeds = len(seeds)
-        self.on_point = on_point
-        self.points: list[ReplicatedPoint | None] = [None] * len(self.sizes)
-        self._halves: dict[tuple[int, int], list[RunResult | None]] = {}
-        self._replicas: list[list[SweepPoint | None]] = [
-            [None] * self.n_seeds for _ in self.sizes
-        ]
-        self._landed = [0] * len(self.sizes)
-
-    def __len__(self) -> int:
-        return 2 * self.n_seeds * len(self.sizes)
-
-    def add(self, index: int, result: RunResult) -> None:
-        i, rem = divmod(index, 2 * self.n_seeds)
-        r, side = divmod(rem, 2)  # side 0 = candidate, 1 = baseline
-        half = self._halves.setdefault((i, r), [None, None])
-        half[side] = result
-        if half[0] is None or half[1] is None:
-            return
-        del self._halves[(i, r)]
-        self._replicas[i][r] = _build_point(self.sizes[i], half[0], half[1])
-        self._landed[i] += 1
-        if self._landed[i] == self.n_seeds:
-            point = ReplicatedPoint(
-                n_workers=self.sizes[i],
-                seeds=self.seeds,
-                replicas=tuple(self._replicas[i]),
-            )
-            self.points[i] = point
-            if self.on_point is not None:
-                self.on_point(point)
-
-
 @dataclass(frozen=True, slots=True)
 class SweepJob:
     """One candidate-vs-baseline comparison inside a :func:`multi_sweep` stream.
@@ -241,7 +170,8 @@ class SweepJob:
 
 
 def _sweep_pairs(job: SweepJob, n_seeds: int):
-    """Yield one job's (spec, trace) pairs in the :class:`_SweepFold` layout.
+    """Yield one job's (spec, trace) pairs: per size, per replica, the
+    candidate then the baseline.
 
     The candidate's :func:`replica_pairs` fix each replica's trace
     draw; the baseline replica runs on the same draw.
@@ -260,7 +190,6 @@ def multi_sweep(
     jobs: Sequence[SweepJob],
     executor: SweepExecutor | None = None,
     n_seeds: int = 1,
-    on_point: Callable[[int, ReplicatedPoint], None] | None = None,
 ) -> list[list[ReplicatedPoint]]:
     """Run several sweeps as ONE continuous executor stream.
 
@@ -271,31 +200,32 @@ def multi_sweep(
     the pairs of all jobs feed one stream, so workers move on to job
     ``j+1``'s runs while job ``j``'s stragglers finish.  A run shared by
     several jobs (the common baseline of a fixed-size figure) has one
-    cache key and executes once.  ``on_point`` (if given) observes
-    ``(job_index, point)`` as each point completes, which may interleave
-    across jobs.
+    cache key and executes once.
     """
     executor = executor or get_executor()
     jobs = list(jobs)
-    folds: list[_SweepFold] = []
-    offsets: list[int] = []
-    offset = 0
-    for j, job in enumerate(jobs):
-        seeds = replica_seeds(job.candidate_spec.seed, n_seeds)
-        hook = (
-            None
-            if on_point is None
-            else (lambda point, j=j: on_point(j, point))
-        )
-        folds.append(_SweepFold(job.sizes, seeds, hook))
-        offsets.append(offset)
-        offset += len(folds[-1])
-
+    total = 2 * n_seeds * sum(len(job.sizes) for job in jobs)
     pairs = (pair for job in jobs for pair in _sweep_pairs(job, n_seeds))
-    for index, _key, result in executor.run_stream(pairs, total=offset):
-        j = bisect_right(offsets, index) - 1
-        folds[j].add(index - offsets[j], result)
-    return [fold.points for fold in folds]
+    results: list[RunResult | None] = [None] * total
+    for index, _key, result in executor.run_stream(pairs, total=total):
+        results[index] = result
+    runs = iter(results)
+    points = []
+    for job in jobs:
+        seeds = replica_seeds(job.candidate_spec.seed, n_seeds)
+        points.append(
+            [
+                ReplicatedPoint(
+                    n_workers=n,
+                    seeds=seeds,
+                    replicas=tuple(
+                        _build_point(n, next(runs), next(runs)) for _ in seeds
+                    ),
+                )
+                for n in job.sizes
+            ]
+        )
+    return points
 
 
 def sweep(
@@ -306,22 +236,18 @@ def sweep(
     executor: SweepExecutor | None = None,
     n_seeds: int = 1,
     trace_factory: TraceFactory | None = None,
-    on_point: Callable[[ReplicatedPoint], None] | None = None,
 ) -> list[ReplicatedPoint]:
     """Compare the two schedulers at every cluster size.
 
     :func:`multi_sweep` of one :class:`SweepJob`: candidate and
-    baseline, every size, every replica seed run as one executor stream,
-    and points fold incrementally as their replicas complete
-    (``on_point`` observes each one right then; the returned list is
-    unchanged).  Replica seeds derive from the candidate spec's seed
+    baseline, every size, every replica seed run as one executor
+    stream.  Replica seeds derive from the candidate spec's seed
     (drivers give candidate and baseline the same base seed; each
     spec's own base is offset per-replica, keeping the pairing matched
     either way).
     """
     job = SweepJob(trace, tuple(sizes), candidate_spec, baseline_spec, trace_factory)
-    hook = None if on_point is None else (lambda _j, point: on_point(point))
-    return multi_sweep([job], executor, n_seeds, hook)[0]
+    return multi_sweep([job], executor, n_seeds)[0]
 
 
 def extra_metrics(

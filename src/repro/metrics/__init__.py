@@ -12,9 +12,7 @@ from repro.metrics.percentiles import percentile
 from repro.metrics.stats import (
     SummaryStats,
     mean,
-    median_of_replicas,
     paired_values,
-    percentile_of_replicas,
     stdev,
     summarize,
     t_confidence_interval,
@@ -27,11 +25,9 @@ __all__ = [
     "compare_runs",
     "fraction_improved",
     "mean",
-    "median_of_replicas",
     "normalized_percentile",
     "paired_values",
     "percentile",
-    "percentile_of_replicas",
     "percentile_ratios",
     "stdev",
     "summarize",

@@ -5,8 +5,8 @@ single-seed value is one sample from an unknown distribution.  This
 module aggregates per-replica samples into the quantities the figures
 and claim tests report:
 
-* :func:`mean` / :func:`stdev` / :func:`percentile_of_replicas` — plain
-  sample statistics;
+* :func:`mean` / :func:`stdev` — plain sample statistics (the median
+  is :func:`~repro.metrics.percentiles.percentile` at 50);
 * :func:`t_confidence_interval` — a Student-t interval on the mean (the
   t quantile is computed in-process via the regularized incomplete beta
   function, so no SciPy dependency);
@@ -17,9 +17,10 @@ and claim tests report:
   where candidate and baseline share a seed and a trace draw, and only
   then aggregated.  Pairing cancels the trace-level noise common to both
   systems, which is what makes small replica counts informative.  The
-  figures pair through
-  :class:`~repro.experiments.sweeps.ReplicatedPoint`, whose ratio cells
-  are :func:`summarize` over the per-replica ratios with a null of 1.0.
+  paper-claim tests pair through it; the figures take the ratio inside
+  each replica of a :class:`~repro.experiments.sweeps.ReplicatedPoint`
+  instead, whose ratio cells are :func:`cell` over the per-replica
+  ratios with a null of 1.0.
 
 Degenerate case: ``n = 1`` yields ``stdev = 0`` and a zero-width
 interval at the sample itself, and ``mean([x]) == x`` bit-for-bit —
@@ -57,15 +58,6 @@ def stdev(values: Sequence[float]) -> float:
         return 0.0
     m = mean(values)
     return sqrt(sum((v - m) ** 2 for v in values) / (n - 1))
-
-
-def percentile_of_replicas(values: Sequence[float], p: float) -> float:
-    """The ``p``-th percentile across replica values (linear interpolation)."""
-    return percentile(values, p)
-
-
-def median_of_replicas(values: Sequence[float]) -> float:
-    return percentile(values, 50.0)
 
 
 # -- Student-t quantiles (no SciPy) -------------------------------------
@@ -250,7 +242,7 @@ def summarize(
         n=len(values),
         mean=mean(values),
         stdev=stdev(values),
-        median=median_of_replicas(values),
+        median=percentile(values, 50.0),
         ci_lo=lo,
         ci_hi=hi,
         confidence=confidence,

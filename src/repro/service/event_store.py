@@ -21,7 +21,10 @@ Snapshots
 ---------
 ``save_snapshot`` stores a folded-state checkpoint (JSON produced by
 :meth:`repro.service.replay.RunFold.to_state`) keyed by the seq it
-covers; :meth:`compact` then deletes the covered events.  Replay of a
+covers; :meth:`compact` then deletes the covered events.  A run keeps
+its newest checkpoint: an older one that saves late never replaces a
+newer one whose compaction may already have deleted the events the
+older one's replay would need.  Replay of a
 compacted run starts from the snapshot and folds only the tail:
 :meth:`replay_rows` reads both under one hold of the store lock, so a
 checkpoint that saves and compacts concurrently lands wholly before or
@@ -252,12 +255,20 @@ class EventStore:
         self, run_id: str, upto_seq: int, state: Mapping[str, Any],
         created_w: float,
     ) -> None:
-        """Store (replace) a folded-state checkpoint covering ``upto_seq``."""
+        """Store a folded-state checkpoint covering ``upto_seq``.
+
+        It replaces the run's checkpoint unless that one covers more:
+        two checkpoints may save in either order, and the newer one may
+        already have compacted the events the older one would need.
+        """
         with self._lock:
             self.flush()
             self._conn.execute(
-                "INSERT OR REPLACE INTO snapshots "
-                "(run_id, upto_seq, created_w, state) VALUES (?, ?, ?, ?)",
+                "INSERT INTO snapshots (run_id, upto_seq, created_w, state) "
+                "VALUES (?, ?, ?, ?) ON CONFLICT (run_id) DO UPDATE SET "
+                "upto_seq = excluded.upto_seq, created_w = excluded.created_w, "
+                "state = excluded.state "
+                "WHERE excluded.upto_seq >= snapshots.upto_seq",
                 (run_id, upto_seq, created_w, canonical_json(dict(state))),
             )
             self._commit()
@@ -278,18 +289,17 @@ class EventStore:
     def compact(self, run_id: str) -> int:
         """Delete the run's events covered by its snapshot; returns count.
 
-        Without a snapshot this is a no-op — compaction never discards
-        state that replay could not reconstruct.
+        Without a snapshot this deletes nothing — compaction never
+        discards state that replay could not reconstruct.  One statement
+        reads the snapshot's seq and deletes, so a checkpoint saving
+        concurrently cannot slip between the two.
         """
-        snapshot = self.latest_snapshot(run_id)
-        if snapshot is None:
-            return 0
-        upto_seq, _ = snapshot
         with self._lock:
             self.flush()
             cursor = self._conn.execute(
-                "DELETE FROM events WHERE run_id = ? AND seq <= ?",
-                (run_id, upto_seq),
+                "DELETE FROM events WHERE run_id = ? AND seq <= "
+                "(SELECT upto_seq FROM snapshots WHERE run_id = ?)",
+                (run_id, run_id),
             )
             self._commit()
             return cursor.rowcount

@@ -59,21 +59,15 @@ class SchedulerBridge:
         config: RunConfig,
         store: EventStore,
         time_scale: float = 1.0,
-        idle_poll: float = IDLE_POLL,
     ) -> None:
         if time_scale <= 0:
             raise ConfigurationError(
                 f"time_scale must be positive, got {time_scale}"
             )
-        if idle_poll <= 0:
-            raise ConfigurationError(
-                f"idle_poll must be positive, got {idle_poll}"
-            )
         self.config = config
         self.run_id = config.run_id
         self.store = store
         self.time_scale = time_scale
-        self.idle_poll = idle_poll
         self.engine = registry.build_engine(config, sink=self._emit)
         self._queue: queue.SimpleQueue[
             tuple[int, Submission, float] | None
@@ -256,11 +250,11 @@ class SchedulerBridge:
                         self._all_done.set()
                 if done and stopping:
                     return
-            timeout = self.idle_poll
+            timeout = self.IDLE_POLL
             next_v = sim.next_event_time
             if next_v is not None:
                 wait_w = (next_v - now_v) / self.time_scale
-                timeout = min(max(wait_w, 0.0), self.idle_poll)
+                timeout = min(max(wait_w, 0.0), self.IDLE_POLL)
             try:
                 item = self._queue.get(timeout=timeout)
             except queue.Empty:

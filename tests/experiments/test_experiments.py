@@ -87,13 +87,14 @@ def test_with_replaces_fields():
 # -- run cache -----------------------------------------------------------------
 def test_run_cached_memoizes(small_trace):
     executor = get_executor()
-    executor.clear_memo()
     spec = RunSpec(scheduler="sparrow", n_workers=6, cutoff=TEST_CUTOFF)
     a = executor.run_one(spec, small_trace)
-    before = executor.memo_size()
+    before = executor.summary()
     b = executor.run_one(spec, small_trace)
     assert a is b
-    assert executor.memo_size() == before
+    after = executor.summary()
+    assert after["memo_hits"] == before["memo_hits"] + 1
+    assert after["executions"] == before["executions"]
 
 
 def test_run_cache_distinguishes_specs(small_trace):

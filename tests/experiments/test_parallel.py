@@ -237,7 +237,7 @@ def test_replica_pairs_offset_seeds_and_factory_traces():
 
 def test_run_replicated_distinct_cache_keys_and_results(executor):
     trace = small_trace()
-    results = run_replicated_via(executor, SPEC, trace, 3)
+    results = executor.run_many(replica_pairs(SPEC, trace, 3))
     assert executor.executions == 3  # one run per replica, no dedupe
     keys = {
         cache_key(s, t) for s, t in replica_pairs(SPEC, trace, 3)
@@ -248,16 +248,12 @@ def test_run_replicated_distinct_cache_keys_and_results(executor):
     assert executor.executions == 3
 
 
-def run_replicated_via(executor, spec, trace, n_seeds, trace_factory=None):
-    return executor.run_replicated(spec, trace, n_seeds, trace_factory)
-
-
 def test_run_replicated_module_helper_uses_default_executor(tmp_path):
     injected = SweepExecutor(max_workers=1, disk_cache=DiskCache(tmp_path))
     previous = set_executor(injected)
     try:
         trace = small_trace()
-        results = get_executor().run_replicated(SPEC, trace, 2)
+        results = get_executor().run_many(replica_pairs(SPEC, trace, 2))
         assert len(results) == 2
         assert injected.executions == 2
         assert get_executor().run_one(SPEC, trace) is results[0]
@@ -306,9 +302,9 @@ def test_replicas_are_deterministic_but_distinct(executor):
     # Hawk with stealing: seeds drive victim sampling, so replicas must
     # actually differ (Sparrow on this tiny trace happens not to).
     spec, trace = _determinism_spec(), small_trace()
-    first = run_replicated_via(executor, spec, trace, 3)
-    again = run_replicated_via(
-        SweepExecutor(max_workers=1, disk_cache=None), spec, trace, 3
+    first = executor.run_many(replica_pairs(spec, trace, 3))
+    again = SweepExecutor(max_workers=1, disk_cache=None).run_many(
+        replica_pairs(spec, trace, 3)
     )
     for a, b in zip(first, again):
         assert pickle.dumps(a) == pickle.dumps(b)

@@ -1,4 +1,4 @@
-"""Tests for the streaming executor core, fold, crash recovery and index."""
+"""Tests for the streaming executor core, sweeps, crash recovery and index."""
 
 import itertools
 import os
@@ -11,7 +11,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.config import RunSpec
+from repro.experiments.config import RunSpec, execute
 from repro.experiments.parallel import (
     CACHE_VERSION,
     DiskCache,
@@ -20,14 +20,9 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.report import progress_line
 from repro.experiments.result_index import ResultIndex
-from repro.experiments.sweeps import (
-    ReplicatedPoint,
-    SweepJob,
-    _SweepFold,
-    multi_sweep,
-    sweep,
-)
-from repro.workloads.replication import replica_seeds
+from repro.experiments.sweeps import SweepJob, multi_sweep, sweep
+from repro.workloads import registry
+from repro.workloads.registry import WorkloadSpec, register_workload
 from repro.workloads.spec import JobSpec, Trace
 from tests.conftest import TEST_CUTOFF, long_job, short_job
 
@@ -139,9 +134,8 @@ def test_run_many_reorders_shuffled_completions_to_submission_order():
     )
     try:
         collected = [None] * n
-        for index, _key, result in executor.run_stream(
-            pairs, on_result=lambda i, k, r: completion_order.append(i)
-        ):
+        for index, _key, result in executor.run_stream(pairs):
+            completion_order.append(index)
             collected[index] = result
     finally:
         executor.close()
@@ -174,13 +168,11 @@ def test_inflight_never_exceeds_window_on_lazy_generator():
         inflight=window,
         run_fn=_echo_run,
     )
-
-    def on_result(index, key, result):
-        nonlocal emitted
-        emitted += 1
-
+    results = []
     try:
-        results = list(executor.run_stream(lazy_pairs(), on_result=on_result))
+        for emission in executor.run_stream(lazy_pairs()):
+            emitted += 1
+            results.append(emission)
     finally:
         executor.close()
     assert len(results) == n
@@ -199,66 +191,7 @@ def test_duplicate_keys_in_stream_emit_every_index():
     assert emissions[0][2] is emissions[1][2] is emissions[2][2]
 
 
-# -- incremental fold ---------------------------------------------------------
-def test_incremental_fold_matches_batch_construction():
-    """Folding completions in scrambled order equals the batch build."""
-    trace = small_trace()
-    hawk = RunSpec(
-        scheduler="hawk",
-        n_workers=1,
-        cutoff=TEST_CUTOFF,
-        short_partition_fraction=0.25,
-        seed=5,
-    )
-    sparrow = RunSpec(scheduler="sparrow", n_workers=1, cutoff=TEST_CUTOFF, seed=5)
-    sizes, n_seeds = (4, 6), 2
-    executor = SweepExecutor(max_workers=1, disk_cache=None)
-    reference = sweep(
-        trace, sizes, hawk, sparrow, executor=executor, n_seeds=n_seeds
-    )
-
-    # Rebuild the same pair list the sweep used, in its layout.
-    seeds = replica_seeds(hawk.seed, n_seeds)
-    candidates, baselines = hawk.replicas(n_seeds), sparrow.replicas(n_seeds)
-    pairs = []
-    for n in sizes:
-        for r in range(n_seeds):
-            pairs.append((candidates[r].with_(n_workers=n), trace))
-            pairs.append((baselines[r].with_(n_workers=n), trace))
-    results = executor.run_many(pairs)
-
-    seen = []
-    fold = _SweepFold(sizes, seeds, on_point=lambda p: seen.append(p.n_workers))
-    scrambled = [5, 0, 7, 2, 6, 1, 4, 3]  # all of size 6 before size 4 closes
-    for index in scrambled:
-        fold.add(index, results[index])
-    assert fold.points == reference
-    assert all(isinstance(p, ReplicatedPoint) for p in fold.points)
-    assert seen == [6, 4]  # on_point fires in completion order, not size order
-
-
-def test_sweep_on_point_observes_each_point_once():
-    trace = small_trace()
-    hawk = RunSpec(
-        scheduler="hawk",
-        n_workers=1,
-        cutoff=TEST_CUTOFF,
-        short_partition_fraction=0.25,
-    )
-    sparrow = RunSpec(scheduler="sparrow", n_workers=1, cutoff=TEST_CUTOFF)
-    executor = SweepExecutor(max_workers=1, disk_cache=None)
-    seen = []
-    points = sweep(
-        trace,
-        (4, 6),
-        hawk,
-        sparrow,
-        executor=executor,
-        on_point=lambda p: seen.append(p),
-    )
-    assert seen == points  # serial path completes points in size order
-
-
+# -- sweeps ------------------------------------------------------------------
 def test_multi_sweep_equals_independent_sweeps():
     trace_a, trace_b = small_trace("wl-a"), small_trace("wl-b")
     # Distinct content so the two jobs cannot share cache keys.
@@ -276,18 +209,53 @@ def test_multi_sweep_equals_independent_sweeps():
         sweep(trace_b, (5,), hawk, sparrow, executor=independent_executor),
     ]
     chained_executor = SweepExecutor(max_workers=1, disk_cache=None)
-    seen = []
     chained = multi_sweep(
         [
             SweepJob(trace_a, (4, 6), hawk, sparrow),
             SweepJob(trace_b, (5,), hawk, sparrow),
         ],
         executor=chained_executor,
-        on_point=lambda j, p: seen.append((j, p.n_workers)),
     )
     assert pickle.dumps(chained) == pickle.dumps(expected)
     assert chained_executor.executions == 6  # 2 sizes*2 + 1 size*2, no overlap
-    assert seen == [(0, 4), (0, 6), (1, 5)]
+    assert [[p.n_workers for p in points] for points in chained] == [[4, 6], [5]]
+
+
+def test_multi_sweep_builds_a_workload_trace_only_when_the_stream_reaches_it():
+    """A later job's WorkloadSpec trace is built after every earlier run."""
+    log = []
+
+    @register_workload("test-lazy-sweep", cutoff=TEST_CUTOFF)
+    def lazy_trace(params, seed):
+        log.append(("build", seed))
+        return small_trace("lazy-b")
+
+    def logged_execute(spec, trace):
+        log.append(("run", trace.name))
+        return execute(spec, trace)
+
+    hawk = RunSpec(
+        scheduler="hawk",
+        n_workers=1,
+        cutoff=TEST_CUTOFF,
+        short_partition_fraction=0.25,
+    )
+    sparrow = RunSpec(scheduler="sparrow", n_workers=1, cutoff=TEST_CUTOFF)
+    executor = SweepExecutor(max_workers=1, disk_cache=None, run_fn=logged_execute)
+    try:
+        points = multi_sweep(
+            [
+                SweepJob(small_trace("lazy-a"), (4, 6), hawk, sparrow),
+                SweepJob(WorkloadSpec("test-lazy-sweep"), (5,), hawk, sparrow),
+            ],
+            executor=executor,
+        )
+    finally:
+        registry.unregister("test-lazy-sweep")
+    assert log == (
+        [("run", "lazy-a")] * 4 + [("build", hawk.seed)] + [("run", "lazy-b")] * 2
+    )
+    assert [[p.n_workers for p in job] for job in points] == [[4, 6], [5]]
 
 
 # -- pool crash recovery ------------------------------------------------------

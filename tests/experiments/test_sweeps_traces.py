@@ -80,11 +80,10 @@ def test_sweep_replicated_returns_matched_aggregates(small_trace):
     for replica in point.replicas:
         assert replica.candidate != replica.baseline
         assert len(replica.candidate.jobs) == len(replica.baseline.jobs)
-    stats = point.stat("short_p50_ratio")
+    stats = point.cell("short_p50_ratio")
     assert isinstance(stats, SummaryStats)
     assert stats.n == 3
     assert stats.ci_lo <= stats.mean <= stats.ci_hi
-    assert isinstance(point.cell("short_p50_ratio"), SummaryStats)
 
 
 def test_single_seed_sweep_is_degenerate_replication(small_trace):
@@ -96,7 +95,7 @@ def test_single_seed_sweep_is_degenerate_replication(small_trace):
         getattr(replica, metric) for metric in POINT_METRICS
     )
     assert isinstance(point.cell("short_p50_ratio"), float)
-    stats = point.stat("long_p90_ratio")
+    stats = summarize([r.long_p90_ratio for r in point.replicas])
     assert stats.ci_lo == stats.ci_hi == replica.long_p90_ratio
 
 

@@ -6,9 +6,7 @@ from repro.core.errors import ConfigurationError
 from repro.metrics.stats import (
     SummaryStats,
     mean,
-    median_of_replicas,
     paired_values,
-    percentile_of_replicas,
     stdev,
     summarize,
     t_cdf,
@@ -29,13 +27,6 @@ def test_mean_and_stdev_basics():
 def test_mean_of_single_value_is_bit_identical():
     for x in (0.1, 1.0 / 3.0, 123.456e-7, 9876.5432):
         assert mean([x]) == x  # exact: sum([x]) / 1
-
-
-def test_percentile_and_median_of_replicas():
-    values = [4.0, 1.0, 3.0, 2.0]
-    assert percentile_of_replicas(values, 0) == 1.0
-    assert percentile_of_replicas(values, 100) == 4.0
-    assert median_of_replicas(values) == 2.5
 
 
 @pytest.mark.parametrize("dof,expected", sorted(T_TABLE_975.items()))

@@ -202,8 +202,6 @@ def test_bridge_rejects_bad_knobs(store):
     config = RunConfig(policy="sparrow")
     with pytest.raises(ConfigurationError, match="time_scale"):
         SchedulerBridge(config, store, time_scale=0.0)
-    with pytest.raises(ConfigurationError, match="idle_poll"):
-        SchedulerBridge(config, store, idle_poll=0.0)
     bridge = SchedulerBridge(config, store)
     with pytest.raises(ConfigurationError, match="not started"):
         bridge.submit(Submission(tasks=(0.1,)))

@@ -444,3 +444,24 @@ def test_a_checkpoint_racing_a_replay_drops_no_jobs(tmp_path):
     assert got == fold_events(events).result(config)
     assert replay(store, config.run_id).result(config) == got
     store.close()
+
+
+def test_an_older_checkpoint_saved_late_keeps_the_newer_snapshot(tmp_path):
+    # Two checkpoints on separate threads: the newer one (after job 2)
+    # saves and compacts first, then the older one (after job 0) saves.
+    config = RunConfig(policy="sparrow")
+    store = EventStore(str(tmp_path / "events.db"))
+    store.register_run(config, created_w=0.0)
+    for j in range(4):
+        for event in job_events(j, seq0=0, run_id=config.run_id):
+            store.append(event)
+    events = list(store.events(config.run_id))
+    older, newer = fold_events(events[:3]), fold_events(events[:9])
+    store.save_snapshot(config.run_id, newer.last_seq, newer.to_state(), 0.0)
+    assert store.compact(config.run_id) == 9
+    store.save_snapshot(config.run_id, older.last_seq, older.to_state(), 0.0)
+    got = replay(store, config.run_id)
+    assert got.result(config) == fold_events(events).result(config)
+    assert got.jobs_completed == 4
+    assert store.latest_snapshot(config.run_id)[0] == newer.last_seq
+    store.close()

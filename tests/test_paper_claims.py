@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster.job import JobClass
 from repro.experiments.config import RunSpec, high_load_size
-from repro.experiments.parallel import get_executor
+from repro.experiments.parallel import get_executor, replica_pairs
 from repro.metrics.comparison import normalized_percentile
 from repro.metrics.stats import SummaryStats, paired_values, summarize
 from repro.workloads.registry import quick_spec
@@ -42,7 +42,7 @@ def n_high(trace):
 def replicas(trace, scheduler, n, **kw):
     """N_SEEDS matched replicas of one scheduler configuration."""
     spec = RunSpec.for_workload(GOOGLE, scheduler, n, **kw)
-    return get_executor().run_replicated(spec, trace, N_SEEDS, GOOGLE)
+    return get_executor().run_many(replica_pairs(spec, trace, N_SEEDS, GOOGLE))
 
 
 def ratio_stats(candidates, baselines, job_class, p) -> SummaryStats:

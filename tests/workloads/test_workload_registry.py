@@ -7,7 +7,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.params import FrozenParams, Param
 from repro.experiments.config import RunSpec
-from repro.experiments.parallel import cache_key, get_executor
+from repro.experiments.parallel import cache_key, get_executor, replica_pairs
 from repro.experiments.sweeps import sweep
 from repro.workloads import registry
 from repro.workloads.registry import (
@@ -200,8 +200,8 @@ def test_custom_workload_flows_through_a_figure_point():
         assert (
             point.replicas[0].candidate.jobs != point.replicas[1].candidate.jobs
         )
-        # run_replicated accepts the spec in place of (trace, factory) too
-        runs = get_executor().run_replicated(sparrow, workload, 2)
+        # replica_pairs accepts the spec in place of (trace, factory) too
+        runs = get_executor().run_many(replica_pairs(sparrow, workload, 2))
         assert len(runs) == 2
         assert "test-uniform" in registry.registered_names()
     finally:
