@@ -13,6 +13,34 @@ Metrics:     :func:`repro.compare_runs`, :func:`repro.percentile`
 See ``examples/quickstart.py`` for an end-to-end walkthrough.
 """
 
+import importlib
+from collections.abc import Callable, Mapping
+from typing import Any
+
+
+def _lazy_getattr(
+    namespace: dict[str, Any], table: Mapping[str, str]
+) -> Callable[[str], Any]:
+    """A PEP 562 module ``__getattr__`` importing ``table[name]`` on first use.
+
+    Keeps modules a caller may never run (the metrics, the sweep
+    executor, the trace generators) off a package's import path while
+    every name of its ``__all__`` stays importable; a resolved name is
+    kept in ``namespace``, so each one is looked up once.  Defined before
+    this package imports its subpackages, which use it too.
+    """
+
+    def __getattr__(name: str) -> Any:
+        if name not in table:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        value = namespace[name] = getattr(importlib.import_module(table[name]), name)
+        return value
+
+    return __getattr__
+
+
 from repro.cluster import (
     Cluster,
     ClusterEngine,
@@ -22,7 +50,6 @@ from repro.cluster import (
     Partition,
     RunResult,
 )
-from repro.metrics import compare_runs, percentile
 from repro.schedulers import (
     BatchSamplingScheduler,
     CentralizedScheduler,
@@ -37,17 +64,21 @@ from repro.schedulers import (
     register_policy,
     registry,
 )
-from repro.workloads import (
-    GoogleTraceConfig,
-    JobSpec,
-    MotivationConfig,
-    Trace,
-    google_like_trace,
-    kmeans_trace,
-    motivation_trace,
-)
+from repro.workloads.spec import JobSpec, Trace
 
 __version__ = "1.0.0"
+
+
+_LAZY = {
+    "compare_runs": "repro.metrics",
+    "percentile": "repro.metrics",
+    "GoogleTraceConfig": "repro.workloads.google",
+    "google_like_trace": "repro.workloads.google",
+    "kmeans_trace": "repro.workloads.kmeans",
+    "MotivationConfig": "repro.workloads.motivation",
+    "motivation_trace": "repro.workloads.motivation",
+}
+__getattr__ = _lazy_getattr(globals(), _LAZY)
 
 __all__ = [
     "BatchSamplingScheduler",
@@ -56,12 +87,10 @@ __all__ = [
     "ClusterEngine",
     "EngineConfig",
     "ExactEstimation",
-    "GoogleTraceConfig",
     "HawkScheduler",
     "JobClass",
     "JobRecord",
     "JobSpec",
-    "MotivationConfig",
     "OmniscientScheduler",
     "Param",
     "Partition",
@@ -71,12 +100,8 @@ __all__ = [
     "Trace",
     "UniformMisestimation",
     "WorkStealing",
-    "compare_runs",
-    "google_like_trace",
-    "kmeans_trace",
-    "motivation_trace",
-    "percentile",
     "register_policy",
     "registry",
     "__version__",
+    *_LAZY,
 ]

@@ -10,6 +10,9 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+# numpy loads ``numpy.random`` lazily; load it with this module so the
+# first draw (in a server, the first job of a run) does not pay for it.
+import numpy.random  # noqa: F401
 
 # Fixed, arbitrary constants that map stream names to distinct substreams.
 _STREAM_SALT = 0x5F3759DF

@@ -22,4 +22,4 @@ def poisson_arrival_times(
             f"mean inter-arrival must be positive, got {mean_interarrival}"
         )
     gaps = rng.exponential(mean_interarrival, size=n)
-    return [float(t) for t in np.cumsum(gaps)]
+    return np.cumsum(gaps).tolist()

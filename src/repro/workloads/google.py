@@ -20,14 +20,20 @@ rescaled so the job's realized mean is exactly the drawn one.  A final
 calibration pass scales long-job durations by a single factor so the
 sample's task-seconds share matches the target exactly (up to the
 cutoff-floor clamp).
+
+The draws are vectors: one ``standard_normal`` vector per job class (two
+normals per short job, three per long job) and one ``normal`` vector over
+every task of the multi-task jobs, in job order
+(:func:`~repro.workloads.durations.spread_durations`).  A Generator fills
+a vector one element at a time, so the stream, and every trace, is that
+of drawing one scalar per loop step; the log-normal ``exp`` and the
+clamps stay scalar Python so no last-ulp libm difference creeps in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.errors import ConfigurationError
 from repro.core.params import Param
@@ -78,8 +84,22 @@ class GoogleTraceConfig:
             raise ConfigurationError("need at least 10 jobs for a Google-like trace")
         if not 0.0 < self.long_fraction < 1.0:
             raise ConfigurationError("long_fraction must be in (0, 1)")
+        if not 0 < self.n_long < self.n_jobs:
+            raise ConfigurationError(
+                f"long_fraction {self.long_fraction} of {self.n_jobs} jobs "
+                f"gives {self.n_long} long jobs; both classes need at least one"
+            )
         if not 0.0 < self.target_task_seconds_share < 1.0:
             raise ConfigurationError("target share must be in (0, 1)")
+        if not self.within_job_cv >= 0.0:
+            raise ConfigurationError(
+                f"within_job_cv must be >= 0, got {self.within_job_cv}"
+            )
+
+    @property
+    def n_long(self) -> int:
+        """Jobs in the long class (the rest are short)."""
+        return int(round(self.n_jobs * self.long_fraction))
 
 
 def google_like_trace(
@@ -88,64 +108,49 @@ def google_like_trace(
     """Generate a synthetic trace with the paper's Google-trace statistics."""
     cfg = config or GoogleTraceConfig()
     rng = make_rng(seed, "google-trace")
-    n_long = int(round(cfg.n_jobs * cfg.long_fraction))
+    n_long = cfg.n_long
     n_short = cfg.n_jobs - n_long
 
     # -- draw job-level parameters ------------------------------------
+    # One vector per class, in the scalar loop's draw order: (size,
+    # duration) per short job, (latent, size, duration) per long job.
+    z = rng.standard_normal(2 * n_short).tolist()
+    log_tasks = math.log(cfg.short_tasks_median)
+    log_duration = math.log(cfg.short_duration_median)
     short_params: list[tuple[int, float]] = []
-    for _ in range(n_short):
-        tasks = int(
-            np.clip(
-                round(
-                    math.exp(
-                        math.log(cfg.short_tasks_median)
-                        + cfg.short_tasks_sigma * rng.standard_normal()
-                    )
-                ),
-                1,
-                cfg.short_tasks_max,
+    for z_tasks, z_dur in zip(z[0::2], z[1::2]):
+        tasks = round(math.exp(log_tasks + cfg.short_tasks_sigma * z_tasks))
+        duration = math.exp(log_duration + cfg.short_duration_sigma * z_dur)
+        short_params.append(
+            (
+                min(max(tasks, 1), cfg.short_tasks_max),
+                min(max(duration, 1.0), 0.98 * cfg.cutoff),
             )
         )
-        duration = float(
-            np.clip(
-                math.exp(
-                    math.log(cfg.short_duration_median)
-                    + cfg.short_duration_sigma * rng.standard_normal()
-                ),
-                1.0,
-                0.98 * cfg.cutoff,
-            )
-        )
-        short_params.append((tasks, duration))
 
+    z = rng.standard_normal(3 * n_long).tolist()
+    log_tasks = math.log(cfg.long_tasks_median)
+    log_duration = math.log(cfg.long_duration_median)
     long_params: list[tuple[int, float]] = []
-    for _ in range(n_long):
-        latent = rng.standard_normal()
-        tasks = int(
-            np.clip(
-                round(
-                    math.exp(
-                        math.log(cfg.long_tasks_median)
-                        + cfg.long_tasks_latent_coeff * latent
-                        + cfg.long_tasks_noise_sigma * rng.standard_normal()
-                    )
-                ),
-                1,
-                cfg.long_tasks_max,
+    for latent, z_tasks, z_dur in zip(z[0::3], z[1::3], z[2::3]):
+        tasks = round(
+            math.exp(
+                log_tasks
+                + cfg.long_tasks_latent_coeff * latent
+                + cfg.long_tasks_noise_sigma * z_tasks
             )
         )
-        duration = float(
-            np.clip(
-                math.exp(
-                    math.log(cfg.long_duration_median)
-                    + cfg.long_duration_latent_coeff * latent
-                    + cfg.long_duration_noise_sigma * rng.standard_normal()
-                ),
-                cfg.cutoff,
-                cfg.long_duration_max,
+        duration = math.exp(
+            log_duration
+            + cfg.long_duration_latent_coeff * latent
+            + cfg.long_duration_noise_sigma * z_dur
+        )
+        long_params.append(
+            (
+                min(max(tasks, 1), cfg.long_tasks_max),
+                min(max(duration, cfg.cutoff), cfg.long_duration_max),
             )
         )
-        long_params.append((tasks, duration))
 
     # -- two-knob calibration to the published statistics ---------------
     # Knob 1: scale long durations so the job-level mean-duration ratio
@@ -182,11 +187,11 @@ def google_like_trace(
     rng.shuffle(order)  # interleave long and short jobs over time
 
     params = short_params + long_params
-    jobs: list[JobSpec] = []
-    for job_id, submit in enumerate(arrivals):
-        tasks, mean = params[order[job_id]]
-        durations = spread_durations(rng, tasks, mean, cfg.within_job_cv)
-        jobs.append(JobSpec(job_id, submit, durations))
+    durations = spread_durations(rng, [params[i] for i in order], cfg.within_job_cv)
+    jobs = [
+        JobSpec(job_id, submit, job_durations)
+        for job_id, (submit, job_durations) in enumerate(zip(arrivals, durations))
+    ]
     return Trace(jobs, name="google-like")
 
 

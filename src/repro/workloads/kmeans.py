@@ -119,7 +119,7 @@ def _positive_gaussian_durations(
         draw = draw[draw > 0.0]
         out[filled : filled + len(draw)] = draw
         filled += len(draw)
-    return tuple(float(d) for d in out)
+    return tuple(out.tolist())
 
 
 def kmeans_trace(
@@ -152,12 +152,8 @@ def kmeans_trace(
     jobs: list[JobSpec] = []
     for job_id, submit in enumerate(arrivals):
         cluster = spec.clusters[int(cluster_ids[job_id])]
-        n_tasks = int(
-            np.clip(
-                round(rng.exponential(cluster.tasks_centroid)),
-                1,
-                max_tasks_per_job,
-            )
+        n_tasks = min(
+            max(round(rng.exponential(cluster.tasks_centroid)), 1), max_tasks_per_job
         )
         mean_duration = max(1.0, float(rng.exponential(cluster.duration_centroid)))
         durations = _positive_gaussian_durations(rng, n_tasks, mean_duration)

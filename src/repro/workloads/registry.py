@@ -57,6 +57,8 @@ Registering::
 
 from __future__ import annotations
 
+import importlib
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
@@ -95,9 +97,21 @@ class WorkloadEntry:
 _REGISTRY: dict[str, WorkloadEntry] = {}
 
 
+#: Generator modules that register the built-in workloads on import.
+_BUILTIN_MODULES = (
+    "repro.workloads.google",
+    "repro.workloads.kmeans",
+    "repro.workloads.motivation",
+    "repro.workloads.scaling",
+    "repro.workloads.scenarios",
+)
+
+
 def _ensure_builtins() -> None:
-    """Import the package so built-in generator modules register themselves."""
-    import repro.workloads  # noqa: F401  (idempotent side-effect import)
+    """Import the built-in generator modules so they register themselves."""
+    for module in _BUILTIN_MODULES:
+        if module not in sys.modules:
+            importlib.import_module(module)
 
 
 def register_workload(
@@ -117,8 +131,6 @@ def register_workload(
     and quick-scale overrides that do not themselves validate.
     """
     params = tuple(params)
-    if name in _REGISTRY:
-        raise ConfigurationError(f"workload {name!r} is already registered")
     check_schema(f"workload {name!r}", params)
     if cutoff <= 0.0:
         raise ConfigurationError(
@@ -144,6 +156,12 @@ def register_workload(
     quick = {k: by_name[k].validate(v) for k, v in quick.items()}
 
     def decorate(builder: WorkloadBuilder) -> WorkloadBuilder:
+        if builder.__module__ not in _BUILTIN_MODULES:
+            # The built-ins register first, as if this package had loaded
+            # them eagerly: a plugin cannot claim a built-in name.
+            _ensure_builtins()
+        if name in _REGISTRY:
+            raise ConfigurationError(f"workload {name!r} is already registered")
         summary = doc
         if summary is None:
             lines = (builder.__doc__ or "").strip().splitlines()

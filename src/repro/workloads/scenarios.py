@@ -80,13 +80,11 @@ def pareto_heavy_trace(params, seed: int) -> Trace:
     arrivals = poisson_arrival_times(
         arrival_rng, n_jobs, params["mean_interarrival"]
     )
+    job_shapes = list(zip(counts.tolist(), means.tolist()))
+    durations = spread_durations(rng, job_shapes, 0.5)
     jobs = [
-        JobSpec(
-            job_id,
-            submit,
-            spread_durations(rng, int(counts[job_id]), float(means[job_id]), 0.5),
-        )
-        for job_id, submit in enumerate(arrivals)
+        JobSpec(job_id, submit, job_durations)
+        for job_id, (submit, job_durations) in enumerate(zip(arrivals, durations))
     ]
     return Trace(jobs, name="pareto-heavy")
 
@@ -151,24 +149,14 @@ def bursty_diurnal_trace(params, seed: int) -> Trace:
     jobs: list[JobSpec] = []
     for job_id, submit in enumerate(arrivals):
         if long_draws[job_id]:
-            tasks = int(np.clip(round(rng.exponential(120.0)), 1, 2000))
-            mean = float(
-                np.clip(
-                    math.exp(math.log(1500.0) + 0.5 * rng.standard_normal()),
-                    BURSTY_CUTOFF_S,
-                    30000.0,
-                )
-            )
+            tasks = min(max(round(rng.exponential(120.0)), 1), 2000)
+            mean = math.exp(math.log(1500.0) + 0.5 * rng.standard_normal())
+            mean = min(max(mean, BURSTY_CUTOFF_S), 30000.0)
         else:
-            tasks = int(np.clip(round(rng.exponential(18.0)), 1, 200))
-            mean = float(
-                np.clip(
-                    math.exp(math.log(80.0) + 0.8 * rng.standard_normal()),
-                    1.0,
-                    0.98 * BURSTY_CUTOFF_S,
-                )
-            )
-        jobs.append(
-            JobSpec(job_id, submit, spread_durations(rng, tasks, mean, 0.5))
-        )
+            tasks = min(max(round(rng.exponential(18.0)), 1), 200)
+            mean = math.exp(math.log(80.0) + 0.8 * rng.standard_normal())
+            mean = min(max(mean, 1.0), 0.98 * BURSTY_CUTOFF_S)
+        # Each job's task draws follow its own size and mean draws.
+        (durations,) = spread_durations(rng, [(tasks, mean)], 0.5)
+        jobs.append(JobSpec(job_id, submit, durations))
     return Trace(jobs, name="bursty-diurnal")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -470,6 +471,59 @@ def test_import_leaves_sqlite_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        # A single run's import path skips the pool, the sweeps and metrics.
+        (
+            "repro.experiments.config",
+            (
+                "multiprocessing",
+                "concurrent.futures",
+                "repro.experiments.parallel",
+                "repro.metrics",
+            ),
+        ),
+        # The service handles traces but generates none.
+        (
+            "repro.service.server",
+            ("repro.workloads.google", "repro.metrics", "repro.experiments"),
+        ),
+    ],
+)
+def test_import_leaves_unused_layers_unloaded(module, unloaded):
+    code = (
+        f"import sys, {module}; "
+        f"print([m for m in {unloaded!r} if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    """Lazily exported names still import from their packages."""
+    code = (
+        "import repro, repro.experiments, repro.workloads, repro.metrics\n"
+        "for mod in (repro, repro.experiments, repro.workloads, repro.metrics):\n"
+        "    for name in mod.__all__:\n"
+        "        getattr(mod, name)\n"
+        "from repro.experiments import RunSpec, get_executor, fig05_google\n"
+        "print('ok')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_reconcile_drops_rows_for_deleted_blobs(tmp_path):

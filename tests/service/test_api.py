@@ -10,6 +10,8 @@ first submissions of one run inside bridge construction at once.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 
@@ -181,3 +183,27 @@ def test_concurrent_submits_keep_one_bridge_and_dense_job_ids(tmp_path):
         assert len(result["result"]["jobs"]) == 40
     assert state.close(timeout=30.0)
     store.close()
+
+
+def test_first_submit_to_a_fresh_server_loads_no_module(tmp_path):
+    """A server's first job draws from numpy.random without importing it."""
+    code = f"""
+import sys
+import repro.service.server
+from repro.service.api import ServiceState
+from repro.service.event_store import EventStore
+store = EventStore({str(tmp_path / "events.db")!r})
+state = ServiceState(store, time_scale={SCALE!r})
+before = set(sys.modules)
+state.submit({job()!r})
+print(sorted(set(sys.modules) - before))
+assert state.close(timeout=30.0)
+store.close()
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

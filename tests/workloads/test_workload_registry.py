@@ -1,5 +1,8 @@
 """Tests for the workload registry: schemas, identity, cache stability."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,29 @@ def test_duplicate_name_registration_rejected():
         @register_workload("google", cutoff=100.0)
         def _clash(params, seed):  # pragma: no cover - never built
             raise AssertionError
+
+
+def test_builtin_name_rejected_before_first_lookup():
+    """A plugin registering first cannot claim a built-in name."""
+    code = (
+        "from repro.core.errors import ConfigurationError\n"
+        "from repro.workloads.registry import register_workload, WorkloadSpec\n"
+        "try:\n"
+        "    register_workload('google', cutoff=100.0)(lambda params, seed: None)\n"
+        "except ConfigurationError as exc:\n"
+        "    print('rejected:', exc)\n"
+        "print(WorkloadSpec('google').name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: workload 'google' is already registered",
+        "google",
+    ]
 
 
 def test_registration_requires_positive_cutoff():
