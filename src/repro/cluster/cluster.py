@@ -55,13 +55,11 @@ class Cluster:
         #: queues could hold stealable work — a cheap necessary condition
         #: used by the stealing policy to park idle workers.
         self.steal_hint_count = 0
-        # Struct-of-arrays columns, indexed by worker id, so the stealing
+        # Struct-of-arrays column, indexed by worker id, so the stealing
         # policy can scan thousands of workers without touching Worker
-        # objects.  ``steal_flags`` mirrors each general worker's steal
-        # hint (written by the engine's hint sync, read as the victim
-        # eligibility bitmap); ``parked`` is the policy's park-state column.
+        # objects: each general worker's steal hint (written by the
+        # engine's hint sync, read as the victim eligibility bitmap).
         self.steal_flags = bytearray(n_workers)
-        self.parked = bytearray(n_workers)
 
     @property
     def n_short(self) -> int:

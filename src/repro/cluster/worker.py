@@ -171,7 +171,9 @@ class Worker:
         self.counted_steal_hint = False
         # Work-stealing retry bookkeeping (see stealing policy).
         self.steal_backoff = 0.0
-        self.pending_steal_retry = None  # EventHandle | None
+        #: The pending retry's revocable heap cell (see
+        #: ``Simulation.schedule_cancellable``), or ``None``.
+        self.pending_steal_retry: list | None = None
         # Statistics.
         self.tasks_executed = 0
         self.tasks_stolen_from = 0

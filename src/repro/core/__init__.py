@@ -9,11 +9,10 @@ with the engine that charges it (:mod:`repro.cluster.engine`).
 
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.rng import make_rng, sample_without_replacement, spread_sample
-from repro.core.simulation import EventHandle, Simulation
+from repro.core.simulation import Simulation
 
 __all__ = [
     "ConfigurationError",
-    "EventHandle",
     "SimulationError",
     "Simulation",
     "make_rng",

@@ -15,6 +15,15 @@ backoff bounds the event overhead of retries in lightly loaded clusters
 (where stealing is irrelevant) while preserving the paper's randomized
 pull semantics, including the cap sensitivity of Figure 15.
 
+A server whose round fails while nothing in the whole cluster is
+stealable parks instead of backing off.  The parked set is an
+insertion-ordered dict, so a wake takes the most recently parked servers
+first.  Every entry point into a round — a server going idle, its retry
+timer firing, a wake — goes through one round-or-back-off step
+(:meth:`WorkStealing._round_or_back_off`).  A retry timer is a revocable
+heap cell (:meth:`~repro.core.simulation.Simulation.schedule_cancellable`):
+going idle revokes it, and a timer that fires re-arms its own cell.
+
 Flat-array hot loop
 -------------------
 A stealing-heavy run executes hundreds of thousands of rounds, nearly all
@@ -54,7 +63,6 @@ from repro.core.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.cluster.engine import ClusterEngine
-    from repro.core.simulation import Simulation
 
 _IDLE = WorkerState.IDLE
 
@@ -67,9 +75,13 @@ class WorkStealing:
     cap:
         Maximum number of random servers contacted per stealing round
         (the x-axis of Figure 15; default 10 per Section 4.1).
-    retry_initial / retry_max:
-        Backoff window for re-attempting while idle, in simulated seconds.
     """
+
+    #: Backoff window for re-attempting while idle, in simulated seconds:
+    #: the first retry waits ``RETRY_INITIAL``, each failure doubles the
+    #: wait, up to ``RETRY_MAX``.
+    RETRY_INITIAL = 1.0
+    RETRY_MAX = 64.0
 
     #: Upper bound on parked workers woken per work-appearance event; the
     #: first wake that succeeds flips the hint tally back to zero and the
@@ -79,21 +91,10 @@ class WorkStealing:
     #: 32-bit Mersenne words drawn per victim-buffer refill.
     REFILL_WORDS = 4096
 
-    def __init__(
-        self,
-        cap: int = 10,
-        retry_initial: float = 1.0,
-        retry_max: float = 64.0,
-    ) -> None:
+    def __init__(self, cap: int = 10) -> None:
         if cap < 1:
             raise ConfigurationError(f"steal cap must be >= 1, got {cap}")
-        if retry_initial <= 0 or retry_max < retry_initial:
-            raise ConfigurationError(
-                f"invalid retry window [{retry_initial}, {retry_max}]"
-            )
         self.cap = cap
-        self.retry_initial = retry_initial
-        self.retry_max = retry_max
         self.engine: "ClusterEngine | None" = None
         self._rng: random.Random | None = None
         self._getrandbits = None  # bound rng.getrandbits, set in bind()
@@ -105,16 +106,12 @@ class WorkStealing:
         self._buf: list[int] = []
         self._pos = 0
         # Bind-time caches for the per-round hot path.
-        self._sim: "Simulation | None" = None
         self._cluster: "Cluster | None" = None
         self._flags: bytearray = bytearray()
         self._flags_get = self._flags.__getitem__
         self._workers: list[Worker] = []
-        # Parked-worker stack with lazy deletion: ``cluster.parked`` is
-        # the membership column; stale stack entries (flag already 0)
-        # are skipped on pop and squeezed out when they pile up.
-        self._park_stack: list[Worker] = []
-        self._parked_count = 0
+        # Parked workers by id, in parking order (a wake pops the newest).
+        self._parked: dict[int, Worker] = {}
         self._rounds = 0
         self._successes = 0
         self._victims_probed = 0
@@ -138,7 +135,6 @@ class WorkStealing:
         # The proven-failure block requires every round to probe exactly
         # ``cap`` victims, which holds for both partitions when n > cap.
         self._window = self.cap if n > self.cap else 0
-        self._sim = engine.sim
         self._cluster = engine.cluster
         self._flags = engine.cluster.steal_flags
         self._flags_get = self._flags.__getitem__
@@ -162,20 +158,12 @@ class WorkStealing:
     # ------------------------------------------------------------------
     def on_worker_idle(self, worker: Worker) -> None:
         """One stealing round; schedules a backoff retry on failure."""
-        engine = self.engine
-        assert engine is not None
-        parked = engine.cluster.parked
-        wid = worker.worker_id
-        if parked[wid]:
-            parked[wid] = 0
-            self._parked_count -= 1
-        if worker.pending_steal_retry is not None:
-            worker.pending_steal_retry.cancel()
+        self._parked.pop(worker.worker_id, None)
+        cell = worker.pending_steal_retry
+        if cell is not None:
+            cell.clear()
             worker.pending_steal_retry = None
-        if self._attempt_round(worker):
-            worker.steal_backoff = 0.0
-            return
-        self._schedule_retry(worker)
+        self._round_or_back_off(worker, None)
 
     def _attempt_round(self, thief: Worker) -> bool:
         cluster = self._cluster
@@ -260,137 +248,90 @@ class WorkStealing:
         self._victims_probed += probed
         return False
 
-    def _schedule_retry(self, worker: Worker) -> None:
-        """Back off and retry while idle; park when no steal can succeed."""
+    def _round_or_back_off(self, worker: Worker, cell: list | None) -> None:
+        """One round; on failure back off (re-arming ``cell`` if given)."""
+        if self._attempt_round(worker):
+            worker.steal_backoff = 0.0
+        else:
+            self._schedule_retry(worker, cell)
+
+    def _schedule_retry(self, worker: Worker, cell: list | None = None) -> None:
+        """Back off and retry while idle; park when no steal can succeed.
+
+        ``cell`` is the worker's retry cell that just fired, re-armed in
+        place; without one a fresh revocable timer is scheduled.
+        """
         engine = self.engine
         assert engine is not None
         if engine._done:
             return
-        cluster = engine.cluster
-        if cluster.steal_hint_count == 0:
+        if engine.cluster.steal_hint_count == 0:
             # Nothing in the whole cluster is stealable: sleep until the
             # engine reports eligible work instead of polling.  Parking
             # ends the contention period, so the backoff ladder restarts
-            # from retry_initial at the next wake — without the reset a
+            # from RETRY_INITIAL at the next wake — without the reset a
             # woken worker resumed at its stale pre-park maximum.
             worker.steal_backoff = 0.0
-            cluster.parked[worker.worker_id] = 1
-            self._park_stack.append(worker)
-            self._parked_count += 1
-            if len(self._park_stack) > 2 * self._parked_count + 64:
-                self._compact_stack(cluster.parked)
+            self._parked[worker.worker_id] = worker
             return
         backoff = worker.steal_backoff
         if backoff == 0.0:
-            backoff = self.retry_initial
+            backoff = self.RETRY_INITIAL
         else:
             backoff *= 2.0
-            if backoff > self.retry_max:
-                backoff = self.retry_max
+            if backoff > self.RETRY_MAX:
+                backoff = self.RETRY_MAX
         worker.steal_backoff = backoff
-        worker.pending_steal_retry = engine.sim.schedule_cancellable(
-            backoff, self._retry_fires, worker
-        )
-
-    def _compact_stack(self, parked: bytearray) -> None:
-        """Drop lazily-deleted park-stack entries, preserving wake order.
-
-        Keeps each parked worker's most recent entry (scanning from the
-        top so re-parked workers lose their stale older duplicates).
-        """
-        seen: set[int] = set()
-        kept: list[Worker] = []
-        for worker in reversed(self._park_stack):
-            wid = worker.worker_id
-            if parked[wid] and wid not in seen:
-                seen.add(wid)
-                kept.append(worker)
-        kept.reverse()
-        self._park_stack = kept
+        if cell is None:
+            cell = engine.sim.schedule_cancellable(backoff, self._retry_fires, worker)
+        else:
+            engine.sim.reschedule_fired(cell, backoff)
+        worker.pending_steal_retry = cell
 
     def _retry_fires(self, worker: Worker) -> None:
-        handle = worker.pending_steal_retry
+        # A live fire means the worker's pending cell is the one that just
+        # popped, so re-arming it cannot alias an entry still on the heap.
+        cell = worker.pending_steal_retry
         worker.pending_steal_retry = None
         engine = self.engine
         assert engine is not None
-        if engine._done:
+        if engine._done or worker.state is not _IDLE or worker.queue:
             return
-        if worker.state is not _IDLE or worker.queue:
-            return
-        if self._attempt_round(worker):
-            worker.steal_backoff = 0.0
-            return
-        # Fused copy of _schedule_retry for the hottest path, reusing the
-        # handle that just fired (a live fire means ``handle`` was this
-        # worker's pending retry and its heap entry is gone, so re-arming
-        # the object cannot alias a stale entry).
-        cluster = engine.cluster
-        if cluster.steal_hint_count == 0:
-            worker.steal_backoff = 0.0  # parking resets the ladder
-            cluster.parked[worker.worker_id] = 1
-            self._park_stack.append(worker)
-            self._parked_count += 1
-            if len(self._park_stack) > 2 * self._parked_count + 64:
-                self._compact_stack(cluster.parked)
-            return
-        backoff = worker.steal_backoff
-        if backoff == 0.0:
-            backoff = self.retry_initial
-        else:
-            backoff *= 2.0
-            if backoff > self.retry_max:
-                backoff = self.retry_max
-        worker.steal_backoff = backoff
-        if handle is not None:
-            self._sim.reschedule_fired(handle, backoff)  # type: ignore[union-attr]
-            worker.pending_steal_retry = handle
-        else:  # pragma: no cover - _retry_fires is only reachable via a handle
-            worker.pending_steal_retry = engine.sim.schedule_cancellable(
-                backoff, self._retry_fires, worker
-            )
+        self._round_or_back_off(worker, cell)
 
     def on_worker_dead(self, worker: Worker) -> None:
         """Engine callback: fault injection crashed ``worker``.
 
-        Drop it from the stealing machinery — cancel a pending retry and
-        unpark it, keeping the park-stack invariant (live flags on the
-        stack ≥ ``_parked_count``) intact so wake scans cannot underflow.
-        Its steal hint is cleared by the engine's hint sync after the
-        queue is drained, so it cannot be selected as a victim either.
+        Drop it from the stealing machinery: revoke a pending retry and
+        unpark it, so no wake can pick a dead worker.  Its steal hint is
+        cleared by the engine's hint sync after the queue is drained, so
+        it cannot be selected as a victim either.
         """
-        if worker.pending_steal_retry is not None:
-            worker.pending_steal_retry.cancel()
+        cell = worker.pending_steal_retry
+        if cell is not None:
+            cell.clear()
             worker.pending_steal_retry = None
-        cluster = self._cluster
-        assert cluster is not None
-        if cluster.parked[worker.worker_id]:
-            cluster.parked[worker.worker_id] = 0
-            self._parked_count -= 1
+        self._parked.pop(worker.worker_id, None)
 
     def on_steal_work_appeared(self) -> None:
         """Engine callback: the cluster steal-hint tally went 0 -> 1.
 
-        Wake up to :data:`WAKE_LIMIT` parked workers.  Wakes are scheduled
-        (not run inline) so the engine finishes its current transition
-        before thieves inspect queues; the whole group rides one heap
-        event (see :meth:`_wake_fires`).  Every message leg pays the
-        positive network delay, so no woken worker can bounce back to
-        idle before the wake fires.
+        Wake up to :data:`WAKE_LIMIT` parked workers, most recently parked
+        first.  Wakes are scheduled (not run inline) so the engine
+        finishes its current transition before thieves inspect queues;
+        the whole group rides one heap event (see :meth:`_wake_fires`).
+        Every message leg pays the positive network delay, so no woken
+        worker can bounce back to idle before the wake fires.
         """
         engine = self.engine
         assert engine is not None
-        if self._parked_count == 0 or engine.all_jobs_done:
+        parked = self._parked
+        if not parked or engine.all_jobs_done:
             return
-        stack = self._park_stack
-        parked = engine.cluster.parked
-        limit = min(self.WAKE_LIMIT, self._parked_count)
-        woken: list[Worker] = []
-        while len(woken) < limit:
-            worker = stack.pop()
-            if parked[worker.worker_id]:
-                parked[worker.worker_id] = 0
-                woken.append(worker)
-        self._parked_count -= len(woken)
+        popitem = parked.popitem
+        woken = [
+            popitem()[1] for _ in range(min(self.WAKE_LIMIT, len(parked)))
+        ]
         engine.sim.schedule(0.0, self._wake_fires, woken)
 
     def _wake_fires(self, woken: list[Worker]) -> None:
@@ -401,12 +342,8 @@ class WorkStealing:
         if engine._done:
             return
         for worker in woken:
-            if worker.state is not _IDLE or worker.queue:
-                continue
-            if self._attempt_round(worker):
-                worker.steal_backoff = 0.0
-            else:
-                self._schedule_retry(worker)
+            if worker.state is _IDLE and not worker.queue:
+                self._round_or_back_off(worker, None)
 
     def stats(self) -> StealingStats:
         return StealingStats(

@@ -41,7 +41,7 @@ def test_same_time_events_fire_in_schedule_order():
 
 
 def test_same_time_fifo_across_both_schedule_paths():
-    """The FIFO contract holds across plain and cancellable entries."""
+    """The FIFO contract holds across plain and revocable entries."""
     sim = Simulation()
     fired = []
     sim.schedule(1.0, fired.append, "plain-0")
@@ -86,20 +86,20 @@ def test_nan_times_are_rejected_by_every_schedule_path():
         sim.schedule_at(NAN, fired.append, "nan")
     with pytest.raises(SimulationError):
         sim.schedule_cancellable(NAN, fired.append, "nan")
-    handle = sim.schedule_cancellable(0.25, fired.append, "handle")
+    cell = sim.schedule_cancellable(0.25, fired.append, "cell")
     sim.run(until=0.25)
     with pytest.raises(SimulationError):
-        sim.reschedule_fired(handle, NAN)
+        sim.reschedule_fired(cell, NAN)
     sim.run()
-    assert fired == ["handle", "a", "b"]
+    assert fired == ["cell", "a", "b"]
     assert sim.now == 1.0
 
 
 def test_cancelled_event_does_not_fire():
     sim = Simulation()
     fired = []
-    handle = sim.schedule_cancellable(1.0, fired.append, "x")
-    handle.cancel()
+    cell = sim.schedule_cancellable(1.0, fired.append, "x")
+    cell.clear()
     sim.run()
     assert fired == []
     assert sim.events_fired == 0
@@ -107,11 +107,26 @@ def test_cancelled_event_does_not_fire():
 
 def test_cancel_is_idempotent():
     sim = Simulation()
-    handle = sim.schedule_cancellable(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    cell = sim.schedule_cancellable(1.0, lambda: None)
+    cell.clear()
+    cell.clear()
     sim.run()
     assert sim.events_fired == 0
+
+
+@pytest.mark.parametrize("until", [None, 5.0])
+def test_revoked_last_entry_leaves_no_trace(until):
+    """A revoked entry at the end of the heap neither fires, counts nor
+    moves the clock: the run ends as if it was never scheduled."""
+    runs = []
+    for revoked in (False, True):
+        sim = Simulation()
+        sim.schedule(1.0, lambda: None)
+        if revoked:
+            sim.schedule_cancellable(3.0, lambda: None).clear()
+        sim.run(until=until)
+        runs.append((sim.now, sim.events_fired, sim.pending_events))
+    assert runs[0] == runs[1] == [(1.0, 1, 0), (5.0, 1, 0)][until is not None]
 
 
 def test_events_can_schedule_new_events():
@@ -163,11 +178,38 @@ def test_run_until_advances_clock_when_no_events():
     assert sim.now == 42.0
 
 
+def test_run_until_before_now_is_rejected():
+    """The clock never runs backwards, so neither can a later slice."""
+    sim = Simulation()
+    sim.schedule(10.0, lambda: None)
+    sim.run(until=5.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=2.0)
+    assert sim.now == 5.0
+    with pytest.raises(SimulationError):
+        sim.schedule_at(3.0, lambda: None)
+    sim.run(until=5.0)  # an empty slice at the current time is fine
+    sim.run()
+    assert (sim.now, sim.events_fired) == (10.0, 1)
+
+
+def test_run_until_nan_is_rejected():
+    sim = Simulation()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    with pytest.raises(SimulationError):
+        sim.run(until=NAN)
+    assert fired == []
+    assert sim.now == 0.0
+    sim.run()  # the refused call left the loop usable
+    assert fired == ["a"]
+
+
 def test_run_until_fires_cancellable_events():
     sim = Simulation()
     fired = []
     sim.schedule_cancellable(1.0, fired.append, "live")
-    sim.schedule_cancellable(2.0, fired.append, "dead").cancel()
+    sim.schedule_cancellable(2.0, fired.append, "dead").clear()
     sim.run(until=5.0)
     assert fired == ["live"]
     assert sim.now == 5.0
@@ -202,8 +244,8 @@ def test_max_events_budget_counts_logical_events():
 def test_events_fired_counts_only_executed():
     sim = Simulation()
     sim.schedule(1.0, lambda: None)
-    handle = sim.schedule_cancellable(2.0, lambda: None)
-    handle.cancel()
+    cell = sim.schedule_cancellable(2.0, lambda: None)
+    cell.clear()
     sim.run()
     assert sim.events_fired == 1
 
@@ -213,36 +255,6 @@ def test_add_logical_events_counts_batched_deliveries():
     sim.schedule(1.0, sim.add_logical_events, 4)
     sim.run()
     assert sim.events_fired == 5  # one pop, five logical deliveries
-
-
-def test_step_fires_one_event():
-    sim = Simulation()
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(2.0, fired.append, "b")
-    assert sim.step() is True
-    assert fired == ["a"]
-    assert sim.step() is True
-    assert sim.step() is False
-    assert fired == ["a", "b"]
-
-
-def test_step_skips_cancelled_events():
-    sim = Simulation()
-    fired = []
-    sim.schedule_cancellable(1.0, fired.append, "a").cancel()
-    sim.schedule(2.0, fired.append, "b")
-    assert sim.step() is True
-    assert fired == ["b"]
-
-
-def test_step_fires_cancellable_events():
-    sim = Simulation()
-    fired = []
-    sim.schedule_cancellable(1.0, fired.append, "a")
-    assert sim.step() is True
-    assert fired == ["a"]
-    assert sim.events_fired == 1
 
 
 def test_run_not_reentrant():
@@ -267,61 +279,36 @@ def test_pending_events_counts_heap_entries():
     assert sim.pending_events == 2
 
 
-def test_cancelled_entries_compact_when_they_dominate():
-    """Cancelled handles may not grow the heap without bound (park/wake
-    churn used to accumulate them until their timestamps drained)."""
-    sim = Simulation()
-    sim.schedule(1000.0, lambda: None)  # one live far-future event
-    for _ in range(500):
-        sim.schedule_cancellable(999.0, lambda: None).cancel()
-    # Lazy compaction keeps the heap bounded by ~2x the live entries.
-    assert sim.pending_events <= 3
-    sim.run()
-    assert sim.events_fired == 1
-    assert sim.now == 1000.0
-
-
 def test_compaction_during_run_keeps_later_events():
-    """Regression: compaction triggered by a callback mid-run() must not
-    strand the event loop on a stale heap — events scheduled after the
-    compaction still fire, in order."""
+    """Revoking every pending timer from a callback mid-run() leaves the
+    event loop on the live heap: events scheduled afterwards still fire,
+    in order, and the revoked entries drain without moving the clock."""
     sim = Simulation()
     fired = []
-    handles = [sim.schedule_cancellable(50.0, fired.append, "dead") for _ in range(64)]
+    cells = [sim.schedule_cancellable(50.0, fired.append, "dead") for _ in range(64)]
 
-    def cancel_everything_then_chain():
-        for handle in handles:
-            handle.cancel()  # crosses the compaction threshold mid-run
-        sim.schedule(1.0, fired.append, "after-compaction")
+    def revoke_everything_then_chain():
+        for cell in cells:
+            cell.clear()
+        sim.schedule(1.0, fired.append, "after-revoke")
         sim.schedule_cancellable(2.0, fired.append, "cancellable-after")
 
-    sim.schedule(1.0, cancel_everything_then_chain)
+    sim.schedule(1.0, revoke_everything_then_chain)
     sim.run()
-    assert fired == ["after-compaction", "cancellable-after"]
+    assert fired == ["after-revoke", "cancellable-after"]
     assert sim.pending_events == 0
     assert sim.now == 3.0
 
 
-def test_compaction_during_step_keeps_later_events():
-    sim = Simulation()
-    fired = []
-    handles = [sim.schedule_cancellable(50.0, fired.append, "dead") for _ in range(64)]
-    sim.schedule(1.0, lambda: [h.cancel() for h in handles])
-    sim.schedule(2.0, fired.append, "later")
-    assert sim.step() is True  # fires the mass-cancel (compacts)
-    assert sim.step() is True
-    assert fired == ["later"]
-    assert sim.step() is False
-
-
 def test_compaction_preserves_live_events_and_order():
+    """Revoking every other timer leaves the rest firing in time order."""
     sim = Simulation()
     fired = []
-    handles = [
+    cells = [
         sim.schedule_cancellable(float(i), fired.append, i) for i in range(20)
     ]
-    for handle in handles[::2]:
-        handle.cancel()  # triggers several compactions along the way
+    for cell in cells[::2]:
+        cell.clear()
     sim.run()
     assert fired == list(range(1, 20, 2))
 
@@ -358,44 +345,45 @@ def test_large_event_volume_ordering():
     assert fired == sorted(times)
 
 
-# -- reschedule_fired (handle reuse on the retry hot path) ------------------
+# -- reschedule_fired (cell reuse on the retry hot path) --------------------
 def test_reschedule_fired_rearms_a_fired_handle():
     sim = Simulation()
     fired = []
-    handle = sim.schedule_cancellable(1.0, fired.append, "first")
+    cell = sim.schedule_cancellable(1.0, fired.append, "first")
     sim.run(until=1.0)
     assert fired == ["first"]
-    # reuse the popped handle for a second firing at a later time
-    sim.reschedule_fired(handle, 2.0)
-    assert handle.time == 3.0
+    # reuse the popped cell for a second firing at a later time
+    sim.reschedule_fired(cell, 2.0)
+    assert sim.next_event_time == 3.0
     sim.run(until=5.0)
     assert fired == ["first", "first"]  # same callback and args fire again
 
 
 def test_reschedule_fired_negative_delay_rejected():
     sim = Simulation()
-    handle = sim.schedule_cancellable(1.0, lambda *_: None)
+    cell = sim.schedule_cancellable(1.0, lambda *_: None)
     sim.run(until=1.0)
     with pytest.raises(SimulationError):
-        sim.reschedule_fired(handle, -0.5)
+        sim.reschedule_fired(cell, -0.5)
 
 
 def test_reschedule_fired_preserves_event_order_and_cancel():
     sim = Simulation()
     fired = []
-    handle = sim.schedule_cancellable(1.0, fired.append, "reused")
+    cell = sim.schedule_cancellable(1.0, fired.append, "reused")
     sim.run(until=1.0)
-    # re-armed handle interleaves with fresh events in (time, seq) order
+    # a re-armed cell interleaves with fresh events in (time, seq) order
     sim.schedule(1.0, fired.append, "before")
-    sim.reschedule_fired(handle, 1.0)
+    sim.reschedule_fired(cell, 1.0)
     sim.schedule(1.0, fired.append, "after")
     sim.run(until=2.0)
     assert fired == ["reused", "before", "reused", "after"]
-    # a re-armed handle can still be cancelled like a fresh one
-    sim.reschedule_fired(handle, 1.0)
-    handle.cancel()
+    # a re-armed cell can still be revoked like a fresh one
+    sim.reschedule_fired(cell, 1.0)
+    cell.clear()
     sim.run(until=10.0)
     assert fired == ["reused", "before", "reused", "after"]
+    assert (sim.now, sim.events_fired) == (10.0, 4)
 
 
 def test_run_restores_gc_state():

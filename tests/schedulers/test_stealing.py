@@ -1,10 +1,15 @@
 """Tests for randomized work stealing."""
 
+import hashlib
+
 import pytest
 
 from repro.cluster import Cluster, ClusterEngine, EngineConfig, JobClass, Partition
 from repro.core.errors import ConfigurationError
+from repro.experiments.config import RunSpec, execute, high_load_size
+from repro.experiments.fig_faults import plan_for
 from repro.schedulers import HawkScheduler, WorkStealing
+from repro.workloads.registry import quick_spec
 from repro.workloads.spec import Trace
 from tests.conftest import TEST_CUTOFF, job, long_job, short_job
 
@@ -23,11 +28,6 @@ def build(n_workers=8, cap=10, short_fraction=0.25):
 def test_cap_validation():
     with pytest.raises(ConfigurationError):
         WorkStealing(cap=0)
-
-
-def test_retry_window_validation():
-    with pytest.raises(ConfigurationError):
-        WorkStealing(retry_initial=2.0, retry_max=1.0)
 
 
 def test_double_bind_rejected():
@@ -187,64 +187,171 @@ def test_victim_draws_match_stdlib_randrange():
 
 
 def test_cancelled_retry_handles_do_not_accumulate():
-    """Regression: park/wake churn in lightly loaded runs used to leave
-    every cancelled backoff retry on the heap until its timestamp
-    drained.  Lazy compaction must keep cancelled entries a bounded
-    fraction of the heap and pending_events in the live-event ballpark."""
+    """Regression: park/wake churn in lightly loaded runs must not grow
+    the heap with the retries it revokes.  A revoked retry is at most
+    ``RETRY_MAX`` simulated seconds out and each idle transition revokes
+    at most one, so revoked entries drain on their own and the heap
+    stays in the live-event ballpark."""
     engine, stealing = build(n_workers=16)
     # A lightly loaded trickle: one short job at a time with idle gaps,
-    # so idle workers repeatedly schedule, cancel and re-schedule steal
-    # retries (every delivery to a worker with a pending retry cancels it).
+    # so idle workers repeatedly schedule, revoke and re-schedule steal
+    # retries (every delivery to a worker with a pending retry revokes it).
     trace_jobs = [long_job(0, 0.0, tasks=2)]
     trace_jobs += [short_job(1 + i, 5.0 * i, tasks=2) for i in range(80)]
     samples = []
 
     def sampler():
         sim = engine.sim
-        samples.append((sim.pending_events, sim._cancelled))
+        samples.append(sim.pending_events)
         if not engine.all_jobs_done:
             sim.schedule(1.0, sampler)
 
     engine.sim.schedule(1.0, sampler)
     engine.run(Trace(trace_jobs, name="trickle"))
     assert stealing.stats().rounds > 0  # the churn actually happened
-    # The compaction invariant: cancelled entries never dominate.
-    for pending, cancelled in samples:
-        assert cancelled * 2 <= pending + 1, (pending, cancelled)
-    # And the heap stays in the same ballpark as the live event count
+    # The heap stays in the same ballpark as the live event count
     # (pending job submissions + idle-worker timers + in-flight
-    # messages), instead of growing with the cancels issued over the run.
-    max_pending = max(pending for pending, _ in samples)
+    # messages), instead of growing with the revokes issued over the run.
+    max_pending = max(samples)
     assert max_pending <= 2 * (16 + len(trace_jobs)), max_pending
 
 
 def test_park_resets_backoff_ladder():
     """Regression: a worker that parked kept its escalated backoff, so
     after a wake its first failed retry resumed at the stale pre-park
-    maximum instead of restarting from ``retry_initial``.  Parking ends
-    the contention period: both park paths must zero the ladder."""
+    maximum instead of restarting from ``RETRY_INITIAL``.  Parking ends
+    the contention period: every path into the park must zero the ladder."""
     engine, stealing = build(n_workers=8)
     cluster = engine.cluster
     worker = cluster.workers[0]
     assert cluster.steal_hint_count == 0  # nothing stealable -> park
 
-    # the _schedule_retry park branch
+    # parking after a failed idle round
     worker.steal_backoff = 32.0
     stealing._schedule_retry(worker)
-    assert cluster.parked[worker.worker_id] == 1
+    assert stealing._parked == {worker.worker_id: worker}
     assert worker.steal_backoff == 0.0
 
-    # the fused park branch inside _retry_fires
+    # parking after a failed retry
     other = cluster.workers[1]
     other.steal_backoff = 64.0
     stealing._retry_fires(other)
-    assert cluster.parked[other.worker_id] == 1
+    assert list(stealing._parked) == [worker.worker_id, other.worker_id]
     assert other.steal_backoff == 0.0
 
-    # a retry scheduled after the reset starts back at retry_initial
+    # a retry scheduled after the reset starts back at RETRY_INITIAL
     cluster.steal_hint_count = 1  # pretend work appeared
-    cluster.parked[worker.worker_id] = 0
-    stealing._parked_count -= 1
+    del stealing._parked[worker.worker_id]
     stealing._schedule_retry(worker)
-    assert worker.steal_backoff == stealing.retry_initial
-    worker.pending_steal_retry.cancel()
+    assert worker.steal_backoff == stealing.RETRY_INITIAL
+    worker.pending_steal_retry.clear()
+
+
+def test_wake_takes_most_recently_parked_first():
+    """A wake takes the most recently parked workers first, at most
+    ``WAKE_LIMIT`` of them.  A parked worker that goes idle again leaves
+    its place and parks anew at the front of the line."""
+    engine, stealing = build(n_workers=80, short_fraction=0.0)
+    sim = engine.sim
+    workers = engine.cluster.workers
+    woken = []
+    stealing._wake_fires = woken.append  # record each wake's group
+    a, b, c = workers[:3]
+    for worker in (a, b, c):
+        stealing._schedule_retry(worker)  # nothing stealable: parks
+    stealing.on_worker_idle(a)  # unparks, fails its round, parks again
+    stealing.on_steal_work_appeared()
+    sim.run()
+    assert woken == [[a, c, b]]
+
+    rest = workers[3:]
+    assert len(rest) > WorkStealing.WAKE_LIMIT
+    for worker in rest:
+        stealing._schedule_retry(worker)
+    stealing.on_steal_work_appeared()
+    stealing.on_steal_work_appeared()
+    stealing.on_steal_work_appeared()  # nobody left parked: no wake
+    sim.run()
+    newest_first = rest[::-1]
+    assert woken[1:] == [
+        newest_first[: WorkStealing.WAKE_LIMIT],
+        newest_first[WorkStealing.WAKE_LIMIT :],
+    ]
+
+
+#: ``(sha256 of repr(result), events_fired, end_time, (rounds,
+#: successful_rounds, victims_probed, entries_stolen))`` of the stealing
+#: policies on quick traces, seed 0, at ``high_load_size``, with and
+#: without ``fig_faults.plan_for(0.3, horizon)``.  The faulted runs drive
+#: crashes and restarts through ``on_worker_dead`` and the backoff reset.
+FAULTED_STEALING_PINS = {
+    ("google", "hawk", False): (
+        "8469a4b5aca9a9bbf11ac747493913a6cd237beae2722df7d4285598c6f4c3c9",
+        77000, 21812.245499024924, (42585, 4892, 402176, 5005),
+    ),
+    ("google", "hawk", True): (
+        "d649cd23d3be39e9de40049e2e6195d2dff1f65aaee832ba08e13ab41787be38",
+        91179, 25312.245499024924, (47704, 4453, 455809, 4512),
+    ),
+    ("google", "hawk-no-centralized", False): (
+        "2483391843cc79b2040b32b13bb0a1c87e39f7ac8bb098d8bf147ef5a21a0cf0",
+        94954, 22012.245499024924, (46258, 4671, 440341, 4742),
+    ),
+    ("google", "hawk-no-centralized", True): (
+        "69375cdbcff229eee954c319ec53003b8ee92e092c91622455a08d00c7a6e8cb",
+        103257, 22112.245499024924, (51388, 4622, 491979, 4693),
+    ),
+    ("google", "hawk-no-partition", False): (
+        "244751073416538e48c3b581713b2de16e1b8c68ccee7ecce047a95c4af1af96",
+        81559, 22112.245499024924, (46827, 4891, 444770, 5010),
+    ),
+    ("google", "hawk-no-partition", True): (
+        "ee19307b2b701e41cb9f7d800efb2fae6c6719c919ba8ddafccb5312784e84fe",
+        95818, 28012.245499024924, (52907, 4626, 507619, 4699),
+    ),
+    ("motivation", "hawk", False): (
+        "9867a0b86431dbd0a7afe178feada0d2ec4cbff932ff66ad3a22f64ab533e37f",
+        19887, 80537.59042345932, (5821, 3160, 37286, 3160),
+    ),
+    ("motivation", "hawk", True): (
+        "f4f20aa25e347669684e4fc4693a625de2e3775c0d712328dd67dd0276b30845",
+        21599, 180537.5904234593, (5572, 2847, 37219, 2853),
+    ),
+    ("motivation", "hawk-no-centralized", False): (
+        "f576aa0b99ca40e09a9f9874618f9aad155b62ddd7e3fb654e7a5fed822e5f48",
+        24887, 80537.59042345932, (5821, 3160, 37286, 3160),
+    ),
+    ("motivation", "hawk-no-centralized", True): (
+        "5353f47cdb85cf5e2139d63476076f8b55c86aa21efb8727bc3542c0cfd3082d",
+        26514, 140537.5904234593, (5617, 2915, 37214, 2918),
+    ),
+    ("motivation", "hawk-no-partition", False): (
+        "51153705fa31177dc8b762dca310cbab7c1942ef5dbdc103c4d576fcdb0e540a",
+        16598, 60537.59042345932, (1102, 617, 7116, 2419),
+    ),
+    ("motivation", "hawk-no-partition", True): (
+        "ac810b486e3d248885eb45bd40f43fe7408ea8449cb9dc8f47f3bed4983a61e0",
+        19674, 120537.59042345932, (4151, 2232, 26757, 3308),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "workload, policy, faulted", sorted(FAULTED_STEALING_PINS)
+)
+def test_stealing_runs_match_pins(workload, policy, faulted):
+    spec = quick_spec(workload)
+    trace = spec.trace(0)
+    faults = plan_for(0.3, trace.horizon) if faulted else None
+    run_spec = RunSpec.for_workload(
+        spec, policy, high_load_size(trace), 0, faults=faults
+    )
+    result = execute(run_spec, trace)
+    s = result.stealing
+    got = (
+        hashlib.sha256(repr(result).encode()).hexdigest(),
+        result.events_fired,
+        result.end_time,
+        (s.rounds, s.successful_rounds, s.victims_probed, s.entries_stolen),
+    )
+    assert got == FAULTED_STEALING_PINS[(workload, policy, faulted)]
