@@ -15,7 +15,7 @@ See ``examples/quickstart.py`` for an end-to-end walkthrough.
 
 import importlib
 from collections.abc import Callable, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 
 def _lazy_getattr(
@@ -68,6 +68,12 @@ from repro.workloads.spec import JobSpec, Trace
 
 __version__ = "1.0.0"
 
+
+if TYPE_CHECKING:  # mypy reads the lazy names' real types
+    from repro.metrics import compare_runs, percentile
+    from repro.workloads.google import GoogleTraceConfig, google_like_trace
+    from repro.workloads.kmeans import kmeans_trace
+    from repro.workloads.motivation import MotivationConfig, motivation_trace
 
 _LAZY = {
     "compare_runs": "repro.metrics",

@@ -299,7 +299,8 @@ class ClusterEngine:
         # Inline of Worker.steal_hint() — this runs on every queue/slot
         # mutation of every general worker, where the call overhead alone
         # is measurable.  Kept in lockstep with the method (pinned by
-        # tests/test_worker.py's property-style hint checks).
+        # tests/schedulers/test_stealing.py::
+        # test_inlined_hint_sync_matches_worker_steal_hint).
         shorts = worker._short_seqs
         if not shorts:
             hint = False

@@ -13,7 +13,6 @@ A queue holds two kinds of entries:
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.cluster.job import JobClass
@@ -155,15 +154,18 @@ class Worker:
         self.worker_id = worker_id
         self.in_short_partition = in_short_partition
         self.state = WorkerState.IDLE
-        self.queue: deque[QueueEntry] = deque()
+        self.queue: list[QueueEntry] = []
         self.current_entry: QueueEntry | None = None
         self.current_task: "Task | None" = None
         # Per-class sequence numbers of queued entries, in queue order.
         # Tail enqueues count up from 0, head enqueues count down from -1,
-        # so both deques stay sorted and ``_short_seqs[-1] > _long_seqs[0]``
+        # so both lists stay sorted and ``_short_seqs[-1] > _long_seqs[0]``
         # is an O(1) test for "a short entry sits behind a long one".
-        self._short_seqs: deque[int] = deque()
-        self._long_seqs: deque[int] = deque()
+        # Lists, not deques: an empty list allocates no item block, while
+        # an empty deque pre-allocates 64 slots, and queues here hold at
+        # most a few dozen entries, so head pops stay cheap.
+        self._short_seqs: list[int] = []
+        self._long_seqs: list[int] = []
         self._head_seq = -1
         self._tail_seq = 0
         #: Whether this worker is counted in the cluster's steal-hint
@@ -206,20 +208,20 @@ class Worker:
         for entry in reversed(entries):
             entry.seq = self._head_seq
             self._head_seq -= 1
-            self.queue.appendleft(entry)
+            self.queue.insert(0, entry)
             if entry.is_long:
-                self._long_seqs.appendleft(entry.seq)
+                self._long_seqs.insert(0, entry.seq)
             else:
-                self._short_seqs.appendleft(entry.seq)
+                self._short_seqs.insert(0, entry.seq)
 
     def pop_next(self) -> QueueEntry:
         if not self.queue:
             raise SimulationError(f"worker {self.worker_id} popped an empty queue")
-        entry = self.queue.popleft()
+        entry = self.queue.pop(0)
         if entry.is_long:
-            self._long_seqs.popleft()
+            del self._long_seqs[0]
         else:
-            self._short_seqs.popleft()
+            del self._short_seqs[0]
         return entry
 
     @property
@@ -265,38 +267,25 @@ class Worker:
         )
 
     def remove_range(self, start: int, stop: int) -> list[QueueEntry]:
-        """Remove and return ``queue[start:stop]`` preserving order.
-
-        Rotation-based so a steal costs O(stolen + start) instead of
-        rebuilding the whole queue.
-        """
+        """Remove and return ``queue[start:stop]`` preserving order."""
         queue = self.queue
         if not 0 <= start <= stop <= len(queue):
             raise SimulationError(
                 f"invalid steal range [{start}, {stop}) for queue of "
                 f"length {len(queue)}"
             )
-        if start == stop:
-            return []
-        queue.rotate(-start)
-        stolen = [queue.popleft() for _ in range(stop - start)]
-        queue.rotate(start)
+        stolen = queue[start:stop]
+        del queue[start:stop]
         self._drop_seqs(self._short_seqs, [e.seq for e in stolen if e.is_short])
         self._drop_seqs(self._long_seqs, [e.seq for e in stolen if e.is_long])
         return stolen
 
     @staticmethod
-    def _drop_seqs(seqs: deque[int], removed: list[int]) -> None:
-        """Drop a contiguous ascending run of values from a sorted deque."""
-        if not removed:
-            return
-        rotations = 0
-        while seqs[0] != removed[0]:
-            seqs.rotate(-1)
-            rotations += 1
-        for _ in removed:
-            seqs.popleft()
-        seqs.rotate(rotations)
+    def _drop_seqs(seqs: list[int], removed: list[int]) -> None:
+        """Drop a contiguous ascending run of values from a sorted list."""
+        if removed:
+            i = seqs.index(removed[0])
+            del seqs[i : i + len(removed)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         part = "short" if self.in_short_partition else "general"

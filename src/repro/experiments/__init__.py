@@ -9,6 +9,8 @@ the same rows/series the paper reports.  The benchmark harness under
     print(fig05_google.run().render())
 """
 
+from typing import TYPE_CHECKING
+
 from repro import _lazy_getattr
 from repro.experiments.config import (
     GOOGLE_UTILIZATION_TARGETS,
@@ -18,6 +20,25 @@ from repro.experiments.config import (
     sweep_sizes,
 )
 from repro.workloads.registry import WorkloadSpec
+
+if TYPE_CHECKING:  # mypy reads the lazy names' real types
+    from repro.experiments.parallel import (
+        DiskCache,
+        SweepExecutor,
+        cache_key,
+        get_executor,
+        replica_pairs,
+        set_executor,
+    )
+    from repro.experiments.report import FigureResult, ascii_cdf, ascii_table
+    from repro.experiments.result_index import ResultIndex
+    from repro.experiments.sweeps import (
+        ReplicatedPoint,
+        SweepJob,
+        SweepPoint,
+        multi_sweep,
+        sweep,
+    )
 
 # The executor, its cache, the sweeps and the report load on first use: a
 # single run (``import repro.experiments.config``) never needs them.

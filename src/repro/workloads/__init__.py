@@ -9,6 +9,8 @@ the trace I/O only when one of their names is first used: a process
 that only handles traces (the service) never loads them.
 """
 
+from typing import TYPE_CHECKING
+
 from repro import _lazy_getattr
 from repro.workloads.registry import (
     WorkloadEntry,
@@ -18,6 +20,37 @@ from repro.workloads.registry import (
     register_workload,
 )
 from repro.workloads.spec import JobSpec, Trace
+
+if TYPE_CHECKING:  # mypy reads the lazy names' real types
+    from repro.workloads.analysis import (
+        cdf_points,
+        long_job_fraction,
+        mean_duration_ratio,
+        task_seconds_share,
+        tasks_share,
+        workload_summary,
+    )
+    from repro.workloads.arrivals import poisson_arrival_times
+    from repro.workloads.google import (
+        GOOGLE_CUTOFF_S,
+        GoogleTraceConfig,
+        google_like_trace,
+    )
+    from repro.workloads.kmeans import (
+        CLOUDERA_C,
+        FACEBOOK_2010,
+        YAHOO_2011,
+        KMeansWorkloadSpec,
+        kmeans_trace,
+    )
+    from repro.workloads.motivation import MotivationConfig, motivation_trace
+    from repro.workloads.replication import (
+        TraceFactory,
+        replica_seeds,
+        replicate_trace,
+    )
+    from repro.workloads.scaling import scale_trace_for_prototype
+    from repro.workloads.trace_io import read_trace, write_trace
 
 _LAZY = {
     "cdf_points": "repro.workloads.analysis",

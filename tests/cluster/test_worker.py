@@ -223,8 +223,9 @@ def test_steal_hint_false_when_shorts_only_ahead_of_long():
 # -- steals through the head-enqueue seq space ---------------------------
 def test_remove_range_with_negative_seqs_from_enqueue_front():
     """Stolen entries re-queued at the head carry negative seqs; stealing
-    them back out must still find the run in the per-class seq deques
-    (``_drop_seqs`` rotates to a match, it does not assume 0-based)."""
+    them back out must still find the run in the per-class seq lists
+    (``_drop_seqs`` looks up the run's first seq, it does not assume
+    0-based)."""
     w = Worker(0, False)
     w.enqueue(long_entry())
     w.enqueue(short_entry())
@@ -266,12 +267,10 @@ def test_eligible_range_run_at_tail_is_stealable():
 
 
 def test_drop_seqs_middle_run():
-    # Stealing a middle group leaves the deque sorted with the run gone.
-    from collections import deque
-
-    seqs = deque([-3, -1, 2, 5, 8])
+    # Stealing a middle group leaves the list sorted with the run gone.
+    seqs = [-3, -1, 2, 5, 8]
     Worker._drop_seqs(seqs, [2, 5])
-    assert list(seqs) == [-3, -1, 8]
+    assert seqs == [-3, -1, 8]
 
 
 # -- randomized state: hint <=> eligible range, columns track the queue --
@@ -354,3 +353,31 @@ def test_steal_hint_iff_eligible_range_exhaustive():
                 assert w.steal_hint() is (
                     w.eligible_steal_range() is not None
                 ), (current_long, flags)
+
+
+# -- memory: a worker costs what it holds --------------------------------
+@pytest.mark.parametrize("policy", ["sparrow", "hawk"])
+def test_engine_memory_per_worker_is_bounded(policy):
+    """An idle worker must not pay for containers it has not filled: a
+    20,000-worker engine traces at most 1 KiB per worker (empty deques
+    alone cost three 760 B blocks per worker)."""
+    import gc
+    import tracemalloc
+
+    from repro.experiments.config import RunSpec, build_engine
+    from repro.workloads.registry import WorkloadSpec
+
+    n_workers = 20_000
+    workload = WorkloadSpec("google-scale10k")
+    # Warm up, so lazy imports and registrations are not traced.
+    build_engine(RunSpec.for_workload(workload, policy, 100))
+    spec = RunSpec.for_workload(workload, policy, n_workers)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = build_engine(spec)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(engine.cluster.workers) == n_workers
+    assert traced / n_workers <= 1024, f"{traced / n_workers:.0f} B/worker"

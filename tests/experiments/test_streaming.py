@@ -526,6 +526,27 @@ def test_every_exported_name_resolves():
     assert proc.stdout.strip() == "ok"
 
 
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.experiments", "repro.workloads"]
+)
+def test_lazy_names_have_type_checking_imports(package):
+    """Each lazily exported name has an ``if TYPE_CHECKING:`` import from
+    the module its lazy table names, so mypy sees its real type."""
+    import ast
+    import importlib
+    from pathlib import Path
+
+    module = importlib.import_module(package)
+    tree = ast.parse(Path(module.__file__).read_text())
+    typed = {}
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for imp in node.body:
+                assert isinstance(imp, ast.ImportFrom)
+                typed.update((a.name, imp.module) for a in imp.names)
+    assert typed == module._LAZY
+
+
 def test_reconcile_drops_rows_for_deleted_blobs(tmp_path):
     """Blobs deleted behind a cache are gone from its index."""
     cache = DiskCache(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterEngine, EngineConfig, JobClass, Partition
 from repro.core.errors import ConfigurationError
-from repro.experiments.config import RunSpec, execute, high_load_size
+from repro.experiments.config import RunSpec, build_engine, execute, high_load_size
 from repro.experiments.fig_faults import plan_for
 from repro.schedulers import HawkScheduler, WorkStealing
 from repro.workloads.registry import quick_spec
@@ -355,3 +355,38 @@ def test_stealing_runs_match_pins(workload, policy, faulted):
         (s.rounds, s.successful_rounds, s.victims_probed, s.entries_stolen),
     )
     assert got == FAULTED_STEALING_PINS[(workload, policy, faulted)]
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_inlined_hint_sync_matches_worker_steal_hint(faulted):
+    """The engine's ``_sync_steal_hint`` inlines ``Worker.steal_hint()``.
+    After every call on a Hawk run (with and without crashes) the synced
+    worker's counted hint must equal the method's answer, its
+    ``Cluster.steal_flags`` bit must mirror that hint, and the cluster
+    tally must equal the number of set bits."""
+    spec = quick_spec("google")
+    trace = spec.trace(0)
+    faults = plan_for(0.3, trace.horizon) if faulted else None
+    run_spec = RunSpec.for_workload(
+        spec, "hawk", high_load_size(trace), 0, faults=faults
+    )
+    engine = build_engine(run_spec)
+    cluster = engine.cluster
+    flags = cluster.steal_flags
+    sync = engine._sync_steal_hint
+    calls = [0, 0]  # all calls, calls on general-partition workers
+
+    def checked_sync(worker):
+        sync(worker)
+        calls[0] += 1
+        if not worker.in_short_partition:
+            calls[1] += 1
+            assert worker.counted_steal_hint is worker.steal_hint()
+        assert flags[worker.worker_id] == worker.counted_steal_hint
+        assert cluster.steal_hint_count == sum(flags)
+
+    engine._sync_steal_hint = checked_sync
+    result = engine.run(trace)
+    assert calls[1] > 0 and calls[0] > calls[1]
+    pinned = FAULTED_STEALING_PINS[("google", "hawk", faulted)]
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == pinned[0]
