@@ -38,6 +38,16 @@ finishing worker has picked up its next entry), and ``stolen`` after a
 steal transfer (after the thief has started its first entry).  The
 scheduler service persists this stream as its event log; batch runs pass
 no sink and skip every emission.
+
+Memory
+------
+A finished job releases its tasks: when its last task finishes the
+engine empties ``job.tasks`` (the job keeps ``num_tasks`` and
+``task_seconds``), which breaks the job <-> task reference cycle, so
+reference counting frees a batch run's jobs and tasks as :meth:`run`
+returns.  :meth:`run` keeps the cycle collector paused throughout
+(:func:`~repro.core.simulation.collector_paused`): materialization, the
+event loop and the result build allocate in bulk and build no cycles.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from repro.cluster.records import (
 from repro.cluster.task import Task
 from repro.cluster.worker import ProbeEntry, QueueEntry, TaskEntry, Worker, WorkerState
 from repro.core.errors import ConfigurationError, SimulationError
-from repro.core.simulation import Simulation
+from repro.core.simulation import Simulation, collector_paused
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.schedulers.base import SchedulerPolicy
@@ -550,6 +560,7 @@ class ClusterEngine:
             on_task_finish(task)
         completed = job.record_task_finish(now)
         if completed:
+            job.tasks.clear()  # breaks the job <-> task cycle ("Memory")
             self._jobs_done += 1
             if self._jobs_done == self._jobs_total:
                 self._done = True
@@ -726,33 +737,38 @@ class ClusterEngine:
         """Materialize jobs from immutable specs, run to completion."""
         if not trace:
             raise ConfigurationError("cannot run an empty trace")
-        jobs: list[Job] = []
-        for spec in sorted(trace, key=lambda s: (s.submit_time, s.job_id)):
-            job = Job(
-                job_id=spec.job_id,
-                submit_time=spec.submit_time,
-                task_durations=spec.task_durations,
-                estimated_task_duration=self.estimate(spec),
-                cutoff=self.config.cutoff,
+        # One collector pause covers materialization, the loop and the
+        # result build (see "Memory" above).
+        with collector_paused():
+            jobs: list[Job] = []
+            for spec in sorted(trace, key=lambda s: (s.submit_time, s.job_id)):
+                job = Job(
+                    job_id=spec.job_id,
+                    submit_time=spec.submit_time,
+                    task_durations=spec.task_durations,
+                    estimated_task_duration=self.estimate(spec),
+                    cutoff=self.config.cutoff,
+                )
+                jobs.append(job)
+            self._jobs_total = len(jobs)
+            self._refresh_batching()
+            if self._faults is not None:
+                self._faults.schedule()
+            for job in jobs:
+                self.sim.schedule_at(
+                    job.submit_time, self.scheduler.on_job_submit, job
+                )
+            self.sim.schedule_at(
+                jobs[0].submit_time + UTILIZATION_INTERVAL_S,
+                self._sample_utilization,
             )
-            jobs.append(job)
-        self._jobs_total = len(jobs)
-        self._refresh_batching()
-        if self._faults is not None:
-            self._faults.schedule()
-        for job in jobs:
-            self.sim.schedule_at(job.submit_time, self.scheduler.on_job_submit, job)
-        self.sim.schedule_at(
-            jobs[0].submit_time + UTILIZATION_INTERVAL_S,
-            self._sample_utilization,
-        )
-        self.sim.run(max_events=self.config.max_events)
-        if not self._done:
-            raise SimulationError(
-                f"run drained its event heap with only {self._jobs_done}/"
-                f"{self._jobs_total} jobs complete"
-            )
-        return self._build_result(jobs)
+            self.sim.run(max_events=self.config.max_events)
+            if not self._done:
+                raise SimulationError(
+                    f"run drained its event heap with only {self._jobs_done}/"
+                    f"{self._jobs_total} jobs complete"
+                )
+            return self._build_result(jobs)
 
     def _build_result(self, jobs: Iterable[Job]) -> RunResult:
         records = tuple(map(job_record, jobs))

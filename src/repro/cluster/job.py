@@ -36,6 +36,17 @@ class Job:
 
     Attributes
     ----------
+    tasks:
+        The job's tasks in index order.  The simulator's engine empties
+        this list once the job completes (nothing reads a finished job's
+        tasks, and the emptied list breaks the job <-> task reference
+        cycle, so refcounting frees a run's task graph); the threaded
+        prototype keeps it.
+    num_tasks, task_seconds:
+        Task count and total work (sum of true task durations), stored
+        at construction so they survive the emptied ``tasks``.
+    true_mean_task_duration:
+        ``task_seconds / num_tasks``.
     estimated_task_duration:
         What the scheduler believes the mean task runtime is.  Equal to the
         true mean under exact estimation; perturbed by the mis-estimation
@@ -52,6 +63,8 @@ class Job:
         "job_id",
         "submit_time",
         "tasks",
+        "num_tasks",
+        "task_seconds",
         "true_mean_task_duration",
         "estimated_task_duration",
         "scheduled_class",
@@ -75,7 +88,9 @@ class Job:
         self.job_id = job_id
         self.submit_time = float(submit_time)
         self.tasks = [Task(self, i, d) for i, d in enumerate(task_durations)]
-        self.true_mean_task_duration = sum(task_durations) / len(task_durations)
+        self.num_tasks = len(task_durations)
+        self.task_seconds: float = sum(task_durations)
+        self.true_mean_task_duration = self.task_seconds / self.num_tasks
         self.estimated_task_duration = float(estimated_task_duration)
         self.scheduled_class = classify(self.estimated_task_duration, cutoff)
         self.true_class = classify(self.true_mean_task_duration, cutoff)
@@ -85,17 +100,8 @@ class Job:
         self.retried_tasks = 0
 
     @property
-    def num_tasks(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def task_seconds(self) -> float:
-        """Total work in the job (sum of true task durations)."""
-        return sum(t.duration for t in self.tasks)
-
-    @property
     def is_complete(self) -> bool:
-        return self.finished_tasks == len(self.tasks)
+        return self.finished_tasks == self.num_tasks
 
     @property
     def runtime(self) -> float:
@@ -107,9 +113,9 @@ class Job:
     def record_task_finish(self, now: float) -> bool:
         """Count a task completion; returns True when the job just finished."""
         self.finished_tasks += 1
-        if self.finished_tasks > len(self.tasks):
+        if self.finished_tasks > self.num_tasks:
             raise SimulationError(f"job {self.job_id} finished too many tasks")
-        if self.finished_tasks == len(self.tasks):
+        if self.finished_tasks == self.num_tasks:
             self.completion_time = now
             return True
         return False

@@ -33,9 +33,33 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 from repro.core.errors import SimulationError
+
+
+# The event loop churns through millions of short-lived tuples, cells, and
+# windows whose lifetimes the cycle collector cannot shorten (refcounting
+# frees them); its periodic generation scans only add overhead.  The same
+# holds for a batch run's job materialization and result build, and for
+# unpickling a cached result: bulk allocations that build no cycles.  Each
+# runs with the collector suspended.
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Disable the cycle collector for the block if it is on.
+
+    On exit, normal or not, the collector is re-enabled only if it was on
+    at entry, so nested pauses and callers that keep it off compose.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class Simulation:
@@ -166,53 +190,45 @@ class Simulation:
         self._running = True
         heap = self._heap
         heappop = heapq.heappop
-        # The event loop churns through millions of short-lived tuples,
-        # cells, and windows whose lifetimes the cycle collector cannot
-        # shorten (refcounting frees them); its periodic generation scans
-        # only add overhead.  Suspend it for the duration of the run.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if until is None and max_events is None:
-                # Fast path: the engine's production configuration.
+        with collector_paused():  # see collector_paused for why
+            try:
+                if until is None and max_events is None:
+                    # Fast path: the engine's production configuration.
+                    while heap:
+                        time, _, callback, args = heappop(heap)
+                        if callback is None:
+                            if not args:  # revoked
+                                continue
+                            callback, args = args
+                        self._now = time
+                        self._events_fired += 1
+                        callback(*args)
+                    return
+                base = self._events_fired
                 while heap:
-                    time, _, callback, args = heappop(heap)
+                    time, _, callback, args = heap[0]
+                    if callback is None and not args:  # revoked
+                        heappop(heap)
+                        continue
+                    if until is not None and time > until:
+                        self._now = until
+                        return
+                    if (
+                        max_events is not None
+                        and self._events_fired - base >= max_events
+                    ):
+                        raise SimulationError(
+                            f"event budget exhausted after "
+                            f"{self._events_fired - base} events at "
+                            f"t={self._now:.3f}"
+                        )
+                    heappop(heap)
                     if callback is None:
-                        if not args:  # revoked
-                            continue
                         callback, args = args
                     self._now = time
                     self._events_fired += 1
                     callback(*args)
-                return
-            base = self._events_fired
-            while heap:
-                time, _, callback, args = heap[0]
-                if callback is None and not args:  # revoked
-                    heappop(heap)
-                    continue
-                if until is not None and time > until:
+                if until is not None and until > self._now:
                     self._now = until
-                    return
-                if (
-                    max_events is not None
-                    and self._events_fired - base >= max_events
-                ):
-                    raise SimulationError(
-                        f"event budget exhausted after "
-                        f"{self._events_fired - base} events at "
-                        f"t={self._now:.3f}"
-                    )
-                heappop(heap)
-                if callback is None:
-                    callback, args = args
-                self._now = time
-                self._events_fired += 1
-                callback(*args)
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._running = False
-            if gc_was_enabled:
-                gc.enable()
+            finally:
+                self._running = False

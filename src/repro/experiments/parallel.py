@@ -72,6 +72,7 @@ pickled (e.g. closures) transparently fall back to in-process execution.
 from __future__ import annotations
 
 import atexit
+import logging
 import math
 import os
 import pickle
@@ -91,6 +92,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
+from repro.core.simulation import collector_paused
 from repro.experiments.config import RunSpec, execute
 from repro.experiments.result_index import ResultIndex
 from repro.workloads.registry import WorkloadSpec
@@ -113,6 +115,9 @@ DISK_CACHE_ENV = "REPRO_RUNCACHE"
 DISK_CACHE_DIR_ENV = "REPRO_RUNCACHE_DIR"
 DISK_CACHE_MAX_MB_ENV = "REPRO_RUNCACHE_MAX_MB"
 PROGRESS_ENV = "REPRO_SWEEP_PROGRESS"
+
+logger = logging.getLogger(__name__)
+
 
 def _default_cache_dir() -> Path:
     """``benchmarks/.runcache`` at the repo root for a src/ checkout.
@@ -199,6 +204,8 @@ class DiskCache:
         self.index = ResultIndex(self.base_root)
         #: Entries deleted by cap enforcement (observability counter).
         self.evictions = 0
+        #: Loads that found a blob but could not unpickle it.
+        self.unreadable = 0
 
     def path(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
@@ -215,14 +222,20 @@ class DiskCache:
     def load(self, key: str) -> RunResult | None:
         path, rel = self._blob(key)
         try:
-            with open(path, "rb") as fh:
+            with open(path, "rb") as fh, collector_paused():
                 result = pickle.load(fh)
         except FileNotFoundError:
             self.index.remove([rel])  # deleted behind this instance
             return None
-        except Exception:
-            # Truncated or otherwise unreadable entries are plain
-            # misses; the run is recomputed and the entry rewritten.
+        except Exception as exc:
+            # A truncated or otherwise unreadable entry is a miss: the run
+            # is recomputed and the entry rewritten.
+            self.unreadable += 1
+            if self.unreadable == 1:
+                logger.warning(
+                    "unreadable run-cache blob %s (%s); treated as a miss",
+                    path, type(exc).__name__,
+                )
             return None
         if not isinstance(result, RunResult):
             return None

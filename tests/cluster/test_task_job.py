@@ -1,10 +1,15 @@
 """Tests for the task and job state machines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import Cluster, ClusterEngine, EngineConfig
 from repro.cluster.job import Job, JobClass, classify
 from repro.cluster.task import TaskState
 from repro.core.errors import SimulationError
+from repro.schedulers import SparrowScheduler
+from tests.conftest import TEST_CUTOFF
 
 
 def make_job(durations=(10.0, 20.0), cutoff=100.0, estimate=None):
@@ -126,6 +131,56 @@ def test_job_task_seconds():
 
 def test_job_true_mean():
     assert make_job(durations=(10.0, 20.0)).true_mean_task_duration == 15.0
+
+
+durations = st.lists(
+    st.one_of(
+        st.integers(min_value=1, max_value=10**12),
+        st.floats(min_value=1e-9, max_value=1e9),
+    ),
+    min_size=1,
+    max_size=500,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(durations)
+def test_stored_totals_equal_derived_ones(durations):
+    """``num_tasks`` and ``task_seconds`` are stored at construction; they
+    must be what the tasks themselves sum to, bit for bit."""
+    job = Job(1, 0.0, durations, 1.0, 100.0)
+    derived = sum(t.duration for t in job.tasks)
+    assert job.num_tasks == len(job.tasks) == len(durations)
+    assert type(job.task_seconds) is type(derived)
+    assert job.task_seconds == derived
+    mean = sum(durations) / len(durations)
+    assert job.true_mean_task_duration.hex() == mean.hex()
+
+
+class CapturingSparrow(SparrowScheduler):
+    """Sparrow that keeps every job it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def on_job_submit(self, job):
+        self.seen.append(job)
+        super().on_job_submit(job)
+
+
+def test_engine_empties_a_finished_jobs_tasks(tiny_trace):
+    policy = CapturingSparrow()
+    engine = ClusterEngine(Cluster(8), policy, EngineConfig(cutoff=TEST_CUTOFF))
+    result = engine.run(tiny_trace)
+    records = {r.job_id: r for r in result.jobs}
+    assert sorted(job.job_id for job in policy.seen) == sorted(records)
+    for job in policy.seen:
+        record = records[job.job_id]
+        assert job.is_complete
+        assert job.tasks == []
+        assert job.num_tasks == record.num_tasks
+        assert job.task_seconds == record.task_seconds
 
 
 def test_unfinished_tasks_shrinks():

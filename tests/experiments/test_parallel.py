@@ -158,6 +158,23 @@ def test_corrupt_disk_entry_is_recomputed(tmp_path):
     assert recomputed == res
 
 
+def test_unreadable_blob_is_counted_and_logged_once(tmp_path, caplog):
+    trace = small_trace()
+    cache = DiskCache(tmp_path)
+    key = cache_key(SPEC, trace)
+    result = SweepExecutor(max_workers=1, disk_cache=None).run_one(SPEC, trace)
+    cache.store(key, result)
+    blob = cache.path(key)
+    blob.write_bytes(blob.read_bytes()[:-20])  # truncated mid-pickle
+    with caplog.at_level("WARNING", logger="repro.experiments.parallel"):
+        assert cache.load(key) is None
+        assert cache.load(key) is None
+    assert cache.unreadable == 2
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert blob.name in message and "UnpicklingError" in message
+
+
 @pytest.mark.parametrize(
     "error", [pickle.PicklingError, RecursionError, KeyboardInterrupt, OSError]
 )
