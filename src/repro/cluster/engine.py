@@ -21,7 +21,11 @@ to per-message events, but the heap does one push/pop per group instead of
 per message.  The probe request/response round trip is likewise fused into
 a single event at ``now + 2 * delay`` on the constant-delay path; the
 frontend's task hand-out order is preserved because every request leg
-shifts by the same constant.  Setting :attr:`ClusterEngine.transport_batching`
+shifts by the same constant.  A fused round trip (``2 * delay`` out) or a
+probe batch (``delay`` out) is usually due before everything pending, so
+it waits in the simulation's one-entry next slot and skips the heap
+altogether (see :mod:`repro.core.simulation`).  Setting
+:attr:`ClusterEngine.transport_batching`
 to ``False`` (or injecting message faults) restores per-message events —
 runs must be bit-identical either way, and the test suite holds the
 engine to that.

@@ -21,6 +21,21 @@ heap:
   the one user (work-stealing retry timers) revokes timers at most one
   backoff window out, so they drain on their own.
 
+A one-entry *next slot* sits in front of the heap.  An entry scheduled
+through :meth:`Simulation.schedule` / :meth:`Simulation.schedule_at` that
+is due before everything pending waits in the slot instead of the heap,
+and both run loops take the slot before they pop the heap.  The invariant
+is that the slot holds an entry only while its ``(time, seq)`` key is
+below the key of every heap entry.  A new entry always carries the
+largest ``seq`` so far, so each decision compares times alone, and an
+equal time always goes to the heap (FIFO on ties).  The revocable paths
+never fill the slot; they only move a slotted entry into the heap when
+they schedule something earlier.  Entries therefore still fire in
+ascending key order, exactly as from the heap alone: the slot changes
+how many heap operations a run pays, never which event fires next.
+With a uniform network delay, a message's arrival is usually the next
+event when it is sent, so most message traffic skips the heap.
+
 A *logical* event is one message arrival / timer firing of the modelled
 system.  Transport-level batching (one heap pop delivering many
 same-timestamp messages) keeps the logical count intact via
@@ -65,13 +80,16 @@ def collector_paused() -> Iterator[None]:
 class Simulation:
     """A discrete-event simulation clock and event heap."""
 
-    __slots__ = ("_now", "_heap", "_seq", "_events_fired", "_running")
+    __slots__ = ("_now", "_heap", "_next", "_seq", "_events_fired", "_running")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         # (time, seq, callback, args) for plain events;
         # (time, seq, None, [callback, args]) for revocable ones.
         self._heap: list[tuple] = []
+        # A plain entry keyed below every heap entry, or None (see the
+        # module docstring).
+        self._next: tuple | None = None
         self._seq = 0
         self._events_fired = 0
         self._running = False
@@ -88,21 +106,24 @@ class Simulation:
 
     @property
     def pending_events(self) -> int:
-        """Number of entries still on the heap, including revoked ones."""
-        return len(self._heap)
+        """Number of pending entries, including revoked ones."""
+        return len(self._heap) + (self._next is not None)
 
     @property
     def next_event_time(self) -> float | None:
-        """Timestamp of the earliest pending heap entry, or ``None``.
+        """Timestamp of the earliest pending entry, or ``None``.
 
         Revoked entries are not skipped, so the value is a lower bound
         on the next *firing* time — exactly what an online driver needs
         to size its sleep before the next :meth:`run` slice.
         """
-        heap = self._heap
-        if not heap:
-            return None
-        time: float = heap[0][0]
+        entry = self._next
+        if entry is None:
+            heap = self._heap
+            if not heap:
+                return None
+            entry = heap[0]
+        time: float = entry[0]
         return time
 
     def schedule(
@@ -112,8 +133,22 @@ class Simulation:
         # Negated so that a NaN delay (every comparison false) is refused.
         if not delay >= 0:
             raise SimulationError(f"cannot schedule event in the past: delay={delay}")
-        heapq.heappush(self._heap, (self._now + delay, self._seq, callback, args))
+        time = self._now + delay
+        entry = (time, self._seq, callback, args)
         self._seq += 1
+        # The slot rules, inlined (a helper call costs more than it saves).
+        slotted = self._next
+        if slotted is None:
+            heap = self._heap
+            if not heap or time < heap[0][0]:
+                self._next = entry
+            else:
+                heapq.heappush(heap, entry)
+        elif time < slotted[0]:
+            heapq.heappush(self._heap, slotted)
+            self._next = entry
+        else:
+            heapq.heappush(self._heap, entry)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -123,8 +158,20 @@ class Simulation:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
-        heapq.heappush(self._heap, (time, self._seq, callback, args))
+        entry = (time, self._seq, callback, args)
         self._seq += 1
+        slotted = self._next  # the slot rules, as in schedule()
+        if slotted is None:
+            heap = self._heap
+            if not heap or time < heap[0][0]:
+                self._next = entry
+            else:
+                heapq.heappush(heap, entry)
+        elif time < slotted[0]:
+            heapq.heappush(self._heap, slotted)
+            self._next = entry
+        else:
+            heapq.heappush(self._heap, entry)
 
     def schedule_cancellable(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -137,7 +184,14 @@ class Simulation:
         if not delay >= 0:
             raise SimulationError(f"cannot schedule event in the past: delay={delay}")
         cell: list[Any] = [callback, args]
-        heapq.heappush(self._heap, (self._now + delay, self._seq, None, cell))
+        time = self._now + delay
+        # Revocable entries never fill the slot; an earlier one only
+        # moves the slotted entry into the heap to keep the invariant.
+        slotted = self._next
+        if slotted is not None and time < slotted[0]:
+            heapq.heappush(self._heap, slotted)
+            self._next = None
+        heapq.heappush(self._heap, (time, self._seq, None, cell))
         self._seq += 1
         return cell
 
@@ -152,8 +206,13 @@ class Simulation:
         """
         if not delay >= 0:
             raise SimulationError(f"cannot schedule event in the past: delay={delay}")
+        time = self._now + delay
+        slotted = self._next  # as in schedule_cancellable()
+        if slotted is not None and time < slotted[0]:
+            heapq.heappush(self._heap, slotted)
+            self._next = None
         seq = self._seq
-        heapq.heappush(self._heap, (self._now + delay, seq, None, cell))
+        heapq.heappush(self._heap, (time, seq, None, cell))
         self._seq = seq + 1
 
     def add_logical_events(self, n: int) -> None:
@@ -172,7 +231,7 @@ class Simulation:
     def run(
         self, until: float | None = None, max_events: int | None = None
     ) -> None:
-        """Run until the heap drains, ``until`` is reached, or the budget ends.
+        """Run until nothing is pending, ``until`` is reached, or the budget ends.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` fire.
         ``max_events`` guards against runaway simulations and raises
@@ -194,22 +253,35 @@ class Simulation:
             try:
                 if until is None and max_events is None:
                     # Fast path: the engine's production configuration.
-                    while heap:
-                        time, _, callback, args = heappop(heap)
-                        if callback is None:
-                            if not args:  # revoked
-                                continue
-                            callback, args = args
+                    while True:
+                        slotted = self._next
+                        if slotted is not None:  # always a plain entry
+                            self._next = None
+                            time, _, callback, args = slotted
+                        elif heap:
+                            time, _, callback, args = heappop(heap)
+                            if callback is None:
+                                if not args:  # revoked
+                                    continue
+                                callback, args = args
+                        else:
+                            break
                         self._now = time
                         self._events_fired += 1
                         callback(*args)
                     return
                 base = self._events_fired
-                while heap:
-                    time, _, callback, args = heap[0]
-                    if callback is None and not args:  # revoked
-                        heappop(heap)
-                        continue
+                while True:
+                    slotted = self._next
+                    if slotted is not None:
+                        time, _, callback, args = slotted
+                    elif heap:
+                        time, _, callback, args = heap[0]
+                        if callback is None and not args:  # revoked
+                            heappop(heap)
+                            continue
+                    else:
+                        break
                     if until is not None and time > until:
                         self._now = until
                         return
@@ -222,7 +294,10 @@ class Simulation:
                             f"{self._events_fired - base} events at "
                             f"t={self._now:.3f}"
                         )
-                    heappop(heap)
+                    if slotted is not None:
+                        self._next = None
+                    else:
+                        heappop(heap)
                     if callback is None:
                         callback, args = args
                     self._now = time

@@ -436,7 +436,8 @@ class TraceTransport:
 
     def __init__(self) -> None:
         self._segments: dict[str, tuple[shared_memory.SharedMemory, int]] = {}
-        self._disabled = False  # set on first shm failure; see publish()
+        #: Segment creations that failed (at most one; see publish()).
+        self.failures = 0
         atexit.register(self.close)
 
     def __len__(self) -> int:
@@ -447,11 +448,12 @@ class TraceTransport:
 
         Returns ``None`` when shared memory is unavailable — callers fall
         back to pickling the trace into the submission.  The first
-        failure disables the transport for this instance, so later
-        submissions skip straight to the fallback instead of paying a
-        doomed serialization + syscall each.
+        failure is counted in :attr:`failures`, logged once, and disables
+        the transport for this instance, so later submissions skip
+        straight to the fallback instead of paying a doomed
+        serialization + syscall each.
         """
-        if self._disabled:
+        if self.failures:
             return None
         digest = trace.content_digest()
         segment = self._segments.get(digest)
@@ -459,8 +461,12 @@ class TraceTransport:
             payload = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
             try:
                 shm = shared_memory.SharedMemory(create=True, size=len(payload))
-            except (OSError, ValueError):
-                self._disabled = True
+            except (OSError, ValueError) as exc:
+                self.failures += 1
+                logger.warning(
+                    "shared memory unavailable (%s); traces are pickled "
+                    "into each pool submission", type(exc).__name__,
+                )
                 return None
             shm.buf[: len(payload)] = payload
             segment = (shm, len(payload))

@@ -1,6 +1,8 @@
 """Tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Simulation, SimulationError
 
@@ -401,3 +403,158 @@ def test_run_restores_gc_state():
         assert not gc.isenabled()  # left alone when the caller disabled it
     finally:
         gc.enable()
+
+
+# -- the next-event slot fires in heap order (property) ----------------------
+DELAYS = (0.0, 0.5, 1.0, 2.0)  # exact binary sums, so equal times are common
+
+OPERATION = st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from(DELAYS)),
+    st.tuples(st.just("schedule_at"), st.sampled_from(DELAYS)),
+    st.tuples(st.just("cancellable"), st.sampled_from(DELAYS)),
+    st.tuples(st.just("clear"), st.integers(0, 7)),
+    st.tuples(st.just("rearm"), st.integers(0, 7), st.sampled_from(DELAYS)),
+)
+PROGRAM = st.fixed_dictionaries(
+    {
+        # Issued before run(), then by the n-th callback to fire.
+        "initial": st.lists(OPERATION, min_size=1, max_size=8),
+        "nested": st.lists(st.lists(OPERATION, max_size=4), max_size=24),
+    }
+)
+
+
+class SlotModel:
+    """Drives a program on a Simulation beside a reference list of entries.
+
+    The reference holds every entry not yet popped as ``[time, seq, ident,
+    revoked]``.  A live entry fires when the loop reaches its key; a
+    revoked one is dropped once a later key fires (or, between slices,
+    once a later live key is next).
+    """
+
+    def __init__(self, program):
+        self.sim = Simulation()
+        self.program = program
+        self.pending = []
+        self.scheduled = {}  # (time, seq) -> revoked, for every entry
+        self.fired = []
+        self.cells = []  # [cell, ident, state]: pending, fired or revoked
+        self.seq = 0
+        self.next_ident = 0
+
+    def _enter(self, time, ident):
+        entry = [time, self.seq, ident, False]
+        self.seq += 1
+        self.pending.append(entry)
+        self.scheduled[(entry[0], entry[1])] = False
+        return entry
+
+    def _entry_of(self, ident):
+        return next(e for e in self.pending if e[2] == ident)
+
+    def apply(self, op):
+        sim = self.sim
+        kind = op[0]
+        if kind in ("schedule", "schedule_at", "cancellable"):
+            ident = self.next_ident
+            self.next_ident += 1
+            time = sim.now + op[1]
+            if kind == "schedule":
+                sim.schedule(op[1], self.fire, ident)
+            elif kind == "schedule_at":
+                sim.schedule_at(time, self.fire, ident)
+            else:
+                cell = sim.schedule_cancellable(op[1], self.fire, ident)
+                self.cells.append([cell, ident, "pending"])
+            self._enter(time, ident)
+        elif kind == "clear" and self.cells:
+            record = self.cells[op[1] % len(self.cells)]
+            record[0].clear()
+            if record[2] == "pending":
+                entry = self._entry_of(record[1])
+                entry[3] = True
+                self.scheduled[(entry[0], entry[1])] = True
+            record[2] = "revoked"
+        elif kind == "rearm":
+            fired = [c for c in self.cells if c[2] == "fired"]
+            if fired:
+                record = fired[op[1] % len(fired)]
+                sim.reschedule_fired(record[0], op[2])
+                self._enter(sim.now + op[2], record[1])
+                record[2] = "pending"
+
+    def _drop_revoked_below(self, key):
+        self.pending = [e for e in self.pending if (e[0], e[1]) >= key or not e[3]]
+
+    def check_pending(self):
+        sim = self.sim
+        assert sim.pending_events == len(self.pending)
+        expected = min((e[0] for e in self.pending), default=None)
+        assert sim.next_event_time == expected
+
+    def fire(self, ident):
+        entry = self._entry_of(ident)
+        key = (entry[0], entry[1])
+        assert not entry[3]
+        assert self.sim.now == entry[0]
+        if self.fired:
+            assert self.fired[-1] < key
+        self.fired.append(key)
+        self.pending.remove(entry)
+        self._drop_revoked_below(key)
+        self.check_pending()
+        for record in self.cells:
+            if record[1] == ident:
+                record[2] = "fired"
+        index = len(self.fired) - 1
+        if index < len(self.program["nested"]):
+            for op in self.program["nested"][index]:
+                self.apply(op)
+
+    def check_between_slices(self):
+        live = [(e[0], e[1]) for e in self.pending if not e[3]]
+        if live:
+            self._drop_revoked_below(min(live))
+        else:
+            self.pending = []
+        self.check_pending()
+
+    def check_done(self):
+        assert self.sim.pending_events == 0
+        assert self.sim.next_event_time is None
+        assert len(self.fired) == len(set(self.fired))
+        assert set(self.fired) == {k for k, rev in self.scheduled.items() if not rev}
+        assert self.sim.events_fired == len(self.fired)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    PROGRAM,
+    st.sampled_from(["run", "until", "max_events"]),
+    st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.5, 4.0)), max_size=6),
+    st.integers(1, 4),
+)
+def test_slot_fires_in_heap_order(program, driver, untils, budget):
+    """Whatever mix of plain, revocable and re-armed entries is pending,
+    entries fire once each in strictly ascending (time, seq) order, and
+    pending_events / next_event_time read the reference list's count and
+    minimum time, under every run-loop driver."""
+    model = SlotModel(program)
+    sim = model.sim
+    for op in program["initial"]:
+        model.apply(op)
+    model.check_pending()
+    if driver == "until":
+        for until in sorted(untils):
+            sim.run(until=max(until, sim.now))
+            model.check_between_slices()
+    elif driver == "max_events":
+        while True:
+            try:
+                sim.run(max_events=budget)
+                break
+            except SimulationError:
+                model.check_between_slices()
+    sim.run()
+    model.check_done()

@@ -523,6 +523,32 @@ def test_shm_and_inline_transport_results_identical(tmp_path):
         via_pickle.close()
 
 
+def test_shm_failure_falls_back_counted_and_logged_once(monkeypatch, caplog):
+    """Without shared memory a pool batch still returns the serial results,
+    and the transport's one failure is counted and logged, not silent."""
+    from repro.experiments import parallel
+
+    def unavailable(*args, **kwargs):
+        raise OSError("no shared memory")
+
+    trace = small_trace()
+    pairs = [(s, trace) for s in _distinct_specs(4)]
+    serial = SweepExecutor(max_workers=1, disk_cache=None).run_many(pairs)
+    monkeypatch.setattr(parallel.shared_memory, "SharedMemory", unavailable)
+    executor = SweepExecutor(max_workers=2, disk_cache=None, trace_shm=True)
+    try:
+        with caplog.at_level("WARNING", logger="repro.experiments.parallel"):
+            results = executor.run_many(pairs)
+        assert results == serial
+        assert executor.executions == 4
+        assert executor._transport.failures == 1
+        assert len(executor._transport) == 0
+    finally:
+        executor.close()
+    assert len(caplog.records) == 1
+    assert "OSError" in caplog.records[0].getMessage()
+
+
 def test_trace_transport_round_trip_and_worker_cache():
     from repro.experiments.parallel import (
         TraceTransport,
