@@ -7,10 +7,11 @@ reads, unseeded RNG, hash-ordered iteration, PYTHONHASHSEED-sensitive
 values) leaks into a simulation path.  This package enforces that
 invariant as a tool instead of a review habit: an AST-based, plugin-rule
 analyzer with path-scoped configs (sim paths get the full ruleset, tool
-paths a relaxed one), reason-required inline suppressions, a committed
-baseline ratchet and a drift-checked report.
+paths a relaxed one), reason-required inline suppressions and a
+drift-checked report.  The gate fails on any finding; a reasoned inline
+suppression is the one way to accept one.
 
-CLI: ``python -m repro.analysis [--explain RULE] [--baseline PATH]``.
+CLI: ``python -m repro.analysis [--explain RULE] [--list-rules] [--report PATH]``.
 Rules: DET001 wall clock, DET002 global/unseeded RNG, DET003 unordered
 iteration, DET004 id()/hash() in ordering/digests, DET005 unordered
 accumulation, PURE001 frozen mutation, REG001 registry schema
@@ -20,13 +21,10 @@ hygiene.
 
 from repro.analysis.config import SCOPES, Scope, scope_for
 from repro.analysis.engine import (
-    DEFAULT_BASELINE,
     DEFAULT_REPORT,
     AnalysisResult,
-    Baseline,
     analyze_paths,
     analyze_source,
-    diff_baseline,
     repo_root,
 )
 from repro.analysis.findings import Finding, Suppression, parse_suppressions
@@ -36,8 +34,6 @@ from repro.analysis.semantic import SEMANTIC_RULES
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
-    "DEFAULT_BASELINE",
     "DEFAULT_REPORT",
     "Finding",
     "RULES_BY_ID",
@@ -49,7 +45,6 @@ __all__ = [
     "Suppression",
     "analyze_paths",
     "analyze_source",
-    "diff_baseline",
     "parse_suppressions",
     "render_report",
     "repo_root",

@@ -1,7 +1,7 @@
 """reprolint command line: ``python -m repro.analysis``.
 
-Exit codes: 0 — clean (no findings beyond the baseline, no stale
-baseline entries); 1 — violations or baseline drift; 2 — usage error.
+Exit codes: 0 — clean (no finding survives its inline suppressions);
+1 — at least one finding; 2 — usage error.
 
 Examples::
 
@@ -10,7 +10,6 @@ Examples::
     python -m repro.analysis --list-rules
     python -m repro.analysis src/repro/cluster    # scan a subtree
     python -m repro.analysis --report out.txt     # write the drift report
-    python -m repro.analysis --write-baseline     # accept current findings
 """
 
 from __future__ import annotations
@@ -21,22 +20,10 @@ import textwrap
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.engine import (
-    DEFAULT_BASELINE,
-    DEFAULT_REPORT,
-    Baseline,
-    analyze_paths,
-    diff_baseline,
-    repo_root,
-)
+from repro.analysis.engine import ALL_RULES, analyze_paths, repo_root
 from repro.analysis.report import render_report
-from repro.analysis.rules import RULES_BY_ID, SYNTACTIC_RULES
-from repro.analysis.semantic import SEMANTIC_RULES
 
-_ALL_EXPLAINABLE = {
-    **RULES_BY_ID,
-    **{r.rule_id: r for r in SEMANTIC_RULES},
-}
+_ALL_EXPLAINABLE = {rule.rule_id: rule for rule in ALL_RULES}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,22 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list every rule id and title"
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline; report raw findings",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept current findings into the baseline file and exit 0",
     )
     parser.add_argument(
         "--report",
@@ -109,53 +80,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.explain:
         return _explain(args.explain)
     if args.list_rules:
-        for rule in (*SYNTACTIC_RULES, *SEMANTIC_RULES):
+        for rule in ALL_RULES:
             print(f"{rule.rule_id}  {rule.title}")
-        print("SUP001  suppression without a reason (meta)")
-        print("SUP002  suppression matching no finding (meta)")
         return 0
 
-    root = repo_root()
     result = analyze_paths(
-        args.paths or None, root=root, semantic=not args.no_semantic
+        args.paths or None, root=repo_root(), semantic=not args.no_semantic
     )
-
-    baseline_path = (
-        root / (args.baseline or DEFAULT_BASELINE)
-        if not args.no_baseline
-        else None
-    )
-    if args.write_baseline:
-        target = baseline_path or root / DEFAULT_BASELINE
-        Baseline.from_findings(result.findings).dump(
-            target,
-            header=(
-                "reprolint baseline: accepted findings (rule, path, message)\n"
-                "Empty is the goal state.  Regenerate deliberately with\n"
-                "`python -m repro.analysis --write-baseline`."
-            ),
-        )
-        print(f"wrote {len(result.findings)} baseline entries to {target}")
-        return 0
-
-    baseline = (
-        Baseline.load(baseline_path)
-        if baseline_path is not None and baseline_path.is_file()
-        else Baseline()
-    )
-    new, stale = diff_baseline(result.findings, baseline)
-
     if args.report:
         Path(args.report).write_text(render_report(result), encoding="utf-8")
-
-    for finding in new:
+    for finding in result.findings:
         print(finding.render())
-    for key in stale:
-        print(f"stale baseline entry (fixed? remove it): {key}")
-    status = "FAIL" if (new or stale) else "ok"
+    status = "FAIL" if result.findings else "ok"
     print(
         f"reprolint: {result.files_scanned} files, "
-        f"{len(result.findings)} finding(s), {len(baseline)} baselined, "
-        f"{len(new)} new, {len(stale)} stale -> {status}"
+        f"{len(result.findings)} finding(s) -> {status}"
     )
-    return 1 if (new or stale) else 0
+    return 1 if result.findings else 0

@@ -1,15 +1,11 @@
-"""The reprolint scan engine: files -> findings -> baseline verdict.
+"""The reprolint scan engine: files -> findings -> gate verdict.
 
 :func:`analyze_source` checks one source string (the unit the fixture
 tests drive); :func:`analyze_paths` walks directories, applies the path
 scopes, runs the semantic registry rules, and returns an
-:class:`AnalysisResult`.  :class:`Baseline` holds the committed list of
-accepted findings — identity is the line-number-free
-:meth:`~repro.analysis.findings.Finding.key`, so baselines survive
-unrelated edits — and :func:`diff_baseline` classifies a scan into new
-findings (violations) and stale entries (fixed code whose baseline entry
-must be removed).  Both directions are failures: the baseline is a
-ratchet, not a landfill.
+:class:`AnalysisResult`.  Both run each file through :func:`_scan`.
+Every surviving finding fails the gate; the one way to accept a finding
+is a reasoned inline suppression next to the code it excuses.
 """
 
 from __future__ import annotations
@@ -17,17 +13,18 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.analysis.config import scope_for
 from repro.analysis.findings import (
+    META_RULES,
     Finding,
     Suppression,
     apply_suppressions,
     parse_suppressions,
 )
-from repro.analysis.rules import RULES_BY_ID, SYNTACTIC_RULES, Rule
-from repro.analysis.semantic import SEMANTIC_RULES, SemanticRule
+from repro.analysis.rules import RULES_BY_ID, SYNTACTIC_RULES
+from repro.analysis.semantic import SEMANTIC_RULES
 
 
 def repo_root() -> Path:
@@ -35,10 +32,12 @@ def repo_root() -> Path:
     return Path(__file__).resolve().parents[3]
 
 
-#: Default committed baseline location.
-DEFAULT_BASELINE = "benchmarks/results/reprolint_baseline.txt"
 #: Default committed drift-checked report location.
 DEFAULT_REPORT = "benchmarks/results/reprolint_report.txt"
+
+#: Every rule the gate can report, in report order: each has a
+#: ``rule_id``, a one-line ``title`` and an ``explain`` text.
+ALL_RULES = (*SYNTACTIC_RULES, *SEMANTIC_RULES, *META_RULES)
 
 
 def _sort_key(finding: Finding) -> tuple:
@@ -47,20 +46,13 @@ def _sort_key(finding: Finding) -> tuple:
 
 @dataclass(slots=True)
 class AnalysisResult:
-    """Everything one scan produced, before the baseline verdict."""
+    """Everything one scan produced."""
 
     findings: list[Finding] = field(default_factory=list)
     suppressions: list[Suppression] = field(default_factory=list)
     files_scanned: int = 0
-    #: (path, rule ids) actually applied per file, for the report.
+    #: path -> name of the scope applied to it, for the report.
     scopes_seen: dict[str, str] = field(default_factory=dict)
-
-
-def rules_for(rule_ids: Iterable[str]) -> list[Rule]:
-    unknown = sorted(set(rule_ids) - set(RULES_BY_ID))
-    if unknown:
-        raise ValueError(f"unknown rule id(s): {unknown}")
-    return [RULES_BY_ID[rid] for rid in rule_ids]
 
 
 def analyze_source(
@@ -74,13 +66,23 @@ def analyze_source(
     """
     if rule_ids is None:
         rule_ids = scope_for(path).rules
+    findings, _ = _scan(source, path, rule_ids)
+    return sorted(findings, key=_sort_key)
+
+
+def _scan(
+    source: str, path: str, rule_ids: Sequence[str]
+) -> tuple[list[Finding], list[Suppression]]:
+    """(surviving findings, parsed suppressions) for one file."""
+    unknown = sorted(set(rule_ids) - set(RULES_BY_ID))
+    if unknown:
+        raise ValueError(f"unknown rule id(s): {unknown}")
     tree = ast.parse(source, filename=path)
     findings: list[Finding] = []
-    for rule in rules_for(rule_ids):
-        findings.extend(rule.check(tree, source, path))
+    for rule_id in rule_ids:
+        findings.extend(RULES_BY_ID[rule_id].check(tree, source, path))
     suppressions = parse_suppressions(source, path)
-    surviving = apply_suppressions(findings, suppressions)
-    return sorted(surviving, key=_sort_key)
+    return apply_suppressions(findings, suppressions), suppressions
 
 
 def _python_files(paths: Sequence[Path], root: Path) -> list[Path]:
@@ -109,13 +111,10 @@ def analyze_paths(
         except ValueError:
             rel = file.as_posix()
         scope = scope_for(rel)
-        source = file.read_text(encoding="utf-8")
-        suppressions = parse_suppressions(source, rel)
-        tree = ast.parse(source, filename=rel)
-        findings: list[Finding] = []
-        for rule in rules_for(scope.rules):
-            findings.extend(rule.check(tree, source, rel))
-        result.findings.extend(apply_suppressions(findings, suppressions))
+        findings, suppressions = _scan(
+            file.read_text(encoding="utf-8"), rel, scope.rules
+        )
+        result.findings.extend(findings)
         result.suppressions.extend(s for s in suppressions if s.reason)
         result.files_scanned += 1
         result.scopes_seen[rel] = scope.name
@@ -124,60 +123,3 @@ def analyze_paths(
             result.findings.extend(rule.run(root))
     result.findings.sort(key=_sort_key)
     return result
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-class Baseline:
-    """The committed set of accepted finding keys.
-
-    File format: one ``rule<TAB>path<TAB>message`` per line, sorted;
-    ``#`` comment lines and blanks ignored.  An empty baseline is the
-    goal state — it asserts the scanned tree is violation-free.
-    """
-
-    def __init__(self, keys: Iterable[str] = ()) -> None:
-        self.keys = set(keys)
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        return cls(f.key() for f in findings)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        keys = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rule, rel, message = line.split("\t", 2)
-            keys.append(f"{rule}|{rel}|{message}")
-        return cls(keys)
-
-    def dump(self, path: Path, header: str = "") -> None:
-        lines = []
-        if header:
-            lines.extend(f"# {h}" for h in header.splitlines())
-        for key in sorted(self.keys):
-            rule, rel, message = key.split("|", 2)
-            lines.append(f"{rule}\t{rel}\t{message}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
-def diff_baseline(
-    findings: Sequence[Finding], baseline: Baseline
-) -> tuple[list[Finding], list[str]]:
-    """(new findings, stale baseline keys) for one scan.
-
-    New findings are violations; stale keys are baseline entries whose
-    code was fixed — both fail the gate, because a stale entry would let
-    the same violation quietly return later.
-    """
-    new = [f for f in findings if f.key() not in baseline.keys]
-    found_keys = {f.key() for f in findings}
-    stale = sorted(k for k in baseline.keys if k not in found_keys)
-    return new, stale

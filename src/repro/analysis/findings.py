@@ -1,10 +1,10 @@
 """Findings and inline suppressions for the reprolint analyzer.
 
 A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`Finding.key` deliberately excludes the line number: baselines and
-the committed report must survive unrelated edits that shift code up or
-down a file, so identity is ``(rule, path, message)`` and messages name
-the offending construct rather than its coordinates.
+message names the offending construct rather than its coordinates, and
+the committed report lists findings by ``(rule, path, message)`` only,
+so the report survives unrelated edits that shift code up or down a
+file.
 
 Suppressions are inline pragmas (spelled with a placeholder here so this
 docstring is not itself parsed as one)::
@@ -16,6 +16,7 @@ reviewed exception to the determinism contract, and the justification
 must live next to the code it excuses.  A pragma that suppresses nothing
 is itself an error (SUP002) so stale exceptions cannot accumulate.  A
 pragma on a line holding only the comment applies to the next line.
+The two meta-rules are declared once, in :data:`META_RULES`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,37 @@ from dataclasses import dataclass, field
 #: Suppression pragmas that are meta-rules, not AST rules.
 SUP_NO_REASON = "SUP001"
 SUP_UNUSED = "SUP002"
+
+
+@dataclass(frozen=True, slots=True)
+class MetaRule:
+    """A rule checked on the pragmas themselves, not on the code."""
+
+    rule_id: str
+    title: str
+    explain: str
+
+
+META_RULES: tuple[MetaRule, ...] = (
+    MetaRule(
+        SUP_NO_REASON,
+        "suppression without a reason",
+        """\
+A suppression pragma must say why: `# reprolint: disable=RULE -- why`.
+It is a reviewed exception to the determinism contract, so its reason
+lives next to the code it excuses.  Without one it suppresses nothing.
+Fix: add a `-- reason` clause, or fix the code and drop the pragma.""",
+    ),
+    MetaRule(
+        SUP_UNUSED,
+        "suppression matching no finding",
+        """\
+A pragma names a rule that reports nothing on the line it covers (its
+own, or the next when the pragma stands alone).  Left in place, a stale
+pragma would silently excuse a later violation on that line.  Fix:
+delete the pragma, or move it to the line that still needs it.""",
+    ),
+)
 
 _PRAGMA = re.compile(
     r"#\s*reprolint:\s*disable=(?P<rules>[A-Z]{3,4}\d{3}(?:\s*,\s*[A-Z]{3,4}\d{3})*)"
@@ -42,10 +74,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    def key(self) -> str:
-        """Line-number-free identity used by baselines (see module doc)."""
-        return f"{self.rule}|{self.path}|{self.message}"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

@@ -13,9 +13,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.analysis.config import SCOPES
-from repro.analysis.engine import AnalysisResult
-from repro.analysis.rules import SYNTACTIC_RULES
-from repro.analysis.semantic import SEMANTIC_RULES
+from repro.analysis.engine import ALL_RULES, AnalysisResult
 
 
 def render_report(result: AnalysisResult) -> str:
@@ -32,19 +30,10 @@ def render_report(result: AnalysisResult) -> str:
 
     lines.append("findings per rule:")
     finding_counts = Counter(f.rule for f in result.findings)
-    for rule in SYNTACTIC_RULES:
+    for rule in ALL_RULES:
         lines.append(
             f"  {rule.rule_id}  {finding_counts.get(rule.rule_id, 0):>3}  {rule.title}"
         )
-    for rule in SEMANTIC_RULES:
-        lines.append(
-            f"  {rule.rule_id}  {finding_counts.get(rule.rule_id, 0):>3}  {rule.title}"
-        )
-    for sup_rule, title in (
-        ("SUP001", "suppression without a reason"),
-        ("SUP002", "suppression matching no finding"),
-    ):
-        lines.append(f"  {sup_rule}  {finding_counts.get(sup_rule, 0):>3}  {title}")
     lines.append("")
 
     if result.findings:

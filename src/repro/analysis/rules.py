@@ -3,7 +3,7 @@
 Each rule is a plugin: a subclass of :class:`Rule` with an id, a one-line
 title, a long ``explain`` text (shown by ``--explain RULE``) and a
 ``check(tree, source, path)`` returning :class:`Finding` objects.  Rules
-are registered in :data:`ALL_RULES`; which rules run on which file is
+are registered in :data:`SYNTACTIC_RULES`; which rules run on which file is
 decided by the path scopes in :mod:`repro.analysis.config`.
 
 All syntactic rules share :class:`ImportResolver`: local names are

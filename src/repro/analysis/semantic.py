@@ -29,6 +29,7 @@ also pins the documented exemption list (``estimate``, stood in for by
 from __future__ import annotations
 
 import inspect
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -291,23 +292,15 @@ def check_cache_key_completeness(root: Path) -> list[Finding]:
     return findings
 
 
+@dataclass(frozen=True, slots=True)
 class SemanticRule:
-    """Adapter giving the semantic checks the Rule explain/id surface."""
+    """A semantic check with the Rule id/title/explain surface."""
 
-    def __init__(
-        self,
-        rule_id: str,
-        title: str,
-        explain: str,
-        runner: Callable[[Path], list[Finding]],
-    ) -> None:
-        self.rule_id = rule_id
-        self.title = title
-        self.explain = explain
-        self._runner = runner
-
-    def run(self, root: Path) -> list[Finding]:
-        return self._runner(root)
+    rule_id: str
+    title: str
+    explain: str
+    #: ``run(repo_root)`` -> findings against the live registries.
+    run: Callable[[Path], list[Finding]]
 
 
 SEMANTIC_RULES: tuple[SemanticRule, ...] = (

@@ -9,9 +9,10 @@ thread per run that owns the engine outright:
   advances ``sim.run(until=wall_elapsed * time_scale)``: a task with a
   200 ms duration *completes* 200 ms of wall time after it started
   (at ``time_scale=1``), but nothing ever sleeps per task — between
-  events the thread blocks on the submission queue with a timeout sized
-  by :attr:`~repro.core.simulation.Simulation.next_event_time`, so a
-  100-worker virtual cluster costs one thread, not 100.
+  events the thread blocks on the submission queue until
+  :attr:`~repro.core.simulation.Simulation.next_event_time` is due, or
+  until the next submission when no event is pending, so a 100-worker
+  virtual cluster costs one thread, not 100, and an idle run costs none.
 * **Submissions cross on a queue.**  :meth:`submit` (any thread)
   allocates the job id and enqueues; the bridge thread injects the job
   at virtual time ``max(wall_elapsed, sim.now)`` via
@@ -49,10 +50,6 @@ from repro.workloads.spec import JobSpec
 
 class SchedulerBridge:
     """One live run: a background thread owning a narrating engine."""
-
-    #: Longest the bridge thread blocks waiting for submissions when the
-    #: simulation has nothing imminent (seconds).
-    IDLE_POLL = 0.05
 
     def __init__(
         self,
@@ -250,11 +247,13 @@ class SchedulerBridge:
                         self._all_done.set()
                 if done and stopping:
                     return
-            timeout = self.IDLE_POLL
             next_v = sim.next_event_time
+            timeout: float | None = None
             if next_v is not None:
-                wait_w = (next_v - now_v) / self.time_scale
-                timeout = min(max(wait_w, 0.0), self.IDLE_POLL)
+                # The queue rejects waits past TIMEOUT_MAX: a far-off event
+                # at a small time_scale wakes the thread early instead.
+                wait_w = next_v / self.time_scale - self._wall()
+                timeout = min(max(wait_w, 0.0), threading.TIMEOUT_MAX)
             try:
                 item = self._queue.get(timeout=timeout)
             except queue.Empty:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -131,6 +133,60 @@ def test_submit_during_the_all_done_flush_keeps_drain_waiting(tmp_path):
         assert not any(store.drained_while_in_flight)  # ...saw it undrained
         assert bridge.drain(timeout=0)
         assert bridge.stats()["completed"] == 1
+
+
+@pytest.mark.parametrize("policy", ["hawk", "sparrow"])
+def test_a_drained_bridge_waits_for_the_next_submission(store, policy):
+    """With nothing pending, the bridge thread blocks on the submission
+    queue instead of polling it."""
+    config = RunConfig(policy=policy, n_workers=20, cutoff=0.1)
+    bridge = SchedulerBridge(config, store, time_scale=SCALE).start()
+    try:
+        for _ in range(10):
+            bridge.submit(Submission(tasks=(0.02, 0.05, 0.03)))
+        assert bridge.drain(timeout=30.0)
+        assert bridge.engine.sim.next_event_time is None
+        checks = []
+        done = bridge._done
+
+        def counted_done():
+            checks.append(None)
+            return done()
+
+        bridge._done = counted_done
+        time.sleep(1.0)
+        # one loop iteration checks _done at most twice
+        assert len(checks) <= 2
+        bridge.submit(Submission(tasks=(0.02,)))
+        assert bridge.drain(timeout=30.0)
+    finally:
+        assert bridge.stop(timeout=30.0)
+    assert bridge.stats()["completed"] == 11
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_an_event_beyond_the_longest_queue_wait_keeps_the_bridge_alive(store):
+    """At time_scale=1e-14 a 1e6 s task is due 1e20 wall seconds out, past
+    ``threading.TIMEOUT_MAX``: the thread must keep waiting for (and
+    injecting) submissions instead of dying on the queue's limit."""
+    config = RunConfig(policy="sparrow", n_workers=4, cutoff=0.1)
+    bridge = SchedulerBridge(config, store, time_scale=1e-14).start()
+    bridge.submit(Submission(tasks=(1e6,)))
+    assert wait_until(lambda: bridge.stats()["injected"] == 1)
+    time.sleep(0.1)  # let the thread settle into its wait
+    bridge.submit(Submission(tasks=(0.5,)))
+    assert wait_until(lambda: bridge.stats()["injected"] == 2)
+    assert bridge._thread is not None and bridge._thread.is_alive()
+    # Neither job can finish in wall time; the daemon thread stays behind.
+    assert not bridge.stop(timeout=0.1)
 
 
 def test_stop_without_start_is_a_noop(store):
