@@ -1,11 +1,11 @@
 """Deterministic reprolint report rendering.
 
 The report is committed (``benchmarks/results/reprolint_report.txt``)
-and drift-checked by CI exactly like the registry schema snapshots: it
-contains no timestamps, hostnames or absolute paths, so regenerating it
-on an unchanged tree is byte-identical, and any change to the rule set,
-the scopes, a suppression or a finding shows up as a failing diff until
-the snapshot is regenerated on purpose.
+and drift-checked by ``tests/analysis/test_gate.py``, like the registry
+doc pages: it contains no timestamps, hostnames or absolute paths, so
+regenerating it on an unchanged tree is byte-identical, and any change
+to the rule set, the scopes, a suppression or a finding fails that test
+until the snapshot is regenerated on purpose.
 """
 
 from __future__ import annotations

@@ -87,16 +87,6 @@ class Param:
             )
         return value
 
-    def describe(self) -> str:
-        parts = [f"{self.name}: {self.type.__name__} = {self.default!r}"]
-        if self.minimum is not None or self.maximum is not None:
-            lo = "-inf" if self.minimum is None else f"{self.minimum:g}"
-            hi = "+inf" if self.maximum is None else f"{self.maximum:g}"
-            parts.append(f"range [{lo}, {hi}]")
-        if self.choices is not None:
-            parts.append(f"choices {self.choices!r}")
-        return "  ".join(parts)
-
 
 class FrozenParams(Mapping):
     """Immutable, hashable params mapping with a canonical order.

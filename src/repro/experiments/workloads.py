@@ -1,22 +1,21 @@
-"""Workload-zoo CLI: list, describe and summarize registered workloads.
+"""Workload-zoo CLI: list and summarize registered workloads, render docs.
 
 The registry's front door for humans::
 
     python -m repro.experiments.workloads list
-    python -m repro.experiments.workloads describe
     python -m repro.experiments.workloads show pareto-heavy --quick --seed 1
     python -m repro.experiments.workloads docs --output benchmarks/results/registry_docs
 
-* ``list`` — one line per registered workload (name, metadata, doc).
-* ``describe`` — the canonical schema listing
-  (:func:`repro.workloads.registry.describe`), the exact text the CI
-  workload-smoke job diffs against
-  ``benchmarks/results/workload_schema.txt``.
+* ``list`` (the default) — one line per registered workload (name,
+  metadata, doc).
 * ``show`` — materialize one workload (default or ``--quick`` scale,
   ``--set name=value`` overrides) and print its summary statistics.
 * ``docs`` — render the per-policy and per-workload registry doc pages
-  (markdown) from the two registries' ``describe()`` metadata; the
-  committed copies live under ``benchmarks/results/registry_docs/``.
+  (markdown): every entry's doc line, flags and metadata, and each
+  param's type, default, range, choices and quick override.  The
+  committed copies under ``benchmarks/results/registry_docs/`` are the
+  one registry snapshot; ``test_committed_doc_pages_match_live_registries``
+  (``tests/experiments/test_workloads_cli.py``) fails when they drift.
 """
 
 from __future__ import annotations
@@ -86,14 +85,16 @@ def cmd_show(name: str, quick: bool, seed: int, overrides: dict) -> str:
 def _param_rows(params) -> list[str]:
     rows = ["| param | type | default | range | doc |", "| --- | --- | --- | --- | --- |"]
     for p in params:
-        lo = "" if p.minimum is None else f"{p.minimum:g}"
-        hi = "" if p.maximum is None else f"{p.maximum:g}"
-        bounds = f"[{lo or '-inf'}, {hi or '+inf'}]" if (lo or hi) else ""
+        bounds = []
+        if p.minimum is not None or p.maximum is not None:
+            lo = "-inf" if p.minimum is None else f"{p.minimum:g}"
+            hi = "+inf" if p.maximum is None else f"{p.maximum:g}"
+            bounds.append(f"[{lo}, {hi}]")
         if p.choices is not None:
-            bounds = f"one of {list(p.choices)}"
+            bounds.append(f"one of {list(p.choices)}")
         rows.append(
             f"| `{p.name}` | {p.type.__name__} | `{p.default!r}` "
-            f"| {bounds} | {p.doc} |"
+            f"| {'; '.join(bounds)} | {p.doc} |"
         )
     return rows
 
@@ -175,14 +176,10 @@ def write_docs(output: Path) -> list[Path]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.workloads",
-        description="List, describe and summarize the registered workload zoo.",
+        description="List and summarize the registered workload zoo.",
     )
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("list", help="one line per registered workload")
-    sub.add_parser(
-        "describe",
-        help="canonical schema listing (the workload_schema.txt content)",
-    )
+    sub.add_parser("list", help="one line per registered workload (default)")
     show = sub.add_parser("show", help="materialize one workload and summarize it")
     show.add_argument("name", help="registered workload name")
     show.add_argument("--seed", type=int, default=0)
@@ -208,10 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        if args.command == "list":
+        if args.command == "list" or args.command is None:
             sys.stdout.write(cmd_list())
-        elif args.command == "describe" or args.command is None:
-            sys.stdout.write(workload_registry.describe())
         elif args.command == "show":
             sys.stdout.write(
                 cmd_show(

@@ -58,6 +58,13 @@ A class registration uses its ``from_params`` classmethod as the
 builder; a function registration is the builder itself (it receives the
 validated params mapping and returns a policy instance) — used when one
 class backs several registered names, like the Hawk ablations.
+
+The committed page ``benchmarks/results/registry_docs/policies.md``
+renders every registration (doc line, flags, ``ablation_of`` and each
+param's type, default, range and choices);
+``tests/experiments/test_workloads_cli.py::test_committed_doc_pages_match_live_registries``
+fails when it drifts from the live registry.  Regenerate it on purpose
+with ``python -m repro.experiments.workloads docs``.
 """
 
 from __future__ import annotations
@@ -248,28 +255,3 @@ def build_engine(spec, sink: LifecycleSink | None = None) -> ClusterEngine:
     if faults is not None:
         engine.attach_faults(faults)
     return engine
-
-
-def describe() -> str:
-    """Canonical schema listing (sorted by name) for drift detection.
-
-    The CI registry smoke job diffs this against a checked-in snapshot
-    (``benchmarks/results/registry_schema.txt``); any change to policy
-    names, flags or param schemas shows up as a failing diff until the
-    snapshot is regenerated on purpose.
-    """
-    _ensure_builtins()
-    lines = []
-    for name in sorted(_REGISTRY):
-        entry = _REGISTRY[name]
-        flags = [
-            f"stealing={'yes' if entry.uses_stealing else 'no'}",
-            f"partition={'yes' if entry.uses_partition else 'no'}",
-            f"online={'yes' if entry.serves_online else 'no'}",
-        ]
-        if entry.ablation_of:
-            flags.append(f"ablation-of={entry.ablation_of}")
-        lines.append(f"policy {name}  [{' '.join(flags)}]")
-        for param in entry.params:
-            lines.append(f"  {param.describe()}")
-    return "\n".join(lines) + "\n"

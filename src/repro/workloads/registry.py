@@ -25,7 +25,7 @@ A registration consists of
   drivers can build matched :class:`~repro.experiments.config.RunSpec`
   pairs without per-workload special cases;
 * ``quick_params`` — the param overrides of the workload's cheap test
-  scale, letting smoke jobs iterate the whole zoo generically.
+  scale, letting tests iterate the whole zoo generically.
 
 Materialization is cached per process and keyed on the spec's canonical
 digest plus the seed: ``WorkloadSpec("google").trace(0)`` is the same
@@ -53,6 +53,13 @@ Registering::
     )
     def my_trace(params, seed):
         return Trace([...], name="my-trace")
+
+The committed page ``benchmarks/results/registry_docs/workloads.md``
+renders every registration (doc line, metadata, quick overrides and
+each param's type, default, range and choices);
+``tests/experiments/test_workloads_cli.py::test_committed_doc_pages_match_live_registries``
+fails when it drifts from the live registry.  Regenerate it on purpose
+with ``python -m repro.experiments.workloads docs``.
 """
 
 from __future__ import annotations
@@ -143,7 +150,7 @@ def register_workload(
             f"[0, 1), got {short_partition_fraction}"
         )
     # quick_params must be a valid (partial) assignment of the schema;
-    # only the overrides themselves are stored, so describe() shows what
+    # only the overrides themselves are stored, so the doc page shows what
     # the quick scale actually changes.
     by_name = {p.name: p for p in params}
     quick = dict(quick_params or {})
@@ -326,28 +333,3 @@ def at_scale(name: str, scale: str) -> WorkloadSpec:
     raise ConfigurationError(
         f"unknown workload scale {scale!r}; expected 'quick' or 'full'"
     )
-
-
-def describe() -> str:
-    """Canonical schema listing (sorted by name) for drift detection.
-
-    The CI workload-smoke job diffs this against a checked-in snapshot
-    (``benchmarks/results/workload_schema.txt``); any change to workload
-    names, metadata or param schemas shows up as a failing diff until
-    the snapshot is regenerated on purpose.
-    """
-    _ensure_builtins()
-    lines = []
-    for name in sorted(_REGISTRY):
-        entry = _REGISTRY[name]
-        meta = [
-            f"cutoff={entry.cutoff:g}",
-            f"short-fraction={entry.short_partition_fraction:g}",
-        ]
-        lines.append(f"workload {name}  [{' '.join(meta)}]")
-        for param in entry.params:
-            quick = ""
-            if param.name in entry.quick_params:
-                quick = f"  quick {entry.quick_params[param.name]!r}"
-            lines.append(f"  {param.describe()}{quick}")
-    return "\n".join(lines) + "\n"

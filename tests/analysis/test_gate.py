@@ -1,9 +1,10 @@
 """The reprolint gate: the repo self-check, report drift and the CLI verdict.
 
-``test_repo_has_no_findings`` is the tier-1 reprolint gate: it runs the
-full analyzer (syntactic + semantic rules) over ``src/repro`` and fails
-on any finding that survives its inline suppressions, mirroring the CI
-job.  The CLI tests drive ``repro.analysis.cli.main`` in process.
+``test_repo_has_no_findings`` is the one reprolint gate (CI runs it as
+part of tier-1): it runs the full analyzer (syntactic + semantic rules)
+over ``src/repro`` and fails on any finding that survives its inline
+suppressions.  The CLI tests drive ``repro.analysis.cli.main`` in
+process.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ def test_repo_has_no_findings():
 
 
 def test_committed_report_matches_regeneration():
-    """The report is a drift-checked snapshot, like the registry schemas.
+    """The report is a drift-checked snapshot, like the registry doc pages.
 
     Regenerate deliberately with
     ``python -m repro.analysis --report benchmarks/results/reprolint_report.txt``.

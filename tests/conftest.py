@@ -36,6 +36,18 @@ def _isolated_default_executor(tmp_path_factory):
     set_executor(previous)
 
 
+@pytest.fixture
+def uncached_executor():
+    """A fresh executor with no disk tier: every run is made, none read.
+
+    For checks on fresh runs, where a warm cache must not stand in for
+    the run; the pool size follows ``REPRO_EXECUTOR_WORKERS``.
+    """
+    executor = SweepExecutor(disk_cache=None)
+    yield executor
+    executor.close()
+
+
 def job(job_id: int, submit: float, *durations: float) -> JobSpec:
     return JobSpec(job_id, submit, tuple(float(d) for d in durations))
 

@@ -6,6 +6,15 @@ import hashlib
 import pytest
 
 from repro.metrics.stats import SummaryStats
+from repro.experiments.parallel import (
+    DISK_CACHE_DIR_ENV,
+    DISK_CACHE_ENV,
+    DISK_CACHE_MAX_MB_ENV,
+    PROGRESS_ENV,
+    WORKERS_ENV,
+    get_executor,
+    set_executor,
+)
 from repro.experiments import (
     fig01_motivation,
     fig04_workload_cdfs,
@@ -169,6 +178,43 @@ def test_tables_replicated_report_ci_over_trace_draws():
     assert all(50.0 < v.mean <= 100.0 for v in ours)
     jobs = tables.run_table2("quick", n_seeds=2).column("jobs (ours)")
     assert all(isinstance(c, int) for c in jobs)  # fixed by the generator
+
+
+@pytest.mark.replicated
+def test_fig05_five_seeds_on_a_capped_pool_cache(monkeypatch, tmp_path):
+    """Five replicas through a 2-worker pool and a 64 MiB disk cache.
+
+    The executor comes from the environment, as a figure run's does:
+    the cap must hold after the sweep, and the in-memory index must
+    list exactly the blobs on disk with their sizes.
+    """
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    monkeypatch.delenv(DISK_CACHE_ENV, raising=False)
+    monkeypatch.setenv(DISK_CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setenv(DISK_CACHE_MAX_MB_ENV, "64")
+    monkeypatch.setenv(PROGRESS_ENV, "1")
+    previous = set_executor(None)
+    executor = get_executor()
+    try:
+        cache = executor.disk_cache
+        assert executor.max_workers == 2
+        assert cache.max_bytes == 64 * 1024 * 1024
+        result = fig05_google.run(
+            "quick", utilization_targets=QUICK_TARGETS, n_seeds=5
+        )
+        assert any("5 matched seed replicas" in n for n in result.notes)
+        short_p50 = result.column_means("short p50")
+        assert short_p50[0] < 1.0, short_p50  # Hawk wins at high load
+        assert cache.total_bytes() <= cache.max_bytes
+        blobs = {
+            str(p.relative_to(cache.base_root)): p.stat().st_size
+            for p in cache.base_root.rglob("*.pkl")
+        }
+        assert dict(cache.index.lru_entries()) == blobs
+        assert cache.index.total_bytes() == sum(blobs.values())
+    finally:
+        executor.close()
+        set_executor(previous)
 
 
 #: sha256 of ``render()`` at quick scale with ``n_seeds=2`` and short

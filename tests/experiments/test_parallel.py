@@ -2,7 +2,11 @@
 
 import os
 import pickle
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,52 @@ def test_disk_cache_survives_new_executor(tmp_path):
     assert loaded == res  # value-identical across "sessions"
     # and memoized for identity within the new session
     assert second.run_one(SPEC, trace) is loaded
+
+
+# Renders one quick figure point and the quick Figure 15 in a fresh
+# process; Figure 15 (one single-size SweepJob per steal cap) carries
+# multi_sweep's per-job slicing of one stream through the pool and disk.
+WARM_CACHE_RENDER = """
+import sys
+from repro.experiments import fig05_google, fig15_stealing_cap, get_executor
+print(fig05_google.run("quick", utilization_targets=(1.0,)).render())
+print(fig15_stealing_cap.run("quick").render())
+print(f"executions={get_executor().executions}", file=sys.stderr)
+"""
+
+
+def render_in_fresh_process(cache_dir):
+    """Run :data:`WARM_CACHE_RENDER`; returns (stdout, executions)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(
+        PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"),
+        REPRO_EXECUTOR_WORKERS="2",
+        REPRO_RUNCACHE_DIR=str(cache_dir),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_CACHE_RENDER],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    executions = re.search(r"^executions=(\d+)$", proc.stderr, re.M)
+    assert executions, proc.stderr
+    return proc.stdout, int(executions.group(1))
+
+
+def test_warm_cache_across_processes_renders_the_same_bytes(tmp_path):
+    """A second process reads every result back from disk: zero runs.
+
+    The flat RunResult pickle form crosses pool IPC, the disk and a new
+    process, and the render must not change on the way.
+    """
+    cold, cold_runs = render_in_fresh_process(tmp_path)
+    warm, warm_runs = render_in_fresh_process(tmp_path)
+    assert cold_runs > 0
+    assert warm_runs == 0
+    assert warm == cold
 
 
 def test_disk_cache_version_partitioning(tmp_path):

@@ -6,16 +6,13 @@ from repro.experiments import workloads as cli
 from repro.workloads import registry
 
 
-def test_describe_is_the_schema_snapshot_content(capsys):
-    assert cli.main(["describe"]) == 0
-    assert capsys.readouterr().out == registry.describe()
-
-
 def test_list_names_every_workload(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
     for name in registry.registered_names():
         assert name in out
+    assert cli.main([]) == 0  # list is the default command
+    assert capsys.readouterr().out == out
 
 
 def test_show_summarizes_a_quick_workload(capsys):
@@ -54,6 +51,15 @@ def test_docs_render_every_registry_entry(tmp_path):
     policy_docs = (tmp_path / "policies.md").read_text()
     for name in policy_registry.registered_names():
         assert f"## `{name}`" in policy_docs
+
+
+def test_param_rows_show_range_and_choices_together():
+    from repro.core.params import Param
+
+    (row,) = cli._param_rows(
+        (Param("k", int, default=2, minimum=1, choices=(1, 2, 4), doc="d"),)
+    )[2:]
+    assert row == "| `k` | int | `2` | [1, +inf]; one of [1, 2, 4] | d |"
 
 
 def test_committed_doc_pages_match_live_registries():

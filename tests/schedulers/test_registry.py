@@ -1,30 +1,28 @@
 """Tests for the policy registry: schemas, flags, cache-key stability."""
 
 import math
-from pathlib import Path
 
 import pytest
 
 from repro.cluster.engine import EngineConfig
 from repro.cluster.faults import FaultPlan
 from repro.core.errors import ConfigurationError
-from repro.experiments.config import RunSpec, build_engine, execute
+from repro.experiments.config import (
+    RunSpec,
+    build_engine,
+    execute,
+    high_load_size,
+)
+from repro.experiments.fig_faults import plan_for
 from repro.experiments.parallel import cache_key, spec_digest
+from repro.experiments.sweeps import RATIO_METRICS, sweep
 from repro.schedulers import registry
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.registry import FrozenParams, Param, register_policy
 from repro.schedulers.scenarios import BatchSamplingScheduler
-from repro.workloads.registry import quick_spec
+from repro.workloads.registry import at_scale, quick_spec
 from repro.workloads.spec import Trace
 from tests.conftest import TEST_CUTOFF, long_job, short_job
-
-SCHEMA_SNAPSHOT = (
-    Path(__file__).resolve().parents[2]
-    / "benchmarks"
-    / "results"
-    / "registry_schema.txt"
-)
-
 
 @pytest.fixture
 def tiny():
@@ -319,13 +317,28 @@ def test_custom_policy_registers_and_sweeps(tiny):
     assert "test-fifo" not in registry.registered_names()
 
 
-# -- schema drift guard ------------------------------------------------------
-def test_schema_snapshot_matches_registry():
-    """The checked-in schema snapshot must track the live registry.
+# -- one figure point per policy --------------------------------------------
+@pytest.mark.parametrize("faulted", [False, True], ids=["no-faults", "faults"])
+def test_every_policy_against_sparrow(uncached_executor, faulted):
+    """Every registered policy vs Sparrow on the quick google point.
 
-    This is the same check the CI registry-smoke job runs; regenerate
-    the snapshot on purpose when a schema changes:
-    ``python -c "from repro.schedulers import registry;
-    print(registry.describe(), end='')" > benchmarks/results/registry_schema.txt``
+    The faulted pass applies the fig_faults plan at 30% crashes (with
+    its centralized outage) to candidate and baseline alike.
     """
-    assert SCHEMA_SNAPSHOT.read_text() == registry.describe()
+    names = registry.registered_names()
+    assert {"sparrow-batch", "omniscient"} <= set(names), names
+    workload = at_scale("google", "quick")
+    trace = workload.trace(0)
+    n = high_load_size(trace)
+    faults = plan_for(0.3, trace.horizon) if faulted else None
+    baseline = RunSpec.for_workload(workload, "sparrow", n, faults=faults)
+    short_p50 = {}
+    for name in names:
+        spec = RunSpec.for_workload(workload, name, n, faults=faults)
+        point = sweep(trace, (n,), spec, baseline, uncached_executor)[0]
+        ratios = point.cells(*RATIO_METRICS)
+        assert all(math.isfinite(r) and r > 0 for r in ratios), (name, ratios)
+        short_p50[name] = ratios[0]
+    if not faulted:
+        # the omniscient oracle must not lose to Sparrow on short p50
+        assert short_p50["omniscient"] <= 1.0, short_p50

