@@ -12,6 +12,18 @@ one op table (:meth:`ReproService._op`) over
 :class:`~repro.service.api.ServiceState`, one error map (:func:`_error`)
 and one connection teardown.
 
+Pipelining
+----------
+An NDJSON client may send many lines without waiting.  The socket reads
+whatever has arrived, cuts it into lines (:func:`split_lines`), answers
+them in request order and sends that read's replies with one write.  A
+reply already computed goes out before the handler waits on the
+executor, so a submit pipelined ahead of a drain is acknowledged while
+the drain waits.  One write per read matters on one CPU: each socket
+send releases the GIL, and the event loop then waits behind the bridge
+threads before it can read the next line.  HTTP answers one request per
+round trip.
+
 Ops
 ---
 An NDJSON line names its op in ``"op"`` (default ``submit``) beside its
@@ -47,7 +59,8 @@ status cause
 400    ``ConfigurationError``, malformed input or args
 404    no HTTP route
 405    an HTTP method other than GET and POST
-413    a body over ``max_body_bytes``, a line over the stream limit
+413    a body over ``max_body_bytes``, a line or an HTTP request head
+       over the stream limit (``max_body_bytes + 1024``)
 500    any other exception, which is logged
 503    ``StoreUnavailable``; the body adds ``"unavailable": true``
 504    ``DrainTimeout``; the body adds ``"timeout": true``
@@ -62,7 +75,7 @@ import functools
 import json
 import logging
 import threading
-from typing import Any, AsyncIterator, Awaitable, Callable, TypeVar
+from typing import Any, AsyncIterator, Awaitable, Callable, TypeVar, cast
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import ConfigurationError, StoreUnavailable
@@ -97,6 +110,8 @@ _ROUTES = {
     ("POST", "runs", "{id}", "checkpoint"): "checkpoint",
 }
 _METHODS = {route[0] for route in _ROUTES}
+#: The request headers the server reads; it keeps no other.
+_HEADERS = ("content-length", "connection")
 
 
 def _flag(args: dict[str, Any], name: str, default: bool) -> bool:
@@ -126,6 +141,43 @@ def _error(exc: Exception) -> tuple[int, dict[str, Any]]:
     return 500, {"error": "internal error"}
 
 
+#: Bytes a connection reads at a time.  The lines of one read are
+#: answered together, so this bounds the replies a read makes the
+#: server hold.
+_READ_SIZE = 64 * 1024
+
+
+def split_lines(
+    tail: bytearray, data: bytes, limit: int
+) -> tuple[list[bytes], bool]:
+    """Cut the complete lines off ``tail + data``, as ``readline`` would.
+
+    ``tail`` is the partial line earlier reads left.  It is extended in
+    place (so a line that arrives over many reads costs linear time) and
+    keeps what follows the last newline.  Returns the complete lines
+    without their newlines, and whether a line or the tail is longer
+    than ``limit`` bytes, newline not counted, which is the rule of
+    ``asyncio.StreamReader.readline``: the lines then stop before the
+    long one, and the rest of the stream is unframed.  Empty ``data`` is
+    EOF, where a non-empty tail is the last line.
+    """
+    if data:
+        cut = data.rfind(b"\n") + 1
+        if not cut:
+            tail += data
+            return [], len(tail) > limit
+        lines = b"".join((tail, data[:cut])).split(b"\n")
+        lines.pop()
+        tail[:] = data[cut:]
+    else:
+        lines = [bytes(tail)] if tail else []
+        tail.clear()
+    for i, line in enumerate(lines):
+        if len(line) > limit:
+            return lines[:i], True
+    return lines, len(tail) > limit
+
+
 class ReproService:
     """Both listeners over one :class:`ServiceState`."""
 
@@ -140,6 +192,9 @@ class ReproService:
         # keep-alive handlers exit before the event loop tears down
         # (instead of being cancelled mid-readline).
         self._writers: set[asyncio.StreamWriter] = set()
+        # The stream limit: the longest NDJSON line and the largest HTTP
+        # request head a client can make the server hold.
+        self._limit = config.max_body_bytes + 1024
 
         #: Summary of the startup rehydration pass (see
         #: :meth:`ServiceState.rehydrate`).
@@ -153,18 +208,17 @@ class ReproService:
         self.rehydrated = await loop.run_in_executor(
             None, self.state.rehydrate
         )
-        limit = self.config.max_body_bytes + 1024
         self._http_server = await asyncio.start_server(
             self._handle_http,
             self.config.host,
             self.config.http_port,
-            limit=limit,
+            limit=self._limit,
         )
         self._socket_server = await asyncio.start_server(
             self._handle_ndjson,
             self.config.host,
             self.config.socket_port,
-            limit=limit,
+            limit=self._limit,
         )
         # Ephemeral-port discovery: port 0 binds to a free port and the
         # bound socket is the only place the real number exists.
@@ -248,25 +302,31 @@ class ReproService:
 
         ``None`` means the client closed the connection between requests.
         """
+        too_large = 413, {"error": "request head exceeds the size limit"}, False
+        headers: dict[str, str] = {}
         try:
-            head = [await reader.readline()]
-            while head[-1] not in (b"\r\n", b"\n", b""):
-                head.append(await reader.readline())
+            first = line = await reader.readline()
+            size = len(first)
+            while line not in (b"\r\n", b"\n", b""):
+                line = await reader.readline()
+                size += len(line)
+                if size > self._limit:
+                    return too_large
+                name, _, value = line.decode("latin-1").partition(":")
+                name = name.strip().lower()
+                if name in _HEADERS:
+                    headers[name] = value.strip()
         except ValueError:
             # readline reports a line over the stream limit as a bare
             # ValueError.  The rest of the stream is unframed garbage, so
             # answer once and drop the connection.
-            return 413, {"error": "request line exceeds the size limit"}, False
-        if not head[0]:
+            return too_large
+        if not first:
             return None
-        parts = head[0].decode("latin-1").split()
+        parts = first.decode("latin-1").split()
         if len(parts) != 3:
             return 400, {"error": "malformed request line"}, False
         method, target, version = parts
-        headers: dict[str, str] = {}
-        for line in head[1:-1]:
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
         try:
             # int(), not str.isdigit(): "²".isdigit() is true.
             length = int(headers.get("content-length") or "0")
@@ -295,7 +355,9 @@ class ReproService:
                 raise ConfigurationError("body must be a JSON object")
             query = parse_qs(url.query)
             args = {**data, **{k: v[-1] for k, v in query.items()}, **args}
-            reply = await self._op(op, args)
+            reply = self._op(op, args)
+            if not isinstance(reply, dict):
+                reply = await reply
             return (202 if op == "submit" else 200), reply, keep
         except Exception as exc:
             status, payload = _error(exc)
@@ -306,45 +368,63 @@ class ReproService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         async with self._connection(writer):
+            tail = bytearray()
             while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # a line over the stream limit
-                    writer.write(b'{"ok": false, "error": "line too long"}\n')
+                data = await reader.read(_READ_SIZE)
+                lines, too_long = split_lines(tail, data, self._limit)
+                out: list[bytes] = []
+                for line in lines:
+                    if not line.strip():
+                        continue
+                    try:
+                        args = json.loads(line)
+                        if not isinstance(args, dict):
+                            raise ConfigurationError("each line must be an object")
+                        reply = self._op(args.pop("op", "submit"), args)
+                        if not isinstance(reply, dict):
+                            # Send what is answered before the wait, so a
+                            # pipelining client never waits behind a drain.
+                            if out:
+                                writer.write(b"".join(out))
+                                out.clear()
+                            reply = await reply
+                        reply = {"ok": True, **reply}
+                    except Exception as exc:
+                        status, body = _error(exc)
+                        reply = {"ok": status < 400, **body}
+                    out.append((json.dumps(reply) + "\n").encode())
+                if too_long:
+                    out.append(b'{"ok": false, "error": "line too long"}\n')
+                if out:
+                    writer.write(b"".join(out))
                     await writer.drain()
+                if too_long or not data:
                     return
-                if not line:
-                    return
-                if not line.strip():
-                    continue
-                try:
-                    data = json.loads(line)
-                    if not isinstance(data, dict):
-                        raise ConfigurationError("each line must be an object")
-                    op = data.pop("op", "submit")
-                    reply = {"ok": True, **await self._op(op, data)}
-                except Exception as exc:
-                    status, body = _error(exc)
-                    reply = {"ok": status < 400, **body}
-                writer.write((json.dumps(reply) + "\n").encode())
-                await writer.drain()
 
     # -- the one op table ------------------------------------------------
-    def _op(self, op: Any, args: dict[str, Any]) -> Awaitable[dict[str, Any]]:
-        """Start one op for either transport; await the reply body.
+    def _op(
+        self, op: Any, args: dict[str, Any]
+    ) -> dict[str, Any] | Awaitable[dict[str, Any]]:
+        """Start one op for either transport: the reply body, or an
+        awaitable of it when the op runs on the executor.
 
         The threading rule: a submission to a live run is validated and
-        enqueued on the event loop.  Everything that may wait or touch
-        SQLite runs on the executor, a new run's first job included, so
-        the loop keeps accepting connections while a drain waits.  No
-        lock a submission takes is held across SQLite or engine
-        construction, so the inline path cannot stall behind a commit.
-        ``_op`` is a plain function, not a coroutine, so a live-run
-        submission costs no coroutine beyond :meth:`_submit`.
+        enqueued on the event loop, and its reply comes back at once.
+        Everything that may wait or touch SQLite runs on the executor, a
+        new run's first job included, so the loop keeps accepting
+        connections while a drain waits.  No lock a submission takes is
+        held across SQLite or engine construction, so the inline path
+        cannot stall behind a commit.
         """
         state, blocking = self.state, self._blocking
         if op == "submit":
-            return self._submit(args)
+            accepted = state.submit(args, create=False)
+            if accepted is not None:
+                return accepted
+            # With create=True, submit always returns a reply.
+            return cast(
+                "Awaitable[dict[str, Any]]", blocking(state.submit, args)
+            )
         if op == "health":
             return blocking(state.health)
         if op == "runs":
@@ -374,14 +454,6 @@ class ReproService:
                 compact=_flag(args, "compact", False),
             )
         raise ConfigurationError(f"unknown op {op!r}")
-
-    async def _submit(self, data: dict[str, Any]) -> dict[str, Any]:
-        """Submit inline when the job's run is live, else on the executor."""
-        accepted = self.state.submit(data, create=False)
-        if accepted is None:
-            accepted = await self._blocking(self.state.submit, data)
-        assert accepted is not None  # create=True always returns a reply
-        return accepted
 
     @staticmethod
     def _blocking(

@@ -7,6 +7,7 @@ startup is tens of milliseconds.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import time
@@ -170,6 +171,24 @@ def test_http_oversized_request_line_gets_413(tiny_service):
     assert status == 200 and payload["status"] == "ok"
 
 
+def test_http_request_head_over_the_stream_limit_gets_413(tiny_service):
+    # Every header line is short; only the whole head is over the
+    # 2,048-byte stream limit.  The server used to keep reading headers
+    # for as long as they came.
+    many = b"".join(b"X-%d: 1\r\n" % i for i in range(400))
+    response = raw_http(tiny_service, b"GET /healthz HTTP/1.1\r\n" + many + b"\r\n")
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert "size limit" in json.loads(body)["error"]
+
+    few = b"".join(b"X-%d: 1\r\n" % i for i in range(100))
+    response = raw_http(
+        tiny_service,
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + few + b"\r\n",
+    )
+    assert response.startswith(b"HTTP/1.1 200 ")
+
+
 def test_http_oversized_body_gets_413(tiny_service):
     big = job_payload(tasks=[0.02] * 300)  # > 1024 bytes of JSON
     with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -296,6 +315,101 @@ def test_ndjson_error_responses_keep_the_connection_usable(service):
     assert [r["ok"] for r in responses] == [False, False, False, True]
     assert "unknown policy" in responses[0]["error"] or "policy" in responses[0]["error"]
     assert "unknown op" in responses[1]["error"]
+
+
+def ndjson_lines(*payloads):
+    return b"".join((canonical_json(p) + "\n").encode() for p in payloads)
+
+
+def pipeline(port, data, *, half_close=True):
+    """Send ``data`` in one ``sendall`` and read replies until the server
+    closes; ``half_close`` shuts the sending side first.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as handle:
+            return [json.loads(line) for line in handle]
+
+
+def test_ndjson_pipelined_submits_are_answered_in_order(service):
+    jobs = [job_payload(("hawk", "sparrow")[i % 2]) for i in range(32)]
+    replies = pipeline(service.socket_port, ndjson_lines(*jobs))
+    assert [r["ok"] for r in replies] == [True] * 32
+    for first in (0, 1):
+        run = replies[first::2]
+        assert len({r["run_id"] for r in run}) == 1
+        assert [r["job_id"] for r in run] == list(range(16))
+    assert replies[0]["run_id"] != replies[1]["run_id"]
+
+
+def test_ndjson_error_line_in_a_batch_spares_the_lines_after_it(service):
+    data = b"".join([
+        ndjson_lines(job_payload("sparrow")),
+        b"not json\n",
+        ndjson_lines({"op": "mystery"}),
+        b"[1]\n\n   \n",
+        ndjson_lines(job_payload("sparrow"), {"op": "runs"}),
+    ])
+    replies = pipeline(service.socket_port, data)
+    assert [r["ok"] for r in replies] == [True, False, False, False, True, True]
+    assert "unknown op" in replies[2]["error"]
+    assert replies[4]["job_id"] == 1
+
+
+def test_ndjson_unterminated_last_line_is_answered_at_eof(service):
+    data = ndjson_lines(job_payload("sparrow")) + b'{"op": "health"}'
+    first, health = pipeline(service.socket_port, data)
+    assert first["ok"] and first["job_id"] == 0
+    assert health["ok"] and health["status"] == "ok"
+
+
+def test_ndjson_oversized_tail_is_answered_after_the_lines_before_it(
+    tiny_service,
+):
+    data = ndjson_lines({"op": "runs"}, {"op": "mystery"}) + b"x" * 8192
+    # No half-close: the server must close the connection itself.
+    replies = pipeline(tiny_service.socket_port, data, half_close=False)
+    assert [r["ok"] for r in replies] == [True, False, False]
+    assert replies[-1] == {"ok": False, "error": "line too long"}
+
+
+def test_ndjson_pipelined_submit_is_answered_while_a_drain_waits(service):
+    slow = job_payload("sparrow", tasks=(400.0,))  # 2 s of wall time
+    (first,) = ndjson(service, slow)
+    run_id = first["run_id"]
+    data = ndjson_lines(job_payload("sparrow"), {"op": "drain", "run_id": run_id})
+    with socket.create_connection(
+        ("127.0.0.1", service.socket_port), timeout=30
+    ) as sock, sock.makefile("rb") as handle:
+        sock.sendall(data)
+        ack = json.loads(handle.readline())
+        assert ack == {"ok": True, "run_id": run_id, "job_id": 1}
+        # The drain behind the submit has not returned: the slow job runs.
+        _, live = http(service, "GET", f"/runs/{run_id}/result?drain=0")
+        assert len(live["result"]["jobs"]) < 2
+        drained = json.loads(handle.readline())
+        assert drained["ok"] and len(drained["result"]["jobs"]) == 2
+
+
+def test_ndjson_answers_the_lines_of_one_read_with_one_write(
+    service, monkeypatch
+):
+    (first,) = ndjson(service, job_payload("sparrow"))  # the run is live
+    writes = []
+    write = asyncio.StreamWriter.write
+
+    def counted(self, data):
+        writes.append(data.count(b"\n"))
+        write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+    jobs = [job_payload("sparrow")] * 32
+    replies = pipeline(service.socket_port, ndjson_lines(*jobs))
+    assert [r["job_id"] for r in replies] == list(range(1, 33))
+    # One sendall arrives in one read or a few, never a write per line.
+    assert sum(writes) == 32 and len(writes) <= 4, writes
 
 
 def test_same_config_lands_in_the_same_run_across_transports(service):

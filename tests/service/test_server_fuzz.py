@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.service.api import ServiceState
 from repro.service.event_store import EventStore
 from repro.service.models import ServiceConfig
-from repro.service.server import _REASONS, ReproService
+from repro.service.server import _REASONS, ReproService, split_lines
 
 CONFIG = ServiceConfig(max_body_bytes=1024, drain_timeout=0.05)
 #: The stream limit ``ReproService.start`` gives both listeners.
@@ -122,6 +122,57 @@ line = st.one_of(
     st.sampled_from([b"", b"  \r", b"[1, 2]", b"null", b'"op"', b"1e400",
                      b"{\"op\": \"health\"}", b"\xff\xfe{}", b"{"]),
 )
+
+
+def chunks(data, cuts):
+    """``data`` cut at ``cuts`` into the non-empty reads a socket gives."""
+    edges = [0, *sorted(c for c in cuts if 0 < c < len(data)), len(data)]
+    return [data[a:b] for a, b in zip(edges, edges[1:]) if b > a]
+
+
+def readline_lines(data, cuts, limit):
+    """What ``readline`` reads of ``data`` fed at ``cuts``: the lines
+    without their newlines, and whether one was over ``limit``.
+    """
+
+    async def main():
+        reader = asyncio.StreamReader(limit=limit)
+
+        async def feed():
+            for chunk in chunks(data, cuts):
+                reader.feed_data(chunk)
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.create_task(feed())
+        lines = []
+        try:
+            while line := await reader.readline():
+                lines.append(line.removesuffix(b"\n"))
+        except ValueError:
+            return lines, True
+        finally:
+            await feeder
+        return lines, False
+
+    return asyncio.run(main())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.one_of(st.just(b"\n"), st.binary(max_size=24))),
+    cuts=st.lists(st.integers(0, 300)),
+    limit=st.integers(1, 40),
+)
+def test_split_lines_frames_a_stream_as_readline_does(pieces, cuts, limit):
+    data = b"".join(pieces)
+    tail, lines, over = bytearray(), [], False
+    for chunk in [*chunks(data, cuts), b""]:  # b"" is EOF
+        got, over = split_lines(tail, chunk, limit)
+        lines += got
+        if over:
+            break
+    assert (lines, over) == readline_lines(data, cuts, limit)
 
 
 @FUZZ
