@@ -16,7 +16,7 @@ validation gate at once; an unbounded or undescribed param is a hole in
 all three.
 
 REG002 — cache-key completeness.  The run cache and the trace
-materialization cache key on ``spec_digest(RunSpec)`` and
+materialization cache key on ``RunSpec.digest`` and
 ``WorkloadSpec.digest()``.  A field or param that does not move the
 digest silently aliases distinct experiments to one cached result — the
 worst failure mode a cache can have.  The rule perturbs every compared
@@ -196,14 +196,12 @@ def check_cache_key_completeness(root: Path) -> list[Finding]:
     from dataclasses import fields
 
     from repro.experiments.config import RunSpec
-    from repro.experiments.parallel import spec_digest
     from repro.schedulers import registry as policies
     from repro.workloads import registry as workloads
     from repro.workloads.registry import WorkloadSpec
 
     findings: list[Finding] = []
     config_path = "src/repro/experiments/config.py"
-    parallel_path = "src/repro/experiments/parallel.py"
 
     def add(path: str, message: str) -> None:
         findings.append(
@@ -212,7 +210,7 @@ def check_cache_key_completeness(root: Path) -> list[Finding]:
 
     # -- RunSpec field coverage -----------------------------------------
     base = RunSpec(scheduler="hawk", n_workers=10, cutoff=100.0)
-    base_digest = spec_digest(base)
+    base_digest = base.digest
     variants = _runspec_field_variants()
     for field in fields(RunSpec):
         if field.name == RUNSPEC_DIGEST_FIELD and not field.init:
@@ -243,28 +241,28 @@ def check_cache_key_completeness(root: Path) -> list[Finding]:
                 "_runspec_field_variants so its digest coverage is checked",
             )
             continue
-        if spec_digest(variant(base)) == base_digest:
+        if variant(base).digest == base_digest:
             add(
-                parallel_path,
+                config_path,
                 f"perturbing RunSpec.{field.name} does not change "
-                "spec_digest(); distinct runs would share a cache entry",
+                "RunSpec.digest; distinct runs would share a cache entry",
             )
 
     # -- policy params coverage -----------------------------------------
     for name in sorted(policies.registered_names()):
         entry = policies.policy_entry(name)
         spec = RunSpec(scheduler=name, n_workers=10, cutoff=100.0)
-        reference = spec_digest(spec)
+        reference = spec.digest
         for param in entry.params:
             value = _perturbed(param)
             if value is None:
                 continue  # pinned by its own bounds; nothing to alias
             varied = spec.with_(params={**spec.params, param.name: value})
-            if spec_digest(varied) == reference:
+            if varied.digest == reference:
                 add(
-                    parallel_path,
+                    config_path,
                     f"policy '{name}' param '{param.name}' does not move "
-                    "spec_digest(); its values would alias in the run cache",
+                    "RunSpec.digest; its values would alias in the run cache",
                 )
 
     # -- workload params coverage ---------------------------------------
@@ -323,7 +321,7 @@ too.""",
         "REG002",
         "cache-key completeness over spec fields and params",
         """\
-The run cache keys on spec_digest(RunSpec) + Trace.content_digest(),
+The run cache keys on RunSpec.digest + Trace.content_digest(),
 and trace materialization keys on WorkloadSpec.digest().  A field or
 param that does not move its digest silently aliases distinct
 experiments to one cached result — the worst failure mode a cache can

@@ -403,15 +403,18 @@ class ClusterEngine:
             respond(worker, entry, entry.frontend.next_task())
 
     def _redirect_entry(self, entry: QueueEntry, extra_delay: float = 0.0) -> None:
-        """Re-send an entry whose target worker is dead to a live one.
+        """Re-send work a dead worker lost, or a message bound for one, to
+        a live worker.
 
         Models the sender noticing the failed node and re-routing: the
-        entry pays one more (possibly perturbed) network delay.  Long
-        entries stay in the general partition.
+        entry pays ``extra_delay`` (a crash's detection delay) plus one more
+        (possibly perturbed) network delay.  Long entries stay in the
+        general partition.  Every re-route of lost work goes through here:
+        misdelivered messages, a crashed worker's running task and queue,
+        and a task handed out to a probe whose worker crashed.
         """
         faults = self._faults
         assert faults is not None
-        faults.messages_redirected += 1
         target = faults.pick_live_target(entry.is_long)
         self.sim.schedule(
             extra_delay + self._msg_delay(), self._deliver_entry, target, entry
@@ -496,12 +499,12 @@ class ClusterEngine:
         self, worker: Worker, entry: ProbeEntry, task: Task | None
     ) -> None:
         if worker.state is not _WAITING or worker.current_entry is not entry:
-            faults = self._faults
-            if faults is not None:
+            if self._faults is not None:
                 # The worker crashed (and possibly restarted) while this
-                # round trip was in flight; a handed-out task is salvaged
-                # onto a live worker, a cancel is simply dropped.
-                faults.salvage_probe_response(entry, task)
+                # round trip was in flight; a handed-out task is re-routed
+                # to a live worker, a cancel is simply dropped.
+                if task is not None:
+                    self._redirect_entry(TaskEntry(task))
                 return
             raise SimulationError(
                 f"worker {worker.worker_id} received a stale probe response"
@@ -598,7 +601,7 @@ class ClusterEngine:
         A running task is re-queued for re-execution on a live worker
         after ``detect_delay`` (plus one message delay for the dispatch);
         a waiting probe's reservation evaporates — its in-flight response
-        is salvaged on arrival (:meth:`_probe_response_arrives`).  Queued
+        is re-routed on arrival (:meth:`_probe_response_arrives`).  Queued
         entries are redirected to live workers, long entries staying in
         the general partition.
         """
@@ -614,21 +617,11 @@ class ClusterEngine:
             assert task is not None
             self._busy -= 1
             faults.requeue_task(task)
-            entry = TaskEntry(task)
-            target = faults.pick_live_target(entry.is_long)
-            self.sim.schedule(
-                faults.detect_delay + self._msg_delay(),
-                self._deliver_entry,
-                target,
-                entry,
-            )
+            self._redirect_entry(TaskEntry(task), extra_delay=faults.detect_delay)
         worker.current_entry = None
         worker.current_task = None
-        if worker.queue:
-            entries = worker.remove_range(0, len(worker.queue))
-            faults.entries_redistributed += len(entries)
-            for queued in entries:
-                self._redirect_entry(queued, extra_delay=faults.detect_delay)
+        for queued in worker.remove_range(0, len(worker.queue)):
+            self._redirect_entry(queued, extra_delay=faults.detect_delay)
         worker.state = _DEAD
         if self.stealing is not None:
             self._sync_steal_hint(worker)
@@ -698,22 +691,24 @@ class ClusterEngine:
             self.sim.schedule(UTILIZATION_INTERVAL_S, self._sample_utilization)
 
     # ------------------------------------------------------------------
-    # Online submission (long-running service mode).
+    # Job submission (batch runs and the long-running service).
     # ------------------------------------------------------------------
     def submit_job(
         self, spec: "JobSpec", estimated_task_duration: float | None = None
     ) -> Job:
-        """Inject one job into a live simulation (online serving mode).
+        """Materialize one job and schedule its submission.
 
-        The batch entry point :meth:`run` materializes a whole trace up
-        front; a long-running service instead feeds jobs one at a time as
+        This is the one way a job enters the engine: the batch entry
+        point :meth:`run` submits a whole trace through it up front, and
+        a long-running service feeds jobs through it one at a time as
         they arrive, with ``spec.submit_time`` already expressed on the
         simulation clock.  The job counts toward completion tracking and
         re-opens a drained run (``all_jobs_done`` drops back to ``False``),
         so stealing and retry machinery resume when traffic returns.
         ``estimated_task_duration`` overrides the engine's estimator — a
         serving client may supply its own runtime estimate (the paper's
-        estimates come from prior runs of the same job).
+        estimates come from prior runs of the same job).  Nothing is
+        emitted to the lifecycle sink here.
         """
         if spec.submit_time < self.sim.now:
             raise SimulationError(
@@ -744,24 +739,13 @@ class ClusterEngine:
         # One collector pause covers materialization, the loop and the
         # result build (see "Memory" above).
         with collector_paused():
-            jobs: list[Job] = []
-            for spec in sorted(trace, key=lambda s: (s.submit_time, s.job_id)):
-                job = Job(
-                    job_id=spec.job_id,
-                    submit_time=spec.submit_time,
-                    task_durations=spec.task_durations,
-                    estimated_task_duration=self.estimate(spec),
-                    cutoff=self.config.cutoff,
-                )
-                jobs.append(job)
-            self._jobs_total = len(jobs)
             self._refresh_batching()
             if self._faults is not None:
                 self._faults.schedule()
-            for job in jobs:
-                self.sim.schedule_at(
-                    job.submit_time, self.scheduler.on_job_submit, job
-                )
+            jobs = [
+                self.submit_job(spec)
+                for spec in sorted(trace, key=lambda s: (s.submit_time, s.job_id))
+            ]
             self.sim.schedule_at(
                 jobs[0].submit_time + UTILIZATION_INTERVAL_S,
                 self._sample_utilization,

@@ -6,7 +6,7 @@ loss and extra delay, straggler slowdown factors, and centralized-scheduler
 outage windows.  Plans use the shared :mod:`repro.core.params` machinery,
 so they validate, canonicalize and ``repr()`` exactly like policy and
 workload params — the repr is the plan's cache identity
-(:func:`repro.experiments.parallel.spec_digest` folds it into the run
+(:attr:`repro.experiments.config.RunSpec.digest` folds it into the run
 cache key whenever a plan is present, and skips it entirely when absent,
 keeping every pre-fault cache key byte-identical).
 
@@ -58,7 +58,6 @@ from repro.core.rng import make_rng, sample_without_replacement
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.cluster.engine import ClusterEngine
     from repro.cluster.task import Task
-    from repro.cluster.worker import QueueEntry
 
 #: The declared fault knobs.  Everything defaults to "off": a plan built
 #: from the defaults is empty and normalizes to no plan at all.
@@ -153,15 +152,6 @@ class FaultPlan:
             or self.outage_active
         )
 
-    def describe(self) -> str:
-        """One canonical line per active knob (docs/report helper)."""
-        lines = []
-        for p in FAULT_PARAMS:
-            value = self.params[p.name]
-            if value != p.default:
-                lines.append(f"{p.name}={value!r}")
-        return ", ".join(lines) if lines else "(empty)"
-
 
 class FaultInjector:
     """Engine-side executor of one :class:`FaultPlan`.
@@ -221,10 +211,6 @@ class FaultInjector:
         self.crashes = 0
         self.restarts = 0
         self.tasks_requeued = 0
-        self.entries_redistributed = 0
-        self.messages_lost = 0
-        self.messages_redirected = 0
-        self.probes_salvaged = 0
 
     # ------------------------------------------------------------------
     def schedule(self) -> None:
@@ -251,7 +237,6 @@ class FaultInjector:
         loss = self._msg_loss
         if loss > 0.0:
             while float(rng.random()) < loss:
-                self.messages_lost += 1
                 delay += self._retransmit
         if self._extra_prob > 0.0 and float(rng.random()) < self._extra_prob:
             delay += self._extra
@@ -285,20 +270,3 @@ class FaultInjector:
         """Count and reset one lost task for re-execution."""
         task.reset_for_retry()
         self.tasks_requeued += 1
-
-    def salvage_probe_response(self, entry: "QueueEntry", task: "Task | None") -> None:
-        """A probe response reached a crashed (or restarted) worker.
-
-        The reservation is gone, but a handed-out task must not be: it is
-        re-dispatched to a live worker as a concrete task placement.
-        """
-        self.probes_salvaged += 1
-        if task is None:
-            return
-        from repro.cluster.worker import TaskEntry
-
-        engine = self.engine
-        target = self.pick_live_target(entry.is_long)
-        engine.sim.schedule(
-            engine._msg_delay(), engine._deliver_entry, target, TaskEntry(task)
-        )

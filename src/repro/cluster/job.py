@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from repro.cluster.task import Task, TaskState
+from repro.cluster.task import Task
 from repro.core.errors import SimulationError
 
 
@@ -119,9 +119,6 @@ class Job:
             self.completion_time = now
             return True
         return False
-
-    def unfinished_tasks(self) -> list[Task]:
-        return [t for t in self.tasks if t.state is not TaskState.FINISHED]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

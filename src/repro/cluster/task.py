@@ -88,13 +88,6 @@ class Task:
         self.attempt += 1
         self.job.retried_tasks += 1
 
-    @property
-    def wait_time(self) -> float:
-        """Time between job submission and task start (queueing + protocol)."""
-        if self.start_time is None:
-            raise SimulationError("task has not started")
-        return self.start_time - self.job.submit_time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Task(job={self.job.job_id}, idx={self.index}, "

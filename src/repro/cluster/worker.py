@@ -36,8 +36,9 @@ def find_first_short_group(
 ) -> tuple[int, int] | None:
     """Locate the first run of short entries queued behind a long one.
 
-    This is the Figure 3 stealing rule, shared by the simulator's
-    :class:`Worker` and the prototype runtime's node monitor: the first
+    This is the Figure 3 stealing rule behind
+    :meth:`Worker.eligible_steal_range`, which the simulator's engine and
+    the prototype runtime's node monitors both call: the first
     maximal run of consecutive short entries preceded by a long entry
     (counting the entry occupying the slot) is eligible.  Returns
     ``(start, stop)`` indices into the queue or ``None``.
@@ -182,14 +183,6 @@ class Worker:
         self.tasks_stolen_by = 0
 
     @property
-    def is_idle(self) -> bool:
-        return self.state is WorkerState.IDLE
-
-    @property
-    def queue_length(self) -> int:
-        return len(self.queue)
-
-    @property
     def long_entries(self) -> int:
         """Number of long entries currently in the queue."""
         return len(self._long_seqs)
@@ -223,13 +216,6 @@ class Worker:
         else:
             del self._short_seqs[0]
         return entry
-
-    @property
-    def current_class(self) -> JobClass | None:
-        """Class of the entry currently occupying the slot, if any."""
-        if self.current_entry is None:
-            return None
-        return self.current_entry.job_class
 
     def steal_hint(self) -> bool:
         """O(1) test, exactly equivalent to ``eligible_steal_range() is

@@ -68,8 +68,13 @@ class RunSpec:
     #: exactly as they did before faults existed.
     faults: FaultPlan | None = None
     #: Canonical string of every compared field, derived once here and
-    #: read by the run-cache key (see
-    #: :func:`repro.experiments.parallel.spec_digest`).
+    #: read by the run-cache key (:func:`repro.experiments.parallel.cache_key`).
+    #: ``estimate`` is excluded (callables have no stable content);
+    #: ``estimate_tag`` is its stand-in, as in spec equality.  ``params``
+    #: reprs canonically (ordered, defaults filled), so the digest is
+    #: independent of dict order and of omitted-vs-explicit defaults.
+    #: ``faults`` joins only when a plan is present, so every fault-free
+    #: key is byte-identical to its pre-fault form.
     digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

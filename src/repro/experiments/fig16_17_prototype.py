@@ -25,9 +25,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Iterable
 
 from repro.cluster.job import JobClass
 from repro.cluster.records import RunResult
+from repro.core.errors import ConfigurationError
 from repro.experiments.config import RunSpec
 from repro.experiments.parallel import get_executor
 from repro.experiments.report import FigureResult
@@ -35,7 +37,12 @@ from repro.metrics.percentiles import percentile
 from repro.runtime import PrototypeCluster
 from repro.workloads import GOOGLE_CUTOFF_S, WorkloadSpec
 from repro.workloads.google import GOOGLE_SHORT_PARTITION_FRACTION
-from repro.workloads.scaling import scale_trace_for_prototype, with_interarrival
+from repro.workloads.scaling import (
+    PrototypeScaledTrace,
+    scale_trace_for_prototype,
+    with_interarrival,
+)
+from repro.workloads.spec import Trace
 
 #: The paper's load sweep (inter-arrival multiples).
 PAPER_MULTIPLES = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.25)
@@ -61,33 +68,44 @@ def _ratio(hawk: RunResult, sparrow: RunResult, cls: JobClass, p: float) -> floa
     )
 
 
-def run(
-    n_jobs: int = 80,
-    n_monitors: int = 100,
-    multiples=DEFAULT_MULTIPLES,
-    target_mean_task_runtime: float = 0.12,
-    seed: int = 3,
-) -> FigureResult:
+def _load_points(
+    n_jobs: int,
+    cluster_size: int,
+    multiples: Iterable[float],
+    target_mean_task_runtime: float,
+    seed: int,
+) -> tuple[PrototypeScaledTrace, list[tuple[float, Trace]]]:
+    """The scaled Google sample and one trace per inter-arrival multiple."""
     # The base sample is declared by workload spec; the prototype scaling
     # is a transform on top (it needs the time factor and the carried
     # long-job classification, not just the scaled trace).
     base = WorkloadSpec("google", {"n_jobs": n_jobs}).trace(seed)
     scaled = scale_trace_for_prototype(
         base,
-        cluster_size=n_monitors,
+        cluster_size=cluster_size,
         cutoff=GOOGLE_CUTOFF_S,
         target_mean_task_runtime=target_mean_task_runtime,
     )
     # Offered load 1.0 at multiple 1: base gap = work / (jobs * capacity).
     base_interarrival = scaled.trace.total_task_seconds / (
-        len(scaled.trace) * n_monitors
+        len(scaled.trace) * cluster_size
     )
+    return scaled, [
+        (m, with_interarrival(scaled.trace, m * base_interarrival, seed=seed))
+        for m in multiples
+    ]
 
+
+def _table(
+    figure_id: str,
+    title: str,
+    rows: Iterable[tuple[float, str, RunResult, RunResult]],
+) -> FigureResult:
+    """Hawk/Sparrow percentile ratios, one row per ``(multiple, system,
+    hawk, sparrow)``."""
     result = FigureResult(
-        figure_id="Figures 16-17",
-        title=(
-            f"Implementation vs simulation, Hawk/Sparrow, {n_monitors} nodes"
-        ),
+        figure_id=figure_id,
+        title=title,
         headers=(
             "interarrival multiple",
             "system",
@@ -97,10 +115,31 @@ def run(
             "long p90",
         ),
     )
-    for multiple in multiples:
-        trace = with_interarrival(
-            scaled.trace, multiple * base_interarrival, seed=seed
+    for multiple, system, hawk, sparrow in rows:
+        result.add_row(
+            multiple,
+            system,
+            *(
+                _ratio(hawk, sparrow, cls, p)
+                for cls in (JobClass.SHORT, JobClass.LONG)
+                for p in (50, 90)
+            ),
         )
+    return result
+
+
+def run(
+    n_jobs: int = 80,
+    n_monitors: int = 100,
+    multiples=DEFAULT_MULTIPLES,
+    target_mean_task_runtime: float = 0.12,
+    seed: int = 3,
+) -> FigureResult:
+    scaled, points = _load_points(
+        n_jobs, n_monitors, multiples, target_mean_task_runtime, seed
+    )
+    rows = []
+    for multiple, trace in points:
         # One spec per system pair: the prototype and the simulator run
         # the same policy with the same carried classification.
         specs = [
@@ -115,24 +154,15 @@ def run(
             )
             for scheduler in ("sparrow", "hawk")
         ]
-        runs: dict[str, RunResult] = {}
-        for spec in specs:
-            runs[f"proto-{spec.scheduler}"] = PrototypeCluster(spec).run(trace)
-        sims = get_executor().run_many([(spec, trace) for spec in specs])
-        for spec, res in zip(specs, sims):
-            runs[f"sim-{spec.scheduler}"] = res
-        for system in ("implementation", "simulation"):
-            prefix = "proto" if system == "implementation" else "sim"
-            hawk = runs[f"{prefix}-hawk"]
-            sparrow = runs[f"{prefix}-sparrow"]
-            result.add_row(
-                multiple,
-                system,
-                _ratio(hawk, sparrow, JobClass.SHORT, 50),
-                _ratio(hawk, sparrow, JobClass.SHORT, 90),
-                _ratio(hawk, sparrow, JobClass.LONG, 50),
-                _ratio(hawk, sparrow, JobClass.LONG, 90),
-            )
+        sparrow, hawk = (PrototypeCluster(spec).run(trace) for spec in specs)
+        rows.append((multiple, "implementation", hawk, sparrow))
+        sparrow, hawk = get_executor().run_many([(spec, trace) for spec in specs])
+        rows.append((multiple, "simulation", hawk, sparrow))
+    result = _table(
+        "Figures 16-17",
+        f"Implementation vs simulation, Hawk/Sparrow, {n_monitors} nodes",
+        rows,
+    )
     result.add_note(
         "implementation and simulation should agree in trend; exact values "
         "differ because the simulation has no scheduling/stealing overheads "
@@ -189,24 +219,13 @@ def make_events_fixture(
     from repro.service.scheduler_bridge import SchedulerBridge
 
     path = path or default_events_path()
-    base = WorkloadSpec("google", {"n_jobs": n_jobs}).trace(seed)
-    scaled = scale_trace_for_prototype(
-        base,
-        cluster_size=n_workers,
-        cutoff=GOOGLE_CUTOFF_S,
-        target_mean_task_runtime=target_mean_task_runtime,
+    scaled, points = _load_points(
+        n_jobs, n_workers, multiples, target_mean_task_runtime, seed
     )
-    base_interarrival = scaled.trace.total_task_seconds / (
-        len(scaled.trace) * n_workers
-    )
-
     labels: dict[str, dict[str, object]] = {}
     with tempfile.TemporaryDirectory(prefix="fig16-17-events-") as tmp:
         with EventStore(os.path.join(tmp, "fixture.db")) as store:
-            for index, multiple in enumerate(multiples):
-                trace = with_interarrival(
-                    scaled.trace, multiple * base_interarrival, seed=seed
-                )
+            for index, (multiple, trace) in enumerate(points):
                 arrivals = sorted(trace, key=lambda s: s.submit_time)
                 for scheduler in ("sparrow", "hawk"):
                     config = RunConfig(
@@ -276,34 +295,31 @@ def run_from_events(path: Path | str | None = None) -> FigureResult:
     by_point: dict[float, dict[str, RunResult]] = {}
     for run_id, run_result in results.items():
         label = log.labels.get(run_id, {})
+        missing = [key for key in ("multiple", "scheduler") if key not in label]
+        if missing:
+            raise ConfigurationError(
+                f"{fixture}: run {run_id}'s label lacks {' and '.join(missing)}"
+            )
         point = by_point.setdefault(float(label["multiple"]), {})
         point[str(label["scheduler"])] = run_result
+    rows = []
+    for multiple in sorted(by_point):
+        pair = by_point[multiple]
+        for scheduler in ("hawk", "sparrow"):
+            if scheduler not in pair:
+                raise ConfigurationError(
+                    f"{fixture}: load point {multiple} has no {scheduler} run"
+                )
+        rows.append((multiple, "service-replay", pair["hawk"], pair["sparrow"]))
     n_workers = next(iter(log.configs.values())).n_workers
-    result = FigureResult(
-        figure_id="Figures 16-17 (event-log replay)",
-        title=(
+    result = _table(
+        "Figures 16-17 (event-log replay)",
+        (
             f"Hawk/Sparrow served online, {n_workers} virtual nodes, "
             "folded from the recorded event log"
         ),
-        headers=(
-            "interarrival multiple",
-            "system",
-            "short p50",
-            "short p90",
-            "long p50",
-            "long p90",
-        ),
+        rows,
     )
-    for multiple in sorted(by_point):
-        pair = by_point[multiple]
-        result.add_row(
-            multiple,
-            "service-replay",
-            _ratio(pair["hawk"], pair["sparrow"], JobClass.SHORT, 50),
-            _ratio(pair["hawk"], pair["sparrow"], JobClass.SHORT, 90),
-            _ratio(pair["hawk"], pair["sparrow"], JobClass.LONG, 50),
-            _ratio(pair["hawk"], pair["sparrow"], JobClass.LONG, 90),
-        )
     result.add_note(
         f"folded from {fixture.name}: every row is a cold replay of the "
         "scheduler service's persisted lifecycle events"
@@ -346,7 +362,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.from_events is not None:
         source = Path(args.from_events) if args.from_events else None
-        print(run_from_events(source).render())
+        try:
+            print(run_from_events(source).render())
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         return 0
     parser.print_help()
     return 2

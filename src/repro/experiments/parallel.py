@@ -136,24 +136,6 @@ def _default_cache_dir() -> Path:
 DEFAULT_CACHE_DIR = _default_cache_dir()
 
 
-def spec_digest(spec: RunSpec) -> str:
-    """Canonical string of every compared RunSpec field.
-
-    ``estimate`` is excluded (callables have no stable content); as in
-    spec equality, ``estimate_tag`` is its cache-visible stand-in, so
-    specs carrying different estimators must carry different tags.
-    ``params`` is a :class:`~repro.schedulers.registry.FrozenParams`
-    whose repr is canonically ordered with defaults filled, so the
-    digest is independent of params-dict insertion order and of
-    omitted-vs-explicit defaults.  ``faults`` joins the digest only when
-    a plan is present (RunSpec normalizes empty plans to ``None``), so
-    every fault-free key is byte-identical to its pre-fault form — no
-    ``CACHE_VERSION`` bump, no invalidated entries.  The spec derives
-    the string once, at construction (:attr:`RunSpec.digest`).
-    """
-    return spec.digest
-
-
 def cache_key(spec: RunSpec, trace: Trace) -> str:
     """Content hash identifying one run for both cache tiers."""
     h = blake2b(digest_size=20)

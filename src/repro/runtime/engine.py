@@ -6,10 +6,13 @@ time.  The scheduling policy is the registry's own, bound to this
 cluster instead of a :class:`~repro.cluster.engine.ClusterEngine`: a
 policy touches its host only through ``cluster.ids(partition)``,
 ``config.seed``, ``centralized_down``, ``place_probes`` and
-``place_tasks``, and this class provides exactly those five.  Queues hold
-the engine's entries, jobs and tasks are the engine's state machines, and
-results come back as the same :class:`repro.cluster.records.RunResult`
-the simulator produces, so every metric and comparison works unchanged.
+``place_tasks``, and this class provides exactly those five.  Each
+monitor queues on one of the :class:`~repro.cluster.cluster.Cluster`'s own
+:class:`~repro.cluster.worker.Worker` objects, so queue order, the slot and the
+Figure 3 stealing range are the simulator's code; jobs and tasks are the
+engine's state machines, and results come back as the same
+:class:`repro.cluster.records.RunResult` the simulator produces, so every
+metric and comparison works unchanged.
 
 One host lock serializes every policy call (``on_job_submit``,
 ``on_task_finish`` and late binding through ``ProbeFrontend.next_task``)

@@ -1,12 +1,15 @@
 """Node monitors: worker threads executing sleep tasks.
 
-Each monitor owns a FIFO queue of the engine's own
-:class:`~repro.cluster.worker.ProbeEntry`/:class:`~repro.cluster.worker.TaskEntry`
-(Section 3.1's single-slot server).  A probe at the head of the queue
-binds late through its policy's :class:`~repro.schedulers.frontend.ProbeFrontend`
-over a real (slept) request/response exchange; idle monitors steal from
-randomly chosen general-partition victims by the Figure 3 rule the
-simulator uses (the shared :func:`repro.cluster.worker.find_first_short_group`).
+Each monitor drives one of the cluster's own
+:class:`~repro.cluster.worker.Worker` objects (Section 3.1's single-slot
+server): its FIFO queue of :class:`~repro.cluster.worker.ProbeEntry`/
+:class:`~repro.cluster.worker.TaskEntry`, the entry in its slot, and the
+Figure 3 stealing range (:meth:`~repro.cluster.worker.Worker.eligible_steal_range`)
+are the simulator's, used under the monitor's condition variable.  A
+probe at the head of the queue binds late through its policy's
+:class:`~repro.schedulers.frontend.ProbeFrontend` over a real (slept)
+request/response exchange; idle monitors steal from randomly chosen
+general-partition victims.
 
 Lock order: host -> monitor.  The host lock (held by
 :class:`~repro.runtime.engine.PrototypeCluster` around every policy call)
@@ -21,11 +24,10 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.cluster.engine import NETWORK_DELAY_S
-from repro.cluster.worker import QueueEntry, TaskEntry, find_first_short_group
+from repro.cluster.worker import QueueEntry, TaskEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.engine import PrototypeCluster
@@ -39,7 +41,7 @@ STEAL_RETRY = 0.005
 
 
 class NodeMonitor(threading.Thread):
-    """A single-slot worker node with one FIFO queue."""
+    """A thread driving one of the cluster's single-slot workers."""
 
     def __init__(
         self,
@@ -51,16 +53,13 @@ class NodeMonitor(threading.Thread):
     ) -> None:
         super().__init__(name=f"node-monitor-{monitor_id}", daemon=True)
         self.monitor_id = monitor_id
-        self.in_short_partition = monitor_id >= host.cluster.n_general
+        self.worker = host.cluster.workers[monitor_id]
         self._host = host
         #: Victims are monitors ``[0, steal_scope)``; 0 disables stealing.
         self._steal_scope = steal_scope
         self._steal_cap = steal_cap
         self._rng = random.Random((seed << 16) ^ monitor_id)
-        self._queue: deque[QueueEntry] = deque()
         self._cv = threading.Condition()
-        self._current_is_long = False
-        self._has_current = False
         self._stop_event = threading.Event()
         # Statistics.
         self.tasks_executed = 0
@@ -73,23 +72,14 @@ class NodeMonitor(threading.Thread):
     def deliver(self, entry: QueueEntry) -> None:
         """RPC target: enqueue a probe or task."""
         with self._cv:
-            self._queue.append(entry)
+            self.worker.enqueue(entry)
             self._cv.notify()
 
     def release_stealable(self) -> list[QueueEntry]:
         """RPC target: hand out the first short group behind a long entry."""
         with self._cv:
-            if not self._queue:
-                return []
-            span = find_first_short_group(
-                self._has_current and self._current_is_long,
-                (entry.is_long for entry in self._queue),
-            )
-            if span is None:
-                return []
-            entries = list(self._queue)
-            self._queue = deque(entries[: span[0]] + entries[span[1] :])
-            return entries[span[0] : span[1]]
+            span = self.worker.eligible_steal_range()
+            return [] if span is None else self.worker.remove_range(*span)
 
     def shutdown(self) -> None:
         self._stop_event.set()
@@ -108,17 +98,16 @@ class NodeMonitor(threading.Thread):
                 self._process(entry)
             finally:
                 with self._cv:
-                    self._has_current = False
+                    self.worker.current_entry = None
 
     def _pop_or_wait(self) -> QueueEntry | None:
+        worker = self.worker
         with self._cv:
-            if not self._queue:
+            if not worker.queue:
                 self._cv.wait(timeout=STEAL_RETRY)
-            if not self._queue:
+            if not worker.queue:
                 return None
-            entry = self._queue.popleft()
-            self._has_current = True
-            self._current_is_long = entry.is_long
+            entry = worker.current_entry = worker.pop_next()
             return entry
 
     def _process(self, entry: QueueEntry) -> None:
@@ -143,10 +132,11 @@ class NodeMonitor(threading.Thread):
     def _attempt_steal(self) -> None:
         """One randomized stealing round (Section 3.6)."""
         n = self._steal_scope
-        if n == 0 or (n == 1 and not self.in_short_partition):
+        in_short_partition = self.worker.in_short_partition
+        if n == 0 or (n == 1 and not in_short_partition):
             return
         self.steal_rounds += 1
-        attempts = min(self._steal_cap, n - (0 if self.in_short_partition else 1))
+        attempts = min(self._steal_cap, n - (0 if in_short_partition else 1))
         seen: set[int] = set()
         while len(seen) < attempts and not self._stop_event.is_set():
             victim_id = self._rng.randrange(n)
@@ -161,6 +151,6 @@ class NodeMonitor(threading.Thread):
                 self.entries_stolen += len(stolen)
                 self._host.mark_stolen(stolen)
                 with self._cv:
-                    self._queue.extendleft(reversed(stolen))
+                    self.worker.enqueue_front(stolen)
                     self._cv.notify()
                 return

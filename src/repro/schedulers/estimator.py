@@ -72,8 +72,3 @@ class UniformMisestimation:
         rng = make_rng(self.seed, stream)
         factor = float(rng.uniform(self.low, self.high))
         return spec.mean_task_duration * factor
-
-    @property
-    def magnitude_label(self) -> str:
-        """The paper's x-axis label, e.g. ``0.1-1.9``."""
-        return f"{self.low:g}-{self.high:g}"

@@ -8,10 +8,10 @@ monotonic ``seq`` (an ``INTEGER PRIMARY KEY AUTOINCREMENT``), and replay
 
 Durability model
 ----------------
-The connection (:func:`repro.core.sqlite.connect_wal`) runs
-``journal_mode=WAL`` with ``synchronous=NORMAL``: appends go to the
-write-ahead log and survive process crashes up to the last committed
-transaction.  Appends are buffered — the store commits every
+The store's one connection runs ``journal_mode=WAL`` with
+``synchronous=NORMAL``: appends go to the write-ahead log and survive
+process crashes (not power loss) up to the last committed transaction.
+Appends are buffered — the store commits every
 ``flush_every`` rows and on every explicit :meth:`flush` — so a hard
 crash loses at most one uncommitted tail, never a committed prefix, and
 never tears an individual event.  ``seq`` gaps cannot appear in what
@@ -36,22 +36,25 @@ executor threads).
 
 Commit retry
 ------------
-Every commit runs through :func:`repro.core.sqlite.commit`, a bounded
-busy-retry (this store is its only user): a database held locked past
-its budget raises the typed :class:`~repro.core.errors.StoreUnavailable`
-(the HTTP edge maps it to 503) instead of a raw sqlite exception
-mid-append.
+Every commit runs through :meth:`EventStore._commit`, a bounded
+busy-retry: another process holding the database can surface as
+``database is locked``/``busy`` even under WAL, so a commit is tried up
+to ``commit_retries`` times, backing off from ``commit_backoff`` seconds
+and doubling.  A database held locked past that budget raises the typed
+:class:`~repro.core.errors.StoreUnavailable` (the HTTP edge maps it to
+503) instead of a raw sqlite exception mid-append; other errors re-raise
+at once.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 import time
 from typing import Any, Iterator, Mapping
 
 from repro.core.errors import ConfigurationError, StoreUnavailable
-from repro.core.sqlite import commit, connect_wal
 from repro.service.models import LifecycleEvent, RunConfig, canonical_json
 
 _SCHEMA = """
@@ -95,9 +98,16 @@ class EventStore:
         self.path = path
         self.flush_every = flush_every
         self._lock = threading.RLock()
-        self._conn = connect_wal(
-            path, _SCHEMA, timeout=30.0, check_same_thread=False
-        )
+        conn = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.executescript(_SCHEMA)
+            conn.commit()
+        except BaseException:
+            conn.close()
+            raise
+        self._conn = conn
         self._pending = 0
         self._appended = 0
         self._commits = 0
@@ -106,14 +116,27 @@ class EventStore:
         self._closed = False
 
     def _commit(self) -> None:
-        """Commit with the shared bounded retry; callers hold the lock."""
-        try:
-            self._commit_retries_used += commit(
-                self._conn, self.path, self.commit_retries, self.commit_backoff
-            )
-        except StoreUnavailable:
-            self._commit_retries_used += self.commit_retries
-            raise
+        """Commit with the bounded busy-retry; callers hold the lock."""
+        delay = self.commit_backoff
+        failed = 0
+        while True:
+            try:
+                self._conn.commit()
+                break
+            except sqlite3.OperationalError as exc:
+                message = str(exc).lower()
+                if "locked" not in message and "busy" not in message:
+                    raise
+                failed += 1
+                if failed >= self.commit_retries:
+                    self._commit_retries_used += failed
+                    raise StoreUnavailable(
+                        f"{self.path!r} still locked after {failed} "
+                        f"commit attempts: {exc}"
+                    ) from exc
+                time.sleep(delay)
+                delay *= 2
+        self._commit_retries_used += failed
         self._commits += 1
 
     # -- write path ------------------------------------------------------

@@ -196,6 +196,18 @@ class RunConfig:
         params = data.get("params") or {}
         if not isinstance(params, Mapping):
             raise ConfigurationError("'params' must be a mapping")
+        for name, cast, _ in _SHAPE:
+            # int() would truncate: true is 1 and 100.9 is 100.
+            value = data.get(name)
+            if cast is int and (
+                type(value) is bool
+                or type(value) is float
+                and math.isfinite(value)
+                and not value.is_integer()
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         try:
             return cls(
                 policy=policy,

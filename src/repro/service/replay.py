@@ -272,19 +272,6 @@ def replay(store: EventStore, run_id: str) -> RunFold:
     return fold
 
 
-def replay_result(store: EventStore, run_id: str) -> RunResult:
-    """Cold replay straight to a :class:`RunResult`."""
-    configs = store.run_configs()
-    try:
-        config = configs[run_id]
-    except KeyError:
-        raise ConfigurationError(
-            f"run {run_id!r} is not registered in the store; "
-            f"known runs: {sorted(configs)}"
-        ) from None
-    return replay(store, run_id).result(config)
-
-
 def result_to_json(result: RunResult) -> dict[str, Any]:
     """A :class:`RunResult` as a JSON-safe dict (API responses)."""
     return {

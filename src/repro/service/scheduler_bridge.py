@@ -38,7 +38,6 @@ import time
 from typing import Any
 
 from repro.cluster.engine import KIND_SUBMITTED
-from repro.cluster.job import classify
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
 from repro.schedulers import registry
@@ -276,28 +275,23 @@ class SchedulerBridge:
         spec = JobSpec(
             job_id=job_id, submit_time=vtime, task_durations=submission.tasks
         )
-        estimate = (
-            submission.estimate
-            if submission.estimate is not None
-            else engine.estimate(spec)
-        )
+        job = engine.submit_job(spec, estimated_task_duration=submission.estimate)
         payload: dict[str, Any] = {
             "tenant": submission.tenant,
             # Individual durations make the submission replayable: crash
             # recovery rebuilds the Submission from this event alone.
             "tasks": list(submission.tasks),
-            "num_tasks": spec.num_tasks,
-            "true_mean": spec.mean_task_duration,
-            "estimate": estimate,
-            "task_seconds": spec.task_seconds,
-            "scheduled_class": classify(estimate, self.config.cutoff).value,
-            "true_class": classify(
-                spec.mean_task_duration, self.config.cutoff
-            ).value,
+            "num_tasks": job.num_tasks,
+            "true_mean": job.true_mean_task_duration,
+            "estimate": job.estimated_task_duration,
+            "task_seconds": job.task_seconds,
+            "scheduled_class": job.scheduled_class.value,
+            "true_class": job.true_class.value,
             "recv": recv_w,
         }
+        # submit_job emits nothing, so ``submitted`` still precedes the
+        # job's first engine event in the store.
         self._emit(KIND_SUBMITTED, vtime, job_id, payload=payload)
-        engine.submit_job(spec, estimated_task_duration=estimate)
         with self._mutex:
             self._injected += 1
 

@@ -105,10 +105,3 @@ def cdf_points(values: Sequence[float]) -> tuple[list[float], list[float]]:
     n = len(xs)
     ys = [100.0 * (i + 1) / n for i in range(n)]
     return xs, ys
-
-
-def cdf_at(values: Sequence[float], x: float) -> float:
-    """Fraction (0-1) of values <= x."""
-    if not values:
-        raise ConfigurationError("cannot evaluate a CDF of no values")
-    return sum(1 for v in values if v <= x) / len(values)

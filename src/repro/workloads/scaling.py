@@ -111,13 +111,6 @@ def scale_trace_for_prototype(
     )
 
 
-def mean_task_runtime(trace: Trace) -> float:
-    """Task-weighted mean task duration of a trace."""
-    total_ts = trace.total_task_seconds
-    total_tasks = trace.total_tasks
-    return total_ts / total_tasks
-
-
 def with_interarrival(trace: Trace, mean_interarrival: float, seed: int = 0) -> Trace:
     """Re-draw Poisson submission times with a new mean gap.
 

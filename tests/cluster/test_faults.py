@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster.faults import FAULT_PARAMS, FaultPlan
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.experiments.config import RunSpec, build_engine, execute
-from repro.experiments.parallel import (
-    DiskCache,
-    SweepExecutor,
-    cache_key,
-    spec_digest,
-)
+from repro.experiments.parallel import DiskCache, SweepExecutor, cache_key
 from repro.schedulers.registry import registered_names
 from repro.workloads.spec import Trace
 from tests.conftest import TEST_CUTOFF, long_job, short_job
@@ -68,7 +63,7 @@ def test_empty_plan_normalizes_to_none():
     spec = spec_for(faults=FaultPlan())
     assert spec.faults is None
     assert spec == spec_for()
-    assert spec_digest(spec) == spec_digest(spec_for())
+    assert spec.digest == spec_for().digest
 
 
 def test_plan_accepts_mapping_and_validates():
@@ -85,7 +80,7 @@ def test_fault_plans_move_the_cache_digest():
     base = spec_for()
     faulted = spec_for(faults=FaultPlan.of(crash_fraction=0.1))
     harder = spec_for(faults=FaultPlan.of(crash_fraction=0.2))
-    digests = {spec_digest(base), spec_digest(faulted), spec_digest(harder)}
+    digests = {base.digest, faulted.digest, harder.digest}
     assert len(digests) == 3
     trace = chaos_trace()
     assert cache_key(base, trace) != cache_key(faulted, trace)

@@ -63,18 +63,6 @@ def test_task_start_finish_records_times():
     assert task.finish_time == 17.0
 
 
-def test_task_wait_time_measures_queueing():
-    job = make_job()  # submitted at 5.0
-    task = job.tasks[0]
-    task.start(worker_id=0, now=9.0)
-    assert task.wait_time == pytest.approx(4.0)
-
-
-def test_task_wait_time_before_start_raises():
-    with pytest.raises(SimulationError):
-        make_job().tasks[0].wait_time
-
-
 def test_task_double_start_rejected():
     task = make_job().tasks[0]
     task.start(0, 0.0)
@@ -181,11 +169,3 @@ def test_engine_empties_a_finished_jobs_tasks(tiny_trace):
         assert job.tasks == []
         assert job.num_tasks == record.num_tasks
         assert job.task_seconds == record.task_seconds
-
-
-def test_unfinished_tasks_shrinks():
-    job = make_job(durations=(10.0, 20.0))
-    task = job.tasks[0]
-    task.start(0, 0.0)
-    task.finish(10.0)
-    assert job.unfinished_tasks() == [job.tasks[1]]

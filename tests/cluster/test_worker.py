@@ -39,9 +39,9 @@ def worker_with(entries, current=None):
 # -- basic queue mechanics ----------------------------------------------
 def test_new_worker_is_idle_and_empty():
     w = Worker(0, False)
-    assert w.is_idle
-    assert w.queue_length == 0
-    assert w.current_class is None
+    assert w.state is WorkerState.IDLE
+    assert w.queue == []
+    assert w.current_entry is None
 
 
 def test_enqueue_pop_fifo_order():
@@ -245,7 +245,7 @@ def test_remove_range_full_queue_resets_all_bookkeeping():
     w = worker_with(entries)
     removed = w.remove_range(0, len(entries))
     assert removed == entries
-    assert w.queue_length == 0
+    assert w.queue == []
     assert w.long_entries == 0
     assert w.steal_hint() is False
     assert w.eligible_steal_range() is None

@@ -1,5 +1,8 @@
 """Tests for the experiment harness: configs, cache, report rendering."""
 
+import gzip
+import json
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -12,6 +15,7 @@ from repro.experiments import (
     get_executor,
     sweep_sizes,
 )
+from repro.experiments import fig16_17_prototype
 from repro.experiments.config import high_load_size
 from repro.experiments.report import FigureResult, ascii_cdf
 from repro.workloads.registry import WorkloadSpec
@@ -191,3 +195,39 @@ def test_figure_result_render_contains_notes():
     fig.add_note("hello")
     out = fig.render()
     assert "F9" in out and "hello" in out
+
+
+# -- Figures 16-17 from a recorded event log ---------------------------------
+def relabelled_fixture(tmp_path, relabel):
+    """A copy of the committed fixture with ``relabel(label)`` applied to
+    every run line's label."""
+    path = tmp_path / "events.ndjson.gz"
+    with gzip.open(fig16_17_prototype.default_events_path(), "rt") as src:
+        lines = [json.loads(line) for line in src]
+    for line in lines:
+        if line["type"] == "run":
+            line["label"] = relabel(line["label"])
+    with gzip.open(path, "wt") as out:
+        out.writelines(json.dumps(line) + "\n" for line in lines)
+    return path
+
+
+def test_from_events_names_a_run_without_a_label(tmp_path, capsys):
+    path = relabelled_fixture(tmp_path, lambda label: {})
+    with pytest.raises(ConfigurationError, match="sparrow-b9411420's label lacks"):
+        fig16_17_prototype.run_from_events(path)
+    assert fig16_17_prototype.main(["--from-events", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "multiple and scheduler" in err
+    assert "Traceback" not in err
+
+
+def test_from_events_names_a_load_point_without_hawk(tmp_path):
+    def move_hawk(label):
+        if label["scheduler"] == "hawk" and label["multiple"] == 1.0:
+            return {**label, "multiple": 1.5}
+        return label
+
+    path = relabelled_fixture(tmp_path, move_hawk)
+    with pytest.raises(ConfigurationError, match="load point 1.0 has no hawk run"):
+        fig16_17_prototype.run_from_events(path)

@@ -40,7 +40,7 @@ def submit(cluster, job_id=0, durations=(0.01, 0.01)):
 
 
 def queued(cluster):
-    return [list(m._queue) for m in cluster.monitors]
+    return [list(m.worker.queue) for m in cluster.monitors]
 
 
 def test_frontend_sends_two_probes_per_task():
@@ -88,7 +88,7 @@ def test_coordinator_completion_feedback_lowers_waiting():
     job = submit(cluster, durations=(0.08, 0.08))
     policy = cluster.scheduler
     before = policy.waiting_time(0)
-    task = cluster.monitors[0]._queue[0].task
+    task = cluster.monitors[0].worker.queue[0].task
     task.start(0, 0.0)
     cluster.task_finished(task)
     assert policy.waiting_time(0) < before
@@ -105,6 +105,24 @@ def test_coordinator_ignores_reports_outside_scope():
     task.start(3, 0.0)
     cluster.task_finished(task)
     assert cluster.scheduler.long_component.snapshot() == waiting
+
+
+def test_release_stealable_hands_out_the_first_short_group():
+    cluster = host("hawk", n_workers=4)
+    monitor = cluster.monitors[0]
+    long_job = Job(0, 0.0, (0.08,) * 2, 0.08, CUTOFF)
+    short_job = Job(1, 0.0, (0.01,) * 3, 0.01, CUTOFF)
+    monitor.worker.current_entry = TaskEntry(long_job.tasks[0])
+    short_a, short_b, short_c = (TaskEntry(t) for t in short_job.tasks)
+    long_b = TaskEntry(long_job.tasks[1])
+    for entry in (short_a, short_b, long_b, short_c):
+        monitor.deliver(entry)
+    assert monitor.release_stealable() == [short_a, short_b]
+    assert monitor.worker.queue == [long_b, short_c]
+    # the short behind the queued long is the next group
+    assert monitor.release_stealable() == [short_c]
+    assert monitor.worker.queue == [long_b]
+    assert monitor.release_stealable() == []
 
 
 # -- full prototype runs ----------------------------------------------------

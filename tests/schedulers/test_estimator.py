@@ -48,10 +48,6 @@ def test_invalid_range_rejected():
         UniformMisestimation(1.5, 0.5)
 
 
-def test_magnitude_label():
-    assert UniformMisestimation(0.1, 1.9).magnitude_label == "0.1-1.9"
-
-
 def test_degenerate_range_is_constant_factor():
     estimator = UniformMisestimation(2.0, 2.0, seed=0)
     assert estimator(spec()) == pytest.approx(40.0)

@@ -14,7 +14,7 @@ from repro.experiments.config import (
     high_load_size,
 )
 from repro.experiments.fig_faults import plan_for
-from repro.experiments.parallel import cache_key, spec_digest
+from repro.experiments.parallel import cache_key
 from repro.experiments.sweeps import RATIO_METRICS, sweep
 from repro.schedulers import registry
 from repro.schedulers.base import SchedulerPolicy
@@ -201,7 +201,7 @@ def test_cache_key_stable_across_params_dict_reordering(tiny):
         cutoff=TEST_CUTOFF,
         params={"steal_cap": 7, "probe_ratio": 3},
     )
-    assert spec_digest(a) == spec_digest(b)
+    assert a.digest == b.digest
     assert cache_key(a, tiny) == cache_key(b, tiny)
     # and distinct values still mean distinct keys
     c = a.with_(params={"probe_ratio": 3, "steal_cap": 8})

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.cluster.records import job_record
 from repro.core.errors import ConfigurationError
 from repro.service.event_store import EventStore
 from repro.service.models import MAX_WORKERS, RunConfig, Submission
@@ -44,6 +45,44 @@ def test_live_result_equals_cold_replay(store, policy, tmp_path):
     assert len(live.jobs) == 20
     assert [r.job_id for r in live.jobs] == list(range(20))
     assert all(r.completion_time >= r.submit_time for r in live.jobs)
+
+
+def test_folded_records_carry_the_engines_own_jobs(store):
+    """The ``submitted`` payload is read off the engine's ``Job``, so every
+    submission-derived field of a folded record is that job's record."""
+    config = RunConfig(policy="hawk", n_workers=20, cutoff=0.1)
+    bridge = SchedulerBridge(config, store, time_scale=SCALE)
+    jobs = []
+    submit_job = bridge.engine.submit_job
+
+    def recording(spec, estimated_task_duration=None):
+        jobs.append(submit_job(spec, estimated_task_duration))
+        return jobs[-1]
+
+    bridge.engine.submit_job = recording
+    bridge.start()
+    for i in range(12):
+        bridge.submit(
+            Submission(
+                tasks=(0.02, 0.3)[: 1 + i % 2],
+                estimate=0.05 * (1 + i) if i % 3 == 0 else None,
+            )
+        )
+    assert bridge.drain(timeout=30.0)
+    assert bridge.stop(timeout=30.0)
+    fields = (
+        "job_id", "submit_time", "num_tasks", "true_mean_task_duration",
+        "estimated_task_duration", "task_seconds", "scheduled_class",
+        "true_class",
+    )
+
+    def submitted(records):
+        return sorted(tuple(getattr(r, f) for f in fields) for r in records)
+
+    expected = submitted(map(job_record, jobs))
+    assert len(expected) == 12
+    assert submitted(bridge.result().jobs) == expected
+    assert submitted(replay(store, config.run_id).result(config).jobs) == expected
 
 
 def test_every_lifecycle_kind_is_persisted(store):

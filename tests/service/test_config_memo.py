@@ -48,6 +48,24 @@ def test_a_non_finite_cutoff_is_rejected_by_name(cutoff):
         RunConfig.from_json({"policy": "hawk", "cutoff": cutoff})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_workers", 100.9), ("n_workers", True), ("seed", True), ("seed", 1.5)],
+)
+def test_an_integer_field_is_never_truncated(field, value):
+    # int() made {"n_workers": 100.9, "seed": true} the run of
+    # {"n_workers": 100, "seed": 1}.
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        RunConfig.from_json({"policy": "hawk", field: value})
+
+
+def test_integral_floats_and_digit_strings_still_parse():
+    same = RunConfig.from_json({"policy": "hawk", "n_workers": 50, "seed": 2})
+    for n_workers, seed in ((50.0, 2.0), ("50", "2")):
+        spelled = {"policy": "hawk", "n_workers": n_workers, "seed": seed}
+        assert RunConfig.from_json(spelled) == same
+
+
 def test_spellings_key_apart_by_type():
     def key(**fields):
         return config_key({"policy": "hawk", **fields})

@@ -25,7 +25,7 @@ from repro.cluster.engine import KIND_SUBMITTED
 from repro.service.api import ServiceState
 from repro.service.event_store import EventStore
 from repro.service.models import LifecycleEvent, RunConfig, canonical_json
-from repro.service.replay import replay, replay_result
+from repro.service.replay import replay
 
 TIME_SCALE = 200.0
 
@@ -84,7 +84,7 @@ def test_rehydrate_resumes_interrupted_jobs(tmp_path):
     # The continued log folds cold to the same result the live bridge
     # reports — the crash left no divergence behind.
     live = state._live_bridge(config.run_id).result()
-    assert replay_result(store, config.run_id) == live
+    assert replay(store, config.run_id).result(config) == live
     state.close(timeout=30.0)
     store.close()
 

@@ -30,7 +30,6 @@ from repro.service.replay import (
     fold_events,
     load_ndjson,
     replay,
-    replay_result,
 )
 
 RUN = "run-a"
@@ -170,11 +169,9 @@ def make_store(tmp_path, config, n_jobs=3):
 def test_replay_result_matches_direct_fold(tmp_path):
     config = RunConfig(policy="sparrow")
     store = make_store(tmp_path, config)
-    result = replay_result(store, config.run_id)
+    result = replay(store, config.run_id).result(config)
     assert len(result.jobs) == 3
     assert [r.job_id for r in result.jobs] == [0, 1, 2]
-    with pytest.raises(ConfigurationError, match="not registered"):
-        replay_result(store, "nope")
     store.close()
 
 

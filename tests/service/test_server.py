@@ -496,6 +496,17 @@ def test_run_limit_answers_400(tmp_path):
     store.close()
 
 
+@pytest.mark.parametrize(
+    "field, value", [("n_workers", 16.9), ("n_workers", True), ("seed", True)]
+)
+def test_a_truncating_integer_field_answers_400(service, field, value):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        http(service, "POST", "/jobs", {**job_payload(), field: value})
+    assert excinfo.value.code == 400
+    error = json.loads(excinfo.value.read())["error"]
+    assert f"{field} must be an integer" in error
+
+
 class Wire:
     """One keep-alive connection that sends ops over either transport.
 

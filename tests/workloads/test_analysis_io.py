@@ -8,7 +8,6 @@ from repro.core.errors import ConfigurationError
 from repro.core.rng import make_rng
 from repro.workloads import read_trace, write_trace
 from repro.workloads.analysis import (
-    cdf_at,
     cdf_points,
     long_job_fraction,
     mean_duration_ratio,
@@ -18,7 +17,6 @@ from repro.workloads.analysis import (
 )
 from repro.workloads.arrivals import poisson_arrival_times
 from repro.workloads.scaling import (
-    mean_task_runtime,
     scale_trace_for_prototype,
     with_interarrival,
 )
@@ -75,13 +73,6 @@ def test_cdf_points_monotone():
 def test_cdf_points_empty_rejected():
     with pytest.raises(ConfigurationError):
         cdf_points([])
-
-
-def test_cdf_at():
-    values = [1.0, 2.0, 3.0, 4.0]
-    assert cdf_at(values, 2.5) == 0.5
-    assert cdf_at(values, 0.0) == 0.0
-    assert cdf_at(values, 4.0) == 1.0
 
 
 # -- trace I/O --------------------------------------------------------------
@@ -220,7 +211,8 @@ def test_scaling_hits_target_mean_runtime(scalable_trace):
         scalable_trace, cluster_size=10, cutoff=1000.0,
         target_mean_task_runtime=0.05,
     )
-    assert mean_task_runtime(scaled.trace) == pytest.approx(0.05)
+    trace = scaled.trace
+    assert trace.total_task_seconds / trace.total_tasks == pytest.approx(0.05)
 
 
 def test_scaling_carries_long_classification(scalable_trace):
@@ -248,10 +240,3 @@ def test_with_interarrival_redraws_times(scalable_trace):
     assert len(redrawn) == len(scalable_trace)
     assert redrawn.horizon != scalable_trace.horizon
     assert {j.job_id for j in redrawn} == {j.job_id for j in scalable_trace}
-
-
-def test_mean_task_runtime_weighted():
-    trace = Trace(
-        [JobSpec(0, 0.0, (1.0,)), JobSpec(1, 1.0, (3.0, 3.0, 3.0))], name="t"
-    )
-    assert mean_task_runtime(trace) == pytest.approx(10.0 / 4)
