@@ -9,9 +9,8 @@ registered builder's definition site via ``inspect``.
 REG001 — registry schema completeness.  Every :class:`Param` of every
 ``@register_policy`` / ``@register_workload`` entry must carry a
 description and closed bounds (numeric params need both ends or
-choices; string params need choices), ``ablation_of`` must resolve to a
-registered policy, and ``quick_params`` must validate against the
-entry's own schema.  A schema is documentation, a fuzz domain and a
+choices; string params need choices), and ``ablation_of`` must resolve
+to a registered policy.  A schema is documentation, a fuzz domain and a
 validation gate at once; an unbounded or undescribed param is a hole in
 all three.
 
@@ -152,15 +151,6 @@ def check_registry_schemas(root: Path) -> list[Finding]:
         for param in entry.params:
             for hole in _param_schema_holes(owner, param):
                 add(entry.builder, workload_fallback, hole)
-        try:
-            workloads.validate_params(name, dict(entry.quick_params))
-        except Exception as exc:
-            add(
-                entry.builder,
-                workload_fallback,
-                f"{owner} quick_params do not validate against its own "
-                f"schema: {exc}",
-            )
     return findings
 
 
@@ -309,8 +299,7 @@ SEMANTIC_RULES: tuple[SemanticRule, ...] = (
 Every Param of every @register_policy / @register_workload entry must
 carry a description and closed bounds (numeric params need both ends or
 choices; string params need choices), every entry needs a doc summary,
-`ablation_of` must resolve to a registered policy, and `quick_params`
-must validate against the entry's own schema.  A schema is
+and `ablation_of` must resolve to a registered policy.  A schema is
 documentation, a fuzz domain and a validation gate at once; an
 unbounded or undescribed param is a hole in all three.  The rule runs
 against the *live* registries, so it covers out-of-tree registrations

@@ -516,8 +516,7 @@ class ClusterEngine:
             self._worker_try_start(worker)
         else:
             if entry.stolen:
-                task.was_stolen = True
-                task.job.stolen_tasks += 1
+                task.mark_stolen()
             self._start_task(worker, task, entry)
 
     def _start_task(self, worker: Worker, task: Task, entry: QueueEntry) -> None:
@@ -525,7 +524,7 @@ class ClusterEngine:
         worker.current_entry = entry
         worker.current_task = task
         worker.steal_backoff = 0.0
-        task.start(worker.worker_id, self.sim.now)
+        task.start(worker.worker_id)
         self._busy += 1
         if self.stealing is not None:
             self._sync_steal_hint(worker)
@@ -556,7 +555,7 @@ class ClusterEngine:
                 KIND_TASK_COMPLETED, now, job.job_id, task.index,
                 worker.worker_id, None,
             )
-        task.finish(now)
+        task.finish()
         worker.state = _IDLE
         worker.current_entry = None
         worker.current_task = None
@@ -655,11 +654,7 @@ class ClusterEngine:
         """Move ``victim.queue[start:stop]`` to the (idle) thief."""
         stolen = victim.remove_range(start, stop)
         for entry in stolen:
-            if entry.is_task:
-                entry.task.was_stolen = True
-                entry.task.job.stolen_tasks += 1
-            else:
-                entry.stolen = True
+            entry.mark_stolen()
         victim.tasks_stolen_from += len(stolen)
         thief.tasks_stolen_by += len(stolen)
         self._sync_steal_hint(victim)

@@ -114,9 +114,6 @@ class FaultPlan:
         """Keyword-argument convenience constructor."""
         return cls(params=knobs)
 
-    def param(self, name: str) -> float:
-        return self.params[name]
-
     # -- which fault families does this plan actually switch on? --------
     @property
     def crashes_active(self) -> bool:

@@ -32,8 +32,6 @@ class Task:
         "duration",
         "state",
         "worker_id",
-        "start_time",
-        "finish_time",
         "was_stolen",
         "attempt",
     )
@@ -46,15 +44,13 @@ class Task:
         self.duration = duration
         self.state = TaskState.PENDING
         self.worker_id: int | None = None
-        self.start_time: float | None = None
-        self.finish_time: float | None = None
         self.was_stolen = False
         #: Execution attempt counter; bumped by :meth:`reset_for_retry` when
         #: fault injection loses the running copy, so the engine can tell a
         #: stale completion event from the live execution's.
         self.attempt = 0
 
-    def start(self, worker_id: int, now: float) -> None:
+    def start(self, worker_id: int) -> None:
         if self.state is not TaskState.PENDING:
             raise SimulationError(
                 f"task {self.job.job_id}:{self.index} started twice "
@@ -62,21 +58,23 @@ class Task:
             )
         self.state = TaskState.RUNNING
         self.worker_id = worker_id
-        self.start_time = now
 
-    def finish(self, now: float) -> None:
+    def finish(self) -> None:
         if self.state is not TaskState.RUNNING:
             raise SimulationError(
                 f"task {self.job.job_id}:{self.index} finished while {self.state}"
             )
         self.state = TaskState.FINISHED
-        self.finish_time = now
+
+    def mark_stolen(self) -> None:
+        """Account one steal of this task to it and its job (Section 3.6)."""
+        self.was_stolen = True
+        self.job.stolen_tasks += 1
 
     def reset_for_retry(self) -> None:
         """Return a lost (worker-crashed) execution to the pending state.
 
-        The re-execution runs for the full true duration again; only the
-        final successful attempt records start/finish times.
+        The re-execution runs for the full true duration again.
         """
         if self.state is not TaskState.RUNNING:
             raise SimulationError(
@@ -84,7 +82,6 @@ class Task:
             )
         self.state = TaskState.PENDING
         self.worker_id = None
-        self.start_time = None
         self.attempt += 1
         self.job.retried_tasks += 1
 

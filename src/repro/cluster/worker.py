@@ -88,6 +88,10 @@ class QueueEntry:
     def is_short(self) -> bool:
         return not self.is_long
 
+    def mark_stolen(self) -> None:
+        """Account a steal of this entry where it happens (Figure 3)."""
+        raise NotImplementedError
+
 
 class TaskEntry(QueueEntry):
     """A concrete task sitting in a worker queue."""
@@ -102,6 +106,9 @@ class TaskEntry(QueueEntry):
         self.is_long = job_class is _LONG
         self.seq = 0
         self.task = task
+
+    def mark_stolen(self) -> None:
+        self.task.mark_stolen()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TaskEntry({self.task!r})"
@@ -119,7 +126,11 @@ class ProbeEntry(QueueEntry):
         self.seq = 0
         self.job = job
         self.frontend = frontend
+        #: Set by a steal; the task this probe binds then counts as stolen.
         self.stolen = False
+
+    def mark_stolen(self) -> None:
+        self.stolen = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProbeEntry(job={self.job.job_id}, {self.job_class.value})"

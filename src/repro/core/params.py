@@ -137,6 +137,37 @@ class FrozenParams(Mapping):
         return (FrozenParams, (self._items,))
 
 
+#: The spellings of an on/off setting, an environment variable's or a
+#: service request arg's, compared case-insensitively.
+FLAG_SPELLINGS = {
+    "1": True, "on": True, "yes": True, "true": True,
+    "0": False, "off": False, "no": False, "false": False,
+}
+
+
+def parse_flag(name: str, value: Any, default: bool) -> bool:
+    """One on/off setting ``name``: a JSON boolean, JSON ``0``/``1`` or a
+    :data:`FLAG_SPELLINGS` string; ``None`` or empty means ``default``.
+
+    Anything else raises :class:`~repro.core.errors.ConfigurationError`.
+    """
+    if value is None:
+        return default
+    if type(value) is bool:
+        return value
+    if type(value) is int and value in (0, 1):
+        return bool(value)
+    if isinstance(value, str):
+        raw = value.strip().lower()
+        if not raw:
+            return default
+        if raw in FLAG_SPELLINGS:
+            return FLAG_SPELLINGS[raw]
+    raise ConfigurationError(
+        f"{name} must be one of 1/0, on/off, yes/no, true/false, got {value!r}"
+    )
+
+
 def check_schema(owner: str, params: tuple[Param, ...]) -> None:
     """Reject a schema declaring the same param name twice."""
     names = [p.name for p in params]

@@ -128,10 +128,6 @@ class RunSpec:
         fields.update(changes)
         return cls(scheduler, n_workers, seed=seed, **fields)
 
-    def param(self, name: str):
-        """One validated param value (defaults filled in)."""
-        return self.params[name]
-
     def with_(self, **changes) -> "RunSpec":
         return replace(self, **changes)
 

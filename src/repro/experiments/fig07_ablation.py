@@ -10,7 +10,7 @@ suffer, short jobs greatly.
 
 from __future__ import annotations
 
-from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
+from repro.experiments.config import RunSpec, high_load_size
 from repro.experiments.report import FigureResult
 from repro.experiments.sweeps import RATIO_METRICS, SweepJob, multi_sweep
 from repro.schedulers import registry
@@ -20,7 +20,6 @@ from repro.workloads.registry import at_scale
 def run(
     scale: str = "full",
     seed: int = 0,
-    load_target: float = HIGH_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
     # The ablation family comes straight off the policy registry, read
@@ -28,7 +27,7 @@ def run(
     # including one registered outside this package — joins the figure.
     variants = registry.ablations_of("hawk")
     workload = at_scale("google", scale)
-    n = high_load_size(workload.trace(seed), load_target)
+    n = high_load_size(workload.trace(seed))
     hawk = RunSpec.for_workload(workload, "hawk", n, seed)
     # Each variant normalizes to full Hawk within every replica (matched
     # seeds and trace draw); the shared full-Hawk runs execute once.

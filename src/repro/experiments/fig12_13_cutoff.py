@@ -8,7 +8,7 @@ cutoff — more jobs are short at higher cutoffs.
 
 from __future__ import annotations
 
-from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
+from repro.experiments.config import RunSpec, high_load_size
 from repro.experiments.report import FigureResult
 from repro.experiments.sweeps import LONG_FIRST, SweepJob, multi_sweep
 from repro.metrics.stats import mean
@@ -22,11 +22,10 @@ def run(
     scale: str = "full",
     seed: int = 0,
     cutoffs=PAPER_CUTOFFS,
-    load_target: float = HIGH_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
     workload = at_scale("google", scale)
-    n = high_load_size(workload.trace(seed), load_target)
+    n = high_load_size(workload.trace(seed))
     result = FigureResult(
         figure_id="Figures 12-13",
         title=f"Cutoff sensitivity, Hawk normalized to Sparrow ({n} nodes)",

@@ -21,7 +21,7 @@ paired within replicas before aggregation.
 
 from __future__ import annotations
 
-from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
+from repro.experiments.config import RunSpec, high_load_size
 from repro.experiments.report import FigureResult
 from repro.experiments.sweeps import LONG_FIRST, SweepJob, multi_sweep
 from repro.schedulers.estimator import UniformMisestimation
@@ -47,11 +47,10 @@ def run(
     seed: int = 0,
     ranges=PAPER_RANGES,
     n_seeds: int = DEFAULT_N_SEEDS,
-    load_target: float = HIGH_LOAD_TARGET,
 ) -> FigureResult:
     workload = at_scale("google", scale)
     trace = workload.trace(seed)
-    n = high_load_size(trace, load_target)
+    n = high_load_size(trace)
 
     def hawk(low: float, high: float) -> RunSpec:
         return RunSpec.for_workload(

@@ -8,7 +8,7 @@ Paper finding: performance increases with the cap, but even a low value
 
 from __future__ import annotations
 
-from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
+from repro.experiments.config import RunSpec, high_load_size
 from repro.experiments.report import FigureResult
 from repro.experiments.sweeps import SweepJob, multi_sweep
 from repro.metrics.stats import mean
@@ -22,11 +22,10 @@ def run(
     scale: str = "full",
     seed: int = 0,
     caps=PAPER_CAPS,
-    load_target: float = HIGH_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
     workload = at_scale("google", scale)
-    n = high_load_size(workload.trace(seed), load_target)
+    n = high_load_size(workload.trace(seed))
 
     def spec(cap: int) -> RunSpec:
         return RunSpec.for_workload(

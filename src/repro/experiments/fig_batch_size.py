@@ -19,7 +19,7 @@ wiring anywhere.
 
 from __future__ import annotations
 
-from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
+from repro.experiments.config import RunSpec, high_load_size
 from repro.experiments.report import FigureResult
 from repro.experiments.sweeps import RATIO_METRICS, SweepJob, multi_sweep
 from repro.workloads.registry import at_scale
@@ -32,11 +32,10 @@ def run(
     scale: str = "full",
     seed: int = 0,
     batch_sizes=DEFAULT_BATCH_SIZES,
-    load_target: float = HIGH_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
     workload = at_scale("google", scale)
-    n = high_load_size(workload.trace(seed), load_target)
+    n = high_load_size(workload.trace(seed))
     # Each budget normalizes to the same replica's Sparrow run (matched
     # seeds and trace draw); the shared Sparrow runs execute once.
     sparrow = RunSpec.for_workload(workload, "sparrow", n, seed)

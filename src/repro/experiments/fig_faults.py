@@ -78,12 +78,11 @@ def run(
     scale: str = "full",
     seed: int = 0,
     crash_fractions=DEFAULT_CRASH_FRACTIONS,
-    load_target: float = FAULT_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
     workload = at_scale("google", scale)
     first = workload.trace(seed)
-    n = high_load_size(first, load_target)
+    n = high_load_size(first, FAULT_LOAD_TARGET)
     pairs = [
         pair
         for fraction in crash_fractions
@@ -146,7 +145,7 @@ def run(
             )
         )
     result.add_note(
-        f"cluster sized for {load_target:.2f} offered load; crashed "
+        f"cluster sized for {FAULT_LOAD_TARGET:.2f} offered load; crashed "
         f"workers restart after {RESTART_DELAY:.0f}s virtual"
     )
     result.add_note(

@@ -15,7 +15,7 @@ evaluated.
 from __future__ import annotations
 
 from repro.cluster.job import JobClass
-from repro.experiments.config import HIGH_LOAD_TARGET, RunSpec, high_load_size
+from repro.experiments.config import RunSpec, high_load_size
 from repro.experiments.report import FigureResult
 from repro.experiments.sweeps import (
     POINT_METRICS,
@@ -33,7 +33,6 @@ def run(
     scale: str = "full",
     seed: int = 0,
     workloads=DEFAULT_WORKLOADS,
-    load_target: float = HIGH_LOAD_TARGET,
     n_seeds: int = 1,
 ) -> FigureResult:
     result = FigureResult(
@@ -55,7 +54,7 @@ def run(
     specs = [at_scale(name, scale) for name in workloads]
     jobs = []
     for workload in specs:
-        n = high_load_size(workload.trace(seed), load_target)
+        n = high_load_size(workload.trace(seed))
         hawk = RunSpec.for_workload(workload, "hawk", n, seed)
         sparrow = RunSpec.for_workload(workload, "sparrow", n, seed)
         jobs.append(SweepJob(workload, (n,), hawk, sparrow))

@@ -92,6 +92,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
+from repro.core.params import parse_flag
 from repro.core.simulation import collector_paused
 from repro.experiments.config import RunSpec, execute
 from repro.experiments.result_index import ResultIndex
@@ -342,27 +343,8 @@ def _max_bytes_from_env() -> int | None:
     return int(megabytes * 1024 * 1024)
 
 
-_FLAG_VALUES = {
-    "1": True, "on": True, "yes": True, "true": True,
-    "0": False, "off": False, "no": False, "false": False,
-}
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    """A boolean environment variable; unset or empty means ``default``."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return _FLAG_VALUES[raw.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"{name} must be one of 1/0, on/off, yes/no, true/false, got {raw!r}"
-        ) from None
-
-
 def _disk_cache_from_env() -> DiskCache | None:
-    if not _env_flag(DISK_CACHE_ENV, True):
+    if not parse_flag(DISK_CACHE_ENV, os.environ.get(DISK_CACHE_ENV), True):
         return None
     return DiskCache(
         os.environ.get(DISK_CACHE_DIR_ENV, DEFAULT_CACHE_DIR),
@@ -654,7 +636,7 @@ class SweepExecutor:
         if total is None and hasattr(pairs, "__len__"):
             total = len(pairs)  # type: ignore[arg-type]
         it = iter(pairs)
-        progress = _env_flag(PROGRESS_ENV, False)
+        progress = parse_flag(PROGRESS_ENV, os.environ.get(PROGRESS_ENV), False)
         window = self.inflight
         # Streaming state: `waiters` maps every in-flight or deferred
         # key to the submission indices awaiting it; `pending` keeps the

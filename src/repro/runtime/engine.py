@@ -121,24 +121,19 @@ class PrototypeCluster:
         with self.lock:
             task = entry.frontend.next_task()
             if task is not None and entry.stolen:
-                task.was_stolen = True
-                task.job.stolen_tasks += 1
+                task.mark_stolen()
         return task
 
     def mark_stolen(self, entries: Sequence[QueueEntry]) -> None:
         """Account a steal transfer the way the simulator does."""
         with self.lock:
             for entry in entries:
-                if isinstance(entry, ProbeEntry):
-                    entry.stolen = True
-                else:
-                    entry.task.was_stolen = True
-                    entry.task.job.stolen_tasks += 1
+                entry.mark_stolen()
 
     def task_finished(self, task: Task) -> None:
         now = self.now()
         with self.lock:
-            task.finish(now)
+            task.finish()
             self.scheduler.on_task_finish(task)
             if task.job.record_task_finish(now):
                 self._jobs_done += 1

@@ -123,7 +123,7 @@ class NodeMonitor(threading.Thread):
             task = bound
         # A task is handed to exactly one monitor, so its own state
         # machine needs no lock; job-wide state changes under the host's.
-        task.start(self.monitor_id, host.now())
+        task.start(self.monitor_id)
         time.sleep(task.duration)
         self.tasks_executed += 1
         time.sleep(LATENCY)  # completion report travels to the scheduler

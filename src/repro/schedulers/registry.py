@@ -102,13 +102,6 @@ class PolicyEntry:
     ablation_of: str | None = None
     doc: str = ""
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
-    def defaults(self) -> FrozenParams:
-        return FrozenParams({p.name: p.default for p in self.params})
-
 
 _REGISTRY: dict[str, PolicyEntry] = {}
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import gzip
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
@@ -44,17 +44,9 @@ from repro.service.models import LifecycleEvent, RunConfig, canonical_json
 def record_to_json(record: JobRecord) -> dict[str, Any]:
     """One :class:`JobRecord` as a JSON-safe dict (enums by value)."""
     return {
-        "job_id": record.job_id,
-        "submit_time": record.submit_time,
-        "completion_time": record.completion_time,
-        "num_tasks": record.num_tasks,
-        "true_mean_task_duration": record.true_mean_task_duration,
-        "estimated_task_duration": record.estimated_task_duration,
-        "task_seconds": record.task_seconds,
+        **record._asdict(),
         "scheduled_class": record.scheduled_class.value,
         "true_class": record.true_class.value,
-        "stolen_tasks": record.stolen_tasks,
-        "retried_tasks": record.retried_tasks,
     }
 
 
@@ -278,12 +270,7 @@ def result_to_json(result: RunResult) -> dict[str, Any]:
         "scheduler_name": result.scheduler_name,
         "n_workers": result.n_workers,
         "jobs": [record_to_json(r) for r in result.jobs],
-        "stealing": {
-            "rounds": result.stealing.rounds,
-            "successful_rounds": result.stealing.successful_rounds,
-            "victims_probed": result.stealing.victims_probed,
-            "entries_stolen": result.stealing.entries_stolen,
-        },
+        "stealing": asdict(result.stealing),
         "events_fired": result.events_fired,
         "end_time": result.end_time,
     }

@@ -43,8 +43,12 @@ replay-check POST ``/runs/{id}/replay-check`` ``run_id``
 checkpoint   POST ``/runs/{id}/checkpoint``   ``run_id compact``
 ============ ================================ ===========================
 
-``drain`` (default true) and ``compact`` (default false) read ``0``,
-``false`` and ``no`` as false, as JSON or as query strings.  ``timeout``
+``drain`` (default true) and ``compact`` (default false) are on/off
+flags, spelled as the ``REPRO_*`` environment switches are
+(:func:`~repro.core.params.parse_flag`): a JSON boolean, JSON ``0``/``1``,
+or ``1/0``, ``on/off``, ``yes/no``, ``true/false`` in any case, as JSON
+or as query strings; absent or empty means the default, and any other
+value answers 400 naming the arg.  ``timeout``
 is seconds in ``[0, threading.TIMEOUT_MAX]``, by default the config's
 ``drain_timeout``.
 
@@ -79,6 +83,7 @@ from typing import Any, AsyncIterator, Awaitable, Callable, TypeVar, cast
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import ConfigurationError, StoreUnavailable
+from repro.core.params import parse_flag
 from repro.service.api import DrainTimeout, ServiceState
 from repro.service.models import ServiceConfig
 
@@ -112,13 +117,6 @@ _ROUTES = {
 _METHODS = {route[0] for route in _ROUTES}
 #: The request headers the server reads; it keeps no other.
 _HEADERS = ("content-length", "connection")
-
-
-def _flag(args: dict[str, Any], name: str, default: bool) -> bool:
-    value = args.get(name, default)
-    if isinstance(value, str):
-        return value.lower() not in ("0", "false", "no")
-    return bool(value)
 
 
 def _error(exc: Exception) -> tuple[int, dict[str, Any]]:
@@ -442,7 +440,8 @@ class ReproService:
             return blocking(
                 state.run_result,
                 str(args["run_id"]),
-                drain=op == "drain" or _flag(args, "drain", True),
+                drain=op == "drain"
+                or parse_flag("drain", args.get("drain"), True),
                 timeout=timeout,
             )
         if op == "replay-check":
@@ -451,7 +450,7 @@ class ReproService:
             return blocking(
                 state.checkpoint,
                 str(args["run_id"]),
-                compact=_flag(args, "compact", False),
+                compact=parse_flag("compact", args.get("compact"), False),
             )
         raise ConfigurationError(f"unknown op {op!r}")
 

@@ -21,6 +21,13 @@ calibration pass scales long-job durations by a single factor so the
 sample's task-seconds share matches the target exactly (up to the
 cutoff-floor clamp).
 
+The calibration is fixed: the targets (``TARGET_TASK_SECONDS_SHARE``,
+``TARGET_DURATION_RATIO``), the per-class medians, sigmas, latent
+coefficients and clamps, and the cutoff ``GOOGLE_CUTOFF_S`` are module
+constants.  :class:`GoogleTraceConfig` keeps only what callers vary:
+the job count, the arrival gap, the long fraction and the within-job
+spread.
+
 The draws are vectors: one ``standard_normal`` vector per job class (two
 normals per short job, three per long job) and one ``normal`` vector over
 every task of the multi-task jobs, in job order
@@ -50,6 +57,29 @@ GOOGLE_CUTOFF_S = 1129.0
 GOOGLE_SHORT_PARTITION_FRACTION = 0.17
 
 
+# Calibration of the generator to the published statistics (Section 2.1).
+#: Long jobs' share of all task-seconds.
+TARGET_TASK_SECONDS_SHARE = 0.8365
+#: Long jobs' mean task duration over short jobs'.
+TARGET_DURATION_RATIO = 7.34
+# Short-job distributions (log-normal medians and sigmas).
+SHORT_TASKS_MEDIAN = 12.0
+SHORT_TASKS_SIGMA = 1.0
+SHORT_TASKS_MAX = 180
+SHORT_DURATION_MEDIAN = 250.0
+SHORT_DURATION_SIGMA = 1.0
+# Long-job distributions: a shared latent size factor correlates task
+# count and duration.
+LONG_TASKS_MEDIAN = 42.0
+LONG_TASKS_LATENT_COEFF = 1.0
+LONG_TASKS_NOISE_SIGMA = 0.4
+LONG_TASKS_MAX = 1000
+LONG_DURATION_MEDIAN = 1500.0
+LONG_DURATION_LATENT_COEFF = 0.35
+LONG_DURATION_NOISE_SIGMA = 0.3
+LONG_DURATION_MAX = 25000.0
+
+
 @dataclass(frozen=True, slots=True)
 class GoogleTraceConfig:
     """Knobs of the synthetic Google-like generator."""
@@ -57,25 +87,6 @@ class GoogleTraceConfig:
     n_jobs: int = 1200
     mean_interarrival: float = 20.0
     long_fraction: float = 0.10
-    cutoff: float = GOOGLE_CUTOFF_S
-    target_task_seconds_share: float = 0.8365
-    target_duration_ratio: float = 7.34
-    # Short-job distributions (log-normal medians and sigmas).
-    short_tasks_median: float = 12.0
-    short_tasks_sigma: float = 1.0
-    short_tasks_max: int = 180
-    short_duration_median: float = 250.0
-    short_duration_sigma: float = 1.0
-    # Long-job distributions: a shared latent size factor correlates task
-    # count and duration.
-    long_tasks_median: float = 42.0
-    long_tasks_latent_coeff: float = 1.0
-    long_tasks_noise_sigma: float = 0.4
-    long_tasks_max: int = 1000
-    long_duration_median: float = 1500.0
-    long_duration_latent_coeff: float = 0.35
-    long_duration_noise_sigma: float = 0.3
-    long_duration_max: float = 25000.0
     # Within-job task-duration variation (coefficient of variation).
     within_job_cv: float = 0.5
 
@@ -89,8 +100,6 @@ class GoogleTraceConfig:
                 f"long_fraction {self.long_fraction} of {self.n_jobs} jobs "
                 f"gives {self.n_long} long jobs; both classes need at least one"
             )
-        if not 0.0 < self.target_task_seconds_share < 1.0:
-            raise ConfigurationError("target share must be in (0, 1)")
         if not self.within_job_cv >= 0.0:
             raise ConfigurationError(
                 f"within_job_cv must be >= 0, got {self.within_job_cv}"
@@ -115,40 +124,40 @@ def google_like_trace(
     # One vector per class, in the scalar loop's draw order: (size,
     # duration) per short job, (latent, size, duration) per long job.
     z = rng.standard_normal(2 * n_short).tolist()
-    log_tasks = math.log(cfg.short_tasks_median)
-    log_duration = math.log(cfg.short_duration_median)
+    log_tasks = math.log(SHORT_TASKS_MEDIAN)
+    log_duration = math.log(SHORT_DURATION_MEDIAN)
     short_params: list[tuple[int, float]] = []
     for z_tasks, z_dur in zip(z[0::2], z[1::2]):
-        tasks = round(math.exp(log_tasks + cfg.short_tasks_sigma * z_tasks))
-        duration = math.exp(log_duration + cfg.short_duration_sigma * z_dur)
+        tasks = round(math.exp(log_tasks + SHORT_TASKS_SIGMA * z_tasks))
+        duration = math.exp(log_duration + SHORT_DURATION_SIGMA * z_dur)
         short_params.append(
             (
-                min(max(tasks, 1), cfg.short_tasks_max),
-                min(max(duration, 1.0), 0.98 * cfg.cutoff),
+                min(max(tasks, 1), SHORT_TASKS_MAX),
+                min(max(duration, 1.0), 0.98 * GOOGLE_CUTOFF_S),
             )
         )
 
     z = rng.standard_normal(3 * n_long).tolist()
-    log_tasks = math.log(cfg.long_tasks_median)
-    log_duration = math.log(cfg.long_duration_median)
+    log_tasks = math.log(LONG_TASKS_MEDIAN)
+    log_duration = math.log(LONG_DURATION_MEDIAN)
     long_params: list[tuple[int, float]] = []
     for latent, z_tasks, z_dur in zip(z[0::3], z[1::3], z[2::3]):
         tasks = round(
             math.exp(
                 log_tasks
-                + cfg.long_tasks_latent_coeff * latent
-                + cfg.long_tasks_noise_sigma * z_tasks
+                + LONG_TASKS_LATENT_COEFF * latent
+                + LONG_TASKS_NOISE_SIGMA * z_tasks
             )
         )
         duration = math.exp(
             log_duration
-            + cfg.long_duration_latent_coeff * latent
-            + cfg.long_duration_noise_sigma * z_dur
+            + LONG_DURATION_LATENT_COEFF * latent
+            + LONG_DURATION_NOISE_SIGMA * z_dur
         )
         long_params.append(
             (
-                min(max(tasks, 1), cfg.long_tasks_max),
-                min(max(duration, cfg.cutoff), cfg.long_duration_max),
+                min(max(tasks, 1), LONG_TASKS_MAX),
+                min(max(duration, GOOGLE_CUTOFF_S), LONG_DURATION_MAX),
             )
         )
 
@@ -157,26 +166,26 @@ def google_like_trace(
     # hits the target (7.34x for the Google trace).
     mean_short_dur = sum(d for _, d in short_params) / len(short_params)
     mean_long_dur = sum(d for _, d in long_params) / len(long_params)
-    dur_scale = cfg.target_duration_ratio * mean_short_dur / mean_long_dur
+    dur_scale = TARGET_DURATION_RATIO * mean_short_dur / mean_long_dur
     long_params = [
-        (t, max(cfg.cutoff, min(d * dur_scale, cfg.long_duration_max)))
+        (t, max(GOOGLE_CUTOFF_S, min(d * dur_scale, LONG_DURATION_MAX)))
         for t, d in long_params
     ]
     # Knob 2: scale long task counts so long jobs contribute the target
     # task-seconds share (83.65%); rounding leaves only a small residual.
     short_ts = sum(t * d for t, d in short_params)
     long_ts = sum(t * d for t, d in long_params)
-    target = cfg.target_task_seconds_share
+    target = TARGET_TASK_SECONDS_SHARE
     task_scale = (target * short_ts) / ((1.0 - target) * long_ts)
     long_params = [
-        (max(1, min(int(round(t * task_scale)), cfg.long_tasks_max)), d)
+        (max(1, min(int(round(t * task_scale)), LONG_TASKS_MAX)), d)
         for t, d in long_params
     ]
     # Residual repair: one final duration scale fixes rounding drift.
     long_ts = sum(t * d for t, d in long_params)
     repair = (target * short_ts) / ((1.0 - target) * long_ts)
     long_params = [
-        (t, max(cfg.cutoff, min(d * repair, cfg.long_duration_max)))
+        (t, max(GOOGLE_CUTOFF_S, min(d * repair, LONG_DURATION_MAX)))
         for t, d in long_params
     ]
 
@@ -206,20 +215,19 @@ _GOOGLE_PARAMS = (
 
 
 @register_workload(
-    "google",
-    params=_GOOGLE_PARAMS,
+    "google-scale100k",
+    params=(
+        Param("n_jobs", int, default=3000, minimum=10, maximum=1_000_000,
+              doc="jobs in the densified trace"),
+        Param("mean_interarrival", float, default=0.32, minimum=0.001,
+              maximum=1e6,
+              doc="densified arrival gap: ~100k nodes at high load"),
+    ),
     cutoff=GOOGLE_CUTOFF_S,
     short_partition_fraction=GOOGLE_SHORT_PARTITION_FRACTION,
-    quick_params={"n_jobs": 260},
+    quick_params={"n_jobs": 300, "mean_interarrival": 1.6},
+    doc="Densified Google-like trace for the 100k-worker scale point.",
 )
-def _google_workload(params, seed: int) -> Trace:
-    """Synthetic Google-2011-like trace calibrated to the paper's statistics."""
-    config = GoogleTraceConfig(
-        n_jobs=params["n_jobs"], mean_interarrival=params["mean_interarrival"]
-    )
-    return google_like_trace(config, seed=seed)
-
-
 @register_workload(
     "google-scale10k",
     params=(
@@ -232,34 +240,22 @@ def _google_workload(params, seed: int) -> Trace:
     cutoff=GOOGLE_CUTOFF_S,
     short_partition_fraction=GOOGLE_SHORT_PARTITION_FRACTION,
     quick_params={"n_jobs": 300, "mean_interarrival": 16.0},
+    doc="Densified Google-like trace for the 10k-worker scale point.",
 )
-def _google_scale_workload(params, seed: int) -> Trace:
-    """Densified Google-like trace for the 10k-worker scale point."""
-    config = GoogleTraceConfig(
-        n_jobs=params["n_jobs"], mean_interarrival=params["mean_interarrival"]
-    )
-    return google_like_trace(config, seed=seed)
-
-
 @register_workload(
-    "google-scale100k",
-    params=(
-        Param("n_jobs", int, default=3000, minimum=10, maximum=1_000_000,
-              doc="jobs in the densified trace"),
-        Param("mean_interarrival", float, default=0.32, minimum=0.001,
-              maximum=1e6,
-              doc="densified arrival gap: ~100k nodes at high load"),
-    ),
+    "google",
+    params=_GOOGLE_PARAMS,
     cutoff=GOOGLE_CUTOFF_S,
     short_partition_fraction=GOOGLE_SHORT_PARTITION_FRACTION,
-    quick_params={"n_jobs": 300, "mean_interarrival": 1.6},
+    quick_params={"n_jobs": 260},
+    doc="Synthetic Google-2011-like trace calibrated to the paper's statistics.",
 )
-def _google_scale100k_workload(params, seed: int) -> Trace:
-    """Densified Google-like trace for the 100k-worker scale point.
+def _google_workload(params, seed: int) -> Trace:
+    """The Google-like trace at each registered arrival density.
 
-    Same generator and job population as ``google-scale10k``; the arrival
-    process is 10x denser so one hundred thousand nodes sit at the same
-    high-but-not-overloaded offered load (~1.18) as the 10k point.
+    The scale points' gaps (3.2 s, 0.32 s) put 10k and 100k nodes at the
+    same high-but-not-overloaded offered load (~1.18).  Decorators apply
+    bottom-up, so ``google`` registers first.
     """
     config = GoogleTraceConfig(
         n_jobs=params["n_jobs"], mean_interarrival=params["mean_interarrival"]

@@ -12,7 +12,7 @@ together so the same utilization regime can be explored cheaply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.errors import ConfigurationError
 from repro.core.params import Param
@@ -42,16 +42,11 @@ class MotivationConfig:
         """Shrink the scenario by ``scale`` (jobs and servers together)."""
         if not 0.0 < scale <= 1.0:
             raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
-        return MotivationConfig(
+        return replace(
+            self,
             n_jobs=max(20, int(round(self.n_jobs * scale))),
             n_servers=max(30, int(round(self.n_servers * scale))),
-            short_fraction=self.short_fraction,
-            short_tasks=self.short_tasks,
-            short_duration=self.short_duration,
-            long_tasks=self.long_tasks,
-            long_duration=self.long_duration,
             mean_interarrival=self.mean_interarrival / scale,
-            cutoff=self.cutoff,
         )
 
 

@@ -93,13 +93,6 @@ class WorkloadEntry:
     quick_params: Mapping = FrozenParams()
     doc: str = ""
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
-    def defaults(self) -> FrozenParams:
-        return FrozenParams({p.name: p.default for p in self.params})
-
 
 _REGISTRY: dict[str, WorkloadEntry] = {}
 
@@ -266,10 +259,6 @@ class WorkloadSpec:
     def short_partition_fraction(self) -> float:
         """Hawk's short-partition sizing for this workload."""
         return self.entry.short_partition_fraction
-
-    def param(self, name: str):
-        """One validated param value (defaults filled in)."""
-        return self.params[name]
 
     def with_(self, **changes) -> "WorkloadSpec":
         """A copy with dataclass fields replaced (``name=``/``params=``)."""

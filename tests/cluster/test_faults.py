@@ -69,7 +69,7 @@ def test_empty_plan_normalizes_to_none():
 def test_plan_accepts_mapping_and_validates():
     spec = spec_for(faults={"crash_fraction": 0.1})
     assert isinstance(spec.faults, FaultPlan)
-    assert spec.faults.param("crash_fraction") == 0.1
+    assert spec.faults.params["crash_fraction"] == 0.1
     with pytest.raises(ConfigurationError):
         FaultPlan.of(crash_fraction=0.6)  # above the schema maximum
     with pytest.raises(ConfigurationError):

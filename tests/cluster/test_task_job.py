@@ -52,27 +52,26 @@ def test_task_initial_state():
     assert task.worker_id is None
 
 
-def test_task_start_finish_records_times():
+def test_task_start_finish_transitions():
     job = make_job()
     task = job.tasks[0]
-    task.start(worker_id=3, now=7.0)
+    task.start(worker_id=3)
     assert task.state is TaskState.RUNNING
     assert task.worker_id == 3
-    task.finish(now=17.0)
+    task.finish()
     assert task.state is TaskState.FINISHED
-    assert task.finish_time == 17.0
 
 
 def test_task_double_start_rejected():
     task = make_job().tasks[0]
-    task.start(0, 0.0)
+    task.start(0)
     with pytest.raises(SimulationError):
-        task.start(1, 1.0)
+        task.start(1)
 
 
 def test_task_finish_without_start_rejected():
     with pytest.raises(SimulationError):
-        make_job().tasks[0].finish(1.0)
+        make_job().tasks[0].finish()
 
 
 def test_task_nonpositive_duration_rejected():

@@ -1,5 +1,6 @@
 """Tests for the sweep executor and the two-tier run cache."""
 
+import asyncio
 import os
 import pickle
 import re
@@ -19,7 +20,6 @@ from repro.experiments.parallel import (
     PROGRESS_ENV,
     DiskCache,
     SweepExecutor,
-    _env_flag,
     _max_bytes_from_env,
     cache_key,
     get_executor,
@@ -491,18 +491,45 @@ def test_max_bytes_env_parsing(monkeypatch):
     ],
 )
 def test_env_flag_spellings(monkeypatch, capsys, tmp_path, raw, expected):
+    """One spelling table: the executor's switches and the service's
+    ``drain``/``compact`` request args read every row alike."""
     for name in (DISK_CACHE_ENV, PROGRESS_ENV):
         if raw is None:
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, raw)
-    assert _env_flag(PROGRESS_ENV, False) is bool(expected)
-    assert _env_flag(DISK_CACHE_ENV, True) is (expected is not False)
     monkeypatch.setenv("REPRO_RUNCACHE_DIR", str(tmp_path))
     cache = SweepExecutor(max_workers=1).disk_cache
     assert (cache is None) is (expected is False)
     SweepExecutor(max_workers=1, disk_cache=None).run_one(SPEC, small_trace())
     assert ("[sweep]" in capsys.readouterr().err) is bool(expected)
+    assert service_flags(raw) == (expected is not False, bool(expected))
+
+
+class _FlagState:
+    """A service state that answers with the flags its ops were given."""
+
+    def run_result(self, run_id, *, drain, timeout):
+        return drain
+
+    def checkpoint(self, run_id, *, compact):
+        return compact
+
+
+def service_flags(raw):
+    """``(drain, compact)`` as the service's op table reads ``raw``."""
+    from repro.service.models import ServiceConfig
+    from repro.service.server import ReproService
+
+    service = ReproService(_FlagState(), ServiceConfig())
+    given = {} if raw is None else {"drain": raw, "compact": raw}
+
+    async def ask():
+        drain = await service._op("result", {"run_id": "r", **given})
+        compact = await service._op("checkpoint", {"run_id": "r", **given})
+        return drain, compact
+
+    return asyncio.run(ask())
 
 
 @pytest.mark.parametrize("raw", ["2", "maybe", "enabled", "y", "-1"])

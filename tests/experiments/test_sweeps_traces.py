@@ -164,8 +164,8 @@ def test_google_constants():
     google = at_scale("google", "full")
     assert google.cutoff == 1129.0
     assert google.short_partition_fraction == 0.17
-    assert google.param("n_jobs") == 1200
-    assert at_scale("google", "quick").param("n_jobs") == 260
+    assert google.params["n_jobs"] == 1200
+    assert at_scale("google", "quick").params["n_jobs"] == 260
 
 
 def test_full_scale_traces_are_bigger():

@@ -10,10 +10,11 @@ import pytest
 from repro.cluster.faults import FaultPlan
 from repro.cluster.job import Job, JobClass
 from repro.cluster.task import TaskState
-from repro.cluster.worker import ProbeEntry, TaskEntry
+from repro.cluster.worker import ProbeEntry, TaskEntry, WorkerState
 from repro.core.errors import ConfigurationError
-from repro.experiments.config import RunSpec
+from repro.experiments.config import RunSpec, build_engine
 from repro.runtime import PrototypeCluster
+from repro.schedulers.frontend import ProbeFrontend
 from repro.schedulers.registry import policy_entry, registered_names
 from repro.workloads.scaling import PrototypeScaledTrace
 from repro.workloads.spec import JobSpec, Trace
@@ -89,7 +90,7 @@ def test_coordinator_completion_feedback_lowers_waiting():
     policy = cluster.scheduler
     before = policy.waiting_time(0)
     task = cluster.monitors[0].worker.queue[0].task
-    task.start(0, 0.0)
+    task.start(0)
     cluster.task_finished(task)
     assert policy.waiting_time(0) < before
     assert job.finished_tasks == 1
@@ -102,7 +103,7 @@ def test_coordinator_ignores_reports_outside_scope():
     short = submit(cluster, job_id=1, durations=(0.01,))
     # a short task run on the short partition is reported and ignored
     task = short.tasks[0]
-    task.start(3, 0.0)
+    task.start(3)
     cluster.task_finished(task)
     assert cluster.scheduler.long_component.snapshot() == waiting
 
@@ -123,6 +124,48 @@ def test_release_stealable_hands_out_the_first_short_group():
     assert monitor.release_stealable() == [short_c]
     assert monitor.worker.queue == [long_b]
     assert monitor.release_stealable() == []
+
+
+def stolen_state(jobs, probe):
+    return (
+        [t.was_stolen for job in jobs for t in job.tasks],
+        probe.stolen,
+        [job.stolen_tasks for job in jobs],
+    )
+
+
+def test_simulator_and_prototype_account_a_steal_alike():
+    """The same stolen entries leave the same marks on both hosts, and a
+    stolen probe's bound task counts once when the probe binds."""
+    states = []
+    for side in ("simulator", "prototype"):
+        jobs = [
+            Job(0, 0.0, (0.01, 0.01), 0.01, CUTOFF),
+            Job(1, 0.0, (0.01,), 0.01, CUTOFF),
+        ]
+        probe = ProbeEntry(jobs[1], ProbeFrontend(jobs[1]))
+        entries = [TaskEntry(jobs[0].tasks[0]), probe, TaskEntry(jobs[0].tasks[1])]
+        if side == "simulator":
+            engine = build_engine(spec("hawk", n_workers=4))
+            victim, thief, waiter = engine.cluster.workers[:3]
+            for entry in entries:
+                victim.enqueue(entry)
+            assert engine.transfer_stolen_entries(victim, thief, 0, 3) == 3
+            moved = stolen_state(jobs, probe)
+            # the thief started the first task; hand the probe to a waiter
+            assert thief.remove_range(0, 1) == [probe]
+            waiter.state, waiter.current_entry = WorkerState.WAITING, probe
+            task = probe.frontend.next_task()
+            engine._probe_response_arrives(waiter, probe, task)
+            assert waiter.current_task is jobs[1].tasks[0]
+        else:
+            cluster = host("hawk", n_workers=4)
+            cluster.mark_stolen(entries)
+            moved = stolen_state(jobs, probe)
+            assert cluster.bind_probe(probe) is jobs[1].tasks[0]
+        assert moved == ([True, True, False], True, [2, 0])
+        states.append(stolen_state(jobs, probe))
+    assert states[0] == states[1] == ([True, True, True], True, [2, 1])
 
 
 # -- full prototype runs ----------------------------------------------------

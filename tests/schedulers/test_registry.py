@@ -97,7 +97,7 @@ def test_wrong_type_param_rejected():
 def test_defaults_filled_and_canonicalized():
     spec = RunSpec(scheduler="hawk", n_workers=4, cutoff=TEST_CUTOFF)
     assert dict(spec.params) == {"probe_ratio": 2, "steal_cap": 10}
-    assert spec.param("steal_cap") == 10
+    assert spec.params["steal_cap"] == 10
     explicit = RunSpec(
         scheduler="hawk",
         n_workers=4,

@@ -642,6 +642,24 @@ def test_every_op_answers_alike_over_both_transports(service):
     by_ndjson.close()
 
 
+@pytest.mark.parametrize("transport", ["http", "ndjson"])
+def test_flag_args_read_only_flag_spellings(service, transport):
+    (submitted,) = ndjson(service, job_payload("sparrow"))
+    run_id = submitted["run_id"]
+    assert http(service, "POST", f"/runs/{run_id}/drain")[1]["drained"]
+    wire = Wire(service, transport)
+    ok, _, body = wire.send("checkpoint", {"run_id": run_id, "compact": "off"})
+    assert ok and body["compacted_events"] == 0
+    for args in ({"drain": "maybe"}, {"compact": [0]}):
+        op = "result" if "drain" in args else "checkpoint"
+        ok, status, body = wire.send(op, {"run_id": run_id, **args})
+        assert not ok and status in (None, 400)
+        assert body["error"].startswith(f"{next(iter(args))} must be one of")
+    ok, _, body = wire.send("checkpoint", {"run_id": run_id, "compact": "ON"})
+    assert ok and body["compacted_events"] > 0
+    wire.close()
+
+
 def test_two_runs_streamed_over_both_transports_replay_after_compaction(
     tmp_path,
 ):

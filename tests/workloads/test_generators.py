@@ -14,6 +14,7 @@ from repro.workloads import (
     motivation_trace,
 )
 from repro.workloads.analysis import workload_summary
+from repro.workloads.google import LONG_TASKS_MAX
 from repro.workloads.kmeans import ALL_KMEANS_WORKLOADS, KMeansWorkloadSpec
 from repro.workloads.motivation import MotivationConfig
 from repro.workloads.registry import (
@@ -69,7 +70,7 @@ def test_google_task_limits_respected():
     cfg = GoogleTraceConfig(n_jobs=300)
     trace = google_like_trace(cfg, seed=0)
     for job in trace:
-        assert job.num_tasks <= cfg.long_tasks_max
+        assert job.num_tasks <= LONG_TASKS_MAX
 
 
 def test_google_within_job_variation():
@@ -298,6 +299,11 @@ def test_every_built_in_workload_is_pinned():
         if workload_entry(name).builder.__module__.startswith("repro.workloads.")
     ]
     assert sorted(QUICK_TRACE_DIGESTS) == sorted(built_in)
+
+
+def test_google_scale_points_share_one_builder():
+    names = ("google", "google-scale10k", "google-scale100k")
+    assert len({workload_entry(name).builder for name in names}) == 1
 
 
 @pytest.mark.parametrize("name", sorted(QUICK_TRACE_DIGESTS))

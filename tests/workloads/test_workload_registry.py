@@ -82,6 +82,16 @@ def test_registration_rejects_invalid_quick_params():
         )
         def _bad(params, seed):  # pragma: no cover - never built
             raise AssertionError
+    with pytest.raises(ConfigurationError, match="must be >= 1"):
+        @register_workload(
+            "bad-quick",
+            params=(Param("n_jobs", int, 100, minimum=1),),
+            cutoff=100.0,
+            quick_params={"n_jobs": 0},  # declared, but out of range
+        )
+        def _bad_range(params, seed):  # pragma: no cover - never built
+            raise AssertionError
+    assert "bad-quick" not in registry.registered_names()
 
 
 def test_unknown_workload_lists_registered_names():
@@ -108,7 +118,7 @@ def test_wrong_type_param_rejected():
 def test_defaults_filled_and_canonicalized():
     spec = WorkloadSpec("google")
     assert dict(spec.params) == {"n_jobs": 1200, "mean_interarrival": 20.0}
-    assert spec.param("n_jobs") == 1200
+    assert spec.params["n_jobs"] == 1200
     explicit = WorkloadSpec("google", {"n_jobs": 1200})
     # omitted-vs-explicit default: the same workload
     assert spec == explicit and hash(spec) == hash(explicit)
@@ -123,14 +133,14 @@ def test_metadata_exposed_on_spec():
 
 def test_with_params_overrides_one_knob():
     spec = WorkloadSpec("google").with_params(n_jobs=260)
-    assert spec.param("n_jobs") == 260
-    assert spec.param("mean_interarrival") == 20.0
+    assert spec.params["n_jobs"] == 260
+    assert spec.params["mean_interarrival"] == 20.0
     assert spec == quick_spec("google")
 
 
 def test_quick_spec_applies_registered_overrides():
     assert quick_spec("google") == WorkloadSpec("google", {"n_jobs": 260})
-    assert quick_spec("google", {"n_jobs": 40}).param("n_jobs") == 40
+    assert quick_spec("google", {"n_jobs": 40}).params["n_jobs"] == 40
 
 
 # -- identity and materialization caching ------------------------------------
