@@ -1,10 +1,10 @@
 """Path-scoped rule configuration for reprolint.
 
 The determinism contract is not uniform across the tree: the simulation
-paths must be bit-reproducible, the metrics layer must accumulate in a
-defined order, while the tool paths (benchmark harness, prototype
-runtime, experiment drivers) legitimately read wall clocks and measure
-things.  Each scope names directory prefixes (repo-relative, posix) and
+paths must be bit-reproducible and the metrics layer must accumulate in
+a defined order (one ruleset covers both), while the tool paths
+(benchmark harness, prototype runtime, experiment drivers) legitimately
+read wall clocks and measure things.  Each scope names directory prefixes (repo-relative, posix) and
 the syntactic rules enforced under them; the first matching scope wins.
 
 Semantic rules (REG001/REG002) are not path-scoped — they run once per
@@ -53,10 +53,10 @@ SCOPES: tuple[Scope, ...] = (
             "src/repro/cluster",
             "src/repro/schedulers",
             "src/repro/workloads",
+            "src/repro/metrics",
         ),
         SIM_RULES,
     ),
-    Scope("metrics", ("src/repro/metrics",), SIM_RULES),
     Scope(
         "tool",
         (

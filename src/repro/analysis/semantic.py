@@ -185,13 +185,13 @@ def check_cache_key_completeness(root: Path) -> list[Finding]:
     """REG002: every spec field/param moves its cache digest."""
     from dataclasses import fields
 
-    from repro.experiments.config import RunSpec
     from repro.schedulers import registry as policies
+    from repro.schedulers.registry import RunSpec
     from repro.workloads import registry as workloads
     from repro.workloads.registry import WorkloadSpec
 
     findings: list[Finding] = []
-    config_path = "src/repro/experiments/config.py"
+    config_path = "src/repro/schedulers/registry.py"
 
     def add(path: str, message: str) -> None:
         findings.append(

@@ -6,7 +6,7 @@ loss and extra delay, straggler slowdown factors, and centralized-scheduler
 outage windows.  Plans use the shared :mod:`repro.core.params` machinery,
 so they validate, canonicalize and ``repr()`` exactly like policy and
 workload params — the repr is the plan's cache identity
-(:attr:`repro.experiments.config.RunSpec.digest` folds it into the run
+(:attr:`repro.schedulers.registry.RunSpec.digest` folds it into the run
 cache key whenever a plan is present, and skips it entirely when absent,
 keeping every pre-fault cache key byte-identical).
 

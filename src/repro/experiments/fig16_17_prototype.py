@@ -214,7 +214,7 @@ def make_events_fixture(
     classification, exactly like the simulation rows of :func:`run`.
     """
     from repro.service.event_store import EventStore
-    from repro.service.models import RunConfig, Submission
+    from repro.service.models import Submission
     from repro.service.replay import export_ndjson
     from repro.service.scheduler_bridge import SchedulerBridge
 
@@ -228,17 +228,17 @@ def make_events_fixture(
             for index, (multiple, trace) in enumerate(points):
                 arrivals = sorted(trace, key=lambda s: s.submit_time)
                 for scheduler in ("sparrow", "hawk"):
-                    config = RunConfig(
-                        policy=scheduler,
-                        n_workers=n_workers,
-                        cutoff=scaled.cutoff,
+                    run_spec = RunSpec(
+                        scheduler,
+                        n_workers,
+                        scaled.cutoff,
                         short_partition_fraction=GOOGLE_SHORT_PARTITION_FRACTION,
                         # the seed doubles as the load-point index so each
                         # (scheduler, multiple) pair is its own run id
                         seed=index,
                     )
                     bridge = SchedulerBridge(
-                        config, store, time_scale=time_scale
+                        run_spec, store, time_scale=time_scale
                     ).start()
                     t0 = time.monotonic()
                     for spec in arrivals:
@@ -260,7 +260,7 @@ def make_events_fixture(
                             "not drain"
                         )
                     bridge.stop(timeout=300.0)
-                    labels[config.run_id] = {
+                    labels[bridge.run_id] = {
                         "scheduler": scheduler,
                         "multiple": multiple,
                     }

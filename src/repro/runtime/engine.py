@@ -41,7 +41,7 @@ from repro.cluster.worker import ProbeEntry, QueueEntry, TaskEntry
 from repro.core.errors import ConfigurationError
 from repro.runtime.node_monitor import NodeMonitor
 from repro.schedulers.frontend import ProbeFrontend
-from repro.schedulers.registry import build_cluster, policy_entry
+from repro.schedulers.registry import RunSpec, build_cluster, online_entry
 from repro.workloads.spec import Trace
 
 logger = logging.getLogger(__name__)
@@ -51,21 +51,16 @@ class PrototypeCluster:
     """Bind a spec's policy to monitor threads, replay a trace, return a
     :class:`RunResult`.
 
-    ``spec`` is the duck-typed spec :func:`repro.schedulers.registry.build_engine`
-    takes (a ``RunSpec`` or the service's ``RunConfig``).  ``timeout`` is
-    the run's wall-clock budget; ``join_timeout`` bounds each monitor's
-    join at shutdown.
+    ``spec`` is the :class:`~repro.schedulers.registry.RunSpec` a batch
+    run of the same policy takes.  ``timeout`` is the run's wall-clock
+    budget; ``join_timeout`` bounds each monitor's join at shutdown.
     """
 
     def __init__(
-        self, spec, timeout: float = 300.0, join_timeout: float = 5.0
+        self, spec: RunSpec, timeout: float = 300.0, join_timeout: float = 5.0
     ) -> None:
-        entry = policy_entry(spec.scheduler)
-        if not entry.serves_online:
-            raise ConfigurationError(
-                f"policy {spec.scheduler!r} cannot run online on the prototype"
-            )
-        if getattr(spec, "faults", None) is not None:
+        entry = online_entry(spec.scheduler)
+        if spec.faults is not None:
             raise ConfigurationError("the prototype does not inject faults")
         if join_timeout <= 0:
             raise ConfigurationError("join_timeout must be positive")
@@ -75,7 +70,7 @@ class PrototypeCluster:
         self.cluster = build_cluster(spec, entry)
         self.config = EngineConfig(cutoff=spec.cutoff, seed=spec.seed)
         self.centralized_down = False
-        self.estimate = resolve_estimate(getattr(spec, "estimate", None), spec.seed)
+        self.estimate = resolve_estimate(spec.estimate, spec.seed)
         #: Serializes every policy call and job-wide accounting.
         self.lock = threading.Lock()
         #: The run's jobs, in submission order.

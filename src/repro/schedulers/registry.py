@@ -1,11 +1,15 @@
 """Pluggable policy registry: the open construction API for schedulers.
 
 Every scheduler policy registers itself here with a *name*, a typed
-*parameter schema* and *capability flags*; experiment construction
+*parameter schema* and *capability flags*; engine construction
 (:func:`build_engine`) is a pure registry lookup.  Adding a policy —
 including one living entirely outside this package — therefore never
 touches the experiment layer: register it and every sweep, figure driver
-and cache key picks it up.
+and cache key picks it up.  :class:`RunSpec`, the one description of a
+run, lives here too, so every host — batch sweeps, the threaded
+prototype (:mod:`repro.runtime`) and the scheduler service
+(:mod:`repro.service`) — builds from the same type without importing
+the experiment layer.
 
 A registration consists of
 
@@ -26,10 +30,10 @@ A registration consists of
   ``_PARTITIONED`` name sets that predated the registry.  A third flag,
   ``serves_online`` (default ``True``), declares that the policy can be
   driven one submission at a time by the long-running scheduler service
-  (:mod:`repro.service`): policies whose decisions depend on
-  whole-trace knowledge no online client could supply (the
-  ``omniscient`` oracle) opt out and the service rejects submissions
-  targeting them;
+  (:mod:`repro.service`) and the threaded prototype: policies whose
+  decisions depend on whole-trace knowledge no online client could
+  supply (the ``omniscient`` oracle) opt out, and both hosts reject
+  them through :func:`online_entry`;
 * ``ablation_of`` — the base policy this entry is an ablation of
   (e.g. the ``hawk-no-*`` family names ``"hawk"``), letting drivers such
   as Figure 7 enumerate an ablation family from the registry.
@@ -69,12 +73,14 @@ with ``python -m repro.experiments.workloads docs``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.cluster import Cluster, ClusterEngine, EngineConfig
 from repro.cluster.engine import LifecycleSink
+from repro.cluster.faults import FaultPlan
 from repro.core.errors import ConfigurationError
 from repro.core.params import (  # noqa: F401  (re-exported: the public API)
     PARAM_TYPES,
@@ -84,9 +90,11 @@ from repro.core.params import (  # noqa: F401  (re-exported: the public API)
     validate_against,
 )
 from repro.schedulers.stealing import WorkStealing
+from repro.workloads.replication import replica_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.schedulers.base import SchedulerPolicy
+    from repro.workloads.registry import WorkloadSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,23 +216,159 @@ def validate_params(name: str, params: Mapping | None = None) -> FrozenParams:
     return validate_against(f"policy {name!r}", entry.params, params)
 
 
-def build_cluster(spec, entry: PolicyEntry) -> Cluster:
+def online_entry(name: str) -> PolicyEntry:
+    """``name``'s entry, for a host that serves jobs one at a time.
+
+    The scheduler service and the threaded prototype both call this:
+    a policy registered ``serves_online=False`` (the ``omniscient``
+    oracle) needs whole-trace knowledge no online client supplies.
+    """
+    entry = policy_entry(name)
+    if not entry.serves_online:
+        raise ConfigurationError(
+            f"policy {name!r} is registered with serves_online=False "
+            "and cannot be served"
+        )
+    return entry
+
+
+@dataclass(frozen=True, slots=True)
+class RunSpec:
+    """Everything needed to build one engine run (minus the trace), on
+    every host.
+
+    ``scheduler`` must name a registered policy; ``params`` holds that
+    policy's knobs (e.g. ``probe_ratio``, ``steal_cap``, a scenario
+    policy's ``batch_size``) and is validated against the registry
+    schema at construction — unknown names, wrong types and
+    out-of-range values all fail fast, as do a non-positive or
+    non-finite ``cutoff`` and a ``short_partition_fraction`` outside
+    ``[0, 1)``.  The stored mapping is frozen and canonically ordered,
+    so equality, hashing and the run-cache key are independent of
+    params-dict insertion order, and undeclared params are pinned at
+    their schema defaults (two specs differing only in an
+    omitted-vs-explicit default are the *same* spec).
+    """
+
+    scheduler: str
+    n_workers: int
+    cutoff: float
+    short_partition_fraction: float = 0.17
+    seed: int = 0
+    params: Mapping = FrozenParams()
+    estimate: Callable | None = field(default=None, compare=False)
+    #: Opaque tag making otherwise-equal specs distinct in the run cache
+    #: (required whenever ``estimate`` is set: callables have no stable
+    #: content, so the tag is their cache-visible identity).
+    estimate_tag: str = "exact"
+    #: Injected failures for this run (:mod:`repro.cluster.faults`).  An
+    #: empty plan normalizes to ``None``, and ``None`` is skipped by the
+    #: cache-key digest, so fault-free specs hash, compare and cache
+    #: exactly as they did before faults existed.
+    faults: FaultPlan | None = None
+    #: Canonical string of every compared field, derived once here and
+    #: read by the run-cache key (:func:`repro.experiments.parallel.cache_key`).
+    #: ``estimate`` is excluded (callables have no stable content);
+    #: ``estimate_tag`` is its stand-in, as in spec equality.  ``params``
+    #: reprs canonically (ordered, defaults filled), so the digest is
+    #: independent of dict order and of omitted-vs-explicit defaults.
+    #: ``faults`` joins only when a plan is present, so every fault-free
+    #: key is byte-identical to its pre-fault form.
+    digest: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Raises ConfigurationError for unknown policies/params and
+        # canonicalizes the mapping (defaults filled, keys sorted).
+        object.__setattr__(
+            self, "params", validate_params(self.scheduler, self.params)
+        )
+        faults = self.faults
+        if faults is not None and not isinstance(faults, FaultPlan):
+            faults = FaultPlan(params=faults)
+            object.__setattr__(self, "faults", faults)
+        if faults is not None and faults.is_empty:
+            object.__setattr__(self, "faults", None)
+        if self.n_workers <= 0:
+            raise ConfigurationError("n_workers must be positive")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ConfigurationError(
+                f"cutoff must be positive and finite, got {self.cutoff}"
+            )
+        if not 0.0 <= self.short_partition_fraction < 1.0:
+            raise ConfigurationError(
+                "short_partition_fraction must be in [0, 1), got "
+                f"{self.short_partition_fraction}"
+            )
+        if self.estimate is not None and self.estimate_tag == "exact":
+            raise ConfigurationError(
+                "a custom estimate callable requires a non-'exact' "
+                "estimate_tag: the tag is the estimator's identity in the "
+                "run-cache key, and leaving it at the default would let "
+                "different estimators silently share cached results"
+            )
+        object.__setattr__(
+            self,
+            "digest",
+            ";".join(
+                f"{f.name}={getattr(self, f.name)!r}"
+                for f in fields(self)
+                if f.compare and not (f.name == "faults" and self.faults is None)
+            ),
+        )
+
+    @classmethod
+    def for_workload(
+        cls,
+        workload: "WorkloadSpec",
+        scheduler: str,
+        n_workers: int = 1,
+        seed: int = 0,
+        **changes,
+    ) -> "RunSpec":
+        """``scheduler`` on ``workload``: the workload's cutoff, and its
+        short-partition sizing for policies registered ``uses_partition``
+        (the others keep the field's default, which their engines ignore).
+        ``changes`` override any field, ``cutoff`` included.
+        """
+        fields = {"cutoff": workload.cutoff}
+        if policy_entry(scheduler).uses_partition:
+            fields["short_partition_fraction"] = workload.short_partition_fraction
+        fields.update(changes)
+        return cls(scheduler, n_workers, seed=seed, **fields)
+
+    def with_(self, **changes) -> "RunSpec":
+        return replace(self, **changes)
+
+    def replicas(self, n_seeds: int) -> tuple["RunSpec", ...]:
+        """The spec's seed-replica family: seeds ``seed .. seed+n-1``.
+
+        Replica 0 is the spec itself, so ``spec.replicas(1) == (spec,)``
+        and the single-seed path is unchanged.  Engine RNG streams are
+        derived from the seed (see :mod:`repro.core.rng`), so each
+        replica is an independent draw of every stochastic mechanism —
+        probe sampling, stealing victims, estimator noise.
+        """
+        seeds = replica_seeds(self.seed, n_seeds)
+        return (self,) + tuple(self.with_(seed=s) for s in seeds[1:])
+
+
+def build_cluster(spec: RunSpec, entry: PolicyEntry) -> Cluster:
     """The spec's cluster, reserving the short partition only for
     policies that declare ``uses_partition``."""
     fraction = spec.short_partition_fraction if entry.uses_partition else 0.0
     return Cluster(spec.n_workers, short_partition_fraction=fraction)
 
 
-def build_engine(spec, sink: LifecycleSink | None = None) -> ClusterEngine:
+def build_engine(spec: RunSpec, sink: LifecycleSink | None = None) -> ClusterEngine:
     """Registry-driven engine construction for one run.
 
-    ``spec`` is a ``RunSpec`` or the service's ``RunConfig``.  Everything
-    the engine needs is read off it and the policy's registry entry: the
-    partition fraction applies only when the policy declares
-    ``uses_partition``, and the work-stealing mechanism is attached
-    (configured from the ``steal_cap`` param) only when it declares
-    ``uses_stealing``.  ``sink`` receives the engine's lifecycle events
-    (the scheduler service's event log); sweeps pass none.
+    Everything the engine needs is read off ``spec`` and the policy's
+    registry entry: the partition fraction applies only when the policy
+    declares ``uses_partition``, and the work-stealing mechanism is
+    attached (configured from the ``steal_cap`` param) only when it
+    declares ``uses_stealing``.  ``sink`` receives the engine's
+    lifecycle events (the scheduler service's event log); sweeps pass
+    none.
     """
     entry = policy_entry(spec.scheduler)
     # RunSpec validated and canonicalized params at construction; specs
@@ -241,10 +385,9 @@ def build_engine(spec, sink: LifecycleSink | None = None) -> ClusterEngine:
         scheduler,
         config,
         stealing=stealing,
-        estimate=getattr(spec, "estimate", None),
+        estimate=spec.estimate,
         sink=sink,
     )
-    faults = getattr(spec, "faults", None)
-    if faults is not None:
-        engine.attach_faults(faults)
+    if spec.faults is not None:
+        engine.attach_faults(spec.faults)
     return engine

@@ -32,7 +32,6 @@ from repro.service.api import DrainTimeout, ServiceState
 from repro.service.event_store import EventStore
 from repro.service.models import (
     LifecycleEvent,
-    RunConfig,
     ServiceConfig,
     Submission,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "EventStore",
     "LifecycleEvent",
     "ReproService",
-    "RunConfig",
     "RunFold",
     "SchedulerBridge",
     "ServiceConfig",

@@ -7,10 +7,10 @@ a submission means the same thing whichever door it came through.
 
 ``ServiceState`` owns the event store and one lazily-created
 :class:`~repro.service.scheduler_bridge.SchedulerBridge` per distinct
-:class:`~repro.service.models.RunConfig` (keyed by its content-digest
-``run_id``): two clients naming the same policy + params + cluster shape
-share one virtual cluster, while different configurations are isolated
-runs in the same store.
+:class:`~repro.schedulers.registry.RunSpec` (keyed by its content-digest
+:func:`~repro.service.models.run_id`): two clients naming the same
+policy + params + cluster shape share one virtual cluster, while
+different configurations are isolated runs in the same store.
 
 All methods raise :class:`~repro.core.errors.ConfigurationError` for
 client mistakes (unknown policy, bad params, unknown run); transports
@@ -37,8 +37,9 @@ import threading
 from typing import Any, Mapping
 
 from repro.core.errors import ConfigurationError, ReproError
+from repro.schedulers.registry import RunSpec
+from repro.service import models
 from repro.service.event_store import EventStore
-from repro.service.models import RunConfig, Submission, config_key
 from repro.service.replay import replay, result_to_json
 from repro.service.scheduler_bridge import SchedulerBridge
 
@@ -69,7 +70,7 @@ class ServiceState:
         self.max_runs = max_runs
         self.time_scale = time_scale
         self._bridges: dict[str, SchedulerBridge] = {}
-        self._configs: dict[tuple[str, ...], RunConfig] = {}
+        self._configs: dict[tuple[str, ...], tuple[RunSpec, str]] = {}
         self._lock = threading.Lock()
         self._closed = False
         #: Run ids whose bridge threads outlived the shutdown budget
@@ -93,7 +94,7 @@ class ServiceState:
         """
         resumed: list[dict[str, Any]] = []
         errors: list[str] = []
-        for run_id, config in self.store.run_configs().items():
+        for run_id, spec in self.store.run_configs().items():
             try:
                 fold = replay(self.store, run_id)
             except ReproError as exc:
@@ -107,7 +108,7 @@ class ServiceState:
                     if self._live_or_room(run_id) is not None:
                         continue
                 bridge = SchedulerBridge(
-                    config, self.store, time_scale=self.time_scale
+                    spec, self.store, time_scale=self.time_scale
                 )
                 jobs = bridge.resume_from(fold)
                 # Read the fold before the bridge starts advancing it.
@@ -154,9 +155,9 @@ class ServiceState:
         run (engine construction and the ``register_run`` commit) may
         block.
         """
-        config = self._config(payload)
-        submission = Submission.from_json(payload)
-        bridge = self._bridge_for(config, create)
+        spec, run_id = self._config(payload)
+        submission = models.Submission.from_json(payload)
+        bridge = self._bridge_for(spec, run_id, create)
         if bridge is None:
             return None
         job_id = bridge.submit(submission)
@@ -167,10 +168,10 @@ class ServiceState:
         with self._lock:
             live = dict(self._bridges)
         rows = []
-        for run_id, config in self.store.run_configs().items():
+        for run_id, spec in self.store.run_configs().items():
             row: dict[str, Any] = {
                 "run_id": run_id,
-                "policy": config.policy,
+                "policy": spec.scheduler,
                 "live": run_id in live,
             }
             bridge = live.get(run_id)
@@ -180,10 +181,10 @@ class ServiceState:
         return {"runs": rows}
 
     def run_detail(self, run_id: str) -> dict[str, Any]:
-        config = self._config_for(run_id)
+        spec = self._config_for(run_id)
         detail: dict[str, Any] = {
             "run_id": run_id,
-            "config": config.to_json(),
+            "config": models.run_spec_to_json(spec),
             "events": self.store.event_count(run_id),
         }
         bridge = self._live_bridge(run_id)
@@ -202,7 +203,7 @@ class ServiceState:
         maps it to 504) instead of quietly returning a partial result;
         callers that want the partial fold pass ``drain=False``.
         """
-        config = self._config_for(run_id)
+        spec = self._config_for(run_id)
         bridge = self._live_bridge(run_id)
         drained = True
         if bridge is not None:
@@ -224,7 +225,7 @@ class ServiceState:
                     )
             result = bridge.result()
         else:
-            result = replay(self.store, run_id).result(config)
+            result = replay(self.store, run_id).result(spec)
         return {
             "run_id": run_id,
             "drained": drained,
@@ -237,14 +238,14 @@ class ServiceState:
         Only meaningful while the run's bridge is alive; a historical
         run has nothing but the log to compare with itself.
         """
-        config = self._config_for(run_id)
+        spec = self._config_for(run_id)
         bridge = self._live_bridge(run_id)
         if bridge is None:
             raise ConfigurationError(
                 f"run {run_id!r} has no live bridge to compare against"
             )
         live = bridge.result()
-        cold = replay(self.store, run_id).result(config)
+        cold = replay(self.store, run_id).result(spec)
         return {
             "run_id": run_id,
             "match": live == cold,
@@ -303,27 +304,30 @@ class ServiceState:
         return not leaked
 
     # -- internals -------------------------------------------------------
-    def _config(self, payload: Mapping[str, Any]) -> RunConfig:
-        """The payload's validated run config, parsed once per spelling.
+    def _config(self, payload: Mapping[str, Any]) -> tuple[RunSpec, str]:
+        """The payload's validated run spec and its run id, parsed once
+        per spelling.
 
         Every job names its run's config, so a job for a live run costs
         one dict lookup here instead of a parse and a run-id hash.  Only
         parsed configs are kept, so an error is raised anew each time;
-        a payload :func:`config_key` cannot key is parsed every time.
-        At ``CONFIGS_PER_RUN * max_runs`` spellings the memo starts over.
+        a payload :func:`~repro.service.models.config_key` cannot key is
+        parsed every time.  At ``CONFIGS_PER_RUN * max_runs`` spellings
+        the memo starts over.
         """
-        key = config_key(payload)
-        config = self._configs.get(key) if key is not None else None
-        if config is None:
-            config = RunConfig.from_json(payload)
+        key = models.config_key(payload)
+        memo = self._configs.get(key) if key is not None else None
+        if memo is None:
+            spec = models.run_spec_from_json(payload)
+            memo = spec, models.run_id(spec)
             if key is not None:
                 if len(self._configs) >= CONFIGS_PER_RUN * self.max_runs:
                     self._configs.clear()
-                self._configs[key] = config
-        return config
+                self._configs[key] = memo
+        return memo
 
     def _bridge_for(
-        self, config: RunConfig, create: bool
+        self, spec: RunSpec, run_id: str, create: bool
     ) -> SchedulerBridge | None:
         """The run's live bridge; without one, start it if ``create``.
 
@@ -332,10 +336,10 @@ class ServiceState:
         ``register_run`` commit.
         """
         with self._lock:
-            bridge = self._live_or_room(config.run_id)
+            bridge = self._live_or_room(run_id)
         if bridge is None and create:
             bridge = self._install(
-                SchedulerBridge(config, self.store, time_scale=self.time_scale)
+                SchedulerBridge(spec, self.store, time_scale=self.time_scale)
             )
         return bridge
 
@@ -372,10 +376,10 @@ class ServiceState:
         with self._lock:
             return self._bridges.get(run_id)
 
-    def _config_for(self, run_id: str) -> RunConfig:
+    def _config_for(self, run_id: str) -> RunSpec:
         bridge = self._live_bridge(run_id)
         if bridge is not None:
-            return bridge.config
+            return bridge.spec
         configs = self.store.run_configs()
         try:
             return configs[run_id]

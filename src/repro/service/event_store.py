@@ -55,7 +55,14 @@ import time
 from typing import Any, Iterator, Mapping
 
 from repro.core.errors import ConfigurationError, StoreUnavailable
-from repro.service.models import LifecycleEvent, RunConfig, canonical_json
+from repro.schedulers.registry import RunSpec
+from repro.service.models import (
+    LifecycleEvent,
+    canonical_json,
+    run_id,
+    run_spec_from_json,
+    run_spec_to_json,
+)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS events (
@@ -184,13 +191,14 @@ class EventStore:
                 self._pending = 0
                 self._write_seconds += time.perf_counter() - started
 
-    def register_run(self, config: RunConfig, created_w: float) -> None:
+    def register_run(self, spec: RunSpec, created_w: float) -> None:
         """Record a run's configuration (idempotent on the run id)."""
+        config = canonical_json(run_spec_to_json(spec))
         with self._lock:
             self._conn.execute(
                 "INSERT OR IGNORE INTO runs (run_id, created_w, config) "
                 "VALUES (?, ?, ?)",
-                (config.run_id, created_w, canonical_json(config.to_json())),
+                (run_id(spec), created_w, config),
             )
             self._commit()
 
@@ -263,14 +271,14 @@ class EventStore:
         count: int = row[0]
         return count
 
-    def run_configs(self) -> dict[str, RunConfig]:
+    def run_configs(self) -> dict[str, RunSpec]:
         """Every registered run's configuration, keyed by run id."""
         with self._lock:
             rows = self._conn.execute(
                 "SELECT run_id, config FROM runs ORDER BY created_w"
             ).fetchall()
         return {
-            row[0]: RunConfig.from_json(json.loads(row[1])) for row in rows
+            row[0]: run_spec_from_json(json.loads(row[1])) for row in rows
         }
 
     # -- snapshots / compaction ------------------------------------------

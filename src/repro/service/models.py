@@ -1,19 +1,20 @@
 """Wire and storage models of the scheduler service.
 
-Three kinds of value cross the service's boundaries and all of them live
-here so the HTTP front end, the NDJSON socket, the event store and the
-replay fold agree on one schema:
+Three kinds of value cross the service's boundaries and the wire form of
+each lives here so the HTTP front end, the NDJSON socket, the event
+store and the replay fold agree on one schema:
 
 * :class:`Submission` — one client job: task durations, a tenant label
   and an optional runtime estimate.  Validated eagerly (positive finite
   durations, bounded task counts) so malformed input dies at the edge
   with a :class:`~repro.core.errors.ConfigurationError`, never inside
   the simulation thread.
-* :class:`RunConfig` — the virtual cluster one run schedules against:
-  policy name plus params (validated against the live
-  ``@register_policy`` schema), worker count, cutoff, partition
-  fraction, seed.  Its :attr:`~RunConfig.run_id` is a content digest, so
-  two submissions naming the same configuration land in the same run.
+* a run's configuration — the virtual cluster one run schedules
+  against — is a :class:`~repro.schedulers.registry.RunSpec`, the type
+  every host runs: :func:`run_spec_from_json` parses a client's (or the
+  store's) JSON of it, :func:`run_spec_to_json` writes it, and
+  :func:`run_id` is the content digest of that JSON, so two submissions
+  naming the same configuration land in the same run.
 * :class:`LifecycleEvent` — one appended event-store row.  ``vtime`` is
   the simulation clock, ``wtime`` the wall clock of the append, ``seq``
   the store-assigned monotonic sequence number that totally orders the
@@ -36,8 +37,7 @@ from typing import Any, Callable, Mapping
 
 from repro.cluster.engine import EVENT_KINDS
 from repro.core.errors import ConfigurationError
-from repro.schedulers import registry
-from repro.schedulers.registry import FrozenParams
+from repro.schedulers.registry import FrozenParams, RunSpec
 
 #: Per-job task-count ceiling; protects the single scheduling thread from
 #: one pathological submission.
@@ -117,118 +117,84 @@ class LifecycleEvent:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """One run's virtual cluster: policy, params and cluster shape.
-
-    Defaults mirror the paper's standard setting (100 workers, 1.129 s
-    cutoff, 17 % short partition) so a client submitting just
-    ``{"policy": "hawk"}`` gets the canonical configuration.
-    """
-
-    policy: str
-    params: FrozenParams = field(default_factory=FrozenParams)
-    n_workers: int = 100
-    cutoff: float = 1.129
-    short_partition_fraction: float = 0.17
-    seed: int = 0
-    #: Stable content digest: same config ⇒ same run identity.  Hashed
-    #: once here; persisted logs are keyed by it.
-    run_id: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # Schema-validate and canonicalize params against the registry so
-        # the digest (and therefore the run identity) is independent of
-        # params-dict insertion order and of omitted defaults.
-        entry = registry.policy_entry(self.policy)
-        if not entry.serves_online:
-            raise ConfigurationError(
-                f"policy {self.policy!r} is registered with "
-                "serves_online=False and cannot be served"
-            )
-        object.__setattr__(
-            self, "params", registry.validate_params(self.policy, self.params)
-        )
-        if not 1 <= self.n_workers <= MAX_WORKERS:
-            raise ConfigurationError(
-                f"n_workers must be in [1, {MAX_WORKERS}], "
-                f"got {self.n_workers}"
-            )
-        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
-            raise ConfigurationError(
-                f"cutoff must be positive and finite, got {self.cutoff}"
-            )
-        if not 0.0 <= self.short_partition_fraction < 1.0:
-            raise ConfigurationError(
-                "short_partition_fraction must be in [0, 1), got "
-                f"{self.short_partition_fraction}"
-            )
-        digest = blake2b(
-            canonical_json(self.to_json()).encode(), digest_size=4
-        ).hexdigest()
-        object.__setattr__(self, "run_id", f"{self.policy}-{digest}")
-
-    @property
-    def scheduler(self) -> str:
-        """The policy, under the name :func:`registry.build_engine` reads."""
-        return self.policy
-
-    @property
-    def scheduler_name(self) -> str:
-        """``scheduler_name`` stamped on folded :class:`RunResult` records."""
-        return f"service-{self.policy}"
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "params": dict(self.params),
-            "n_workers": self.n_workers,
-            "cutoff": self.cutoff,
-            "short_partition_fraction": self.short_partition_fraction,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "RunConfig":
-        policy = data.get("policy")
-        if not isinstance(policy, str) or not policy:
-            raise ConfigurationError("submission needs a 'policy' string")
-        params = data.get("params") or {}
-        if not isinstance(params, Mapping):
-            raise ConfigurationError("'params' must be a mapping")
-        for name, cast, _ in _SHAPE:
-            # int() would truncate: true is 1 and 100.9 is 100.
-            value = data.get(name)
-            if cast is int and (
-                type(value) is bool
-                or type(value) is float
-                and math.isfinite(value)
-                and not value.is_integer()
-            ):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-        try:
-            return cls(
-                policy=policy,
-                params=FrozenParams(params),
-                **{
-                    name: cast(data.get(name, default))
-                    for name, cast, default in _SHAPE
-                },
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"bad run config: {exc}") from exc
-
-
-#: The cluster-shape fields :meth:`RunConfig.from_json` reads, each with
+#: The cluster-shape fields :func:`run_spec_from_json` reads, each with
 #: the cast it applies and the default it assumes when the field is absent.
+#: The defaults mirror the paper's standard setting (100 workers, 1.129 s
+#: cutoff, 17 % short partition), so a client submitting just
+#: ``{"policy": "hawk"}`` gets the canonical configuration.
 _SHAPE: tuple[tuple[str, Callable[[Any], Any], Any], ...] = (
     ("n_workers", int, 100),
     ("cutoff", float, 1.129),
     ("short_partition_fraction", float, 0.17),
     ("seed", int, 0),
 )
+
+
+def run_spec_from_json(data: Mapping[str, Any]) -> RunSpec:
+    """The run a client payload (or a stored config) names.
+
+    ``RunSpec`` validates and canonicalizes ``params`` against the live
+    registry, so the run id is independent of params-dict insertion
+    order and of omitted defaults.  This edge adds what only a client
+    can get wrong: missing or mistyped fields, integers spelled as
+    fractions or booleans, and more than :data:`MAX_WORKERS` workers.
+    """
+    policy = data.get("policy")
+    if not isinstance(policy, str) or not policy:
+        raise ConfigurationError("submission needs a 'policy' string")
+    params = data.get("params") or {}
+    if not isinstance(params, Mapping):
+        raise ConfigurationError("'params' must be a mapping")
+    for name, cast, _ in _SHAPE:
+        # int() would truncate: true is 1 and 100.9 is 100.
+        value = data.get(name)
+        if cast is int and (
+            type(value) is bool
+            or type(value) is float
+            and math.isfinite(value)
+            and not value.is_integer()
+        ):
+            raise ConfigurationError(
+                f"{name} must be an integer, got {value!r}"
+            )
+    try:
+        shape = {
+            name: cast(data.get(name, default))
+            for name, cast, default in _SHAPE
+        }
+        if not 1 <= shape["n_workers"] <= MAX_WORKERS:
+            raise ConfigurationError(
+                f"n_workers must be in [1, {MAX_WORKERS}], "
+                f"got {shape['n_workers']}"
+            )
+        return RunSpec(policy, params=FrozenParams(params), **shape)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"bad run config: {exc}") from exc
+
+
+def run_spec_to_json(spec: RunSpec) -> dict[str, Any]:
+    """The stored form of a served run: every field a client may set."""
+    return {
+        "policy": spec.scheduler,
+        "params": dict(spec.params),
+        "n_workers": spec.n_workers,
+        "cutoff": spec.cutoff,
+        "short_partition_fraction": spec.short_partition_fraction,
+        "seed": spec.seed,
+    }
+
+
+def run_id(spec: RunSpec) -> str:
+    """The run's stable content digest: same config, same run identity.
+
+    Persisted logs are keyed by it, so it must never change for a
+    stored configuration.
+    """
+    digest = blake2b(
+        canonical_json(run_spec_to_json(spec)).encode(), digest_size=4
+    ).hexdigest()
+    return f"{spec.scheduler}-{digest}"
+
 
 #: JSON's scalar types, the only ones :func:`config_key` keys.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -237,7 +203,7 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 def config_key(data: Mapping[str, Any]) -> tuple[str, ...] | None:
     """A hashable key for the run config that ``data`` spells, or ``None``.
 
-    The key holds every field :meth:`RunConfig.from_json` reads, under
+    The key holds every field :func:`run_spec_from_json` reads, under
     the default it reads, and each ``params`` name and value.  ``None``
     when one of them is not a JSON scalar (a list, a dict, a non-dict
     ``params``): only the parser may judge those.  Equal keys mean the
@@ -299,10 +265,6 @@ class Submission:
             )
         if not self.tenant or len(self.tenant) > 256:
             raise ConfigurationError("tenant must be 1..256 characters")
-
-    @property
-    def mean_task_duration(self) -> float:
-        return sum(self.tasks) / len(self.tasks)
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Submission":

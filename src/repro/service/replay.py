@@ -37,8 +37,14 @@ from repro.cluster.engine import (
 from repro.cluster.job import JobClass
 from repro.cluster.records import JobRecord, RunResult, StealingStats
 from repro.core.errors import ConfigurationError
+from repro.schedulers.registry import RunSpec
 from repro.service.event_store import EventStore
-from repro.service.models import LifecycleEvent, RunConfig, canonical_json
+from repro.service.models import (
+    LifecycleEvent,
+    canonical_json,
+    run_spec_from_json,
+    run_spec_to_json,
+)
 
 
 def record_to_json(record: JobRecord) -> dict[str, Any]:
@@ -174,7 +180,7 @@ class RunFold:
     def jobs_in_flight(self) -> int:
         return len(self.pending)
 
-    def result(self, config: RunConfig) -> RunResult:
+    def result(self, spec: RunSpec) -> RunResult:
         """Materialize the fold as a simulator-shaped result.
 
         Utilization sampling has no online analogue (there is no fixed
@@ -189,8 +195,8 @@ class RunFold:
             entries_stolen=self.entries_stolen,
         )
         return RunResult(
-            scheduler_name=config.scheduler_name,
-            n_workers=config.n_workers,
+            scheduler_name=f"service-{spec.scheduler}",
+            n_workers=spec.n_workers,
             jobs=records,
             utilization=(),
             stealing=stealing,
@@ -282,7 +288,7 @@ class NdjsonLog:
     """An event log loaded from an NDJSON file (meta, runs, events)."""
 
     meta: dict[str, Any]
-    configs: dict[str, RunConfig]
+    configs: dict[str, RunSpec]
     labels: dict[str, dict[str, Any]]
     events: list[LifecycleEvent]
 
@@ -327,11 +333,11 @@ def export_ndjson(
     count = 0
     with _open_text(path, "w") as out:
         out.write(canonical_json({"type": "meta", **dict(meta or {})}) + "\n")
-        for run_id, config in configs.items():
+        for run_id, spec in configs.items():
             line = {
                 "type": "run",
                 "run_id": run_id,
-                "config": config.to_json(),
+                "config": run_spec_to_json(spec),
                 "label": dict(labels.get(run_id, {})),
             }
             out.write(canonical_json(line) + "\n")
@@ -350,7 +356,7 @@ def load_ndjson(path: Path) -> NdjsonLog:
     ``path:line``.
     """
     meta: dict[str, Any] = {}
-    configs: dict[str, RunConfig] = {}
+    configs: dict[str, RunSpec] = {}
     labels: dict[str, dict[str, Any]] = {}
     events: list[LifecycleEvent] = []
     with _open_text(path, "r") as handle:
@@ -369,7 +375,7 @@ def load_ndjson(path: Path) -> NdjsonLog:
                     meta = {k: v for k, v in data.items() if k != "type"}
                 elif kind == "run":
                     run_id = data["run_id"]
-                    configs[run_id] = RunConfig.from_json(data["config"])
+                    configs[run_id] = run_spec_from_json(data["config"])
                     labels[run_id] = dict(data.get("label") or {})
                 elif kind == "event":
                     event = LifecycleEvent.from_json(data)

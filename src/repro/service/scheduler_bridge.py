@@ -41,8 +41,9 @@ from repro.cluster.engine import KIND_SUBMITTED
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
 from repro.schedulers import registry
+from repro.schedulers.registry import RunSpec
 from repro.service.event_store import EventStore
-from repro.service.models import LifecycleEvent, RunConfig, Submission
+from repro.service.models import LifecycleEvent, Submission, run_id
 from repro.service.replay import RunFold
 from repro.workloads.spec import JobSpec
 
@@ -52,19 +53,20 @@ class SchedulerBridge:
 
     def __init__(
         self,
-        config: RunConfig,
+        spec: RunSpec,
         store: EventStore,
         time_scale: float = 1.0,
     ) -> None:
+        registry.online_entry(spec.scheduler)
         if time_scale <= 0:
             raise ConfigurationError(
                 f"time_scale must be positive, got {time_scale}"
             )
-        self.config = config
-        self.run_id = config.run_id
+        self.spec = spec
+        self.run_id = run_id(spec)
         self.store = store
         self.time_scale = time_scale
-        self.engine = registry.build_engine(config, sink=self._emit)
+        self.engine = registry.build_engine(spec, sink=self._emit)
         self._queue: queue.SimpleQueue[
             tuple[int, Submission, float] | None
         ] = queue.SimpleQueue()
@@ -77,7 +79,7 @@ class SchedulerBridge:
         self._all_done.set()
         self._thread: threading.Thread | None = None
         self._t0 = 0.0
-        store.register_run(config, created_w=time.time())
+        store.register_run(spec, created_w=time.time())
 
     # -- crash recovery ---------------------------------------------------
     def resume_from(self, fold: RunFold) -> int:
@@ -185,7 +187,7 @@ class SchedulerBridge:
     def result(self) -> RunResult:
         """Point-in-time result folded from the events emitted so far."""
         with self._mutex:
-            return self._fold.result(self.config)
+            return self._fold.result(self.spec)
 
     def stats(self) -> dict[str, int]:
         with self._mutex:

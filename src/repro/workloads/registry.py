@@ -22,7 +22,7 @@ A registration consists of
   the *same* trace object;
 * reporting metadata — ``cutoff`` (the workload's long/short boundary)
   and ``short_partition_fraction`` (Hawk's partition sizing for it), so
-  drivers can build matched :class:`~repro.experiments.config.RunSpec`
+  drivers can build matched :class:`~repro.schedulers.registry.RunSpec`
   pairs without per-workload special cases;
 * ``quick_params`` — the param overrides of the workload's cheap test
   scale, letting tests iterate the whole zoo generically.
@@ -230,7 +230,7 @@ _MATERIALIZED: dict[tuple[str, int], Trace] = {}
 class WorkloadSpec:
     """First-class trace identity: registered name + frozen params.
 
-    The workload analogue of :class:`~repro.experiments.config.RunSpec`:
+    The workload analogue of :class:`~repro.schedulers.registry.RunSpec`:
     ``params`` is validated against the registry schema at construction
     — unknown names, wrong types and out-of-range values fail fast —
     and stored canonically ordered with defaults filled, so equality,

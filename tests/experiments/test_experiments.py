@@ -40,6 +40,20 @@ def test_invalid_worker_count_rejected():
         RunSpec(scheduler="hawk", n_workers=0, cutoff=TEST_CUTOFF)
 
 
+@pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_cutoff_rejected_at_construction(cutoff):
+    with pytest.raises(ConfigurationError, match="cutoff must be positive"):
+        RunSpec(scheduler="sparrow", n_workers=10, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("scheduler", ["sparrow", "hawk"])
+def test_partition_fraction_checked_for_every_policy(scheduler):
+    # Sparrow never builds a partition, yet the bogus value would enter
+    # the spec's digest and give the run its own cache entry.
+    with pytest.raises(ConfigurationError, match=r"must be in \[0, 1\)"):
+        RunSpec(scheduler, 10, cutoff=1.0, short_partition_fraction=5.0)
+
+
 @pytest.mark.parametrize(
     "name, has_stealing, has_partition",
     [

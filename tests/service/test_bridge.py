@@ -8,8 +8,11 @@ import pytest
 
 from repro.cluster.records import job_record
 from repro.core.errors import ConfigurationError
+from repro.runtime import PrototypeCluster
+from repro.schedulers.registry import RunSpec
+from repro.service import models
 from repro.service.event_store import EventStore
-from repro.service.models import MAX_WORKERS, RunConfig, Submission
+from repro.service.models import MAX_WORKERS, Submission
 from repro.service.replay import replay
 from repro.service.scheduler_bridge import SchedulerBridge
 
@@ -37,10 +40,10 @@ def run_jobs(store, config, n_jobs=20, tasks=(0.02, 0.05, 0.03)):
 
 @pytest.mark.parametrize("policy", ["hawk", "sparrow", "sparrow-batch"])
 def test_live_result_equals_cold_replay(store, policy, tmp_path):
-    config = RunConfig(policy=policy, n_workers=20, cutoff=0.1)
+    config = RunSpec(policy, n_workers=20, cutoff=0.1)
     bridge = run_jobs(store, config)
     live = bridge.result()
-    cold = replay(store, config.run_id).result(config)
+    cold = replay(store, models.run_id(config)).result(config)
     assert live == cold
     assert len(live.jobs) == 20
     assert [r.job_id for r in live.jobs] == list(range(20))
@@ -50,7 +53,7 @@ def test_live_result_equals_cold_replay(store, policy, tmp_path):
 def test_folded_records_carry_the_engines_own_jobs(store):
     """The ``submitted`` payload is read off the engine's ``Job``, so every
     submission-derived field of a folded record is that job's record."""
-    config = RunConfig(policy="hawk", n_workers=20, cutoff=0.1)
+    config = RunSpec("hawk", n_workers=20, cutoff=0.1)
     bridge = SchedulerBridge(config, store, time_scale=SCALE)
     jobs = []
     submit_job = bridge.engine.submit_job
@@ -82,26 +85,27 @@ def test_folded_records_carry_the_engines_own_jobs(store):
     expected = submitted(map(job_record, jobs))
     assert len(expected) == 12
     assert submitted(bridge.result().jobs) == expected
-    assert submitted(replay(store, config.run_id).result(config).jobs) == expected
+    cold = replay(store, bridge.run_id).result(config)
+    assert submitted(cold.jobs) == expected
 
 
 def test_every_lifecycle_kind_is_persisted(store):
     # cutoff below the mean task duration: jobs are long, so hawk routes
     # them through the centralized path and the short partition steals.
-    config = RunConfig(
-        policy="hawk", n_workers=8, cutoff=0.01, short_partition_fraction=0.25
+    config = RunSpec(
+        "hawk", n_workers=8, cutoff=0.01, short_partition_fraction=0.25
     )
     run_jobs(store, config, n_jobs=12, tasks=(0.05,) * 4)
-    kinds = {e.kind for e in store.events(config.run_id)}
+    kinds = {e.kind for e in store.events(models.run_id(config))}
     assert {"submitted", "queued", "started", "task-completed", "completed"} \
         <= kinds
 
 
 def test_submitted_events_carry_the_classification(store):
-    config = RunConfig(policy="sparrow", n_workers=8, cutoff=0.04)
+    config = RunSpec("sparrow", n_workers=8, cutoff=0.04)
     run_jobs(store, config, n_jobs=4, tasks=(0.06, 0.06))
     submitted = [
-        e for e in store.events(config.run_id) if e.kind == "submitted"
+        e for e in store.events(models.run_id(config)) if e.kind == "submitted"
     ]
     assert len(submitted) == 4
     for event in submitted:
@@ -111,7 +115,7 @@ def test_submitted_events_carry_the_classification(store):
 
 
 def test_client_estimate_overrides_the_engine_estimator(store):
-    config = RunConfig(policy="sparrow", n_workers=8, cutoff=0.04)
+    config = RunSpec("sparrow", n_workers=8, cutoff=0.04)
     bridge = SchedulerBridge(config, store, time_scale=SCALE).start()
     try:
         # true mean 0.02 (short) but the client claims 0.08 (long)
@@ -126,13 +130,14 @@ def test_client_estimate_overrides_the_engine_estimator(store):
 
 
 def test_checkpoint_and_compaction_preserve_replay(store):
-    config = RunConfig(policy="hawk", n_workers=20, cutoff=0.1)
+    config = RunSpec("hawk", n_workers=20, cutoff=0.1)
+    run_id = models.run_id(config)
     bridge = run_jobs(store, config)
     live = bridge.result()
     compacted = bridge.checkpoint(compact=True)
     assert compacted > 0
-    assert store.event_count(config.run_id) == 0
-    assert replay(store, config.run_id).result(config) == live
+    assert store.event_count(run_id) == 0
+    assert replay(store, run_id).result(config) == live
 
 
 class SubmitDuringFlushStore(EventStore):
@@ -162,7 +167,7 @@ def test_submit_during_the_all_done_flush_keeps_drain_waiting(tmp_path):
     inside that flush must keep ``drain`` waiting until the job completes.
     """
     with SubmitDuringFlushStore(str(tmp_path / "events.db")) as store:
-        config = RunConfig(policy="sparrow", n_workers=4, cutoff=0.1)
+        config = RunSpec("sparrow", n_workers=4, cutoff=0.1)
         bridge = SchedulerBridge(config, store, time_scale=SCALE)
         store.bridge = bridge
         bridge.start()
@@ -178,7 +183,7 @@ def test_submit_during_the_all_done_flush_keeps_drain_waiting(tmp_path):
 def test_a_drained_bridge_waits_for_the_next_submission(store, policy):
     """With nothing pending, the bridge thread blocks on the submission
     queue instead of polling it."""
-    config = RunConfig(policy=policy, n_workers=20, cutoff=0.1)
+    config = RunSpec(policy, n_workers=20, cutoff=0.1)
     bridge = SchedulerBridge(config, store, time_scale=SCALE).start()
     try:
         for _ in range(10):
@@ -216,7 +221,7 @@ def test_an_event_beyond_the_longest_queue_wait_keeps_the_bridge_alive(store):
     """At time_scale=1e-14 a 1e6 s task is due 1e20 wall seconds out, past
     ``threading.TIMEOUT_MAX``: the thread must keep waiting for (and
     injecting) submissions instead of dying on the queue's limit."""
-    config = RunConfig(policy="sparrow", n_workers=4, cutoff=0.1)
+    config = RunSpec("sparrow", n_workers=4, cutoff=0.1)
     bridge = SchedulerBridge(config, store, time_scale=1e-14).start()
     bridge.submit(Submission(tasks=(1e6,)))
     assert wait_until(lambda: bridge.stats()["injected"] == 1)
@@ -229,12 +234,12 @@ def test_an_event_beyond_the_longest_queue_wait_keeps_the_bridge_alive(store):
 
 
 def test_stop_without_start_is_a_noop(store):
-    bridge = SchedulerBridge(RunConfig(policy="sparrow"), store)
+    bridge = SchedulerBridge(RunSpec("sparrow", 4, 0.1), store)
     assert bridge.stop() is True
 
 
 def test_stats_and_latencies(store):
-    config = RunConfig(policy="sparrow", n_workers=20, cutoff=0.1)
+    config = RunSpec("sparrow", n_workers=20, cutoff=0.1)
     bridge = run_jobs(store, config, n_jobs=10)
     stats = bridge.stats()
     assert stats == {
@@ -249,37 +254,48 @@ def test_stats_and_latencies(store):
 
 
 def test_two_configs_share_one_store_without_mixing(store):
-    hawk = RunConfig(policy="hawk", n_workers=20, cutoff=0.1)
-    sparrow = RunConfig(policy="sparrow", n_workers=20, cutoff=0.1)
-    assert hawk.run_id != sparrow.run_id
+    hawk = RunSpec("hawk", n_workers=20, cutoff=0.1)
+    sparrow = RunSpec("sparrow", n_workers=20, cutoff=0.1)
+    assert models.run_id(hawk) != models.run_id(sparrow)
     b1 = run_jobs(store, hawk, n_jobs=8)
     b2 = run_jobs(store, sparrow, n_jobs=8)
-    assert b1.result() == replay(store, hawk.run_id).result(hawk)
-    assert b2.result() == replay(store, sparrow.run_id).result(sparrow)
+    assert b1.result() == replay(store, models.run_id(hawk)).result(hawk)
+    assert b2.result() == replay(store, models.run_id(sparrow)).result(sparrow)
     assert len(store.run_configs()) == 2
 
 
-def test_non_serving_policy_is_rejected():
-    with pytest.raises(ConfigurationError, match="serves_online=False"):
-        RunConfig(policy="omniscient")
+def test_non_serving_policy_is_rejected(store):
+    """Both online hosts refuse an offline policy with the same error."""
+    spec = RunSpec("omniscient", 4, 0.1)
+    errors = []
+    for host in (PrototypeCluster, lambda s: SchedulerBridge(s, store)):
+        with pytest.raises(ConfigurationError, match="serves_online") as e:
+            host(spec)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+    assert store.run_configs() == {}
 
 
 def test_run_config_bounds_the_worker_count():
     # Every worker is built before the run's first job is answered.
-    RunConfig(policy="sparrow", n_workers=MAX_WORKERS)
-    with pytest.raises(ConfigurationError, match="n_workers"):
-        RunConfig(policy="sparrow", n_workers=MAX_WORKERS + 1)
-    with pytest.raises(ConfigurationError, match="n_workers"):
-        RunConfig(policy="sparrow", n_workers=0)
+    def parse(n_workers):
+        return models.run_spec_from_json(
+            {"policy": "sparrow", "n_workers": n_workers}
+        )
+
+    parse(MAX_WORKERS)
+    for n_workers in (MAX_WORKERS + 1, 0):
+        with pytest.raises(ConfigurationError, match="n_workers"):
+            parse(n_workers)
 
 
 def test_run_config_digest_is_content_addressed():
-    a = RunConfig(policy="hawk", seed=0)
-    b = RunConfig(policy="hawk", seed=0)
-    c = RunConfig(policy="hawk", seed=1)
-    assert a.run_id == b.run_id
-    assert a.run_id != c.run_id
-    assert a.run_id.startswith("hawk-")
+    a = models.run_spec_from_json({"policy": "hawk", "seed": 0})
+    b = models.run_spec_from_json({"policy": "hawk", "seed": 0})
+    c = models.run_spec_from_json({"policy": "hawk", "seed": 1})
+    assert models.run_id(a) == models.run_id(b)
+    assert models.run_id(a) != models.run_id(c)
+    assert models.run_id(a).startswith("hawk-")
 
 
 def test_submission_validation():
@@ -294,7 +310,7 @@ def test_submission_validation():
 
 
 def test_bridge_rejects_bad_knobs(store):
-    config = RunConfig(policy="sparrow")
+    config = models.run_spec_from_json({"policy": "sparrow"})
     with pytest.raises(ConfigurationError, match="time_scale"):
         SchedulerBridge(config, store, time_scale=0.0)
     bridge = SchedulerBridge(config, store)

@@ -2,8 +2,9 @@
 
 ``ServiceState`` parses each spelling of a run config once and answers
 later jobs naming it from a dict; these tests hold the memo to the cold
-parser (same run id, or the same error) and pin the run ids that
-persisted logs are keyed by.
+parser (same run id, or the same error), pin the run ids that persisted
+logs are keyed by, and hold the stored JSON form of a ``RunSpec`` to a
+lossless round trip.
 """
 
 from __future__ import annotations
@@ -13,9 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
+from repro.schedulers.registry import RunSpec, policy_entry, registered_names
 from repro.service.api import CONFIGS_PER_RUN, ServiceState
 from repro.service.event_store import EventStore
-from repro.service.models import RunConfig, config_key
+from repro.service.models import (
+    config_key,
+    run_id,
+    run_spec_from_json,
+    run_spec_to_json,
+)
 
 MAX_RUNS = 2
 
@@ -30,7 +37,7 @@ def state(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "payload, run_id",
+    "payload, expected",
     [
         ({"policy": "hawk"}, "hawk-ee96a404"),
         ({"policy": "sparrow", "n_workers": 50, "seed": 3}, "sparrow-c1d2cb9a"),
@@ -38,14 +45,25 @@ def state(tmp_path_factory):
         ({"policy": "hawk", "n_workers": 50.0, "cutoff": 0.1}, "hawk-0d62db57"),
     ],
 )
-def test_run_ids_are_pinned(payload, run_id):
-    assert RunConfig.from_json(payload).run_id == run_id
+def test_run_ids_are_pinned(payload, expected):
+    assert run_id(run_spec_from_json(payload)) == expected
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [name for name in registered_names() if policy_entry(name).serves_online],
+)
+def test_the_stored_form_round_trips(policy):
+    spec = RunSpec(policy, 7, 0.25, short_partition_fraction=0.5, seed=3)
+    parsed = run_spec_from_json(run_spec_to_json(spec))
+    assert parsed == spec
+    assert run_id(parsed) == run_id(spec)
 
 
 @pytest.mark.parametrize("cutoff", [float("inf"), float("-inf"), float("nan")])
 def test_a_non_finite_cutoff_is_rejected_by_name(cutoff):
     with pytest.raises(ConfigurationError, match="cutoff"):
-        RunConfig.from_json({"policy": "hawk", "cutoff": cutoff})
+        run_spec_from_json({"policy": "hawk", "cutoff": cutoff})
 
 
 @pytest.mark.parametrize(
@@ -56,14 +74,14 @@ def test_an_integer_field_is_never_truncated(field, value):
     # int() made {"n_workers": 100.9, "seed": true} the run of
     # {"n_workers": 100, "seed": 1}.
     with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
-        RunConfig.from_json({"policy": "hawk", field: value})
+        run_spec_from_json({"policy": "hawk", field: value})
 
 
 def test_integral_floats_and_digit_strings_still_parse():
-    same = RunConfig.from_json({"policy": "hawk", "n_workers": 50, "seed": 2})
+    same = run_spec_from_json({"policy": "hawk", "n_workers": 50, "seed": 2})
     for n_workers, seed in ((50.0, 2.0), ("50", "2")):
         spelled = {"policy": "hawk", "n_workers": n_workers, "seed": seed}
-        assert RunConfig.from_json(spelled) == same
+        assert run_spec_from_json(spelled) == same
 
 
 def test_spellings_key_apart_by_type():
@@ -130,9 +148,14 @@ def respell(value):
 
 def outcome(parse, payload):
     try:
-        return "ok", parse(payload).run_id
+        return "ok", parse(payload)
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
         return type(exc), str(exc)
+
+
+def cold_parse(payload):
+    spec = run_spec_from_json(payload)
+    return spec, run_id(spec)
 
 
 @settings(max_examples=400, deadline=None)
@@ -144,7 +167,7 @@ def test_a_warm_memo_parses_like_a_cold_parser(state, batch):
     twins = [{f: respell(v) for f, v in payload.items()} for payload in batch]
     for payload in batch + twins + batch:
         assert outcome(state._config, payload) == outcome(
-            RunConfig.from_json, payload
+            cold_parse, payload
         ), payload
 
 

@@ -12,8 +12,9 @@ import pytest
 
 from repro.cluster.engine import KIND_COMPLETED, KIND_SUBMITTED
 from repro.core.errors import ConfigurationError, ReproError, StoreUnavailable
+from repro.service import models
 from repro.service.event_store import EventStore
-from repro.service.models import LifecycleEvent, RunConfig
+from repro.service.models import LifecycleEvent
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -61,12 +62,15 @@ def test_payload_round_trips_through_storage(store):
 
 
 def test_register_run_is_idempotent_and_round_trips_config(store):
-    config = RunConfig(policy="hawk", n_workers=20, seed=7)
+    config = models.run_spec_from_json(
+        {"policy": "hawk", "n_workers": 20, "seed": 7}
+    )
+    run_id = models.run_id(config)
     store.register_run(config, created_w=1.0)
     store.register_run(config, created_w=2.0)
     configs = store.run_configs()
-    assert set(configs) == {config.run_id}
-    assert configs[config.run_id] == config
+    assert set(configs) == {run_id}
+    assert configs[run_id] == config
 
 
 def test_reopen_sees_flushed_events_and_continues_seq(tmp_path):

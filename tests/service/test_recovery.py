@@ -22,16 +22,18 @@ import pytest
 
 import repro
 from repro.cluster.engine import KIND_SUBMITTED
+from repro.schedulers.registry import RunSpec
+from repro.service import models
 from repro.service.api import ServiceState
 from repro.service.event_store import EventStore
-from repro.service.models import LifecycleEvent, RunConfig, canonical_json
+from repro.service.models import LifecycleEvent, canonical_json
 from repro.service.replay import replay
 
 TIME_SCALE = 200.0
 
 
 def make_config(policy="sparrow"):
-    return RunConfig(policy=policy, n_workers=8, cutoff=0.1)
+    return RunSpec(policy, n_workers=8, cutoff=0.1)
 
 
 def interrupted_store(path, *, n_pending=3, n_tasks=2, with_tasks=True):
@@ -54,7 +56,7 @@ def interrupted_store(path, *, n_pending=3, n_tasks=2, with_tasks=True):
             payload["tasks"] = [0.02] * n_tasks
         store.append(
             LifecycleEvent(
-                run_id=config.run_id,
+                run_id=models.run_id(config),
                 kind=KIND_SUBMITTED,
                 vtime=0.001 * job_id,
                 wtime=0.001 * job_id,
@@ -68,23 +70,24 @@ def interrupted_store(path, *, n_pending=3, n_tasks=2, with_tasks=True):
 
 def test_rehydrate_resumes_interrupted_jobs(tmp_path):
     store, config = interrupted_store(tmp_path / "events.db")
+    run_id = models.run_id(config)
     state = ServiceState(store, time_scale=TIME_SCALE)
     summary = state.rehydrate()
     (resumed,) = summary["resumed"]
-    assert resumed["run_id"] == config.run_id
+    assert resumed["run_id"] == run_id
     assert resumed["jobs_resumed"] == 3
     assert resumed["jobs_unrecoverable"] == 0
     assert summary["failed"] == []
     assert state.health()["rehydrated_runs"] == 1
 
-    payload = state.run_result(config.run_id, drain=True, timeout=30.0)
+    payload = state.run_result(run_id, drain=True, timeout=30.0)
     jobs = payload["result"]["jobs"]
     assert sorted(j["job_id"] for j in jobs) == [0, 1, 2]
 
     # The continued log folds cold to the same result the live bridge
     # reports — the crash left no divergence behind.
-    live = state._live_bridge(config.run_id).result()
-    assert replay(store, config.run_id).result(config) == live
+    live = state._live_bridge(run_id).result()
+    assert replay(store, run_id).result(config) == live
     state.close(timeout=30.0)
     store.close()
 
@@ -104,7 +107,7 @@ def test_rehydrate_counts_the_log_before_the_bridge_runs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(state, "_install", install_and_drain)
     (resumed,) = state.rehydrate()["resumed"]
-    assert resumed["run_id"] == config.run_id
+    assert resumed["run_id"] == models.run_id(config)
     assert resumed["jobs_resumed"] == 3
     assert resumed["jobs_unrecoverable"] == 0
     assert resumed["jobs_already_done"] == 0
@@ -114,6 +117,7 @@ def test_rehydrate_counts_the_log_before_the_bridge_runs(tmp_path, monkeypatch):
 
 def test_rehydrate_is_idempotent_and_continues_job_ids(tmp_path):
     store, config = interrupted_store(tmp_path / "events.db")
+    run_id = models.run_id(config)
     state = ServiceState(store, time_scale=TIME_SCALE)
     state.rehydrate()
     # A second pass finds the run live and leaves it alone.
@@ -122,16 +126,16 @@ def test_rehydrate_is_idempotent_and_continues_job_ids(tmp_path):
     # New submissions allocate ids past everything the log has seen.
     response = state.submit(
         {
-            "policy": config.policy,
+            "policy": config.scheduler,
             "n_workers": config.n_workers,
             "cutoff": config.cutoff,
             "tasks": [0.02, 0.02],
         }
     )
-    assert response["run_id"] == config.run_id
+    assert response["run_id"] == run_id
     assert response["job_id"] == 3
 
-    payload = state.run_result(config.run_id, drain=True, timeout=30.0)
+    payload = state.run_result(run_id, drain=True, timeout=30.0)
     assert len(payload["result"]["jobs"]) == 4
     state.close(timeout=30.0)
     store.close()
@@ -151,7 +155,9 @@ def test_rehydrate_skips_pre_upgrade_submissions(tmp_path):
         (resumed,) = summary["resumed"]
         assert resumed["jobs_resumed"] == 0
         assert resumed["jobs_unrecoverable"] == 2
-        payload = state.run_result(config.run_id, drain=True, timeout=5.0)
+        payload = state.run_result(
+            models.run_id(config), drain=True, timeout=5.0
+        )
         assert payload["result"]["jobs"] == []
     state.close(timeout=10.0)
     store.close()

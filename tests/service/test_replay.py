@@ -22,8 +22,9 @@ from repro.cluster.engine import (
 )
 from repro.cluster.job import JobClass
 from repro.core.errors import ConfigurationError
+from repro.service import models
 from repro.service.event_store import EventStore
-from repro.service.models import LifecycleEvent, RunConfig
+from repro.service.models import LifecycleEvent
 from repro.service.replay import (
     RunFold,
     export_ndjson,
@@ -116,7 +117,7 @@ def test_fold_tracks_stealing_and_clock():
     assert fold.steal_transfers == 1
     assert fold.entries_stolen == 3
     assert fold.last_vtime == 9.0
-    result = fold.result(RunConfig(policy="hawk"))
+    result = fold.result(models.run_spec_from_json({"policy": "hawk"}))
     assert result.stealing.entries_stolen == 3
     assert result.scheduler_name == "service-hawk"
     assert result.end_time == 9.0
@@ -150,7 +151,7 @@ def test_state_round_trip_resumes_mid_stream():
     resumed = RunFold.from_state(state)
     for event in events[4:]:
         resumed.apply(event)
-    config = RunConfig(policy="sparrow")
+    config = models.run_spec_from_json({"policy": "sparrow"})
     assert resumed.result(config) == full.result(config)
 
 
@@ -160,68 +161,71 @@ def make_store(tmp_path, config, n_jobs=3):
     for j in range(n_jobs):
         for event in job_events(
             j, seq0=0, submit_v=float(j), complete_v=float(j) + 5.0,
-            run_id=config.run_id,
+            run_id=models.run_id(config),
         ):
             store.append(event)
     return store
 
 
 def test_replay_result_matches_direct_fold(tmp_path):
-    config = RunConfig(policy="sparrow")
+    config = models.run_spec_from_json({"policy": "sparrow"})
     store = make_store(tmp_path, config)
-    result = replay(store, config.run_id).result(config)
+    result = replay(store, models.run_id(config)).result(config)
     assert len(result.jobs) == 3
     assert [r.job_id for r in result.jobs] == [0, 1, 2]
     store.close()
 
 
 def test_replay_from_snapshot_equals_full_replay(tmp_path):
-    config = RunConfig(policy="sparrow")
+    config = models.run_spec_from_json({"policy": "sparrow"})
+    run_id = models.run_id(config)
     store = make_store(tmp_path, config, n_jobs=4)
-    full = replay(store, config.run_id).result(config)
+    full = replay(store, run_id).result(config)
     # checkpoint after the first two jobs (6 events), then compact
     fold = RunFold()
-    for event in list(store.events(config.run_id))[:6]:
+    for event in list(store.events(run_id))[:6]:
         fold.apply(event)
     store.save_snapshot(
-        config.run_id, upto_seq=fold.last_seq, state=fold.to_state(),
+        run_id, upto_seq=fold.last_seq, state=fold.to_state(),
         created_w=0.0,
     )
-    assert store.compact(config.run_id) == 6
-    assert replay(store, config.run_id).result(config) == full
+    assert store.compact(run_id) == 6
+    assert replay(store, run_id).result(config) == full
     store.close()
 
 
 def test_replay_rejects_inconsistent_snapshot(tmp_path):
-    config = RunConfig(policy="sparrow")
+    config = models.run_spec_from_json({"policy": "sparrow"})
+    run_id = models.run_id(config)
     store = make_store(tmp_path, config, n_jobs=1)
-    fold = replay(store, config.run_id)
+    fold = replay(store, run_id)
     store.save_snapshot(
-        config.run_id, upto_seq=1, state=fold.to_state(), created_w=0.0
+        run_id, upto_seq=1, state=fold.to_state(), created_w=0.0
     )
     with pytest.raises(ConfigurationError, match="snapshot"):
-        replay(store, config.run_id)
+        replay(store, run_id)
     store.close()
 
 
 @pytest.mark.parametrize("name", ["log.ndjson", "log.ndjson.gz"])
 def test_ndjson_export_load_round_trip(tmp_path, name):
-    config = RunConfig(policy="hawk", n_workers=16)
+    config = models.run_spec_from_json({"policy": "hawk", "n_workers": 16})
+    run_id = models.run_id(config)
     store = make_store(tmp_path, config)
     path = tmp_path / name
     count = export_ndjson(
         store,
         path,
         meta={"source": "test"},
-        labels={config.run_id: {"multiple": 1.4}},
+        labels={run_id: {"multiple": 1.4}},
     )
     assert count == 9
     log = load_ndjson(path)
     assert log.meta == {"source": "test"}
-    assert log.configs == {config.run_id: config}
-    assert log.labels[config.run_id] == {"multiple": 1.4}
+    assert log.configs == {run_id: config}
+    assert log.labels[run_id] == {"multiple": 1.4}
     results = log.results()
-    assert results[config.run_id] == replay(store, config.run_id).result(config)
+    assert results[run_id] == replay(store, run_id).result(config)
     store.close()
 
 
@@ -328,7 +332,7 @@ def streams(draw):
 @settings(max_examples=60, deadline=None)
 @given(events=streams(), data=st.data())
 def test_replay_after_checkpoint_equals_the_event_fold(events, data):
-    config = RunConfig(policy="sparrow")
+    config = models.run_spec_from_json({"policy": "sparrow"})
     store = EventStore(":memory:")
     for event in events:
         store.append(event)
@@ -418,47 +422,49 @@ class CheckpointingStore(EventStore):
 
 
 def test_a_checkpoint_racing_a_replay_drops_no_jobs(tmp_path):
-    config = RunConfig(policy="sparrow")
+    config = models.run_spec_from_json({"policy": "sparrow"})
+    run_id = models.run_id(config)
     store = CheckpointingStore(str(tmp_path / "events.db"))
     store.register_run(config, created_w=0.0)
     for j in range(4):
-        for event in job_events(j, seq0=0, run_id=config.run_id):
+        for event in job_events(j, seq0=0, run_id=run_id):
             store.append(event)
-    events = list(store.events(config.run_id))
+    events = list(store.events(run_id))
 
     def checkpoint(n_events):
         fold = fold_events(events[:n_events])
-        store.save_snapshot(config.run_id, fold.last_seq, fold.to_state(), 0.0)
-        store.compact(config.run_id)
+        store.save_snapshot(run_id, fold.last_seq, fold.to_state(), 0.0)
+        store.compact(run_id)
 
     checkpoint(3)  # after job 0
     # The next replay's snapshot read lets a checkpoint after job 2,
     # with compaction, run before the replay reads its tail.
     store.hook = lambda: checkpoint(9)
-    got = replay(store, config.run_id).result(config)
+    got = replay(store, run_id).result(config)
     store.hooked.join(10.0)
     assert not store.hooked.is_alive()
     assert got == fold_events(events).result(config)
-    assert replay(store, config.run_id).result(config) == got
+    assert replay(store, run_id).result(config) == got
     store.close()
 
 
 def test_an_older_checkpoint_saved_late_keeps_the_newer_snapshot(tmp_path):
     # Two checkpoints on separate threads: the newer one (after job 2)
     # saves and compacts first, then the older one (after job 0) saves.
-    config = RunConfig(policy="sparrow")
+    config = models.run_spec_from_json({"policy": "sparrow"})
+    run_id = models.run_id(config)
     store = EventStore(str(tmp_path / "events.db"))
     store.register_run(config, created_w=0.0)
     for j in range(4):
-        for event in job_events(j, seq0=0, run_id=config.run_id):
+        for event in job_events(j, seq0=0, run_id=run_id):
             store.append(event)
-    events = list(store.events(config.run_id))
+    events = list(store.events(run_id))
     older, newer = fold_events(events[:3]), fold_events(events[:9])
-    store.save_snapshot(config.run_id, newer.last_seq, newer.to_state(), 0.0)
-    assert store.compact(config.run_id) == 9
-    store.save_snapshot(config.run_id, older.last_seq, older.to_state(), 0.0)
-    got = replay(store, config.run_id)
+    store.save_snapshot(run_id, newer.last_seq, newer.to_state(), 0.0)
+    assert store.compact(run_id) == 9
+    store.save_snapshot(run_id, older.last_seq, older.to_state(), 0.0)
+    got = replay(store, run_id)
     assert got.result(config) == fold_events(events).result(config)
     assert got.jobs_completed == 4
-    assert store.latest_snapshot(config.run_id)[0] == newer.last_seq
+    assert store.latest_snapshot(run_id)[0] == newer.last_seq
     store.close()
