@@ -1,10 +1,24 @@
-"""Immutable result records produced by a run."""
+"""Immutable result records produced by a run.
+
+A :class:`RunResult` keeps its job records and utilization samples as
+columns: one read-only NumPy array per record field, in record order,
+with the two job classes stored as booleans (true for ``SHORT``).  The
+metrics fold the arrays directly; :class:`JobRecord` and
+:class:`UtilizationSample` named tuples are built only when a caller
+asks for them (``RunResult.jobs``, ``.utilization``, ``.records()``),
+and ``repr(RunResult)`` renders them, so every digest reads the same
+text as when results held tuples of records.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar, cast
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.cluster.job import Job, JobClass
 
@@ -13,8 +27,8 @@ class JobRecord(NamedTuple):
     """Everything the metrics layer needs to know about one finished job.
 
     A named tuple: its repr is the text every ``RunResult`` digest is
-    taken over.  A pickled ``RunResult`` carries its records as plain
-    tuples, and unpickling rebuilds them with ``tuple.__new__`` in C,
+    taken over.  A ``RunResult`` stores its records as
+    :class:`JobColumns` and rebuilds them with ``tuple.__new__`` in C,
     never through this class's Python-level ``__new__``.
     """
 
@@ -82,26 +96,159 @@ class StealingStats:
         return self.successful_rounds / self.rounds
 
 
-@dataclass(frozen=True, slots=True)
+_INT = np.dtype(np.int64)
+_FLOAT = np.dtype(np.float64)
+_BOOL = np.dtype(np.bool_)
+
+Ints = npt.NDArray[np.int64]
+Floats = npt.NDArray[np.float64]
+Flags = npt.NDArray[np.bool_]
+
+
+class JobColumns(NamedTuple):
+    """A run's :class:`JobRecord` fields, one read-only array each.
+
+    Row ``i`` of every array is record ``i``.  The classes are booleans,
+    true for :attr:`JobClass.SHORT`.  A tuple of arrays: compare two with
+    ``np.array_equal`` per column, not ``==``.
+    """
+
+    job_id: Ints
+    submit_time: Floats
+    completion_time: Floats
+    num_tasks: Ints
+    true_mean_task_duration: Floats
+    estimated_task_duration: Floats
+    task_seconds: Floats
+    scheduled_short: Flags
+    true_short: Flags
+    stolen_tasks: Ints
+    retried_tasks: Ints
+
+
+class UtilizationColumns(NamedTuple):
+    """A run's :class:`UtilizationSample` fields, one read-only array each."""
+
+    time: Floats
+    busy_workers: Ints
+    total_workers: Ints
+
+
+#: Each column's dtype; the boolean columns are the job classes.
+_DTYPES: dict[type, tuple[np.dtype[Any], ...]] = {
+    JobColumns: (
+        _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _FLOAT, _FLOAT, _BOOL, _BOOL, _INT, _INT
+    ),
+    UtilizationColumns: (_FLOAT, _INT, _INT),
+}
+#: A class column's boolean indexes this pair.
+_CLASSES = (JobClass.LONG, JobClass.SHORT)
+_is_short = partial(operator.is_, JobClass.SHORT)
+#: A record from a row of its field values, built in C (the classes'
+#: ``_make`` and ``__new__`` run a Python frame per record).
+_record_of_row = cast(
+    Callable[[Iterable[Any]], JobRecord], partial(tuple.__new__, JobRecord)
+)
+_sample_of_row = cast(
+    Callable[[Iterable[Any]], UtilizationSample],
+    partial(tuple.__new__, UtilizationSample),
+)
+
+_Columns = TypeVar("_Columns", JobColumns, UtilizationColumns)
+
+
+def _read_only(array: npt.NDArray[Any]) -> npt.NDArray[Any]:
+    array.flags.writeable = False
+    return array
+
+
+def _columns(cls: type[_Columns], rows: Sequence[tuple]) -> _Columns:
+    """``rows`` (records or their plain tuples, in order) as ``cls``."""
+    dtypes = _DTYPES[cls]
+    fields: list[Sequence[Any]] = list(zip(*rows)) or [()] * len(dtypes)
+    arrays = []
+    for values, dtype in zip(fields, dtypes):
+        items: Iterable[Any] = values
+        if dtype == _BOOL:  # a class column
+            items = map(_is_short, values)
+        arrays.append(_read_only(np.fromiter(items, dtype, len(values))))
+    return cls(*arrays)
+
+
+def _job_rows(columns: JobColumns, index: slice | Flags) -> list[JobRecord]:
+    """The records at ``index`` of ``columns``, in order."""
+    fields = [
+        list(map(_CLASSES.__getitem__, column[index].tolist()))
+        if column.dtype == _BOOL
+        else column[index].tolist()
+        for column in columns
+    ]
+    return list(map(_record_of_row, zip(*fields)))
+
+
+#: ``slice(None)``: every job, as a view.
+_ALL = slice(None)
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class RunResult:
-    """Output of :meth:`ClusterEngine.run`."""
+    """Output of :meth:`ClusterEngine.run`.
+
+    The constructor takes the job records and utilization samples (or
+    their columns) and keeps only the columns (see the module docstring).
+    ``jobs`` and ``utilization`` rebuild the record tuples on each
+    access; ``repr``, ``==`` and ``hash`` give what the frozen dataclass
+    over the records gave, so a digest, an equality or a hash is the same
+    as with the record form.  A result pickles each column as its dtype
+    and raw bytes; loading checks every dtype and that the columns are
+    of one length (``ValueError`` otherwise) and wraps the bytes,
+    read-only, without a copy.
+    """
 
     scheduler_name: str
     n_workers: int
-    jobs: tuple[JobRecord, ...]
-    utilization: tuple[UtilizationSample, ...]
-    stealing: StealingStats = field(default=StealingStats())
-    events_fired: int = 0
-    end_time: float = 0.0
+    job_columns: JobColumns
+    utilization_columns: UtilizationColumns
+    stealing: StealingStats
+    events_fired: int
+    end_time: float
+
+    def __init__(
+        self,
+        scheduler_name: str,
+        n_workers: int,
+        jobs: Sequence[JobRecord] | JobColumns,
+        utilization: Sequence[UtilizationSample] | UtilizationColumns,
+        stealing: StealingStats = StealingStats(),
+        events_fired: int = 0,
+        end_time: float = 0.0,
+    ) -> None:
+        if not isinstance(jobs, JobColumns):
+            jobs = _columns(JobColumns, jobs)
+        if not isinstance(utilization, UtilizationColumns):
+            utilization = _columns(UtilizationColumns, utilization)
+        object.__setattr__(self, "scheduler_name", scheduler_name)
+        object.__setattr__(self, "n_workers", n_workers)
+        object.__setattr__(self, "job_columns", jobs)
+        object.__setattr__(self, "utilization_columns", utilization)
+        object.__setattr__(self, "stealing", stealing)
+        object.__setattr__(self, "events_fired", events_fired)
+        object.__setattr__(self, "end_time", end_time)
+
+    def __setstate__(self, state: list[Any]) -> None:
+        # Only a blob pickled while results were plain frozen dataclasses
+        # comes here (the column form loads through _rebuild_columns): its
+        # state is the field values in order, records included.
+        RunResult.__init__(self, *state)
 
     def __reduce__(self) -> tuple[Callable[..., RunResult], tuple]:
-        # Plain tuples pickle and unpickle in C; the record classes'
-        # own pickle form costs a Python frame per record.
-        return _rebuild_run, (
+        # Each column travels as its dtype and raw bytes; loading wraps
+        # the bytes without copying them.
+        return _rebuild_columns, (
             self.scheduler_name,
             self.n_workers,
-            tuple(map(tuple, self.jobs)),
-            tuple(map(tuple, self.utilization)),
+            _blobs(self.job_columns),
+            _blobs(self.utilization_columns),
             (
                 self.stealing.rounds,
                 self.stealing.successful_rounds,
@@ -112,19 +259,79 @@ class RunResult:
             self.end_time,
         )
 
+    @property
+    def jobs(self) -> tuple[JobRecord, ...]:
+        """The job records, in order (built on each access)."""
+        return tuple(_job_rows(self.job_columns, _ALL))
+
+    @property
+    def utilization(self) -> tuple[UtilizationSample, ...]:
+        """The utilization samples, in order (built on each access)."""
+        fields = [column.tolist() for column in self.utilization_columns]
+        return tuple(map(_sample_of_row, zip(*fields)))
+
+    def _record_fields(self) -> dict[str, Any]:
+        """The record form's fields, in dataclass order."""
+        return {
+            "scheduler_name": self.scheduler_name,
+            "n_workers": self.n_workers,
+            "jobs": self.jobs,
+            "utilization": self.utilization,
+            "stealing": self.stealing,
+            "events_fired": self.events_fired,
+            "end_time": self.end_time,
+        }
+
+    def __repr__(self) -> str:
+        fields = self._record_fields().items()
+        return f"RunResult({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._record_fields().values()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return self is other or (
+            (self.scheduler_name, self.n_workers, self.stealing)
+            == (other.scheduler_name, other.n_workers, other.stealing)
+            and (self.events_fired, self.end_time)
+            == (other.events_fired, other.end_time)
+            and all(map(np.array_equal, self.job_columns, other.job_columns))
+            and all(
+                map(np.array_equal, self.utilization_columns, other.utilization_columns)
+            )
+        )
+
+    def class_index(self, job_class: JobClass | None) -> slice | Flags:
+        """Selects the jobs of *true* class ``job_class`` (all for ``None``)
+        from any column of :attr:`job_columns`."""
+        if job_class is None:
+            return _ALL
+        if job_class is JobClass.SHORT:
+            return self.job_columns.true_short
+        return np.logical_not(self.job_columns.true_short)
+
+    def runtime_column(self, index: slice | Flags = _ALL) -> Floats:
+        """``completion_time - submit_time`` of the jobs at ``index``."""
+        columns = self.job_columns
+        return np.subtract(columns.completion_time[index], columns.submit_time[index])
+
     def runtimes(self, job_class: JobClass | None = None) -> list[float]:
         """Job runtimes, optionally filtered by *true* class."""
-        return [j.runtime for j in self.records(job_class)]
+        return self.runtime_column(self.class_index(job_class)).tolist()
 
     def records(self, job_class: JobClass | None = None) -> list[JobRecord]:
-        if job_class is None:
-            return list(self.jobs)
-        return [j for j in self.jobs if j.true_class is job_class]
+        return _job_rows(self.job_columns, self.class_index(job_class))
+
+    def _utilizations(self) -> Floats:
+        columns = self.utilization_columns
+        return np.divide(columns.busy_workers, columns.total_workers)
 
     def median_utilization(self) -> float:
-        if not self.utilization:
+        values = np.sort(self._utilizations()).tolist()
+        if not values:
             return 0.0
-        values = sorted(s.utilization for s in self.utilization)
         n = len(values)
         mid = n // 2
         if n % 2:
@@ -132,18 +339,63 @@ class RunResult:
         return 0.5 * (values[mid - 1] + values[mid])
 
     def max_utilization(self) -> float:
-        if not self.utilization:
+        values = self._utilizations()
+        if not values.size:
             return 0.0
-        return max(s.utilization for s in self.utilization)
+        return float(values.max())
 
 
-def _rows(
+def _blobs(columns: tuple[npt.NDArray[Any], ...]) -> tuple[tuple[str, bytes], ...]:
+    return tuple((column.dtype.str, column.tobytes()) for column in columns)
+
+
+def _from_blobs(cls: type[_Columns], blobs: tuple[tuple[str, bytes], ...]) -> _Columns:
+    """Pickled columns as read-only arrays over their bytes, checked."""
+    name, dtypes = cls.__name__, _DTYPES[cls]
+    if len(blobs) != len(dtypes):
+        raise ValueError(
+            f"pickled {name} has {len(blobs)} columns, not {len(dtypes)}"
+        )
+    arrays = []
+    for (dtype, raw), expected in zip(blobs, dtypes):
+        if dtype != expected.str:
+            raise ValueError(
+                f"pickled {name} column of dtype {dtype!r}, not {expected.str!r}"
+            )
+        arrays.append(_read_only(np.frombuffer(raw, expected)))
+    if len(set(map(len, arrays))) > 1:
+        raise ValueError(f"pickled {name} columns of unequal lengths")
+    return cls(*arrays)
+
+
+def _rebuild_columns(
+    scheduler_name: str,
+    n_workers: int,
+    jobs: tuple[tuple[str, bytes], ...],
+    utilization: tuple[tuple[str, bytes], ...],
+    stealing: tuple[int, int, int, int],
+    events_fired: int,
+    end_time: float,
+) -> RunResult:
+    """Unpickle the column form :meth:`RunResult.__reduce__` writes."""
+    return RunResult(
+        scheduler_name,
+        n_workers,
+        _from_blobs(JobColumns, jobs),
+        _from_blobs(UtilizationColumns, utilization),
+        StealingStats(*stealing),
+        events_fired,
+        end_time,
+    )
+
+
+def _check_arity(
     cls: type[JobRecord] | type[UtilizationSample], rows: tuple[tuple, ...]
-) -> tuple:
-    """``rows`` as ``cls`` named tuples, each row of ``cls``'s arity."""
+) -> tuple[tuple, ...]:
+    """``rows``, each of which must have ``cls``'s arity."""
     if not set(map(len, rows)) <= {len(cls._fields)}:
         raise ValueError(f"pickled {cls.__name__} row of the wrong arity")
-    return tuple(map(partial(tuple.__new__, cls), rows))
+    return rows
 
 
 def _rebuild_run(
@@ -155,12 +407,13 @@ def _rebuild_run(
     events_fired: int,
     end_time: float,
 ) -> RunResult:
-    """Unpickle the flat form :meth:`RunResult.__reduce__` writes."""
+    """Unpickle the flat form (records as plain tuples) that results were
+    pickled in before the column form; such blobs still load equal."""
     return RunResult(
         scheduler_name,
         n_workers,
-        _rows(JobRecord, jobs),
-        _rows(UtilizationSample, utilization),
+        _columns(JobColumns, _check_arity(JobRecord, jobs)),
+        _columns(UtilizationColumns, _check_arity(UtilizationSample, utilization)),
         StealingStats(*stealing),
         events_fired,
         end_time,

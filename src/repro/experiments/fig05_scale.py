@@ -2,17 +2,22 @@
 
 The paper's Google sweep (Figure 5) tops out at cluster sizes in the low
 thousands because that is where the 1200-job synthetic trace's offered
-load lives.  These drivers push the same comparison to larger clusters:
-the arrival process is densified (same generator, shorter inter-arrivals)
-so ten thousand — and, with another 10x densification, one hundred
-thousand — nodes sit at high-but-not-overloaded load, the regime where
-Hawk's short-job benefit peaks.  Each point runs through the standard
-sweep pipeline (executor batch, two-tier cache, seed replication).  The
-10k point exists because the fast-path simulation core made that cluster
-size practical to regenerate; the 100k point because the flat-array
-worker columns hold victim selection and hint bookkeeping at O(1) per
-round regardless of cluster size; ``python -m repro.bench`` tracks the
-underlying events/sec budget for both.
+load lives.  These drivers push the same comparison to larger clusters
+by densifying the arrival process (same generator, shorter
+inter-arrivals).  At 10k workers the 3,000-job trace keeps the cluster
+busy: queues form, and Hawk's short-job benefit shows.  The 100k point
+divides the gaps by another 10 but keeps the same 3,000 jobs and 78,494
+tasks, fewer tasks than workers: Sparrow's median utilization is about
+0.007, no queue forms, and Hawk and Sparrow come out nearly equal.
+Until its job count grows with the cluster, it measures the simulator
+at 100k workers, not Hawk's benefit at high load.  Each point runs
+through the standard sweep pipeline (executor batch, two-tier cache,
+seed replication).  The 10k point exists because the fast-path
+simulation core made that cluster size practical to regenerate; the
+100k point because a failing steal round costs the same at any cluster
+size (buffered victim draws checked against the cluster's steal-flag
+bitmap, see ``repro.schedulers.stealing``); ``python -m repro.bench``
+tracks the underlying events/sec budget for both.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from repro.workloads.registry import WorkloadSpec
 #: The headline cluster size (the paper's sweeps stop near 5k).
 SCALE_N_WORKERS = 10_000
 
-#: The flat-array frontier: one hundred thousand single-slot servers.
+#: The largest point: one hundred thousand single-slot servers.
 SCALE_100K_N_WORKERS = 100_000
 
 

@@ -27,6 +27,8 @@ import time
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from repro.cluster.job import JobClass
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
@@ -59,7 +61,13 @@ def _scheduled_runtimes(result: RunResult, job_class: JobClass) -> list[float]:
     class — identical across all four systems compared here — is the
     consistent reporting population.
     """
-    return [r.runtime for r in result.jobs if r.scheduled_class is job_class]
+    scheduled_short = result.job_columns.scheduled_short
+    index = (
+        scheduled_short
+        if job_class is JobClass.SHORT
+        else np.logical_not(scheduled_short)
+    )
+    return result.runtime_column(index).tolist()
 
 
 def _ratio(hawk: RunResult, sparrow: RunResult, cls: JobClass, p: float) -> float:

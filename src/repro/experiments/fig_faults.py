@@ -122,10 +122,7 @@ def run(
             s50 = [percentile(r.runtimes(JobClass.SHORT), 50.0) for r in replicas]
             s90 = [percentile(r.runtimes(JobClass.SHORT), 90.0) for r in replicas]
             l50 = [percentile(r.runtimes(JobClass.LONG), 50.0) for r in replicas]
-            retried = [
-                float(sum(job.retried_tasks for job in r.jobs))
-                for r in replicas
-            ]
+            retried = [float(r.job_columns.retried_tasks.sum()) for r in replicas]
             short_p50[(policy, fraction)] = sum(s50) / len(s50)
             result.add_row(
                 fraction, policy, *(cell(v) for v in (s50, s90, l50, retried))

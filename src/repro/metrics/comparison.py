@@ -6,10 +6,14 @@ between the 50th (or 90th) percentile job runtime for Hawk and the 50th
 fraction of jobs Hawk improves (or matches) and the average job-runtime
 ratio.  Lower values favor the numerator system.
 
-Each public metric extracts a run's per-class job ids and runtimes once
-and sorts the runtimes at most once; :func:`compare_runs` shares that
-extraction across all four metrics.  Every formula lives in one private
-helper, so the bundled and the single-metric results are bit-identical.
+Each public metric extracts a run's per-class job ids and runtimes once,
+as arrays from the run's job columns, and sorts the runtimes at most
+once; :func:`compare_runs` shares that extraction across all four
+metrics.  Every formula lives in one private helper, so the bundled and
+the single-metric results are bit-identical.  The array operations
+(class masks, ``completion - submit``, a stable sort, id matching) do
+the same IEEE operations as a loop over records would, and every value
+returned is a built-in ``float``.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.cluster.job import JobClass
-from repro.cluster.records import RunResult
+from repro.cluster.records import Floats, Ints, RunResult
 from repro.core.errors import ConfigurationError
 from repro.metrics.percentiles import percentile_of_sorted
 
@@ -26,13 +32,13 @@ from repro.metrics.percentiles import percentile_of_sorted
 #: improved when its runtime is at most the baseline's times ``1 + this``.
 _TOLERANCE = 1e-9
 
-_ClassJobs = tuple[list[int], list[float]]
+_ClassJobs = tuple[Ints, Floats]
 
 
 def _class_jobs(run: RunResult, job_class: JobClass | None) -> _ClassJobs:
     """Job ids and runtimes of one class (by *true* class), in record order."""
-    records = run.records(job_class)
-    return [r.job_id for r in records], [r.runtime for r in records]
+    index = run.class_index(job_class)
+    return run.job_columns.job_id[index], run.runtime_column(index)
 
 
 def _both(
@@ -40,9 +46,14 @@ def _both(
 ) -> tuple[_ClassJobs, _ClassJobs]:
     num = _class_jobs(numerator, job_class)
     den = _class_jobs(denominator, job_class)
-    if not num[1] or not den[1]:
+    if not num[1].size or not den[1].size:
         raise ConfigurationError(f"no jobs of class {job_class} in one of the runs")
     return num, den
+
+
+def _sorted(runtimes: Floats) -> list[float]:
+    # Stable, as ``sorted`` is: equal keys (0.0 and -0.0) keep their order.
+    return np.sort(runtimes, kind="stable").tolist()
 
 
 def _percentile_ratio(
@@ -51,25 +62,28 @@ def _percentile_ratio(
     return percentile_of_sorted(num_sorted, p) / percentile_of_sorted(den_sorted, p)
 
 
-def _mean_ratio(num: list[float], den: list[float]) -> float:
-    # Sums run in record order: the sorted copies would round differently.
-    return (sum(num) / len(num)) / (sum(den) / len(den))
+def _mean_ratio(num: Floats, den: Floats) -> float:
+    # Python's left-to-right sums in record order: np.sum adds pairwise,
+    # and the sorted copies would round differently.
+    return (sum(num.tolist()) / len(num)) / (sum(den.tolist()) / len(den))
 
 
 def _fraction_improved(cand: _ClassJobs, base: _ClassJobs, tolerance: float) -> float:
-    base_by_id = dict(zip(*base))
-    slack = 1.0 + tolerance
-    improved = 0
-    matched = 0
-    for job_id, runtime in zip(*cand):
-        base_runtime = base_by_id.get(job_id)
-        if base_runtime is None:
-            continue
-        matched += 1
-        if runtime <= base_runtime * slack:
-            improved += 1
+    (cand_ids, cand_runtimes), (base_ids, base_runtimes) = cand, base
+    order = np.argsort(base_ids, kind="stable")
+    sorted_ids = base_ids[order]
+    # The last baseline job of each id, as a dict built in record order
+    # would keep; -1 where every baseline id is larger.
+    last = np.searchsorted(sorted_ids, cand_ids, side="right") - 1
+    paired = last >= 0
+    paired[paired] = sorted_ids[last[paired]] == cand_ids[paired]
+    matched = int(np.count_nonzero(paired))
     if matched == 0:
         raise ConfigurationError("runs share no job ids; cannot pair jobs")
+    base_paired = base_runtimes[order[last[paired]]]
+    improved = int(
+        np.count_nonzero(cand_runtimes[paired] <= base_paired * (1.0 + tolerance))
+    )
     return improved / matched
 
 
@@ -81,9 +95,8 @@ def percentile_ratios(
 ) -> tuple[float, ...]:
     """:func:`normalized_percentile` at each of ``ps``, sorting each run once."""
     (_, num), (_, den) = _both(numerator, denominator, job_class)
-    num.sort()
-    den.sort()
-    return tuple(_percentile_ratio(num, den, p) for p in ps)
+    num_sorted, den_sorted = _sorted(num), _sorted(den)
+    return tuple(_percentile_ratio(num_sorted, den_sorted, p) for p in ps)
 
 
 def normalized_percentile(
@@ -131,8 +144,8 @@ def compare_runs(
     candidate: RunResult, baseline: RunResult, job_class: JobClass | None
 ) -> Comparison:
     cand, base = _both(candidate, baseline, job_class)
-    cand_sorted = sorted(cand[1])
-    base_sorted = sorted(base[1])
+    cand_sorted = _sorted(cand[1])
+    base_sorted = _sorted(base[1])
     return Comparison(
         job_class=job_class,
         p50_ratio=_percentile_ratio(cand_sorted, base_sorted, 50.0),

@@ -249,8 +249,8 @@ class ServiceState:
         return {
             "run_id": run_id,
             "match": live == cold,
-            "live_jobs": len(live.jobs),
-            "replayed_jobs": len(cold.jobs),
+            "live_jobs": len(live.job_columns.job_id),
+            "replayed_jobs": len(cold.job_columns.job_id),
         }
 
     def checkpoint(self, run_id: str, compact: bool = False) -> dict[str, Any]:

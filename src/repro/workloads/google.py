@@ -253,9 +253,12 @@ _GOOGLE_PARAMS = (
 def _google_workload(params, seed: int) -> Trace:
     """The Google-like trace at each registered arrival density.
 
-    The scale points' gaps (3.2 s, 0.32 s) put 10k and 100k nodes at the
-    same high-but-not-overloaded offered load (~1.18).  Decorators apply
-    bottom-up, so ``google`` registers first.
+    The scale points' gaps are 3.2 s and 0.32 s.  Both give an offered
+    load (work / horizon / workers) of about 1.18 at 10k and 100k nodes,
+    but only the 10k point is busy.  Both carry the same 3,000 jobs and
+    78,494 tasks, fewer tasks than the 100k point has workers, and
+    Sparrow's median utilization there is about 0.007.  Decorators
+    apply bottom-up, so ``google`` registers first.
     """
     config = GoogleTraceConfig(
         n_jobs=params["n_jobs"], mean_interarrival=params["mean_interarrival"]

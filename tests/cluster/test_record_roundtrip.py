@@ -5,17 +5,24 @@ part of every ``RunResult`` digest, so it is pinned here as a literal: a
 later type change that alters the text fails this test, not only the
 benchmark's reference digests.
 
-A ``RunResult`` pickles in a flat form: its records travel as plain
-tuples and are rebuilt into the record classes on load.  Blobs written
-before that form, in the classes' default pickle form, must still load
-equal: ``data/chaos_hawk_v4.pkl`` is one, pickled by that code.
+A ``RunResult`` keeps its records as read-only NumPy columns and
+pickles them as raw bytes with their dtypes.  Blobs written in the two
+earlier forms must still load equal, so the cache version stays 4:
+``data/chaos_hawk_v4.pkl`` holds the records' default pickle form, and
+``data/chaos_hawk_v4_flat.pkl`` the flat form (records as plain tuples,
+loaded by ``records._rebuild_run``).  A column blob that does not fit
+the columns (wrong dtype, unequal lengths) fails to load with
+``ValueError``, which the disk cache counts as unreadable and misses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import shutil
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +45,9 @@ from tests.cluster.test_faults import CHAOS, chaos_trace, spec_for
 #: pickled with ``pickle.HIGHEST_PROTOCOL`` by the records' default
 #: pickle form, as ``DiskCache.store`` wrote it before the flat form.
 OLD_BLOB = Path(__file__).parent / "data" / "chaos_hawk_v4.pkl"
+#: The same run as ``DiskCache.store`` wrote it in the flat form, before
+#: the column form.
+FLAT_BLOB = Path(__file__).parent / "data" / "chaos_hawk_v4_flat.pkl"
 
 FIELDS = (7, 1.5, 12.25, 3, 3.5, 4.0, 10.5, JobClass.SHORT, JobClass.LONG, 2)
 RECORD = JobRecord(*FIELDS, 1)
@@ -128,40 +138,157 @@ def test_pickle_round_trip_rebuilds_every_record(result):
         assert new.true_class is old.true_class
 
 
-def test_pickle_carries_plain_rows_not_record_classes():
+def test_pickle_carries_columns_not_record_classes():
     result = execute(spec_for("hawk", faults=FaultPlan.of(**CHAOS)), chaos_trace())
     assert result.utilization and result.stealing.rounds
     assert b"JobRecord" in OLD_BLOB.read_bytes()
+    assert b"_rebuild_run" in FLAT_BLOB.read_bytes()
     blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     assert b"JobRecord" not in blob and b"UtilizationSample" not in blob
+    assert b"_rebuild_columns" in blob
+    assert result.job_columns.task_seconds.tobytes() in blob
 
 
 class _Forged:
-    """Pickles as a flat-form result whose first job row is one short."""
+    """Pickles as ``reduce(result)`` with its arguments edited by ``edit``."""
+
+    def __init__(self, reduce, edit):
+        self.reduce, self.edit = reduce, edit
 
     def __reduce__(self):
         result = execute(spec_for("hawk"), chaos_trace())
-        _, args = result.__reduce__()
-        jobs = (args[2][0][:-1],) + args[2][1:]
-        return records._rebuild_run, args[:2] + (jobs,) + args[3:]
+        rebuild, args = self.reduce(result)
+        return rebuild, self.edit(args)
+
+
+def _flat_form(result):
+    """``result`` as the flat form pickled it: records as plain tuples."""
+    return records._rebuild_run, (
+        result.scheduler_name,
+        result.n_workers,
+        tuple(map(tuple, result.jobs)),
+        tuple(map(tuple, result.utilization)),
+        dataclasses.astuple(result.stealing),
+        result.events_fired,
+        result.end_time,
+    )
 
 
 def test_rows_of_the_wrong_arity_fail_to_load():
+    def first_row_one_short(args):
+        jobs = (args[2][0][:-1],) + args[2][1:]
+        return args[:2] + (jobs,) + args[3:]
+
+    forged = _Forged(_flat_form, first_row_one_short)
     with pytest.raises(ValueError, match="JobRecord row of the wrong arity"):
-        pickle.loads(pickle.dumps(_Forged()))
+        pickle.loads(pickle.dumps(forged))
 
 
-def test_blob_pickled_in_the_old_form_still_loads_equal(tmp_path):
+def _edit_column(field, edit):
+    """Edits the (dtype, bytes) pair of one job column in reduce args."""
+    index = records.JobColumns._fields.index(field)
+
+    def edit_args(args):
+        jobs = list(args[2])
+        jobs[index] = edit(*jobs[index])
+        return args[:2] + (tuple(jobs),) + args[3:]
+
+    return edit_args
+
+
+MALFORMED = {
+    "unequal lengths": (
+        _edit_column("submit_time", lambda dtype, raw: (dtype, raw[:-8])),
+        "JobColumns columns of unequal lengths",
+    ),
+    "wrong dtype": (
+        _edit_column("job_id", lambda dtype, raw: ("<f8", raw)),
+        "JobColumns column of dtype '<f8', not '<i8'",
+    ),
+    "narrow dtype": (
+        _edit_column("num_tasks", lambda dtype, raw: ("<i4", raw[::2])),
+        "JobColumns column of dtype '<i4', not '<i8'",
+    ),
+    "torn column": (
+        _edit_column("task_seconds", lambda dtype, raw: (dtype, raw[:-3])),
+        "multiple of element size",
+    ),
+    "missing column": (
+        lambda args: args[:2] + (args[2][:-1],) + args[3:],
+        "JobColumns has 10 columns, not 11",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_column_blob_fails_to_load_and_misses(tmp_path, name):
+    edit, message = MALFORMED[name]
+    blob = pickle.dumps(_Forged(lambda r: r.__reduce__(), edit))
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(blob)
+    cache = DiskCache(tmp_path)
+    cache.root.mkdir(parents=True)
+    cache.path("c" * 40).write_bytes(blob)
+    assert cache.load("c" * 40) is None
+    assert cache.unreadable == 1
+
+
+def _loads_equal_and_in_columns(blob: Path, tmp_path: Path) -> None:
     fresh = execute(spec_for("hawk", faults=FaultPlan.of(**CHAOS)), chaos_trace())
-    with open(OLD_BLOB, "rb") as fh:
+    with open(blob, "rb") as fh:
         old = pickle.load(fh)
     assert old == fresh
     assert repr(old) == repr(fresh)
     assert type(old.jobs[0]) is JobRecord
+    assert not any(column.flags.writeable for column in old.job_columns)
     # The disk cache serves it as is: the blob format moved, the cache
     # version did not.
     assert CACHE_VERSION == 4
     cache = DiskCache(tmp_path)
     cache.root.mkdir(parents=True)
-    shutil.copyfile(OLD_BLOB, cache.path("b" * 40))
+    shutil.copyfile(blob, cache.path("b" * 40))
     assert cache.load("b" * 40) == fresh
+
+
+def test_blob_pickled_in_the_old_form_still_loads_equal(tmp_path):
+    _loads_equal_and_in_columns(OLD_BLOB, tmp_path)
+
+
+def test_blob_pickled_in_the_flat_form_still_loads_equal(tmp_path):
+    _loads_equal_and_in_columns(FLAT_BLOB, tmp_path)
+
+
+def test_columns_are_read_only_and_the_result_frozen(tmp_path):
+    fresh = execute(spec_for("hawk", faults=FaultPlan.of(**CHAOS)), chaos_trace())
+    cache = DiskCache(tmp_path)
+    cache.store("k" * 40, fresh)
+    loaded = cache.load("k" * 40)
+    for result in (fresh, loaded, pickle.loads(pickle.dumps(fresh))):
+        columns = (*result.job_columns, *result.utilization_columns)
+        assert len(columns) == 14
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[:1] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.job_columns = fresh.job_columns
+
+
+def test_hash_is_the_record_forms():
+    """A result hashes as the frozen dataclass over records did: over its
+    field values, records included, so equal results hash equal."""
+    fresh = execute(spec_for("hawk", faults=FaultPlan.of(**CHAOS)), chaos_trace())
+    loaded = pickle.loads(pickle.dumps(fresh))
+    assert hash(fresh) == hash(loaded) == hash(
+        (
+            fresh.scheduler_name,
+            fresh.n_workers,
+            fresh.jobs,
+            fresh.utilization,
+            fresh.stealing,
+            fresh.events_fired,
+            fresh.end_time,
+        )
+    )
+    assert len({fresh, loaded}) == 1
+    assert np.array_equal(fresh.job_columns.job_id, loaded.job_columns.job_id)
