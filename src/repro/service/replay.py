@@ -22,11 +22,10 @@ portable files — the committed fixture behind
 
 from __future__ import annotations
 
-import gzip
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.cluster.engine import (
     KIND_COMPLETED,
@@ -37,6 +36,7 @@ from repro.cluster.engine import (
 from repro.cluster.job import JobClass
 from repro.cluster.records import JobRecord, RunResult, StealingStats
 from repro.core.errors import ConfigurationError
+from repro.core.textfile import open_text
 from repro.schedulers.registry import RunSpec
 from repro.service.event_store import EventStore
 from repro.service.models import (
@@ -310,12 +310,6 @@ class NdjsonLog:
         }
 
 
-def _open_text(path: Path, mode: str) -> IO[str]:
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
-
-
 def export_ndjson(
     store: EventStore,
     path: Path,
@@ -331,7 +325,7 @@ def export_ndjson(
     configs = store.run_configs()
     labels = labels or {}
     count = 0
-    with _open_text(path, "w") as out:
+    with open_text(path, "w") as out:
         out.write(canonical_json({"type": "meta", **dict(meta or {})}) + "\n")
         for run_id, spec in configs.items():
             line = {
@@ -359,7 +353,7 @@ def load_ndjson(path: Path) -> NdjsonLog:
     configs: dict[str, RunSpec] = {}
     labels: dict[str, dict[str, Any]] = {}
     events: list[LifecycleEvent] = []
-    with _open_text(path, "r") as handle:
+    with open_text(path, "r") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

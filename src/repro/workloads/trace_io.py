@@ -10,24 +10,18 @@ Files ending in ``.gz`` are transparently compressed.
 
 from __future__ import annotations
 
-import gzip
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 from repro.core.errors import ConfigurationError
+from repro.core.textfile import open_text
 from repro.workloads.spec import JobSpec, Trace
-
-
-def _open(path: Path, mode: str) -> IO[str]:
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t")  # type: ignore[return-value]
-    return open(path, mode)
 
 
 def write_trace(trace: Iterable[JobSpec], path: str | Path) -> None:
     """Serialize a trace; durations keep full float precision."""
     path = Path(path)
-    with _open(path, "w") as f:
+    with open_text(path, "w") as f:
         for job in trace:
             durations = ",".join(repr(d) for d in job.task_durations)
             f.write(f"{job.job_id}\t{job.submit_time!r}\t{durations}\n")
@@ -37,7 +31,7 @@ def read_trace(path: str | Path, name: str | None = None) -> Trace:
     """Parse a trace file written by :func:`write_trace`."""
     path = Path(path)
     jobs: list[JobSpec] = []
-    with _open(path, "r") as f:
+    with open_text(path, "r") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

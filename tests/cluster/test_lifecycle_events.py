@@ -1,19 +1,21 @@
-"""The engine's lifecycle stream: pinned digests and zero observer effect.
+"""The engine's lifecycle stream: pinned, batching-blind and free of
+observer effect.
 
 ``ClusterEngine`` narrates its transitions (placement, task start,
 task completion, job completion, steal transfers) to an optional sink.
-The digests below pin the whole stream — kinds, order, virtual times,
-ids and payloads — for every online policy family, with transport
-batching on and off.  They were recorded from the service's original
-subclass-based observer, so the engine-emitted stream is held to exactly
-what the service has always logged: ``completed`` lands after the
-finishing worker's next ``started``, and ``stolen`` after the thief's
-starts.
+The run ledger (``benchmarks/results/run_ledger.txt``) pins the stream's
+``count:digest`` on every quick run; its digests were first recorded
+from the service's original subclass-based observer, so the
+engine-emitted stream is held to exactly what the service has always
+logged: ``completed`` lands after the finishing worker's next
+``started``, and ``stolen`` after the thief's starts.  Here every
+registered policy's stream matches its ledger pin with transport
+batching on and off, gives the same stream both ways on a dense trace,
+and gives the same result with a sink as without.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pickle
 import random
@@ -26,25 +28,11 @@ from repro.cluster.engine import (
     KIND_STARTED,
     KIND_STOLEN,
 )
-from repro.experiments.config import RunSpec
+from repro.experiments import ledger
+from repro.experiments.config import RunSpec, high_load_size
 from repro.schedulers.registry import build_engine, registered_names
+from repro.workloads.registry import quick_spec
 from repro.workloads.spec import JobSpec, Trace
-
-#: (events, digest) per registered policy; identical with batching on
-#: and off.  The Hawk ablations and ``omniscient`` pin the engine's
-#: listener checks: Hawk without stealing, and an ``on_task_finish``
-#: inherited from a parent class.
-PINNED = {
-    "hawk": (699, "4f2e9d826cfc8a5c"),
-    "hawk-no-centralized": (722, "80a5ccb184d6595e"),
-    "hawk-no-partition": (642, "b1f3dcaa4408e749"),
-    "hawk-no-stealing": (624, "7639dd4a18251db4"),
-    "omniscient": (624, "9195f7b830fd1983"),
-    "sparrow": (624, "3fa0eaa0b17dbdcf"),
-    "sparrow-batch": (624, "d2cab0e72cb155fc"),
-    "centralized": (624, "cc36454a4f6a06a9"),
-    "split": (624, "649f3619bbc8ffac"),
-}
 
 
 def pin_trace() -> Trace:
@@ -93,20 +81,44 @@ def record_stream(policy: str, batched: bool):
     return events, result
 
 
-def digest(events) -> str:
-    return hashlib.sha256("\n".join(map(repr, events)).encode()).hexdigest()[:16]
+#: The ledger run (workload, seed; no faults) whose ``stream`` column
+#: pins each policy's stream: the smallest built-in quick workload, on
+#: which the Hawk family steals.
+PIN_RUN = ("google-prototype", "0")
 
 
 def test_every_registered_policy_is_pinned():
-    assert set(PINNED) == set(registered_names())
+    _, entries = ledger.load()
+    pinned = {key[3] for key in entries if key[:3] == ("run", *PIN_RUN)}
+    assert pinned == set(registered_names())
 
 
 @pytest.mark.parametrize("batched", [True, False])
-@pytest.mark.parametrize("policy", sorted(PINNED))
+@pytest.mark.parametrize("policy", sorted(registered_names()))
 def test_stream_matches_pinned_digest(policy, batched):
-    events, _ = record_stream(policy, batched)
-    assert (len(events), digest(events)) == PINNED[policy]
-    assert {e[0] for e in events} <= set(EVENT_KINDS)
+    workload, seed = PIN_RUN
+    spec = quick_spec(workload)
+    trace = spec.trace(int(seed))
+    run_spec = RunSpec.for_workload(
+        spec, policy, high_load_size(trace), int(seed)
+    )
+    stream = ledger.StreamDigest()
+    engine = build_engine(run_spec, sink=stream)
+    engine.transport_batching = batched
+    engine.run(trace)
+    _, entries = ledger.load()
+    pinned = entries[("run", workload, seed, policy, "plain")]
+    assert stream.token() == pinned[ledger.COLUMNS["run"].index("stream")]
+
+
+@pytest.mark.parametrize("policy", sorted(registered_names()))
+def test_stream_is_the_same_with_batching_on_and_off(policy):
+    """Batching changes how messages ride the heap, never what the
+    service logs."""
+    batched, _ = record_stream(policy, batched=True)
+    unbatched, _ = record_stream(policy, batched=False)
+    assert unbatched == batched
+    assert {e[0] for e in batched} <= set(EVENT_KINDS)
 
 
 def test_hawk_stream_exercises_stealing():
@@ -130,7 +142,7 @@ def test_every_job_completes_once_after_its_last_start():
             assert last_start[event[2]] < position
 
 
-@pytest.mark.parametrize("policy", sorted(PINNED))
+@pytest.mark.parametrize("policy", sorted(registered_names()))
 def test_sink_has_no_observer_effect(policy):
     trace = pin_trace()
     plain = build_engine(pin_spec(policy)).run(trace)

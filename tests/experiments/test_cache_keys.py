@@ -16,7 +16,7 @@ from repro.experiments.parallel import DiskCache, SweepExecutor, cache_key
 from repro.workloads.registry import at_scale
 from tests.experiments.test_parallel import small_trace
 
-PINNED = {
+CACHE_KEYS = {
     "plain": "94eed334c59c2c7646ffbaed403366b392814332",
     "faulted": "980efcf60149f76e32aff7f93e6efcbee33930ce",
     "tagged": "d5ec5071e641548b6a49925573b65566672bfd5b",
@@ -29,7 +29,7 @@ def quick_hawk():
     return RunSpec.for_workload(workload, "hawk", high_load_size(trace)), trace
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("name", sorted(CACHE_KEYS))
 def test_cache_keys_are_pinned(name):
     spec, trace = quick_hawk()
     spec = {
@@ -37,7 +37,7 @@ def test_cache_keys_are_pinned(name):
         "faulted": spec.with_(faults=FaultPlan.of(crash_fraction=0.1)),
         "tagged": spec.with_(estimate_tag="misestimate-x"),
     }[name]
-    assert cache_key(spec, trace) == PINNED[name]
+    assert cache_key(spec, trace) == CACHE_KEYS[name]
 
 
 def test_warm_stream_derives_each_spec_digest_once(tmp_path, monkeypatch):

@@ -1,8 +1,6 @@
 """Smoke tests: every figure/table driver runs at quick scale and its
 output has the structure the benchmarks rely on."""
 
-import hashlib
-
 import pytest
 
 from repro.metrics.stats import SummaryStats
@@ -26,7 +24,7 @@ from repro.experiments import (
     fig12_13_cutoff,
     fig14_misestimation,
     fig15_stealing_cap,
-    fig_batch_size,
+    ledger,
     tables,
 )
 
@@ -217,39 +215,14 @@ def test_fig05_five_seeds_on_a_capped_pool_cache(monkeypatch, tmp_path):
         set_executor(previous)
 
 
-#: sha256 of ``render()`` at quick scale with ``n_seeds=2`` and short
-#: axes, for the fixed-size comparison drivers.  These pin the replicated
-#: output (cells, CI bands, p-values and notes) that the committed
-#: single-seed results files do not cover.
-REPLICATED_RENDER_DIGESTS = {
-    "fig07": (
-        lambda: fig07_ablation.run("quick", n_seeds=2),
-        "938f19e93354ca55e8a1dc896527f7b98d8a4e6656dd570671dec86b0dacdc02",
-    ),
-    "fig12_13": (
-        lambda: fig12_13_cutoff.run("quick", cutoffs=(750.0, 1500.0), n_seeds=2),
-        "cd458ff90cad96ce3ccd0fc269055836221df9ffc5044524d9d706adcb79623e",
-    ),
-    "fig14": (
-        lambda: fig14_misestimation.run(
-            "quick", ranges=((0.1, 1.9), (0.5, 1.5)), n_seeds=2
-        ),
-        "1ddd88f9044caae44a2b47c3d760fa0db14c06f7829ceb6b55d6bfcb7220d1f4",
-    ),
-    "fig15": (
-        lambda: fig15_stealing_cap.run("quick", caps=(1, 10), n_seeds=2),
-        "06113c791e1774bffabfa2ef1d25d4c7c480b83ec7e6172b21e6882066f8bbb2",
-    ),
-    "fig_batch_size": (
-        lambda: fig_batch_size.run("quick", batch_sizes=(1, 16), n_seeds=2),
-        "3f78b71764f528bafc7e82daefec81f7ecbd473d4a5e145fc5d1e1740b9edddc",
-    ),
-}
-
-
 @pytest.mark.replicated
-@pytest.mark.parametrize("figure", sorted(REPLICATED_RENDER_DIGESTS))
+@pytest.mark.parametrize("figure", sorted(ledger.RENDERS))
 def test_replicated_render_is_pinned(figure):
-    driver, digest = REPLICATED_RENDER_DIGESTS[figure]
-    rendered = driver().render()
-    assert hashlib.sha256(rendered.encode()).hexdigest() == digest, rendered
+    """The replicated output (cells, CI bands, p-values and notes) that
+    the committed single-seed results files do not cover, held to its
+    ``render`` entry in the run ledger.  It renders on the shared
+    executor, where the replicated tests above already ran most of its
+    points; the ledger's own check renders without any cache."""
+    _, entries = ledger.load()
+    rendered = ledger.RENDERS[figure]().render()
+    assert (ledger.sha256(rendered),) == entries[("render", figure)], rendered

@@ -483,6 +483,7 @@ def test_import_leaves_sqlite_unloaded():
                 "multiprocessing",
                 "concurrent.futures",
                 "repro.experiments.parallel",
+                "repro.experiments.ledger",
                 "repro.metrics",
             ),
         ),

@@ -1,12 +1,13 @@
 """Tests for randomized work stealing."""
 
-import hashlib
+from itertools import product
 
 import pytest
 
 from repro.cluster import Cluster, ClusterEngine, EngineConfig, JobClass, Partition
 from repro.core.errors import ConfigurationError
-from repro.experiments.config import RunSpec, build_engine, execute, high_load_size
+from repro.experiments import ledger
+from repro.experiments.config import RunSpec, build_engine, high_load_size
 from repro.experiments.fig_faults import plan_for
 from repro.schedulers import HawkScheduler, WorkStealing
 from repro.workloads.registry import quick_spec
@@ -279,82 +280,23 @@ def test_wake_takes_most_recently_parked_first():
     ]
 
 
-#: ``(sha256 of repr(result), events_fired, end_time, (rounds,
-#: successful_rounds, victims_probed, entries_stolen))`` of the stealing
-#: policies on quick traces, seed 0, at ``high_load_size``, with and
-#: without ``fig_faults.plan_for(0.3, horizon)``.  The faulted runs drive
-#: crashes and restarts through ``on_worker_dead`` and the backoff reset.
-FAULTED_STEALING_PINS = {
-    ("google", "hawk", False): (
-        "8469a4b5aca9a9bbf11ac747493913a6cd237beae2722df7d4285598c6f4c3c9",
-        77000, 21812.245499024924, (42585, 4892, 402176, 5005),
-    ),
-    ("google", "hawk", True): (
-        "d649cd23d3be39e9de40049e2e6195d2dff1f65aaee832ba08e13ab41787be38",
-        91179, 25312.245499024924, (47704, 4453, 455809, 4512),
-    ),
-    ("google", "hawk-no-centralized", False): (
-        "2483391843cc79b2040b32b13bb0a1c87e39f7ac8bb098d8bf147ef5a21a0cf0",
-        94954, 22012.245499024924, (46258, 4671, 440341, 4742),
-    ),
-    ("google", "hawk-no-centralized", True): (
-        "69375cdbcff229eee954c319ec53003b8ee92e092c91622455a08d00c7a6e8cb",
-        103257, 22112.245499024924, (51388, 4622, 491979, 4693),
-    ),
-    ("google", "hawk-no-partition", False): (
-        "244751073416538e48c3b581713b2de16e1b8c68ccee7ecce047a95c4af1af96",
-        81559, 22112.245499024924, (46827, 4891, 444770, 5010),
-    ),
-    ("google", "hawk-no-partition", True): (
-        "ee19307b2b701e41cb9f7d800efb2fae6c6719c919ba8ddafccb5312784e84fe",
-        95818, 28012.245499024924, (52907, 4626, 507619, 4699),
-    ),
-    ("motivation", "hawk", False): (
-        "9867a0b86431dbd0a7afe178feada0d2ec4cbff932ff66ad3a22f64ab533e37f",
-        19887, 80537.59042345932, (5821, 3160, 37286, 3160),
-    ),
-    ("motivation", "hawk", True): (
-        "f4f20aa25e347669684e4fc4693a625de2e3775c0d712328dd67dd0276b30845",
-        21599, 180537.5904234593, (5572, 2847, 37219, 2853),
-    ),
-    ("motivation", "hawk-no-centralized", False): (
-        "f576aa0b99ca40e09a9f9874618f9aad155b62ddd7e3fb654e7a5fed822e5f48",
-        24887, 80537.59042345932, (5821, 3160, 37286, 3160),
-    ),
-    ("motivation", "hawk-no-centralized", True): (
-        "5353f47cdb85cf5e2139d63476076f8b55c86aa21efb8727bc3542c0cfd3082d",
-        26514, 140537.5904234593, (5617, 2915, 37214, 2918),
-    ),
-    ("motivation", "hawk-no-partition", False): (
-        "51153705fa31177dc8b762dca310cbab7c1942ef5dbdc103c4d576fcdb0e540a",
-        16598, 60537.59042345932, (1102, 617, 7116, 2419),
-    ),
-    ("motivation", "hawk-no-partition", True): (
-        "ac810b486e3d248885eb45bd40f43fe7408ea8449cb9dc8f47f3bed4983a61e0",
-        19674, 120537.59042345932, (4151, 2232, 26757, 3308),
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "workload, policy, faulted", sorted(FAULTED_STEALING_PINS)
+#: The stealing policies on quick traces, seed 0, with and without
+#: ``fig_faults.plan_for(0.3, horizon)``; the faulted runs drive crashes
+#: and restarts through ``on_worker_dead`` and the backoff reset.  Each
+#: run is recomputed against its run-ledger row, every column.
+STEALING_RUNS = list(
+    product(
+        ("google", "motivation"),
+        ("hawk", "hawk-no-centralized", "hawk-no-partition"),
+        (False, True),
+    )
 )
+
+
+@pytest.mark.parametrize("workload, policy, faulted", STEALING_RUNS)
 def test_stealing_runs_match_pins(workload, policy, faulted):
-    spec = quick_spec(workload)
-    trace = spec.trace(0)
-    faults = plan_for(0.3, trace.horizon) if faulted else None
-    run_spec = RunSpec.for_workload(
-        spec, policy, high_load_size(trace), 0, faults=faults
-    )
-    result = execute(run_spec, trace)
-    s = result.stealing
-    got = (
-        hashlib.sha256(repr(result).encode()).hexdigest(),
-        result.events_fired,
-        result.end_time,
-        (s.rounds, s.successful_rounds, s.victims_probed, s.entries_stolen),
-    )
-    assert got == FAULTED_STEALING_PINS[(workload, policy, faulted)]
+    key = ("run", workload, "0", policy, ledger.FAULT_LEVELS[faulted])
+    assert ledger.check([key]) == []
 
 
 @pytest.mark.parametrize("faulted", [False, True])
@@ -362,8 +304,9 @@ def test_inlined_hint_sync_matches_worker_steal_hint(faulted):
     """The engine's ``_sync_steal_hint`` inlines ``Worker.steal_hint()``.
     After every call on a Hawk run (with and without crashes) the synced
     worker's counted hint must equal the method's answer, its
-    ``Cluster.steal_flags`` bit must mirror that hint, and the cluster
-    tally must equal the number of set bits."""
+    ``Cluster.steal_flags`` bit must mirror that hint, the cluster
+    tally must equal the number of set bits, and the checked run must
+    still give the run ledger's result."""
     spec = quick_spec("google")
     trace = spec.trace(0)
     faults = plan_for(0.3, trace.horizon) if faulted else None
@@ -388,5 +331,6 @@ def test_inlined_hint_sync_matches_worker_steal_hint(faulted):
     engine._sync_steal_hint = checked_sync
     result = engine.run(trace)
     assert calls[1] > 0 and calls[0] > calls[1]
-    pinned = FAULTED_STEALING_PINS[("google", "hawk", faulted)]
-    assert hashlib.sha256(repr(result).encode()).hexdigest() == pinned[0]
+    _, entries = ledger.load()
+    pinned = entries[("run", "google", "0", "hawk", ledger.FAULT_LEVELS[faulted])]
+    assert ledger.sha256(repr(result)) == pinned[0]

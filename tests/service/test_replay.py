@@ -243,6 +243,13 @@ def test_load_ndjson_rejects_unknown_line_type(tmp_path):
         load_ndjson(path)
 
 
+def test_load_ndjson_cut_short_is_a_typed_error(tmp_path):
+    path = tmp_path / "cut.ndjson.gz"
+    path.write_bytes(FIXTURE.read_bytes()[:2000])
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: "):
+        load_ndjson(path)
+
+
 _EVENT = {"type": "event", "run_id": RUN, "kind": KIND_SUBMITTED, "vtime": 0.0}
 
 

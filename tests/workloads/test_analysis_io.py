@@ -94,6 +94,14 @@ def test_roundtrip_gzip(tmp_path, mixed_trace):
     assert [j.job_id for j in back] == [j.job_id for j in mixed_trace]
 
 
+def test_read_gzip_cut_short_is_a_typed_error(tmp_path, mixed_trace):
+    path = tmp_path / "trace.tsv.gz"
+    write_trace(mixed_trace, path)
+    path.write_bytes(path.read_bytes()[:-12])  # drop the gzip trailer
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: "):
+        read_trace(path)
+
+
 def test_read_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "trace.tsv"
     path.write_text("# header\n\n0\t0.0\t1.0,2.0\n")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.experiments import ledger
 from repro.workloads import (
     CLOUDERA_C,
     FACEBOOK_2010,
@@ -232,62 +233,6 @@ def test_motivation_long_jobs_spread_out():
 
 
 # -- pinned output ---------------------------------------------------------
-#: ``content_digest()`` of ``WorkloadSpec(name, quick_params).trace(seed)``
-#: for seeds 0-2 of every registered workload.  A generator change that
-#: moves one draw, or one last bit of a duration, fails here.
-QUICK_TRACE_DIGESTS = {
-    "google": (
-        "78a49a43d69bb108c8f401f1e8978c878a0ca279",
-        "ce534a7efb1b57a9b1344cd7f1d60bb6f192b6fe",
-        "6dfa9ce7ec9011a1c5908bd854a4b064fb902e3b",
-    ),
-    "google-scale10k": (
-        "0a9b5f358ecc4c6b1bdc223c8d7def898bc33713",
-        "42c126bf31fc7ef7e86e7fb2b20aec63552f0624",
-        "012f4ddcb6379895b472090d467986a626092c86",
-    ),
-    "google-scale100k": (
-        "f3e9b967528b6f75053f2e6e1bcb4b90e2f904ae",
-        "6e67b6ead20864901856d762a8e467b44c49fa53",
-        "55d5a14ec88cd6b84898096aaf6a67acecc84f7d",
-    ),
-    "cloudera-c": (
-        "b818f5e1c1c5b6cdb9bee6bc03b626906643fb86",
-        "802ff13aaef0296595dc9e015a936e379ae2499a",
-        "ff012934d74aa9e58c6cff921600111248b94ea0",
-    ),
-    "facebook-2010": (
-        "b8cc9f89aabe0119778ceb723d7674afd7aa15d7",
-        "e8d40696861f4d7b53d55bfa57b34090f0fcb057",
-        "fbb6f189207e4f4bb22cb9f6782c65d1ee5c4e37",
-    ),
-    "yahoo-2011": (
-        "a39871acefff9ff6ffba1c589f17b8634097a1e6",
-        "85146659b8be80ff8537590cde29d0dc66c4118e",
-        "bbccb0b1fb7116426772aa5c554b66040476e5df",
-    ),
-    "motivation": (
-        "92afc3d9c088a287d7befb9fd7ff3451bf7e67f3",
-        "201e150e1481459ef562b50cfc04be98bd74628e",
-        "aa31e178bcea393ce277191c025bceb64dc6ceb4",
-    ),
-    "google-prototype": (
-        "a04a9248a681803dbbe38f65b5f6ef808d93d439",
-        "876590cb015981730637bef1c96fda4119842120",
-        "86abe86b26879f0bace36dc56f2de76e5ce8f39e",
-    ),
-    "pareto-heavy": (
-        "475fba0de2c1b2a1d07d88c93c42077ccd6a9d2b",
-        "4db3fe94945cf1adde0fb5959935c2324665e25e",
-        "e0ef0a79d94ecb4e1c5735761eca3f0f364f5e33",
-    ),
-    "bursty-diurnal": (
-        "a1904c62e7691c770ee570b0d204d920b116bed5",
-        "cfbd665da2467d5aaa0040f991316125f1a66923",
-        "92e5826682518ac6c0df5e69b9fbfe82f13c6e77",
-    ),
-}
-
 #: ``google-scale10k`` at its full size, seed 0 (the e2e sims' trace).
 SCALE10K_DIGEST = "76537845fe4574f219d251e8d823c2926382fe92"
 
@@ -298,7 +243,9 @@ def test_every_built_in_workload_is_pinned():
         for name in registered_names()
         if workload_entry(name).builder.__module__.startswith("repro.workloads.")
     ]
-    assert sorted(QUICK_TRACE_DIGESTS) == sorted(built_in)
+    _, entries = ledger.load()
+    pinned = {key[1] for key in entries if key[0] == "trace"}
+    assert sorted(pinned) == sorted(built_in)
 
 
 def test_google_scale_points_share_one_builder():
@@ -306,11 +253,12 @@ def test_google_scale_points_share_one_builder():
     assert len({workload_entry(name).builder for name in names}) == 1
 
 
-@pytest.mark.parametrize("name", sorted(QUICK_TRACE_DIGESTS))
+@pytest.mark.parametrize("name", sorted(ledger.workloads()))
 def test_quick_traces_match_pinned_digests(name):
-    spec = quick_spec(name)
-    digests = tuple(spec.trace(seed).content_digest() for seed in range(3))
-    assert digests == QUICK_TRACE_DIGESTS[name]
+    """A generator change that moves one draw, or one last bit of a
+    duration, moves a ``trace`` entry of the run ledger."""
+    keys = [("trace", name, str(seed)) for seed in ledger.TRACE_SEEDS]
+    assert ledger.check(keys) == []
 
 
 def test_full_scale10k_trace_matches_pinned_digest():
