@@ -32,16 +32,17 @@ engine to that.
 
 Lifecycle events
 ----------------
-An engine built with a ``sink`` narrates its transitions to it, one call
+An engine built with a ``sink`` narrates every transition to it, one call
 ``sink(kind, vtime, job_id, task_index, worker_id, payload)`` each:
-``probed``/``queued`` once per placement group (at the placement entry
-points, so batched and per-message transport emit the same stream),
-``started`` after a task takes a slot, ``task-completed`` as a task
-finishes, ``completed`` when a job's last task has finished (after the
-finishing worker has picked up its next entry), and ``stolen`` after a
-steal transfer (after the thief has started its first entry).  The
-scheduler service persists this stream as its event log; batch runs pass
-no sink and skip every emission.
+``submitted`` as :meth:`~ClusterEngine.submit_job` takes a job (so a
+batch stream opens with every ``submitted``), ``probed``/``queued`` once
+per placement group (so batched and per-message transport emit the same
+stream), ``started`` after a task takes a slot, ``task-completed`` as a
+task finishes, ``completed`` after a job's last task (once the finishing
+worker has picked up its next entry), ``stolen`` after a steal transfer
+(once the thief has started) and ``run-end`` as :meth:`~ClusterEngine.run`
+ends.  A batch stream folds to its ``RunResult``
+(:class:`~repro.service.replay.RunFold`); the service logs the stream.
 
 Memory
 ------
@@ -57,8 +58,8 @@ event loop and the result build allocate in bulk and build no cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.faults import FaultInjector, FaultPlan
@@ -100,6 +101,7 @@ KIND_STARTED = "started"
 KIND_STOLEN = "stolen"
 KIND_TASK_COMPLETED = "task-completed"
 KIND_COMPLETED = "completed"
+KIND_RUN_END = "run-end"
 
 EVENT_KINDS: tuple[str, ...] = (
     KIND_SUBMITTED,
@@ -109,6 +111,7 @@ EVENT_KINDS: tuple[str, ...] = (
     KIND_STOLEN,
     KIND_TASK_COMPLETED,
     KIND_COMPLETED,
+    KIND_RUN_END,
 )
 
 #: ``sink(kind, vtime, job_id, task_index, worker_id, payload)``; fields a
@@ -689,7 +692,10 @@ class ClusterEngine:
     # Job submission (batch runs and the long-running service).
     # ------------------------------------------------------------------
     def submit_job(
-        self, spec: "JobSpec", estimated_task_duration: float | None = None
+        self,
+        spec: "JobSpec",
+        estimated_task_duration: float | None = None,
+        client: Mapping[str, Any] | None = None,
     ) -> Job:
         """Materialize one job and schedule its submission.
 
@@ -702,8 +708,8 @@ class ClusterEngine:
         so stealing and retry machinery resume when traffic returns.
         ``estimated_task_duration`` overrides the engine's estimator — a
         serving client may supply its own runtime estimate (the paper's
-        estimates come from prior runs of the same job).  Nothing is
-        emitted to the lifecycle sink here.
+        estimates come from prior runs of the same job).  A sink gets the
+        job's ``submitted`` event, with the ``client`` fields merged in.
         """
         if spec.submit_time < self.sim.now:
             raise SimulationError(
@@ -722,6 +728,20 @@ class ClusterEngine:
         self._jobs_total += 1
         self._done = False
         self.sim.schedule_at(job.submit_time, self.scheduler.on_job_submit, job)
+        sink = self._sink
+        if sink is not None:
+            sink(
+                KIND_SUBMITTED, job.submit_time, job.job_id, None, None,
+                {
+                    "num_tasks": job.num_tasks,
+                    "true_mean": job.true_mean_task_duration,
+                    "estimate": job.estimated_task_duration,
+                    "task_seconds": job.task_seconds,
+                    "scheduled_class": job.scheduled_class.value,
+                    "true_class": job.true_class.value,
+                    **(client or {}),
+                },
+            )
         return job
 
     # ------------------------------------------------------------------
@@ -751,7 +771,18 @@ class ClusterEngine:
                     f"run drained its event heap with only {self._jobs_done}/"
                     f"{self._jobs_total} jobs complete"
                 )
-            return self._build_result(jobs)
+            result = self._build_result(jobs)
+            sink = self._sink
+            if sink is not None:
+                sink(
+                    KIND_RUN_END, result.end_time, None, None, None,
+                    {
+                        **asdict(result.stealing),
+                        "events_fired": result.events_fired,
+                        "utilization": [list(s) for s in self._utilization],
+                    },
+                )
+            return result
 
     def _build_result(self, jobs: Iterable[Job]) -> RunResult:
         records = tuple(map(job_record, jobs))

@@ -16,17 +16,20 @@ gives for three kinds of entry, one line each:
   quick render of the fixed-size comparison drivers.
 
 Runs are built and run as :func:`~repro.experiments.config.execute`
-does, with a lifecycle sink attached (a run that leaves its heap
-undrained fails), and renders go through a fresh serial executor
-without a disk tier, so no cache is ever read.  The command line::
+does, with a lifecycle sink attached that also folds the stream (a run
+that leaves its heap undrained, or whose folded stream differs from its
+``RunResult`` but for the scheduler's name, fails), and renders go
+through a fresh serial executor without a disk tier, so no cache is
+ever read.  The command line::
 
     python -m repro.experiments.ledger            # check every entry
     python -m repro.experiments.ledger --write    # rewrite the file
 
-The check names every moved entry and column and exits 1.  ``--write``
-prints what it changed, and refuses when a run's result columns
-(``result``, ``events``, ``end_time``, ``stealing``) moved on an
-unchanged trace while the file's ``cache_version`` still equals
+The check names every moved entry and column, and every failed run,
+and exits 1.  ``--write`` prints what it changed, and refuses when a
+run's result columns (``result``, ``events``, ``end_time``,
+``stealing``) moved on an unchanged trace while the file's
+``cache_version`` still equals
 :data:`~repro.experiments.parallel.CACHE_VERSION`: a cached result would
 then disagree with a fresh one, so the results version must be bumped
 first.  Heap pops, streams, traces and renders rewrite freely.
@@ -56,6 +59,7 @@ from repro.experiments.fig_faults import plan_for
 from repro.experiments.parallel import CACHE_VERSION, SweepExecutor, set_executor
 from repro.schedulers import registry as policy_registry
 from repro.schedulers.registry import build_engine
+from repro.service.replay import RunFold
 from repro.workloads import registry as workload_registry
 from repro.workloads.registry import quick_spec
 
@@ -89,6 +93,16 @@ COLUMNS = {
 #: The leading run columns that a ``RunResult`` determines.
 RESULT_COLUMNS = COLUMNS["run"][:4]
 TRACE_COLUMN = COLUMNS["run"].index("trace")
+#: The ``RunResult`` fields a run's folded stream must reproduce: all but
+#: ``scheduler_name``, which a fold names after the service.
+FOLDED_FIELDS = (
+    "n_workers",
+    "jobs",
+    "utilization",
+    "stealing",
+    "events_fired",
+    "end_time",
+)
 
 #: The replicated renders, at quick scale with short axes.  They cover
 #: the cells, CI bands, p-values and notes that the committed
@@ -167,7 +181,8 @@ class CountingHeapq:
 
 
 class StreamDigest:
-    """A lifecycle sink folding the stream into ``count:digest``.
+    """A lifecycle sink folding the stream into ``count:digest``, and
+    into a :class:`~repro.service.replay.RunFold` (``fold``).
 
     The digest is the first 16 hex digits of the sha256 over the
     newline-joined ``repr`` of each event tuple, its payload as sorted
@@ -177,14 +192,17 @@ class StreamDigest:
     def __init__(self) -> None:
         self.count = 0
         self._sha = hashlib.sha256()
+        self.fold = RunFold()
 
     def __call__(self, kind, vtime, job_id, task_index, worker_id, payload) -> None:
         if self.count:
             self._sha.update(b"\n")
-        payload = json.dumps(payload or {}, sort_keys=True)
-        event = (kind, vtime, job_id, task_index, worker_id, payload)
-        self._sha.update(repr(event).encode())
+        payload = payload or {}
         self.count += 1
+        self.fold.step(self.count, kind, vtime, 0.0, job_id, payload)
+        text = json.dumps(payload, sort_keys=True)
+        event = (kind, vtime, job_id, task_index, worker_id, text)
+        self._sha.update(repr(event).encode())
 
     def token(self) -> str:
         return f"{self.count}:{self._sha.hexdigest()[:16]}"
@@ -205,10 +223,17 @@ def run_entry(workload: str, seed: int, policy: str, faults: str) -> tuple[str, 
         result = build_engine(run_spec, sink=stream).run(trace)
     finally:
         setattr(simulation, "heapq", previous)
+    name = f"run {workload} {seed} {policy} {faults}"
     if counting.pushes != counting.pops:
         raise SimulationError(
-            f"{workload} {seed} {policy} {faults}: the run left its heap "
-            f"undrained ({counting.pushes} pushes, {counting.pops} pops)"
+            f"{name}: the run left its heap undrained ({counting.pushes} "
+            f"pushes, {counting.pops} pops)"
+        )
+    folded = stream.fold.result(run_spec)
+    moved = [f for f in FOLDED_FIELDS if getattr(folded, f) != getattr(result, f)]
+    if moved:
+        raise SimulationError(
+            f"{name}: its folded lifecycle stream differs in {', '.join(moved)}"
         )
     s = result.stealing
     return (
@@ -323,6 +348,7 @@ def check(keys: list[Key] | None = None, path: Path = PATH) -> list[str]:
     """Recompute ``keys`` (default: every entry) against the file.
 
     Returns one line per problem; an empty list means the file is fresh.
+    A run that fails (:class:`SimulationError`) is a problem of its own.
     """
     version, committed = load(path)
     problems = []
@@ -335,7 +361,14 @@ def check(keys: list[Key] | None = None, path: Path = PATH) -> list[str]:
         keys, old = all_keys(), committed
     else:
         old = {key: committed[key] for key in keys if key in committed}
-    problems.extend(diff(old, {key: compute(key) for key in keys}))
+    fresh: Entries = {}
+    for key in keys:
+        try:
+            fresh[key] = compute(key)
+        except SimulationError as exc:
+            problems.append(str(exc))
+            old.pop(key, None)
+    problems.extend(diff(old, fresh))
     return problems
 
 
@@ -375,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
             lines = write({key: compute(key) for key in all_keys()})
         else:
             lines = check()
-    except ConfigurationError as exc:
+    except (ConfigurationError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for line in lines:

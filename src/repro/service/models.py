@@ -21,9 +21,9 @@ store and the replay fold agree on one schema:
   log.
 
 Event kinds (the ``KIND_*`` constants of :mod:`repro.cluster.engine`,
-which emits all of them but ``submitted``) name every lifecycle
-transition a job goes through: submitted → probed → queued → started
-(per task, possibly after being stolen) → task-completed → completed.
+which emits all of them) name every lifecycle transition a job goes
+through: submitted → probed → queued → started (per task, possibly after
+being stolen) → task-completed → completed; ``run-end`` ends a batch run.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The event store is the source of truth, so a run's
 :class:`~repro.cluster.records.RunResult` is *defined* as a fold over
 its events: :class:`RunFold` consumes ``submitted``/``stolen``/
-``completed`` transitions (the other kinds are audit detail) and
-:meth:`RunFold.result` materializes records byte-compatible with what
-:meth:`ClusterEngine.run` builds.  The live service uses the *same* fold
+``completed``/``run-end`` transitions (the other kinds are audit
+detail), and a batch run's stream folds to exactly its ``RunResult``,
+the scheduler's name aside.  The live service uses the *same* fold
 step on the events it emits (:meth:`RunFold.apply`) that a cold
 :func:`replay` runs over stored rows — snapshot and tail read in one
 step, six columns (``seq, kind, vtime, wtime, job_id, payload``) per
@@ -23,18 +23,24 @@ portable files — the committed fixture behind
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.cluster.engine import (
     KIND_COMPLETED,
+    KIND_RUN_END,
     KIND_STARTED,
     KIND_STOLEN,
     KIND_SUBMITTED,
 )
 from repro.cluster.job import JobClass
-from repro.cluster.records import JobRecord, RunResult, StealingStats
+from repro.cluster.records import (
+    JobRecord,
+    RunResult,
+    StealingStats,
+    UtilizationSample,
+)
 from repro.core.errors import ConfigurationError
 from repro.core.textfile import open_text
 from repro.schedulers.registry import RunSpec
@@ -77,12 +83,29 @@ def record_from_json(data: Mapping[str, Any]) -> JobRecord:
 _JOB_KINDS = (KIND_SUBMITTED, KIND_STARTED, KIND_COMPLETED)
 
 #: Event kinds whose payload the fold reads.
-_PAYLOAD_KINDS = frozenset((KIND_SUBMITTED, KIND_STOLEN, KIND_COMPLETED))
+_PAYLOAD_KINDS = frozenset(
+    (KIND_SUBMITTED, KIND_STOLEN, KIND_COMPLETED, KIND_RUN_END)
+)
+
+#: The counts a ``run-end`` payload carries besides its samples.
+_STEALING_COUNTS = tuple(f.name for f in fields(StealingStats))
+_RUN_END_COUNTS = (*_STEALING_COUNTS, "events_fired")
 
 
 def _no_job_id(kind: str, seq: int) -> ConfigurationError:
     """The error for a :data:`_JOB_KINDS` event that names no job."""
     return ConfigurationError(f"{kind!r} event seq {seq} has no job_id")
+
+
+def _run_end(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """A ``run-end`` payload, its counts and samples cast to their types."""
+    return {
+        **{name: int(payload[name]) for name in _RUN_END_COUNTS},
+        "utilization": [
+            [float(time), int(busy), int(total)]
+            for time, busy, total in payload["utilization"]
+        ],
+    }
 
 
 @dataclass(slots=True)
@@ -98,7 +121,8 @@ class RunFold:
     of its first ``started`` event minus the receipt wall time its
     ``submitted`` payload carries (``recv``, consumed from the pending
     payload on first start).  It is in-memory only, not part of
-    :meth:`to_state`.
+    :meth:`to_state`.  ``run_end`` holds a batch run's closing
+    ``run-end`` payload; no event may follow it.
     """
 
     pending: dict[int, tuple[float, dict[str, Any]]] = field(
@@ -111,66 +135,84 @@ class RunFold:
     steal_transfers: int = 0
     entries_stolen: int = 0
     latencies: list[float] = field(default_factory=list)
+    run_end: dict[str, Any] | None = None
 
     def apply(self, event: LifecycleEvent) -> None:
         """Fold one event (events must arrive in ascending seq order)."""
-        self._fold(
+        self.step(
             event.seq, event.kind, event.vtime, event.wtime, event.job_id,
             event.payload,
         )
 
-    def _fold(
+    def step(
         self, seq: int, kind: str, vtime: float, wtime: float,
         job_id: int | None, payload: Mapping[str, Any],
     ) -> None:
         """The one fold step, over an event's six fields (:meth:`apply`,
-        and :func:`replay` over stored rows)."""
+        :func:`replay` over stored rows, and the run ledger's sink).
+
+        A payload the fold cannot read raises :class:`ConfigurationError`
+        naming the event's seq (for ``completed``, the job's ``submitted``
+        payload is read too).
+        """
         if seq <= self.last_seq:
             raise ConfigurationError(
                 f"event seq {seq} out of order (last folded "
                 f"{self.last_seq})"
             )
+        if self.run_end is not None:
+            raise ConfigurationError(
+                f"{kind!r} event seq {seq} follows the run's run-end event"
+            )
         self.events_folded += 1
         self.last_seq = seq
         if vtime > self.last_vtime:
             self.last_vtime = vtime
-        if kind == KIND_STOLEN:
-            self.steal_transfers += 1
-            self.entries_stolen += int(payload.get("entries", 0))
-        elif kind not in _JOB_KINDS:
-            return
-        elif job_id is None:
-            raise _no_job_id(kind, seq)
-        elif kind == KIND_SUBMITTED:
-            self.pending[job_id] = (vtime, dict(payload))
-        elif kind == KIND_STARTED:
-            submitted = self.pending.get(job_id)
-            if submitted is not None and "recv" in submitted[1]:
-                recv = float(submitted[1].pop("recv"))
-                self.latencies.append(wtime - recv)
-        else:
-            try:
-                submit_vtime, submitted = self.pending.pop(job_id)
-            except KeyError:
-                raise ConfigurationError(
-                    f"job {job_id} completed without a submitted "
-                    "event (log truncated before its submission?)"
-                ) from None
-            self.records.append(
-                JobRecord(
-                    job_id=job_id,
-                    submit_time=submit_vtime,
-                    completion_time=vtime,
-                    num_tasks=int(submitted["num_tasks"]),
-                    true_mean_task_duration=float(submitted["true_mean"]),
-                    estimated_task_duration=float(submitted["estimate"]),
-                    task_seconds=float(submitted["task_seconds"]),
-                    scheduled_class=JobClass(submitted["scheduled_class"]),
-                    true_class=JobClass(submitted["true_class"]),
-                    stolen_tasks=int(payload.get("stolen_tasks", 0)),
-                    retried_tasks=int(payload.get("retried_tasks", 0)),
+        try:
+            if kind == KIND_STOLEN:
+                self.steal_transfers += 1
+                self.entries_stolen += int(payload.get("entries", 0))
+            elif kind == KIND_RUN_END:
+                self.run_end = _run_end(payload)
+            elif kind not in _JOB_KINDS:
+                return
+            elif job_id is None:
+                raise _no_job_id(kind, seq)
+            elif kind == KIND_SUBMITTED:
+                self.pending[job_id] = (vtime, dict(payload))
+            elif kind == KIND_STARTED:
+                submitted = self.pending.get(job_id)
+                if submitted is not None and "recv" in submitted[1]:
+                    recv = float(submitted[1].pop("recv"))
+                    self.latencies.append(wtime - recv)
+            else:
+                submitted_at = self.pending.pop(job_id, None)
+                if submitted_at is None:
+                    raise ConfigurationError(
+                        f"job {job_id} completed without a submitted "
+                        "event (log truncated before its submission?)"
+                    )
+                submit_vtime, submitted = submitted_at
+                self.records.append(
+                    JobRecord(
+                        job_id=job_id,
+                        submit_time=submit_vtime,
+                        completion_time=vtime,
+                        num_tasks=int(submitted["num_tasks"]),
+                        true_mean_task_duration=float(submitted["true_mean"]),
+                        estimated_task_duration=float(submitted["estimate"]),
+                        task_seconds=float(submitted["task_seconds"]),
+                        scheduled_class=JobClass(submitted["scheduled_class"]),
+                        true_class=JobClass(submitted["true_class"]),
+                        stolen_tasks=int(payload.get("stolen_tasks", 0)),
+                        retried_tasks=int(payload.get("retried_tasks", 0)),
+                    )
                 )
-            )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ConfigurationError(
+                f"{kind!r} event seq {seq} (job {job_id}) has a malformed "
+                f"payload: {exc!r}"
+            ) from exc
 
     @property
     def jobs_completed(self) -> int:
@@ -183,24 +225,33 @@ class RunFold:
     def result(self, spec: RunSpec) -> RunResult:
         """Materialize the fold as a simulator-shaped result.
 
-        Utilization sampling has no online analogue (there is no fixed
-        run horizon), so ``utilization`` is always empty; every other
-        field matches what a batch run of the same schedule would carry.
+        A batch stream ends in ``run-end``, whose stealing counts,
+        ``events_fired`` and utilization samples the result takes, so it
+        equals the run's own result but for ``scheduler_name``.  A
+        service run has no ``run-end`` (a crash restarts the engine's
+        counters, so the run has no one total): its ``utilization`` is
+        empty, ``events_fired`` counts folded events, and its stealing
+        counts come from ``stolen`` events, exact for
+        ``successful_rounds`` and ``entries_stolen`` and lower bounds
+        for ``rounds`` and ``victims_probed``.
         """
         records = tuple(sorted(self.records, key=lambda r: r.job_id))
-        stealing = StealingStats(
-            rounds=self.steal_transfers,
-            successful_rounds=self.steal_transfers,
-            victims_probed=self.steal_transfers,
-            entries_stolen=self.entries_stolen,
-        )
+        transfers = self.steal_transfers
+        totals: dict[str, Any] = self.run_end or {
+            "rounds": transfers,
+            "successful_rounds": transfers,
+            "victims_probed": transfers,
+            "entries_stolen": self.entries_stolen,
+            "events_fired": self.events_folded,
+            "utilization": [],
+        }
         return RunResult(
             scheduler_name=f"service-{spec.scheduler}",
             n_workers=spec.n_workers,
             jobs=records,
-            utilization=(),
-            stealing=stealing,
-            events_fired=self.events_folded,
+            utilization=[UtilizationSample(*s) for s in totals["utilization"]],
+            stealing=StealingStats(**{n: totals[n] for n in _STEALING_COUNTS}),
+            events_fired=totals["events_fired"],
             end_time=self.last_vtime,
         )
 
@@ -218,6 +269,9 @@ class RunFold:
             "last_seq": self.last_seq,
             "steal_transfers": self.steal_transfers,
             "entries_stolen": self.entries_stolen,
+            # Absent from service states, as from those written before
+            # batch streams closed with run-end.
+            **({} if self.run_end is None else {"run_end": self.run_end}),
         }
 
     @classmethod
@@ -234,6 +288,8 @@ class RunFold:
         fold.last_seq = int(state["last_seq"])
         fold.steal_transfers = int(state["steal_transfers"])
         fold.entries_stolen = int(state["entries_stolen"])
+        if state.get("run_end") is not None:
+            fold.run_end = _run_end(state["run_end"])
         return fold
 
 
@@ -266,7 +322,7 @@ def replay(store: EventStore, run_id: str) -> RunFold:
             payload = parsed[text]
         else:
             payload = parsed[text] = loads(text)
-        fold._fold(seq, kind, vtime, wtime, job_id, payload)
+        fold.step(seq, kind, vtime, wtime, job_id, payload)
     return fold
 
 

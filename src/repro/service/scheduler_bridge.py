@@ -21,11 +21,10 @@ thread per run that owns the engine outright:
 * **Every transition is observed.**  The bridge builds its engine with
   :func:`repro.schedulers.registry.build_engine`, passing
   :meth:`SchedulerBridge._emit` as the engine's lifecycle sink: the
-  engine reports each placement, task start, task completion, job
-  completion and steal transfer itself (see :mod:`repro.cluster.engine`),
-  and the bridge adds only ``submitted``.  Each becomes one
-  :class:`~repro.service.models.LifecycleEvent` in the event store; the
-  live result is *defined* as the same
+  engine reports every transition (see :mod:`repro.cluster.engine`);
+  the bridge adds only its client fields to ``submitted``.  Each becomes
+  one :class:`~repro.service.models.LifecycleEvent` in the event store;
+  the live result is *defined* as the same
   :class:`~repro.service.replay.RunFold` a cold replay performs, so the
   two cannot disagree.
 """
@@ -37,7 +36,6 @@ import threading
 import time
 from typing import Any
 
-from repro.cluster.engine import KIND_SUBMITTED
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
 from repro.schedulers import registry
@@ -277,23 +275,15 @@ class SchedulerBridge:
         spec = JobSpec(
             job_id=job_id, submit_time=vtime, task_durations=submission.tasks
         )
-        job = engine.submit_job(spec, estimated_task_duration=submission.estimate)
-        payload: dict[str, Any] = {
+        # The engine emits ``submitted`` with these client fields merged
+        # in.  Individual durations make the submission replayable: crash
+        # recovery rebuilds the Submission from this event alone.
+        client = {
             "tenant": submission.tenant,
-            # Individual durations make the submission replayable: crash
-            # recovery rebuilds the Submission from this event alone.
             "tasks": list(submission.tasks),
-            "num_tasks": job.num_tasks,
-            "true_mean": job.true_mean_task_duration,
-            "estimate": job.estimated_task_duration,
-            "task_seconds": job.task_seconds,
-            "scheduled_class": job.scheduled_class.value,
-            "true_class": job.true_class.value,
             "recv": recv_w,
         }
-        # submit_job emits nothing, so ``submitted`` still precedes the
-        # job's first engine event in the store.
-        self._emit(KIND_SUBMITTED, vtime, job_id, payload=payload)
+        engine.submit_job(spec, submission.estimate, client)
         with self._mutex:
             self._injected += 1
 

@@ -1,8 +1,10 @@
 """The engine's lifecycle stream: pinned, batching-blind and free of
 observer effect.
 
-``ClusterEngine`` narrates its transitions (placement, task start,
-task completion, job completion, steal transfers) to an optional sink.
+``ClusterEngine`` narrates its transitions (submission, placement, task
+start, task completion, job completion, steal transfers and the run's
+end) to an optional sink, and folding a run's stream gives its
+``RunResult``.
 The run ledger (``benchmarks/results/run_ledger.txt``) pins the stream's
 ``count:digest`` on every quick run; its digests were first recorded
 from the service's original subclass-based observer, so the
@@ -16,6 +18,7 @@ and gives the same result with a sink as without.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 import random
@@ -25,11 +28,14 @@ import pytest
 from repro.cluster.engine import (
     EVENT_KINDS,
     KIND_COMPLETED,
+    KIND_RUN_END,
     KIND_STARTED,
     KIND_STOLEN,
+    KIND_SUBMITTED,
 )
 from repro.experiments import ledger
 from repro.experiments.config import RunSpec, high_load_size
+from repro.experiments.fig_faults import plan_for
 from repro.schedulers.registry import build_engine, registered_names
 from repro.workloads.registry import quick_spec
 from repro.workloads.spec import JobSpec, Trace
@@ -149,3 +155,37 @@ def test_sink_has_no_observer_effect(policy):
     _, observed = record_stream(policy, batched=True)
     assert observed == plain
     assert pickle.dumps(observed) == pickle.dumps(plain)
+
+
+def test_submissions_open_the_stream_and_run_end_closes_it():
+    events, result = record_stream("hawk", batched=True)
+    kinds = [e[0] for e in events]
+    n_jobs = len(result.jobs)
+    assert kinds[:n_jobs] == [KIND_SUBMITTED] * n_jobs
+    assert KIND_SUBMITTED not in kinds[n_jobs:]
+    assert kinds.index(KIND_RUN_END) == len(kinds) - 1
+    assert events[-1][1] == result.end_time
+
+
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("faulted", [False, True])
+@pytest.mark.parametrize("policy", sorted(registered_names()))
+def test_folded_stream_equals_the_run_result(policy, faulted, batched):
+    """Every ``RunResult`` field but the scheduler's name comes back
+    from the stream: ``run-end`` carries what no other event can."""
+    trace = pin_trace()
+    plan = plan_for(0.3, trace.horizon) if faulted else None
+    spec = dataclasses.replace(pin_spec(policy), faults=plan)
+    plain, stream = build_engine(spec), ledger.StreamDigest()
+    observed = build_engine(spec, sink=stream)
+    plain.transport_batching = observed.transport_batching = batched
+    want = plain.run(trace)
+    observed.run(trace)
+    got = stream.fold.result(spec)
+    for name in ledger.FOLDED_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    if policy == "hawk" and not faulted:
+        assert got.stealing.victims_probed == 153
+        assert got.stealing.successful_rounds == 75
+        assert got.events_fired == 1380
+        assert len(got.utilization) == 9

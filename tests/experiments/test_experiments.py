@@ -212,18 +212,28 @@ def test_figure_result_render_contains_notes():
 
 
 # -- Figures 16-17 from a recorded event log ---------------------------------
-def relabelled_fixture(tmp_path, relabel):
-    """A copy of the committed fixture with ``relabel(label)`` applied to
-    every run line's label."""
+def edited_fixture(tmp_path, edit):
+    """A copy of the committed fixture with ``edit`` applied to its
+    parsed lines."""
     path = tmp_path / "events.ndjson.gz"
     with gzip.open(fig16_17_prototype.default_events_path(), "rt") as src:
         lines = [json.loads(line) for line in src]
-    for line in lines:
-        if line["type"] == "run":
-            line["label"] = relabel(line["label"])
+    edit(lines)
     with gzip.open(path, "wt") as out:
         out.writelines(json.dumps(line) + "\n" for line in lines)
     return path
+
+
+def relabelled_fixture(tmp_path, relabel):
+    """A copy of the committed fixture with ``relabel(label)`` applied to
+    every run line's label."""
+
+    def edit(lines):
+        for line in lines:
+            if line["type"] == "run":
+                line["label"] = relabel(line["label"])
+
+    return edited_fixture(tmp_path, edit)
 
 
 def test_from_events_names_a_run_without_a_label(tmp_path, capsys):
@@ -234,6 +244,38 @@ def test_from_events_names_a_run_without_a_label(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "multiple and scheduler" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [("true_mean", None, "KeyError"), ("scheduled_class", "medium", "ValueError")],
+)
+def test_from_events_names_the_event_of_a_malformed_payload(
+    tmp_path, capsys, key, value, error
+):
+    """A broken ``submitted`` payload surfaces when its job completes."""
+    seqs = {}
+
+    def edit(lines):
+        events = [line for line in lines if line["type"] == "event"]
+        first = next(e for e in events if e["kind"] == "submitted")
+        if value is None:
+            del first["payload"][key]
+        else:
+            first["payload"][key] = value
+        seqs["completed"] = next(
+            e["seq"] for e in events
+            if e["kind"] == "completed" and e["run_id"] == first["run_id"]
+            and e["job_id"] == first["job_id"]
+        )
+
+    path = edited_fixture(tmp_path, edit)
+    message = f"'completed' event seq {seqs['completed']} .*{error}"
+    with pytest.raises(ConfigurationError, match=message):
+        fig16_17_prototype.run_from_events(path)
+    assert fig16_17_prototype.main(["--from-events", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_from_events_names_a_load_point_without_hawk(tmp_path):

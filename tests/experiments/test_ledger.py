@@ -12,10 +12,12 @@ from itertools import product
 
 import pytest
 
+from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
 from repro.experiments import ledger
 from repro.experiments.parallel import CACHE_VERSION
 from repro.schedulers.registry import registered_names
+from repro.service.replay import RunFold
 
 POLICIES = ledger.policies()
 WORKLOADS = ledger.workloads()
@@ -132,3 +134,19 @@ def test_check_names_the_moved_run_and_column(tmp_path):
     assert ledger.check([("trace", "motivation", "0")], path) == []
     (problem,) = ledger.check([ROW], path)
     assert problem.startswith(f"{' '.join(ROW)}: events 0")
+
+
+def test_check_reports_a_run_whose_folded_stream_differs(monkeypatch):
+    result = RunFold.result
+
+    def one_event_more(fold, spec):
+        r = result(fold, spec)
+        return RunResult(
+            r.scheduler_name, r.n_workers, r.job_columns,
+            r.utilization_columns, r.stealing, r.events_fired + 1, r.end_time,
+        )
+
+    monkeypatch.setattr(RunFold, "result", one_event_more)
+    assert ledger.check([ROW, ("trace", "motivation", "0")]) == [
+        f"{' '.join(ROW)}: its folded lifecycle stream differs in events_fired"
+    ]

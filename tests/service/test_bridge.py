@@ -58,8 +58,8 @@ def test_folded_records_carry_the_engines_own_jobs(store):
     jobs = []
     submit_job = bridge.engine.submit_job
 
-    def recording(spec, estimated_task_duration=None):
-        jobs.append(submit_job(spec, estimated_task_duration))
+    def recording(spec, *args):
+        jobs.append(submit_job(spec, *args))
         return jobs[-1]
 
     bridge.engine.submit_job = recording
@@ -112,6 +112,24 @@ def test_submitted_events_carry_the_classification(store):
         assert event.payload["true_class"] == "long"
         assert event.payload["num_tasks"] == 2
         assert event.payload["recv"] >= 0.0
+
+
+def test_submitted_payload_keeps_its_nine_keys(store):
+    """The engine writes six fields, the bridge its three client fields;
+    the stored payload is what the bridge alone used to write."""
+    config = RunSpec("hawk", n_workers=8, cutoff=0.04)
+    run_jobs(store, config, n_jobs=3, tasks=(0.06, 0.01))
+    submitted = [
+        e for e in store.events(models.run_id(config)) if e.kind == "submitted"
+    ]
+    assert len(submitted) == 3
+    for event in submitted:
+        assert sorted(event.payload) == [
+            "estimate", "num_tasks", "recv", "scheduled_class", "task_seconds",
+            "tasks", "tenant", "true_class", "true_mean",
+        ]
+        assert event.payload["tasks"] == [0.06, 0.01]
+        assert event.payload["tenant"] == "default"
 
 
 def test_client_estimate_overrides_the_engine_estimator(store):

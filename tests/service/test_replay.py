@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from repro.cluster.engine import (
     KIND_COMPLETED,
     KIND_PROBED,
+    KIND_RUN_END,
     KIND_STARTED,
     KIND_STOLEN,
     KIND_SUBMITTED,
     KIND_TASK_COMPLETED,
 )
 from repro.cluster.job import JobClass
+from repro.cluster.records import StealingStats, UtilizationSample
 from repro.core.errors import ConfigurationError
 from repro.service import models
 from repro.service.event_store import EventStore
@@ -140,6 +142,111 @@ def test_completed_without_submitted_raises():
                 run_id=RUN, kind=KIND_COMPLETED, vtime=1.0, job_id=9, seq=1
             )
         )
+
+
+def run_end_event(seq):
+    """A batch run's closing event."""
+    payload = {
+        "rounds": 4,
+        "successful_rounds": 1,
+        "victims_probed": 7,
+        "entries_stolen": 3,
+        "events_fired": 40,
+        "utilization": [[5.0, 2, 8]],
+    }
+    return LifecycleEvent(
+        run_id=RUN, kind=KIND_RUN_END, vtime=9.0, payload=payload, seq=seq
+    )
+
+
+def test_run_end_supplies_what_the_other_events_cannot():
+    events = job_events(0, seq0=1) + [run_end_event(4)]
+    result = fold_events(events).result(
+        models.run_spec_from_json({"policy": "hawk"})
+    )
+    assert result.stealing == StealingStats(4, 1, 7, 3)
+    assert result.events_fired == 40
+    assert result.utilization == (UtilizationSample(5.0, 2, 8),)
+    assert result.end_time == 9.0
+
+
+def test_an_event_after_run_end_raises():
+    fold = fold_events(job_events(0, seq0=1) + [run_end_event(4)])
+    with pytest.raises(ConfigurationError, match="seq 5 follows"):
+        fold.apply(LifecycleEvent(run_id=RUN, kind=KIND_PROBED, vtime=9.0, seq=5))
+    with pytest.raises(ConfigurationError, match="seq 6 follows"):
+        fold.apply(run_end_event(6))
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "index, key, value, seq, error",
+    [
+        (0, "true_mean", _DROP, 3, "KeyError"),
+        (0, "scheduled_class", "medium", 3, "ValueError"),
+        (0, "recv", "soon", 2, "ValueError"),
+        (2, "stolen_tasks", [1], 3, "TypeError"),
+        (3, "entries", "x", 4, "ValueError"),
+        (4, "events_fired", _DROP, 5, "KeyError"),
+        (4, "utilization", [[1.0, 2]], 5, "ValueError"),
+        (4, "utilization", 7, 5, "TypeError"),
+    ],
+    ids=[
+        "submitted-no-true-mean", "submitted-bad-class", "submitted-bad-recv",
+        "completed-list-count", "stolen-bad-entries", "run-end-no-events",
+        "run-end-short-sample", "run-end-no-samples",
+    ],
+)
+def test_a_malformed_payload_is_a_typed_error_naming_the_seq(
+    index, key, value, seq, error
+):
+    events = job_events(0, seq0=1) + [
+        LifecycleEvent(
+            run_id=RUN, kind=KIND_STOLEN, vtime=4.0, payload={"entries": 2},
+            seq=4,
+        ),
+        run_end_event(5),
+    ]
+    payload = dict(events[index].payload)
+    if value is _DROP:
+        del payload[key]
+    else:
+        payload[key] = value
+    events[index].payload = payload
+    with pytest.raises(ConfigurationError, match=f" event seq {seq} .*{error}"):
+        fold_events(events)
+
+
+def test_state_round_trip_keeps_run_end():
+    config = models.run_spec_from_json({"policy": "hawk"})
+    fold = fold_events(job_events(0, seq0=1) + [run_end_event(4)])
+    state = json.loads(json.dumps(fold.to_state()))
+    resumed = RunFold.from_state(state)
+    assert resumed.result(config) == fold.result(config)
+    assert resumed.to_state() == fold.to_state()
+    with pytest.raises(ConfigurationError, match="follows"):
+        resumed.apply(run_end_event(5))
+
+
+def test_a_state_written_before_run_end_existed_loads():
+    """The snapshot form already in service databases: no ``run_end``."""
+    state = {
+        "pending": {"0": {"vtime": 0.0, "payload": submitted_payload()}},
+        "records": [],
+        "events_folded": 1,
+        "last_vtime": 0.0,
+        "last_seq": 1,
+        "steal_transfers": 0,
+        "entries_stolen": 0,
+    }
+    fold = RunFold.from_state(state)
+    for event in job_events(0, seq0=1)[1:]:
+        fold.apply(event)
+    assert fold.run_end is None
+    assert "run_end" not in fold.to_state()
+    assert fold.jobs_completed == 1
 
 
 def test_state_round_trip_resumes_mid_stream():
@@ -277,6 +384,25 @@ def test_load_ndjson_malformed_line_is_a_typed_error(tmp_path, line):
         load_ndjson(path)
 
 
+def test_the_committed_log_has_no_run_end_and_folds_as_before():
+    """A service log derives its stealing counts from ``stolen`` events
+    and carries no utilization samples."""
+    log = load_ndjson(FIXTURE)
+    assert KIND_RUN_END not in {e.kind for e in log.events}
+    steals = {run_id: 0 for run_id in log.configs}
+    events = dict(steals)
+    for event in log.events:
+        events[event.run_id] += 1
+        steals[event.run_id] += event.kind == KIND_STOLEN
+    assert any(steals.values())
+    for run_id, result in log.results().items():
+        stealing = result.stealing
+        assert stealing.rounds == stealing.successful_rounds == steals[run_id]
+        assert stealing.victims_probed == steals[run_id]
+        assert result.utilization == ()
+        assert result.events_fired == events[run_id]
+
+
 # -- the row fold (replay) equals the event fold (live bridge, NDJSON) ----
 def assert_same_fold(got, want, config):
     assert got.result(config) == want.result(config)
@@ -305,7 +431,8 @@ def test_row_fold_equals_event_fold_on_the_committed_log(tmp_path):
 
 @st.composite
 def streams(draw):
-    """One run's events, jobs interleaved, some jobs still in flight."""
+    """One run's events, jobs interleaved, some jobs still in flight,
+    and maybe a closing ``run-end``."""
     lanes = []
     for job_id in range(draw(st.integers(1, 5))):
         payload = {**submitted_payload(), "recv": draw(st.floats(0, 1))}
@@ -323,17 +450,29 @@ def streams(draw):
     slots = [i for i, lane in enumerate(lanes) for _ in lane]
     order = draw(st.permutations(slots))
     cursors = [iter(lane) for lane in lanes]
-    events = []
-    for lane in order:
-        kind, job_id, task, payload = next(cursors[lane])
-        events.append(
-            LifecycleEvent(
-                run_id=RUN, kind=kind, job_id=job_id, task_index=task,
-                vtime=draw(st.floats(0, 100)), wtime=draw(st.floats(1, 2)),
-                payload=payload,
+    steps = [next(cursors[lane]) for lane in order]
+    if draw(st.booleans()):  # a batch run's closing event
+        counts = st.integers(0, 50)
+        sample = st.tuples(st.floats(0, 100), st.integers(0, 4), st.just(4))
+        run_end = {
+            name: draw(counts)
+            for name in (
+                "rounds", "successful_rounds", "victims_probed",
+                "entries_stolen", "events_fired",
             )
+        }
+        run_end["utilization"] = [
+            list(s) for s in draw(st.lists(sample, max_size=3))
+        ]
+        steps.append((KIND_RUN_END, None, None, run_end))
+    return [
+        LifecycleEvent(
+            run_id=RUN, kind=kind, job_id=job_id, task_index=task,
+            vtime=draw(st.floats(0, 100)), wtime=draw(st.floats(1, 2)),
+            payload=payload,
         )
-    return events
+        for kind, job_id, task, payload in steps
+    ]
 
 
 @settings(max_examples=60, deadline=None)
