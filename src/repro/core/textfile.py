@@ -1,9 +1,9 @@
 """One opener for the text files the repo reads and writes.
 
 Traces and event logs are UTF-8 text, gzip-compressed when the name ends
-in ``.gz``.  A file cut short or corrupted fails as a
-:class:`ConfigurationError` naming the path, not as whatever the
-decompressor or decoder raised.
+in ``.gz``.  A file that cannot be opened, or is cut short or
+corrupted, fails as a :class:`ConfigurationError` naming the path, not
+as whatever the operating system, decompressor or decoder raised.
 """
 
 from __future__ import annotations
@@ -20,16 +20,23 @@ from repro.core.errors import ConfigurationError
 def open_text(path: Path, mode: Literal["r", "w"]) -> Iterator[IO[str]]:
     """Open ``path`` as UTF-8 text, through gzip iff its suffix is ``.gz``.
 
-    ``EOFError``, ``gzip.BadGzipFile`` and ``UnicodeDecodeError`` raised
-    while the file is open become :class:`ConfigurationError`.
+    An ``OSError`` raised at open (a missing file or directory, a
+    directory, no permission) and ``EOFError``, ``gzip.BadGzipFile`` and
+    ``UnicodeDecodeError`` raised while the file is open become
+    :class:`ConfigurationError`.
     """
     handle: IO[str]
-    if path.suffix != ".gz":
-        handle = open(path, mode, encoding="utf-8")
-    elif mode == "r":
-        handle = gzip.open(path, "rt", encoding="utf-8")
-    else:
-        handle = gzip.open(path, "wt", encoding="utf-8")
+    try:
+        if path.suffix != ".gz":
+            handle = open(path, mode, encoding="utf-8")
+        elif mode == "r":
+            handle = gzip.open(path, "rt", encoding="utf-8")
+        else:
+            handle = gzip.open(path, "wt", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot open ({type(exc).__name__}: {exc.strerror or exc})"
+        ) from exc
     with handle:
         try:
             yield handle

@@ -7,13 +7,16 @@ fraction of jobs Hawk improves (or matches) and the average job-runtime
 ratio.  Lower values favor the numerator system.
 
 Each public metric extracts a run's per-class job ids and runtimes once,
-as arrays from the run's job columns, and sorts the runtimes at most
-once; :func:`compare_runs` shares that extraction across all four
-metrics.  Every formula lives in one private helper, so the bundled and
-the single-metric results are bit-identical.  The array operations
-(class masks, ``completion - submit``, a stable sort, id matching) do
-the same IEEE operations as a loop over records would, and every value
-returned is a built-in ``float``.
+as arrays from the run's job columns; :func:`compare_runs` shares that
+extraction across all four metrics.  No runtime column is sorted: a
+percentile selects only the ranks it reads
+(:func:`~repro.metrics.percentiles.column_percentiles`), and two runs
+that list the same jobs in id order are paired by position.  Every
+formula lives in one private helper, so the bundled and the
+single-metric results are bit-identical.  The array operations (class
+masks, ``completion - submit``, rank selection, id matching) pick and
+combine the same floats as a loop over records and a stable sort would,
+and every value returned is a built-in ``float``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from repro.cluster.job import JobClass
 from repro.cluster.records import Floats, Ints, RunResult
 from repro.core.errors import ConfigurationError
-from repro.metrics.percentiles import percentile_of_sorted
+from repro.metrics.percentiles import column_percentiles
 
 #: :func:`fraction_improved`'s default slack: a candidate job counts as
 #: improved when its runtime is at most the baseline's times ``1 + this``.
@@ -51,25 +54,32 @@ def _both(
     return num, den
 
 
-def _sorted(runtimes: Floats) -> list[float]:
-    # Stable, as ``sorted`` is: equal keys (0.0 and -0.0) keep their order.
-    return np.sort(runtimes, kind="stable").tolist()
-
-
-def _percentile_ratio(
-    num_sorted: list[float], den_sorted: list[float], p: float
-) -> float:
-    return percentile_of_sorted(num_sorted, p) / percentile_of_sorted(den_sorted, p)
+def _percentile_ratios(
+    num: Floats, den: Floats, ps: Sequence[float]
+) -> tuple[float, ...]:
+    return tuple(
+        a / b for a, b in zip(column_percentiles(num, ps), column_percentiles(den, ps))
+    )
 
 
 def _mean_ratio(num: Floats, den: Floats) -> float:
-    # Python's left-to-right sums in record order: np.sum adds pairwise,
-    # and the sorted copies would round differently.
-    return (sum(num.tolist()) / len(num)) / (sum(den.tolist()) / len(den))
+    # Python's sums of the floats in record order (compensated on 3.12+):
+    # np.sum adds pairwise and would round differently.
+    return (sum(memoryview(num)) / len(num)) / (sum(memoryview(den)) / len(den))
+
+
+def _same_sorted_ids(a: Ints, b: Ints) -> bool:
+    """Both runs list the same jobs, each once, in increasing id order."""
+    return np.array_equal(a, b) and bool(np.all(a[1:] > a[:-1]))
 
 
 def _fraction_improved(cand: _ClassJobs, base: _ClassJobs, tolerance: float) -> float:
     (cand_ids, cand_runtimes), (base_ids, base_runtimes) = cand, base
+    slack = 1.0 + tolerance
+    if _same_sorted_ids(cand_ids, base_ids):
+        # Job i of each run is the same job: pair them by position.
+        improved = np.count_nonzero(cand_runtimes <= base_runtimes * slack)
+        return int(improved) / cand_ids.size
     order = np.argsort(base_ids, kind="stable")
     sorted_ids = base_ids[order]
     # The last baseline job of each id, as a dict built in record order
@@ -81,9 +91,7 @@ def _fraction_improved(cand: _ClassJobs, base: _ClassJobs, tolerance: float) -> 
     if matched == 0:
         raise ConfigurationError("runs share no job ids; cannot pair jobs")
     base_paired = base_runtimes[order[last[paired]]]
-    improved = int(
-        np.count_nonzero(cand_runtimes[paired] <= base_paired * (1.0 + tolerance))
-    )
+    improved = int(np.count_nonzero(cand_runtimes[paired] <= base_paired * slack))
     return improved / matched
 
 
@@ -93,10 +101,10 @@ def percentile_ratios(
     job_class: JobClass | None,
     ps: Sequence[float],
 ) -> tuple[float, ...]:
-    """:func:`normalized_percentile` at each of ``ps``, sorting each run once."""
+    """:func:`normalized_percentile` at each of ``ps``, selecting each run's
+    ranks once."""
     (_, num), (_, den) = _both(numerator, denominator, job_class)
-    num_sorted, den_sorted = _sorted(num), _sorted(den)
-    return tuple(_percentile_ratio(num_sorted, den_sorted, p) for p in ps)
+    return _percentile_ratios(num, den, ps)
 
 
 def normalized_percentile(
@@ -144,12 +152,11 @@ def compare_runs(
     candidate: RunResult, baseline: RunResult, job_class: JobClass | None
 ) -> Comparison:
     cand, base = _both(candidate, baseline, job_class)
-    cand_sorted = _sorted(cand[1])
-    base_sorted = _sorted(base[1])
+    p50_ratio, p90_ratio = _percentile_ratios(cand[1], base[1], (50.0, 90.0))
     return Comparison(
         job_class=job_class,
-        p50_ratio=_percentile_ratio(cand_sorted, base_sorted, 50.0),
-        p90_ratio=_percentile_ratio(cand_sorted, base_sorted, 90.0),
+        p50_ratio=p50_ratio,
+        p90_ratio=p90_ratio,
         avg_ratio=_mean_ratio(cand[1], base[1]),
         fraction_improved=_fraction_improved(cand, base, _TOLERANCE),
     )

@@ -44,6 +44,13 @@ and doubling.  A database held locked past that budget raises the typed
 :class:`~repro.core.errors.StoreUnavailable` (the HTTP edge maps it to
 503) instead of a raw sqlite exception mid-append; other errors re-raise
 at once.
+
+Opening
+-------
+A path SQLite cannot open or set up as a store (a directory, a file in
+a missing directory, a file that is not a database) raises
+:class:`~repro.core.errors.ConfigurationError` naming the path.  A
+database busy or locked at open still raises SQLite's own error.
 """
 
 from __future__ import annotations
@@ -91,6 +98,12 @@ CREATE TABLE IF NOT EXISTS snapshots (
 """
 
 
+def _busy(exc: sqlite3.Error) -> bool:
+    """``exc`` says another connection holds the database locked."""
+    message = str(exc).lower()
+    return "locked" in message or "busy" in message
+
+
 class EventStore:
     """Append-only event log over one SQLite database file."""
 
@@ -105,15 +118,22 @@ class EventStore:
         self.path = path
         self.flush_every = flush_every
         self._lock = threading.RLock()
-        conn = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_SCHEMA)
-            conn.commit()
-        except BaseException:
-            conn.close()
-            raise
+            conn = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.executescript(_SCHEMA)
+                conn.commit()
+            except BaseException:
+                conn.close()
+                raise
+        except sqlite3.Error as exc:
+            if _busy(exc):
+                raise
+            raise ConfigurationError(
+                f"{path!r} cannot be opened as an event store: {exc}"
+            ) from exc
         self._conn = conn
         self._pending = 0
         self._appended = 0
@@ -131,8 +151,7 @@ class EventStore:
                 self._conn.commit()
                 break
             except sqlite3.OperationalError as exc:
-                message = str(exc).lower()
-                if "locked" not in message and "busy" not in message:
+                if not _busy(exc):
                     raise
                 failed += 1
                 if failed >= self.commit_retries:

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import re
 
 import pytest
 
@@ -276,6 +277,15 @@ def test_from_events_names_the_event_of_a_malformed_payload(
     assert fig16_17_prototype.main(["--from-events", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_from_events_on_a_missing_file_is_a_typed_error(tmp_path, capsys):
+    path = tmp_path / "missing.ndjson.gz"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: "):
+        fig16_17_prototype.run_from_events(path)
+    assert fig16_17_prototype.main(["--from-events", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def test_from_events_names_a_load_point_without_hawk(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from repro.cluster.engine import KIND_COMPLETED, KIND_SUBMITTED
 from repro.core.errors import ConfigurationError, ReproError, StoreUnavailable
 from repro.service import models
+from repro.service.__main__ import main
 from repro.service.event_store import EventStore
 from repro.service.models import LifecycleEvent
 
@@ -87,6 +88,33 @@ def test_reopen_sees_flushed_events_and_continues_seq(tmp_path):
 def test_flush_every_must_be_positive(tmp_path):
     with pytest.raises(ConfigurationError):
         EventStore(str(tmp_path / "x.db"), flush_every=0)
+
+
+def _unopenable(tmp_path, case):
+    if case == "directory":
+        return tmp_path
+    if case == "missing parent":
+        return tmp_path / "missing" / "events.db"
+    path = tmp_path / "events.db"
+    path.write_text("this is not a SQLite database\n" * 100)
+    return path
+
+
+@pytest.mark.parametrize("case", ["directory", "missing parent", "not a database"])
+def test_a_path_that_is_no_store_is_a_typed_error(tmp_path, case):
+    path = str(_unopenable(tmp_path, case))
+    with pytest.raises(ConfigurationError) as info:
+        EventStore(path)
+    assert repr(path) in str(info.value)
+
+
+@pytest.mark.parametrize("case", ["directory", "missing parent", "not a database"])
+def test_repro_serve_reports_a_bad_db_and_exits_1(tmp_path, case, capsys):
+    path = str(_unopenable(tmp_path, case))
+    argv = ["--db", path, "--http-port", "0", "--socket-port", "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(path) in err
 
 
 def test_crash_mid_write_loses_only_the_uncommitted_tail(tmp_path):

@@ -102,6 +102,18 @@ def test_read_gzip_cut_short_is_a_typed_error(tmp_path, mixed_trace):
         read_trace(path)
 
 
+@pytest.mark.parametrize("name", ["trace.tsv", "trace.tsv.gz"])
+def test_a_file_that_cannot_be_opened_is_a_typed_error(tmp_path, mixed_trace, name):
+    missing = tmp_path / "missing" / name
+    for path, call in (
+        (missing, lambda: read_trace(missing)),
+        (missing, lambda: write_trace(mixed_trace, missing)),
+        (tmp_path, lambda: read_trace(tmp_path)),
+    ):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: "):
+            call()
+
+
 def test_read_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "trace.tsv"
     path.write_text("# header\n\n0\t0.0\t1.0,2.0\n")
