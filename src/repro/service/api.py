@@ -236,7 +236,12 @@ class ServiceState:
         """Fold the stored log cold and compare against the live result.
 
         Only meaningful while the run's bridge is alive; a historical
-        run has nothing but the log to compare with itself.
+        run has nothing but the log to compare with itself.  The bridge
+        stores each event before it folds it, so the replay stops at the
+        last seq the live result folded.  A checkpoint saved past that
+        seq in between makes the replay start beyond it; the checkpoint
+        came from the live fold, so the live result is read again, and
+        only a live fold that has not moved is compared as it is.
         """
         spec = self._config_for(run_id)
         bridge = self._live_bridge(run_id)
@@ -244,8 +249,15 @@ class ServiceState:
             raise ConfigurationError(
                 f"run {run_id!r} has no live bridge to compare against"
             )
-        live = bridge.result()
-        cold = replay(self.store, run_id).result(spec)
+        live, upto = bridge.result_at()
+        fold = replay(self.store, run_id, upto=upto)
+        while fold.last_seq > upto:
+            live, seen = bridge.result_at()
+            if seen == upto:
+                break
+            upto = seen
+            fold = replay(self.store, run_id, upto=upto)
+        cold = fold.result(spec)
         return {
             "run_id": run_id,
             "match": live == cold,

@@ -98,6 +98,10 @@ CREATE TABLE IF NOT EXISTS snapshots (
 """
 
 
+#: The largest seq SQLite can assign (its INTEGER is 64-bit signed).
+_LAST_SEQ = 2**63 - 1
+
+
 def _busy(exc: sqlite3.Error) -> bool:
     """``exc`` says another connection holds the database locked."""
     message = str(exc).lower()
@@ -260,19 +264,24 @@ class EventStore:
             )
 
     def replay_rows(
-        self, run_id: str
+        self, run_id: str, upto: int | None = None
     ) -> tuple[tuple[int, dict[str, Any]] | None, list[tuple[Any, ...]]]:
         """The run's snapshot (as :meth:`latest_snapshot`) and the rows
-        after it, ``(seq, kind, vtime, wtime, job_id, payload)`` in seq
-        order with the payload as JSON text, read under one lock hold.
+        after it, up to seq ``upto`` if given, as ``(seq, kind, vtime,
+        wtime, job_id, payload)`` in seq order with the payload as JSON
+        text, read under one lock hold.
         """
         self.flush()
         with self._lock:
             snapshot = self.latest_snapshot(run_id)
             rows = self._conn.execute(
                 "SELECT seq, kind, vtime, wtime, job_id, payload FROM events "
-                "WHERE run_id = ? AND seq > ? ORDER BY seq",
-                (run_id, 0 if snapshot is None else snapshot[0]),
+                "WHERE run_id = ? AND seq > ? AND seq <= ? ORDER BY seq",
+                (
+                    run_id,
+                    0 if snapshot is None else snapshot[0],
+                    _LAST_SEQ if upto is None else upto,
+                ),
             ).fetchall()
         return snapshot, rows
 

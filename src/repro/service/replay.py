@@ -9,9 +9,14 @@ the scheduler's name aside.  The live service uses the *same* fold
 step on the events it emits (:meth:`RunFold.apply`) that a cold
 :func:`replay` runs over stored rows — snapshot and tail read in one
 step, six columns (``seq, kind, vtime, wtime, job_id, payload``) per
-row, and only the payloads the fold reads decoded per row — so live
-results and a cold replay agree by construction; the equality tests in
-``tests/service`` hold the two paths to that.
+row — so live results and a cold replay agree by construction; the
+equality tests in ``tests/service`` hold the two paths to that.
+
+Replay decodes each ``submitted`` payload per row, because the fold
+keeps a copy of it, and every other payload once per distinct text:
+rows of one text share one decoded object, which the step only reads.
+A payload that does not decode raises :class:`ConfigurationError`
+naming its seq, as a payload the step cannot read does.
 
 ``RunFold.to_state``/``from_state`` round-trip the fold through JSON for
 the store's snapshot/compaction path, and the NDJSON helpers
@@ -82,10 +87,11 @@ def record_from_json(data: Mapping[str, Any]) -> JobRecord:
 #: Event kinds the fold keys on their job.
 _JOB_KINDS = (KIND_SUBMITTED, KIND_STARTED, KIND_COMPLETED)
 
-#: Event kinds whose payload the fold reads.
-_PAYLOAD_KINDS = frozenset(
-    (KIND_SUBMITTED, KIND_STOLEN, KIND_COMPLETED, KIND_RUN_END)
-)
+#: Event kinds the fold reads; it only counts the others.
+_FOLDED_KINDS = frozenset((*_JOB_KINDS, KIND_STOLEN, KIND_RUN_END))
+
+#: Each :class:`JobClass` by value, so a record costs no Enum call.
+_JOB_CLASSES = {member.value: member for member in JobClass}
 
 #: The counts a ``run-end`` payload carries besides its samples.
 _STEALING_COUNTS = tuple(f.name for f in fields(StealingStats))
@@ -95,6 +101,14 @@ _RUN_END_COUNTS = (*_STEALING_COUNTS, "events_fired")
 def _no_job_id(kind: str, seq: int) -> ConfigurationError:
     """The error for a :data:`_JOB_KINDS` event that names no job."""
     return ConfigurationError(f"{kind!r} event seq {seq} has no job_id")
+
+
+def _job_class(value: Any) -> JobClass:
+    """``JobClass(value)``; a value no member has raises its error."""
+    try:
+        return _JOB_CLASSES[value]
+    except (KeyError, TypeError):
+        return JobClass(value)
 
 
 def _run_end(payload: Mapping[str, Any]) -> dict[str, Any]:
@@ -151,9 +165,9 @@ class RunFold:
         """The one fold step, over an event's six fields (:meth:`apply`,
         :func:`replay` over stored rows, and the run ledger's sink).
 
-        A payload the fold cannot read raises :class:`ConfigurationError`
-        naming the event's seq (for ``completed``, the job's ``submitted``
-        payload is read too).
+        A payload the fold cannot read, a non-mapping one included,
+        raises :class:`ConfigurationError` naming the event's seq (for
+        ``completed``, the job's ``submitted`` payload is read too).
         """
         if seq <= self.last_seq:
             raise ConfigurationError(
@@ -168,14 +182,14 @@ class RunFold:
         self.last_seq = seq
         if vtime > self.last_vtime:
             self.last_vtime = vtime
+        if kind not in _FOLDED_KINDS:
+            return
         try:
             if kind == KIND_STOLEN:
                 self.steal_transfers += 1
                 self.entries_stolen += int(payload.get("entries", 0))
             elif kind == KIND_RUN_END:
                 self.run_end = _run_end(payload)
-            elif kind not in _JOB_KINDS:
-                return
             elif job_id is None:
                 raise _no_job_id(kind, seq)
             elif kind == KIND_SUBMITTED:
@@ -195,20 +209,20 @@ class RunFold:
                 submit_vtime, submitted = submitted_at
                 self.records.append(
                     JobRecord(
-                        job_id=job_id,
-                        submit_time=submit_vtime,
-                        completion_time=vtime,
-                        num_tasks=int(submitted["num_tasks"]),
-                        true_mean_task_duration=float(submitted["true_mean"]),
-                        estimated_task_duration=float(submitted["estimate"]),
-                        task_seconds=float(submitted["task_seconds"]),
-                        scheduled_class=JobClass(submitted["scheduled_class"]),
-                        true_class=JobClass(submitted["true_class"]),
-                        stolen_tasks=int(payload.get("stolen_tasks", 0)),
-                        retried_tasks=int(payload.get("retried_tasks", 0)),
+                        job_id,
+                        submit_vtime,
+                        vtime,
+                        int(submitted["num_tasks"]),
+                        float(submitted["true_mean"]),
+                        float(submitted["estimate"]),
+                        float(submitted["task_seconds"]),
+                        _job_class(submitted["scheduled_class"]),
+                        _job_class(submitted["true_class"]),
+                        int(payload.get("stolen_tasks", 0)),
+                        int(payload.get("retried_tasks", 0)),
                     )
                 )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise ConfigurationError(
                 f"{kind!r} event seq {seq} (job {job_id}) has a malformed "
                 f"payload: {exc!r}"
@@ -293,16 +307,19 @@ class RunFold:
         return fold
 
 
-def replay(store: EventStore, run_id: str) -> RunFold:
+def replay(
+    store: EventStore, run_id: str, upto: int | None = None
+) -> RunFold:
     """Cold replay: snapshot (if any) plus the committed event tail.
 
     One :meth:`EventStore.replay_rows` read gives both, so a concurrent
-    checkpoint cannot compact events out from between them.  Each row is
-    folded from its six fields; only :data:`_PAYLOAD_KINDS` payloads are
-    decoded per row, any other is parsed once per distinct text (so a
-    corrupt row still raises its :class:`json.JSONDecodeError`).
+    checkpoint cannot compact events out from between them.  With
+    ``upto``, the tail stops at that seq; a snapshot that covers more is
+    still used, so the fold's ``last_seq`` then exceeds ``upto``.  Each
+    row is folded from its six fields, its payload decoded as the module
+    docstring says.
     """
-    snapshot, rows = store.replay_rows(run_id)
+    snapshot, rows = store.replay_rows(run_id, upto)
     if snapshot is None:
         fold = RunFold()
     else:
@@ -315,14 +332,20 @@ def replay(store: EventStore, run_id: str) -> RunFold:
             )
     loads = json.loads
     parsed: dict[str, Any] = {}
+    step = fold.step
     for seq, kind, vtime, wtime, job_id, text in rows:
-        if kind in _PAYLOAD_KINDS:
-            payload = loads(text)
-        elif text in parsed:
-            payload = parsed[text]
-        else:
-            payload = parsed[text] = loads(text)
-        fold.step(seq, kind, vtime, wtime, job_id, payload)
+        payload = None if kind == KIND_SUBMITTED else parsed.get(text)
+        if payload is None:
+            try:
+                payload = loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"{kind!r} event seq {seq} (job {job_id}) has an "
+                    f"undecodable payload: {exc}"
+                ) from exc
+            if kind != KIND_SUBMITTED:
+                parsed[text] = payload
+        step(seq, kind, vtime, wtime, job_id, payload)
     return fold
 
 

@@ -184,8 +184,13 @@ class SchedulerBridge:
     # -- results (any thread) --------------------------------------------
     def result(self) -> RunResult:
         """Point-in-time result folded from the events emitted so far."""
+        return self.result_at()[0]
+
+    def result_at(self) -> tuple[RunResult, int]:
+        """:meth:`result` and the seq of the last event it folded, read
+        together (a cold replay up to that seq must equal the result)."""
         with self._mutex:
-            return self._fold.result(self.spec)
+            return self._fold.result(self.spec), self._fold.last_seq
 
     def stats(self) -> dict[str, int]:
         with self._mutex:

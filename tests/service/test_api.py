@@ -5,7 +5,9 @@ that a live-run submission returns while the commit is still stalled.
 The outcome does not depend on timing: the stall is only released after
 the submission returned, or by a safety timer that makes a blocked
 submission fail the test instead of hanging it.  The third holds two
-first submissions of one run inside bridge construction at once.
+first submissions of one run inside bridge construction at once.  The
+replay-check tests compare a live run with its stored log while jobs
+keep arriving, and across a checkpoint that lands between the two reads.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.service.api import ServiceState
 from repro.service.event_store import EventStore
+from repro.service.replay import RunFold
 
 SCALE = 200.0
 #: Releases a stall that a blocked submission would otherwise hold
@@ -181,6 +185,87 @@ def test_concurrent_submits_keep_one_bridge_and_dense_job_ids(tmp_path):
         assert sorted(ids) == list(range(40))
         result = state.run_result(run_id, drain=True, timeout=60.0)
         assert len(result["result"]["jobs"]) == 40
+    assert state.close(timeout=30.0)
+    store.close()
+
+
+def test_replay_checks_during_live_traffic_all_match(tmp_path):
+    """The bridge stores each event before it folds it, so a replay-check
+    racing a stream of submissions must replay only what the live result
+    has folded."""
+    store = EventStore(str(tmp_path / "events.db"))
+    state = ServiceState(store, time_scale=SCALE)
+    run_id = state.submit(job())["run_id"]
+    stop = threading.Event()
+
+    def submit_every_half_ms():
+        while not stop.wait(0.0005):
+            state.submit(job())
+
+    submitter = threading.Thread(target=submit_every_half_ms)
+    submitter.start()
+    checks = []
+    try:
+        deadline = time.monotonic() + 1.5
+        while time.monotonic() < deadline:
+            checks.append(state.replay_check(run_id))
+    finally:
+        stop.set()
+        submitter.join(30.0)
+    assert len(checks) >= 10
+    assert [c for c in checks if not c["match"]] == []
+    assert checks[-1]["live_jobs"] > checks[0]["live_jobs"]
+    state.run_result(run_id, drain=True, timeout=30.0)
+    assert state.replay_check(run_id)["match"]
+    assert state.close(timeout=30.0)
+    store.close()
+
+
+def test_a_checkpoint_past_the_live_read_rereads_the_live_fold(tmp_path):
+    """A checkpoint that compacts past the seq the live result was read
+    at leaves no tail to stop at, so the check reads the live fold again
+    instead of reporting a mismatch."""
+    store = EventStore(str(tmp_path / "events.db"))
+    state = ServiceState(store, time_scale=SCALE)
+    run_id = state.submit(job())["run_id"]
+    state.run_result(run_id, drain=True, timeout=30.0)
+    bridge = state._live_bridge(run_id)
+    result_at = bridge.result_at
+    reads = []
+
+    def result_then_checkpoint():
+        read = result_at()
+        if not reads:
+            state.submit(job())
+            assert bridge.drain(30.0)
+            assert bridge.checkpoint(compact=True) > 0
+        reads.append(read)
+        return read
+
+    bridge.result_at = result_then_checkpoint
+    check = state.replay_check(run_id)
+    assert len(reads) == 2 and reads[0][1] < reads[1][1]
+    assert check["match"] and check["replayed_jobs"] == 2
+    assert state.close(timeout=30.0)
+    store.close()
+
+
+def test_a_snapshot_ahead_of_an_idle_live_run_is_a_mismatch(tmp_path):
+    """A stored snapshot past anything the live fold will reach (here a
+    forged one) is reported as a mismatch, not waited out."""
+    store = EventStore(str(tmp_path / "events.db"))
+    state = ServiceState(store, time_scale=SCALE)
+    run_id = state.submit(job())["run_id"]
+    state.run_result(run_id, drain=True, timeout=30.0)
+    store.save_snapshot(run_id, 100, RunFold(last_seq=100).to_state(), 0.0)
+    checks = []
+    checker = threading.Thread(
+        target=lambda: checks.append(state.replay_check(run_id))
+    )
+    checker.start()
+    checker.join(SAFETY_S)
+    assert not checker.is_alive()
+    assert checks[0]["match"] is False
     assert state.close(timeout=30.0)
     store.close()
 

@@ -12,16 +12,19 @@ from __future__ import annotations
 import json
 import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
 import urllib.request
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cluster.engine import KIND_SUBMITTED
+from repro.core.errors import ConfigurationError
 from repro.schedulers.registry import RunSpec
 from repro.service import models
 from repro.service.api import ServiceState
@@ -36,24 +39,30 @@ def make_config(policy="sparrow"):
     return RunSpec(policy, n_workers=8, cutoff=0.1)
 
 
+def submitted_payload(n_tasks=2, with_tasks=True):
+    """A ``submitted`` payload of ``n_tasks`` 20 ms tasks."""
+    payload = {
+        "tenant": "default",
+        "num_tasks": n_tasks,
+        "true_mean": 0.02,
+        "estimate": 0.02,
+        "task_seconds": 0.02 * n_tasks,
+        "scheduled_class": "short",
+        "true_class": "short",
+        "recv": 0.0,
+    }
+    if with_tasks:
+        payload["tasks"] = [0.02] * n_tasks
+    return payload
+
+
 def interrupted_store(path, *, n_pending=3, n_tasks=2, with_tasks=True):
     """A store whose run died with ``n_pending`` jobs in flight."""
     store = EventStore(str(path))
     config = make_config()
     store.register_run(config, created_w=0.0)
     for job_id in range(n_pending):
-        payload = {
-            "tenant": "default",
-            "num_tasks": n_tasks,
-            "true_mean": 0.02,
-            "estimate": 0.02,
-            "task_seconds": 0.02 * n_tasks,
-            "scheduled_class": "short",
-            "true_class": "short",
-            "recv": 0.0,
-        }
-        if with_tasks:
-            payload["tasks"] = [0.02] * n_tasks
+        payload = submitted_payload(n_tasks, with_tasks)
         store.append(
             LifecycleEvent(
                 run_id=models.run_id(config),
@@ -163,6 +172,51 @@ def test_rehydrate_skips_pre_upgrade_submissions(tmp_path):
     store.close()
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [("completed", "[]"), ("stolen", "7"), ("completed", '{"stolen_tasks": ')],
+    ids=["completed-list", "stolen-number", "completed-undecodable"],
+)
+def test_rehydrate_resumes_the_healthy_run_beside_a_corrupt_one(
+    tmp_path, kind, text
+):
+    path = tmp_path / "events.db"
+    store, config = interrupted_store(path)
+    corrupt = make_config("hawk")
+    store.register_run(corrupt, created_w=1.0)
+    corrupt_id = models.run_id(corrupt)
+    for kind_, job_id, payload in [
+        (KIND_SUBMITTED, 0, submitted_payload()),
+        (kind, 0 if kind == "completed" else None, {}),
+        (KIND_SUBMITTED, 1, submitted_payload()),
+    ]:
+        store.append(
+            LifecycleEvent(
+                run_id=corrupt_id, kind=kind_, vtime=0.0, job_id=job_id,
+                payload=payload,
+            )
+        )
+    store.flush()
+    with closing(sqlite3.connect(path)) as other:
+        other.execute(
+            "UPDATE events SET payload = ? WHERE run_id = ? AND kind = ?",
+            (text, corrupt_id, kind),
+        )
+        other.commit()
+    state = ServiceState(store, time_scale=TIME_SCALE)
+    summary = state.rehydrate()
+    with pytest.raises(ConfigurationError, match=f"{kind!r} event seq 5 "):
+        replay(store, corrupt_id)
+    assert summary["failed"] == [corrupt_id]
+    (resumed,) = summary["resumed"]
+    assert resumed["run_id"] == models.run_id(config)
+    assert resumed["jobs_resumed"] == 3
+    payload = state.run_result(resumed["run_id"], drain=True, timeout=30.0)
+    assert len(payload["result"]["jobs"]) == 3
+    assert state.close(timeout=30.0)
+    store.close()
+
+
 def test_rehydrate_completed_run_stays_cold(tmp_path):
     store = EventStore(str(tmp_path / "events.db"))
     state = ServiceState(store, time_scale=TIME_SCALE)
@@ -197,9 +251,13 @@ def _http(port, method, path, payload=None, timeout=30):
 
 def _start_server(db_path):
     src_dir = str(Path(repro.__file__).resolve().parents[1])
+    # The server runs in a clean environment, so ``-B`` stands in for the
+    # PYTHONDONTWRITEBYTECODE it would otherwise inherit: it leaves no
+    # ``.pyc`` under ``src/`` to speed up later cold starts from this tree.
     process = subprocess.Popen(
         [
             sys.executable,
+            "-B",
             "-m",
             "repro.service",
             "--db",

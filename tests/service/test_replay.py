@@ -186,6 +186,7 @@ _DROP = object()
     [
         (0, "true_mean", _DROP, 3, "KeyError"),
         (0, "scheduled_class", "medium", 3, "ValueError"),
+        (0, "true_class", ["short"], 3, "ValueError"),
         (0, "recv", "soon", 2, "ValueError"),
         (2, "stolen_tasks", [1], 3, "TypeError"),
         (3, "entries", "x", 4, "ValueError"),
@@ -194,7 +195,8 @@ _DROP = object()
         (4, "utilization", 7, 5, "TypeError"),
     ],
     ids=[
-        "submitted-no-true-mean", "submitted-bad-class", "submitted-bad-recv",
+        "submitted-no-true-mean", "submitted-bad-class",
+        "submitted-unhashable-class", "submitted-bad-recv",
         "completed-list-count", "stolen-bad-entries", "run-end-no-events",
         "run-end-short-sample", "run-end-no-samples",
     ],
@@ -217,6 +219,33 @@ def test_a_malformed_payload_is_a_typed_error_naming_the_seq(
     events[index].payload = payload
     with pytest.raises(ConfigurationError, match=f" event seq {seq} .*{error}"):
         fold_events(events)
+
+
+@pytest.mark.parametrize("payload", [[], 7, "x", None])
+@pytest.mark.parametrize("index, seq", [(2, 3), (3, 4)], ids=["completed", "stolen"])
+def test_a_non_mapping_payload_is_a_typed_error_naming_the_seq(
+    tmp_path, index, seq, payload
+):
+    events = job_events(0, seq0=1) + [
+        LifecycleEvent(run_id=RUN, kind=KIND_STOLEN, vtime=4.0, seq=4),
+    ]
+    store = EventStore(str(tmp_path / "events.db"))
+    for event in events:
+        store.append(event)
+    store.flush()
+    with sqlite3.connect(tmp_path / "events.db") as other:
+        other.execute(
+            "UPDATE events SET payload = ? WHERE seq = ?",
+            (json.dumps(payload), seq),
+        )
+    events[index].payload = payload
+    kind = events[index].kind
+    for fold in (lambda: fold_events(events), lambda: replay(store, RUN)):
+        with pytest.raises(
+            ConfigurationError, match=f"'{kind}' event seq {seq} .*AttributeError"
+        ):
+            fold()
+    store.close()
 
 
 def test_state_round_trip_keeps_run_end():
@@ -545,8 +574,9 @@ def test_replay_of_a_corrupt_probe_payload_raises_json_error(tmp_path):
         other.execute(
             "UPDATE events SET payload = '{\"workers\": [1' WHERE seq = 3"
         )
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(ConfigurationError, match="'probed' event seq 3 ") as err:
         replay(store, RUN)
+    assert isinstance(err.value.__cause__, json.JSONDecodeError)
     store.close()
 
 
