@@ -141,6 +141,10 @@ _DTYPES: dict[type, tuple[np.dtype[Any], ...]] = {
     ),
     UtilizationColumns: (_FLOAT, _INT, _INT),
 }
+#: The same dtypes as a pickled column names them (``dtype.str``).
+_DTYPE_STRS = {cls: tuple(d.str for d in dtypes) for cls, dtypes in _DTYPES.items()}
+#: ``np.frombuffer`` typed at one signature, so that ``map`` can take it.
+_wrap: Callable[[bytes, np.dtype[Any]], npt.NDArray[Any]] = np.frombuffer
 #: A class column's boolean indexes this pair.
 _CLASSES = (JobClass.LONG, JobClass.SHORT)
 _is_short = partial(operator.is_, JobClass.SHORT)
@@ -350,22 +354,30 @@ def _blobs(columns: tuple[npt.NDArray[Any], ...]) -> tuple[tuple[str, bytes], ..
 
 
 def _from_blobs(cls: type[_Columns], blobs: tuple[tuple[str, bytes], ...]) -> _Columns:
-    """Pickled columns as read-only arrays over their bytes, checked."""
-    name, dtypes = cls.__name__, _DTYPES[cls]
-    if len(blobs) != len(dtypes):
-        raise ValueError(
-            f"pickled {name} has {len(blobs)} columns, not {len(dtypes)}"
-        )
-    arrays = []
-    for (dtype, raw), expected in zip(blobs, dtypes):
-        if dtype != expected.str:
+    """Pickled columns as read-only arrays over their bytes, checked.
+
+    Every hit and pooled result comes here: only a blob whose dtype
+    strings differ from ``_DTYPE_STRS`` runs the check that names the fault.
+    """
+    if tuple([dtype for dtype, _ in blobs]) != _DTYPE_STRS[cls]:
+        name, dtypes = cls.__name__, _DTYPES[cls]
+        if len(blobs) != len(dtypes):
             raise ValueError(
-                f"pickled {name} column of dtype {dtype!r}, not {expected.str!r}"
+                f"pickled {name} has {len(blobs)} columns, not {len(dtypes)}"
             )
-        arrays.append(_read_only(np.frombuffer(raw, expected)))
+        for (dtype, _), expected in zip(blobs, dtypes):
+            if dtype != expected.str:
+                raise ValueError(
+                    f"pickled {name} column of dtype {dtype!r}, not {expected.str!r}"
+                )
+    raws = [raw for _, raw in blobs]
+    arrays = list(map(_wrap, raws, _DTYPES[cls]))
     if len(set(map(len, arrays))) > 1:
-        raise ValueError(f"pickled {name} columns of unequal lengths")
-    return cls(*arrays)
+        raise ValueError(f"pickled {cls.__name__} columns of unequal lengths")
+    if set(map(type, raws)) != {bytes}:  # an array over bytes is read-only
+        for array in arrays:
+            _read_only(array)
+    return tuple.__new__(cls, arrays)
 
 
 def _rebuild_columns(

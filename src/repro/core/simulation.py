@@ -57,9 +57,9 @@ from repro.core.errors import SimulationError
 # The event loop churns through millions of short-lived tuples, cells, and
 # windows whose lifetimes the cycle collector cannot shorten (refcounting
 # frees them); its periodic generation scans only add overhead.  The same
-# holds for a batch run's job materialization and result build, and for
-# unpickling a cached result: bulk allocations that build no cycles.  Each
-# runs with the collector suspended.
+# holds for a batch run's job materialization and result build: bulk
+# allocations that build no cycles.  Each runs with the collector
+# suspended.
 @contextmanager
 def collector_paused() -> Iterator[None]:
     """Disable the cycle collector for the block if it is on.

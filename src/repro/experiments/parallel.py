@@ -48,8 +48,9 @@ unavailable the executor transparently falls back to inline pickling.
 
 Knobs (also see ``src/repro/experiments/README.md``):
 
-* ``REPRO_EXECUTOR_WORKERS`` — worker-pool size; unset defaults to
-  ``os.cpu_count()``; ``0``/``1`` force the deterministic serial path.
+* ``REPRO_EXECUTOR_WORKERS`` — worker-pool size; unset defaults to the
+  CPUs this process may use (``os.sched_getaffinity``, else
+  ``os.cpu_count()``); ``0``/``1`` force the deterministic serial path.
 * ``REPRO_RUNCACHE`` — set to ``0`` to disable the on-disk tier.  This
   and ``REPRO_SWEEP_PROGRESS`` are flags: ``1``/``0``, ``on``/``off``,
   ``yes``/``no`` or ``true``/``false`` in any case; unset or empty
@@ -93,7 +94,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
 from repro.core.params import parse_flag
-from repro.core.simulation import collector_paused
 from repro.experiments.config import RunSpec, execute
 from repro.experiments.result_index import ResultIndex
 from repro.workloads.registry import WorkloadSpec
@@ -204,23 +204,21 @@ class DiskCache:
 
     def load(self, key: str) -> RunResult | None:
         path, rel = self._blob(key)
+        # No collector pause: a column blob unpickles into a few dozen
+        # objects, and the pause cost more than any collection it avoided.
         try:
-            with open(path, "rb") as fh, collector_paused():
-                result = pickle.load(fh)
+            with open(path, "rb") as fh:
+                result = pickle.loads(fh.read())
         except FileNotFoundError:
             self.index.remove([rel])  # deleted behind this instance
             return None
         except Exception as exc:
             # A truncated or otherwise unreadable entry is a miss: the run
             # is recomputed and the entry rewritten.
-            self.unreadable += 1
-            if self.unreadable == 1:
-                logger.warning(
-                    "unreadable run-cache blob %s (%s); treated as a miss",
-                    path, type(exc).__name__,
-                )
+            self._unreadable(path, type(exc).__name__)
             return None
         if not isinstance(result, RunResult):
+            self._unreadable(path, f"holds a {type(result).__name__}")
             return None
         try:
             _stamp(path)  # refresh LRU recency
@@ -228,6 +226,14 @@ class DiskCache:
             pass
         self.index.touch(rel)
         return result
+
+    def _unreadable(self, path: str, why: str) -> None:
+        """Count a blob that does not load as a result; log the first."""
+        self.unreadable += 1
+        if self.unreadable == 1:
+            logger.warning(
+                "unreadable run-cache blob %s (%s); treated as a miss", path, why
+            )
 
     def store(self, key: str, result: RunResult) -> None:
         os.makedirs(self._dir, exist_ok=True)
@@ -315,6 +321,10 @@ def _stamp(path: str) -> None:
 def _pool_size_from_env() -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None or raw.strip() == "":
+        # The CPUs this process may run on: a pool wider than its
+        # affinity mask only adds hand-offs between the same CPUs.
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         value = int(raw)
@@ -500,9 +510,11 @@ class SweepExecutor:
     ----------
     max_workers:
         Worker-pool size.  ``None`` reads ``REPRO_EXECUTOR_WORKERS`` and
-        falls back to ``os.cpu_count()``.  ``<= 1`` selects the serial
-        path, which executes cache misses in submission order in this
-        process — bit-identical to the historical one-by-one loop.
+        falls back to the CPUs in this process's affinity mask
+        (``os.cpu_count()`` where the platform has no mask).  ``<= 1``
+        selects the serial path, which executes cache misses in
+        submission order in this process — bit-identical to the
+        historical one-by-one loop.
     disk_cache:
         A :class:`DiskCache`, ``None`` to disable the persistent tier, or
         the string ``"env"`` (default) to honor the ``REPRO_RUNCACHE*``

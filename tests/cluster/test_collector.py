@@ -1,9 +1,11 @@
-"""A batch run and a cache load leave nothing for the cycle collector.
+"""A batch run leaves nothing for the cycle collector.
 
 A finished job empties its task list, so a run's job <-> task graph has
-no cycle and reference counting frees it; the run, its event loop and a
-cache load each pause the collector through ``collector_paused`` and
-must hand its switch back as they found it, on every exit.
+no cycle and reference counting frees it.  The run and its event loop
+pause the collector through ``collector_paused`` and must hand its
+switch back as they found it, on every exit.  A cache load does not
+pause it (a column blob allocates too few objects for a pause to pay),
+and must leave the switch as it found it, hit, miss or torn blob.
 """
 
 import gc

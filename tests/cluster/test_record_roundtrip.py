@@ -233,6 +233,33 @@ def test_malformed_column_blob_fails_to_load_and_misses(tmp_path, name):
     assert cache.unreadable == 1
 
 
+def test_columns_over_writable_raws_load_read_only():
+    """A pickle may carry a column's raw as a ``bytearray``, which NumPy
+    wraps writable; the loaded columns are read-only all the same."""
+
+    def to_bytearrays(args):
+        def writable(blobs):
+            return tuple((dtype, bytearray(raw)) for dtype, raw in blobs)
+
+        return args[:2] + (writable(args[2]), writable(args[3])) + args[4:]
+
+    forged = _Forged(lambda r: r.__reduce__(), to_bytearrays)
+    loaded = pickle.loads(pickle.dumps(forged))
+    assert loaded == execute(spec_for("hawk"), chaos_trace())
+    columns = (*loaded.job_columns, *loaded.utilization_columns)
+    assert all(type(column.base.obj) is bytearray for column in columns)
+    assert not any(column.flags.writeable for column in columns)
+
+
+def test_a_loaded_result_pickles_to_the_stored_blob(tmp_path):
+    fresh = execute(spec_for("hawk", faults=FaultPlan.of(**CHAOS)), chaos_trace())
+    cache = DiskCache(tmp_path)
+    cache.store("r" * 40, fresh)
+    loaded = cache.load("r" * 40)
+    again = pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL)
+    assert again == cache.path("r" * 40).read_bytes()
+
+
 def _loads_equal_and_in_columns(blob: Path, tmp_path: Path) -> None:
     fresh = execute(spec_for("hawk", faults=FaultPlan.of(**CHAOS)), chaos_trace())
     with open(blob, "rb") as fh:

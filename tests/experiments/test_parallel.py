@@ -18,6 +18,7 @@ from repro.experiments.parallel import (
     DISK_CACHE_ENV,
     DISK_CACHE_MAX_MB_ENV,
     PROGRESS_ENV,
+    WORKERS_ENV,
     DiskCache,
     SweepExecutor,
     _max_bytes_from_env,
@@ -223,6 +224,19 @@ def test_unreadable_blob_is_counted_and_logged_once(tmp_path, caplog):
     assert len(caplog.records) == 1
     message = caplog.records[0].getMessage()
     assert blob.name in message and "UnpicklingError" in message
+
+
+def test_blob_holding_no_result_is_counted_and_logged(tmp_path, caplog):
+    cache = DiskCache(tmp_path)
+    key = cache_key(SPEC, small_trace())
+    cache.root.mkdir(parents=True)
+    cache.path(key).write_bytes(pickle.dumps({"jobs": []}))
+    with caplog.at_level("WARNING", logger="repro.experiments.parallel"):
+        assert cache.load(key) is None
+    assert cache.unreadable == 1
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert cache.path(key).name in message and "dict" in message
 
 
 @pytest.mark.parametrize(
@@ -465,6 +479,17 @@ def test_cap_covers_stale_version_directories(tmp_path):
     capped.enforce_cap()
     assert not stale.exists()  # stale-version entries evicted first
     assert cache.path(key).exists()
+
+
+def test_default_pool_counts_only_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert SweepExecutor(disk_cache=None).max_workers == 1  # the serial path
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert SweepExecutor(disk_cache=None).max_workers == 3
+    monkeypatch.setenv(WORKERS_ENV, "4")
+    assert SweepExecutor(disk_cache=None).max_workers == 4
 
 
 def test_max_bytes_env_parsing(monkeypatch):
