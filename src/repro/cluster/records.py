@@ -239,12 +239,6 @@ class RunResult:
         object.__setattr__(self, "events_fired", events_fired)
         object.__setattr__(self, "end_time", end_time)
 
-    def __setstate__(self, state: list[Any]) -> None:
-        # Only a blob pickled while results were plain frozen dataclasses
-        # comes here (the column form loads through _rebuild_columns): its
-        # state is the field values in order, records included.
-        RunResult.__init__(self, *state)
-
     def __reduce__(self) -> tuple[Callable[..., RunResult], tuple]:
         # Each column travels as its dtype and raw bytes; loading wraps
         # the bytes without copying them.
@@ -400,33 +394,3 @@ def _rebuild_columns(
         end_time,
     )
 
-
-def _check_arity(
-    cls: type[JobRecord] | type[UtilizationSample], rows: tuple[tuple, ...]
-) -> tuple[tuple, ...]:
-    """``rows``, each of which must have ``cls``'s arity."""
-    if not set(map(len, rows)) <= {len(cls._fields)}:
-        raise ValueError(f"pickled {cls.__name__} row of the wrong arity")
-    return rows
-
-
-def _rebuild_run(
-    scheduler_name: str,
-    n_workers: int,
-    jobs: tuple[tuple, ...],
-    utilization: tuple[tuple, ...],
-    stealing: tuple[int, int, int, int],
-    events_fired: int,
-    end_time: float,
-) -> RunResult:
-    """Unpickle the flat form (records as plain tuples) that results were
-    pickled in before the column form; such blobs still load equal."""
-    return RunResult(
-        scheduler_name,
-        n_workers,
-        _columns(JobColumns, _check_arity(JobRecord, jobs)),
-        _columns(UtilizationColumns, _check_arity(UtilizationSample, utilization)),
-        StealingStats(*stealing),
-        events_fired,
-        end_time,
-    )

@@ -18,13 +18,8 @@ Two cache tiers sit in front of execution:
   the contract ``get_executor().run_one(spec, t) is
   get_executor().run_one(spec, t)`` that the figure drivers and tests
   rely on;
-* an on-disk cache of pickled :class:`RunResult` values under
-  ``benchmarks/.runcache/v<N>/<key>.pkl``, shared across processes and
-  pytest sessions.  The files are the whole store: each store and hit
-  stamps its blob's mtime, and a size cap orders eviction by it.  The
-  cap's sizes and LRU order live in memory
-  (:class:`~repro.experiments.result_index.ResultIndex`), filled by one
-  walk of the cache directory the first time the cap needs them.
+* an on-disk cache of pickled :class:`RunResult` values
+  (:class:`DiskCache`), shared across processes and pytest sessions.
 
 The cache key is a content hash of the spec (every compared field,
 including ``estimate_tag``) and the *full* trace — job ids, submit times
@@ -33,8 +28,8 @@ traces that merely share a name, length and rounded totals can never
 collide.  ``CACHE_VERSION`` is baked into both the key and the directory
 name: bump it whenever engine semantics change (event ordering, RNG
 streams, record fields) and every stale entry is invalidated at once.
-Streaming did NOT bump it: keys and results are untouched, only the
-order in which completions are observed changed.
+The directory name also carries :func:`code_digest`, so any edit to the
+simulator's source opens a new, empty directory.
 
 Trace transport: a sweep submits many specs over few distinct traces, so
 pickling the full trace into every pool submission is the dominant IPC
@@ -73,10 +68,12 @@ pickled (e.g. closures) transparently fall back to in-process execution.
 from __future__ import annotations
 
 import atexit
+import functools
 import logging
 import math
 import os
 import pickle
+import re
 import sys
 import time
 from collections import OrderedDict
@@ -100,7 +97,9 @@ from repro.workloads.registry import WorkloadSpec
 from repro.workloads.replication import TraceFactory
 from repro.workloads.spec import Trace
 
-#: Bump to invalidate every persisted run at once (see module docstring).
+#: The results version: bump it when a change moves any result (the run
+#: ledger refuses a moved result until it is).  A code change alone
+#: already moves the disk tier to a new directory (:func:`code_digest`).
 #: v2: RunSpec v2 — policy params moved into the registry-validated
 #: ``params`` mapping (canonically ordered in the key) and estimators
 #: gained the seed-derived noise hook.
@@ -137,6 +136,32 @@ def _default_cache_dir() -> Path:
 DEFAULT_CACHE_DIR = _default_cache_dir()
 
 
+#: The modules, under the ``repro`` package, whose bytes key the disk
+#: tier's directory: every module a run loads but the trace generators,
+#: whose output the cache key holds (``Trace.content_digest``).
+CODE_FILES = (
+    "core/*.py", "cluster/*.py", "schedulers/*.py",
+    "workloads/spec.py", "experiments/config.py",
+)
+#: A directory name this or another version of the code keyed the tier by.
+_CACHE_DIR_NAME = re.compile(r"v[0-9]+(?:-[0-9a-f]{16})?")
+
+
+@functools.cache
+def code_digest() -> str:
+    """16 hex digits of a blake2b over the path and bytes of each
+    :data:`CODE_FILES` module, in sorted order.  Computed on a process's
+    first :class:`DiskCache`, never at import (pool workers open none)."""
+    package = Path(__file__).resolve().parents[1]
+    h = blake2b(digest_size=8)
+    for path in sorted(p for pattern in CODE_FILES for p in package.glob(pattern)):
+        data = path.read_bytes()
+        rel = path.relative_to(package.parent).as_posix()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def cache_key(spec: RunSpec, trace: Trace) -> str:
     """Content hash identifying one run for both cache tiers."""
     h = blake2b(digest_size=20)
@@ -148,11 +173,15 @@ def cache_key(spec: RunSpec, trace: Trace) -> str:
 
 
 class DiskCache:
-    """Pickled RunResults under ``<root>/v<CACHE_VERSION>/<key>.pkl``.
+    """Pickled RunResults under ``<root>/v<CACHE_VERSION>-<code>/<key>.pkl``.
+
+    ``<code>`` is :func:`code_digest`: only today's simulator and blob
+    decoder read a blob.  Opening a cache purges every stale sibling
+    (:func:`_purge_stale`), so two checkouts of different code that share
+    a root purge each other: each run is a miss, never a wrong result.
 
     With ``max_bytes`` set, the cache is bounded: after every store, the
-    least-recently-used entries, across *all* version directories under
-    the root so that stale-version entries go first, are deleted until
+    least-recently-used entries of the live directory are deleted until
     the total size fits.  Every store and every hit stamps the blob's
     mtime with the current time, so recency survives on disk, making the
     policy LRU rather than FIFO.  The entry just written is never
@@ -161,11 +190,8 @@ class DiskCache:
 
     Sizes and LRU order come from an in-memory
     :class:`~repro.experiments.result_index.ResultIndex`, filled by one
-    walk of the root the first time the cap needs it; an uncapped cache
-    never walks.  The cap is exact for this instance.  Blobs another
-    process stores after the walk are counted when a cache is next
-    opened, not at this instance's next eviction pass: in this package
-    only the sweep parent stores, pool workers return their results.
+    listing of the live directory the first time the cap needs it; an
+    uncapped cache never lists.
     """
 
     def __init__(
@@ -177,14 +203,18 @@ class DiskCache:
             raise ConfigurationError(
                 f"cache max_bytes must be positive, got {max_bytes}"
             )
-        self.base_root = Path(root)
-        self.root = self.base_root / f"v{CACHE_VERSION}"
-        # String prefixes of a blob's file path and index rel-path.
-        self._base = os.path.join(self.base_root, "")
+        name = f"v{CACHE_VERSION}-{code_digest()}"
+        self.root = Path(root) / name
         self._dir = os.path.join(self.root, "")
-        self._rel_dir = f"v{CACHE_VERSION}{os.sep}"
         self.max_bytes = max_bytes
-        self.index = ResultIndex(self.base_root)
+        self.index = ResultIndex(self.root)
+        #: Stale sibling directories deleted when this cache opened.
+        self.purged = _purge_stale(root, name)
+        if self.purged:
+            logger.info(
+                "deleted %d stale run-cache directories under %s",
+                self.purged, root,
+            )
         #: Entries deleted by cap enforcement (observability counter).
         self.evictions = 0
         #: Loads that found a blob but could not unpickle it.
@@ -193,24 +223,17 @@ class DiskCache:
     def path(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
 
-    def _blob(self, key: str) -> tuple[str, str]:
-        """(file path, index rel-path) of one key's blob.
-
-        Built by string concatenation: every hit and every store calls
-        this, and pathlib joins were a measurable share of a small hit.
-        """
-        name = f"{key}.pkl"
-        return self._dir + name, self._rel_dir + name
-
     def load(self, key: str) -> RunResult | None:
-        path, rel = self._blob(key)
+        # String joins: pathlib's were a measurable share of a small hit.
+        name = f"{key}.pkl"
+        path = self._dir + name
         # No collector pause: a column blob unpickles into a few dozen
         # objects, and the pause cost more than any collection it avoided.
         try:
             with open(path, "rb") as fh:
                 result = pickle.loads(fh.read())
         except FileNotFoundError:
-            self.index.remove([rel])  # deleted behind this instance
+            self.index.remove([name])  # deleted behind this instance
             return None
         except Exception as exc:
             # A truncated or otherwise unreadable entry is a miss: the run
@@ -224,7 +247,7 @@ class DiskCache:
             _stamp(path)  # refresh LRU recency
         except OSError:
             pass
-        self.index.touch(rel)
+        self.index.touch(name)
         return result
 
     def _unreadable(self, path: str, why: str) -> None:
@@ -237,7 +260,8 @@ class DiskCache:
 
     def store(self, key: str, result: RunResult) -> None:
         os.makedirs(self._dir, exist_ok=True)
-        final, rel = self._blob(key)
+        name = f"{key}.pkl"
+        final = self._dir + name
         # Write-then-rename keeps concurrent readers/writers safe: a
         # reader never observes a partially written pickle.
         tmp = f"{final}.{os.getpid()}.tmp"
@@ -256,18 +280,18 @@ class DiskCache:
             # size cap would never count or evict it.
             Path(tmp).unlink(missing_ok=True)
             raise
-        self.index.record(rel, size)
+        self.index.record(name, size)
         if self.max_bytes is not None and self.index.total_bytes() > self.max_bytes:
-            self.enforce_cap(keep=rel)
+            self.enforce_cap(keep=name)
 
     def total_bytes(self) -> int:
-        """Current size of every entry under the cache root (all versions)."""
+        """Current size of every entry in the live directory."""
         return self.index.total_bytes()
 
     def enforce_cap(self, keep: str | None = None) -> int:
         """Evict LRU entries until the cache fits ``max_bytes``.
 
-        Returns the number of entries deleted.  ``keep`` (the rel-path
+        Returns the number of entries deleted.  ``keep`` (the file name
         of the entry just written) is exempt.  Concurrent enforcement is
         safe: deleting an already-deleted entry is a no-op, and
         over-deletion only costs a future recompute, never correctness.
@@ -277,34 +301,50 @@ class DiskCache:
         total = self.index.total_bytes()
         removed = 0
         dropped: list[str] = []
-        for rel, size in self.index.lru_entries():
+        for name, size in self.index.lru_entries():
             if total <= self.max_bytes:
                 break
-            if rel == keep:
+            if name == keep:
                 continue
             try:
-                os.unlink(self._base + rel)
+                os.unlink(self._dir + name)
             except FileNotFoundError:
                 pass  # already gone: only the index still counted it
             except OSError:
                 continue
             else:
                 removed += 1
-            dropped.append(rel)
+            dropped.append(name)
             total -= size
         self.index.remove(dropped)
         self.evictions += removed
         return removed
 
-    def clear(self) -> int:
-        """Delete this version's entries; returns the number removed."""
-        removed: list[str] = []
-        if self.root.is_dir():
-            for entry in self.root.glob("*.pkl"):
-                entry.unlink(missing_ok=True)
-                removed.append(self._rel_dir + entry.name)
-        self.index.remove(removed)
-        return len(removed)
+
+def _purge_stale(root: Path | str, live: str) -> int:
+    """Purge each cache directory under ``root`` but ``live``: delete its
+    ``*.pkl`` and ``*.tmp`` files, then the directory if that emptied it.
+    Nothing else is touched.  Returns the number of directories removed."""
+    try:
+        with os.scandir(root) as entries:
+            stale = [
+                entry.path for entry in entries
+                if entry.name != live and _CACHE_DIR_NAME.fullmatch(entry.name)
+                and not entry.is_symlink()
+            ]
+    except OSError:  # no cache yet
+        return 0
+    purged = 0
+    for directory in stale:
+        try:
+            for name in os.listdir(directory):  # NotADirectoryError for a file
+                if name.endswith((".pkl", ".tmp")):
+                    os.unlink(os.path.join(directory, name))
+            os.rmdir(directory)  # fails while anything else is left
+        except OSError:
+            continue
+        purged += 1
+    return purged
 
 
 def _stamp(path: str) -> None:

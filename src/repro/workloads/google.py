@@ -221,7 +221,7 @@ _GOOGLE_PARAMS = (
               doc="jobs in the densified trace"),
         Param("mean_interarrival", float, default=0.32, minimum=0.001,
               maximum=1e6,
-              doc="densified arrival gap: ~100k nodes at high load"),
+              doc="10x the 10k point's arrival rate, same 3,000 jobs: mostly idle"),
     ),
     cutoff=GOOGLE_CUTOFF_S,
     short_partition_fraction=GOOGLE_SHORT_PARTITION_FRACTION,

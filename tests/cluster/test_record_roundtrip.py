@@ -3,24 +3,23 @@
 ``JobRecord`` and ``UtilizationSample`` are named tuples.  Their repr is
 part of every ``RunResult`` digest, so it is pinned here as a literal: a
 later type change that alters the text fails this test, not only the
-benchmark's reference digests.
+benchmark's reference digests.  The chaos-plan Hawk run's whole repr is
+pinned the same way, by its sha256.
 
 A ``RunResult`` keeps its records as read-only NumPy columns and
-pickles them as raw bytes with their dtypes.  Blobs written in the two
-earlier forms must still load equal, so the cache version stays 4:
-``data/chaos_hawk_v4.pkl`` holds the records' default pickle form, and
-``data/chaos_hawk_v4_flat.pkl`` the flat form (records as plain tuples,
-loaded by ``records._rebuild_run``).  A column blob that does not fit
-the columns (wrong dtype, unequal lengths) fails to load with
-``ValueError``, which the disk cache counts as unreadable and misses.
+pickles them as raw bytes with their dtypes.  Only the code that wrote a
+blob reads it (the disk cache's directory is keyed on the simulator's
+source), so the column form is the only form a load meets.  A column
+blob that does not fit the columns (wrong dtype, unequal lengths) fails
+to load with ``ValueError``, which the disk cache counts as unreadable
+and misses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pickle
-import shutil
-from pathlib import Path
 
 import numpy as np
 
@@ -38,16 +37,8 @@ from repro.cluster.records import (
     UtilizationSample,
 )
 from repro.experiments.config import execute
-from repro.experiments.parallel import CACHE_VERSION, DiskCache
+from repro.experiments.parallel import DiskCache
 from tests.cluster.test_faults import CHAOS, chaos_trace, spec_for
-
-#: A hawk run under every fault family (``CHAOS`` on ``chaos_trace``),
-#: pickled with ``pickle.HIGHEST_PROTOCOL`` by the records' default
-#: pickle form, as ``DiskCache.store`` wrote it before the flat form.
-OLD_BLOB = Path(__file__).parent / "data" / "chaos_hawk_v4.pkl"
-#: The same run as ``DiskCache.store`` wrote it in the flat form, before
-#: the column form.
-FLAT_BLOB = Path(__file__).parent / "data" / "chaos_hawk_v4_flat.pkl"
 
 FIELDS = (7, 1.5, 12.25, 3, 3.5, 4.0, 10.5, JobClass.SHORT, JobClass.LONG, 2)
 RECORD = JobRecord(*FIELDS, 1)
@@ -62,6 +53,11 @@ RECORD_REPR = (
     "true_class=<JobClass.LONG: 'long'>, stolen_tasks=2, retried_tasks=1)"
 )
 SAMPLE_REPR = "UtilizationSample(time=100.0, busy_workers=3, total_workers=4)"
+#: sha256 of the repr of a Hawk run under every fault family (``CHAOS`` on
+#: ``chaos_trace``), as the code that wrote the pre-column blobs ran it.
+CHAOS_HAWK_REPR_SHA256 = (
+    "9e833e8fe1ae877dc43d3d519ff5da6f9d54e8ecc2a8b3a81548fbaee7d546dc"
+)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +82,12 @@ def test_record_reprs_are_pinned():
     assert repr(SAMPLE) == SAMPLE_REPR
 
 
+def test_chaos_hawk_run_is_pinned():
+    fresh = execute(spec_for("hawk", faults=FaultPlan.of(**CHAOS)), chaos_trace())
+    digest = hashlib.sha256(repr(fresh).encode()).hexdigest()
+    assert digest == CHAOS_HAWK_REPR_SHA256
+
+
 @pytest.mark.parametrize(
     "obj, name", [(RECORD, "job_id"), (RECORD, "retried_tasks"), (SAMPLE, "time")]
 )
@@ -102,7 +104,7 @@ def test_retried_tasks_defaults_to_zero():
     assert record == RECORD._replace(retried_tasks=0)
 
 
-# -- the flat pickle form ------------------------------------------------------
+# -- the column pickle form ----------------------------------------------------
 floats = st.floats(allow_nan=False)
 counts = st.integers(0, 10**6)
 classes = st.sampled_from(JobClass)
@@ -141,8 +143,6 @@ def test_pickle_round_trip_rebuilds_every_record(result):
 def test_pickle_carries_columns_not_record_classes():
     result = execute(spec_for("hawk", faults=FaultPlan.of(**CHAOS)), chaos_trace())
     assert result.utilization and result.stealing.rounds
-    assert b"JobRecord" in OLD_BLOB.read_bytes()
-    assert b"_rebuild_run" in FLAT_BLOB.read_bytes()
     blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     assert b"JobRecord" not in blob and b"UtilizationSample" not in blob
     assert b"_rebuild_columns" in blob
@@ -159,29 +159,6 @@ class _Forged:
         result = execute(spec_for("hawk"), chaos_trace())
         rebuild, args = self.reduce(result)
         return rebuild, self.edit(args)
-
-
-def _flat_form(result):
-    """``result`` as the flat form pickled it: records as plain tuples."""
-    return records._rebuild_run, (
-        result.scheduler_name,
-        result.n_workers,
-        tuple(map(tuple, result.jobs)),
-        tuple(map(tuple, result.utilization)),
-        dataclasses.astuple(result.stealing),
-        result.events_fired,
-        result.end_time,
-    )
-
-
-def test_rows_of_the_wrong_arity_fail_to_load():
-    def first_row_one_short(args):
-        jobs = (args[2][0][:-1],) + args[2][1:]
-        return args[:2] + (jobs,) + args[3:]
-
-    forged = _Forged(_flat_form, first_row_one_short)
-    with pytest.raises(ValueError, match="JobRecord row of the wrong arity"):
-        pickle.loads(pickle.dumps(forged))
 
 
 def _edit_column(field, edit):
@@ -258,31 +235,6 @@ def test_a_loaded_result_pickles_to_the_stored_blob(tmp_path):
     loaded = cache.load("r" * 40)
     again = pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL)
     assert again == cache.path("r" * 40).read_bytes()
-
-
-def _loads_equal_and_in_columns(blob: Path, tmp_path: Path) -> None:
-    fresh = execute(spec_for("hawk", faults=FaultPlan.of(**CHAOS)), chaos_trace())
-    with open(blob, "rb") as fh:
-        old = pickle.load(fh)
-    assert old == fresh
-    assert repr(old) == repr(fresh)
-    assert type(old.jobs[0]) is JobRecord
-    assert not any(column.flags.writeable for column in old.job_columns)
-    # The disk cache serves it as is: the blob format moved, the cache
-    # version did not.
-    assert CACHE_VERSION == 4
-    cache = DiskCache(tmp_path)
-    cache.root.mkdir(parents=True)
-    shutil.copyfile(blob, cache.path("b" * 40))
-    assert cache.load("b" * 40) == fresh
-
-
-def test_blob_pickled_in_the_old_form_still_loads_equal(tmp_path):
-    _loads_equal_and_in_columns(OLD_BLOB, tmp_path)
-
-
-def test_blob_pickled_in_the_flat_form_still_loads_equal(tmp_path):
-    _loads_equal_and_in_columns(FLAT_BLOB, tmp_path)
 
 
 def test_columns_are_read_only_and_the_result_frozen(tmp_path):

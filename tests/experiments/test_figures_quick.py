@@ -204,10 +204,7 @@ def test_fig05_five_seeds_on_a_capped_pool_cache(monkeypatch, tmp_path):
         short_p50 = result.column_means("short p50")
         assert short_p50[0] < 1.0, short_p50  # Hawk wins at high load
         assert cache.total_bytes() <= cache.max_bytes
-        blobs = {
-            str(p.relative_to(cache.base_root)): p.stat().st_size
-            for p in cache.base_root.rglob("*.pkl")
-        }
+        blobs = {p.name: p.stat().st_size for p in tmp_path.rglob("*.pkl")}
         assert dict(cache.index.lru_entries()) == blobs
         assert cache.index.total_bytes() == sum(blobs.values())
     finally:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.experiments import parallel
 from repro.experiments.config import RunSpec
 from repro.experiments.parallel import (
     CACHE_VERSION,
@@ -23,6 +24,7 @@ from repro.experiments.parallel import (
     SweepExecutor,
     _max_bytes_from_env,
     cache_key,
+    code_digest,
     get_executor,
     replica_pairs,
     set_executor,
@@ -179,7 +181,7 @@ def render_in_fresh_process(cache_dir):
 def test_warm_cache_across_processes_renders_the_same_bytes(tmp_path):
     """A second process reads every result back from disk: zero runs.
 
-    The flat RunResult pickle form crosses pool IPC, the disk and a new
+    The column RunResult pickle form crosses pool IPC, the disk and a new
     process, and the render must not change on the way.
     """
     cold, cold_runs = render_in_fresh_process(tmp_path)
@@ -191,7 +193,57 @@ def test_warm_cache_across_processes_renders_the_same_bytes(tmp_path):
 
 def test_disk_cache_version_partitioning(tmp_path):
     cache = DiskCache(tmp_path)
-    assert cache.root.name == f"v{CACHE_VERSION}"
+    assert cache.root.name == f"v{CACHE_VERSION}-{code_digest()}"
+    assert re.fullmatch(r"[0-9a-f]{16}", code_digest())
+
+
+#: Modules a run loads that :func:`code_digest` does not hash, and why.
+DIGEST_EXEMPT = {
+    "repro": "package init: exports names lazily, runs no simulation code",
+    "repro.experiments": "package init: exports names lazily",
+    "repro.workloads": "package init: exports names lazily",
+    "repro.workloads.registry": "trace generators: the key holds the trace digest",
+    "repro.workloads.replication": "trace factories: the key holds the trace digest",
+}
+
+# Runs every registered policy, and Hawk under faults, on a tiny trace,
+# then prints the module name and file of every ``repro`` module loaded.
+RUN_EVERY_POLICY = """
+import sys
+from repro.cluster.faults import FaultPlan
+from repro.experiments.config import RunSpec, execute
+from repro.schedulers.registry import registered_names
+from repro.workloads.spec import JobSpec, Trace
+trace = Trace([JobSpec(0, 0.0, (5.0, 5.0, 5.0)), JobSpec(1, 1.0, (0.5, 0.5))])
+for name in registered_names():
+    execute(RunSpec(scheduler=name, n_workers=4, cutoff=1.0), trace)
+faults = FaultPlan.of(crash_fraction=0.25, msg_loss=0.2, straggler_fraction=0.2)
+execute(RunSpec(scheduler="hawk", n_workers=4, cutoff=1.0, faults=faults), trace)
+for name, module in sorted(sys.modules.items()):
+    if name == "repro" or name.startswith("repro."):
+        print(name, module.__file__)
+"""
+
+
+def test_code_digest_hashes_every_module_a_run_loads():
+    """A module a run loads is hashed into the cache directory's name,
+    or exempt with a reason: an edit to any other would be hidden by a
+    warm cache."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", RUN_EVERY_POLICY],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    package = src / "repro"
+    hashed = {p for pattern in parallel.CODE_FILES for p in package.glob(pattern)}
+    unhashed = {
+        name for name, file in loaded.items() if Path(file).resolve() not in hashed
+    }
+    assert unhashed == set(DIGEST_EXEMPT)
 
 
 def test_corrupt_disk_entry_is_recomputed(tmp_path):
@@ -263,14 +315,6 @@ def test_failed_store_leaves_no_temp_blob(tmp_path, monkeypatch, error):
     assert list(tmp_path.rglob("*.tmp")) == []
     assert cache.load(key) is None
     assert cache.total_bytes() == 0
-
-
-def test_disk_cache_clear(tmp_path):
-    cache = DiskCache(tmp_path)
-    executor = SweepExecutor(max_workers=1, disk_cache=cache)
-    executor.run_one(SPEC, small_trace())
-    assert cache.clear() == 1
-    assert cache.load(cache_key(SPEC, small_trace())) is None
 
 
 def test_run_results_pickle_round_trip(executor):
@@ -463,6 +507,8 @@ def test_store_enforces_cap_but_keeps_fresh_entry(tmp_path):
 
 
 def test_cap_covers_stale_version_directories(tmp_path):
+    """A stale version directory is gone once a cache opens, so the cap
+    counts and evicts only the live directory's entries."""
     cache = DiskCache(tmp_path)
     executor = SweepExecutor(max_workers=1, disk_cache=cache)
     executor.run_one(SPEC, small_trace())
@@ -475,10 +521,78 @@ def test_cap_covers_stale_version_directories(tmp_path):
     os.utime(stale, (1.0, 1.0))  # much older than the live entry
 
     capped = DiskCache(tmp_path, max_bytes=entry_size + entry_size // 2)
-    assert capped.total_bytes() == entry_size + cache.path(key).stat().st_size
-    capped.enforce_cap()
-    assert not stale.exists()  # stale-version entries evicted first
+    assert not stale_dir.exists()
+    assert capped.total_bytes() == entry_size
+    assert capped.enforce_cap() == 0
     assert cache.path(key).exists()
+
+
+def test_a_capped_cache_evicts_only_its_own_blobs(tmp_path):
+    """Eviction deletes blobs of the live directory, never another
+    ``*.pkl`` under the root, in a subdirectory or beside the cache."""
+    foreign = [tmp_path / "notes" / "model.pkl", tmp_path / "weights.pkl"]
+    for path in foreign:
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(b"x" * 50_000)
+        os.utime(path, (1.0, 1.0))  # older than anything the cache stores
+    traces = [Trace([short_job(90 + i, 0.0)], name=f"own{i}") for i in range(3)]
+    result = SweepExecutor(max_workers=1, disk_cache=None).run_one(
+        SPEC, traces[0]
+    )
+    entry_size = len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+    capped = DiskCache(tmp_path, max_bytes=entry_size + entry_size // 2)
+    SweepExecutor(max_workers=1, disk_cache=capped).run_many(
+        [(SPEC, trace) for trace in traces]
+    )
+    assert capped.evictions == 2
+    assert all(path.stat().st_size == 50_000 for path in foreign)
+    assert capped.total_bytes() <= capped.max_bytes
+
+
+def test_a_code_change_misses_and_purges_the_old_directory(
+    tmp_path, monkeypatch, caplog
+):
+    trace = small_trace()
+    key = cache_key(SPEC, trace)
+    old = DiskCache(tmp_path)
+    SweepExecutor(max_workers=1, disk_cache=old).run_one(SPEC, trace)
+    assert old.load(key) is not None and old.purged == 0
+
+    monkeypatch.setattr(parallel, "code_digest", lambda: "0123456789abcdef")
+    with caplog.at_level("INFO", logger="repro.experiments.parallel"):
+        new = DiskCache(tmp_path)
+    assert new.root.name == f"v{CACHE_VERSION}-0123456789abcdef"
+    assert new.load(key) is None
+    assert not old.root.exists()
+    assert new.purged == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"deleted 1 stale run-cache directories under {tmp_path}"
+    ]
+
+
+def test_opening_purges_only_stale_cache_directories(tmp_path):
+    """Of the root's entries, only cache directories of another version
+    or code lose their blobs, and only an emptied one is removed."""
+    live = f"v{CACHE_VERSION}-{code_digest()}"
+    for name in (live, "v3", f"v{CACHE_VERSION}-{'f' * 16}", "v4", "notes", "v4x"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "blob.pkl").write_bytes(b"x")
+        (tmp_path / name / "blob.pkl.7.tmp").write_bytes(b"x")
+    (tmp_path / "v4" / "README").write_text("not a blob")
+    (tmp_path / "v2").write_text("a file, not a directory")
+
+    cache = DiskCache(tmp_path)
+    assert cache.purged == 2
+    left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert left == sorted(
+        [
+            live, f"{live}/blob.pkl", f"{live}/blob.pkl.7.tmp",
+            "notes", "notes/blob.pkl", "notes/blob.pkl.7.tmp",
+            "v2", "v4", "v4/README",
+            "v4x", "v4x/blob.pkl", "v4x/blob.pkl.7.tmp",
+        ]
+    )
+    assert DiskCache(tmp_path / "missing").purged == 0
 
 
 def test_default_pool_counts_only_the_cpus_this_process_may_use(monkeypatch):

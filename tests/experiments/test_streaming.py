@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.experiments.config import RunSpec, execute
 from repro.experiments.parallel import (
-    CACHE_VERSION,
     DiskCache,
     SweepExecutor,
     cache_key,
@@ -389,25 +388,26 @@ def _on_disk(root):
 
 
 def test_index_records_and_orders_entries(tmp_path):
-    _blob(tmp_path, "v3/aaa.pkl", 100, 10.0)
-    _blob(tmp_path, "v3/bbb.pkl", 200, 5.0)
-    (tmp_path / "v3" / "ccc.pkl.123.tmp").write_bytes(b"x" * 7)  # not a blob
+    _blob(tmp_path, "aaa.pkl", 100, 10.0)
+    _blob(tmp_path, "bbb.pkl", 200, 5.0)
+    (tmp_path / "ccc.pkl.123.tmp").write_bytes(b"x" * 7)  # not a blob
+    _blob(tmp_path, "sub/ddd.pkl", 400, 1.0)  # not in the directory
     index = ResultIndex(tmp_path)
-    # Before the first size query the index has not walked the root, so
-    # writes are no-ops: the walk finds the blobs themselves.
-    index.record("v3/zzz.pkl", 999)
-    index.touch("v3/aaa.pkl")
-    index.remove(["v3/bbb.pkl"])
+    # Before the first size query the index has not listed the directory,
+    # so writes are no-ops: the listing finds the blobs themselves.
+    index.record("zzz.pkl", 999)
+    index.touch("aaa.pkl")
+    index.remove(["bbb.pkl"])
     assert index.total_bytes() == 300
     # LRU order: oldest mtime first.
-    assert index.lru_entries() == [("v3/bbb.pkl", 200), ("v3/aaa.pkl", 100)]
-    index.touch("v3/bbb.pkl")
-    assert index.lru_entries() == [("v3/aaa.pkl", 100), ("v3/bbb.pkl", 200)]
-    index.record("v3/aaa.pkl", 120)  # overwritten: new size, most recent
-    assert index.lru_entries() == [("v3/bbb.pkl", 200), ("v3/aaa.pkl", 120)]
+    assert index.lru_entries() == [("bbb.pkl", 200), ("aaa.pkl", 100)]
+    index.touch("bbb.pkl")
+    assert index.lru_entries() == [("aaa.pkl", 100), ("bbb.pkl", 200)]
+    index.record("aaa.pkl", 120)  # overwritten: new size, most recent
+    assert index.lru_entries() == [("bbb.pkl", 200), ("aaa.pkl", 120)]
     assert index.total_bytes() == 320
-    index.remove(["v3/aaa.pkl", "v3/gone.pkl"])
-    assert index.lru_entries() == [("v3/bbb.pkl", 200)]
+    index.remove(["aaa.pkl", "gone.pkl"])
+    assert index.lru_entries() == [("bbb.pkl", 200)]
     assert index.total_bytes() == 200
 
 
@@ -428,13 +428,15 @@ def test_store_and_hit_stamp_the_blob_at_full_resolution(tmp_path, monkeypatch):
     assert cache.load("a" * 40) == result
     assert cache.path("a" * 40).stat().st_mtime_ns == 1_700_000_000_123_456_791
     assert cache.path("b" * 40).stat().st_mtime_ns == 1_700_000_000_123_456_790
-    assert [rel for rel, _ in DiskCache(tmp_path).index.lru_entries()] == [
-        f"v{CACHE_VERSION}/{'b' * 40}.pkl", f"v{CACHE_VERSION}/{'a' * 40}.pkl"
+    assert [name for name, _ in DiskCache(tmp_path).index.lru_entries()] == [
+        f"{'b' * 40}.pkl", f"{'a' * 40}.pkl"
     ]
 
 
 def test_index_walks_the_cache_only_when_capped(tmp_path, monkeypatch):
-    """No walk without a cap; one walk for a whole capped cold pass."""
+    """Opening a cache lists its root once, for stale directories.  The
+    index lists the live directory only under a cap, once for a whole
+    capped cold pass."""
     pairs = [
         (SPEC, Trace([short_job(i, 0.0)], name=f"warm-{i}")) for i in range(30)
     ]
@@ -451,15 +453,15 @@ def test_index_walks_the_cache_only_when_capped(tmp_path, monkeypatch):
     warm = SweepExecutor(max_workers=1, disk_cache=DiskCache(plain))
     warm.run_many(pairs)
     assert warm.disk_hits == 30
-    assert walked == []
+    assert walked == [str(plain)] * 2
 
     entry_size = max(_on_disk(plain).values())
     walked.clear()
     capped = DiskCache(tmp_path / "capped", max_bytes=10 * entry_size)
     SweepExecutor(max_workers=1, disk_cache=capped).run_many(pairs)
     assert capped.evictions > 0
-    assert sorted(walked) == [str(capped.base_root), str(capped.root)]
-    assert capped.total_bytes() == sum(_on_disk(capped.base_root).values())
+    assert walked == [str(tmp_path / "capped"), str(capped.root)]
+    assert capped.total_bytes() == sum(_on_disk(capped.root).values())
 
 
 def test_import_leaves_sqlite_unloaded():
@@ -610,10 +612,10 @@ def test_eviction_removes_index_rows(tmp_path):
     capped = DiskCache(tmp_path, max_bytes=entry_size + entry_size // 2)
     removed = capped.enforce_cap()
     assert removed == 2
-    kept = f"v{CACHE_VERSION}/{keys[2]}.pkl"
+    kept = f"{keys[2]}.pkl"
     assert capped.index.lru_entries() == [(kept, kept_size)]
     assert capped.total_bytes() == kept_size
-    assert _on_disk(tmp_path) == {kept: kept_size}
+    assert _on_disk(capped.root) == {kept: kept_size}
 
 
 _RESULTS: list = []
@@ -632,7 +634,7 @@ def _results():
 
 _OPS = st.tuples(
     # Stores and hits weigh double: their order is what LRU tracks.
-    st.sampled_from(["store", "store", "load", "load", "miss", "cap", "clear"]),
+    st.sampled_from(["store", "store", "load", "load", "miss", "cap"]),
     st.integers(0, 2),  # which key
     st.integers(0, 5),  # which result a store writes
 )
@@ -649,7 +651,7 @@ _OPS = st.tuples(
 def test_index_agrees_with_disk_under_random_operations(
     tmp_path_factory, stale, cap_share, ops
 ):
-    """Stores, hits, misses, evictions and clears keep the index exact."""
+    """Stores, hits, misses and evictions keep the index exact."""
     root = tmp_path_factory.mktemp("prop")
     for i, (size, age) in enumerate(stale):  # older checkouts' blobs
         _blob(root, f"v{i % 2}/old{i}.pkl", size, 1000.0 + age)
@@ -657,6 +659,8 @@ def test_index_agrees_with_disk_under_random_operations(
     sizes = [len(pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL)) for r in results]
     cap = max(1, int(cap_share * max(sizes)))
     cache = DiskCache(root, max_bytes=cap)
+    assert _on_disk(root) == {}  # the open purged them
+    assert cache.purged == len({i % 2 for i in range(len(stale))})
     keys = [f"{k:040x}" for k in range(3)]
     stored: dict[str, object] = {}
     just_stored = None
@@ -666,7 +670,7 @@ def test_index_agrees_with_disk_under_random_operations(
         if op == "store":
             cache.store(key, results[r])
             stored[key] = results[r]
-            just_stored, enforced = f"v{CACHE_VERSION}/{key}.pkl", True
+            just_stored, enforced = f"{key}.pkl", True
         elif op == "load":
             hit = cache.load(key)
             if cache.path(key).exists():
@@ -675,13 +679,10 @@ def test_index_agrees_with_disk_under_random_operations(
                 assert hit is None
         elif op == "miss":
             assert cache.load("f" * 40) is None
-        elif op == "cap":
+        else:
             cache.enforce_cap()
             just_stored, enforced = None, True
-        else:
-            cache.clear()
-            just_stored = None
-        disk = _on_disk(root)
+        disk = _on_disk(cache.root)
         total = cache.total_bytes()
         assert total == sum(disk.values())
         assert dict(cache.index.lru_entries()) == disk

@@ -17,7 +17,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: Each deleted name, as a whole word.
 DELETED = re.compile(
     r"\b(?:EventHandle|RunConfig|IDLE_POLL|index\.db|Cluster\.backlog"
-    r"|long_count|slot_long|Baseline)\b"
+    r"|long_count|slot_long|Baseline|_rebuild_run|_check_arity"
+    r"|chaos_hawk_v4(?:_flat)?)\b"
 )
 
 
