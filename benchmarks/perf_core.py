@@ -1,11 +1,11 @@
-"""Core-throughput perf harness, pytest-collected (see pytest.ini).
+"""The committed ``BENCH_core.json`` record, pytest-collected (see pytest.ini).
 
-Runs the canonical mixed workload through ``repro.bench`` at quick scale
-and checks the *deterministic* half of the committed ``BENCH_core.json``
-baseline: the logical event counts.  Event counts are workload-invariant
-(transport batching keeps them stable by construction), so any drift
-means engine semantics changed and the baseline — plus ``CACHE_VERSION``
-— needs a deliberate regeneration.
+``BENCH_core.json`` holds timings only.  What a bench run determines
+(events, stealing counts, heap pops) is pinned by the run ledger's
+``bench`` rows (``python -m repro.experiments.ledger``), so these tests
+check the committed record's internal consistency: every committed
+speedup equals the ratio of its committed walls, and the measured
+references ran the same simulation as the scale point.
 
 Wall-clock regression gating lives in CI's ``perf-smoke`` job
 (``python -m repro.bench --quick --check``), not here: tier-1 must stay
@@ -17,48 +17,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.bench import bench_events, bench_stealing
+from repro.experiments import ledger
 
 BASELINE = Path(__file__).resolve().parents[1] / "BENCH_core.json"
-
-
-def test_quick_bench_matches_committed_event_counts():
-    fresh = bench_events("quick", repeats=1)
-    committed = json.loads(BASELINE.read_text())["quick"]["events"]
-    assert fresh["trace"] == committed["trace"]
-    for policy, numbers in committed["policies"].items():
-        assert fresh["policies"][policy]["events"] == numbers["events"], policy
-        assert (
-            fresh["policies"][policy]["n_workers"] == numbers["n_workers"]
-        ), policy
-    assert fresh["events"] == committed["events"]
-    assert fresh["events_per_sec"] > 0
-    print(
-        f"\nquick-scale core throughput: {fresh['events_per_sec']:,} events/sec "
-        f"(committed baseline {committed['events_per_sec']:,})"
-    )
-
-
-def test_quick_stealing_bench_matches_committed_counters():
-    """The stealing-heavy point's deterministic half: rounds and events.
-
-    Steal rounds and entries stolen are pure functions of (spec, trace),
-    so drift means the stealing mechanism's semantics changed and the
-    baseline — plus ``CACHE_VERSION`` — needs a deliberate regeneration.
-    """
-    fresh = bench_stealing("quick", repeats=1)
-    committed = json.loads(BASELINE.read_text())["quick"]["stealing"]
-    assert fresh["workload"] == committed["workload"]
-    assert fresh["n_workers"] == committed["n_workers"]
-    assert fresh["events"] == committed["events"]
-    assert fresh["steal_rounds"] == committed["steal_rounds"]
-    assert fresh["successful_rounds"] == committed["successful_rounds"]
-    assert fresh["entries_stolen"] == committed["entries_stolen"]
-    print(
-        f"\nquick-scale stealing throughput: {fresh['events_per_sec']:,} "
-        f"events/sec over {fresh['steal_rounds']:,} steal rounds "
-        f"(committed baseline {committed['events_per_sec']:,})"
-    )
 
 
 def test_bench_baseline_shows_fast_path_speedup():
@@ -70,56 +31,28 @@ def test_bench_baseline_shows_fast_path_speedup():
     assert post >= 2 * pre, (pre, post)
 
 
-def test_sweep_stream_tier_structure_and_speedup():
-    """The committed streaming-vs-barrier record stays internally consistent.
-
-    Live timing belongs to CI's perf-smoke job (``--quick --check`` runs
-    :func:`repro.bench.bench_sweep_stream` fresh and gates on the
-    absolute :data:`~repro.bench.STREAM_SPEEDUP_FLOOR`); tier-1 checks
-    the committed record instead: both scale tiers carry the section,
-    the speedup field equals the ratio of its committed walls, the
-    executor really streamed (bounded in-flight window, every grid point
-    executed exactly once, no cache hits, no pool rebuilds), and the
-    headline clears the CI floor.
-    """
-    from repro.bench import STREAM_SPEEDUP_FLOOR
-
-    data = json.loads(BASELINE.read_text())
-    for tier in ("quick", "full"):
-        record = data[tier]["sweep_stream"]
-        grid = record["grid"]
-        assert grid["total_points"] == grid["batches"] * grid["points_per_batch"]
-        assert record["speedup"] == round(
-            record["barrier_s"] / record["stream_s"], 3
-        ), tier
-        counters = record["executor"]
-        assert counters["executions"] == grid["total_points"], tier
-        assert counters["memo_hits"] == 0 and counters["disk_hits"] == 0, tier
-        assert counters["pool_rebuilds"] == 0, tier
-        assert 0 < counters["max_inflight"] <= 2 * record["workers"], tier
-        assert record["speedup"] >= STREAM_SPEEDUP_FLOOR, (tier, record)
-
-
 def test_scale_tier_structure_and_speedups():
     """The committed 10k-worker scale tier stays internally consistent.
 
     The tier records the measured flat-array numbers next to the two
     reference cores (pre-flat-array tip and pre-fast-path core).  The
     10k point itself is far too slow for tier-1, so this checks the
-    committed record: the references share the new core's logical event
-    counts (byte-identity evidence), and every committed speedup field
-    equals the ratio of its committed walls.
+    committed records: the references share the logical event counts
+    that the run ledger pins for the scale point (byte-identity
+    evidence; CI's ``ledger`` job recomputes them), and every committed
+    speedup field equals the ratio of its committed walls.
     """
     scale = json.loads(BASELINE.read_text())["scale"]
+    _, entries = ledger.load()
+    events = ledger.COLUMNS["bench"].index("events")
     assert scale["n_workers"] == 10_000
     assert scale["workload"]["name"] == "google-scale10k"
     for ref_key in ("pre_pr", "pre_fast_path"):
         ref = scale[ref_key]
         assert ref["commit"], ref_key
         for policy in ("hawk", "sparrow"):
-            assert (
-                ref["policies"][policy]["events"]
-                == scale["policies"][policy]["events"]
+            assert ref["policies"][policy]["events"] == int(
+                entries[("bench", "scale", policy)][events]
             ), (ref_key, policy)
         assert ref["total_wall_s"] > scale["total_wall_s"], ref_key
     speedup = scale["speedup"]

@@ -1,7 +1,7 @@
 """The run ledger: every pinned simulator result in one generated file.
 
 ``benchmarks/results/run_ledger.txt`` records what a fresh computation
-gives for three kinds of entry, one line each:
+gives for four kinds of entry, one line each:
 
 * ``run <workload> <seed> <policy> <plain|faulted>`` — one run of a
   built-in workload at its quick scale, seeds 0-1, under every
@@ -10,6 +10,10 @@ gives for three kinds of entry, one line each:
   ``repr(RunResult)``, ``events_fired``, ``end_time``, the four
   ``StealingStats`` counts, the event heap's pops, the lifecycle
   stream's ``count:digest`` and the trace's ``content_digest()``;
+* ``bench <point> <policy>`` — one engine run that the core bench
+  times, for every point of :data:`repro.bench.POINTS` and each of its
+  policies, with the ``run`` columns.  The bench records only timings,
+  so these rows are the one pin of its events and stealing counts;
 * ``trace <workload> <seed>`` — the quick trace's ``content_digest()``
   for seeds 0-2;
 * ``render <figure>`` — the sha256 of a replicated (``n_seeds=2``)
@@ -26,9 +30,9 @@ ever read.  The command line::
     python -m repro.experiments.ledger --write    # rewrite the file
 
 The check names every moved entry and column, and every failed run,
-and exits 1.  ``--write`` prints what it changed, and refuses when a
-run's result columns (``result``, ``events``, ``end_time``,
-``stealing``) moved on an unchanged trace while the file's
+and exits 1.  ``--write`` prints what it changed, and refuses when the
+result columns (``result``, ``events``, ``end_time``, ``stealing``) of
+a ``run`` or ``bench`` row moved on an unchanged trace while the file's
 ``cache_version`` still equals
 :data:`~repro.experiments.parallel.CACHE_VERSION`: a cached result would
 then disagree with a fresh one, so the results version must be bumped
@@ -46,6 +50,7 @@ from itertools import product
 from pathlib import Path
 
 import repro.core.simulation as simulation
+from repro.bench import POINTS
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.experiments import (
     fig07_ablation,
@@ -62,6 +67,7 @@ from repro.schedulers.registry import build_engine
 from repro.service.replay import RunFold
 from repro.workloads import registry as workload_registry
 from repro.workloads.registry import quick_spec
+from repro.workloads.spec import Trace
 
 PATH = Path(__file__).resolve().parents[3] / "benchmarks/results/run_ledger.txt"
 
@@ -74,25 +80,28 @@ CRASH_FRACTION = 0.3
 #: Key fields and value columns of each entry kind.
 KEYS = {
     "run": ("workload", "seed", "policy", "faults"),
+    "bench": ("point", "policy"),
     "trace": ("workload", "seed"),
     "render": ("figure",),
 }
+RUN_COLUMNS = (
+    "result",
+    "events",
+    "end_time",
+    "stealing",
+    "heap_pops",
+    "stream",
+    "trace",
+)
 COLUMNS = {
-    "run": (
-        "result",
-        "events",
-        "end_time",
-        "stealing",
-        "heap_pops",
-        "stream",
-        "trace",
-    ),
+    "run": RUN_COLUMNS,
+    "bench": RUN_COLUMNS,
     "trace": ("digest",),
     "render": ("sha256",),
 }
 #: The leading run columns that a ``RunResult`` determines.
-RESULT_COLUMNS = COLUMNS["run"][:4]
-TRACE_COLUMN = COLUMNS["run"].index("trace")
+RESULT_COLUMNS = RUN_COLUMNS[:4]
+TRACE_COLUMN = RUN_COLUMNS.index("trace")
 #: The ``RunResult`` fields a run's folded stream must reproduce: all but
 #: ``scheduler_name``, which a fold names after the service.
 FOLDED_FIELDS = (
@@ -155,6 +164,7 @@ def all_keys() -> list[Key]:
     traces = product(workloads(), TRACE_SEEDS)
     return [
         *(("run", w, str(seed), p, faults) for w, seed, p, faults in runs),
+        *(("bench", name, p) for name, point in POINTS.items() for p in point.policies),
         *(("trace", w, str(seed)) for w, seed in traces),
         *(("render", name) for name in RENDERS),
     ]
@@ -215,6 +225,17 @@ def run_entry(workload: str, seed: int, policy: str, faults: str) -> tuple[str, 
     run_spec = RunSpec.for_workload(
         spec, policy, high_load_size(trace), seed, faults=plan
     )
+    return run_columns(f"run {workload} {seed} {policy} {faults}", run_spec, trace)
+
+
+def bench_entry(point: str, policy: str) -> tuple[str, ...]:
+    trace, specs = POINTS[point].runs()
+    return run_columns(f"bench {point} {policy}", specs[policy], trace)
+
+
+def run_columns(name: str, run_spec: RunSpec, trace: Trace) -> tuple[str, ...]:
+    """The run columns of ``run_spec`` on ``trace``; ``name`` heads the
+    :class:`SimulationError` of a run that fails a check."""
     stream = StreamDigest()
     counting = CountingHeapq()
     previous = simulation.heapq
@@ -223,7 +244,6 @@ def run_entry(workload: str, seed: int, policy: str, faults: str) -> tuple[str, 
         result = build_engine(run_spec, sink=stream).run(trace)
     finally:
         setattr(simulation, "heapq", previous)
-    name = f"run {workload} {seed} {policy} {faults}"
     if counting.pushes != counting.pops:
         raise SimulationError(
             f"{name}: the run left its heap undrained ({counting.pushes} "
@@ -264,6 +284,8 @@ def compute(key: Key) -> tuple[str, ...]:
     if kind == "run":
         workload, seed, policy, faults = fields
         return run_entry(workload, int(seed), policy, faults)
+    if kind == "bench":
+        return bench_entry(*fields)
     if kind == "trace":
         workload, seed = fields
         return (quick_spec(workload).trace(int(seed)).content_digest(),)
@@ -329,15 +351,15 @@ def diff(old: Entries, new: Entries) -> list[str]:
 
 
 def refusals(version: int, old: Entries, new: Entries) -> list[str]:
-    """The runs whose result moved on an unchanged trace, unless the
-    results version has been bumped since ``old`` was written."""
+    """The runs and bench rows whose result moved on an unchanged trace,
+    unless the results version has been bumped since ``old`` was written."""
     if version != CACHE_VERSION:
         return []
     n = len(RESULT_COLUMNS)
     return [
         " ".join(key)
         for key, values in new.items()
-        if key[0] == "run"
+        if key[0] in ("run", "bench")
         and key in old
         and old[key][TRACE_COLUMN] == values[TRACE_COLUMN]
         and old[key][:n] != values[:n]

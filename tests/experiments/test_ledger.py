@@ -1,9 +1,9 @@
 """The run ledger (``benchmarks/results/run_ledger.txt``) stays fresh.
 
-``python -m repro.experiments.ledger`` recomputes every entry (about two
-minutes; the CI ``ledger`` job runs it).  Tier-1 recomputes the slice
-below, with no cache tier involved, so a simulator change fails here on
-a warm run cache too, naming the runs and columns that moved.
+``python -m repro.experiments.ledger`` recomputes every entry (about
+three minutes; the CI ``ledger`` job runs it).  Tier-1 recomputes the
+slice below, with no cache tier involved, so a simulator change fails
+here on a warm run cache too, naming the runs and columns that moved.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+from repro.bench import POINTS
 from repro.cluster.records import RunResult
 from repro.core.errors import ConfigurationError
 from repro.experiments import ledger
@@ -45,7 +46,15 @@ def stratified_slice() -> list[tuple[str, ...]]:
 #: (``test_stealing_runs_match_pins``).
 SPARROW_HEAP_RUN = ("run", "google", "0", "sparrow", "plain")
 
-SLICE = list(dict.fromkeys([*stratified_slice(), SPARROW_HEAP_RUN]))
+#: The quick bench points: their events and stealing counts are pinned
+#: here only.  The full and 10k-worker rows run in CI's ``ledger`` job.
+QUICK_BENCH = [
+    ("bench", "quick.events", "hawk"),
+    ("bench", "quick.events", "sparrow"),
+    ("bench", "quick.stealing", "hawk"),
+]
+
+SLICE = list(dict.fromkeys([*stratified_slice(), SPARROW_HEAP_RUN, *QUICK_BENCH]))
 
 
 def test_ledger_slice_is_fresh():
@@ -64,34 +73,40 @@ def test_ledger_spans_every_policy_workload_seed_and_fault_level():
             ["plain", "faulted"],
         )
     )
+    assert {key for key in entries if key[0] == "bench"} == {
+        ("bench", name, policy)
+        for name, point in POINTS.items()
+        for policy in point.policies
+    }
     assert {key for key in entries if key[0] == "trace"} == set(
         product(["trace"], WORKLOADS, ["0", "1", "2"])
     )
     assert {key for key in entries if key[0] == "render"} == set(
         product(["render"], ledger.RENDERS)
     )
-    assert {key[1] for key in SLICE} == set(WORKLOADS)
-    assert {key[3] for key in SLICE} == set(registered_names())
-    assert {(key[3], key[4]) for key in SLICE} >= set(
+    runs = [key for key in SLICE if key[0] == "run"]
+    assert {key[1] for key in runs} == set(WORKLOADS)
+    assert {key[3] for key in runs} == set(registered_names())
+    assert {(key[3], key[4]) for key in runs} >= set(
         product(registered_names(), ledger.FAULT_LEVELS)
     )
-    assert {key[2] for key in SLICE} == {"0", "1"}
+    assert {key[2] for key in runs} == {"0", "1"}
 
 
 ROW = ("run", "motivation", "0", "hawk", "plain")
 
 
-def edited_copy(tmp_path, column, version=CACHE_VERSION):
-    """The committed ledger with one column of ``ROW`` changed
+def edited_copy(tmp_path, column, version=CACHE_VERSION, row=ROW):
+    """The committed ledger with one column of ``row`` changed
     and its header naming ``version``."""
     _, entries = ledger.load()
-    values = list(entries[ROW])
-    index = ledger.COLUMNS["run"].index(column)
+    values = list(entries[row])
+    index = ledger.COLUMNS[row[0]].index(column)
     values[index] = "0" + values[index]
-    name = " ".join(ROW)
+    name = " ".join(row)
     text = ledger.PATH.read_text(encoding="utf-8")
     text = text.replace(
-        f"{name} {' '.join(entries[ROW])}\n", f"{name} {' '.join(values)}\n"
+        f"{name} {' '.join(entries[row])}\n", f"{name} {' '.join(values)}\n"
     ).replace(f"cache_version {CACHE_VERSION}\n", f"cache_version {version}\n")
     path = tmp_path / "run_ledger.txt"
     path.write_text(text, encoding="utf-8")
@@ -99,12 +114,13 @@ def edited_copy(tmp_path, column, version=CACHE_VERSION):
 
 
 def test_write_refuses_a_result_change_without_a_cache_version_bump(tmp_path):
-    path = edited_copy(tmp_path, "result")
-    before = path.read_text(encoding="utf-8")
     _, committed = ledger.load()
-    with pytest.raises(ConfigurationError, match="run motivation 0 hawk plain"):
-        ledger.write(committed, path)
-    assert path.read_text(encoding="utf-8") == before
+    for row in (ROW, ("bench", "quick.stealing", "hawk")):
+        path = edited_copy(tmp_path, "result", row=row)
+        before = path.read_text(encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=" ".join(row)):
+            ledger.write(committed, path)
+        assert path.read_text(encoding="utf-8") == before
 
 
 def test_write_takes_a_result_change_after_a_cache_version_bump(tmp_path):

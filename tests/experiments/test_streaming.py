@@ -116,32 +116,51 @@ def test_stream_results_byte_identical_to_serial_path():
     assert render(points) == render(reference)
 
 
-def test_run_many_reorders_shuffled_completions_to_submission_order():
-    """Completions arrive reversed; run_many still returns submission order."""
-    n = 4
-    # Earlier submissions sleep longer, so completion order is reversed.
+def _completion_order(durations, max_workers, inflight=None):
+    """Stream one sleep point per duration; the submission indices in
+    the order the stream emits them."""
     pairs = [
-        (SPEC, Trace([JobSpec(i, 0.0, ((n - i) * 0.15,))], name=f"rev-{i}"))
-        for i in range(n)
+        (SPEC, Trace([JobSpec(i, 0.0, (duration,))], name=f"sleep-{i}"))
+        for i, duration in enumerate(durations)
     ]
     completion_order = []
     executor = SweepExecutor(
-        max_workers=n,
+        max_workers=max_workers,
         disk_cache=None,
         trace_shm=False,
-        inflight=n,
+        inflight=inflight,
         run_fn=_encoded_sleep_run,
     )
     try:
-        collected = [None] * n
+        collected = [None] * len(pairs)
         for index, _key, result in executor.run_stream(pairs):
             completion_order.append(index)
             collected[index] = result
     finally:
         executor.close()
-    assert completion_order == list(reversed(range(n)))  # genuinely shuffled
-    assert collected == [("slept", f"rev-{i}") for i in range(n)]
-    assert executor.summary()["executions"] == n
+    assert collected == [("slept", f"sleep-{i}") for i in range(len(pairs))]
+    assert executor.summary()["executions"] == len(pairs)
+    return completion_order
+
+
+def test_run_many_reorders_shuffled_completions_to_submission_order():
+    """Completions arrive out of order; each result still lands at its
+    submission index.
+
+    With a worker per point, earlier submissions sleep longer, so
+    completions arrive reversed.  With two workers, a straggler
+    submitted first holds one while the other drains every fast point,
+    so each fast point is emitted before the straggler: a stream never
+    waits at a batch barrier.
+    """
+    n = 4
+    reversed_order = _completion_order(
+        [(n - i) * 0.15 for i in range(n)], max_workers=n, inflight=n
+    )
+    assert reversed_order == list(reversed(range(n)))  # genuinely shuffled
+    straggler_last = _completion_order([1.0] + [0.02] * 10, max_workers=2)
+    assert straggler_last[-1] == 0
+    assert sorted(straggler_last) == list(range(11))
 
 
 # -- backpressure -------------------------------------------------------------

@@ -49,12 +49,8 @@ def _past_bound(gate: Gate, committed, factor: float):
         return committed / factor * 0.99
     if gate.kind == "ceiling":
         return committed * factor * 1.01
-    if gate.kind == "absolute":
-        return gate.bound * 0.99
-    if gate.kind == "true":
-        return False
-    assert gate.kind == "equal", gate
-    return committed + 1
+    assert gate.kind == "true", gate
+    return False
 
 
 @pytest.mark.parametrize("name, section, gate", ROWS)
@@ -160,3 +156,13 @@ def test_both_clis_keep_their_flags(module, flags, capsys):
     out = capsys.readouterr().out
     for flag in (*flags, "--output", "--no-write", "--check"):
         assert flag in out, flag
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_repeats_below_one_is_a_usage_error(repeats, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        repro.bench.main(["--quick", "--no-write", "--repeats", repeats])
+    assert exit_info.value.code == 2
+    assert f"--repeats: must be at least 1, got {int(repeats)}" in (
+        capsys.readouterr().err
+    )

@@ -18,7 +18,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 DELETED = re.compile(
     r"\b(?:EventHandle|RunConfig|IDLE_POLL|index\.db|Cluster\.backlog"
     r"|long_count|slot_long|Baseline|_rebuild_run|_check_arity"
-    r"|chaos_hawk_v4(?:_flat)?)\b"
+    r"|chaos_hawk_v4(?:_flat)?|STREAM_SPEEDUP_FLOOR|bench_sweep_stream"
+    r"|_synthetic_sleep_run)\b"
 )
 
 
